@@ -2,21 +2,32 @@
 
 Usage, from the root of a checkout:
 
-  python3 perfbench/run.py --workload rtp-mp --seed 1 --seconds 20 --trace 0
+  python3 perfbench/run.py --workload rtp-mp --seed 1 --seconds 35 --trace 0
 
 The benchmark process starts one CLI stage at a time as its own child, as
-a user runs them (a closed loop with one client). Wall time is taken around
-each child and peak RSS from its `os.wait4` rusage, so nothing of the
-benchmark process is counted.
+a user runs them (a closed loop with one client). The benchmark and its
+children are pinned to one CPU. A stage's time is the CPU time of its
+child (user + system, from the `os.wait4` rusage) scaled to a reference
+machine speed: while the child runs, a speed probe in the benchmark process
+times a small fixed piece of work on the same CPU every PROBE_PERIOD_S,
+and the stage time is `cpu_s * REF_PROBE_S / mean probe time`. On a
+shared host the speed of a CPU changes by up to 1.7x from one second to the
+next; the probe sees the same changes as the child, so the scaled time
+measures the program's work rather than the host's load. Wall times and
+the probe times are reported too, as per-layer figures. Peak RSS comes
+from the child's rusage, so nothing of the benchmark process is counted.
 
-A run repeats rounds of the whole pipeline (generate the workload's
-dataset, then train and evaluate each of its methods) for about
-`--seconds`, at least one round, and reports the medians over rounds.
-`setup_s` is the median over at least MIN_SETUPS generate runs. Every
-output is checked; a failed stage or check counts in `failed` and makes
-the exit code 1.
+A run first generates the workload's dataset SETUPS times (`setup_s`
+is the median). Then it trains and evaluates each of the workload's
+methods on it, as a user does. Then, while the next one fits into
+`--seconds`, it makes training cycles (train every method for all its
+epochs: no early stopping, so the same work for every seed) and
+evaluation cycles (evaluate the checkpoints again) in turn, at least one
+training cycle. It reports the medians over cycles. Every output is
+checked; a failed stage or check counts in `failed` and makes the exit
+code 1.
 
-With `--trace 1` the run then repeats the pipeline once more with every
+With `--trace 1` the run then makes the pipeline once more with every
 stage under `trace_stage.py`, which records spans around the calls into
 each module, and prints the per-layer metrics instead of the end-to-end
 ones. The traced results must equal the untraced ones bit for bit.
@@ -29,6 +40,7 @@ file lists the workloads, the metrics and the baseline.
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -44,13 +56,20 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 ROOT = os.getcwd()
 SRC = os.path.join(ROOT, "src")
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORK_ROOT = os.path.join(ROOT, ".perfbench_work")
 
-MIN_SETUPS = 3
+SETUPS = 3
 BLAS_THREADS = 1
+# The probe runs about 2 ms of CPU work every 40 ms (5% of the CPU); its
+# reference time sets the scale of every reported stage time. It is a
+# constant: two commits are compared with the same one.
+PROBE_PERIOD_S = 0.04
+REF_PROBE_S = 0.002
 RUN_DEADLINE_S = 170.0
 MB = float(1 << 20)
 
@@ -94,6 +113,8 @@ END_TO_END = [
 
 PER_LAYER = [
     ("stages.train_s", "s"), ("stages.pipeline_s", "s"),
+    ("wall.setup_s", "s"), ("wall.train_s", "s"), ("wall.eval_s", "s"),
+    ("probe.ms", "ms"),
     ("cli.import_s", "s"), ("cli.self_s", "s"),
     ("cli.generate.peak_rss_mb", "MB"), ("cli.train.peak_rss_mb", "MB"),
     ("cli.eval.peak_rss_mb", "MB"),
@@ -146,13 +167,17 @@ def generate_argv(kind, seed, tiny):
             "data.jsonl", "--noise", "0.0", *sizes]
 
 
-def train_argv(w, method, seed, tiny):
+def train_argv(w, method, seed, tiny, all_epochs=False):
+    """The default training, or with `all_epochs` one that never stops
+    early, so that its work does not depend on the seed."""
+    epochs = TINY_EPOCHS if tiny else EPOCHS[w.kind]
+    patience = epochs if all_epochs else 20
     argv = ["train", "--data", "data.jsonl", "--method", method,
-            "--task", w.kind, "--seed", str(seed),
-            "--epochs", str(TINY_EPOCHS if tiny else EPOCHS[w.kind]),
+            "--task", w.kind, "--seed", str(seed), "--epochs", str(epochs),
             "--batch-size", "32", "--lr", "0.001", "--hidden", "64,64",
             "--n-basis", str(N_BASIS[w.kind]), "--n-basis-dmp", "25",
-            "--tau", "7.6", "--patience", "20", "--out", f"{method}.json"]
+            "--tau", "7.6", "--patience", str(patience),
+            "--out", f"{method}.json"]
     if w.split is not None:
         argv += ["--split", w.split]
     return argv
@@ -164,13 +189,86 @@ def eval_argv(method):
             "--plot-samples", "2"]
 
 
+def _probe_inputs():
+    rng = np.random.default_rng(0)
+    doc = json.dumps([{"t": i, "q": rng.standard_normal(7).round(6).tolist()}
+                      for i in range(40)])
+    return (rng.standard_normal((32, 64)), rng.standard_normal((64, 64)) / 8,
+            doc)
+
+
+class SpeedProbe(threading.Thread):
+    """Times a fixed mix of the program's kinds of work every
+    PROBE_PERIOD_S on the benchmark's CPU, until stopped: a Python float
+    loop, JSON parsing, a loop of tiny numpy operations as in a DMP
+    rollout, and small matrix products with an Adam-like update as in
+    training. The times are thread CPU time, so a probe that waits for the
+    CPU is not counted slower."""
+
+    _x, _w, _doc = _probe_inputs()
+
+    def __init__(self):
+        super().__init__(daemon=True)
+        self.samples = []
+        self._done = threading.Event()
+
+    @classmethod
+    def work(cls):
+        t0 = time.thread_time()
+        acc = 0.0
+        for i in range(3000):
+            acc += (i % 7) * 0.5
+        for _ in range(3):
+            json.loads(cls._doc)
+        y, dy, goal = np.zeros(7), np.zeros(7), np.ones(7)
+        for _ in range(150):
+            ddy = 25.0 * (6.25 * (goal - y) - dy) + 0.1 * np.sin(y)
+            dy = dy + ddy * 1e-3
+            y = y + dy * 1e-3
+        x, w = cls._x, cls._w
+        m, v = np.zeros_like(w), np.zeros_like(w)
+        for _ in range(6):
+            h = np.tanh(x @ w)
+            g = x.T @ (1.0 - h * h) / len(x)
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            w = w - 1e-3 * m / (np.sqrt(v) + 1e-8)
+        return time.thread_time() - t0
+
+    def run(self):
+        while True:
+            self.samples.append(self.work())
+            if self._done.wait(PROBE_PERIOD_S):
+                return
+
+    def stop(self):
+        """Stop and return the mean probe time, leaving out the tenth
+        slowest and the tenth fastest. A mean, not a median: the speed
+        flips between two levels, and the stage's CPU time adds up the
+        time spent at each."""
+        self._done.set()
+        self.join()
+        if not self.samples:
+            self.samples.append(self.work())
+        times = sorted(self.samples)
+        cut = len(times) // 10
+        return statistics.fmean(times[cut:len(times) - cut])
+
+
 @dataclass
 class StageRun:
     stage: str
     wall_s: float
+    cpu_s: float
+    probe_s: float      # mean probe time during the stage
     rss_mb: float
     exit_code: int
     spans: str = None
+
+    @property
+    def time_s(self):
+        """The child's CPU time at the reference machine speed."""
+        return self.cpu_s * REF_PROBE_S / self.probe_s
 
 
 class Runner:
@@ -203,6 +301,8 @@ class Runner:
             t0 = time.perf_counter()
             proc = subprocess.Popen(cmd, cwd=cwd, env=self.env, stdout=log,
                                     stderr=subprocess.STDOUT)
+            probe = SpeedProbe()
+            probe.start()
             timer = threading.Timer(max(self.deadline - time.monotonic(), 1.0),
                                     proc.kill)
             timer.start()
@@ -214,10 +314,12 @@ class Runner:
                 raise
             finally:
                 timer.cancel()
+                probe_s = probe.stop()
             wall = time.perf_counter() - t0
         proc.returncode = os.waitstatus_to_exitcode(status)
-        run = StageRun(argv[0], wall, usage.ru_maxrss / 1024.0,
-                       proc.returncode, spans)
+        run = StageRun(argv[0], wall, usage.ru_utime + usage.ru_stime,
+                       probe_s, usage.ru_maxrss / 1024.0, proc.returncode,
+                       spans)
         self.check(run.exit_code == 0,
                    f"{cwd}: {argv[0]} exited {run.exit_code}")
         return run
@@ -291,27 +393,31 @@ def read_bytes(path):
 # one pipeline
 
 @dataclass
-class Round:
-    gen: StageRun = None
+class Cycle:
+    """The stages of one cycle: training and evaluating every method of the
+    workload, or only one of the two."""
     train: list = field(default_factory=list)
     evals: list = field(default_factory=list)
     samples: int = 0
     demos: int = 0
     quality: dict = field(default_factory=dict)
-    data_sha: str = None
     outputs: dict = field(default_factory=dict)
 
     @property
     def train_s(self):
-        return sum(r.wall_s for r in self.train)
+        return sum(r.time_s for r in self.train)
 
     @property
     def eval_s(self):
-        return sum(r.wall_s for r in self.evals)
+        return sum(r.time_s for r in self.evals)
 
     @property
-    def pipeline_s(self):
-        return self.gen.wall_s + self.train_s + self.eval_s
+    def train_wall_s(self):
+        return sum(r.wall_s for r in self.train)
+
+    @property
+    def eval_wall_s(self):
+        return sum(r.wall_s for r in self.evals)
 
 
 def span_file(spans_dir, name):
@@ -329,66 +435,87 @@ def generate(runner, w, seed, tiny, cwd, spans_dir=None):
     return run, sha256(os.path.join(cwd, "data.jsonl"))
 
 
-def pipeline_round(runner, w, seed, tiny, cwd, spans_dir=None):
-    """From nothing to metrics.csv in `cwd`: generate, then train and
-    evaluate every method of the workload."""
-    rnd = Round()
-    rnd.gen, rnd.data_sha = generate(runner, w, seed, tiny, cwd, spans_dir)
-    if rnd.data_sha is None:
-        return rnd
+def train_method(runner, w, method, seed, tiny, cwd, cyc, spans_dir=None,
+                 all_epochs=False):
+    """Train `method` on cwd/data.jsonl; whether it made a checkpoint."""
+    run = runner.stage(train_argv(w, method, seed, tiny, all_epochs), cwd,
+                       span_file(spans_dir, f"train-{method}"))
+    cyc.train.append(run)
+    if run.exit_code != 0:
+        return False
+    ckpt = os.path.join(cwd, f"{method}.json")
+    runner.check(manifest_ok(cwd, f"{method}.json.manifest.json"),
+                 f"{cwd}: train {method} manifest does not match")
+    fit = fit_samples_per_epoch(ckpt)
+    if runner.check(fit is not None, f"{ckpt}: checkpoint does not reload"):
+        cyc.samples += fit[0] * fit[1]
+    cyc.outputs[f"{method}.json"] = read_bytes(ckpt)
+    return True
+
+
+def eval_method(runner, method, cwd, cyc, spans_dir=None):
+    """Evaluate cwd/<method>.json on cwd/data.jsonl."""
+    run = runner.stage(eval_argv(method), cwd,
+                       span_file(spans_dir, f"eval-{method}"))
+    cyc.evals.append(run)
+    if run.exit_code != 0:
+        return
+    runner.check(manifest_ok(cwd, f"eval-{method}/manifest.json"),
+                 f"{cwd}: eval {method} manifest does not match")
+    metrics_csv = os.path.join(cwd, f"eval-{method}", "metrics.csv")
+    overall = read_overall(metrics_csv)
+    if runner.check(overall is not None,
+                    f"{metrics_csv}: no finite non-negative overall row"):
+        cyc.quality[method] = overall[:2]
+        cyc.demos += overall[2]
+    cyc.outputs[f"eval-{method}/metrics.csv"] = read_bytes(metrics_csv)
+
+
+def run_cycle(runner, w, seed, tiny, cwd, spans_dir=None):
+    """A user's cycle: train and evaluate every method of the workload."""
+    cyc = Cycle()
     for method in w.methods:
-        run = runner.stage(train_argv(w, method, seed, tiny), cwd,
-                           span_file(spans_dir, f"train-{method}"))
-        rnd.train.append(run)
-        if run.exit_code != 0:
-            continue
-        ckpt = os.path.join(cwd, f"{method}.json")
-        runner.check(manifest_ok(cwd, f"{method}.json.manifest.json"),
-                     f"{cwd}: train {method} manifest does not match")
-        fit = fit_samples_per_epoch(ckpt)
-        if runner.check(fit is not None,
-                        f"{ckpt}: checkpoint does not reload"):
-            rnd.samples += fit[0] * fit[1]
-
-        run = runner.stage(eval_argv(method), cwd,
-                           span_file(spans_dir, f"eval-{method}"))
-        rnd.evals.append(run)
-        if run.exit_code != 0:
-            continue
-        runner.check(manifest_ok(cwd, f"eval-{method}/manifest.json"),
-                     f"{cwd}: eval {method} manifest does not match")
-        metrics_csv = os.path.join(cwd, f"eval-{method}", "metrics.csv")
-        overall = read_overall(metrics_csv)
-        if runner.check(overall is not None,
-                        f"{metrics_csv}: no finite non-negative overall row"):
-            rnd.quality[method] = overall[:2]
-            rnd.demos += overall[2]
-        rnd.outputs[method] = (read_bytes(ckpt), read_bytes(metrics_csv))
-    return rnd
+        if train_method(runner, w, method, seed, tiny, cwd, cyc, spans_dir):
+            eval_method(runner, method, cwd, cyc, spans_dir)
+    return cyc
 
 
-def check_same_outputs(runner, rounds, reference, what):
-    """One seed must give the same dataset, checkpoints and metrics."""
-    for rnd in rounds:
-        runner.check(rnd.data_sha == reference.data_sha,
-                     f"{what}: the dataset differs")
-        for method, outputs in rnd.outputs.items():
-            runner.check(outputs == reference.outputs.get(method),
-                         f"{what}: {method} checkpoint or metrics.csv differ")
+def training_cycle(runner, w, seed, tiny, cwd):
+    """Train every method for all its epochs."""
+    cyc = Cycle()
+    for method in w.methods:
+        train_method(runner, w, method, seed, tiny, cwd, cyc, all_epochs=True)
+    return cyc
+
+
+def evaluation_cycle(runner, w, cwd):
+    """Evaluate the checkpoint of every method that is in cwd."""
+    cyc = Cycle()
+    for method in w.methods:
+        eval_method(runner, method, cwd, cyc)
+    return cyc
+
+
+def check_same_outputs(runner, cycles, reference, what):
+    """One seed must give the same checkpoints and metrics."""
+    for cyc in cycles:
+        for name, data in cyc.outputs.items():
+            runner.check(data == reference.outputs.get(name),
+                         f"{what}: {name} differs")
 
 
 # ---------------------------------------------------------------------------
 # metrics
 
-def end_to_end(gens, rounds):
-    children = gens + [r for rnd in rounds for r in rnd.train + rnd.evals]
+def end_to_end(gens, cycles, trains):
+    children = gens + [r for c in cycles + trains for r in c.train + c.evals]
     return {
-        "setup_s": statistics.median(r.wall_s for r in gens),
-        "eval_s": statistics.median(r.eval_s for r in rounds),
+        "setup_s": statistics.median(r.time_s for r in gens),
+        "eval_s": statistics.median(c.eval_s for c in cycles),
         "train_samples_per_s": statistics.median(
-            r.samples / r.train_s for r in rounds),
+            c.samples / c.train_s for c in trains),
         "eval_demos_per_s": statistics.median(
-            r.demos / r.eval_s for r in rounds),
+            c.demos / c.eval_s for c in cycles),
         "peak_rss_mb": max(r.rss_mb for r in children),
     }
 
@@ -421,8 +548,8 @@ def span_totals(paths):
     return total, self_s, calls, counts, in_eval, import_s
 
 
-def per_layer(gens, rounds, traced, e2e, runner):
-    span_files = [r.spans for r in [traced.gen] + traced.train + traced.evals]
+def per_layer(gens, cycles, trains, traced_gen, traced, e2e, runner):
+    span_files = [r.spans for r in [traced_gen] + traced.train + traced.evals]
     total, self_s, calls, counts, in_eval, import_s = span_totals(span_files)
 
     def per_call_us(name):
@@ -438,13 +565,23 @@ def per_layer(gens, rounds, traced, e2e, runner):
 
     def stage_rss(stage):
         runs = gens if stage == "generate" else [
-            r for rnd in rounds for r in rnd.train + rnd.evals
+            r for c in cycles + trains for r in c.train + c.evals
             if r.stage == stage]
         return max(r.rss_mb for r in runs)
 
+    wall = {"generate": statistics.median(r.wall_s for r in gens),
+            "train": cycles[0].train_wall_s,
+            "eval": statistics.median(c.eval_wall_s for c in cycles)}
+    train_s = cycles[0].train_s
     m = {
-        "stages.train_s": statistics.median(r.train_s for r in rounds),
-        "stages.pipeline_s": statistics.median(r.pipeline_s for r in rounds),
+        "stages.train_s": train_s,
+        "stages.pipeline_s": e2e["setup_s"] + train_s + e2e["eval_s"],
+        "wall.setup_s": wall["generate"],
+        "wall.train_s": wall["train"],
+        "wall.eval_s": wall["eval"],
+        "probe.ms": 1e3 * statistics.median(
+            r.probe_s for r in gens + [r for c in cycles + trains
+                                       for r in c.train + c.evals]),
         "cli.import_s": statistics.median(import_s),
         "cli.self_s": self_s["cli.main"],
         "cli.generate.peak_rss_mb": stage_rss("generate"),
@@ -488,16 +625,14 @@ def per_layer(gens, rounds, traced, e2e, runner):
                  "checkpoint.save", "checkpoint.load", "plots.write"):
         m[f"{name}_s"] = total[name]
 
-    walls = {"generate": traced.gen.wall_s,
-             "train": traced.train_s, "eval": traced.eval_s}
-    untraced = {"generate": e2e["setup_s"], "train": m["stages.train_s"],
-                "eval": e2e["eval_s"]}
-    for stage, wall in walls.items():
-        m[f"trace.{stage}.wall_s"] = wall
-        m[f"trace.{stage}.overhead_s"] = wall - untraced[stage]
+    traced_wall = {"generate": traced_gen.wall_s,
+                   "train": traced.train_wall_s, "eval": traced.eval_wall_s}
+    for stage, traced_s in traced_wall.items():
+        m[f"trace.{stage}.wall_s"] = traced_s
+        m[f"trace.{stage}.overhead_s"] = traced_s - wall[stage]
     m["failed_share"] = ratio(len(runner.failures), runner.attempted)
     for method in METHODS:
-        mse, ed = rounds[0].quality.get(method, (0.0, 0.0))
+        mse, ed = cycles[0].quality.get(method, (0.0, 0.0))
         m[f"ave_mse.{method}"] = mse
         m[f"ave_ed_mm.{method}"] = ed
     return {name: m[name] for name, _ in PER_LAYER}
@@ -507,17 +642,16 @@ def per_layer(gens, rounds, traced, e2e, runner):
 # environment
 
 def environment():
-    import numpy
     env = {"nproc": os.cpu_count(),
-           "cpus_usable": len(os.sched_getaffinity(0)),
+           "cpu_pinned": sorted(os.sched_getaffinity(0)),
            "python": platform.python_version(),
-           "numpy": numpy.__version__,
+           "numpy": np.__version__,
            "openblas": None,
            "blas_threads": BLAS_THREADS,
            "git_sha": git_sha(),
            "backend": None}
     try:
-        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         env["openblas"] = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):
         pass
@@ -553,52 +687,88 @@ def git_sha():
 
 # ---------------------------------------------------------------------------
 
+def setup(runner, w, seed, tiny, work):
+    """Generate the dataset SETUPS times; (generate runs, data dir)."""
+    gens, shas = [], []
+    for k in range(SETUPS):
+        run, data_sha = generate(runner, w, seed, tiny,
+                                 os.path.join(work, f"setup{k}"))
+        gens.append(run)
+        shas.append(data_sha)
+    runner.check(len(set(shas)) == 1,
+                 "a repeated generate of the same seed differs")
+    return gens, shas[0], os.path.join(work, "setup0")
+
+
 def run_workload(runner, name, seed, seconds, trace, tiny, work):
     w = WORKLOADS[name]
     plain = os.path.join(work, "plain")
     # An installed package has its bytecode compiled; a fresh checkout
-    # compiles it on first import, which no round should pay.
+    # compiles it on first import, which no stage should pay.
     subprocess.run([sys.executable, "-c", "import mprim.cli"], env=runner.env,
                    check=False, timeout=60)
-    rounds = []
     start = time.perf_counter()
-
-    def another_round():
-        # stop where the next round would end closer to `seconds` than not
-        elapsed = time.perf_counter() - start
-        return not rounds or elapsed * (1 + 0.5 / len(rounds)) < seconds
-
-    while another_round():
-        rounds.append(pipeline_round(
-            runner, w, seed, tiny, os.path.join(plain, f"round{len(rounds)}")))
-        if runner.failures:
-            return None
-    check_same_outputs(runner, rounds[1:], rounds[0],
-                       "a repeated round of the same seed")
-    # a run of few long rounds still takes setup_s as a median
-    gens = [rnd.gen for rnd in rounds]
-    for k in range(len(gens), MIN_SETUPS):
-        run, data_sha = generate(runner, w, seed, tiny,
-                                 os.path.join(plain, f"setup{k}"))
-        gens.append(run)
-        runner.check(data_sha == rounds[0].data_sha,
-                     "a repeated generate of the same seed differs")
+    gens, data_sha, data_dir = setup(runner, w, seed, tiny, plain)
     if runner.failures:
         return None
-    e2e = end_to_end(gens, rounds)
+
+    def fresh_dir(*paths):
+        """A new directory holding links to `paths`."""
+        cwd = os.path.join(plain, f"cycle{len(cycles) + len(trains)}")
+        os.makedirs(cwd)
+        for path in paths:
+            os.link(path, os.path.join(cwd, os.path.basename(path)))
+        return cwd
+
+    def fits(wall):
+        return time.perf_counter() - start + wall <= seconds
+
+    data = os.path.join(data_dir, "data.jsonl")
+    cycles, trains = [], []
+    first = fresh_dir(data)
+    cycles.append(run_cycle(runner, w, seed, tiny, first))
+    checkpoints = [os.path.join(first, f"{m}.json") for m in w.methods]
+    # then training cycles and evaluation cycles (of the first cycle's
+    # checkpoints) in turn, while the next one is expected to end within
+    # `seconds`; always one training cycle
+    wall = {"train": cycles[0].train_wall_s, "eval": cycles[0].eval_wall_s}
+    for kind in itertools.cycle(("train", "eval")):
+        if runner.failures:
+            return None
+        if trains and not fits(wall[kind]):
+            break
+        t0 = time.perf_counter()
+        if kind == "train":
+            trains.append(training_cycle(runner, w, seed, tiny,
+                                         fresh_dir(data)))
+        else:
+            cycles.append(evaluation_cycle(runner, w,
+                                           fresh_dir(data, *checkpoints)))
+        wall[kind] = time.perf_counter() - t0
+    check_same_outputs(runner, cycles[1:], cycles[0],
+                       "a repeated evaluation of the same seed")
+    check_same_outputs(runner, trains[1:], trains[0],
+                       "a repeated training cycle of the same seed")
+    if runner.failures:
+        return None
+    e2e = end_to_end(gens, cycles, trains)
     if not trace:
         return e2e
 
     spans_dir = os.path.join(work, "spans")
     os.makedirs(spans_dir)
-    traced = pipeline_round(runner, w, seed, tiny,
-                            os.path.join(work, "traced"), spans_dir)
+    cwd = os.path.join(work, "traced")
+    traced_gen, traced_sha = generate(runner, w, seed, tiny, cwd, spans_dir)
     if runner.failures:
         return None
-    check_same_outputs(runner, [traced], rounds[0], "the traced run")
+    runner.check(traced_sha == data_sha, "the traced run: the dataset differs")
+    traced = run_cycle(runner, w, seed, tiny, cwd, spans_dir)
     if runner.failures:
         return None
-    return per_layer(gens, rounds, traced, e2e, runner)
+    check_same_outputs(runner, [traced], cycles[0], "the traced run")
+    if runner.failures:
+        return None
+    return per_layer(gens, cycles, trains, traced_gen, traced, e2e, runner)
 
 
 def parse_args(argv):
@@ -620,6 +790,8 @@ def main(argv=None):
               "checkout", file=sys.stderr)
         return 2
     os.environ["OPENBLAS_NUM_THREADS"] = str(BLAS_THREADS)
+    # the children inherit the CPU, so the probe shares it with each stage
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     sys.path.insert(0, SRC)
     # SIGTERM unwinds like an interrupt, so the running child is stopped
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
