@@ -8,5 +8,3 @@ demonstration datasets, and evaluation metrics, tied together by the
 """
 
 __version__ = "0.1.0"
-
-from mprim.kernels import COMPILED_AVAILABLE, active_backend  # noqa: F401

@@ -356,9 +356,10 @@ def apply_split(dataset: DemoDataset, spec: SplitSpec, seed: int):
                 test.extend(cell[n_train:].tolist())
 
     train, test = sorted(train), sorted(test)
+    train_set, test_set = set(train), set(test)
     for i, sample in enumerate(dataset.samples):
-        sample.split = TRAIN if i in set(train) else (
-            TEST if i in set(test) else None)
+        sample.split = TRAIN if i in train_set else (
+            TEST if i in test_set else None)
     return np.array(train, dtype=int), np.array(test, dtype=int)
 
 

@@ -4,6 +4,11 @@ One second-order spring-damper per joint, driven by a phase-gated forcing
 term. The phase x decays exponentially in time, the forcing term is a
 normalized mix of Gaussian kernels in x scaled by x*(g - q0), so the
 system always settles on the goal once the phase has died out.
+
+`rollout` and `rollout_matched` take one model or a sequence of models
+that share tau, the gains and the kernels; a sequence is integrated as
+one batch, and each model's trajectory is bit for bit the one it gets
+alone.
 """
 
 from dataclasses import dataclass
@@ -129,36 +134,89 @@ def fit_dmp(traj: Trajectory, n_basis: int, tau: float,
                     centers, widths, tuple(degenerate))
 
 
-def rollout(model: DmpModel, dt: float, steps: int) -> Trajectory:
-    """Integrate the attractor dynamics with explicit Euler.
+def _as_batch(models):
+    """(list of models, whether a single model was given)."""
+    single = isinstance(models, DmpModel)
+    batch = [models] if single else list(models)
+    if not batch:
+        raise ValueError("need at least one model to roll out")
+    return batch, single
 
-    Returns `steps` position samples at times 0, dt, ..., (steps-1)*dt,
-    the first one being the start configuration.
+
+def _check_shared(models):
+    """Reject a batch whose models do not share tau, gains and kernels."""
+    first = models[0]
+    for b, m in enumerate(models[1:], start=1):
+        for name in ("tau", "alpha_z", "beta_z", "alpha_x"):
+            if getattr(m, name) != getattr(first, name):
+                raise ValueError(
+                    f"model {b} has {name}={getattr(m, name)}, model 0 "
+                    f"{getattr(first, name)}; a batch shares one {name}")
+        for name in ("kernel_centers", "kernel_widths"):
+            if not np.array_equal(getattr(m, name), getattr(first, name)):
+                raise ValueError(
+                    f"model {b} has other {name} than model 0; a batch "
+                    "shares one set of forcing kernels")
+
+
+def _integrate(models, dt, steps, stride):
+    """Positions at steps 0, stride, ... of a batch, one model per row.
+
+    Shape (len(models), n_out, n_joint), each row one contiguous block.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    _check_shared(models)
+    m = models[0]
     track = kernels.dmp_rollout(
-        model.start, model.goal, model.forcing_weights,
-        model.kernel_centers, model.kernel_widths, model.tau,
-        model.alpha_z, model.beta_z, model.alpha_x, dt, steps)
-    if not np.all(np.isfinite(track)):
+        np.stack([b.start for b in models]),
+        np.stack([b.goal for b in models]),
+        np.stack([b.forcing_weights for b in models]),
+        m.kernel_centers, m.kernel_widths, m.tau, m.alpha_z, m.beta_z,
+        m.alpha_x, dt, steps, stride)
+    bad = np.flatnonzero(~np.isfinite(track).all(axis=(0, 2)))
+    if len(bad):
         raise IntegrationError(
-            "rollout diverged to a non-finite state; reduce dt")
-    return Trajectory(track, PhaseConfig(1.0 / dt, steps))
+            f"rollout diverged to a non-finite state in batch row(s) "
+            f"{bad.tolist()}; reduce dt", rows=bad.tolist())
+    return np.ascontiguousarray(track.transpose(1, 0, 2))
 
 
-def rollout_matched(model: DmpModel, n_samples: int,
-                    oversample: int = ROLLOUT_OVERSAMPLE) -> Trajectory:
+def rollout(models, dt: float, steps: int):
+    """Integrate the attractor dynamics with explicit Euler.
+
+    `models` is one DmpModel or a sequence of them that share tau, the
+    gains and the forcing kernels; a sequence is integrated as one batch.
+    Each trajectory has `steps` position samples at times 0, dt, ...,
+    (steps-1)*dt, the first one being the start configuration. Returns a
+    Trajectory for one model, a list of them for a sequence. A non-finite
+    state raises IntegrationError naming the diverged batch rows.
+    """
+    batch, single = _as_batch(models)
+    values = _integrate(batch, dt, steps, 1)
+    cfg = PhaseConfig(1.0 / dt, steps)
+    trajs = [Trajectory(v, cfg) for v in values]
+    return trajs[0] if single else trajs
+
+
+def rollout_matched(models, n_samples: int,
+                    oversample: int = ROLLOUT_OVERSAMPLE):
     """Rollout resampled onto the n_samples grid a demo of that length uses.
 
     Integrates at `oversample` sub-steps per demo sample over one nominal
     duration tau and keeps every oversample-th point, so sample k lands
-    exactly at time k*tau/(n_samples-1).
+    exactly at time k*tau/(n_samples-1). `models` and the return value are
+    as in `rollout`.
     """
-    dt = model.tau / ((n_samples - 1) * oversample)
-    full = rollout(model, dt, (n_samples - 1) * oversample + 1)
-    values = full.values[::oversample]
-    fs = (n_samples - 1) / model.tau
-    return Trajectory(np.ascontiguousarray(values), PhaseConfig(fs, n_samples))
+    if n_samples < 2 or oversample < 1:
+        raise ValueError("need n_samples >= 2 and oversample >= 1")
+    batch, single = _as_batch(models)
+    tau = batch[0].tau
+    dt = tau / ((n_samples - 1) * oversample)
+    values = _integrate(batch, dt, (n_samples - 1) * oversample + 1,
+                        oversample)
+    cfg = PhaseConfig((n_samples - 1) / tau, n_samples)
+    trajs = [Trajectory(v, cfg) for v in values]
+    return trajs[0] if single else trajs

@@ -6,7 +6,14 @@ class SingularSystemError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Numerical integration produced a non-finite state."""
+    """Numerical integration produced a non-finite state.
+
+    `rows` lists the diverged rows of a batched integration, when known.
+    """
+
+    def __init__(self, message, rows=()):
+        super().__init__(message)
+        self.rows = tuple(rows)
 
 
 class DatasetFormatError(ValueError):

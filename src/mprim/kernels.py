@@ -1,13 +1,11 @@
-"""Pure-numpy implementations of the hot numerical kernels.
+"""The hot numerical kernels, in numpy.
 
-This is the reference backend; `mprim.kernels._ckernels` implements the
-same four functions in Cython. Both operate on contiguous float64 arrays
-and must stay interchangeable (see tests/test_kernels.py).
+Each function works on float64 arrays. `dmp_rollout` integrates a whole
+batch of goal-attractor systems in one Euler loop; the other three are the
+basis activations and the dense-net forward/backward passes.
 """
 
 import numpy as np
-
-NAME = "python"
 
 
 def basis_matrix(z, centers, width):
@@ -60,29 +58,45 @@ def mlp_backward_acts(acts, weights, delta_out):
 
 
 def dmp_rollout(start, goal, forcing_weights, centers, widths, tau,
-                alpha_z, beta_z, alpha_x, dt, steps):
-    """Explicit-Euler integration of the goal-attractor dynamics.
+                alpha_z, beta_z, alpha_x, dt, steps, stride=1):
+    """Explicit-Euler integration of a batch of goal-attractor systems.
 
     State per joint: position q and scaled velocity v, with
     tau*dq = v and tau*dv = alpha_z*(beta_z*(g - q) - v) + f(x).
     The forcing term f is the kernel-weighted mix scaled by the phase x
-    and the start-to-goal span. Returns positions, shape (steps, n_joint),
-    row 0 being the start configuration.
+    and the start-to-goal span. All B systems share tau, the gains and the
+    kernels, so the phase x and the kernel activations are computed once
+    for every step; only the (B, n_joint) state is integrated.
+
+    `start` and `goal` have shape (B, n_joint), `forcing_weights`
+    (B, n_joint, n_basis). Returns the positions at steps 0, stride,
+    2*stride, ... below `steps`, shape (n_out, B, n_joint), row 0 being
+    the start configuration. Only those rows are kept, so memory does not
+    grow with the number of steps. A state that goes non-finite is
+    returned as such; the caller rejects it.
+
+    The forcing mix is a stacked product, one (n_joint, n_basis) matrix-
+    vector product per system, so each system gets bit for bit the result
+    it gets alone. One flat (B*n_joint, n_basis) product would let BLAS
+    round a row differently depending on its place in the batch.
     """
     start = np.asarray(start, dtype=np.float64)
     goal = np.asarray(goal, dtype=np.float64)
     w = np.asarray(forcing_weights, dtype=np.float64)
     span = goal - start
-    out = np.empty((steps, start.shape[0]))
+    # phase and kernel activations at the start of each Euler step
+    x = np.exp(-alpha_x * (np.arange(steps - 1) * dt) / tau)
+    psi = np.exp(-widths * (x[:, None] - centers) ** 2)
+    psi_sum = psi.sum(axis=1)
+    out = np.empty(((steps - 1) // stride + 1, *start.shape))
     q = start.copy()
     v = np.zeros_like(q)
     out[0] = q
     for s in range(1, steps):
-        x = np.exp(-alpha_x * ((s - 1) * dt) / tau)
-        psi = np.exp(-widths * (x - centers) ** 2)
-        f = (w @ psi) / psi.sum() * x * span
+        f = (w @ psi[s - 1]) / psi_sum[s - 1] * x[s - 1] * span
         v_dot = (alpha_z * (beta_z * (goal - q) - v) + f) / tau
         q = q + dt * (v / tau)
         v = v + dt * v_dot
-        out[s] = q
+        if s % stride == 0:
+            out[s // stride] = q
     return out

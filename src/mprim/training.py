@@ -26,6 +26,7 @@ from mprim import dmp as dmp_mod
 from mprim import kernels, metrics
 from mprim.basis import BasisConfig, PhaseConfig, build_phi, default_basis
 from mprim.dataset import DemoDataset
+from mprim.errors import IntegrationError
 from mprim.kinematics import KinematicChain, ave_ed, default_chain
 from mprim.promp import PrompWeights, Trajectory, reconstruct
 from mprim.regressor import (MlpParams, adam_init, adam_step,
@@ -421,6 +422,17 @@ def _group_key(sample):
     return "all"
 
 
+def _rollouts(models, n_samples, what, indices):
+    """Batched rollout_matched whose divergence names the dataset indices."""
+    try:
+        return dmp_mod.rollout_matched(models, n_samples)
+    except IntegrationError as err:
+        rows = [int(indices[r]) for r in err.rows]
+        raise IntegrationError(
+            f"{what} rollout diverged to a non-finite state for dataset "
+            f"indices {rows}", rows=rows) from err
+
+
 def evaluate(model: TrainedModel, dataset: DemoDataset, indices,
              chain: KinematicChain = None):
     """Grouped metrics over a dataset subset.
@@ -429,6 +441,10 @@ def evaluate(model: TrainedModel, dataset: DemoDataset, indices,
     configuration) plus one covering every evaluated sample. Ground truth
     is each demo's fitted representation (basis weights or attractor
     parameters), reconstructed through the same path as the predictions.
+    For a ddmp model the ground-truth refits of the whole split are rolled
+    out as one batch and the predictions as another; a divergent rollout
+    raises IntegrationError naming the dataset indices and which of the
+    two it was.
     """
     indices = np.asarray(indices, dtype=int)
     if len(indices) == 0:
@@ -436,29 +452,30 @@ def evaluate(model: TrainedModel, dataset: DemoDataset, indices,
     if chain is None:
         chain = default_chain()
 
-    phi = None
-    if model.kind != "ddmp":
+    per_sample = {}   # index -> (sq_loss, pred_traj, gt_traj)
+    if model.kind == "ddmp":
+        n = model.phase_cfg.duration_samples
+        gt_trajs = _rollouts(
+            [dmp_mod.fit_dmp(dataset.samples[i].trajectory,
+                             model.n_basis_dmp, model.dmp_tau)
+             for i in indices], n, "ground-truth", indices)
+        pred_trajs = _rollouts(
+            [model.predict_dmp(dataset.samples[i].context) for i in indices],
+            n, "prediction", indices)
+        for i, pred_traj, gt_traj in zip(indices, pred_trajs, gt_trajs):
+            err = pred_traj.values - gt_traj.values
+            per_sample[i] = (float(np.sum(np.mean(err ** 2, axis=0))),
+                             pred_traj, gt_traj)
+    else:
         phi = build_phi(model.phase_cfg, model.basis_cfg)
         gt_flat = _weight_targets(dataset, phi)
-
-    per_sample = {}   # index -> (sq_loss, pred_traj, gt_traj)
-    for i in indices:
-        sample = dataset.samples[i]
-        if model.kind == "ddmp":
-            gt_model = dmp_mod.fit_dmp(sample.trajectory, model.n_basis_dmp,
-                                       model.dmp_tau)
-            gt_traj = dmp_mod.rollout_matched(
-                gt_model, model.phase_cfg.duration_samples)
-            pred_traj = model.predict_trajectory(sample.context)
-            err = pred_traj.values - gt_traj.values
-            sq = float(np.sum(np.mean(err ** 2, axis=0)))
-        else:
+        for i in indices:
+            sample = dataset.samples[i]
             gt_w = PrompWeights(gt_flat[i].reshape(model.n_joint, -1))
             pred_w = model.predict_weights(sample.context, _group_key(sample))
             sq = metrics.squared_trajectory_loss(pred_w, gt_w, phi)
-            gt_traj = reconstruct(gt_w, phi, model.phase_cfg)
-            pred_traj = reconstruct(pred_w, phi, model.phase_cfg)
-        per_sample[i] = (sq, pred_traj, gt_traj)
+            per_sample[i] = (sq, reconstruct(pred_w, phi, model.phase_cfg),
+                             reconstruct(gt_w, phi, model.phase_cfg))
 
     def record(name, idx):
         sq = [per_sample[i][0] for i in idx]

@@ -213,6 +213,17 @@ class TestSplits:
         for i in test_idx:
             assert ds.samples[i].split == "test"
 
+    def test_split_tags_agree_with_indices(self):
+        ds = generate_wpp(seed=2, trials_per_cell=2)
+        train_idx, test_idx = apply_split(ds, WPP_SPLITS["WPP3"], seed=0)
+        train, test = set(train_idx.tolist()), set(test_idx.tolist())
+        tags = [s.split for s in ds.samples]
+        assert [i for i, t in enumerate(tags) if t == "train"] == sorted(train)
+        assert [i for i, t in enumerate(tags) if t == "test"] == sorted(test)
+        assert None in tags   # WPP3 leaves patterns 6 and 7 unused
+        assert all(t is None for i, t in enumerate(tags)
+                   if i not in train | test)
+
     def test_seed_determinism(self):
         ds = generate_wpp(seed=2, trials_per_cell=4)
         a = apply_split(ds, WPP_SPLITS["WPP9"], seed=5)

@@ -142,6 +142,44 @@ class TestRollout:
         with pytest.raises(IntegrationError):
             rollout(model, 1.0, 500)
 
+    def test_divergent_row_is_named(self):
+        # a joint on its goal feels no force, so only row 1 blows up
+        models = [zero_forcing_model([0.7], [0.7], tau=0.001),
+                  zero_forcing_model([0.0], [1.0], tau=0.001),
+                  zero_forcing_model([0.2], [0.2], tau=0.001)]
+        with pytest.raises(IntegrationError, match=r"row\(s\) \[1\]") as err:
+            rollout(models, 1.0, 500)
+        assert err.value.rows == (1,)
+
+    def test_batch_equals_single_rollouts(self):
+        rng = np.random.default_rng(3)
+        models = [DmpModel(rng.standard_normal((2, 25)) * 50.0,
+                           rng.standard_normal(2), rng.standard_normal(2),
+                           7.6) for _ in range(3)]
+        batch = rollout_matched(models, 150)
+        assert len(batch) == 3
+        for model, traj in zip(models, batch):
+            np.testing.assert_array_equal(
+                traj.values, rollout_matched(model, 150).values)
+
+    def test_mixed_tau_rejected(self):
+        models = [zero_forcing_model([0.0], [1.0]),
+                  zero_forcing_model([0.0], [1.0], tau=3.0)]
+        with pytest.raises(ValueError, match="tau"):
+            rollout_matched(models, 150)
+
+    def test_mixed_kernels_rejected(self):
+        a = zero_forcing_model([0.0], [1.0])
+        centers, widths = forcing_kernels(25, width_scale=2.0)
+        b = DmpModel(a.forcing_weights, a.goal, a.start, a.tau,
+                     kernel_centers=centers, kernel_widths=widths)
+        with pytest.raises(ValueError, match="kernel_widths"):
+            rollout([a, b], 0.01, 100)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            rollout_matched([], 150)
+
     def test_matched_rollout_grid(self):
         traj = min_jerk_traj([0.0], [1.0])
         model = fit_dmp(traj, 25, 7.6)

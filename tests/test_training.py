@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from mprim import dmp as dmp_mod
 from mprim import metrics
 from mprim.basis import PhaseConfig, default_basis, build_phi
 from mprim.dataset import WPP_SPLITS, apply_split, generate_rtp, generate_wpp
+from mprim.dmp import fit_dmp, rollout_matched
+from mprim.errors import IntegrationError
+from mprim.kinematics import ave_ed, default_chain
 from mprim.promp import PrompWeights
 from mprim.regressor import ridge_fit
 from mprim.training import (TrainConfig, TrainedModel, TrainReport,
@@ -271,6 +277,53 @@ class TestEvaluate:
         model, _ = train_ddmp(tiny_wpp, cfg, n_basis_dmp=5, split=split)
         records, _ = evaluate(model, tiny_wpp, split[1])
         assert [r.group for r in records] == ["I", "II", "III", "IV"]
+
+    def test_ddmp_matches_per_demo_rollouts(self, tiny_wpp):
+        split = apply_split(tiny_wpp, WPP_SPLITS["WPP1"], seed=0)
+        model, _ = train_ddmp(tiny_wpp, TrainConfig(epochs=2, seed=3),
+                              split=split)
+        _, overall = evaluate(model, tiny_wpp, split[1])
+        n = model.phase_cfg.duration_samples
+        sq, preds, gts = [], [], []
+        for i in split[1]:
+            sample = tiny_wpp.samples[i]
+            gt = rollout_matched(fit_dmp(sample.trajectory, model.n_basis_dmp,
+                                         model.dmp_tau), n)
+            pred = rollout_matched(model.predict_dmp(sample.context), n)
+            sq.append(float(np.sum(np.mean((pred.values - gt.values) ** 2,
+                                           axis=0))))
+            preds.append(pred)
+            gts.append(gt)
+        assert overall.ave_mse == float(np.mean(sq))
+        assert overall.ave_ed_mm == ave_ed(preds, gts, default_chain())
+
+    @pytest.mark.parametrize("which", ["prediction", "ground-truth"])
+    def test_ddmp_divergence_names_dataset_index(self, tiny_wpp, monkeypatch,
+                                                 which):
+        split = apply_split(tiny_wpp, WPP_SPLITS["WPP1"], seed=0)
+        model, _ = train_ddmp(tiny_wpp, TrainConfig(epochs=1, seed=0),
+                              split=split)
+        bad = int(split[1][3])
+
+        def poison(dmp):   # a NaN forcing weight makes that row non-finite
+            w = dmp.forcing_weights.copy()
+            w[0, 0] = np.nan
+            return dataclasses.replace(dmp, forcing_weights=w)
+
+        if which == "prediction":
+            bad_ctx = tiny_wpp.samples[bad].context
+            predict = model.predict_dmp
+            monkeypatch.setattr(model, "predict_dmp", lambda ctx: (
+                poison(predict(ctx)) if ctx is bad_ctx else predict(ctx)))
+        else:
+            bad_traj = tiny_wpp.samples[bad].trajectory
+            monkeypatch.setattr(dmp_mod, "fit_dmp", lambda traj, *a: (
+                poison(fit_dmp(traj, *a)) if traj is bad_traj
+                else fit_dmp(traj, *a)))
+        with pytest.raises(IntegrationError,
+                           match=rf"{which} rollout .* \[{bad}\]") as err:
+            evaluate(model, tiny_wpp, split[1])
+        assert err.value.rows == (bad,)
 
     def test_ave_mse_matches_recomputation(self, small_rtp):
         pc, bc, phi = grids_for(small_rtp)
