@@ -162,7 +162,7 @@ def _check_shared(models):
 def _integrate(models, dt, steps, stride):
     """Positions at steps 0, stride, ... of a batch, one model per row.
 
-    Shape (len(models), n_out, n_joint), each row one contiguous block.
+    Shape (len(models), n_out, n_joint).
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -176,12 +176,12 @@ def _integrate(models, dt, steps, stride):
         np.stack([b.forcing_weights for b in models]),
         m.kernel_centers, m.kernel_widths, m.tau, m.alpha_z, m.beta_z,
         m.alpha_x, dt, steps, stride)
-    bad = np.flatnonzero(~np.isfinite(track).all(axis=(0, 2)))
+    bad = np.flatnonzero(~np.isfinite(track).all(axis=(1, 2)))
     if len(bad):
         raise IntegrationError(
             f"rollout diverged to a non-finite state in batch row(s) "
             f"{bad.tolist()}; reduce dt", rows=bad.tolist())
-    return np.ascontiguousarray(track.transpose(1, 0, 2))
+    return track
 
 
 def rollout(models, dt: float, steps: int):

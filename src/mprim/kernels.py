@@ -70,10 +70,11 @@ def dmp_rollout(start, goal, forcing_weights, centers, widths, tau,
 
     `start` and `goal` have shape (B, n_joint), `forcing_weights`
     (B, n_joint, n_basis). Returns the positions at steps 0, stride,
-    2*stride, ... below `steps`, shape (n_out, B, n_joint), row 0 being
-    the start configuration. Only those rows are kept, so memory does not
-    grow with the number of steps. A state that goes non-finite is
-    returned as such; the caller rejects it.
+    2*stride, ... below `steps`, shape (B, n_out, n_joint): one contiguous
+    trajectory per system, sample 0 being its start configuration. Only
+    those samples are kept, so memory does not grow with the number of
+    steps. A state that goes non-finite is returned as such; the caller
+    rejects it.
 
     The forcing mix is a stacked product, one (n_joint, n_basis) matrix-
     vector product per system, so each system gets bit for bit the result
@@ -88,15 +89,16 @@ def dmp_rollout(start, goal, forcing_weights, centers, widths, tau,
     x = np.exp(-alpha_x * (np.arange(steps - 1) * dt) / tau)
     psi = np.exp(-widths * (x[:, None] - centers) ** 2)
     psi_sum = psi.sum(axis=1)
-    out = np.empty(((steps - 1) // stride + 1, *start.shape))
+    out = np.empty((start.shape[0], (steps - 1) // stride + 1,
+                    start.shape[1]))
     q = start.copy()
     v = np.zeros_like(q)
-    out[0] = q
+    out[:, 0] = q
     for s in range(1, steps):
         f = (w @ psi[s - 1]) / psi_sum[s - 1] * x[s - 1] * span
         v_dot = (alpha_z * (beta_z * (goal - q) - v) + f) / tau
         q = q + dt * (v / tau)
         v = v + dt * v_dot
         if s % stride == 0:
-            out[s // stride] = q
+            out[:, s // stride] = q
     return out

@@ -135,6 +135,8 @@ class TestRollout:
             rollout(model, 0.0, 100)
         with pytest.raises(ValueError):
             rollout(model, 0.01, 1)
+        with pytest.raises(ValueError):
+            rollout_matched(model, 1)
 
     def test_divergence_detected(self):
         # a hugely unstable dt blows up the Euler integration

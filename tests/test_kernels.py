@@ -80,8 +80,8 @@ class TestKernels:
     def test_rollout_start_row(self):
         start, goal, w, centers, widths = rollout_case(1)
         out = rollout(start, goal, w, centers, widths, 0.005, 100)
-        np.testing.assert_array_equal(out[0], start)
-        assert out.shape == (100, 4, 7)
+        np.testing.assert_array_equal(out[:, 0], start)
+        assert out.shape == (4, 100, 7)
 
 
 class TestBatchedRollout:
@@ -97,7 +97,7 @@ class TestBatchedRollout:
             for b in range(start.shape[0]):
                 ref = euler_reference(start[b], goal[b], w[b], centers,
                                       widths, self.DT, self.STEPS)
-                np.testing.assert_array_equal(out[:, b], ref)
+                np.testing.assert_array_equal(out[b], ref)
 
     @pytest.mark.parametrize("n_joint", [2, 7])
     def test_batch_row_equals_single_call(self, n_joint):
@@ -107,19 +107,20 @@ class TestBatchedRollout:
         for b in range(6):
             one = rollout(start[b:b + 1], goal[b:b + 1], w[b:b + 1], centers,
                           widths, self.DT, self.STEPS)
-            np.testing.assert_array_equal(out[:, b], one[:, 0])
+            np.testing.assert_array_equal(out[b], one[0])
 
     def test_strided_output_is_full_rate_slice(self):
         start, goal, w, centers, widths = rollout_case(4)
         full = rollout(start, goal, w, centers, widths, self.DT, self.STEPS)
         strided = rollout(start, goal, w, centers, widths, self.DT,
                           self.STEPS, ROLLOUT_OVERSAMPLE)
-        assert strided.shape == (150, 4, 7)
-        np.testing.assert_array_equal(strided, full[::ROLLOUT_OVERSAMPLE])
+        assert strided.shape == (4, 150, 7)
+        np.testing.assert_array_equal(strided,
+                                      full[:, ::ROLLOUT_OVERSAMPLE])
 
     def test_degenerate_joint_stays_on_start(self):
         start, goal, w, centers, widths = rollout_case(5)
         goal[2, 3] = start[2, 3]
         out = rollout(start, goal, w, centers, widths, self.DT, self.STEPS)
-        np.testing.assert_array_equal(out[:, 2, 3], start[2, 3])
+        np.testing.assert_array_equal(out[2, :, 3], start[2, 3])
         assert np.all(np.isfinite(out))
