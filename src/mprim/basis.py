@@ -129,17 +129,6 @@ def default_basis(phase_cfg: PhaseConfig, n_basis: int) -> BasisConfig:
     return BasisConfig.evenly_spaced(n_basis, z_end)
 
 
-def basis_row(z, cfg: BasisConfig) -> np.ndarray:
-    """Normalized Gaussian activations at a single phase value."""
-    row = kernels.basis_matrix(
-        np.array([float(z)]), np.asarray(cfg.centers), cfg.width)[0]
-    if not np.all(np.isfinite(row)):
-        raise FloatingPointError(
-            f"all basis activations underflowed at z={z}; "
-            "centers/width do not cover this phase value")
-    return row
-
-
 def build_phi(phase_cfg: PhaseConfig, basis_cfg: BasisConfig) -> PhiMatrix:
     """Stack basis rows for every sample of the phase grid."""
     values = kernels.basis_matrix(

@@ -1,138 +1,40 @@
-"""Versioned JSON checkpoints for models and fitted primitives.
+"""Versioned JSON checkpoints of trained models.
 
-One container format for everything that can be saved: a JSON object with
-"schema" and "kind" fields plus a kind-specific payload. Arrays are
-stored as nested lists with full repr precision (bit-exact round trip).
+A checkpoint holds one trained `training.Model` and nothing else: a JSON
+object with "schema" (1), "kind" ("trained_model"), the model's payload
+(`Model.to_dict`, which includes its head's fields) and a free-form
+"meta" dict. Arrays are stored as nested lists with full repr precision
+(bit-exact round trip).
 """
 
 import json
 
-import numpy as np
-
-from mprim.basis import BasisConfig, PhaseConfig
-from mprim.dmp import DmpModel
-from mprim.promp import PrompDistribution, PrompWeights
-from mprim.regressor import MlpParams
-from mprim.training import TrainedModel
+from mprim.training import Model
 
 SCHEMA_VERSION = 1
+KIND = "trained_model"
 
 
-def _arr(x):
-    return np.asarray(x, dtype=float).tolist()
-
-
-def _mlp_to_dict(mlp: MlpParams):
-    return {"layer_sizes": list(mlp.layer_sizes),
-            "weights": [_arr(w) for w in mlp.weights],
-            "biases": [_arr(b) for b in mlp.biases],
-            "seed": int(mlp.seed)}
-
-
-def _mlp_from_dict(obj):
-    return MlpParams(tuple(obj["layer_sizes"]),
-                     tuple(np.asarray(w, float) for w in obj["weights"]),
-                     tuple(np.asarray(b, float) for b in obj["biases"]),
-                     int(obj["seed"]))
-
-
-def _encode(obj):
-    if isinstance(obj, TrainedModel):
-        payload = {
-            "model_kind": obj.kind,
-            "task": obj.task,
-            "mlp": _mlp_to_dict(obj.mlp),
-            "ctx_mean": _arr(obj.ctx_mean),
-            "ctx_std": _arr(obj.ctx_std),
-            "n_joint": obj.n_joint,
-            "phase_cfg": obj.phase_cfg.to_dict(),
-            "basis_cfg": obj.basis_cfg.to_dict() if obj.basis_cfg else None,
-            "mean_weights": ({k: _arr(v) for k, v in obj.mean_weights.items()}
-                             if obj.mean_weights else None),
-            "mean_source_indices": list(obj.mean_source_indices),
-            "n_basis_dmp": obj.n_basis_dmp,
-            "dmp_tau": obj.dmp_tau,
-            "home": _arr(obj.home) if obj.home is not None else None,
-            "train_indices": list(obj.train_indices),
-            "test_indices": list(obj.test_indices),
-        }
-        return "trained_model", payload
-    if isinstance(obj, MlpParams):
-        return "mlp_params", _mlp_to_dict(obj)
-    if isinstance(obj, PrompWeights):
-        return "promp_weights", {"per_joint": _arr(obj.per_joint)}
-    if isinstance(obj, PrompDistribution):
-        return "promp_distribution", {
-            "mean": _arr(obj.mean), "covariance": _arr(obj.covariance),
-            "obs_noise_var": float(obj.obs_noise_var)}
-    if isinstance(obj, DmpModel):
-        return "dmp_model", {
-            "forcing_weights": _arr(obj.forcing_weights),
-            "goal": _arr(obj.goal), "start": _arr(obj.start),
-            "tau": obj.tau, "alpha_z": obj.alpha_z, "beta_z": obj.beta_z,
-            "alpha_x": obj.alpha_x,
-            "degenerate_joints": list(obj.degenerate_joints)}
-    raise TypeError(f"cannot checkpoint object of type {type(obj).__name__}")
-
-
-def save(obj, path, meta=None):
+def save(model: Model, path, meta=None):
     """Write a checkpoint; `meta` is an optional free-form metadata dict."""
-    kind, payload = _encode(obj)
-    doc = {"schema": SCHEMA_VERSION, "kind": kind, "payload": payload,
-           "meta": meta or {}}
+    if not isinstance(model, Model):
+        raise TypeError(f"cannot checkpoint object of type "
+                        f"{type(model).__name__}; only trained models")
+    doc = {"schema": SCHEMA_VERSION, "kind": KIND,
+           "payload": model.to_dict(), "meta": meta or {}}
     with open(path, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
 
-def load(path):
-    """Read a checkpoint back into the object it was saved from."""
+def load(path) -> Model:
+    """Read a checkpoint back into the trained model it was saved from."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint schema "
                          f"{doc.get('schema')!r}")
-    kind, payload = doc.get("kind"), doc.get("payload", {})
-    if kind == "trained_model":
-        return TrainedModel(
-            kind=payload["model_kind"],
-            task=payload["task"],
-            mlp=_mlp_from_dict(payload["mlp"]),
-            ctx_mean=np.asarray(payload["ctx_mean"], float),
-            ctx_std=np.asarray(payload["ctx_std"], float),
-            n_joint=int(payload["n_joint"]),
-            phase_cfg=PhaseConfig.from_dict(payload["phase_cfg"]),
-            basis_cfg=(BasisConfig.from_dict(payload["basis_cfg"])
-                       if payload["basis_cfg"] else None),
-            mean_weights=({k: np.asarray(v, float)
-                           for k, v in payload["mean_weights"].items()}
-                          if payload["mean_weights"] else None),
-            mean_source_indices=tuple(payload["mean_source_indices"]),
-            n_basis_dmp=int(payload["n_basis_dmp"]),
-            dmp_tau=float(payload["dmp_tau"]),
-            home=(np.asarray(payload["home"], float)
-                  if payload["home"] is not None else None),
-            train_indices=tuple(payload["train_indices"]),
-            test_indices=tuple(payload["test_indices"]))
-    if kind == "mlp_params":
-        return _mlp_from_dict(payload)
-    if kind == "promp_weights":
-        return PrompWeights(np.asarray(payload["per_joint"], float))
-    if kind == "promp_distribution":
-        return PrompDistribution(np.asarray(payload["mean"], float),
-                                 np.asarray(payload["covariance"], float),
-                                 float(payload["obs_noise_var"]))
-    if kind == "dmp_model":
-        return DmpModel(np.asarray(payload["forcing_weights"], float),
-                        np.asarray(payload["goal"], float),
-                        np.asarray(payload["start"], float),
-                        float(payload["tau"]), float(payload["alpha_z"]),
-                        float(payload["beta_z"]), float(payload["alpha_x"]),
-                        degenerate_joints=tuple(payload["degenerate_joints"]))
-    raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")
-
-
-def load_meta(path):
-    """Just the metadata dict of a checkpoint."""
-    with open(path) as fh:
-        return json.load(fh).get("meta", {})
+    if doc.get("kind") != KIND:
+        raise ValueError(f"{path}: unknown checkpoint kind "
+                         f"{doc.get('kind')!r}; expected {KIND!r}")
+    return Model.from_dict(doc["payload"])

@@ -201,8 +201,6 @@ def cmd_train(args, argv):
 def cmd_eval(args, argv):
     dataset = load_jsonl(args.data)
     model = checkpoint.load(args.checkpoint)
-    if not isinstance(model, training.TrainedModel):
-        raise ValueError(f"{args.checkpoint} is not a trained-model checkpoint")
     chain = load_chain(args.chain) if args.chain else default_chain()
     indices = np.asarray(model.test_indices, dtype=int)
     if len(indices) == 0:
@@ -222,18 +220,17 @@ def cmd_eval(args, argv):
     plots.write_metrics_csv(metrics_path, records + [overall])
 
     outputs = [metrics_path]
-    for k, i in enumerate(indices[:max(args.plot_samples, 0)]):
-        sample = dataset.samples[int(i)]
-        pred = model.predict_trajectory(sample.context,
-                                        training._group_key(sample))
-        gt_values = sample.trajectory.values
+    shown = indices[:max(args.plot_samples, 0)]
+    preds = model.predict(dataset, shown) if len(shown) else []
+    for i, pred_values in zip(shown, preds):
+        gt_values = dataset.samples[int(i)].trajectory.values
         joints_path = args.outdir / f"sample_{int(i)}_joints.csv"
         ee_path = args.outdir / f"sample_{int(i)}_ee_path.csv"
         svg_path = args.outdir / f"sample_{int(i)}_overlay.svg"
-        plots.write_joint_csv(joints_path, gt_values, pred.values)
+        plots.write_joint_csv(joints_path, gt_values, pred_values)
         plots.write_ee_path_csv(ee_path, fk_positions(chain, gt_values),
-                                fk_positions(chain, pred.values))
-        plots.write_overlay_svg(svg_path, gt_values, pred.values)
+                                fk_positions(chain, pred_values))
+        plots.write_overlay_svg(svg_path, gt_values, pred_values)
         outputs += [joints_path, ee_path, svg_path]
 
     config = {"data": str(args.data), "checkpoint": str(args.checkpoint),

@@ -81,6 +81,17 @@ def fk_positions(chain: KinematicChain, q_rows) -> np.ndarray:
     return np.stack([fk_position(chain, row) for row in q_rows])
 
 
+def final_distances(pred, truth, chain: KinematicChain) -> np.ndarray:
+    """Final-sample end-effector distance of each trajectory pair, meters.
+
+    `pred` and `truth` are equal-length sequences of (T, n_joints) joint
+    trajectories, e.g. two (B, T, n_joints) arrays. Returns shape (B,).
+    """
+    return np.array([np.linalg.norm(fk_position(chain, p[-1])
+                                    - fk_position(chain, g[-1]))
+                     for p, g in zip(pred, truth)])
+
+
 def ave_ed(pred_trajs, gt_trajs, chain: KinematicChain) -> float:
     """Mean final-sample end-effector distance between paired trajectories.
 
@@ -91,11 +102,8 @@ def ave_ed(pred_trajs, gt_trajs, chain: KinematicChain) -> float:
         raise ValueError("prediction and ground-truth lists differ in length")
     if len(pred_trajs) == 0:
         raise ValueError("need at least one trajectory pair")
-    dists = []
-    for pred, gt in zip(pred_trajs, gt_trajs):
-        p = fk_position(chain, pred.values[-1])
-        g = fk_position(chain, gt.values[-1])
-        dists.append(np.linalg.norm(p - g))
+    dists = final_distances([t.values for t in pred_trajs],
+                            [t.values for t in gt_trajs], chain)
     return float(np.mean(dists)) * 1000.0
 
 

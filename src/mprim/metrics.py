@@ -4,9 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mprim.basis import PhiMatrix
-from mprim.regressor import loss_trajectory
-
 
 @dataclass(frozen=True)
 class EvalRecord:
@@ -24,24 +21,16 @@ class EvalRecord:
             raise ValueError("metrics must be nonnegative")
 
 
-def squared_trajectory_loss(pred_weights, gt_weights, phi: PhiMatrix) -> float:
-    """One sample's squared trajectory loss, summed over joints."""
-    return sum(
-        loss_trajectory(pred_weights.per_joint[j], gt_weights.per_joint[j],
-                        phi) ** 2
-        for j in range(gt_weights.n_joint))
+def squared_trajectory_loss(pred, truth) -> np.ndarray:
+    """Each demo's squared trajectory error, the term AveMSE averages.
 
-
-def ave_mse(pred_weights_list, gt_weights_list, phi: PhiMatrix) -> float:
-    """Mean over samples of the squared trajectory loss.
-
-    Per sample the per-joint squared losses are summed, then the samples
-    are averaged.
+    `pred` and `truth` are (B, T, n_joint) trajectories; per demo the
+    squared error is averaged over time and summed over joints. Returns
+    shape (B,).
     """
-    if len(pred_weights_list) != len(gt_weights_list):
-        raise ValueError("prediction and ground-truth lists differ in length")
-    if len(pred_weights_list) == 0:
-        raise ValueError("need at least one sample")
-    per_sample = [squared_trajectory_loss(p, g, phi)
-                  for p, g in zip(pred_weights_list, gt_weights_list)]
-    return float(np.mean(per_sample))
+    pred = np.asarray(pred, dtype=float)
+    truth = np.asarray(truth, dtype=float)
+    if pred.shape != truth.shape or pred.ndim != 3:
+        raise ValueError(f"prediction {pred.shape} and ground truth "
+                         f"{truth.shape} must be equal (B, T, n_joint)")
+    return np.sum(np.mean((pred - truth) ** 2, axis=1), axis=1)

@@ -29,7 +29,7 @@ def write_joint_csv(path, gt_values, pred_values):
         for t in range(gt.shape[0]):
             row = [t]
             for j in range(n_joint):
-                row += [repr(gt[t, j]), repr(pred[t, j])]
+                row += [repr(float(gt[t, j])), repr(float(pred[t, j]))]
             writer.writerow(row)
 
 
@@ -42,8 +42,8 @@ def write_ee_path_csv(path, gt_xyz, pred_xyz):
         writer.writerow(["t", "x_gt", "y_gt", "z_gt",
                          "x_pred", "y_pred", "z_pred"])
         for t in range(gt.shape[0]):
-            writer.writerow([t] + [repr(v) for v in gt[t]]
-                            + [repr(v) for v in pred[t]])
+            writer.writerow([t] + [repr(float(v)) for v in gt[t]]
+                            + [repr(float(v)) for v in pred[t]])
 
 
 def _polyline(xs, ys, color, dashed=False):

@@ -1,13 +1,12 @@
 """Probabilistic movement primitives over the normalized Gaussian basis.
 
 A joint trajectory q is modelled as q_t = psi_t . theta (+ noise). Weights
-are fit per joint by ridge-regularized least squares; a Gaussian over the
-weights gives a trajectory distribution whose per-sample marginals and
-samples are available here, together with the mean/residual weight
-decomposition used by the residual trainer.
+are fit by ridge-regularized least squares, one shared normal matrix for
+every joint and demo; a Gaussian over the weights gives a trajectory
+distribution whose per-sample marginals and samples are available here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,40 +84,20 @@ class PrompDistribution:
             raise ValueError("obs_noise_var must be >= 0")
 
 
-@dataclass(frozen=True)
-class ResidualWeights:
-    """Weight vector split into a shared mean and a per-demo residual.
+def fit_weights(values, phi: PhiMatrix, ridge: float = DEFAULT_RIDGE):
+    """Ridge least-squares basis weights of trajectory columns.
 
-    `residual` is the correctly rounded difference theta - mean. A single
-    float64 cannot always carry that difference exactly, so the rounding
-    error of the subtraction is kept in `residual_lo`; the combine step
-    folds it back in, which makes the round trip reproduce theta
-    bit-for-bit.
+    `values` is one column (T,) or m columns side by side (T, m), e.g.
+    every joint of a trajectory or of many demos. All columns share one
+    normal matrix: (ridge*I + Phi^T Phi) theta = Phi^T q is solved once
+    for all of them. Returns (n_basis,) for one column, else
+    (m, n_basis). With ridge == 0 a rank-deficient basis matrix is
+    rejected instead of silently producing garbage.
     """
-
-    mean_weights: np.ndarray
-    residual: np.ndarray
-    residual_lo: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.mean_weights.shape != self.residual.shape:
-            raise ValueError("mean and residual must have equal length")
-        if self.residual_lo is None:
-            object.__setattr__(self, "residual_lo",
-                               np.zeros_like(self.residual))
-
-
-def fit_weights(traj_joint, phi: PhiMatrix, ridge: float = DEFAULT_RIDGE):
-    """Ridge least-squares weights for one joint's trajectory.
-
-    Solves (ridge*I + Phi^T Phi) theta = Phi^T q. With ridge == 0 a
-    rank-deficient basis matrix is rejected instead of silently producing
-    garbage.
-    """
-    q = np.asarray(traj_joint, dtype=float)
-    if q.ndim != 1 or q.shape[0] != phi.n_samples:
+    q = np.asarray(values, dtype=float)
+    if q.ndim not in (1, 2) or q.shape[0] != phi.n_samples:
         raise ValueError(
-            f"trajectory length {q.shape} does not match basis matrix rows "
+            f"trajectory shape {q.shape} does not match basis matrix rows "
             f"{phi.n_samples}")
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
@@ -130,16 +109,7 @@ def fit_weights(traj_joint, phi: PhiMatrix, ridge: float = DEFAULT_RIDGE):
                 f"normal matrix condition number {cond:.3e} exceeds "
                 f"{_MAX_CONDITION:.0e} with ridge=0; the basis matrix is "
                 "rank deficient, use a positive ridge")
-    return np.linalg.solve(gram, phi.values.T @ q)
-
-
-def fit_all_weights(traj: Trajectory, phi: PhiMatrix,
-                    ridge: float = DEFAULT_RIDGE) -> PrompWeights:
-    """fit_weights for every joint of a trajectory."""
-    per_joint = np.stack(
-        [fit_weights(traj.values[:, j], phi, ridge)
-         for j in range(traj.n_joint)])
-    return PrompWeights(per_joint)
+    return np.linalg.solve(gram, phi.values.T @ q).T
 
 
 def reconstruct(weights: PrompWeights, phi: PhiMatrix,
@@ -205,28 +175,3 @@ def sample_trajectories(dist: PrompDistribution, phi: PhiMatrix, n: int,
     if dist.obs_noise_var > 0.0:
         clean += np.sqrt(dist.obs_noise_var) * rng.standard_normal(clean.shape)
     return clean
-
-
-def residual_split(theta, mean) -> ResidualWeights:
-    """Split weights into mean + residual, keeping the subtraction exact."""
-    theta = np.asarray(theta, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    if theta.shape != mean.shape:
-        raise ValueError("theta and mean must have equal length")
-    hi = theta - mean
-    # error-free transform of the subtraction (Knuth two-sum with -mean):
-    # theta - mean == hi + lo exactly, for any finite inputs
-    b = -mean
-    bv = hi - theta
-    lo = (theta - (hi - bv)) + (b - bv)
-    return ResidualWeights(mean, hi, lo)
-
-
-def residual_combine(res: ResidualWeights):
-    """Reconstruct the original weights from a residual split, bit-exact."""
-    t = res.residual + res.mean_weights
-    # two-sum error of the addition above, then fold in the stored
-    # subtraction error; the final add rounds once, landing on theta
-    bv = t - res.residual
-    err = (res.residual - (t - bv)) + (res.mean_weights - bv)
-    return t + (err + res.residual_lo)

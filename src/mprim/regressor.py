@@ -9,9 +9,14 @@ Head layouts are joint-major flat vectors:
   goal-attractor rtp [forcing w, joint-major | goal]            (n_joint*(n+1))
   goal-attractor wpp [forcing w, joint-major | goal | start]    (n_joint*(n+2))
 
-The trajectory loss is the per-joint RMSE between the trajectories the
-two weight vectors generate through the basis matrix, summed over joints;
-its gradient therefore chains through the fixed basis matrix.
+`batch_loss_and_grad` gives per-sample losses and their gradients w.r.t.
+the predictions for three loss kinds:
+  trajectory  per-joint RMSE between the trajectories the two weight
+              vectors generate through the basis matrix, summed over
+              joints; its gradient chains through the fixed basis matrix
+  ddmp_rtp    RMS of the forcing-weight residual plus goal_weight times
+              the RMS of the goal residual
+  ddmp_wpp    half the RMS of the whole parameter-vector residual
 """
 
 from dataclasses import dataclass, replace
@@ -95,6 +100,19 @@ class MlpParams:
     def n_inputs(self):
         return self.layer_sizes[0]
 
+    def to_dict(self):
+        return {"layer_sizes": list(self.layer_sizes),
+                "weights": [w.tolist() for w in self.weights],
+                "biases": [b.tolist() for b in self.biases],
+                "seed": int(self.seed)}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(tuple(d["layer_sizes"]),
+                   tuple(np.asarray(w, float) for w in d["weights"]),
+                   tuple(np.asarray(b, float) for b in d["biases"]),
+                   int(d["seed"]))
+
     @property
     def n_outputs(self):
         return self.layer_sizes[-1]
@@ -129,36 +147,6 @@ def mlp_forward(params: MlpParams, ctx):
 
 # ---------------------------------------------------------------------------
 # losses (value + gradient w.r.t. the prediction)
-
-def rms(v):
-    """Root mean square of a flat vector."""
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(np.mean(v * v)))
-
-
-def loss_trajectory(theta_ps, theta_gt, phi: PhiMatrix) -> float:
-    """RMSE between the trajectories generated by two weight vectors."""
-    diff = phi.values @ (np.asarray(theta_gt, float) - np.asarray(theta_ps, float))
-    return float(np.sqrt(np.mean(diff * diff)))
-
-
-def loss_ddmp_rtp(forcing_ps, goal_ps, forcing_gt, goal_gt,
-                  goal_weight: float = DEFAULT_GOAL_WEIGHT) -> float:
-    """RMS forcing-weight residual plus weighted RMS goal residual."""
-    if goal_weight <= 0:
-        raise ValueError("goal_weight must be > 0")
-    return (rms(np.ravel(forcing_gt) - np.ravel(forcing_ps))
-            + goal_weight * rms(np.ravel(goal_gt) - np.ravel(goal_ps)))
-
-
-def loss_ddmp_wpp(pred, gt) -> float:
-    """Half the RMS of the concatenated parameter-vector difference."""
-    pred = np.ravel(np.asarray(pred, float))
-    gt = np.ravel(np.asarray(gt, float))
-    if pred.shape != gt.shape:
-        raise ValueError("prediction and target lengths differ")
-    return 0.5 * rms(gt - pred)
-
 
 def _traj_batch(pred, gt, phi_values, n_joint):
     """Batched trajectory loss: per-sample loss and gradient w.r.t. pred."""
@@ -220,24 +208,6 @@ def batch_loss_and_grad(pred, gt, loss_kind, phi: PhiMatrix = None,
         return _ddmp_wpp_batch(pred, gt)
     raise ValueError(f"unknown loss kind {loss_kind!r}; expected one of "
                      f"{LOSS_KINDS}")
-
-
-def mlp_backward(params: MlpParams, ctx, loss_kind, targets,
-                 phi: PhiMatrix = None, n_joint: int = None,
-                 goal_weight: float = DEFAULT_GOAL_WEIGHT):
-    """Analytic gradient of one sample's loss w.r.t. all net parameters.
-
-    Returns ((grads_w, grads_b), loss). For the trajectory kind the chain
-    rule runs through the fixed basis matrix.
-    """
-    x = np.asarray(ctx, dtype=float)[None, :]
-    acts = kernels.mlp_forward_acts(x, list(params.weights),
-                                    list(params.biases))
-    losses, dpred = batch_loss_and_grad(acts[-1], np.asarray(targets, float),
-                                        loss_kind, phi, n_joint, goal_weight)
-    grads_w, grads_b = kernels.mlp_backward_acts(acts, list(params.weights),
-                                                 dpred)
-    return (grads_w, grads_b), float(losses[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,32 @@
-"""Training loops for the three context-to-trajectory models.
+"""One trainer for the three context-to-trajectory models.
 
-All three trainers share one deterministic minibatch loop (Adam, seeded
+The three learners differ only in what the network's output means, and
+that meaning is a `Head`:
+
+  PrompHead      deep-mp: every joint's ProMP basis weights, trained with
+                 the trajectory-space loss
+  ResidualHead   residual: the deviation of those weights from the
+                 training-split mean (per region when region tags exist);
+                 decoding adds the mean back
+  DmpHead        ddmp: goal-attractor parameters, trained with the
+                 parameter-space losses; the reach variant (task "rtp")
+                 leaves the known start configuration out of the output
+
+A head owns the method-specific decisions and nothing else: its targets,
+fitted once per demo before training; its loss; the ground-truth
+trajectories of a split; decoding a batch of network outputs into
+(B, T, n_joint) trajectories; and its checkpoint fields.
+
+`train` runs one deterministic minibatch loop for every head (Adam, seeded
 shuffling, best-validation checkpointing, early stopping on the
-validation loss):
-
-  deep_mp            net predicts full per-joint basis weights, trained
-                     with the trajectory-space loss
-  residual_deep_mp   net predicts the deviation from the training-split
-                     mean weights (per region when region tags exist);
-                     the mean is added back at inference
-  ddmp               net predicts goal-attractor parameters, trained with
-                     the parameter-space losses; the reach variant leaves
-                     the known start configuration out of the head
-
-Ground-truth targets (basis weights or attractor parameters) are fitted
-once per demo before the loop starts.
+validation loss) and returns a `Model`: the net, its context scaler, its
+split and its head. `evaluate` decodes a whole split in one call and
+scores every head with the same expressions.
 """
 
 import csv
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,10 +35,10 @@ from mprim import kernels, metrics
 from mprim.basis import BasisConfig, PhaseConfig, build_phi, default_basis
 from mprim.dataset import DemoDataset
 from mprim.errors import IntegrationError
-from mprim.kinematics import KinematicChain, ave_ed, default_chain
-from mprim.promp import PrompWeights, Trajectory, reconstruct
+from mprim.kinematics import KinematicChain, default_chain, final_distances
+from mprim.promp import fit_weights
 from mprim.regressor import (MlpParams, adam_init, adam_step,
-                             batch_loss_and_grad, init_mlp)
+                             batch_loss_and_grad, init_mlp, mlp_forward)
 
 DEFAULT_EPOCHS_RTP = 150
 DEFAULT_EPOCHS_WPP = 200
@@ -83,85 +91,8 @@ class TrainReport:
                 writer.writerow([e, repr(tr), repr(va)])
 
 
-@dataclass
-class TrainedModel:
-    """A trained regressor plus everything needed to use it.
-
-    `mean_weights` maps a group key to the flat mean weight vector for the
-    residual variant (with a global fallback entry); `mean_source_indices`
-    records which dataset rows the means were computed from.
-    """
-
-    kind: str                      # deep_mp | residual_deep_mp | ddmp
-    task: str                      # rtp | wpp
-    mlp: MlpParams
-    ctx_mean: np.ndarray
-    ctx_std: np.ndarray
-    n_joint: int
-    phase_cfg: PhaseConfig
-    basis_cfg: BasisConfig = None          # promp heads
-    mean_weights: dict = None              # residual head
-    mean_source_indices: tuple = ()
-    n_basis_dmp: int = 0                   # ddmp head
-    dmp_tau: float = 0.0
-    home: np.ndarray = None                # known start for the reach task
-    train_indices: tuple = ()
-    test_indices: tuple = ()
-
-    def head_width(self):
-        return self.mlp.n_outputs
-
-    def _standardize(self, ctx):
-        return (np.asarray(ctx, dtype=float) - self.ctx_mean) / self.ctx_std
-
-    def predict_head(self, ctx):
-        x = self._standardize(ctx)
-        single = x.ndim == 1
-        out = kernels.mlp_forward_acts(
-            np.atleast_2d(x), list(self.mlp.weights),
-            list(self.mlp.biases))[-1]
-        return out[0] if single else out
-
-    def mean_for_group(self, group):
-        if group is not None and group in self.mean_weights:
-            return self.mean_weights[group]
-        return self.mean_weights[GLOBAL_GROUP]
-
-    def predict_weights(self, ctx, group=None) -> PrompWeights:
-        """Predicted per-joint basis weights for one context."""
-        if self.kind not in ("deep_mp", "residual_deep_mp"):
-            raise ValueError(f"{self.kind} model has no basis-weight head")
-        head = self.predict_head(ctx)
-        if self.kind == "residual_deep_mp":
-            head = head + self.mean_for_group(group)
-        return PrompWeights(head.reshape(self.n_joint,
-                                         self.basis_cfg.n_basis))
-
-    def predict_dmp(self, ctx) -> dmp_mod.DmpModel:
-        """Predicted goal-attractor model for one context."""
-        if self.kind != "ddmp":
-            raise ValueError(f"{self.kind} model has no attractor head")
-        head = self.predict_head(ctx)
-        j, n = self.n_joint, self.n_basis_dmp
-        forcing = head[:j * n].reshape(j, n)
-        goal = head[j * n:j * n + j]
-        start = self.home if self.task == "rtp" else head[j * n + j:]
-        return dmp_mod.DmpModel(forcing, goal, np.asarray(start, float),
-                                self.dmp_tau)
-
-    def predict_trajectory(self, ctx, group=None) -> Trajectory:
-        """Predicted joint trajectory on the model's sample grid."""
-        if self.kind == "ddmp":
-            model = self.predict_dmp(ctx)
-            return dmp_mod.rollout_matched(model,
-                                           self.phase_cfg.duration_samples)
-        phi = build_phi(self.phase_cfg, self.basis_cfg)
-        return reconstruct(self.predict_weights(ctx, group), phi,
-                           self.phase_cfg)
-
-
 # ---------------------------------------------------------------------------
-# splits and targets
+# splits
 
 def random_split(n: int, train_fraction: float, seed: int):
     """Seeded shuffle split into (train_indices, test_indices)."""
@@ -189,37 +120,12 @@ def _check_dataset(dataset: DemoDataset):
                 f"{s.trajectory.values.shape}, expected ({t}, {j})")
 
 
-def _weight_targets(dataset, phi, ridge=1e-6):
-    """Per-demo flat weight targets, shape (n_samples, n_joint*n_basis).
-
-    One shared normal matrix covers every demo and joint.
-    """
-    j = dataset.n_joint
-    q_all = np.concatenate(
-        [s.trajectory.values for s in dataset.samples], axis=1)  # (T, N*J)
-    gram = phi.values.T @ phi.values + ridge * np.eye(phi.n_basis)
-    theta = np.linalg.solve(gram, phi.values.T @ q_all)          # (Nb, N*J)
-    return np.ascontiguousarray(
-        theta.T.reshape(len(dataset), j, phi.n_basis).reshape(len(dataset), -1))
-
-
-def _ddmp_targets(dataset, n_basis_dmp, tau, task):
-    rows = []
-    for s in dataset.samples:
-        model = dmp_mod.fit_dmp(s.trajectory, n_basis_dmp, tau)
-        parts = [model.forcing_weights.ravel(), model.goal]
-        if task == "wpp":
-            parts.append(model.start)
-        rows.append(np.concatenate(parts))
-    return np.stack(rows)
-
-
 # ---------------------------------------------------------------------------
 # shared minibatch loop
 
 def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
                   loss_kind, loss_kwargs):
-    """Deterministic Adam loop; returns (best_params, report, fit/val idx)."""
+    """Deterministic Adam loop; returns (best_params, report)."""
     rng = np.random.default_rng(cfg.seed)
     local = rng.permutation(len(train_idx))
     n_val = int(len(train_idx) * cfg.val_fraction_of_train)
@@ -234,9 +140,8 @@ def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
     report = TrainReport()
 
     def mean_loss(idx):
-        acts = kernels.mlp_forward_acts(x_std[idx], list(params.weights),
-                                        list(params.biases))
-        losses, _ = batch_loss_and_grad(acts[-1], targets[idx], loss_kind,
+        losses, _ = batch_loss_and_grad(mlp_forward(params, x_std[idx]),
+                                        targets[idx], loss_kind,
                                         **loss_kwargs)
         return float(np.mean(losses))
 
@@ -266,153 +171,325 @@ def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
     return (best_params if best_epoch >= 0 else params), report
 
 
-def _resolve_split(dataset, cfg, split):
-    if split is not None:
-        train_idx, test_idx = split
-        return np.asarray(train_idx, int), np.asarray(test_idx, int)
-    return random_split(len(dataset), cfg.train_fraction, cfg.seed)
+# ---------------------------------------------------------------------------
+# heads
+
+def _arr(x):
+    return np.asarray(x, dtype=float).tolist()
+
+
+def _phase_cfg(dataset):
+    return PhaseConfig(dataset.sampling_frequency, dataset.n_samples_per_traj)
+
+
+def _region(sample):
+    """The region tag of a demo as a string, None when it has none."""
+    region = sample.tags.get("region")
+    return None if region is None else str(region)
+
+
+@dataclass(frozen=True)
+class Head:
+    """What the network's output means, for one method.
+
+    `kind` is the method's name in checkpoints. A subclass fits its
+    targets (`fit`), names its loss (`loss`), decodes a batch of network
+    outputs (`decode`), gives the ground truth of a split (`truth`) and
+    lists its checkpoint fields (`to_dict`/`from_dict`). Trajectories are
+    (B, T, n_joint) arrays.
+    """
+
+    kind: ClassVar[str]
+    task: str                 # rtp | wpp
+    n_joint: int
+    phase_cfg: PhaseConfig
+
+
+@dataclass(frozen=True)
+class PrompHead(Head):
+    """deep-mp: the net predicts every joint's ProMP basis weights."""
+
+    kind: ClassVar[str] = "deep_mp"
+    basis_cfg: BasisConfig
+
+    def __post_init__(self):
+        object.__setattr__(self, "phi",
+                           build_phi(self.phase_cfg, self.basis_cfg))
+
+    @classmethod
+    def fit(cls, dataset, train_idx, n_basis=None, **_):
+        """(head, fitted weights of every demo)."""
+        if n_basis is None:
+            n_basis = DEFAULT_N_BASIS.get(dataset.kind, 8)
+        phase_cfg = _phase_cfg(dataset)
+        head = cls(dataset.kind, dataset.n_joint, phase_cfg,
+                   default_basis(phase_cfg, n_basis))
+        return head, head.weights(dataset, range(len(dataset)))
+
+    def weights(self, dataset, indices):
+        """Flat fitted weights of the demos at `indices`, joint-major,
+        shape (B, n_joint*n_basis); one ridge solve covers them all."""
+        values = np.concatenate(
+            [dataset.samples[i].trajectory.values for i in indices], axis=1)
+        return fit_weights(values, self.phi).reshape(len(indices), -1)
+
+    def loss(self):
+        return "trajectory", {"phi": self.phi, "n_joint": self.n_joint}
+
+    def decode(self, out, dataset, indices):
+        return self._trajectories(out)
+
+    def truth(self, dataset, indices):
+        return self._trajectories(self.weights(dataset, indices))
+
+    def _trajectories(self, flat):
+        w = flat.reshape(len(flat), self.n_joint, -1)
+        return np.swapaxes(w @ self.phi.values.T, 1, 2)
+
+    def to_dict(self):
+        return {"basis_cfg": self.basis_cfg.to_dict()}
+
+    @classmethod
+    def from_dict(cls, task, n_joint, phase_cfg, d):
+        return cls(task, n_joint, phase_cfg,
+                   BasisConfig.from_dict(d["basis_cfg"]))
+
+
+@dataclass(frozen=True)
+class ResidualHead(PrompHead):
+    """residual: the net predicts the deviation from mean basis weights.
+
+    The means come from the training split only: one per region when the
+    demos carry region tags, plus a global one for every other demo.
+    Decoding adds the demo's mean back.
+    """
+
+    kind: ClassVar[str] = "residual_deep_mp"
+    mean_weights: dict             # region (or GLOBAL_GROUP) -> flat mean
+    mean_source_indices: tuple     # the demos the means average
+
+    @classmethod
+    def fit(cls, dataset, train_idx, n_basis=None, **_):
+        if len(train_idx) < 2:
+            raise ValueError("residual variant needs at least 2 training "
+                             "demos")
+        base, weights = PrompHead.fit(dataset, train_idx, n_basis)
+        regions = np.array([_region(dataset.samples[i]) for i in train_idx])
+        means = {GLOBAL_GROUP: weights[train_idx].mean(axis=0)}
+        for region in dict.fromkeys(r for r in regions if r is not None):
+            means[region] = weights[train_idx[regions == region]].mean(axis=0)
+        head = cls(base.task, base.n_joint, base.phase_cfg, base.basis_cfg,
+                   means, tuple(map(int, train_idx)))
+        return head, weights - head._means(dataset, range(len(dataset)))
+
+    def _means(self, dataset, indices):
+        fallback = self.mean_weights[GLOBAL_GROUP]
+        return np.stack([
+            self.mean_weights.get(_region(dataset.samples[i]), fallback)
+            for i in indices])
+
+    def decode(self, out, dataset, indices):
+        return self._trajectories(out + self._means(dataset, indices))
+
+    def to_dict(self):
+        return {**super().to_dict(),
+                "mean_weights": {k: _arr(v)
+                                 for k, v in self.mean_weights.items()},
+                "mean_source_indices": list(self.mean_source_indices)}
+
+    @classmethod
+    def from_dict(cls, task, n_joint, phase_cfg, d):
+        return cls(task, n_joint, phase_cfg,
+                   BasisConfig.from_dict(d["basis_cfg"]),
+                   {k: np.asarray(v, float)
+                    for k, v in d["mean_weights"].items()},
+                   tuple(d["mean_source_indices"]))
+
+
+@dataclass(frozen=True)
+class DmpHead(Head):
+    """ddmp: the net predicts goal-attractor parameters.
+
+    The output is [forcing weights, joint-major | goal | start]. The reach
+    variant (task "rtp") leaves the start out of the output: every demo
+    starts from the same pose, so rollouts start from `home`, the mean
+    start of the training demos.
+    """
+
+    kind: ClassVar[str] = "ddmp"
+    n_basis_dmp: int
+    tau: float
+    home: np.ndarray               # rtp only, None for wpp
+
+    @classmethod
+    def fit(cls, dataset, train_idx, task=None,
+            n_basis_dmp=DEFAULT_N_BASIS_DMP, tau=DEFAULT_DMP_TAU, **_):
+        """(head, attractor parameters of every demo)."""
+        task = dataset.kind if task is None else task
+        if task not in ("rtp", "wpp"):
+            raise ValueError(f"unknown task {task!r}")
+        home = None
+        if task == "rtp":
+            home = np.stack([dataset.samples[i].trajectory.values[0]
+                             for i in train_idx]).mean(axis=0)
+        head = cls(task, dataset.n_joint, _phase_cfg(dataset), n_basis_dmp,
+                   tau, home)
+        start = task == "wpp"
+        return head, np.stack([
+            np.concatenate([m.forcing_weights.ravel(), m.goal]
+                           + ([m.start] if start else []))
+            for m in head._fits(dataset, range(len(dataset)))])
+
+    def _fits(self, dataset, indices):
+        return [dmp_mod.fit_dmp(dataset.samples[i].trajectory,
+                                self.n_basis_dmp, self.tau) for i in indices]
+
+    def loss(self):
+        if self.task == "rtp":
+            return "ddmp_rtp", {"n_joint": self.n_joint}
+        return "ddmp_wpp", {}
+
+    def decode(self, out, dataset, indices):
+        j, n = self.n_joint, self.n_basis_dmp
+        forcing = out[:, :j * n].reshape(len(out), j, n)
+        goals = out[:, j * n:j * n + j]
+        starts = ([self.home] * len(out) if self.task == "rtp"
+                  else out[:, j * n + j:])
+        models = [dmp_mod.DmpModel(f, g, np.asarray(s, float), self.tau)
+                  for f, g, s in zip(forcing, goals, starts)]
+        return self._rollouts(models, "prediction", indices)
+
+    def truth(self, dataset, indices):
+        return self._rollouts(self._fits(dataset, indices), "ground-truth",
+                              indices)
+
+    def _rollouts(self, models, what, indices):
+        """One batched rollout; a divergence names the dataset indices."""
+        try:
+            trajs = dmp_mod.rollout_matched(
+                models, self.phase_cfg.duration_samples)
+        except IntegrationError as err:
+            rows = [int(indices[r]) for r in err.rows]
+            raise IntegrationError(
+                f"{what} rollout diverged to a non-finite state for dataset "
+                f"indices {rows}", rows=rows) from err
+        return np.stack([t.values for t in trajs])
+
+    def to_dict(self):
+        return {"n_basis_dmp": self.n_basis_dmp, "dmp_tau": self.tau,
+                "home": None if self.home is None else _arr(self.home)}
+
+    @classmethod
+    def from_dict(cls, task, n_joint, phase_cfg, d):
+        return cls(task, n_joint, phase_cfg, int(d["n_basis_dmp"]),
+                   float(d["dmp_tau"]),
+                   None if d["home"] is None else np.asarray(d["home"],
+                                                             float))
+
+
+HEADS = {"deep-mp": PrompHead, "residual": ResidualHead, "ddmp": DmpHead}
+# checkpoint fields of every head, at the value a head without them writes
+_HEAD_FIELDS = {"basis_cfg": None, "mean_weights": None,
+                "mean_source_indices": [], "n_basis_dmp": 0, "dmp_tau": 0.0,
+                "home": None}
+
+
+@dataclass(frozen=True)
+class Model:
+    """A trained net with everything needed to use it: the context
+    scaler, the split it was trained on and the head that says what its
+    output means."""
+
+    head: Head
+    mlp: MlpParams
+    ctx_mean: np.ndarray
+    ctx_std: np.ndarray
+    train_indices: tuple = ()
+    test_indices: tuple = ()
+
+    def check_fits(self, dataset: DemoDataset):
+        """Raise ValueError unless `dataset` has this model's shapes."""
+        if len(dataset) == 0:
+            raise ValueError("dataset is empty")
+        for what, have, want in (
+                ("contexts have {} features", dataset.context_dim,
+                 self.mlp.n_inputs),
+                ("trajectories have {} joints", dataset.n_joint,
+                 self.head.n_joint),
+                ("trajectories have {} samples", dataset.n_samples_per_traj,
+                 self.head.phase_cfg.duration_samples)):
+            if have != want:
+                raise ValueError(f"dataset {what.format(have)}, checkpoint "
+                                 f"expects {want}")
+
+    def predict(self, dataset: DemoDataset, indices):
+        """Predicted trajectories of the demos at `indices`, shape
+        (B, T, n_joint)."""
+        self.check_fits(dataset)
+        indices = np.asarray(indices, dtype=int)
+        ctx = np.stack([dataset.samples[i].context for i in indices])
+        out = mlp_forward(self.mlp, (ctx - self.ctx_mean) / self.ctx_std)
+        return self.head.decode(out, dataset, indices)
+
+    def to_dict(self):
+        """Checkpoint payload (schema 1)."""
+        return {"model_kind": self.head.kind, "task": self.head.task,
+                "mlp": self.mlp.to_dict(), "ctx_mean": _arr(self.ctx_mean),
+                "ctx_std": _arr(self.ctx_std), "n_joint": self.head.n_joint,
+                "phase_cfg": self.head.phase_cfg.to_dict(),
+                **_HEAD_FIELDS, **self.head.to_dict(),
+                "train_indices": list(self.train_indices),
+                "test_indices": list(self.test_indices)}
+
+    @classmethod
+    def from_dict(cls, d):
+        kinds = {head.kind: head for head in HEADS.values()}
+        if d["model_kind"] not in kinds:
+            raise ValueError(f"unknown model kind {d['model_kind']!r}")
+        head = kinds[d["model_kind"]].from_dict(
+            d["task"], int(d["n_joint"]),
+            PhaseConfig.from_dict(d["phase_cfg"]), d)
+        return cls(head, MlpParams.from_dict(d["mlp"]),
+                   np.asarray(d["ctx_mean"], float),
+                   np.asarray(d["ctx_std"], float),
+                   tuple(d["train_indices"]), tuple(d["test_indices"]))
 
 
 # ---------------------------------------------------------------------------
-# the three trainers
-
-def train_deep_mp(dataset: DemoDataset, basis_cfg: BasisConfig,
-                  phase_cfg: PhaseConfig, cfg: TrainConfig,
-                  hidden=DEFAULT_HIDDEN, weight_ridge: float = 1e-6,
-                  split=None):
-    """Train a net to predict full basis weights with the trajectory loss."""
-    _check_dataset(dataset)
-    train_idx, test_idx = _resolve_split(dataset, cfg, split)
-    phi = build_phi(phase_cfg, basis_cfg)
-    targets = _weight_targets(dataset, phi, weight_ridge)
-    contexts = dataset.contexts()
-    mean, std = _fit_scaler(contexts[train_idx])
-    x_std = (contexts - mean) / std
-
-    params, report = _run_training(
-        x_std, targets, train_idx, cfg, hidden, "trajectory",
-        {"phi": phi, "n_joint": dataset.n_joint})
-    model = TrainedModel(
-        kind="deep_mp", task=dataset.kind, mlp=params, ctx_mean=mean,
-        ctx_std=std, n_joint=dataset.n_joint, phase_cfg=phase_cfg,
-        basis_cfg=basis_cfg, train_indices=tuple(map(int, train_idx)),
-        test_indices=tuple(map(int, test_idx)))
-    return model, report
-
-
-def train_residual_deep_mp(dataset: DemoDataset, basis_cfg: BasisConfig,
-                           phase_cfg: PhaseConfig, cfg: TrainConfig,
-                           hidden=DEFAULT_HIDDEN, weight_ridge: float = 1e-6,
-                           split=None):
-    """Like train_deep_mp, but the net learns residuals from mean weights.
-
-    Mean weights come from the training split only, one mean per region
-    when the dataset carries region tags (plus a global fallback).
-    """
-    _check_dataset(dataset)
-    train_idx, test_idx = _resolve_split(dataset, cfg, split)
-    if len(train_idx) < 2:
-        raise ValueError("residual variant needs at least 2 training demos")
-    phi = build_phi(phase_cfg, basis_cfg)
-    targets = _weight_targets(dataset, phi, weight_ridge)
-
-    has_regions = "region" in dataset.samples[0].tags
-    means = {GLOBAL_GROUP: targets[train_idx].mean(axis=0)}
-    group_of = {}
-    if has_regions:
-        for i in train_idx:
-            group_of.setdefault(dataset.samples[i].tags["region"],
-                                []).append(i)
-        for region, idx in group_of.items():
-            means[region] = targets[np.array(idx)].mean(axis=0)
-
-    residual_targets = targets.copy()
-    for i in range(len(dataset)):
-        group = dataset.samples[i].tags.get("region") if has_regions else None
-        residual_targets[i] = targets[i] - means.get(group,
-                                                     means[GLOBAL_GROUP])
-
-    contexts = dataset.contexts()
-    mean, std = _fit_scaler(contexts[train_idx])
-    x_std = (contexts - mean) / std
-    params, report = _run_training(
-        x_std, residual_targets, train_idx, cfg, hidden, "trajectory",
-        {"phi": phi, "n_joint": dataset.n_joint})
-    model = TrainedModel(
-        kind="residual_deep_mp", task=dataset.kind, mlp=params,
-        ctx_mean=mean, ctx_std=std, n_joint=dataset.n_joint,
-        phase_cfg=phase_cfg, basis_cfg=basis_cfg, mean_weights=means,
-        mean_source_indices=tuple(map(int, train_idx)),
-        train_indices=tuple(map(int, train_idx)),
-        test_indices=tuple(map(int, test_idx)))
-    return model, report
-
-
-def train_ddmp(dataset: DemoDataset, cfg: TrainConfig, task: str = None,
-               n_basis_dmp: int = DEFAULT_N_BASIS_DMP,
-               tau: float = DEFAULT_DMP_TAU, hidden=DEFAULT_HIDDEN,
-               split=None):
-    """Train a net to predict goal-attractor parameters.
-
-    The reach task keeps the start configuration out of the network head
-    (all demos start from the same home pose); the palpation task adds it.
-    Per-demo attractor fits are cached before the loop.
-    """
-    _check_dataset(dataset)
-    task = dataset.kind if task is None else task
-    if task not in ("rtp", "wpp"):
-        raise ValueError(f"unknown task {task!r}")
-    train_idx, test_idx = _resolve_split(dataset, cfg, split)
-    targets = _ddmp_targets(dataset, n_basis_dmp, tau, task)
-    contexts = dataset.contexts()
-    mean, std = _fit_scaler(contexts[train_idx])
-    x_std = (contexts - mean) / std
-
-    loss_kind = "ddmp_rtp" if task == "rtp" else "ddmp_wpp"
-    params, report = _run_training(
-        x_std, targets, train_idx, cfg, hidden, loss_kind,
-        {"n_joint": dataset.n_joint} if task == "rtp" else {})
-    home = None
-    if task == "rtp":
-        starts = np.stack(
-            [dataset.samples[i].trajectory.values[0] for i in train_idx])
-        home = starts.mean(axis=0)
-    model = TrainedModel(
-        kind="ddmp", task=task, mlp=params, ctx_mean=mean, ctx_std=std,
-        n_joint=dataset.n_joint,
-        phase_cfg=PhaseConfig(dataset.sampling_frequency,
-                              dataset.n_samples_per_traj),
-        n_basis_dmp=n_basis_dmp, dmp_tau=tau, home=home,
-        train_indices=tuple(map(int, train_idx)),
-        test_indices=tuple(map(int, test_idx)))
-    return model, report
-
+# training and evaluation
 
 def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
           n_basis: int = None, hidden=DEFAULT_HIDDEN, task: str = None,
           n_basis_dmp: int = DEFAULT_N_BASIS_DMP,
           tau: float = DEFAULT_DMP_TAU, split=None):
-    """Dispatch helper used by the command-line tool."""
-    if method == "ddmp":
-        return train_ddmp(dataset, cfg, task=task, n_basis_dmp=n_basis_dmp,
-                          tau=tau, hidden=hidden, split=split)
-    phase_cfg = PhaseConfig(dataset.sampling_frequency,
-                            dataset.n_samples_per_traj)
-    if n_basis is None:
-        n_basis = DEFAULT_N_BASIS.get(dataset.kind, 8)
-    basis_cfg = default_basis(phase_cfg, n_basis)
-    if method == "deep-mp":
-        return train_deep_mp(dataset, basis_cfg, phase_cfg, cfg,
-                             hidden=hidden, split=split)
-    if method == "residual":
-        return train_residual_deep_mp(dataset, basis_cfg, phase_cfg, cfg,
-                                      hidden=hidden, split=split)
-    raise ValueError(f"unknown method {method!r}; "
-                     "expected deep-mp, residual or ddmp")
+    """Train the net of `method` (deep-mp, residual or ddmp).
 
+    `n_basis` is the ProMP basis size (default 8 for rtp data, 10 for
+    wpp); `task`, `n_basis_dmp` and `tau` set the attractor head, whose
+    variant defaults to the dataset kind. `split` is (train, test)
+    indices; by default a seeded random split. Returns (Model,
+    TrainReport).
+    """
+    if method not in HEADS:
+        raise ValueError(f"unknown method {method!r}; "
+                         "expected deep-mp, residual or ddmp")
+    _check_dataset(dataset)
+    if split is None:
+        split = random_split(len(dataset), cfg.train_fraction, cfg.seed)
+    train_idx, test_idx = (np.asarray(idx, int) for idx in split)
+    head, targets = HEADS[method].fit(dataset, train_idx, n_basis=n_basis,
+                                      task=task, n_basis_dmp=n_basis_dmp,
+                                      tau=tau)
+    contexts = dataset.contexts()
+    mean, std = _fit_scaler(contexts[train_idx])
+    loss_kind, loss_kwargs = head.loss()
+    params, report = _run_training((contexts - mean) / std, targets,
+                                   train_idx, cfg, hidden, loss_kind,
+                                   loss_kwargs)
+    model = Model(head, params, mean, std, tuple(map(int, train_idx)),
+                  tuple(map(int, test_idx)))
+    return model, report
 
-# ---------------------------------------------------------------------------
-# evaluation
 
 def _group_key(sample):
     if "region" in sample.tags:
@@ -422,71 +499,36 @@ def _group_key(sample):
     return "all"
 
 
-def _rollouts(models, n_samples, what, indices):
-    """Batched rollout_matched whose divergence names the dataset indices."""
-    try:
-        return dmp_mod.rollout_matched(models, n_samples)
-    except IntegrationError as err:
-        rows = [int(indices[r]) for r in err.rows]
-        raise IntegrationError(
-            f"{what} rollout diverged to a non-finite state for dataset "
-            f"indices {rows}", rows=rows) from err
-
-
-def evaluate(model: TrainedModel, dataset: DemoDataset, indices,
+def evaluate(model: Model, dataset: DemoDataset, indices,
              chain: KinematicChain = None):
     """Grouped metrics over a dataset subset.
 
     Returns (records, overall): one EvalRecord per tag group (region or
-    configuration) plus one covering every evaluated sample. Ground truth
-    is each demo's fitted representation (basis weights or attractor
-    parameters), reconstructed through the same path as the predictions.
-    For a ddmp model the ground-truth refits of the whole split are rolled
-    out as one batch and the predictions as another; a divergent rollout
-    raises IntegrationError naming the dataset indices and which of the
-    two it was.
+    configuration) plus one covering every evaluated sample. The split is
+    predicted and decoded in one call; its ground truth is each demo's
+    fitted representation (basis weights or attractor parameters) decoded
+    the same way, so a ddmp model rolls out the ground-truth refits as
+    one batch and the predictions as another. A divergent rollout raises
+    IntegrationError naming the dataset indices and which of the two it
+    was. Each demo's squared error and end-effector distance are computed
+    once and averaged per group.
     """
     indices = np.asarray(indices, dtype=int)
     if len(indices) == 0:
         raise ValueError("cannot evaluate an empty split")
     if chain is None:
         chain = default_chain()
+    pred = model.predict(dataset, indices)
+    truth = model.head.truth(dataset, indices)
+    sq = metrics.squared_trajectory_loss(pred, truth)
+    dist = final_distances(pred, truth, chain)
+    keys = np.array([_group_key(dataset.samples[i]) for i in indices])
 
-    per_sample = {}   # index -> (sq_loss, pred_traj, gt_traj)
-    if model.kind == "ddmp":
-        n = model.phase_cfg.duration_samples
-        gt_trajs = _rollouts(
-            [dmp_mod.fit_dmp(dataset.samples[i].trajectory,
-                             model.n_basis_dmp, model.dmp_tau)
-             for i in indices], n, "ground-truth", indices)
-        pred_trajs = _rollouts(
-            [model.predict_dmp(dataset.samples[i].context) for i in indices],
-            n, "prediction", indices)
-        for i, pred_traj, gt_traj in zip(indices, pred_trajs, gt_trajs):
-            err = pred_traj.values - gt_traj.values
-            per_sample[i] = (float(np.sum(np.mean(err ** 2, axis=0))),
-                             pred_traj, gt_traj)
-    else:
-        phi = build_phi(model.phase_cfg, model.basis_cfg)
-        gt_flat = _weight_targets(dataset, phi)
-        for i in indices:
-            sample = dataset.samples[i]
-            gt_w = PrompWeights(gt_flat[i].reshape(model.n_joint, -1))
-            pred_w = model.predict_weights(sample.context, _group_key(sample))
-            sq = metrics.squared_trajectory_loss(pred_w, gt_w, phi)
-            per_sample[i] = (sq, reconstruct(pred_w, phi, model.phase_cfg),
-                             reconstruct(gt_w, phi, model.phase_cfg))
+    def record(name, rows):
+        return metrics.EvalRecord(name, float(np.mean(sq[rows])),
+                                  float(np.mean(dist[rows])) * 1000.0,
+                                  int(np.count_nonzero(rows)))
 
-    def record(name, idx):
-        sq = [per_sample[i][0] for i in idx]
-        preds = [per_sample[i][1] for i in idx]
-        gts = [per_sample[i][2] for i in idx]
-        return metrics.EvalRecord(name, float(np.mean(sq)),
-                                  ave_ed(preds, gts, chain), len(idx))
-
-    groups = {}
-    for i in indices:
-        groups.setdefault(_group_key(dataset.samples[i]), []).append(i)
-    records = [record(name, groups[name]) for name in sorted(groups)]
-    overall = record("overall", list(indices))
-    return records, overall
+    records = [record(name, keys == name)
+               for name in sorted(set(keys.tolist()))]
+    return records, record("overall", np.ones(len(indices), bool))

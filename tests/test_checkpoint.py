@@ -1,53 +1,41 @@
+import json
+
 import numpy as np
 import pytest
 
 from mprim import checkpoint
-from mprim.dataset import generate_rtp
-from mprim.dmp import DmpModel
-from mprim.promp import PrompDistribution, PrompWeights
-from mprim.regressor import init_mlp
-from mprim.training import TrainConfig, train, TrainedModel
+from mprim.dataset import generate_rtp, generate_wpp
+from mprim.regressor import MlpParams, init_mlp
+from mprim.training import DmpHead, Model, TrainConfig, train
 
 
 def test_mlp_round_trip(tmp_path):
+    # net parameters go through JSON bit for bit
     params = init_mlp((3, 8, 4), seed=3)
     path = tmp_path / "mlp.json"
-    checkpoint.save(params, path)
-    back = checkpoint.load(path)
+    path.write_text(json.dumps(params.to_dict()))
+    back = MlpParams.from_dict(json.loads(path.read_text()))
     assert back.layer_sizes == params.layer_sizes
-    for a, b in zip(params.weights, back.weights):
+    assert back.seed == params.seed
+    for a, b in zip(params.weights + params.biases,
+                    back.weights + back.biases):
         np.testing.assert_array_equal(a, b)
 
 
-def test_promp_weights_round_trip(tmp_path):
-    w = PrompWeights(np.random.default_rng(0).standard_normal((7, 8)))
-    path = tmp_path / "w.json"
-    checkpoint.save(w, path)
-    np.testing.assert_array_equal(checkpoint.load(path).per_joint, w.per_joint)
-
-
-def test_promp_distribution_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((5, 5))
-    dist = PrompDistribution(rng.standard_normal(5), a @ a.T, 2e-4)
-    path = tmp_path / "dist.json"
-    checkpoint.save(dist, path)
-    back = checkpoint.load(path)
-    np.testing.assert_array_equal(back.mean, dist.mean)
-    np.testing.assert_array_equal(back.covariance, dist.covariance)
-    assert back.obs_noise_var == dist.obs_noise_var
-
-
 def test_dmp_model_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    model = DmpModel(rng.standard_normal((2, 25)), np.array([1.0, 2.0]),
-                     np.array([0.0, 0.5]), 7.6, degenerate_joints=(1,))
-    path = tmp_path / "dmp.json"
+    ds = generate_rtp(seed=4, counts=(6, 3, 2, 2))
+    model, _ = train("ddmp", ds, TrainConfig(epochs=1, seed=2),
+                     n_basis_dmp=6, tau=5.0)
+    path = tmp_path / "ddmp.json"
     checkpoint.save(model, path)
     back = checkpoint.load(path)
-    np.testing.assert_array_equal(back.forcing_weights, model.forcing_weights)
-    assert back.tau == model.tau
-    assert back.degenerate_joints == (1,)
+    assert isinstance(back.head, DmpHead)
+    head = back.head
+    assert (head.task, head.n_basis_dmp, head.tau) == ("rtp", 6, 5.0)
+    np.testing.assert_array_equal(back.head.home, model.head.home)
+    idx = np.asarray(model.test_indices)
+    np.testing.assert_array_equal(back.predict(ds, idx),
+                                  model.predict(ds, idx))
 
 
 def test_trained_model_round_trip_preserves_predictions(tmp_path):
@@ -56,14 +44,41 @@ def test_trained_model_round_trip_preserves_predictions(tmp_path):
     path = tmp_path / "model.json"
     checkpoint.save(model, path, meta={"note": "test"})
     back = checkpoint.load(path)
-    assert isinstance(back, TrainedModel)
-    assert back.kind == model.kind
-    ctx = ds.samples[0].context
-    np.testing.assert_array_equal(
-        back.predict_weights(ctx, "A").per_joint,
-        model.predict_weights(ctx, "A").per_joint)
+    assert isinstance(back, Model)
+    assert back.head.kind == model.head.kind == "residual_deep_mp"
+    np.testing.assert_array_equal(back.predict(ds, np.arange(len(ds))),
+                                  model.predict(ds, np.arange(len(ds))))
     assert back.test_indices == model.test_indices
-    assert checkpoint.load_meta(path)["note"] == "test"
+    assert json.loads(path.read_text())["meta"]["note"] == "test"
+
+
+@pytest.mark.parametrize("method", ["deep-mp", "residual", "ddmp"])
+def test_save_of_loaded_model_is_byte_identical(tmp_path, method):
+    ds = generate_wpp(seed=5, trials_per_cell=1)
+    model, _ = train(method, ds, TrainConfig(epochs=1, seed=0),
+                     n_basis_dmp=5)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    checkpoint.save(model, first)
+    checkpoint.save(checkpoint.load(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_payload_lists_every_head_field_in_schema_order(tmp_path):
+    # schema 1 keeps one field list for every model kind; fields a head
+    # does not use hold their empty values
+    ds = generate_rtp(seed=3, counts=(6, 3, 2, 2))
+    model, _ = train("deep-mp", ds, TrainConfig(epochs=1, seed=1))
+    path = tmp_path / "model.json"
+    checkpoint.save(model, path)
+    payload = json.loads(path.read_text())["payload"]
+    assert list(payload) == [
+        "model_kind", "task", "mlp", "ctx_mean", "ctx_std", "n_joint",
+        "phase_cfg", "basis_cfg", "mean_weights", "mean_source_indices",
+        "n_basis_dmp", "dmp_tau", "home", "train_indices", "test_indices"]
+    assert (payload["model_kind"], payload["mean_weights"],
+            payload["mean_source_indices"], payload["n_basis_dmp"],
+            payload["dmp_tau"], payload["home"]) == ("deep_mp", None, [], 0,
+                                                     0.0, None)
 
 
 def test_unknown_kind_rejected(tmp_path):
@@ -75,11 +90,11 @@ def test_unknown_kind_rejected(tmp_path):
 
 def test_unsupported_schema(tmp_path):
     path = tmp_path / "old.json"
-    path.write_text('{"schema": 0, "kind": "mlp_params", "payload": {}}\n')
+    path.write_text('{"schema": 0, "kind": "trained_model", "payload": {}}\n')
     with pytest.raises(ValueError, match="schema"):
         checkpoint.load(path)
 
 
-def test_uncheckpointable_type():
+def test_uncheckpointable_type(tmp_path):
     with pytest.raises(TypeError):
-        checkpoint.save(object(), "/tmp/nope.json")
+        checkpoint.save(init_mlp((2, 3), seed=0), tmp_path / "nope.json")

@@ -9,10 +9,9 @@ import pytest
 from mprim import checkpoint
 from mprim.basis import PhaseConfig, default_basis
 from mprim.cli import main
-from mprim.dataset import generate_rtp, load_jsonl, save_jsonl
+from mprim.dataset import generate_rtp, generate_wpp, load_jsonl, save_jsonl
 from mprim.regressor import MlpParams
-from mprim.training import TrainedModel, _weight_targets
-from mprim.basis import build_phi
+from mprim.training import Model, PrompHead
 
 
 def run(args):
@@ -77,7 +76,7 @@ class TestTrain:
         ckpt = tmp_path / "ck.json"
         assert run(["train", "--data", data, "--method", "residual",
                     "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
-        assert checkpoint.load(ckpt).kind == "residual_deep_mp"
+        assert checkpoint.load(ckpt).head.kind == "residual_deep_mp"
 
     def test_ddmp_rtp_head_excludes_start(self, small_dataset, tmp_path):
         ckpt = tmp_path / "ck.json"
@@ -94,7 +93,7 @@ class TestTrain:
         curve = tmp_path / "ck_losses.csv"
         rows = list(csv.reader(curve.open()))
         assert rows == [["epoch", "train_loss", "val_loss"]]
-        meta = checkpoint.load_meta(ckpt)
+        meta = json.loads(ckpt.read_text())["meta"]
         assert meta["final_epoch"] == 0
 
     def test_unknown_method_usage_error(self, small_dataset, tmp_path):
@@ -138,13 +137,11 @@ class TestEval:
         data = tmp_path / "const.jsonl"
         save_jsonl(ds, data)
         pc = PhaseConfig(150.0, 150)
-        bc = default_basis(pc, 8)
-        targets = _weight_targets(ds, build_phi(pc, bc))
+        head = PrompHead("rtp", 7, pc, default_basis(pc, 8))
+        targets = head.weights(ds, range(len(ds)))
         mlp = MlpParams((3, 56), (np.zeros((3, 56)),), (targets[0].copy(),))
-        model = TrainedModel(
-            kind="deep_mp", task="rtp", mlp=mlp, ctx_mean=np.zeros(3),
-            ctx_std=np.ones(3), n_joint=7, phase_cfg=pc, basis_cfg=bc,
-            test_indices=tuple(range(len(ds))))
+        model = Model(head, mlp, np.zeros(3), np.ones(3),
+                      test_indices=tuple(range(len(ds))))
         ckpt = tmp_path / "oracle.json"
         checkpoint.save(model, ckpt)
         outdir = tmp_path / "out"
@@ -177,12 +174,51 @@ class TestEval:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert str(outdir / "metrics.csv") in manifest["outputs"]
 
-    def test_wrong_checkpoint_kind(self, small_dataset, tmp_path):
-        from mprim.regressor import init_mlp
+    def test_wrong_checkpoint_kind(self, small_dataset, tmp_path, capsys):
+        # checkpoints hold trained models only; any other kind is refused
         ckpt = tmp_path / "raw.json"
-        checkpoint.save(init_mlp((2, 3), seed=0), ckpt)
+        ckpt.write_text(json.dumps({"schema": 1, "kind": "mlp_params",
+                                    "payload": {}, "meta": {}}))
         assert run(["eval", "--data", small_dataset, "--checkpoint", ckpt,
                     "--outdir", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown checkpoint kind 'mlp_params'" in err
+
+    @pytest.mark.parametrize("method", ["residual", "ddmp"])
+    def test_dataset_that_does_not_fit_checkpoint(self, small_dataset,
+                                                  tmp_path, capsys, method):
+        # an rtp checkpoint (3 context features) evaluated on wpp data
+        # (10) fails with both widths named, not deep in numpy
+        ckpt = tmp_path / "ck.json"
+        assert run(["train", "--data", small_dataset, "--method", method,
+                    "--epochs", "1", "--seed", "0", "--n-basis-dmp", "5",
+                    "--out", ckpt]) == 0
+        wpp = tmp_path / "wpp.jsonl"
+        save_jsonl(generate_wpp(seed=1, trials_per_cell=1), wpp)
+        capsys.readouterr()
+        assert run(["eval", "--data", wpp, "--checkpoint", ckpt,
+                    "--outdir", tmp_path / "o"]) == 1
+        assert ("error: dataset contexts have 10 features, checkpoint "
+                "expects 3") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["deep-mp", "residual", "ddmp"])
+    def test_sample_csvs_are_numeric(self, small_dataset, tmp_path, method):
+        ckpt = tmp_path / "ck.json"
+        assert run(["train", "--data", small_dataset, "--method", method,
+                    "--epochs", "1", "--seed", "0", "--n-basis-dmp", "5",
+                    "--out", ckpt]) == 0
+        outdir = tmp_path / "evalout"
+        assert run(["eval", "--data", small_dataset, "--checkpoint", ckpt,
+                    "--outdir", outdir, "--plot-samples", "2"]) == 0
+        files = sorted(outdir.glob("sample_*_joints.csv")) + sorted(
+            outdir.glob("sample_*_ee_path.csv"))
+        assert len(files) == 4
+        for path in files:
+            rows = list(csv.reader(path.open()))
+            assert len(rows) == 1 + 150
+            for row in rows[1:]:
+                for cell in row:
+                    float(cell)   # raises on text like np.float64(0.1)
 
 
 class TestConfigFile:

@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from mprim import kernels
+from mprim import kernels, training
 from mprim.dmp import ROLLOUT_OVERSAMPLE
 
 TAU, ALPHA_Z, BETA_Z, ALPHA_X = 7.6, 25.0, 6.25, 25.0 / 3.0
@@ -56,13 +56,19 @@ def euler_reference(start, goal, w, centers, widths, dt, steps):
 
 
 def test_names_the_tracer_wraps():
-    # perfbench/trace_stage.py wraps these by name and reads the step
-    # count of dmp_rollout from its 11th positional argument
+    # perfbench/trace_stage.py wraps these by name, reads the step count
+    # of dmp_rollout from its 11th positional argument and the rows of
+    # evaluate from its 3rd; a missing name would read as zero calls
     for name in ("basis_matrix", "mlp_forward_acts", "mlp_backward_acts",
                  "dmp_rollout"):
         assert callable(getattr(kernels, name, None)), name
     params = list(inspect.signature(kernels.dmp_rollout).parameters)
     assert params[10] == "steps"
+    for name in ("train", "evaluate", "batch_loss_and_grad", "adam_step",
+                 "build_phi"):
+        assert callable(getattr(training, name, None)), name
+    params = list(inspect.signature(training.evaluate).parameters)
+    assert params[2] == "indices"
 
 
 class TestKernels:

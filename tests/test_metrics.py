@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from mprim.basis import PhaseConfig, default_basis, build_phi
-from mprim.metrics import EvalRecord, ave_mse, squared_trajectory_loss
-from mprim.promp import PrompWeights
-from mprim.regressor import loss_trajectory
+from mprim.dataset import generate_rtp
+from mprim.metrics import EvalRecord, squared_trajectory_loss
+from mprim.training import TrainConfig, evaluate, train
 
 
 @pytest.fixture(scope="module")
@@ -13,64 +13,71 @@ def phi():
     return build_phi(pc, default_basis(pc, 8))
 
 
-def random_weights(rng, n=8, joints=3):
-    return PrompWeights(rng.standard_normal((joints, n)))
+def random_trajectories(rng, phi, n=5, joints=3):
+    """(n, T, joints) trajectories generated by random basis weights."""
+    weights = rng.standard_normal((n, joints, phi.n_basis))
+    return np.swapaxes(weights @ phi.values.T, 1, 2)
 
 
 class TestAveMse:
     def test_identical_lists_zero(self, phi):
         rng = np.random.default_rng(0)
-        ws = [random_weights(rng) for _ in range(5)]
-        assert ave_mse(ws, ws, phi) == 0.0
+        trajs = random_trajectories(rng, phi)
+        np.testing.assert_array_equal(squared_trajectory_loss(trajs, trajs),
+                                      0.0)
 
     def test_single_sample_single_joint_definition(self, phi):
         rng = np.random.default_rng(1)
-        gt = PrompWeights(rng.standard_normal((1, 8)))
-        ps = PrompWeights(rng.standard_normal((1, 8)))
-        loss = loss_trajectory(ps.per_joint[0], gt.per_joint[0], phi)
-        assert ave_mse([ps], [gt], phi) == pytest.approx(loss ** 2,
-                                                         rel=1e-15)
+        gt, ps = random_trajectories(rng, phi, n=2, joints=1)
+        expected = np.mean((ps[:, 0] - gt[:, 0]) ** 2)
+        loss = squared_trajectory_loss(ps[None], gt[None])
+        assert loss.shape == (1,)
+        assert loss[0] == pytest.approx(expected, rel=1e-15)
 
     def test_matches_bruteforce_reconstruction(self, phi):
-        # oracle: rebuild both trajectories per joint and average the
-        # squared RMSEs by hand
+        # oracle: rebuild both trajectories per joint from their weights
+        # and sum the per-joint mean squared gaps by hand
         rng = np.random.default_rng(2)
-        preds = [random_weights(rng) for _ in range(7)]
-        gts = [random_weights(rng) for _ in range(7)]
+        preds = rng.standard_normal((7, 3, 8))
+        gts = rng.standard_normal((7, 3, 8))
         per_sample = []
         for p, g in zip(preds, gts):
             total = 0.0
             for j in range(3):
-                gap = phi.values @ g.per_joint[j] - phi.values @ p.per_joint[j]
+                gap = phi.values @ g[j] - phi.values @ p[j]
                 total += np.mean(gap ** 2)
             per_sample.append(total)
-        assert ave_mse(preds, gts, phi) == pytest.approx(
-            np.mean(per_sample), abs=1e-12)
+        loss = squared_trajectory_loss(
+            np.swapaxes(preds @ phi.values.T, 1, 2),
+            np.swapaxes(gts @ phi.values.T, 1, 2))
+        np.testing.assert_allclose(loss, per_sample, rtol=1e-12, atol=1e-14)
 
-    def test_equals_mean_of_squared_losses_exactly(self, phi):
-        rng = np.random.default_rng(3)
-        preds = [random_weights(rng) for _ in range(9)]
-        gts = [random_weights(rng) for _ in range(9)]
-        recomputed = np.mean([squared_trajectory_loss(p, g, phi)
-                              for p, g in zip(preds, gts)])
-        assert ave_mse(preds, gts, phi) == recomputed
+    def test_equals_mean_of_squared_losses_exactly(self):
+        # a metrics row's AveMSE is the plain mean of these per-demo terms
+        ds = generate_rtp(seed=3, counts=(3, 2, 2, 2))
+        model, _ = train("deep-mp", ds, TrainConfig(epochs=1, seed=0))
+        idx = np.arange(len(ds))
+        _, overall = evaluate(model, ds, idx)
+        sq = squared_trajectory_loss(model.predict(ds, idx),
+                                     model.head.truth(ds, idx))
+        assert overall.ave_mse == float(np.mean(sq))
 
     def test_quadratic_scaling(self, phi):
         rng = np.random.default_rng(4)
-        gt = [random_weights(rng) for _ in range(4)]
-        base = [random_weights(rng) for _ in range(4)]
-        scaled = [PrompWeights(g.per_joint + 3.0 * (b.per_joint - g.per_joint))
-                  for g, b in zip(gt, base)]
-        ratio = ave_mse(scaled, gt, phi) / ave_mse(base, gt, phi)
-        assert ratio == pytest.approx(9.0, rel=1e-10)
+        gt = random_trajectories(rng, phi, n=4)
+        base = random_trajectories(rng, phi, n=4)
+        scaled = gt + 3.0 * (base - gt)
+        ratio = (squared_trajectory_loss(scaled, gt)
+                 / squared_trajectory_loss(base, gt))
+        np.testing.assert_allclose(ratio, 9.0, rtol=1e-10)
 
     def test_input_validation(self, phi):
         rng = np.random.default_rng(5)
-        w = [random_weights(rng)]
+        trajs = random_trajectories(rng, phi, n=2)
         with pytest.raises(ValueError):
-            ave_mse([], [], phi)
+            squared_trajectory_loss(trajs, trajs[:1])
         with pytest.raises(ValueError):
-            ave_mse(w, w + w, phi)
+            squared_trajectory_loss(trajs[0], trajs[0])
 
 
 class TestEvalRecord:

@@ -4,9 +4,8 @@ import pytest
 from mprim.basis import PhaseConfig, default_basis, build_phi
 from mprim.errors import SingularSystemError
 from mprim.promp import (PrompDistribution, PrompWeights, Trajectory,
-                         fit_all_weights, fit_distribution, fit_weights,
-                         marginal_at, mean_weights, reconstruct,
-                         residual_combine, residual_split, sample_trajectories,
+                         fit_distribution, fit_weights, marginal_at,
+                         mean_weights, reconstruct, sample_trajectories,
                          sample_trajectory)
 
 
@@ -65,6 +64,23 @@ class TestFitWeights:
         residual = phi.values @ fit - q
         assert np.max(np.abs(phi.values.T @ residual)) < 1e-8
 
+    def test_columns_share_one_solve(self, grid):
+        # many columns at once give each column's own fit, one row each
+        _, _, phi = grid
+        rng = np.random.default_rng(2)
+        q = rng.standard_normal((150, 5))
+        fit = fit_weights(q, phi)
+        assert fit.shape == (5, 8)
+        for j in range(5):
+            np.testing.assert_allclose(fit[j], fit_weights(q[:, j], phi),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_rank_deficient_raises_for_columns(self):
+        pc = PhaseConfig(150.0, 2)
+        phi = build_phi(pc, default_basis(pc, 5))
+        with pytest.raises(SingularSystemError, match="condition"):
+            fit_weights(np.zeros((2, 3)), phi, ridge=0.0)
+
     def test_ridge_shrinkage_monotone(self, grid):
         _, _, phi = grid
         q = min_jerk_column(-0.4, 0.9, 150)
@@ -92,7 +108,7 @@ class TestReconstruct:
         traj = Trajectory(
             np.column_stack([min_jerk_column(0.0, 1.2, 150),
                              min_jerk_column(-0.5, 0.3, 150)]), pc)
-        weights = fit_all_weights(traj, phi)
+        weights = PrompWeights(fit_weights(traj.values, phi))
         rebuilt = reconstruct(weights, phi, pc)
         rmse = np.sqrt(np.mean((rebuilt.values - traj.values) ** 2))
         assert rmse < 1e-3
@@ -213,39 +229,3 @@ class TestSampling:
         cov[0, 0] = -1e-11
         dist = PrompDistribution(np.zeros(8), cov)
         sample_trajectory(dist, phi, seed=1)
-
-
-class TestResidualSplit:
-    def test_identical_theta_and_mean(self):
-        theta = np.array([0.5, -0.25, 1.0])
-        res = residual_split(theta, theta)
-        np.testing.assert_array_equal(res.residual, 0.0)
-        np.testing.assert_array_equal(residual_combine(res), theta)
-
-    def test_zero_mean_passthrough(self):
-        theta = np.array([0.1, 0.2, 0.3])
-        res = residual_split(theta, np.zeros(3))
-        np.testing.assert_array_equal(res.residual, theta)
-        np.testing.assert_array_equal(residual_combine(res), theta)
-
-    def test_round_trip_bit_exact_random(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            theta = rng.standard_normal(8)
-            mean = rng.standard_normal(8)
-            back = residual_combine(residual_split(theta, mean))
-            np.testing.assert_array_equal(back, theta)
-
-    def test_round_trip_bit_exact_mixed_scales(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            scale_t = 10.0 ** rng.uniform(-8, 8)
-            scale_m = 10.0 ** rng.uniform(-8, 8)
-            theta = rng.standard_normal(6) * scale_t
-            mean = rng.standard_normal(6) * scale_m
-            back = residual_combine(residual_split(theta, mean))
-            np.testing.assert_array_equal(back, theta)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            residual_split(np.zeros(3), np.zeros(4))

@@ -1,18 +1,51 @@
 import numpy as np
 import pytest
 
+from mprim import kernels
 from mprim.basis import PhaseConfig, default_basis, build_phi
 from mprim.errors import SingularSystemError
 from mprim.regressor import (AdamState, MlpParams, adam_init, adam_step,
-                             batch_loss_and_grad, init_mlp, loss_ddmp_rtp,
-                             loss_ddmp_wpp, loss_trajectory, mlp_backward,
-                             mlp_forward, ridge_fit, rms)
+                             batch_loss_and_grad, init_mlp, mlp_forward,
+                             ridge_fit)
 
 
 @pytest.fixture(scope="module")
 def phi_small():
     pc = PhaseConfig(30.0, 30)
     return build_phi(pc, default_basis(pc, 5))
+
+
+def loss_of(loss_kind, pred, gt, **kwargs):
+    """One sample's loss; `pred` and `gt` are flattened into head rows."""
+    losses, _ = batch_loss_and_grad(np.ravel(pred)[None, :],
+                                    np.ravel(gt)[None, :], loss_kind,
+                                    **kwargs)
+    return float(losses[0])
+
+
+def loss_trajectory(ps, gt, phi):
+    return loss_of("trajectory", ps, gt, phi=phi, n_joint=1)
+
+
+def loss_ddmp_rtp(forcing_ps, goal_ps, forcing_gt, goal_gt):
+    return loss_of("ddmp_rtp", np.r_[np.ravel(forcing_ps), goal_ps],
+                   np.r_[np.ravel(forcing_gt), goal_gt], n_joint=len(goal_gt))
+
+
+def loss_ddmp_wpp(pred, gt):
+    return loss_of("ddmp_wpp", pred, gt)
+
+
+def mlp_backward(params, ctx, loss_kind, target, **kwargs):
+    """Gradient of one sample's loss w.r.t. every net parameter, through
+    the same kernels the training loop calls; ((grads_w, grads_b), loss)."""
+    acts = kernels.mlp_forward_acts(np.atleast_2d(ctx), list(params.weights),
+                                    list(params.biases))
+    losses, dpred = batch_loss_and_grad(acts[-1], np.atleast_2d(target),
+                                        loss_kind, **kwargs)
+    grads_w, grads_b = kernels.mlp_backward_acts(acts, list(params.weights),
+                                                 dpred)
+    return (grads_w, grads_b), float(losses[0])
 
 
 def flatten_grads(grads_w, grads_b):
@@ -140,8 +173,8 @@ class TestLossValues:
         goal = np.array([0.5, -0.5])
         assert loss_ddmp_rtp(omega, goal, omega, goal) == 0.0
         shifted = goal + 0.01
-        assert loss_ddmp_rtp(omega, shifted, omega, goal,
-                             goal_weight=100.0) == pytest.approx(1.0)
+        assert loss_ddmp_rtp(omega, shifted, omega, goal) == pytest.approx(
+            1.0)   # default goal weight 100
 
     def test_rtp_loss_matches_direct_formula(self):
         rng = np.random.default_rng(4)
@@ -230,9 +263,8 @@ class TestGradients:
             assert rel < 1e-4
 
     def test_unknown_loss_kind(self):
-        params = init_mlp((2, 3), seed=0)
         with pytest.raises(ValueError, match="unknown loss kind"):
-            mlp_backward(params, np.zeros(2), "nope", np.zeros(3))
+            batch_loss_and_grad(np.zeros((1, 3)), np.zeros((1, 3)), "nope")
 
 
 class TestAdam:
@@ -291,8 +323,3 @@ class TestAdam:
         a, b = run(), run()
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
-
-
-def test_rms_helper():
-    assert rms(np.array([3.0, 4.0])) == pytest.approx(np.sqrt(12.5))
-    assert rms(np.zeros(4)) == 0.0
