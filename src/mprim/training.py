@@ -334,10 +334,10 @@ class DmpHead(Head):
                              for i in train_idx]).mean(axis=0)
         head = cls(task, dataset.n_joint, _phase_cfg(dataset), n_basis_dmp,
                    tau, home)
-        start = task == "wpp"
+        with_start = task == "wpp"
         return head, np.stack([
             np.concatenate([m.forcing_weights.ravel(), m.goal]
-                           + ([m.start] if start else []))
+                           + ([m.start] if with_start else []))
             for m in head._fits(dataset, range(len(dataset)))])
 
     def _fits(self, dataset, indices):
