@@ -31,7 +31,6 @@ DEFAULT_T = 150
 DEFAULT_FS = 150.0
 
 HOME_CONFIG = np.array([0.0, -0.785, 0.0, -2.356, 0.0, 1.571, 0.785])
-N_JOINT = 7
 
 # Reach task: nested sampling rectangles around the workspace center.
 # Half-extents in meters; the rings between consecutive boxes are the
@@ -385,7 +384,11 @@ def save_jsonl(dataset: DemoDataset, path):
 
 
 def load_jsonl(path) -> DemoDataset:
-    """Inverse of save_jsonl; malformed lines are reported by number."""
+    """Inverse of save_jsonl; malformed lines are reported by number.
+
+    Every record must have the context and trajectory shapes of the first
+    one, and the header seed must be an integer.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -403,8 +406,11 @@ def load_jsonl(path) -> DemoDataset:
     if header.get("schema") != SCHEMA_VERSION:
         fail(1, f"unsupported schema {header.get('schema')!r}")
 
+    seed = header.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        fail(1, f"seed must be an integer, got {json.dumps(seed)}")
     fs = header.get("sampling_frequency", DEFAULT_FS)
-    dataset = DemoDataset(header["kind"], int(header.get("seed", 0)))
+    dataset = DemoDataset(header["kind"], seed)
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             fail(line_no, "blank line")
@@ -420,6 +426,15 @@ def load_jsonl(path) -> DemoDataset:
                                 record.get("split"))
         except (KeyError, TypeError, ValueError) as err:
             fail(line_no, f"bad record ({err})")
+        if dataset.samples:
+            first = dataset.samples[0]
+            for what, have, want in (
+                    ("context", context.shape, first.context.shape),
+                    ("trajectory", values.shape,
+                     first.trajectory.values.shape)):
+                if have != want:
+                    fail(line_no, f"{what} shape {have} differs from the "
+                                  f"first record's {want}")
         dataset.samples.append(sample)
     declared = header.get("n_samples")
     if declared is not None and declared != len(dataset):

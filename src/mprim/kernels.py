@@ -73,8 +73,8 @@ def dmp_rollout(start, goal, forcing_weights, centers, widths, tau,
     2*stride, ... below `steps`, shape (B, n_out, n_joint): one contiguous
     trajectory per system, sample 0 being its start configuration. Only
     those samples are kept, so memory does not grow with the number of
-    steps. A state that goes non-finite is returned as such; the caller
-    rejects it.
+    steps. A state that goes non-finite is returned as such, without a
+    numpy warning; the caller rejects it.
 
     The forcing mix is a stacked product, one (n_joint, n_basis) matrix-
     vector product per system, so each system gets bit for bit the result
@@ -94,11 +94,13 @@ def dmp_rollout(start, goal, forcing_weights, centers, widths, tau,
     q = start.copy()
     v = np.zeros_like(q)
     out[:, 0] = q
-    for s in range(1, steps):
-        f = (w @ psi[s - 1]) / psi_sum[s - 1] * x[s - 1] * span
-        v_dot = (alpha_z * (beta_z * (goal - q) - v) + f) / tau
-        q = q + dt * (v / tau)
-        v = v + dt * v_dot
-        if s % stride == 0:
-            out[:, s // stride] = q
+    # a diverging row overflows quietly; the caller rejects non-finite rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, steps):
+            f = (w @ psi[s - 1]) / psi_sum[s - 1] * x[s - 1] * span
+            v_dot = (alpha_z * (beta_z * (goal - q) - v) + f) / tau
+            q = q + dt * (v / tau)
+            v = v + dt * v_dot
+            if s % stride == 0:
+                out[:, s // stride] = q
     return out

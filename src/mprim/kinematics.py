@@ -4,6 +4,9 @@ The chain is a list of Denavit-Hartenberg rows applied in the distal
 convention, Rz(theta) Tz(d) Tx(a) Rx(alpha), so a single revolute joint
 with link length a sweeps the link in the XY plane. Joint positions are
 radians, link parameters meters; reports convert to millimeters.
+`load_chain` reads a chain from a JSON file of the form
+{"kind": "kinematic_chain", "a": [...], "d": [...], "alpha": [...],
+"theta_offset": [...]}, one entry per joint.
 """
 
 import json
@@ -35,11 +38,6 @@ class KinematicChain:
     @property
     def n_joints(self):
         return len(self.a)
-
-    def to_dict(self):
-        return {"a": list(self.a), "d": list(self.d),
-                "alpha": list(self.alpha),
-                "theta_offset": list(self.theta_offset)}
 
     @classmethod
     def from_dict(cls, obj):
@@ -87,24 +85,12 @@ def final_distances(pred, truth, chain: KinematicChain) -> np.ndarray:
     `pred` and `truth` are equal-length sequences of (T, n_joints) joint
     trajectories, e.g. two (B, T, n_joints) arrays. Returns shape (B,).
     """
+    if len(pred) != len(truth):
+        raise ValueError(f"{len(pred)} predictions but {len(truth)} "
+                         "ground-truth trajectories")
     return np.array([np.linalg.norm(fk_position(chain, p[-1])
                                     - fk_position(chain, g[-1]))
                      for p, g in zip(pred, truth)])
-
-
-def ave_ed(pred_trajs, gt_trajs, chain: KinematicChain) -> float:
-    """Mean final-sample end-effector distance between paired trajectories.
-
-    Only the last sample of each trajectory enters; the result is in
-    millimeters.
-    """
-    if len(pred_trajs) != len(gt_trajs):
-        raise ValueError("prediction and ground-truth lists differ in length")
-    if len(pred_trajs) == 0:
-        raise ValueError("need at least one trajectory pair")
-    dists = final_distances([t.values for t in pred_trajs],
-                            [t.values for t in gt_trajs], chain)
-    return float(np.mean(dists)) * 1000.0
 
 
 # Stand-in 7-joint chain. The real arm's kinematic parameters are not part
@@ -121,13 +107,6 @@ DEFAULT_CHAIN = KinematicChain(
 
 def default_chain() -> KinematicChain:
     return DEFAULT_CHAIN
-
-
-def save_chain(chain: KinematicChain, path):
-    with open(path, "w") as fh:
-        json.dump({"schema": 1, "kind": "kinematic_chain",
-                   **chain.to_dict()}, fh, indent=2)
-        fh.write("\n")
 
 
 def load_chain(path) -> KinematicChain:

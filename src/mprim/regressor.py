@@ -1,8 +1,8 @@
-"""Context-to-weights regressors and their training losses.
+"""The context-to-head regressor and its training losses.
 
-Two regressors: a closed-form affine ridge map (baseline oracle) and a
-small dense network with tanh hidden layers, identity output, analytic
-gradients and an Adam optimizer, all hand-rolled on numpy/kernels.
+The regressor is a small dense network with tanh hidden layers, identity
+output, analytic gradients and an Adam optimizer, all hand-rolled on
+numpy/kernels.
 
 Head layouts are joint-major flat vectors:
   trajectory head   [theta_joint0 | theta_joint1 | ...]         (n_joint*n_basis)
@@ -25,54 +25,10 @@ import numpy as np
 
 from mprim import kernels
 from mprim.basis import PhiMatrix
-from mprim.errors import SingularSystemError
 
 DEFAULT_GOAL_WEIGHT = 100.0   # relative importance of the goal residual
-_MAX_CONDITION = 1e12
 
 LOSS_KINDS = ("trajectory", "ddmp_rtp", "ddmp_wpp")
-
-
-# ---------------------------------------------------------------------------
-# affine ridge baseline
-
-@dataclass(frozen=True)
-class AffineMap:
-    """y = x @ matrix + intercept."""
-
-    matrix: np.ndarray      # (n_features, n_targets)
-    intercept: np.ndarray   # (n_targets,)
-
-    def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        return x @ self.matrix + self.intercept
-
-
-def ridge_fit(contexts, targets, ridge: float = 1e-6) -> AffineMap:
-    """Closed-form minimizer of sum ||A x + b - y||^2 + ridge*||A||_F^2.
-
-    The intercept is not penalized, so ridge -> infinity drives A to zero
-    and b to the target mean.
-    """
-    x = np.atleast_2d(np.asarray(contexts, dtype=float))
-    y = np.atleast_2d(np.asarray(targets, dtype=float))
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("contexts and targets must have equal sample count")
-    if x.shape[0] == 0:
-        raise ValueError("need at least one sample")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
-    n, d = x.shape
-    xa = np.hstack([x, np.ones((n, 1))])
-    gram = xa.T @ xa + ridge * np.diag(np.r_[np.ones(d), 0.0])
-    if ridge == 0.0:
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > _MAX_CONDITION:
-            raise SingularSystemError(
-                f"ridge_fit normal matrix condition {cond:.3e} exceeds "
-                f"{_MAX_CONDITION:.0e}; use a positive ridge")
-    beta = np.linalg.solve(gram, xa.T @ y)
-    return AffineMap(beta[:-1], beta[-1])
 
 
 # ---------------------------------------------------------------------------

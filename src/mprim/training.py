@@ -334,15 +334,18 @@ class DmpHead(Head):
                              for i in train_idx]).mean(axis=0)
         head = cls(task, dataset.n_joint, _phase_cfg(dataset), n_basis_dmp,
                    tau, home)
-        with_start = task == "wpp"
-        return head, np.stack([
-            np.concatenate([m.forcing_weights.ravel(), m.goal]
-                           + ([m.start] if with_start else []))
-            for m in head._fits(dataset, range(len(dataset)))])
+        forcing, goals, starts = head._fits(dataset, range(len(dataset)))
+        return head, np.concatenate(
+            [forcing.reshape(len(forcing), -1), goals]
+            + ([starts] if task == "wpp" else []), axis=1)
 
     def _fits(self, dataset, indices):
-        return [dmp_mod.fit_dmp(dataset.samples[i].trajectory,
+        """Stacked forcing weights, goals and starts fitted to the demos."""
+        fits = [dmp_mod.fit_dmp(dataset.samples[i].trajectory.values,
                                 self.n_basis_dmp, self.tau) for i in indices]
+        return (np.stack([m.forcing_weights for m in fits]),
+                np.stack([m.goal for m in fits]),
+                np.stack([m.start for m in fits]))
 
     def loss(self):
         if self.task == "rtp":
@@ -353,27 +356,24 @@ class DmpHead(Head):
         j, n = self.n_joint, self.n_basis_dmp
         forcing = out[:, :j * n].reshape(len(out), j, n)
         goals = out[:, j * n:j * n + j]
-        starts = ([self.home] * len(out) if self.task == "rtp"
-                  else out[:, j * n + j:])
-        models = [dmp_mod.DmpModel(f, g, np.asarray(s, float), self.tau)
-                  for f, g, s in zip(forcing, goals, starts)]
-        return self._rollouts(models, "prediction", indices)
+        starts = (np.broadcast_to(self.home, goals.shape)
+                  if self.task == "rtp" else out[:, j * n + j:])
+        return self._rollouts(forcing, goals, starts, "prediction", indices)
 
     def truth(self, dataset, indices):
-        return self._rollouts(self._fits(dataset, indices), "ground-truth",
+        return self._rollouts(*self._fits(dataset, indices), "ground-truth",
                               indices)
 
-    def _rollouts(self, models, what, indices):
+    def _rollouts(self, forcing, goals, starts, what, indices):
         """One batched rollout; a divergence names the dataset indices."""
         try:
-            trajs = dmp_mod.rollout_matched(
-                models, self.phase_cfg.duration_samples)
+            return dmp_mod.rollout_matched(starts, goals, forcing, self.tau,
+                                           self.phase_cfg.duration_samples)
         except IntegrationError as err:
             rows = [int(indices[r]) for r in err.rows]
             raise IntegrationError(
                 f"{what} rollout diverged to a non-finite state for dataset "
                 f"indices {rows}", rows=rows) from err
-        return np.stack([t.values for t in trajs])
 
     def to_dict(self):
         return {"n_basis_dmp": self.n_basis_dmp, "dmp_tau": self.tau,
@@ -424,9 +424,13 @@ class Model:
 
     def predict(self, dataset: DemoDataset, indices):
         """Predicted trajectories of the demos at `indices`, shape
-        (B, T, n_joint)."""
+        (B, T, n_joint). An index outside the dataset raises ValueError."""
         self.check_fits(dataset)
         indices = np.asarray(indices, dtype=int)
+        outside = indices[(indices < 0) | (indices >= len(dataset))]
+        if len(outside):
+            raise ValueError(f"demo index {outside[0]} is outside the "
+                             f"dataset, which has {len(dataset)} demos")
         ctx = np.stack([dataset.samples[i].context for i in indices])
         out = mlp_forward(self.mlp, (ctx - self.ctx_mean) / self.ctx_std)
         return self.head.decode(out, dataset, indices)

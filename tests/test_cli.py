@@ -201,6 +201,29 @@ class TestEval:
         assert ("error: dataset contexts have 10 features, checkpoint "
                 "expects 3") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("index", [None, -1],
+                             ids=["past_end", "negative"])
+    def test_test_index_outside_dataset(self, small_dataset, tmp_path,
+                                        capsys, index):
+        # a checkpoint's held-out indices must lie inside the dataset it is
+        # evaluated on; a negative one would score some other demo
+        ckpt = tmp_path / "ck.json"
+        assert run(["train", "--data", small_dataset, "--method", "residual",
+                    "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
+        doc = json.loads(ckpt.read_text())
+        if index is not None:
+            doc["payload"]["test_indices"] = [0, index]
+            ckpt.write_text(json.dumps(doc))
+        bad = index if index is not None else next(
+            i for i in doc["payload"]["test_indices"] if i >= 5)
+        few = tmp_path / "few.jsonl"
+        save_jsonl(generate_rtp(seed=2, counts=(2, 1, 1, 1)), few)
+        capsys.readouterr()
+        assert run(["eval", "--data", few, "--checkpoint", ckpt,
+                    "--outdir", tmp_path / "o"]) == 1
+        assert (f"error: demo index {bad} is outside the dataset, which has "
+                "5 demos") in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["deep-mp", "residual", "ddmp"])
     def test_sample_csvs_are_numeric(self, small_dataset, tmp_path, method):
         ckpt = tmp_path / "ck.json"

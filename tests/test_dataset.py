@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -287,4 +288,32 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")   # drop one record
         with pytest.raises(DatasetFormatError, match="declares"):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize("field,shape,want", [
+        ("context", (2,), (3,)),
+        ("trajectory", (150, 6), (150, 7)),
+        ("trajectory", (149, 7), (150, 7)),
+    ], ids=["context_width", "joints", "samples"])
+    def test_inconsistent_record_names_line_and_shapes(self, tmp_path,
+                                                       field, shape, want):
+        path = tmp_path / "demos.jsonl"
+        save_jsonl(generate_rtp(seed=1, counts=(2, 1, 1, 1)), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        value = np.asarray(record[field])
+        record[field] = value[tuple(slice(n) for n in shape)].tolist()
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"line 4: {field} shape {shape} differs from the first "
+                f"record's {want}")):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize("seed", [[1], "x", 1.5, True, None])
+    def test_non_integer_seed_rejected(self, tmp_path, seed):
+        path = tmp_path / "demos.jsonl"
+        path.write_text(json.dumps({"schema": 1, "kind": "rtp", "seed": seed,
+                                    "n_samples": 0}) + "\n")
+        with pytest.raises(DatasetFormatError, match="line 1: seed"):
             load_jsonl(path)

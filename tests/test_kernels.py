@@ -3,7 +3,8 @@ import inspect
 import numpy as np
 import pytest
 
-from mprim import kernels, training
+from mprim import (checkpoint, cli, dmp, kernels, kinematics, metrics, plots,
+                   training)
 from mprim.dmp import ROLLOUT_OVERSAMPLE
 
 TAU, ALPHA_Z, BETA_Z, ALPHA_X = 7.6, 25.0, 6.25, 25.0 / 3.0
@@ -56,19 +57,35 @@ def euler_reference(start, goal, w, centers, widths, dt, steps):
 
 
 def test_names_the_tracer_wraps():
-    # perfbench/trace_stage.py wraps these by name, reads the step count
-    # of dmp_rollout from its 11th positional argument and the rows of
-    # evaluate from its 3rd; a missing name would read as zero calls
-    for name in ("basis_matrix", "mlp_forward_acts", "mlp_backward_acts",
-                 "dmp_rollout"):
-        assert callable(getattr(kernels, name, None)), name
-    params = list(inspect.signature(kernels.dmp_rollout).parameters)
-    assert params[10] == "steps"
-    for name in ("train", "evaluate", "batch_loss_and_grad", "adam_step",
-                 "build_phi"):
-        assert callable(getattr(training, name, None)), name
-    params = list(inspect.signature(training.evaluate).parameters)
-    assert params[2] == "indices"
+    # perfbench/trace_stage.py wraps these by name at these modules; a
+    # missing name would read as zero calls
+    wrapped = {
+        kernels: ("basis_matrix", "mlp_forward_acts", "mlp_backward_acts",
+                  "dmp_rollout"),
+        training: ("train", "evaluate", "batch_loss_and_grad", "adam_step",
+                   "build_phi"),
+        dmp: ("fit_dmp", "rollout_matched"),
+        metrics: ("squared_trajectory_loss",),
+        kinematics: ("fk_position",),
+        checkpoint: ("save", "load"),
+        plots: ("write_metrics_csv", "write_joint_csv", "write_ee_path_csv",
+                "write_overlay_svg"),
+        cli: ("generate_rtp", "generate_wpp", "save_jsonl", "load_jsonl",
+              "apply_split"),
+    }
+    for module, names in wrapped.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), (module, name)
+    # the per-call counts read these arguments by position or name
+    for fn, pos, name in ((kernels.dmp_rollout, 10, "steps"),
+                          (training.evaluate, 2, "indices"),
+                          (kernels.mlp_forward_acts, 0, "x"),
+                          (kernels.mlp_backward_acts, 2, "delta_out"),
+                          (cli.save_jsonl, 1, "path"),
+                          (cli.load_jsonl, 0, "path"),
+                          (checkpoint.save, 1, "path"),
+                          (checkpoint.load, 0, "path")):
+        assert list(inspect.signature(fn).parameters)[pos] == name, fn
 
 
 class TestKernels:

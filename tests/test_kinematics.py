@@ -1,22 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mprim.basis import PhaseConfig
-from mprim.kinematics import (KinematicChain, ave_ed, default_chain,
+from mprim.kinematics import (KinematicChain, default_chain, final_distances,
                               fk_position, fk_positions, joint_transform,
-                              load_chain, save_chain)
-from mprim.promp import Trajectory
+                              load_chain)
 
 
 def single_link(a=1.0):
     return KinematicChain((a,), (0.0,), (0.0,), (0.0,))
-
-
-def traj_of(values, fs=150.0):
-    values = np.asarray(values, float)
-    return Trajectory(values, PhaseConfig(fs, values.shape[0]))
 
 
 class TestForwardKinematics:
@@ -69,51 +63,58 @@ class TestForwardKinematics:
             np.testing.assert_array_equal(batch[i], fk_position(chain, row))
 
 
+def ave_ed_mm(preds, gts, chain):
+    """Mean final end-effector distance in mm, as `evaluate` averages it."""
+    return float(np.mean(final_distances(preds, gts, chain))) * 1000.0
+
+
 class TestAveEd:
     def test_identical_lists_zero(self):
-        t = traj_of(np.linspace(0, 1, 20)[:, None])
-        assert ave_ed([t, t], [t, t], single_link()) == 0.0
+        t = np.linspace(0, 1, 20)[:, None]
+        assert ave_ed_mm([t, t], [t, t], single_link()) == 0.0
 
     def test_single_joint_quarter_turn_distance(self):
         # final angles 0 vs pi/2 on a unit link: sqrt(2) meters
-        gt = traj_of(np.zeros((10, 1)))
-        pred = traj_of(np.vstack([np.zeros((9, 1)),
-                                  [[math.pi / 2]]]))
-        assert ave_ed([pred], [gt], single_link()) == pytest.approx(
+        gt = np.zeros((10, 1))
+        pred = np.vstack([np.zeros((9, 1)), [[math.pi / 2]]])
+        assert ave_ed_mm([pred], [gt], single_link()) == pytest.approx(
             math.sqrt(2) * 1000)
 
     def test_matches_per_sample_recomputation(self):
         chain = default_chain()
         rng = np.random.default_rng(3)
-        preds = [traj_of(rng.uniform(-1, 1, (4, 7))) for _ in range(6)]
-        gts = [traj_of(rng.uniform(-1, 1, (4, 7))) for _ in range(6)]
-        expected = np.mean([
-            np.linalg.norm(fk_position(chain, p.values[-1])
-                           - fk_position(chain, g.values[-1]))
-            for p, g in zip(preds, gts)]) * 1000
-        assert ave_ed(preds, gts, chain) == pytest.approx(expected, rel=1e-12)
+        preds = rng.uniform(-1, 1, (6, 4, 7))
+        gts = rng.uniform(-1, 1, (6, 4, 7))
+        expected = [np.linalg.norm(fk_position(chain, p[-1])
+                                   - fk_position(chain, g[-1]))
+                    for p, g in zip(preds, gts)]
+        np.testing.assert_allclose(final_distances(preds, gts, chain),
+                                   expected, rtol=1e-12)
 
     def test_symmetry_and_positivity(self):
         chain = default_chain()
         rng = np.random.default_rng(4)
-        a = [traj_of(rng.uniform(-1, 1, (3, 7))) for _ in range(4)]
-        b = [traj_of(rng.uniform(-1, 1, (3, 7))) for _ in range(4)]
-        assert ave_ed(a, b, chain) == ave_ed(b, a, chain)
-        assert ave_ed(a, b, chain) > 0.0
+        a = rng.uniform(-1, 1, (4, 3, 7))
+        b = rng.uniform(-1, 1, (4, 3, 7))
+        np.testing.assert_array_equal(final_distances(a, b, chain),
+                                      final_distances(b, a, chain))
+        assert np.all(final_distances(a, b, chain) > 0.0)
 
     def test_empty_and_mismatched_inputs(self):
-        with pytest.raises(ValueError):
-            ave_ed([], [], single_link())
-        t = traj_of(np.zeros((3, 1)))
-        with pytest.raises(ValueError):
-            ave_ed([t], [t, t], single_link())
+        assert final_distances([], [], single_link()).shape == (0,)
+        t = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="1 predictions but 2"):
+            final_distances([t], [t, t], single_link())
 
 
 class TestChainConfig:
     def test_round_trip(self, tmp_path):
         chain = default_chain()
         path = tmp_path / "chain.json"
-        save_chain(chain, path)
+        path.write_text(json.dumps({
+            "kind": "kinematic_chain", "a": list(chain.a),
+            "d": list(chain.d), "alpha": list(chain.alpha),
+            "theta_offset": list(chain.theta_offset)}))
         assert load_chain(path) == chain
 
     def test_rejects_other_files(self, tmp_path):

@@ -3,10 +3,8 @@ import pytest
 
 from mprim import kernels
 from mprim.basis import PhaseConfig, default_basis, build_phi
-from mprim.errors import SingularSystemError
 from mprim.regressor import (AdamState, MlpParams, adam_init, adam_step,
-                             batch_loss_and_grad, init_mlp, mlp_forward,
-                             ridge_fit)
+                             batch_loss_and_grad, init_mlp, mlp_forward)
 
 
 @pytest.fixture(scope="module")
@@ -75,37 +73,6 @@ def numeric_gradient(params, ctx, loss_fn, step=1e-5):
         grad[i] = (loss_fn(with_flat(up), ctx)
                    - loss_fn(with_flat(down), ctx)) / (2 * step)
     return grad
-
-
-class TestRidge:
-    def test_recovers_affine_map(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal(3)
-        x = rng.standard_normal((50, 4))
-        fit = ridge_fit(x, x @ a + b, ridge=0.0)
-        np.testing.assert_allclose(fit.matrix, a, atol=1e-8)
-        np.testing.assert_allclose(fit.intercept, b, atol=1e-8)
-
-    def test_single_sample_predicts_itself(self):
-        ctx = np.array([[0.3, -0.5]])
-        target = np.array([[1.0, 2.0, 3.0]])
-        fit = ridge_fit(ctx, target, ridge=1e-6)
-        np.testing.assert_allclose(fit.predict(ctx[0]), target[0], atol=1e-9)
-
-    def test_huge_ridge_collapses_to_mean(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((40, 3))
-        y = rng.standard_normal((40, 2))
-        fit = ridge_fit(x, y, ridge=1e12)
-        np.testing.assert_allclose(fit.matrix, 0.0, atol=1e-9)
-        np.testing.assert_allclose(fit.intercept, y.mean(axis=0), atol=1e-6)
-
-    def test_singular_at_zero_ridge(self):
-        x = np.zeros((3, 2))   # duplicate contexts, rank deficient
-        y = np.zeros((3, 1))
-        with pytest.raises(SingularSystemError):
-            ridge_fit(x, y, ridge=0.0)
 
 
 class TestMlpForward:

@@ -8,12 +8,11 @@ from mprim import dmp as dmp_mod
 from mprim import kinematics, metrics
 from mprim.basis import PhaseConfig, default_basis, build_phi
 from mprim.dataset import WPP_SPLITS, apply_split, generate_rtp, generate_wpp
-from mprim.dmp import DmpModel, fit_dmp, rollout_matched
+from mprim.dmp import fit_dmp, rollout_matched
 from mprim.errors import IntegrationError
-from mprim.kinematics import ave_ed, default_chain
+from mprim.kinematics import default_chain, final_distances
 from mprim.promp import Trajectory
-from mprim.regressor import (MlpParams, batch_loss_and_grad, mlp_forward,
-                             ridge_fit)
+from mprim.regressor import MlpParams, batch_loss_and_grad, mlp_forward
 from mprim.training import (DmpHead, Model, PrompHead, ResidualHead,
                             TrainConfig, TrainReport, evaluate, random_split,
                             train)
@@ -116,8 +115,12 @@ class TestTrainDeepMp:
         train_idx = np.asarray(model.train_indices)
         targets = all_weights(model, ds)
         ctx = ds.contexts()
-        rmap = ridge_fit(ctx[train_idx], targets[train_idx], ridge=1e-8)
-        ora = model.head.decode(rmap.predict(ctx[test_idx]), ds, test_idx)
+        # the affine floor: least squares on [contexts, 1]
+        ones = np.ones((len(ctx), 1))
+        coef = np.linalg.lstsq(np.hstack([ctx[train_idx], ones[train_idx]]),
+                               targets[train_idx], rcond=None)[0]
+        ora = model.head.decode(np.hstack([ctx[test_idx], ones[test_idx]])
+                                @ coef, ds, test_idx)
         gt = model.head.truth(ds, test_idx)
         net_mse = evaluate(model, ds, test_idx)[1].ave_mse
         ridge_mse = np.mean(metrics.squared_trajectory_loss(ora, gt))
@@ -219,12 +222,12 @@ class TestTrainDdmp:
         model, _ = train("ddmp", small_rtp, cfg, n_basis_dmp=10)
         out = net_outputs(model, small_rtp, [0])[0]
         # output layout [forcing, joint-major | goal]; rtp starts at home
-        dmp_model = DmpModel(out[:70].reshape(7, 10), out[70:77],
-                             model.head.home, model.head.tau)
+        expected = rollout_matched(model.head.home[None], out[None, 70:77],
+                                   out[:70].reshape(1, 7, 10),
+                                   model.head.tau, 150)
         traj = model.predict(small_rtp, [0])
         assert traj.shape == (1, 150, 7)
-        np.testing.assert_array_equal(
-            traj[0], rollout_matched(dmp_model, 150).values)
+        np.testing.assert_array_equal(traj, expected)
 
     def test_zero_loss_on_perfect_prediction(self, small_rtp):
         # prediction identical to the target parameter vector gives a
@@ -281,18 +284,20 @@ class TestEvaluate:
         n, j, k = head.phase_cfg.duration_samples, 7, head.n_basis_dmp
         sq, preds, gts = [], [], []
         for i, out in zip(split[1], net_outputs(model, tiny_wpp, split[1])):
-            sample = tiny_wpp.samples[i]
-            gt = rollout_matched(fit_dmp(sample.trajectory, k, head.tau), n)
+            fit = fit_dmp(tiny_wpp.samples[i].trajectory.values, k, head.tau)
+            gt = rollout_matched(fit.start[None], fit.goal[None],
+                                 fit.forcing_weights[None], head.tau, n)[0]
             # wpp output layout [forcing, joint-major | goal | start]
-            pred = rollout_matched(DmpModel(
-                out[:j * k].reshape(j, k), out[j * k:j * k + j],
-                out[j * k + j:], head.tau), n)
-            sq.append(float(np.sum(np.mean((pred.values - gt.values) ** 2,
-                                           axis=0))))
+            pred = rollout_matched(out[None, j * k + j:],
+                                   out[None, j * k:j * k + j],
+                                   out[:j * k].reshape(1, j, k), head.tau,
+                                   n)[0]
+            sq.append(float(np.sum(np.mean((pred - gt) ** 2, axis=0))))
             preds.append(pred)
             gts.append(gt)
         assert overall.ave_mse == float(np.mean(sq))
-        assert overall.ave_ed_mm == ave_ed(preds, gts, default_chain())
+        assert overall.ave_ed_mm == float(np.mean(final_distances(
+            preds, gts, default_chain()))) * 1000.0
 
     @pytest.mark.parametrize("which", ["prediction", "ground-truth"])
     def test_ddmp_divergence_names_dataset_index(self, tiny_wpp, monkeypatch,
@@ -312,10 +317,10 @@ class TestEvaluate:
             monkeypatch.setattr(tiny_wpp.samples[bad], "context",
                                 np.full(10, np.nan))
         else:
-            bad_traj = tiny_wpp.samples[bad].trajectory
-            monkeypatch.setattr(dmp_mod, "fit_dmp", lambda traj, *a: (
-                poison(fit_dmp(traj, *a)) if traj is bad_traj
-                else fit_dmp(traj, *a)))
+            bad_values = tiny_wpp.samples[bad].trajectory.values
+            monkeypatch.setattr(dmp_mod, "fit_dmp", lambda values, *a: (
+                poison(fit_dmp(values, *a)) if values is bad_values
+                else fit_dmp(values, *a)))
         with pytest.raises(IntegrationError,
                            match=rf"{which} rollout .* \[{bad}\]") as err:
             evaluate(model, tiny_wpp, split[1])
