@@ -28,13 +28,29 @@ def save(model: Model, path, meta=None):
 
 
 def load(path) -> Model:
-    """Read a checkpoint back into the trained model it was saved from."""
+    """Read a checkpoint back into the trained model it was saved from.
+
+    Invalid JSON, a document that is not an object and a missing field
+    raise ValueError naming the file and the JSON line or the field."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: invalid JSON at line {err.lineno} "
+                             f"column {err.colno}: {err.msg}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got a "
+                         f"{type(doc).__name__}")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint schema "
                          f"{doc.get('schema')!r}")
     if doc.get("kind") != KIND:
         raise ValueError(f"{path}: unknown checkpoint kind "
                          f"{doc.get('kind')!r}; expected {KIND!r}")
-    return Model.from_dict(doc["payload"])
+    if not isinstance(doc.get("payload"), dict):
+        raise ValueError(f"{path}: missing field 'payload' (an object)")
+    try:
+        return Model.from_dict(doc["payload"])
+    except KeyError as err:
+        field = err.args[0]
+        raise ValueError(f"{path}: payload lacks field {field!r}") from None

@@ -210,7 +210,7 @@ def cmd_eval(args, argv):
 
     records, overall = training.evaluate(model, dataset, indices, chain)
     seen = {rec.group for rec in records}
-    everywhere = {training._group_key(s) for s in dataset.samples}
+    everywhere = set(training.group_keys(dataset).tolist())
     for missing in sorted(everywhere - seen):
         print(f"warning: group {missing!r} has no test samples, row omitted",
               file=sys.stderr)
@@ -223,7 +223,7 @@ def cmd_eval(args, argv):
     shown = indices[:max(args.plot_samples, 0)]
     preds = model.predict(dataset, shown) if len(shown) else []
     for i, pred_values in zip(shown, preds):
-        gt_values = dataset.samples[int(i)].trajectory.values
+        gt_values = dataset.trajectories[i]
         joints_path = args.outdir / f"sample_{int(i)}_joints.csv"
         ee_path = args.outdir / f"sample_{int(i)}_ee_path.csv"
         svg_path = args.outdir / f"sample_{int(i)}_overlay.svg"

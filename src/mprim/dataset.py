@@ -7,14 +7,20 @@ trial count. Both map a low-dimensional scene context through a fixed
 smooth nonlinear function into joint space, so the context-to-weights
 relation is learnable by construction but not affine.
 
+In memory, a `DemoDataset` of N demos holds one set of arrays: `contexts`
+(N, D), `trajectories` (N, T, n_joint) in radians, sampled at
+`sampling_frequency` Hz, plus per demo a `tags` dict and a `splits` label
+(None, "train" or "test"). Every demo shares one phase grid, so the grid
+and the sizes are read from the array shapes.
+
 File format (JSONL, one object per line):
   line 1   header {"schema": 1, "kind": "rtp"|"wpp", "seed": int,
                    "sampling_frequency": float, "n_samples": int}
   line 2.. sample {"context": [D floats],
                    "trajectory": [[n_joint floats] x T]  (row-major, rad),
                    "tags": {...}, "split": null|"train"|"test"}
-Floats are written with full repr precision, so save/load round-trips
-bit-exactly.
+Line k + 1 holds demo k. Floats are written with full repr precision, so
+save/load round-trips bit-exactly.
 """
 
 import json
@@ -24,7 +30,6 @@ import numpy as np
 
 from mprim.basis import PhaseConfig
 from mprim.errors import DatasetFormatError
-from mprim.promp import Trajectory
 
 SCHEMA_VERSION = 1
 DEFAULT_T = 150
@@ -104,51 +109,59 @@ _WPP_SIN_AMP = 0.20
 
 
 @dataclass
-class DemoSample:
-    """One demonstration: scene context, joint trajectory, group tags."""
-
-    context: np.ndarray
-    trajectory: Trajectory
-    tags: dict
-    split: str = None
-
-
-@dataclass
 class DemoDataset:
-    """A labeled collection of demonstrations of one task kind."""
+    """The demonstrations of one task kind as stacked arrays; see the
+    module docstring for the fields."""
 
     kind: str                       # "rtp" or "wpp"
     seed: int
-    samples: list = field(default_factory=list)
+    sampling_frequency: float = DEFAULT_FS
+    contexts: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    trajectories: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 0, 0)))
+    tags: list = field(default_factory=list)
+    splits: list = None             # None: no demo assigned to a side
+
+    def __post_init__(self):
+        if self.splits is None:
+            self.splits = [None] * len(self.tags)
+        sizes = (len(self.contexts), len(self.trajectories), len(self.tags),
+                 len(self.splits))
+        if (self.contexts.ndim != 2 or self.trajectories.ndim != 3
+                or len(set(sizes)) > 1):
+            raise ValueError(
+                f"expected (N, D) contexts, (N, T, n_joint) trajectories and "
+                f"N tags and splits, got contexts {self.contexts.shape}, "
+                f"trajectories {self.trajectories.shape}, {sizes[2]} tags "
+                f"and {sizes[3]} splits")
+        if len(self):   # the shared grid needs fs > 0 and T >= 2
+            PhaseConfig(self.sampling_frequency, self.n_samples_per_traj)
 
     def __len__(self):
-        return len(self.samples)
-
-    @property
-    def sampling_frequency(self):
-        return self.samples[0].trajectory.phase_cfg.sampling_frequency
+        return len(self.trajectories)
 
     @property
     def n_samples_per_traj(self):
-        return self.samples[0].trajectory.n_samples
+        return self.trajectories.shape[1]
 
     @property
     def n_joint(self):
-        return self.samples[0].trajectory.n_joint
+        return self.trajectories.shape[2]
 
     @property
     def context_dim(self):
-        return self.samples[0].context.shape[0]
+        return self.contexts.shape[1]
 
-    def contexts(self):
-        return np.stack([s.context for s in self.samples])
+    @property
+    def phase_cfg(self):
+        return PhaseConfig(self.sampling_frequency, self.n_samples_per_traj)
 
 
-def min_jerk(q0, q1, n_samples: int,
-             sampling_frequency: float = DEFAULT_FS) -> Trajectory:
+def min_jerk(q0, q1, n_samples: int) -> np.ndarray:
     """Quintic point-to-point profile with zero endpoint velocity/acceleration.
 
-    q(s) = q0 + (q1 - q0) * (10 s^3 - 15 s^4 + 6 s^5), s = t/(T-1).
+    q(s) = q0 + (q1 - q0) * (10 s^3 - 15 s^4 + 6 s^5), s = t/(T-1); shape
+    (n_samples, n_joint).
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -156,8 +169,7 @@ def min_jerk(q0, q1, n_samples: int,
     q1 = np.atleast_1d(np.asarray(q1, dtype=float))
     s = np.linspace(0.0, 1.0, n_samples)
     prof = 10.0 * s ** 3 - 15.0 * s ** 4 + 6.0 * s ** 5
-    values = q0[None, :] + prof[:, None] * (q1 - q0)[None, :]
-    return Trajectory(values, PhaseConfig(sampling_frequency, n_samples))
+    return q0[None, :] + prof[:, None] * (q1 - q0)[None, :]
 
 
 def goal_config(phantom_pos) -> np.ndarray:
@@ -202,21 +214,21 @@ def generate_rtp(seed: int, counts=None, n_samples_traj: int = DEFAULT_T,
     if any(c <= 0 for c in counts.values()):
         raise ValueError("region counts must be positive")
     rng = np.random.default_rng(seed)
-    dataset = DemoDataset("rtp", seed)
+    contexts, trajectories, tags = [], [], []
     for region, count in counts.items():
         for _ in range(count):
             xy = _sample_region_xy(rng, region)
             z = rng.uniform(*RTP_Z_RANGE)
             pos = np.array([xy[0], xy[1], z])
-            traj = min_jerk(HOME_CONFIG, goal_config(pos), n_samples_traj,
-                            sampling_frequency)
+            values = min_jerk(HOME_CONFIG, goal_config(pos), n_samples_traj)
             if noise_std > 0.0:
-                noisy = traj.values + noise_std * rng.standard_normal(
-                    traj.values.shape)
-                traj = Trajectory(noisy, traj.phase_cfg)
-            dataset.samples.append(
-                DemoSample(pos, traj, {"region": region}))
-    return dataset
+                values = values + noise_std * rng.standard_normal(
+                    values.shape)
+            contexts.append(pos)
+            trajectories.append(values)
+            tags.append({"region": region})
+    return DemoDataset("rtp", seed, sampling_frequency, np.stack(contexts),
+                       np.stack(trajectories), tags)
 
 
 def wpp_context(config: str, pattern: int) -> np.ndarray:
@@ -239,7 +251,7 @@ def generate_wpp(seed: int, trials_per_cell: int = WPP_DEFAULT_TRIALS,
     if trials_per_cell < 1:
         raise ValueError("trials_per_cell must be >= 1")
     rng = np.random.default_rng(seed)
-    dataset = DemoDataset("wpp", seed)
+    contexts, trajectories, tags = [], [], []
     s = np.linspace(0.0, 1.0, n_samples_traj)
     timing = 10.0 * s ** 3 - 15.0 * s ** 4 + 6.0 * s ** 5
     for pattern in range(1, 8):
@@ -258,14 +270,13 @@ def generate_wpp(seed: int, trials_per_cell: int = WPP_DEFAULT_TRIALS,
                     [np.cos(angle), np.sin(angle), 0.0])
                 points = nipple[None, :] + timing[:, None] * (
                     end - nipple)[None, :]
-                values = np.stack([_wpp_joint_embed(p) for p in points])
-                traj = Trajectory(values,
-                                  PhaseConfig(sampling_frequency,
-                                              n_samples_traj))
-                dataset.samples.append(DemoSample(
-                    wpp_context(config, pattern), traj,
-                    {"pattern": pattern, "config": config, "short": short}))
-    return dataset
+                contexts.append(wpp_context(config, pattern))
+                trajectories.append(
+                    np.stack([_wpp_joint_embed(p) for p in points]))
+                tags.append(
+                    {"pattern": pattern, "config": config, "short": short})
+    return DemoDataset("wpp", seed, sampling_frequency, np.stack(contexts),
+                       np.stack(trajectories), tags)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +330,13 @@ def apply_split(dataset: DemoDataset, spec: SplitSpec, seed: int):
     Whole-pattern dispositions go entirely to one side; half/half patterns
     are split per configuration with a seeded shuffle (train keeps the
     extra sample on odd cells); unused patterns appear on neither side.
-    Also annotates each sample's `split` field.
+    Also sets `dataset.splits`.
     """
     by_pattern = {}
-    for i, sample in enumerate(dataset.samples):
-        if "pattern" not in sample.tags:
+    for i, tags in enumerate(dataset.tags):
+        if "pattern" not in tags:
             raise ValueError("dataset samples lack pattern tags")
-        by_pattern.setdefault(sample.tags["pattern"], []).append(i)
+        by_pattern.setdefault(tags["pattern"], []).append(i)
     needed = [p for p, d in spec.dispositions if d != UNUSED]
     missing = [p for p in needed if p not in by_pattern]
     if missing:
@@ -345,8 +356,7 @@ def apply_split(dataset: DemoDataset, spec: SplitSpec, seed: int):
         elif disposition == HALF:
             cells = {}
             for i in indices:
-                cells.setdefault(dataset.samples[i].tags.get("config"),
-                                 []).append(i)
+                cells.setdefault(dataset.tags[i].get("config"), []).append(i)
             for config in sorted(cells, key=str):
                 cell = np.array(cells[config])
                 rng.shuffle(cell)
@@ -356,9 +366,8 @@ def apply_split(dataset: DemoDataset, spec: SplitSpec, seed: int):
 
     train, test = sorted(train), sorted(test)
     train_set, test_set = set(train), set(test)
-    for i, sample in enumerate(dataset.samples):
-        sample.split = TRAIN if i in train_set else (
-            TEST if i in test_set else None)
+    dataset.splits = [TRAIN if i in train_set else TEST if i in test_set
+                      else None for i in range(len(dataset))]
     return np.array(train, dtype=int), np.array(test, dtype=int)
 
 
@@ -373,72 +382,89 @@ def save_jsonl(dataset: DemoDataset, path):
         if len(dataset):
             header["sampling_frequency"] = float(dataset.sampling_frequency)
         fh.write(json.dumps(header) + "\n")
-        for sample in dataset.samples:
-            record = {
-                "context": sample.context.tolist(),
-                "trajectory": sample.trajectory.values.tolist(),
-                "tags": sample.tags,
-                "split": sample.split,
-            }
-            fh.write(json.dumps(record) + "\n")
+        rows = zip(dataset.contexts, dataset.trajectories, dataset.tags,
+                   dataset.splits)
+        for context, values, tags, split in rows:
+            fh.write(json.dumps({"context": context.tolist(),
+                                 "trajectory": values.tolist(),
+                                 "tags": tags, "split": split}) + "\n")
 
 
 def load_jsonl(path) -> DemoDataset:
     """Inverse of save_jsonl; malformed lines are reported by number.
 
-    Every record must have the context and trajectory shapes of the first
-    one, and the header seed must be an integer.
+    The header seed must be an integer and its sampling frequency a
+    positive number. Every record holds a finite context vector and a
+    finite (T >= 2, n_joint) trajectory, both of the first record's
+    shapes, a tags object and a split of null, "train" or "test". The file
+    is read a line at a time and the arrays are stacked once at the end.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty file, expected a header line")
-
     def fail(line_no, why):
         raise DatasetFormatError(f"{path}: line {line_no}: {why}")
 
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as err:
-        fail(1, f"invalid JSON ({err.msg})")
-    if not isinstance(header, dict) or "kind" not in header:
-        fail(1, "header must be an object with a 'kind' field")
-    if header.get("schema") != SCHEMA_VERSION:
-        fail(1, f"unsupported schema {header.get('schema')!r}")
-
-    seed = header.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        fail(1, f"seed must be an integer, got {json.dumps(seed)}")
-    fs = header.get("sampling_frequency", DEFAULT_FS)
-    dataset = DemoDataset(header["kind"], seed)
-    for line_no, line in enumerate(lines[1:], start=2):
+    def parse(line_no, line):
         if not line.strip():
             fail(line_no, "blank line")
         try:
-            record = json.loads(line)
+            return json.loads(line)
         except json.JSONDecodeError as err:
             fail(line_no, f"invalid JSON ({err.msg})")
-        try:
-            values = np.asarray(record["trajectory"], dtype=float)
-            context = np.asarray(record["context"], dtype=float)
-            traj = Trajectory(values, PhaseConfig(fs, values.shape[0]))
-            sample = DemoSample(context, traj, dict(record["tags"]),
-                                record.get("split"))
-        except (KeyError, TypeError, ValueError) as err:
-            fail(line_no, f"bad record ({err})")
-        if dataset.samples:
-            first = dataset.samples[0]
-            for what, have, want in (
-                    ("context", context.shape, first.context.shape),
-                    ("trajectory", values.shape,
-                     first.trajectory.values.shape)):
-                if have != want:
-                    fail(line_no, f"{what} shape {have} differs from the "
-                                  f"first record's {want}")
-        dataset.samples.append(sample)
+
+    with open(path) as fh:
+        first_line = fh.readline()
+        if not first_line:
+            raise DatasetFormatError(
+                f"{path}: empty file, expected a header line")
+        header = parse(1, first_line)
+        if not isinstance(header, dict) or "kind" not in header:
+            fail(1, "header must be an object with a 'kind' field")
+        if header.get("schema") != SCHEMA_VERSION:
+            fail(1, f"unsupported schema {header.get('schema')!r}")
+        seed = header.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            fail(1, f"seed must be an integer, got {json.dumps(seed)}")
+        fs = header.get("sampling_frequency", DEFAULT_FS)
+        if (isinstance(fs, bool) or not isinstance(fs, (int, float))
+                or not 0.0 < fs < np.inf):
+            fail(1, f"sampling_frequency must be a positive number, got "
+                    f"{json.dumps(fs)}")
+
+        rows = []
+        for line_no, line in enumerate(fh, start=2):
+            record = parse(line_no, line)
+            try:
+                row = (np.asarray(record["context"], dtype=float),
+                       np.asarray(record["trajectory"], dtype=float),
+                       record["tags"], record.get("split"))
+            except (KeyError, TypeError, ValueError) as err:
+                fail(line_no, f"bad record ({err})")
+            context, values, tag, split = row
+            if context.ndim != 1 or values.ndim != 2 or len(values) < 2:
+                fail(line_no, f"context shape {context.shape} and trajectory "
+                              f"shape {values.shape} are not (D,) and "
+                              f"(T >= 2, n_joint)")
+            first = rows[0] if rows else row
+            for what, array, want in (("context", context, first[0].shape),
+                                      ("trajectory", values, first[1].shape)):
+                if array.shape != want:
+                    fail(line_no, f"{what} shape {array.shape} differs from "
+                                  f"the first record's {want}")
+                if not np.all(np.isfinite(array)):
+                    fail(line_no, f"{what} holds a non-finite value")
+            if not isinstance(tag, dict):
+                fail(line_no, f"tags must be a JSON object, got "
+                              f"{json.dumps(tag)}")
+            if split not in (None, TRAIN, TEST):
+                fail(line_no, f'split must be null, "train" or "test", got '
+                              f"{json.dumps(split)}")
+            rows.append(row)
+
     declared = header.get("n_samples")
-    if declared is not None and declared != len(dataset):
+    if declared is not None and declared != len(rows):
         raise DatasetFormatError(
-            f"{path}: header declares {declared} samples, found "
-            f"{len(dataset)}")
-    return dataset
+            f"{path}: header declares {declared} samples, found {len(rows)}")
+    if not rows:
+        return DemoDataset(header["kind"], seed, float(fs))
+    contexts, trajectories, tags, splits = zip(*rows)
+    return DemoDataset(header["kind"], seed, float(fs), np.stack(contexts),
+                       np.stack(trajectories), list(tags), list(splits))

@@ -1,49 +1,20 @@
 """Probabilistic movement primitives over the normalized Gaussian basis.
 
-A joint trajectory q is modelled as q_t = psi_t . theta: `Trajectory`
-holds the joint positions of one demo, and `fit_weights` fits the basis
-weights theta by ridge-regularized least squares, one shared normal
-matrix for every joint and demo. Decoding weights back into trajectories
-is one batched product with the basis matrix, done by the heads in
+A joint trajectory q, a (T, n_joint) array of joint positions, is
+modelled as q_t = psi_t . theta. `fit_weights` fits the basis weights
+theta by ridge-regularized least squares, one shared normal matrix for
+every joint and demo. Decoding weights back into trajectories is one
+batched product with the basis matrix, done by the heads in
 `mprim.training`.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from mprim.basis import PhaseConfig, PhiMatrix
+from mprim.basis import PhiMatrix
 from mprim.errors import SingularSystemError
 
 DEFAULT_RIDGE = 1e-6
 _MAX_CONDITION = 1e12
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Joint positions over time, shape (T, n_joint), radians."""
-
-    values: np.ndarray
-    phase_cfg: PhaseConfig
-
-    def __post_init__(self):
-        v = self.values
-        if v.ndim != 2:
-            raise ValueError("trajectory values must be (T, n_joint)")
-        if v.shape[0] != self.phase_cfg.duration_samples:
-            raise ValueError(
-                f"trajectory has {v.shape[0]} samples but phase config "
-                f"declares {self.phase_cfg.duration_samples}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("trajectory values must be finite")
-
-    @property
-    def n_samples(self):
-        return self.values.shape[0]
-
-    @property
-    def n_joint(self):
-        return self.values.shape[1]
 
 
 def fit_weights(values, phi: PhiMatrix, ridge: float = DEFAULT_RIDGE):

@@ -108,18 +108,6 @@ def _fit_scaler(contexts):
     return mean, std
 
 
-def _check_dataset(dataset: DemoDataset):
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    t = dataset.samples[0].trajectory.n_samples
-    j = dataset.samples[0].trajectory.n_joint
-    for k, s in enumerate(dataset.samples):
-        if s.trajectory.n_samples != t or s.trajectory.n_joint != j:
-            raise ValueError(
-                f"sample {k} has trajectory shape "
-                f"{s.trajectory.values.shape}, expected ({t}, {j})")
-
-
 # ---------------------------------------------------------------------------
 # shared minibatch loop
 
@@ -178,16 +166,6 @@ def _arr(x):
     return np.asarray(x, dtype=float).tolist()
 
 
-def _phase_cfg(dataset):
-    return PhaseConfig(dataset.sampling_frequency, dataset.n_samples_per_traj)
-
-
-def _region(sample):
-    """The region tag of a demo as a string, None when it has none."""
-    region = sample.tags.get("region")
-    return None if region is None else str(region)
-
-
 @dataclass(frozen=True)
 class Head:
     """What the network's output means, for one method.
@@ -221,17 +199,17 @@ class PrompHead(Head):
         """(head, fitted weights of every demo)."""
         if n_basis is None:
             n_basis = DEFAULT_N_BASIS.get(dataset.kind, 8)
-        phase_cfg = _phase_cfg(dataset)
+        phase_cfg = dataset.phase_cfg
         head = cls(dataset.kind, dataset.n_joint, phase_cfg,
                    default_basis(phase_cfg, n_basis))
-        return head, head.weights(dataset, range(len(dataset)))
+        return head, head.weights(dataset.trajectories)
 
-    def weights(self, dataset, indices):
-        """Flat fitted weights of the demos at `indices`, joint-major,
+    def weights(self, trajectories):
+        """Flat fitted weights of (B, T, n_joint) trajectories, joint-major,
         shape (B, n_joint*n_basis); one ridge solve covers them all."""
-        values = np.concatenate(
-            [dataset.samples[i].trajectory.values for i in indices], axis=1)
-        return fit_weights(values, self.phi).reshape(len(indices), -1)
+        b, t, j = trajectories.shape
+        columns = trajectories.transpose(1, 0, 2).reshape(t, b * j)
+        return fit_weights(columns, self.phi).reshape(b, -1)
 
     def loss(self):
         return "trajectory", {"phi": self.phi, "n_joint": self.n_joint}
@@ -240,7 +218,7 @@ class PrompHead(Head):
         return self._trajectories(out)
 
     def truth(self, dataset, indices):
-        return self._trajectories(self.weights(dataset, indices))
+        return self._trajectories(self.weights(dataset.trajectories[indices]))
 
     def _trajectories(self, flat):
         w = flat.reshape(len(flat), self.n_joint, -1)
@@ -274,7 +252,7 @@ class ResidualHead(PrompHead):
             raise ValueError("residual variant needs at least 2 training "
                              "demos")
         base, weights = PrompHead.fit(dataset, train_idx, n_basis)
-        regions = np.array([_region(dataset.samples[i]) for i in train_idx])
+        regions = np.array(cls._regions(dataset, train_idx))
         means = {GLOBAL_GROUP: weights[train_idx].mean(axis=0)}
         for region in dict.fromkeys(r for r in regions if r is not None):
             means[region] = weights[train_idx[regions == region]].mean(axis=0)
@@ -282,11 +260,16 @@ class ResidualHead(PrompHead):
                    means, tuple(map(int, train_idx)))
         return head, weights - head._means(dataset, range(len(dataset)))
 
+    @staticmethod
+    def _regions(dataset, indices):
+        """The region tag of each demo as a string, None where it has none."""
+        regions = (dataset.tags[i].get("region") for i in indices)
+        return [None if r is None else str(r) for r in regions]
+
     def _means(self, dataset, indices):
         fallback = self.mean_weights[GLOBAL_GROUP]
-        return np.stack([
-            self.mean_weights.get(_region(dataset.samples[i]), fallback)
-            for i in indices])
+        return np.stack([self.mean_weights.get(r, fallback)
+                         for r in self._regions(dataset, indices)])
 
     def decode(self, out, dataset, indices):
         return self._trajectories(out + self._means(dataset, indices))
@@ -330,19 +313,18 @@ class DmpHead(Head):
             raise ValueError(f"unknown task {task!r}")
         home = None
         if task == "rtp":
-            home = np.stack([dataset.samples[i].trajectory.values[0]
-                             for i in train_idx]).mean(axis=0)
-        head = cls(task, dataset.n_joint, _phase_cfg(dataset), n_basis_dmp,
+            home = dataset.trajectories[train_idx, 0].mean(axis=0)
+        head = cls(task, dataset.n_joint, dataset.phase_cfg, n_basis_dmp,
                    tau, home)
-        forcing, goals, starts = head._fits(dataset, range(len(dataset)))
+        forcing, goals, starts = head._fits(dataset.trajectories)
         return head, np.concatenate(
             [forcing.reshape(len(forcing), -1), goals]
             + ([starts] if task == "wpp" else []), axis=1)
 
-    def _fits(self, dataset, indices):
-        """Stacked forcing weights, goals and starts fitted to the demos."""
-        fits = [dmp_mod.fit_dmp(dataset.samples[i].trajectory.values,
-                                self.n_basis_dmp, self.tau) for i in indices]
+    def _fits(self, trajectories):
+        """Stacked forcing weights, goals and starts of each trajectory."""
+        fits = [dmp_mod.fit_dmp(values, self.n_basis_dmp, self.tau)
+                for values in trajectories]
         return (np.stack([m.forcing_weights for m in fits]),
                 np.stack([m.goal for m in fits]),
                 np.stack([m.start for m in fits]))
@@ -361,8 +343,8 @@ class DmpHead(Head):
         return self._rollouts(forcing, goals, starts, "prediction", indices)
 
     def truth(self, dataset, indices):
-        return self._rollouts(*self._fits(dataset, indices), "ground-truth",
-                              indices)
+        return self._rollouts(*self._fits(dataset.trajectories[indices]),
+                              "ground-truth", indices)
 
     def _rollouts(self, forcing, goals, starts, what, indices):
         """One batched rollout; a divergence names the dataset indices."""
@@ -431,7 +413,7 @@ class Model:
         if len(outside):
             raise ValueError(f"demo index {outside[0]} is outside the "
                              f"dataset, which has {len(dataset)} demos")
-        ctx = np.stack([dataset.samples[i].context for i in indices])
+        ctx = dataset.contexts[indices]
         out = mlp_forward(self.mlp, (ctx - self.ctx_mean) / self.ctx_std)
         return self.head.decode(out, dataset, indices)
 
@@ -477,14 +459,15 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
     if method not in HEADS:
         raise ValueError(f"unknown method {method!r}; "
                          "expected deep-mp, residual or ddmp")
-    _check_dataset(dataset)
+    if len(dataset) == 0:
+        raise ValueError("dataset is empty")
     if split is None:
         split = random_split(len(dataset), cfg.train_fraction, cfg.seed)
     train_idx, test_idx = (np.asarray(idx, int) for idx in split)
     head, targets = HEADS[method].fit(dataset, train_idx, n_basis=n_basis,
                                       task=task, n_basis_dmp=n_basis_dmp,
                                       tau=tau)
-    contexts = dataset.contexts()
+    contexts = dataset.contexts
     mean, std = _fit_scaler(contexts[train_idx])
     loss_kind, loss_kwargs = head.loss()
     params, report = _run_training((contexts - mean) / std, targets,
@@ -495,12 +478,13 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
     return model, report
 
 
-def _group_key(sample):
-    if "region" in sample.tags:
-        return str(sample.tags["region"])
-    if "config" in sample.tags:
-        return str(sample.tags["config"])
-    return "all"
+def group_keys(dataset: DemoDataset):
+    """The evaluation group of every demo, an (N,) array of strings: its
+    region tag (reach), else its configuration tag (palpation), else
+    "all"."""
+    return np.array([str(t["region"]) if "region" in t
+                     else str(t["config"]) if "config" in t else "all"
+                     for t in dataset.tags])
 
 
 def evaluate(model: Model, dataset: DemoDataset, indices,
@@ -526,7 +510,7 @@ def evaluate(model: Model, dataset: DemoDataset, indices,
     truth = model.head.truth(dataset, indices)
     sq = metrics.squared_trajectory_loss(pred, truth)
     dist = final_distances(pred, truth, chain)
-    keys = np.array([_group_key(dataset.samples[i]) for i in indices])
+    keys = group_keys(dataset)[indices]
 
     def record(name, rows):
         return metrics.EvalRecord(name, float(np.mean(sq[rows])),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -16,6 +17,15 @@ from mprim.training import Model, PrompHead
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def without(doc, *path):
+    """`doc` as JSON text, with the field at the key `path` removed."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return json.dumps(doc)
 
 
 @pytest.fixture()
@@ -71,8 +81,9 @@ class TestTrain:
     def test_residual_on_two_demo_dataset(self, tmp_path):
         data = tmp_path / "two.jsonl"
         ds = generate_rtp(seed=2, counts=(1, 1, 1, 1))
-        ds.samples = ds.samples[:2]
-        save_jsonl(ds, data)
+        save_jsonl(dataclasses.replace(
+            ds, contexts=ds.contexts[:2], trajectories=ds.trajectories[:2],
+            tags=ds.tags[:2], splits=ds.splits[:2]), data)
         ckpt = tmp_path / "ck.json"
         assert run(["train", "--data", data, "--method", "residual",
                     "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
@@ -130,15 +141,13 @@ class TestEval:
         # constant dataset plus a bias-only network that emits the exact
         # fitted weights: every metrics row must be zero
         ds = generate_rtp(seed=5, counts=(4, 2, 2, 2))
-        base = ds.samples[0]
-        for s in ds.samples:
-            s.context[:] = base.context
-            s.trajectory.values[:] = base.trajectory.values
+        ds.contexts[:] = ds.contexts[0]
+        ds.trajectories[:] = ds.trajectories[0]
         data = tmp_path / "const.jsonl"
         save_jsonl(ds, data)
         pc = PhaseConfig(150.0, 150)
         head = PrompHead("rtp", 7, pc, default_basis(pc, 8))
-        targets = head.weights(ds, range(len(ds)))
+        targets = head.weights(ds.trajectories)
         mlp = MlpParams((3, 56), (np.zeros((3, 56)),), (targets[0].copy(),))
         model = Model(head, mlp, np.zeros(3), np.ones(3),
                       test_indices=tuple(range(len(ds))))
@@ -183,6 +192,26 @@ class TestEval:
                     "--outdir", tmp_path / "o"]) == 1
         err = capsys.readouterr().err
         assert "unknown checkpoint kind 'mlp_params'" in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: without(doc, "payload", "phase_cfg"),
+         "payload lacks field 'phase_cfg'"),
+        (lambda doc: without(doc, "payload", "task"),
+         "payload lacks field 'task'"),
+        (lambda doc: without(doc, "payload"), "missing field 'payload'"),
+        (lambda doc: json.dumps([doc]), "expected a JSON object, got a list"),
+        (lambda doc: "{", "invalid JSON at line 1 column 2"),
+    ], ids=["no_phase_cfg", "no_task", "no_payload", "list", "bad_json"])
+    def test_malformed_checkpoint_names_file(self, small_dataset, tmp_path,
+                                             capsys, edit, message):
+        ckpt = tmp_path / "ck.json"
+        assert run(["train", "--data", small_dataset, "--method", "deep-mp",
+                    "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
+        ckpt.write_text(edit(json.loads(ckpt.read_text())))
+        capsys.readouterr()
+        assert run(["eval", "--data", small_dataset, "--checkpoint", ckpt,
+                    "--outdir", tmp_path / "o"]) == 1
+        assert f"error: {ckpt}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["residual", "ddmp"])
     def test_dataset_that_does_not_fit_checkpoint(self, small_dataset,
@@ -254,7 +283,7 @@ class TestConfigFile:
         ds = load_jsonl(out)
         # counts are demos per region: 4 + 2 + 2 + 2
         assert len(ds) == 10 and ds.seed == 9
-        assert Counter(s.tags["region"] for s in ds.samples) == {
+        assert Counter(t["region"] for t in ds.tags) == {
             "A": 4, "B": 2, "C": 2, "D": 2}
         manifest = json.loads(
             (tmp_path / "d.jsonl.manifest.json").read_text())

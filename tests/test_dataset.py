@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,18 +18,18 @@ class TestMinJerk:
     def test_constant_when_endpoints_equal(self):
         traj = min_jerk([0.4, -0.2], [0.4, -0.2], 50)
         np.testing.assert_array_equal(
-            traj.values, np.broadcast_to(traj.values[0], traj.values.shape))
+            traj, np.broadcast_to(traj[0], traj.shape))
 
     def test_midpoint_symmetry(self):
         traj = min_jerk([0.0], [1.0], 151)
-        assert traj.values[75, 0] == pytest.approx(0.5)
+        assert traj[75, 0] == pytest.approx(0.5)
 
     def test_endpoint_derivatives_vanish(self):
         # finite-difference oracle: high-order one-sided stencils at both
         # ends stay below 1e-6 for a rest-to-rest quintic
         n = 5001
         traj = min_jerk([0.0], [1.0], n)
-        q = traj.values[:, 0]
+        q = traj[:, 0]
         h = 1.0 / (n - 1)
         vel0 = (-3 * q[0] + 4 * q[1] - q[2]) / (2 * h)
         vel1 = (3 * q[-1] - 4 * q[-2] + q[-3]) / (2 * h)
@@ -40,8 +42,8 @@ class TestMinJerk:
 
     def test_endpoints(self):
         traj = min_jerk([0.3], [0.9], 20)
-        assert traj.values[0, 0] == 0.3
-        assert traj.values[-1, 0] == pytest.approx(0.9, abs=1e-15)
+        assert traj[0, 0] == 0.3
+        assert traj[-1, 0] == pytest.approx(0.9, abs=1e-15)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -52,27 +54,23 @@ class TestGenerateRtp:
     def test_default_counts_total(self):
         ds = generate_rtp(seed=7)
         assert len(ds) == 545
-        per_region = {}
-        for s in ds.samples:
-            per_region[s.tags["region"]] = per_region.get(
-                s.tags["region"], 0) + 1
-        assert per_region == RTP_DEFAULT_COUNTS
+        assert ds.contexts.shape == (545, 3)
+        assert ds.trajectories.shape == (545, 150, 7)
+        assert Counter(t["region"] for t in ds.tags) == RTP_DEFAULT_COUNTS
 
     def test_deterministic(self):
         a, b = generate_rtp(seed=3, counts=(5, 4, 3, 2)), \
             generate_rtp(seed=3, counts=(5, 4, 3, 2))
-        for sa, sb in zip(a.samples, b.samples):
-            np.testing.assert_array_equal(sa.context, sb.context)
-            np.testing.assert_array_equal(sa.trajectory.values,
-                                          sb.trajectory.values)
+        np.testing.assert_array_equal(a.contexts, b.contexts)
+        np.testing.assert_array_equal(a.trajectories, b.trajectories)
 
     def test_positions_inside_their_region_rings(self):
         ds = generate_rtp(seed=5, counts=(30, 30, 30, 30))
         names = list(RTP_REGION_HALF_EXTENT)
-        for s in ds.samples:
-            dx = abs(s.context[0] - 0.55)
-            dy = abs(s.context[1] - 0.0)
-            region = s.tags["region"]
+        for context, tags in zip(ds.contexts, ds.tags):
+            dx = abs(context[0] - 0.55)
+            dy = abs(context[1] - 0.0)
+            region = tags["region"]
             outer = RTP_REGION_HALF_EXTENT[region]
             idx = names.index(region)
             inner = RTP_REGION_HALF_EXTENT[names[idx - 1]] if idx else 0.0
@@ -91,14 +89,13 @@ class TestGenerateRtp:
 
     def test_trajectories_start_at_home(self):
         ds = generate_rtp(seed=1, counts=(2, 2, 2, 2))
-        for s in ds.samples:
-            np.testing.assert_array_equal(s.trajectory.values[0], HOME_CONFIG)
+        np.testing.assert_array_equal(
+            ds.trajectories[:, 0], np.broadcast_to(HOME_CONFIG, (8, 7)))
 
     def test_noise_option(self):
         clean = generate_rtp(seed=2, counts=(3, 1, 1, 1))
         noisy = generate_rtp(seed=2, counts=(3, 1, 1, 1), noise_std=0.01)
-        assert not np.allclose(clean.samples[0].trajectory.values,
-                               noisy.samples[0].trajectory.values)
+        assert not np.allclose(clean.trajectories[0], noisy.trajectories[0])
 
     def test_bad_counts(self):
         with pytest.raises(ValueError):
@@ -109,40 +106,34 @@ class TestGenerateWpp:
     def test_default_cell_structure(self):
         ds = generate_wpp(seed=9)
         assert len(ds) == 868   # 7 patterns x 4 configs x 31 trials
-        cells = {}
-        for s in ds.samples:
-            key = (s.tags["pattern"], s.tags["config"])
-            cells[key] = cells.get(key, 0) + 1
+        cells = Counter((t["pattern"], t["config"]) for t in ds.tags)
         assert len(cells) == 28
         assert all(v == 31 for v in cells.values())
 
     def test_short_pattern_flags(self):
         ds = generate_wpp(seed=9, trials_per_cell=1)
-        for s in ds.samples:
-            assert s.tags["short"] == (s.tags["pattern"] in (6, 7))
+        for tags in ds.tags:
+            assert tags["short"] == (tags["pattern"] in (6, 7))
 
     def test_context_layout(self):
         ds = generate_wpp(seed=4, trials_per_cell=1)
-        s = ds.samples[0]
-        assert s.context.shape == (10,)
+        context, tags = ds.contexts[0], ds.tags[0]
+        assert context.shape == (10,)
         np.testing.assert_array_equal(
-            s.context[:3], WPP_CONFIG_POSITIONS[s.tags["config"]])
-        onehot = s.context[3:]
+            context[:3], WPP_CONFIG_POSITIONS[tags["config"]])
+        onehot = context[3:]
         assert onehot.sum() == 1.0
-        assert onehot[s.tags["pattern"] - 1] == 1.0
+        assert onehot[tags["pattern"] - 1] == 1.0
 
     def test_trials_differ_within_cell(self):
         ds = generate_wpp(seed=4, trials_per_cell=2)
-        a, b = ds.samples[0], ds.samples[1]
-        assert a.tags == b.tags
-        assert not np.array_equal(a.trajectory.values, b.trajectory.values)
+        assert ds.tags[0] == ds.tags[1]
+        assert not np.array_equal(ds.trajectories[0], ds.trajectories[1])
 
     def test_deterministic(self):
         a = generate_wpp(seed=6, trials_per_cell=2)
         b = generate_wpp(seed=6, trials_per_cell=2)
-        for sa, sb in zip(a.samples, b.samples):
-            np.testing.assert_array_equal(sa.trajectory.values,
-                                          sb.trajectory.values)
+        np.testing.assert_array_equal(a.trajectories, b.trajectories)
 
     def test_bad_trials(self):
         with pytest.raises(ValueError):
@@ -182,8 +173,8 @@ class TestSplits:
         train_idx, test_idx = apply_split(ds, WPP_SPLITS[name], seed=0)
         assert set(train_idx).isdisjoint(test_idx)
         exp_train, exp_test, half, unused = EXPECTED_DISPOSITIONS[name]
-        train_patterns = {ds.samples[i].tags["pattern"] for i in train_idx}
-        test_patterns = {ds.samples[i].tags["pattern"] for i in test_idx}
+        train_patterns = {ds.tags[i]["pattern"] for i in train_idx}
+        test_patterns = {ds.tags[i]["pattern"] for i in test_idx}
         assert exp_train <= train_patterns
         assert exp_test <= test_patterns
         for p in unused:
@@ -191,8 +182,7 @@ class TestSplits:
         for p in half:
             assert p in train_patterns and p in test_patterns
         # coverage: every used sample lands on exactly one side
-        used = {i for i, s in enumerate(ds.samples)
-                if s.tags["pattern"] not in unused}
+        used = {i for i, t in enumerate(ds.tags) if t["pattern"] not in unused}
         assert used == set(train_idx) | set(test_idx)
 
     def test_half_split_is_per_configuration(self):
@@ -200,9 +190,8 @@ class TestSplits:
         train_idx, test_idx = apply_split(ds, WPP_SPLITS["WPP9"], seed=1)
         for config in WPP_CONFIG_POSITIONS:
             for pattern in range(1, 8):
-                cell = [i for i, s in enumerate(ds.samples)
-                        if s.tags["config"] == config
-                        and s.tags["pattern"] == pattern]
+                cell = [i for i, t in enumerate(ds.tags)
+                        if t["config"] == config and t["pattern"] == pattern]
                 n_train = sum(1 for i in cell if i in set(train_idx))
                 assert n_train == 2      # 4 trials -> 2/2
 
@@ -210,15 +199,15 @@ class TestSplits:
         ds = generate_wpp(seed=2, trials_per_cell=2)
         train_idx, test_idx = apply_split(ds, WPP_SPLITS["WPP4"], seed=0)
         for i in train_idx:
-            assert ds.samples[i].split == "train"
+            assert ds.splits[i] == "train"
         for i in test_idx:
-            assert ds.samples[i].split == "test"
+            assert ds.splits[i] == "test"
 
     def test_split_tags_agree_with_indices(self):
         ds = generate_wpp(seed=2, trials_per_cell=2)
         train_idx, test_idx = apply_split(ds, WPP_SPLITS["WPP3"], seed=0)
         train, test = set(train_idx.tolist()), set(test_idx.tolist())
-        tags = [s.split for s in ds.samples]
+        tags = ds.splits
         assert [i for i, t in enumerate(tags) if t == "train"] == sorted(train)
         assert [i for i, t in enumerate(tags) if t == "test"] == sorted(test)
         assert None in tags   # WPP3 leaves patterns 6 and 7 unused
@@ -252,12 +241,39 @@ class TestPersistence:
         save_jsonl(ds, path)
         back = load_jsonl(path)
         assert back.kind == ds.kind and back.seed == ds.seed
-        assert len(back) == len(ds)
-        for a, b in zip(ds.samples, back.samples):
-            np.testing.assert_array_equal(a.context, b.context)
-            np.testing.assert_array_equal(a.trajectory.values,
-                                          b.trajectory.values)
-            assert a.tags == b.tags and a.split == b.split
+        assert back.sampling_frequency == ds.sampling_frequency
+        np.testing.assert_array_equal(back.contexts, ds.contexts)
+        np.testing.assert_array_equal(back.trajectories, ds.trajectories)
+        assert back.tags == ds.tags and back.splits == ds.splits
+
+    @pytest.mark.parametrize("kind", ["rtp", "wpp"])
+    def test_save_of_loaded_file_is_byte_identical(self, tmp_path, kind):
+        # the wpp file has WPP3 splits, so patterns 6 and 7 hold null splits
+        if kind == "rtp":
+            ds = generate_rtp(seed=1, counts=(6, 3, 2, 2), noise_std=0.01)
+        else:
+            ds = generate_wpp(seed=1, trials_per_cell=2)
+            apply_split(ds, WPP_SPLITS["WPP3"], seed=1)
+            assert None in ds.splits and "test" in ds.splits
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_jsonl(ds, first)
+        save_jsonl(load_jsonl(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("change,got", [
+        ({"contexts": np.zeros((3, 3))}, "contexts (3, 3)"),
+        ({"tags": [{}] * 3}, "3 tags"),
+        ({"splits": [None] * 5}, "5 splits"),
+        ({"trajectories": np.zeros((4, 150))}, "trajectories (4, 150)"),
+        ({"contexts": np.zeros(4)}, "contexts (4,)"),
+        ({"trajectories": np.zeros((4, 1, 7))}, "duration_samples must be"),
+        ({"sampling_frequency": 0.0}, "sampling_frequency must be"),
+    ], ids=["contexts", "tags", "splits", "2d_trajectories", "1d_contexts",
+            "one_sample", "zero_frequency"])
+    def test_dataset_rejects_inconsistent_arrays(self, change, got):
+        ds = generate_rtp(seed=1, counts=(1, 1, 1, 1))
+        with pytest.raises(ValueError, match=re.escape(got)):
+            dataclasses.replace(ds, **change)
 
     def test_empty_dataset_round_trips(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -316,4 +332,58 @@ class TestPersistence:
         path.write_text(json.dumps({"schema": 1, "kind": "rtp", "seed": seed,
                                     "n_samples": 0}) + "\n")
         with pytest.raises(DatasetFormatError, match="line 1: seed"):
+            load_jsonl(path)
+
+
+def _write_edited(path, header=None, record=None, line=3):
+    """Save a small rtp dataset to `path`, then update its header and the
+    record on 1-based `line` with the given fields."""
+    save_jsonl(generate_rtp(seed=1, counts=(2, 1, 1, 1)), path)
+    lines = path.read_text().splitlines()
+    for no, fields in ((1, header), (line, record)):
+        if fields:
+            lines[no - 1] = json.dumps({**json.loads(lines[no - 1]),
+                                        **fields})
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestRecordValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("context", [0.5, float("nan"), 0.05]),
+        ("context", [float("inf"), 0.0, 0.05]),
+        ("trajectory", [[float("nan")] * 7] * 150),
+    ], ids=["context_nan", "context_inf", "trajectory_nan"])
+    def test_non_finite_values_rejected(self, tmp_path, field, value):
+        path = tmp_path / "demos.jsonl"
+        _write_edited(path, record={field: value})
+        with pytest.raises(DatasetFormatError,
+                           match=f"line 3: {field} holds a non-finite"):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize("header,record,match", [
+        ({"sampling_frequency": -5}, None, "line 1: sampling_frequency"),
+        ({"sampling_frequency": "x"}, None, "line 1: sampling_frequency"),
+        ({"sampling_frequency": 0}, None, "line 1: sampling_frequency"),
+        ({"sampling_frequency": True}, None, "line 1: sampling_frequency"),
+        (None, {"split": 5}, "line 3: split must be"),
+        (None, {"split": "half"}, "line 3: split must be"),
+        (None, {"tags": [["region", "Z"]]}, "line 3: tags must be"),
+        (None, {"context": 0.5}, r"line 3: .* are not \(D,\) and"),
+        (None, {"trajectory": [[0.0] * 7]}, r"line 3: .* \(T >= 2, n_joint"),
+    ], ids=["fs_negative", "fs_text", "fs_zero", "fs_bool", "split_number",
+            "split_half", "tags_pairs", "context_scalar",
+            "one_sample_trajectory"])
+    def test_bad_field_names_line(self, tmp_path, header, record, match):
+        path = tmp_path / "demos.jsonl"
+        _write_edited(path, header=header, record=record)
+        with pytest.raises(DatasetFormatError, match=match):
+            load_jsonl(path)
+
+    def test_header_only_file_checks_sampling_frequency(self, tmp_path):
+        path = tmp_path / "demos.jsonl"
+        path.write_text(json.dumps({"schema": 1, "kind": "rtp", "seed": 0,
+                                    "n_samples": 0,
+                                    "sampling_frequency": -5}) + "\n")
+        with pytest.raises(DatasetFormatError,
+                           match="line 1: sampling_frequency must be"):
             load_jsonl(path)

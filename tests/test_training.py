@@ -11,7 +11,6 @@ from mprim.dataset import WPP_SPLITS, apply_split, generate_rtp, generate_wpp
 from mprim.dmp import fit_dmp, rollout_matched
 from mprim.errors import IntegrationError
 from mprim.kinematics import default_chain, final_distances
-from mprim.promp import Trajectory
 from mprim.regressor import MlpParams, batch_loss_and_grad, mlp_forward
 from mprim.training import (DmpHead, Model, PrompHead, ResidualHead,
                             TrainConfig, TrainReport, evaluate, random_split,
@@ -36,13 +35,21 @@ def grids_for(dataset, n_basis=8):
 
 def net_outputs(model, dataset, indices):
     """Raw network outputs for the demos at `indices`."""
-    ctx = np.stack([dataset.samples[i].context for i in indices])
+    ctx = dataset.contexts[indices]
     return mlp_forward(model.mlp, (ctx - model.ctx_mean) / model.ctx_std)
 
 
 def all_weights(model, dataset):
     """Fitted flat basis weights of every demo of `dataset`."""
-    return model.head.weights(dataset, range(len(dataset)))
+    return model.head.weights(dataset.trajectories)
+
+
+def first_demos(dataset, n):
+    """A dataset of the first `n` demos of `dataset`."""
+    return dataclasses.replace(
+        dataset, contexts=dataset.contexts[:n],
+        trajectories=dataset.trajectories[:n], tags=dataset.tags[:n],
+        splits=dataset.splits[:n])
 
 
 class TestSplits:
@@ -75,8 +82,7 @@ class TestTrainDeepMp:
         # pure memorization: the loss floor scales with the Adam step
         # size, so a small rate plus many cheap single-sample epochs gets
         # below 1e-3
-        ds = generate_rtp(seed=5, counts=(1, 1, 1, 1))
-        ds.samples = ds.samples[:1]
+        ds = first_demos(generate_rtp(seed=5, counts=(1, 1, 1, 1)), 1)
         cfg = TrainConfig(epochs=12_000, batch_size=1, learning_rate=5e-5,
                           seed=2, early_stop_patience=12_000)
         model, report = train("deep-mp", ds, cfg,
@@ -103,18 +109,17 @@ class TestTrainDeepMp:
         ds = generate_rtp(seed=23, counts=(120, 40, 30, 20))
         pc, bc, phi = grids_for(ds)
         targets_map = rng.standard_normal((3, 7 * 8)) * 0.3
-        for s in ds.samples:
-            flat = s.context @ targets_map
+        for context, values in zip(ds.contexts, ds.trajectories):
+            flat = context @ targets_map
             clean = phi.values @ flat.reshape(7, 8).T
-            s.trajectory.values[:] = clean + 0.05 * rng.standard_normal(
-                clean.shape)
+            values[:] = clean + 0.05 * rng.standard_normal(clean.shape)
         cfg = TrainConfig(epochs=300, learning_rate=5e-4, seed=4,
                           early_stop_patience=300)
         model, _ = train("deep-mp", ds, cfg, hidden=(32,))
         test_idx = np.asarray(model.test_indices)
         train_idx = np.asarray(model.train_indices)
         targets = all_weights(model, ds)
-        ctx = ds.contexts()
+        ctx = ds.contexts
         # the affine floor: least squares on [contexts, 1]
         ones = np.ones((len(ctx), 1))
         coef = np.linalg.lstsq(np.hstack([ctx[train_idx], ones[train_idx]]),
@@ -126,43 +131,30 @@ class TestTrainDeepMp:
         ridge_mse = np.mean(metrics.squared_trajectory_loss(ora, gt))
         assert net_mse <= 2 * ridge_mse
 
-    def test_inconsistent_lengths_rejected(self, small_rtp):
-        ds = copy.deepcopy(small_rtp)
-        short = generate_rtp(seed=1, counts=(1, 1, 1, 1),
-                             n_samples_traj=100)
-        ds.samples[3] = short.samples[0]
-        with pytest.raises(ValueError, match="sample 3"):
-            train("deep-mp", ds, TrainConfig(epochs=1))
-
 
 class TestTrainResidual:
     def test_two_demo_dataset_trains(self):
-        ds = generate_rtp(seed=6, counts=(1, 1, 1, 1))
-        ds.samples = ds.samples[:2]
+        ds = first_demos(generate_rtp(seed=6, counts=(1, 1, 1, 1)), 2)
         model, report = train("residual", ds, TrainConfig(epochs=2, seed=0))
         assert report.final_epoch == 2
 
     def test_single_demo_rejected(self):
-        ds = generate_rtp(seed=6, counts=(1, 1, 1, 1))
-        ds.samples = ds.samples[:1]
+        ds = first_demos(generate_rtp(seed=6, counts=(1, 1, 1, 1)), 1)
         with pytest.raises(ValueError, match="at least 2"):
             train("residual", ds, TrainConfig(epochs=1),
                   split=(np.array([0]), np.array([], int)))
 
     def test_identical_demos_reconstruct_common_trajectory(self):
         ds = generate_rtp(seed=7, counts=(1, 1, 1, 1))
-        clone = ds.samples[0]
-        for s in ds.samples[1:]:
-            s.context[:] = clone.context
-            s.trajectory.values[:] = clone.trajectory.values
-            s.tags["region"] = "A"
-        for s in ds.samples:
-            s.tags["region"] = "A"
+        ds.contexts[1:] = ds.contexts[0]
+        ds.trajectories[1:] = ds.trajectories[0]
+        for tags in ds.tags:
+            tags["region"] = "A"
         cfg = TrainConfig(epochs=5, seed=1)
         split = (np.arange(4), np.array([], int))
         model, _ = train("residual", ds, cfg, split=split)
         traj = model.predict(ds, [0])[0]
-        rmse = np.sqrt(np.mean((traj - clone.trajectory.values) ** 2))
+        rmse = np.sqrt(np.mean((traj - ds.trajectories[0]) ** 2))
         assert rmse < 1e-3
 
     def test_residual_targets_mean_center(self, small_rtp):
@@ -173,7 +165,7 @@ class TestTrainResidual:
         targets = all_weights(model, small_rtp)
         residuals = []
         for i in train_idx:
-            region = small_rtp.samples[i].tags["region"]
+            region = small_rtp.tags[i]["region"]
             residuals.append(targets[i] - model.head.mean_weights[region])
         np.testing.assert_allclose(np.mean(residuals, axis=0), 0.0,
                                    atol=1e-10)
@@ -247,12 +239,10 @@ class TestEvaluate:
         # constant dataset must score zero everywhere
         pc, bc, phi = grids_for(small_rtp)
         ds = copy.deepcopy(small_rtp)
-        base = ds.samples[0]
-        for s in ds.samples:
-            s.context[:] = base.context
-            s.trajectory.values[:] = base.trajectory.values
+        ds.contexts[:] = ds.contexts[0]
+        ds.trajectories[:] = ds.trajectories[0]
         head = PrompHead("rtp", 7, pc, bc)
-        targets = head.weights(ds, range(len(ds)))
+        targets = head.weights(ds.trajectories)
         mlp = MlpParams((3, 56), (np.zeros((3, 56)),), (targets[0].copy(),))
         model = Model(head, mlp, np.zeros(3), np.ones(3),
                       test_indices=tuple(range(len(ds))))
@@ -284,7 +274,7 @@ class TestEvaluate:
         n, j, k = head.phase_cfg.duration_samples, 7, head.n_basis_dmp
         sq, preds, gts = [], [], []
         for i, out in zip(split[1], net_outputs(model, tiny_wpp, split[1])):
-            fit = fit_dmp(tiny_wpp.samples[i].trajectory.values, k, head.tau)
+            fit = fit_dmp(tiny_wpp.trajectories[i], k, head.tau)
             gt = rollout_matched(fit.start[None], fit.goal[None],
                                  fit.forcing_weights[None], head.tau, n)[0]
             # wpp output layout [forcing, joint-major | goal | start]
@@ -314,12 +304,15 @@ class TestEvaluate:
 
         if which == "prediction":
             # a NaN context gives that demo a NaN network output
-            monkeypatch.setattr(tiny_wpp.samples[bad], "context",
-                                np.full(10, np.nan))
+            contexts = tiny_wpp.contexts.copy()
+            contexts[bad] = np.nan
+            monkeypatch.setattr(tiny_wpp, "contexts", contexts)
         else:
-            bad_values = tiny_wpp.samples[bad].trajectory.values
+            # each demo reaches fit_dmp as a new view, so match by value
+            bad_values = tiny_wpp.trajectories[bad]
             monkeypatch.setattr(dmp_mod, "fit_dmp", lambda values, *a: (
-                poison(fit_dmp(values, *a)) if values is bad_values
+                poison(fit_dmp(values, *a))
+                if np.array_equal(values, bad_values)
                 else fit_dmp(values, *a)))
         with pytest.raises(IntegrationError,
                            match=rf"{which} rollout .* \[{bad}\]") as err:
@@ -358,7 +351,7 @@ class TestEvaluate:
         idx = np.asarray(model.test_indices)
         out = net_outputs(model, small_rtp, idx)
         means = np.stack([head.mean_weights.get(
-            small_rtp.samples[i].tags["region"],
+            small_rtp.tags[i]["region"],
             head.mean_weights["__global__"]) for i in idx])
         plain = PrompHead(head.task, head.n_joint, head.phase_cfg,
                           head.basis_cfg)
@@ -384,10 +377,8 @@ class TestModelFitsDataset:
             evaluate(rtp_model, tiny_wpp, [0, 1])
 
     def test_joint_count(self, rtp_model, small_rtp):
-        ds = copy.deepcopy(small_rtp)
-        for s in ds.samples:
-            s.trajectory = Trajectory(s.trajectory.values[:, :6],
-                                      s.trajectory.phase_cfg)
+        ds = dataclasses.replace(
+            small_rtp, trajectories=small_rtp.trajectories[:, :, :6])
         with pytest.raises(ValueError, match="dataset trajectories have 6 "
                            "joints, checkpoint expects 7"):
             rtp_model.predict(ds, [0])
