@@ -30,8 +30,9 @@ def save(model: Model, path, meta=None):
 def load(path) -> Model:
     """Read a checkpoint back into the trained model it was saved from.
 
-    Invalid JSON, a document that is not an object and a missing field
-    raise ValueError naming the file and the JSON line or the field."""
+    Invalid JSON, a document that is not an object, and a payload field
+    that is missing or of the wrong type or shape raise ValueError naming
+    the file and the JSON line or the field."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -51,6 +52,5 @@ def load(path) -> Model:
         raise ValueError(f"{path}: missing field 'payload' (an object)")
     try:
         return Model.from_dict(doc["payload"])
-    except KeyError as err:
-        field = err.args[0]
-        raise ValueError(f"{path}: payload lacks field {field!r}") from None
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

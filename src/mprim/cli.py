@@ -67,10 +67,27 @@ def _resolve_seed(value):
 
 def _parse_hidden(text):
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        sizes = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        if all(size >= 1 for size in sizes):
+            return sizes
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad hidden layer list {text!r}, expected e.g. 64,64")
+        pass
+    raise argparse.ArgumentTypeError(
+        f"bad hidden layer list {text!r}, expected sizes >= 1, e.g. 64,64")
+
+
+def _finite(low, inclusive=False):
+    """argparse type of a finite number above `low`, or at least `low` when
+    `inclusive`."""
+    def number(text):
+        value = float(text)
+        if not (np.isfinite(value) and (value > low or
+                                        inclusive and value == low)):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {'>=' if inclusive else '>'} "
+                f"{low}, got {text!r}")
+        return value
+    return number
 
 
 def _parse_counts(text):
@@ -99,7 +116,8 @@ def _build_parser():
                      help="rtp region counts a,b,c,d")
     gen.add_argument("--trials", type=int, default=WPP_DEFAULT_TRIALS,
                      help="wpp trials per pattern/configuration cell")
-    gen.add_argument("--noise", type=float, default=0.0,
+    gen.add_argument("--noise", type=_finite(0.0, inclusive=True),
+                     default=0.0,
                      help="rtp joint noise standard deviation (rad)")
 
     tr = sub.add_parser("train", help="train a model on a dataset")
@@ -113,7 +131,7 @@ def _build_parser():
     tr.add_argument("--epochs", type=int, default=None,
                     help="default 150 for rtp data, 200 for wpp")
     tr.add_argument("--batch-size", type=int, default=32)
-    tr.add_argument("--lr", type=float, default=1e-3)
+    tr.add_argument("--lr", type=_finite(0.0), default=1e-3)
     tr.add_argument("--seed", type=int, default=None)
     tr.add_argument("--hidden", type=_parse_hidden,
                     default=training.DEFAULT_HIDDEN)
@@ -121,7 +139,8 @@ def _build_parser():
                     help="default 8 for rtp data, 10 for wpp")
     tr.add_argument("--n-basis-dmp", type=int,
                     default=training.DEFAULT_N_BASIS_DMP)
-    tr.add_argument("--tau", type=float, default=training.DEFAULT_DMP_TAU)
+    tr.add_argument("--tau", type=_finite(0.0),
+                    default=training.DEFAULT_DMP_TAU)
     tr.add_argument("--patience", type=int, default=20)
     tr.add_argument("--out", type=Path, required=True)
 

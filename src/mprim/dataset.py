@@ -416,8 +416,9 @@ def load_jsonl(path) -> DemoDataset:
             raise DatasetFormatError(
                 f"{path}: empty file, expected a header line")
         header = parse(1, first_line)
-        if not isinstance(header, dict) or "kind" not in header:
-            fail(1, "header must be an object with a 'kind' field")
+        if (not isinstance(header, dict)
+                or header.get("kind") not in ("rtp", "wpp")):
+            fail(1, "header must be an object whose 'kind' is rtp or wpp")
         if header.get("schema") != SCHEMA_VERSION:
             fail(1, f"unsupported schema {header.get('schema')!r}")
         seed = header.get("seed", 0)

@@ -39,22 +39,20 @@ def mlp_forward_acts(x, weights, biases):
     return acts
 
 
-def mlp_backward_acts(acts, weights, delta_out):
+def mlp_backward_acts(acts, weights, delta_out, grads_w, grads_b):
     """Backpropagate an output gradient through the activations.
 
-    `acts` is the list produced by mlp_forward_acts. Returns per-layer
-    weight and bias gradients, input-to-output order.
+    `acts` is the list produced by mlp_forward_acts. Each layer's weight
+    and bias gradient is written into the arrays `grads_w[k]` and
+    `grads_b[k]`, which are typically views into one flat gradient buffer.
     """
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
     delta = np.ascontiguousarray(delta_out, dtype=np.float64)
     for k in range(len(weights) - 1, -1, -1):
-        grads_w[k] = acts[k].T @ delta
-        grads_b[k] = delta.sum(axis=0)
+        np.matmul(acts[k].T, delta, out=grads_w[k])
+        delta.sum(axis=0, out=grads_b[k])
         if k > 0:
             # tanh'(z) expressed through the stored activation
             delta = (delta @ weights[k].T) * (1.0 - acts[k] * acts[k])
-    return grads_w, grads_b
 
 
 def dmp_rollout(start, goal, forcing_weights, centers, widths, tau,

@@ -13,7 +13,8 @@ that meaning is a `Head`:
                  leaves the known start configuration out of the output
 
 A head owns the method-specific decisions and nothing else: its targets,
-fitted once per demo before training; its loss; the ground-truth
+fitted once per demo before training; its loss, which it computes
+(`loss_and_grad`) with the numeric code of `regressor`; the ground-truth
 trajectories of a split; decoding a batch of network outputs into
 (B, T, n_joint) trajectories; and its checkpoint fields.
 
@@ -37,8 +38,8 @@ from mprim.dataset import DemoDataset
 from mprim.errors import IntegrationError
 from mprim.kinematics import KinematicChain, default_chain, final_distances
 from mprim.promp import fit_weights
-from mprim.regressor import (MlpParams, adam_init, adam_step,
-                             batch_loss_and_grad, init_mlp, mlp_forward)
+from mprim.regressor import (MlpParams, adam_init, adam_step, init_mlp,
+                             mlp_forward, rms_loss, trajectory_loss)
 
 DEFAULT_EPOCHS_RTP = 150
 DEFAULT_EPOCHS_WPP = 200
@@ -46,6 +47,7 @@ DEFAULT_HIDDEN = (64, 64)
 DEFAULT_N_BASIS = {"rtp": 8, "wpp": 10}
 DEFAULT_N_BASIS_DMP = 25
 DEFAULT_DMP_TAU = 7.6
+GOAL_WEIGHT = 100.0   # rtp attractor loss: weight of the goal residual
 GLOBAL_GROUP = "__global__"
 
 
@@ -111,8 +113,17 @@ def _fit_scaler(contexts):
 # ---------------------------------------------------------------------------
 # shared minibatch loop
 
+def batch_loss_and_grad(head, pred, target):
+    """Per-sample losses of `head` and their gradients w.r.t. the
+    predictions; `pred` and `target` are (batch, head_width)."""
+    if pred.shape != target.shape:
+        raise ValueError(f"prediction shape {pred.shape} differs from target "
+                         f"shape {target.shape}")
+    return head.loss_and_grad(pred, target)
+
+
 def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
-                  loss_kind, loss_kwargs):
+                  head):
     """Deterministic Adam loop; returns (best_params, report)."""
     rng = np.random.default_rng(cfg.seed)
     local = rng.permutation(len(train_idx))
@@ -125,38 +136,40 @@ def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
     layer_sizes = (x_std.shape[1], *hidden, targets.shape[1])
     params = init_mlp(layer_sizes, cfg.seed)
     state = adam_init(params, cfg.learning_rate)
+    grad = np.empty_like(params.theta)
+    grads_w, grads_b = params.views(grad)
     report = TrainReport()
 
     def mean_loss(idx):
-        losses, _ = batch_loss_and_grad(mlp_forward(params, x_std[idx]),
-                                        targets[idx], loss_kind,
-                                        **loss_kwargs)
+        losses, _ = batch_loss_and_grad(
+            head, mlp_forward(params, x_std[idx]), targets[idx])
         return float(np.mean(losses))
 
-    best_params, best_val, best_epoch = params, np.inf, -1
+    best_theta, best_val, best_epoch = None, np.inf, -1
     reason = "zero_epochs" if cfg.epochs == 0 else "max_epochs"
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(fit_idx))
         for lo in range(0, len(order), cfg.batch_size):
             batch = fit_idx[order[lo:lo + cfg.batch_size]]
-            acts = kernels.mlp_forward_acts(
-                x_std[batch], list(params.weights), list(params.biases))
-            _, dpred = batch_loss_and_grad(acts[-1], targets[batch],
-                                           loss_kind, **loss_kwargs)
-            grads_w, grads_b = kernels.mlp_backward_acts(
-                acts, list(params.weights), dpred / len(batch))
-            params, state = adam_step(state, params, grads_w, grads_b)
+            acts = kernels.mlp_forward_acts(x_std[batch], params.weights,
+                                            params.biases)
+            _, dpred = batch_loss_and_grad(head, acts[-1], targets[batch])
+            kernels.mlp_backward_acts(acts, params.weights,
+                                      dpred / len(batch), grads_w, grads_b)
+            adam_step(state, params.theta, grad)
         report.train_loss.append(mean_loss(fit_idx))
         val = mean_loss(val_idx) if len(val_idx) else report.train_loss[-1]
         report.val_loss.append(val)
         if val < best_val:
-            best_params, best_val, best_epoch = params, val, epoch
+            best_theta, best_val, best_epoch = params.theta.copy(), val, epoch
         elif epoch - best_epoch >= cfg.early_stop_patience:
             reason = "early_stopping"
             break
     report.best_epoch = best_epoch
     report.stopping_reason = reason
-    return (best_params if best_epoch >= 0 else params), report
+    if best_epoch >= 0:
+        params.theta[:] = best_theta
+    return params, report
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +179,39 @@ def _arr(x):
     return np.asarray(x, dtype=float).tolist()
 
 
+def _field(d, name, parse):
+    """Checkpoint payload field `name`, through `parse`; a missing field or
+    one that `parse` rejects raises ValueError naming it."""
+    if name not in d:
+        raise ValueError(f"payload lacks field {name!r}")
+    try:
+        return parse(d[name])
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"payload field {name!r} is malformed "
+                         f"({type(err).__name__}: {err})") from None
+
+
+def _indices(value):
+    if not isinstance(value, list) or any(type(i) is not int for i in value):
+        raise ValueError("expected a list of integer demo indices")
+    return tuple(value)
+
+
+def _vector(value, n):
+    out = np.asarray(value, dtype=float)
+    if out.shape != (n,):
+        raise ValueError(f"expected {n} numbers, got shape {out.shape}")
+    return out
+
+
 @dataclass(frozen=True)
 class Head:
     """What the network's output means, for one method.
 
     `kind` is the method's name in checkpoints. A subclass fits its
-    targets (`fit`), names its loss (`loss`), decodes a batch of network
-    outputs (`decode`), gives the ground truth of a split (`truth`) and
+    targets (`fit`), computes its per-sample loss and the loss gradient
+    w.r.t. a batch of network outputs (`loss_and_grad`), decodes such a
+    batch (`decode`), gives the ground truth of a split (`truth`) and
     lists its checkpoint fields (`to_dict`/`from_dict`). Trajectories are
     (B, T, n_joint) arrays.
     """
@@ -198,7 +237,7 @@ class PrompHead(Head):
     def fit(cls, dataset, train_idx, n_basis=None, **_):
         """(head, fitted weights of every demo)."""
         if n_basis is None:
-            n_basis = DEFAULT_N_BASIS.get(dataset.kind, 8)
+            n_basis = DEFAULT_N_BASIS[dataset.kind]
         phase_cfg = dataset.phase_cfg
         head = cls(dataset.kind, dataset.n_joint, phase_cfg,
                    default_basis(phase_cfg, n_basis))
@@ -211,8 +250,9 @@ class PrompHead(Head):
         columns = trajectories.transpose(1, 0, 2).reshape(t, b * j)
         return fit_weights(columns, self.phi).reshape(b, -1)
 
-    def loss(self):
-        return "trajectory", {"phi": self.phi, "n_joint": self.n_joint}
+    def loss_and_grad(self, pred, target):
+        """The trajectory-space loss of (B, n_joint*n_basis) weights."""
+        return trajectory_loss(pred, target, self.phi.values, self.n_joint)
 
     def decode(self, out, dataset, indices):
         return self._trajectories(out)
@@ -230,7 +270,7 @@ class PrompHead(Head):
     @classmethod
     def from_dict(cls, task, n_joint, phase_cfg, d):
         return cls(task, n_joint, phase_cfg,
-                   BasisConfig.from_dict(d["basis_cfg"]))
+                   _field(d, "basis_cfg", BasisConfig.from_dict))
 
 
 @dataclass(frozen=True)
@@ -282,11 +322,17 @@ class ResidualHead(PrompHead):
 
     @classmethod
     def from_dict(cls, task, n_joint, phase_cfg, d):
-        return cls(task, n_joint, phase_cfg,
-                   BasisConfig.from_dict(d["basis_cfg"]),
-                   {k: np.asarray(v, float)
-                    for k, v in d["mean_weights"].items()},
-                   tuple(d["mean_source_indices"]))
+        basis_cfg = _field(d, "basis_cfg", BasisConfig.from_dict)
+        width = n_joint * basis_cfg.n_basis
+
+        def means(value):
+            if GLOBAL_GROUP not in value:
+                raise KeyError(GLOBAL_GROUP)
+            return {k: _vector(v, width) for k, v in value.items()}
+
+        return cls(task, n_joint, phase_cfg, basis_cfg,
+                   _field(d, "mean_weights", means),
+                   _field(d, "mean_source_indices", _indices))
 
 
 @dataclass(frozen=True)
@@ -329,10 +375,16 @@ class DmpHead(Head):
                 np.stack([m.goal for m in fits]),
                 np.stack([m.start for m in fits]))
 
-    def loss(self):
-        if self.task == "rtp":
-            return "ddmp_rtp", {"n_joint": self.n_joint}
-        return "ddmp_wpp", {}
+    def loss_and_grad(self, pred, target):
+        """rtp: the RMS of the forcing-weight residual plus GOAL_WEIGHT
+        times the RMS of the goal residual; wpp: half the RMS of the whole
+        parameter residual."""
+        if self.task == "wpp":
+            return rms_loss(pred - target, 0.5)
+        j = self.n_joint
+        lw, gw = rms_loss(pred[:, :-j] - target[:, :-j], 1.0)
+        lg, gg = rms_loss(pred[:, -j:] - target[:, -j:], GOAL_WEIGHT)
+        return lw + lg, np.hstack([gw, gg])
 
     def decode(self, out, dataset, indices):
         j, n = self.n_joint, self.n_basis_dmp
@@ -363,10 +415,12 @@ class DmpHead(Head):
 
     @classmethod
     def from_dict(cls, task, n_joint, phase_cfg, d):
-        return cls(task, n_joint, phase_cfg, int(d["n_basis_dmp"]),
-                   float(d["dmp_tau"]),
-                   None if d["home"] is None else np.asarray(d["home"],
-                                                             float))
+        return cls(task, n_joint, phase_cfg,
+                   _field(d, "n_basis_dmp", int),
+                   _field(d, "dmp_tau", float),
+                   _field(d, "home", lambda home: None
+                          if home is None and task == "wpp"
+                          else _vector(home, n_joint)))
 
 
 HEADS = {"deep-mp": PrompHead, "residual": ResidualHead, "ddmp": DmpHead}
@@ -429,16 +483,20 @@ class Model:
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of `to_dict`. A field that is missing or of the wrong
+        type or shape raises ValueError naming it."""
         kinds = {head.kind: head for head in HEADS.values()}
-        if d["model_kind"] not in kinds:
-            raise ValueError(f"unknown model kind {d['model_kind']!r}")
-        head = kinds[d["model_kind"]].from_dict(
-            d["task"], int(d["n_joint"]),
-            PhaseConfig.from_dict(d["phase_cfg"]), d)
-        return cls(head, MlpParams.from_dict(d["mlp"]),
-                   np.asarray(d["ctx_mean"], float),
-                   np.asarray(d["ctx_std"], float),
-                   tuple(d["train_indices"]), tuple(d["test_indices"]))
+        head_cls = _field(d, "model_kind", lambda kind: kinds[kind])
+        n_joint = _field(d, "n_joint", int)
+        head = head_cls.from_dict(
+            _field(d, "task", str), n_joint,
+            _field(d, "phase_cfg", PhaseConfig.from_dict), d)
+        mlp = _field(d, "mlp", MlpParams.from_dict)
+        return cls(head, mlp,
+                   _field(d, "ctx_mean", lambda v: _vector(v, mlp.n_inputs)),
+                   _field(d, "ctx_std", lambda v: _vector(v, mlp.n_inputs)),
+                   _field(d, "train_indices", _indices),
+                   _field(d, "test_indices", _indices))
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +527,8 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
                                       tau=tau)
     contexts = dataset.contexts
     mean, std = _fit_scaler(contexts[train_idx])
-    loss_kind, loss_kwargs = head.loss()
     params, report = _run_training((contexts - mean) / std, targets,
-                                   train_idx, cfg, hidden, loss_kind,
-                                   loss_kwargs)
+                                   train_idx, cfg, hidden, head)
     model = Model(head, params, mean, std, tuple(map(int, train_idx)),
                   tuple(map(int, test_idx)))
     return model, report

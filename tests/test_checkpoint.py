@@ -98,3 +98,31 @@ def test_unsupported_schema(tmp_path):
 def test_uncheckpointable_type(tmp_path):
     with pytest.raises(TypeError):
         checkpoint.save(init_mlp((2, 3), seed=0), tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize("method,field,value,why", [
+    ("residual", "mean_weights", {"A": [0.0] * 56}, "KeyError: '__global__'"),
+    ("residual", "mean_weights", {"__global__": [0.0]},
+     "expected 56 numbers, got shape (1,)"),
+    ("residual", "mean_source_indices", [1.5], "integer demo indices"),
+    ("ddmp", "home", None, "expected 7 numbers, got shape ()"),
+    ("ddmp", "n_basis_dmp", [5], "TypeError"),
+], ids=["means_without_global", "means_width", "mean_source_fraction",
+        "rtp_without_home", "n_basis_dmp_list"])
+def test_malformed_head_field_names_file_and_field(tmp_path, method, field,
+                                                   value, why):
+    # a head field of the wrong type or shape would otherwise broadcast
+    # silently or fail later with a message naming neither
+    ds = generate_rtp(seed=3, counts=(6, 3, 2, 2))
+    model, _ = train(method, ds, TrainConfig(epochs=1, seed=1),
+                     n_basis_dmp=5)
+    path = tmp_path / "model.json"
+    checkpoint.save(model, path)
+    doc = json.loads(path.read_text())
+    doc["payload"][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        checkpoint.load(path)
+    assert str(err.value).startswith(
+        f"{path}: payload field {field!r} is malformed (")
+    assert why in str(err.value)

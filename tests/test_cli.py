@@ -28,6 +28,16 @@ def without(doc, *path):
     return json.dumps(doc)
 
 
+def replaced(doc, value, *path):
+    """`doc` as JSON text, with the field at the key `path` set to
+    `value`."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc)
+
+
 @pytest.fixture()
 def small_dataset(tmp_path):
     path = tmp_path / "demos.jsonl"
@@ -95,7 +105,7 @@ class TestTrain:
                     "--task", "rtp", "--epochs", "1", "--seed", "0",
                     "--n-basis-dmp", "10", "--out", ckpt]) == 0
         model = checkpoint.load(ckpt)
-        assert model.mlp.n_outputs == 7 * (10 + 1)
+        assert model.mlp.layer_sizes[-1] == 7 * (10 + 1)
 
     def test_zero_epochs_empty_curve(self, small_dataset, tmp_path):
         ckpt = tmp_path / "ck.json"
@@ -148,7 +158,7 @@ class TestEval:
         pc = PhaseConfig(150.0, 150)
         head = PrompHead("rtp", 7, pc, default_basis(pc, 8))
         targets = head.weights(ds.trajectories)
-        mlp = MlpParams((3, 56), (np.zeros((3, 56)),), (targets[0].copy(),))
+        mlp = MlpParams((3, 56), np.r_[np.zeros(3 * 56), targets[0]])
         model = Model(head, mlp, np.zeros(3), np.ones(3),
                       test_indices=tuple(range(len(ds))))
         ckpt = tmp_path / "oracle.json"
@@ -201,7 +211,23 @@ class TestEval:
         (lambda doc: without(doc, "payload"), "missing field 'payload'"),
         (lambda doc: json.dumps([doc]), "expected a JSON object, got a list"),
         (lambda doc: "{", "invalid JSON at line 1 column 2"),
-    ], ids=["no_phase_cfg", "no_task", "no_payload", "list", "bad_json"])
+        (lambda doc: replaced(doc, 5, "payload", "mlp"),
+         "payload field 'mlp' is malformed (TypeError: "),
+        (lambda doc: replaced(doc, [[0.0] * 64] * 2, "payload", "mlp",
+                              "weights", 0),
+         "payload field 'mlp' is malformed (ValueError: weight and bias "
+         "shapes do not match layer_sizes [3, 64, 64, 56])"),
+        (lambda doc: replaced(doc, [0.0], "payload", "ctx_mean"),
+         "payload field 'ctx_mean' is malformed (ValueError: expected 3 "
+         "numbers, got shape (1,))"),
+        (lambda doc: replaced(doc, [0.5], "payload", "test_indices"),
+         "payload field 'test_indices' is malformed (ValueError: expected "
+         "a list of integer demo indices)"),
+        (lambda doc: replaced(doc, [True], "payload", "train_indices"),
+         "payload field 'train_indices' is malformed"),
+    ], ids=["no_phase_cfg", "no_task", "no_payload", "list", "bad_json",
+            "mlp_number", "mlp_layer_shape", "ctx_mean_width",
+            "fractional_index", "bool_index"])
     def test_malformed_checkpoint_names_file(self, small_dataset, tmp_path,
                                              capsys, edit, message):
         ckpt = tmp_path / "ck.json"
@@ -271,6 +297,38 @@ class TestEval:
             for row in rows[1:]:
                 for cell in row:
                     float(cell)   # raises on text like np.float64(0.1)
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command,dest,value", [
+        ("train", "lr", "nan"),
+        ("train", "lr", "-1"),
+        ("train", "hidden", "-3"),
+        ("train", "hidden", "0"),
+        ("train", "tau", "inf"),
+        ("generate", "noise", "-1"),
+        ("generate", "noise", "nan"),
+    ])
+    def test_bad_value_is_usage_error(self, small_dataset, tmp_path, capsys,
+                                      via, command, dest, value):
+        argv = (["train", "--data", small_dataset, "--method", "ddmp",
+                 "--epochs", "1", "--n-basis-dmp", "5"]
+                if command == "train" else ["generate", "--kind", "rtp",
+                                            "--counts", "2,1,1,1"])
+        argv += ["--out", tmp_path / "out.json"]
+        if via == "flag":
+            argv += [f"--{dest}", value]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({dest: value}))
+            argv = ["--config", config, *argv]
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"argument --{dest}: " if via == "flag"
+                else f"bad value for {dest!r}: ") in err
 
 
 class TestConfigFile:

@@ -365,12 +365,15 @@ class TestRecordValidation:
         ({"sampling_frequency": "x"}, None, "line 1: sampling_frequency"),
         ({"sampling_frequency": 0}, None, "line 1: sampling_frequency"),
         ({"sampling_frequency": True}, None, "line 1: sampling_frequency"),
+        ({"kind": "xyz"}, None, "line 1: header must be an object whose "
+                                "'kind' is rtp or wpp"),
         (None, {"split": 5}, "line 3: split must be"),
         (None, {"split": "half"}, "line 3: split must be"),
         (None, {"tags": [["region", "Z"]]}, "line 3: tags must be"),
         (None, {"context": 0.5}, r"line 3: .* are not \(D,\) and"),
         (None, {"trajectory": [[0.0] * 7]}, r"line 3: .* \(T >= 2, n_joint"),
-    ], ids=["fs_negative", "fs_text", "fs_zero", "fs_bool", "split_number",
+    ], ids=["fs_negative", "fs_text", "fs_zero", "fs_bool", "kind_unknown",
+            "split_number",
             "split_half", "tags_pairs", "context_scalar",
             "one_sample_trajectory"])
     def test_bad_field_names_line(self, tmp_path, header, record, match):

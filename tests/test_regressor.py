@@ -2,86 +2,96 @@ import numpy as np
 import pytest
 
 from mprim import kernels
-from mprim.basis import PhaseConfig, default_basis, build_phi
-from mprim.regressor import (AdamState, MlpParams, adam_init, adam_step,
-                             batch_loss_and_grad, init_mlp, mlp_forward)
+from mprim.basis import PhaseConfig, default_basis
+from mprim.regressor import (BETA1, BETA2, EPSILON, MlpParams, adam_init,
+                             adam_step, init_mlp, mlp_forward)
+from mprim.training import DmpHead, PrompHead, batch_loss_and_grad
+
+PC = PhaseConfig(30.0, 30)
+
+
+def traj_head(n_joint=1, n_basis=5):
+    return PrompHead("rtp", n_joint, PC, default_basis(PC, n_basis))
+
+
+def dmp_head(task, n_joint):
+    return DmpHead(task, n_joint, PC, 5, 7.6, None)
 
 
 @pytest.fixture(scope="module")
-def phi_small():
-    pc = PhaseConfig(30.0, 30)
-    return build_phi(pc, default_basis(pc, 5))
+def traj_small():
+    return traj_head()
 
 
-def loss_of(loss_kind, pred, gt, **kwargs):
+def loss_of(head, pred, gt):
     """One sample's loss; `pred` and `gt` are flattened into head rows."""
-    losses, _ = batch_loss_and_grad(np.ravel(pred)[None, :],
-                                    np.ravel(gt)[None, :], loss_kind,
-                                    **kwargs)
+    losses, _ = head.loss_and_grad(np.ravel(pred)[None, :],
+                                   np.ravel(gt)[None, :])
     return float(losses[0])
 
 
-def loss_trajectory(ps, gt, phi):
-    return loss_of("trajectory", ps, gt, phi=phi, n_joint=1)
+def loss_trajectory(ps, gt, head):
+    return loss_of(head, ps, gt)
 
 
 def loss_ddmp_rtp(forcing_ps, goal_ps, forcing_gt, goal_gt):
-    return loss_of("ddmp_rtp", np.r_[np.ravel(forcing_ps), goal_ps],
-                   np.r_[np.ravel(forcing_gt), goal_gt], n_joint=len(goal_gt))
+    return loss_of(dmp_head("rtp", len(goal_gt)),
+                   np.r_[np.ravel(forcing_ps), goal_ps],
+                   np.r_[np.ravel(forcing_gt), goal_gt])
 
 
 def loss_ddmp_wpp(pred, gt):
-    return loss_of("ddmp_wpp", pred, gt)
+    return loss_of(dmp_head("wpp", 1), pred, gt)
 
 
-def mlp_backward(params, ctx, loss_kind, target, **kwargs):
-    """Gradient of one sample's loss w.r.t. every net parameter, through
-    the same kernels the training loop calls; ((grads_w, grads_b), loss)."""
-    acts = kernels.mlp_forward_acts(np.atleast_2d(ctx), list(params.weights),
-                                    list(params.biases))
-    losses, dpred = batch_loss_and_grad(acts[-1], np.atleast_2d(target),
-                                        loss_kind, **kwargs)
-    grads_w, grads_b = kernels.mlp_backward_acts(acts, list(params.weights),
-                                                 dpred)
-    return (grads_w, grads_b), float(losses[0])
-
-
-def flatten_grads(grads_w, grads_b):
-    return np.concatenate([g.ravel() for g in list(grads_w) + list(grads_b)])
+def mlp_backward(params, ctx, head, target):
+    """Gradient of one sample's loss w.r.t. `theta`, through the same
+    kernels the training loop calls; (gradient, loss)."""
+    acts = kernels.mlp_forward_acts(np.atleast_2d(ctx), params.weights,
+                                    params.biases)
+    losses, dpred = batch_loss_and_grad(head, acts[-1],
+                                        np.atleast_2d(target))
+    grad = np.empty_like(params.theta)
+    kernels.mlp_backward_acts(acts, params.weights, dpred,
+                              *params.views(grad))
+    return grad, float(losses[0])
 
 
 def numeric_gradient(params, ctx, loss_fn, step=1e-5):
     """Central finite differences over every network parameter."""
-    def with_flat(flat):
-        weights, biases, k = [], [], 0
-        for w in params.weights:
-            weights.append(flat[k:k + w.size].reshape(w.shape))
-            k += w.size
-        for b in params.biases:
-            biases.append(flat[k:k + b.size].reshape(b.shape))
-            k += b.size
-        return MlpParams(params.layer_sizes, tuple(weights), tuple(biases),
-                         params.seed)
-
-    flat0 = np.concatenate([w.ravel() for w in params.weights]
-                           + [b.ravel() for b in params.biases])
-    grad = np.empty_like(flat0)
-    for i in range(flat0.size):
-        up, down = flat0.copy(), flat0.copy()
+    grad = np.empty_like(params.theta)
+    for i in range(params.theta.size):
+        up, down = params.theta.copy(), params.theta.copy()
         up[i] += step
         down[i] -= step
-        grad[i] = (loss_fn(with_flat(up), ctx)
-                   - loss_fn(with_flat(down), ctx)) / (2 * step)
+        grad[i] = (loss_fn(MlpParams(params.layer_sizes, up), ctx)
+                   - loss_fn(MlpParams(params.layer_sizes, down), ctx)
+                   ) / (2 * step)
     return grad
+
+
+def adam_reference(arrays, grads_per_step, learning_rate):
+    """Adam one parameter array at a time, each update a new array."""
+    arrays = list(arrays)
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    for t, grads in enumerate(grads_per_step, start=1):
+        c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+        for k, g in enumerate(grads):
+            m[k] = BETA1 * m[k] + (1 - BETA1) * g
+            v[k] = BETA2 * v[k] + (1 - BETA2) * g * g
+            arrays[k] = arrays[k] - learning_rate * (m[k] / c1) / (
+                np.sqrt(v[k] / c2) + EPSILON)
+    return arrays
 
 
 class TestMlpForward:
     def test_zero_parameters_zero_output(self):
-        params = MlpParams((3, 2), (np.zeros((3, 2)),), (np.zeros(2),))
+        params = MlpParams((3, 2), np.zeros(8))
         np.testing.assert_array_equal(mlp_forward(params, np.ones(3)), 0.0)
 
     def test_identity_single_layer(self):
-        params = MlpParams((3, 3), (np.eye(3),), (np.zeros(3),))
+        params = MlpParams((3, 3), np.r_[np.eye(3).ravel(), np.zeros(3)])
         x = np.array([0.2, -0.7, 1.5])
         np.testing.assert_array_equal(mlp_forward(params, x), x)
 
@@ -105,34 +115,81 @@ class TestMlpForward:
             mlp_forward(params, np.zeros(4))
 
 
+class TestFlatLayout:
+    def test_layers_are_views_into_theta(self):
+        params = init_mlp((3, 4, 2), seed=0)
+        assert [w.shape for w in params.weights] == [(3, 4), (4, 2)]
+        assert [b.shape for b in params.biases] == [(4,), (2,)]
+        params.theta[:] = np.arange(params.theta.size)
+        np.testing.assert_array_equal(params.weights[1][0], [16.0, 17.0])
+        np.testing.assert_array_equal(params.biases[1], [24.0, 25.0])
+
+    def test_theta_of_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="need"):
+            MlpParams((3, 2), np.zeros(7))
+
+    def test_backward_into_flat_buffer_equals_per_layer_products(self):
+        rng = np.random.default_rng(8)
+        params = init_mlp((10, 64, 64, 56), seed=8)
+        x = rng.standard_normal((32, 10))
+        delta = rng.standard_normal((32, 56))
+        acts = kernels.mlp_forward_acts(x, params.weights, params.biases)
+        grad = np.full_like(params.theta, np.nan)
+        grads_w, grads_b = params.views(grad)
+        kernels.mlp_backward_acts(acts, params.weights, delta, grads_w,
+                                  grads_b)
+        assert np.all(np.isfinite(grad))   # every parameter was written
+        for k in (2, 1, 0):
+            np.testing.assert_array_equal(grads_w[k], acts[k].T @ delta)
+            np.testing.assert_array_equal(grads_b[k], delta.sum(axis=0))
+            delta = (delta @ params.weights[k].T) * (1.0 - acts[k] * acts[k])
+
+    def test_flat_adam_equals_per_array_adam_bit_for_bit(self):
+        params = init_mlp((5, 16, 16, 7), seed=4)
+        arrays = [a.copy() for layer in zip(params.weights, params.biases)
+                  for a in layer]
+        rng = np.random.default_rng(4)
+        grads = rng.standard_normal((300, params.theta.size))
+        state = adam_init(params, learning_rate=0.01)
+        for g in grads:
+            adam_step(state, params.theta, g)
+        expected = adam_reference(
+            arrays, ([a.copy() for layer in zip(*params.views(g))
+                      for a in layer] for g in grads), 0.01)
+        got = [a for layer in zip(params.weights, params.biases)
+               for a in layer]
+        assert state.step == 300
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestLossValues:
-    def test_trajectory_zero_at_equal_weights(self, phi_small):
+    def test_trajectory_zero_at_equal_weights(self, traj_small):
         theta = np.arange(5.0)
-        assert loss_trajectory(theta, theta, phi_small) == 0.0
+        assert loss_trajectory(theta, theta, traj_small) == 0.0
 
     def test_trajectory_single_basis_unit_gap(self):
         # one basis: partition of unity makes the trajectory gap constant
-        pc = PhaseConfig(30.0, 30)
-        phi = build_phi(pc, default_basis(pc, 1))
         assert loss_trajectory(np.array([0.0]), np.array([1.0]),
-                               phi) == pytest.approx(1.0)
+                               traj_head(1, 1)) == pytest.approx(1.0)
 
-    def test_trajectory_matches_reconstruction_oracle(self, phi_small):
+    def test_trajectory_matches_reconstruction_oracle(self, traj_small):
         rng = np.random.default_rng(2)
         for _ in range(20):
             gt, ps = rng.standard_normal((2, 5))
-            gap = phi_small.values @ gt - phi_small.values @ ps
+            phi = traj_small.phi
+            gap = phi.values @ gt - phi.values @ ps
             expected = np.sqrt(np.mean(gap ** 2))
-            assert loss_trajectory(ps, gt, phi_small) == pytest.approx(
+            assert loss_trajectory(ps, gt, traj_small) == pytest.approx(
                 expected, rel=1e-12)
 
-    def test_trajectory_bounded_by_weight_gap(self, phi_small):
+    def test_trajectory_bounded_by_weight_gap(self, traj_small):
         # rows are convex combinations, so the loss cannot exceed the
         # largest per-basis weight gap
         rng = np.random.default_rng(3)
         for _ in range(50):
             gt, ps = rng.standard_normal((2, 5)) * 3.0
-            assert loss_trajectory(ps, gt, phi_small) <= np.max(
+            assert loss_trajectory(ps, gt, traj_small) <= np.max(
                 np.abs(gt - ps)) + 1e-12
 
     def test_rtp_loss_zero_and_goal_term(self):
@@ -168,33 +225,31 @@ class TestLossValues:
             assert loss_ddmp_wpp(pred, gt) == pytest.approx(expected,
                                                             rel=1e-12)
 
-    def test_nonnegativity(self, phi_small):
+    def test_nonnegativity(self, traj_small):
         rng = np.random.default_rng(6)
         for _ in range(30):
             a, b = rng.standard_normal((2, 5))
-            assert loss_trajectory(a, b, phi_small) >= 0.0
+            assert loss_trajectory(a, b, traj_small) >= 0.0
             assert loss_ddmp_wpp(a, b) >= 0.0
 
 
 class TestGradients:
-    def test_zero_gradient_at_optimum(self, phi_small):
+    def test_zero_gradient_at_optimum(self):
         params = init_mlp((2, 4, 10), seed=0)
         ctx = np.array([0.5, -0.5])
         target = mlp_forward(params, ctx)   # prediction == ground truth
-        (gw, gb), loss = mlp_backward(params, ctx, "trajectory", target,
-                                      phi=phi_small, n_joint=2)
+        grad, loss = mlp_backward(params, ctx, traj_head(2), target)
         assert loss == 0.0
-        assert np.all(flatten_grads(gw, gb) == 0.0)
+        assert np.all(grad == 0.0)
 
-    def test_trajectory_gradient_closed_form(self, phi_small):
+    def test_trajectory_gradient_closed_form(self):
         # two-basis symbolic check of the gradient w.r.t. the prediction
-        pc = PhaseConfig(30.0, 30)
-        phi = build_phi(pc, default_basis(pc, 2))
+        head = traj_head(1, 2)
+        phi = head.phi
         rng = np.random.default_rng(7)
         gt = rng.standard_normal((1, 2))
         ps = rng.standard_normal((1, 2))
-        losses, grad = batch_loss_and_grad(ps, gt, "trajectory", phi=phi,
-                                           n_joint=1)
+        losses, grad = head.loss_and_grad(ps, gt)
         d = phi.values @ (gt[0] - ps[0])
         expected = -phi.values.T @ d / (30 * losses[0])
         np.testing.assert_allclose(grad[0], expected, rtol=1e-12)
@@ -204,75 +259,69 @@ class TestGradients:
         ("ddmp_rtp", 2, 12),       # 2 joints x 5 kernels + 2 goals
         ("ddmp_wpp", 2, 14),       # ... + 2 starts
     ])
-    def test_gradients_match_finite_differences(self, phi_small, loss_kind,
-                                                n_joint, width):
+    def test_gradients_match_finite_differences(self, loss_kind, n_joint,
+                                                width):
+        head = {"trajectory": traj_head(n_joint),
+                "ddmp_rtp": dmp_head("rtp", n_joint),
+                "ddmp_wpp": dmp_head("wpp", n_joint)}[loss_kind]
         rng = np.random.default_rng(11)
         for case in range(100):
             params = init_mlp((3, 6, width), seed=case)
             ctx = rng.standard_normal(3)
             target = rng.standard_normal(width)
-            kwargs = {"phi": phi_small, "n_joint": n_joint} \
-                if loss_kind == "trajectory" else (
-                    {"n_joint": n_joint} if loss_kind == "ddmp_rtp" else {})
 
-            (gw, gb), _ = mlp_backward(params, ctx, loss_kind, target,
-                                       **kwargs)
-            analytic = flatten_grads(gw, gb)
+            analytic, _ = mlp_backward(params, ctx, head, target)
 
-            def loss_fn(p, c, _k=kwargs, _t=target, _kind=loss_kind):
+            def loss_fn(p, c, _t=target):
                 pred = mlp_forward(p, c)
-                losses, _ = batch_loss_and_grad(pred[None, :], _t[None, :],
-                                                _kind, **_k)
+                losses, _ = head.loss_and_grad(pred[None, :], _t[None, :])
                 return losses[0]
 
             numeric = numeric_gradient(params, ctx, loss_fn)
             rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
             assert rel < 1e-4
 
-    def test_unknown_loss_kind(self):
-        with pytest.raises(ValueError, match="unknown loss kind"):
-            batch_loss_and_grad(np.zeros((1, 3)), np.zeros((1, 3)), "nope")
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="differs from target shape"):
+            batch_loss_and_grad(traj_head(), np.zeros((1, 5)),
+                                np.zeros((2, 5)))
 
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
         params = init_mlp((2, 3), seed=0)
         state = adam_init(params)
-        zw = [np.zeros_like(w) for w in params.weights]
-        zb = [np.zeros_like(b) for b in params.biases]
-        new_params, new_state = adam_step(state, params, zw, zb)
-        for old, new in zip(params.weights, new_params.weights):
-            np.testing.assert_array_equal(old, new)
-        assert new_state.step == 1
+        before = params.theta.copy()
+        adam_step(state, params.theta, np.zeros_like(params.theta))
+        np.testing.assert_array_equal(params.theta, before)
+        assert state.step == 1
 
     def test_constant_gradient_step_size(self):
         # with a constant gradient the normalized step approaches the
         # learning rate, opposing the gradient sign
-        params = MlpParams((1, 1), (np.zeros((1, 1)),), (np.zeros(1),))
+        params = MlpParams((1, 1), np.zeros(2))
         state = adam_init(params, learning_rate=0.01)
-        g = [np.array([[2.5]])], [np.array([0.0])]
-        prev = 0.0
+        g = np.array([2.5, 0.0])
         for _ in range(500):
-            params, state = adam_step(state, params, *g)
-        step = params.weights[0][0, 0] - prev
+            adam_step(state, params.theta, g)
         # one more step to measure the increment at steady state
-        params2, _ = adam_step(state, params, *g)
-        inc = params2.weights[0][0, 0] - params.weights[0][0, 0]
+        before = params.weights[0][0, 0]
+        adam_step(state, params.theta, g)
+        inc = params.weights[0][0, 0] - before
         assert inc == pytest.approx(-0.01, rel=1e-3)
 
     def test_quadratic_bowl_convergence(self):
         # convergence oracle: minimize 0.5*||x||^2 by feeding the exact
         # gradient; momentum cancellation lets Adam settle below 1e-6
         rng = np.random.default_rng(3)
-        params = MlpParams((1, 5), (rng.standard_normal((1, 5)),),
-                           (np.zeros(5),))
+        params = MlpParams((1, 5), np.r_[rng.standard_normal(5),
+                                         np.zeros(5)])
         state = adam_init(params, learning_rate=0.05)
         for step in range(5000):
-            g = params.weights[0]
+            g = params.theta.copy()   # the biases stay at zero
             if np.linalg.norm(g) < 1e-6:
                 break
-            params, state = adam_step(state, params,
-                                      [g.copy()], [np.zeros(5)])
+            adam_step(state, params.theta, g)
         assert np.linalg.norm(params.weights[0]) < 1e-6
         assert step < 5000
 
@@ -282,9 +331,8 @@ class TestAdam:
             state = adam_init(params, learning_rate=0.01)
             rng = np.random.default_rng(0)
             for _ in range(50):
-                gw = [rng.standard_normal(w.shape) for w in params.weights]
-                gb = [rng.standard_normal(b.shape) for b in params.biases]
-                params, state = adam_step(state, params, gw, gb)
+                adam_step(state, params.theta,
+                          rng.standard_normal(params.theta.size))
             return params
 
         a, b = run(), run()

@@ -11,7 +11,7 @@ from mprim.dataset import WPP_SPLITS, apply_split, generate_rtp, generate_wpp
 from mprim.dmp import fit_dmp, rollout_matched
 from mprim.errors import IntegrationError
 from mprim.kinematics import default_chain, final_distances
-from mprim.regressor import MlpParams, batch_loss_and_grad, mlp_forward
+from mprim.regressor import MlpParams, mlp_forward
 from mprim.training import (DmpHead, Model, PrompHead, ResidualHead,
                             TrainConfig, TrainReport, evaluate, random_split,
                             train)
@@ -76,7 +76,7 @@ class TestTrainDeepMp:
         assert report.final_epoch == 0
         assert report.stopping_reason == "zero_epochs"
         assert isinstance(model, Model)
-        assert model.mlp.n_outputs == 7 * 8
+        assert model.mlp.layer_sizes[-1] == 7 * 8
 
     def test_single_sample_memorization(self):
         # pure memorization: the loss floor scales with the Adam step
@@ -200,14 +200,14 @@ class TestTrainDdmp:
         cfg = TrainConfig(epochs=1, seed=0)
         model, _ = train("ddmp", small_rtp, cfg, n_basis_dmp=25)
         assert model.head.task == "rtp"
-        assert model.mlp.n_outputs == 7 * (25 + 1)
+        assert model.mlp.layer_sizes[-1] == 7 * (25 + 1)
         assert model.head.home is not None
 
     def test_wpp_head_includes_start(self, tiny_wpp):
         cfg = TrainConfig(epochs=1, seed=0)
         model, _ = train("ddmp", tiny_wpp, cfg, n_basis_dmp=25)
         assert model.head.task == "wpp"
-        assert model.mlp.n_outputs == 7 * (25 + 2)
+        assert model.mlp.layer_sizes[-1] == 7 * (25 + 2)
 
     def test_predicted_model_round_trip(self, small_rtp):
         cfg = TrainConfig(epochs=2, seed=1)
@@ -226,10 +226,8 @@ class TestTrainDdmp:
         # zero-loss epoch immediately
         head, targets = DmpHead.fit(small_rtp, np.arange(len(small_rtp)),
                                     task="rtp", n_basis_dmp=10, tau=7.6)
-        loss_kind, loss_kwargs = head.loss()
-        assert loss_kind == "ddmp_rtp"
-        losses, grads = batch_loss_and_grad(targets[:4], targets[:4],
-                                            loss_kind, **loss_kwargs)
+        assert head.task == "rtp"
+        losses, grads = head.loss_and_grad(targets[:4], targets[:4])
         assert np.all(losses == 0.0) and np.all(grads == 0.0)
 
 
@@ -243,7 +241,7 @@ class TestEvaluate:
         ds.trajectories[:] = ds.trajectories[0]
         head = PrompHead("rtp", 7, pc, bc)
         targets = head.weights(ds.trajectories)
-        mlp = MlpParams((3, 56), (np.zeros((3, 56)),), (targets[0].copy(),))
+        mlp = MlpParams((3, 56), np.r_[np.zeros(3 * 56), targets[0]])
         model = Model(head, mlp, np.zeros(3), np.ones(3),
                       test_indices=tuple(range(len(ds))))
         records, overall = evaluate(model, ds, np.arange(len(ds)))
