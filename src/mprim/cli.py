@@ -76,6 +76,20 @@ def _parse_hidden(text):
         f"bad hidden layer list {text!r}, expected sizes >= 1, e.g. 64,64")
 
 
+def _int_from(low):
+    """argparse type of an integer >= `low`."""
+    def integer(text):
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {low}, got {text!r}")
+    return integer
+
+
 def _finite(low, inclusive=False):
     """argparse type of a finite number above `low`, or at least `low` when
     `inclusive`."""
@@ -91,9 +105,13 @@ def _finite(low, inclusive=False):
 
 
 def _parse_counts(text):
-    parts = [int(tok) for tok in text.split(",")]
+    try:
+        parts = [_int_from(1)(tok) for tok in text.split(",")]
+    except argparse.ArgumentTypeError:
+        parts = []
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError("counts must be 4 integers a,b,c,d")
+        raise argparse.ArgumentTypeError(
+            f"counts must be 4 integers >= 1, a,b,c,d, got {text!r}")
     return parts
 
 
@@ -114,7 +132,8 @@ def _build_parser():
     gen.add_argument("--out", type=Path, required=True)
     gen.add_argument("--counts", type=_parse_counts, default=None,
                      help="rtp region counts a,b,c,d")
-    gen.add_argument("--trials", type=int, default=WPP_DEFAULT_TRIALS,
+    gen.add_argument("--trials", type=_int_from(1),
+                     default=WPP_DEFAULT_TRIALS,
                      help="wpp trials per pattern/configuration cell")
     gen.add_argument("--noise", type=_finite(0.0, inclusive=True),
                      default=0.0,
@@ -128,20 +147,20 @@ def _build_parser():
                     help="attractor head variant (defaults to dataset kind)")
     tr.add_argument("--split", default=None,
                     help="WPP1..WPP10 pattern split (default: random)")
-    tr.add_argument("--epochs", type=int, default=None,
+    tr.add_argument("--epochs", type=_int_from(0), default=None,
                     help="default 150 for rtp data, 200 for wpp")
-    tr.add_argument("--batch-size", type=int, default=32)
+    tr.add_argument("--batch-size", type=_int_from(1), default=32)
     tr.add_argument("--lr", type=_finite(0.0), default=1e-3)
     tr.add_argument("--seed", type=int, default=None)
     tr.add_argument("--hidden", type=_parse_hidden,
                     default=training.DEFAULT_HIDDEN)
-    tr.add_argument("--n-basis", type=int, default=None,
+    tr.add_argument("--n-basis", type=_int_from(1), default=None,
                     help="default 8 for rtp data, 10 for wpp")
-    tr.add_argument("--n-basis-dmp", type=int,
+    tr.add_argument("--n-basis-dmp", type=_int_from(1),
                     default=training.DEFAULT_N_BASIS_DMP)
     tr.add_argument("--tau", type=_finite(0.0),
                     default=training.DEFAULT_DMP_TAU)
-    tr.add_argument("--patience", type=int, default=20)
+    tr.add_argument("--patience", type=_int_from(1), default=20)
     tr.add_argument("--out", type=Path, required=True)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -13,17 +13,26 @@ In memory, a `DemoDataset` of N demos holds one set of arrays: `contexts`
 (None, "train" or "test"). Every demo shares one phase grid, so the grid
 and the sizes are read from the array shapes.
 
-File format (JSONL, one object per line):
-  line 1   header {"schema": 1, "kind": "rtp"|"wpp", "seed": int,
-                   "sampling_frequency": float, "n_samples": int}
+File format (JSONL, dataset schema 2, one object per line):
+  line 1   header {"schema": 2, "kind": "rtp"|"wpp", "seed": int,
+                   "n_samples": int, "sampling_frequency": float,
+                   "n_samples_per_traj": T, "n_joint": J}
   line 2.. sample {"context": [D floats],
-                   "trajectory": [[n_joint floats] x T]  (row-major, rad),
+                   "trajectory": base64 of T*J float64 (see below),
                    "tags": {...}, "split": null|"train"|"test"}
-Line k + 1 holds demo k. Floats are written with full repr precision, so
-save/load round-trips bit-exactly.
+Line k + 1 holds demo k. The header's last three fields are written only
+when the file holds demos. A trajectory is its (T, J) array in radians,
+row-major, as little-endian float64 bytes, base64-encoded: 8*T*J bytes,
+so the loader decodes each record straight into its row of one array
+allocated from the header. Contexts are written with full repr precision.
+Both round-trip bit-exactly. Schema 1, which spelled trajectories out as
+nested decimal lists, is no longer read: re-run `mprim generate` with the
+arguments in the file's manifest to rewrite such a file.
 """
 
+import base64
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +40,7 @@ import numpy as np
 from mprim.basis import PhaseConfig
 from mprim.errors import DatasetFormatError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_T = 150
 DEFAULT_FS = 150.0
 
@@ -179,10 +188,17 @@ def goal_config(phantom_pos) -> np.ndarray:
         _GOAL_SIN_W @ u)
 
 
-def _wpp_joint_embed(point) -> np.ndarray:
-    u = (np.asarray(point, dtype=float) - _CTX_CENTER) / _CTX_SCALE
-    return HOME_CONFIG + 0.5 * (_WPP_LIN @ u) + _WPP_SIN_AMP * np.sin(
-        _WPP_SIN_W @ u)
+def _wpp_joint_embed(points) -> np.ndarray:
+    """Joint configurations (T, n_joint) of stroke points (T, 3).
+
+    The stacked matmul applies each map to one point at a time, so every
+    row equals the matrix-vector product of that point alone; `u @ M.T`
+    would hand the whole stroke to BLAS, which may round differently.
+    """
+    u = ((np.asarray(points, dtype=float) - _CTX_CENTER) / _CTX_SCALE)[
+        ..., None]
+    return HOME_CONFIG + 0.5 * np.matmul(_WPP_LIN, u)[..., 0] + (
+        _WPP_SIN_AMP * np.sin(np.matmul(_WPP_SIN_W, u)[..., 0]))
 
 
 def _sample_region_xy(rng, region):
@@ -271,8 +287,7 @@ def generate_wpp(seed: int, trials_per_cell: int = WPP_DEFAULT_TRIALS,
                 points = nipple[None, :] + timing[:, None] * (
                     end - nipple)[None, :]
                 contexts.append(wpp_context(config, pattern))
-                trajectories.append(
-                    np.stack([_wpp_joint_embed(p) for p in points]))
+                trajectories.append(_wpp_joint_embed(points))
                 tags.append(
                     {"pattern": pattern, "config": config, "short": short})
     return DemoDataset("wpp", seed, sampling_frequency, np.stack(contexts),
@@ -375,29 +390,36 @@ def apply_split(dataset: DemoDataset, spec: SplitSpec, seed: int):
 # persistence
 
 def save_jsonl(dataset: DemoDataset, path):
-    """Write header plus one record per sample; bit-exact float round trip."""
+    """Write header plus one record per sample; bit-exact round trip."""
     with open(path, "w") as fh:
         header = {"schema": SCHEMA_VERSION, "kind": dataset.kind,
                   "seed": dataset.seed, "n_samples": len(dataset)}
         if len(dataset):
-            header["sampling_frequency"] = float(dataset.sampling_frequency)
+            header.update(
+                sampling_frequency=float(dataset.sampling_frequency),
+                n_samples_per_traj=dataset.n_samples_per_traj,
+                n_joint=dataset.n_joint)
         fh.write(json.dumps(header) + "\n")
         rows = zip(dataset.contexts, dataset.trajectories, dataset.tags,
                    dataset.splits)
         for context, values, tags, split in rows:
+            blob = base64.b64encode(values.astype("<f8").tobytes())
             fh.write(json.dumps({"context": context.tolist(),
-                                 "trajectory": values.tolist(),
+                                 "trajectory": blob.decode("ascii"),
                                  "tags": tags, "split": split}) + "\n")
 
 
 def load_jsonl(path) -> DemoDataset:
     """Inverse of save_jsonl; malformed lines are reported by number.
 
-    The header seed must be an integer and its sampling frequency a
-    positive number. Every record holds a finite context vector and a
-    finite (T >= 2, n_joint) trajectory, both of the first record's
-    shapes, a tags object and a split of null, "train" or "test". The file
-    is read a line at a time and the arrays are stacked once at the end.
+    The header seed must be an integer, its sampling frequency a positive
+    number and its sample count a non-negative integer; a file with demos
+    also declares T >= 2 and n_joint >= 1. Every record holds a finite
+    context vector as wide as the first record's, a base64 trajectory of
+    exactly the header's 8*T*J bytes that decodes to finite values, a
+    tags object and a split of null, "train" or "test". The trajectory
+    array is allocated once from the header, and each record is decoded
+    straight into its row; the count is checked against the records last.
     """
     def fail(line_no, why):
         raise DatasetFormatError(f"{path}: line {line_no}: {why}")
@@ -410,6 +432,13 @@ def load_jsonl(path) -> DemoDataset:
         except json.JSONDecodeError as err:
             fail(line_no, f"invalid JSON ({err.msg})")
 
+    def header_int(name, low):
+        value = header.get(name)
+        if type(value) is not int or value < low:
+            fail(1, f"{name} must be an integer >= {low}, got "
+                    f"{json.dumps(value)}")
+        return value
+
     with open(path) as fh:
         first_line = fh.readline()
         if not first_line:
@@ -419,6 +448,10 @@ def load_jsonl(path) -> DemoDataset:
         if (not isinstance(header, dict)
                 or header.get("kind") not in ("rtp", "wpp")):
             fail(1, "header must be an object whose 'kind' is rtp or wpp")
+        if header.get("schema") == 1:
+            fail(1, f"dataset schema 1 is no longer read; re-run `mprim "
+                    f"generate` with the arguments in {path}.manifest.json "
+                    f"to rewrite it as schema {SCHEMA_VERSION}")
         if header.get("schema") != SCHEMA_VERSION:
             fail(1, f"unsupported schema {header.get('schema')!r}")
         seed = header.get("seed", 0)
@@ -429,27 +462,48 @@ def load_jsonl(path) -> DemoDataset:
                 or not 0.0 < fs < np.inf):
             fail(1, f"sampling_frequency must be a positive number, got "
                     f"{json.dumps(fs)}")
+        n = header_int("n_samples", 0)
+        t = j = room = 0
+        if n:
+            t = header_int("n_samples_per_traj", 2)
+            j = header_int("n_joint", 1)
+            # a record holds at least the base64 of its trajectory, so the
+            # file cannot hold more than `room` records that pass the byte
+            # count: an inflated count allocates no more than that, and a
+            # cut file still fails on the line that was cut
+            room = os.fstat(fh.fileno()).st_size // (4 * -(-8 * t * j // 3))
 
-        rows = []
-        for line_no, line in enumerate(fh, start=2):
+        row_bytes = 8 * t * j
+        trajectories = np.empty((min(n, room), t * j))
+        contexts, tags, splits = None, [], []
+        for k, line in enumerate(fh):
+            line_no = k + 2
+            if k == n:
+                fail(line_no, f"header declares {n} samples, found more")
             record = parse(line_no, line)
             try:
-                row = (np.asarray(record["context"], dtype=float),
-                       np.asarray(record["trajectory"], dtype=float),
-                       record["tags"], record.get("split"))
+                context = np.asarray(record["context"], dtype=float)
+                blob, tag = record["trajectory"], record["tags"]
+                split = record.get("split")
             except (KeyError, TypeError, ValueError) as err:
                 fail(line_no, f"bad record ({err})")
-            context, values, tag, split = row
-            if context.ndim != 1 or values.ndim != 2 or len(values) < 2:
+            try:
+                raw = base64.b64decode(blob, validate=True)
+            except (TypeError, ValueError) as err:   # binascii.Error
+                fail(line_no, f"trajectory is not a base64 string ({err})")
+            if context.ndim != 1 or len(raw) != row_bytes:
                 fail(line_no, f"context shape {context.shape} and trajectory "
-                              f"shape {values.shape} are not (D,) and "
-                              f"(T >= 2, n_joint)")
-            first = rows[0] if rows else row
-            for what, array, want in (("context", context, first[0].shape),
-                                      ("trajectory", values, first[1].shape)):
-                if array.shape != want:
-                    fail(line_no, f"{what} shape {array.shape} differs from "
-                                  f"the first record's {want}")
+                              f"of {len(raw)} bytes are not (D,) and 8*T*J "
+                              f"= {row_bytes} bytes for the header's T = "
+                              f"{t}, n_joint = {j}")
+            if contexts is None:
+                contexts = np.empty((len(trajectories), len(context)))
+            if context.shape != contexts.shape[1:]:
+                fail(line_no, f"context shape {context.shape} differs from "
+                              f"the first record's {contexts.shape[1:]}")
+            row = trajectories[k]
+            row[:] = np.frombuffer(raw, "<f8")
+            for what, array in (("context", context), ("trajectory", row)):
                 if not np.all(np.isfinite(array)):
                     fail(line_no, f"{what} holds a non-finite value")
             if not isinstance(tag, dict):
@@ -458,14 +512,14 @@ def load_jsonl(path) -> DemoDataset:
             if split not in (None, TRAIN, TEST):
                 fail(line_no, f'split must be null, "train" or "test", got '
                               f"{json.dumps(split)}")
-            rows.append(row)
+            contexts[k] = context
+            tags.append(tag)
+            splits.append(split)
 
-    declared = header.get("n_samples")
-    if declared is not None and declared != len(rows):
+    if len(tags) != n:
         raise DatasetFormatError(
-            f"{path}: header declares {declared} samples, found {len(rows)}")
-    if not rows:
+            f"{path}: header declares {n} samples, found {len(tags)}")
+    if not n:
         return DemoDataset(header["kind"], seed, float(fs))
-    contexts, trajectories, tags, splits = zip(*rows)
-    return DemoDataset(header["kind"], seed, float(fs), np.stack(contexts),
-                       np.stack(trajectories), list(tags), list(splits))
+    return DemoDataset(header["kind"], seed, float(fs), contexts,
+                       trajectories.reshape(n, t, j), tags, splits)

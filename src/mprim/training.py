@@ -197,6 +197,22 @@ def _indices(value):
     return tuple(value)
 
 
+def _count(value):
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value}")
+    return value
+
+
+def _positive(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"expected a finite number > 0, got {value}")
+    return float(value)
+
+
 def _vector(value, n):
     out = np.asarray(value, dtype=float)
     if out.shape != (n,):
@@ -416,8 +432,8 @@ class DmpHead(Head):
     @classmethod
     def from_dict(cls, task, n_joint, phase_cfg, d):
         return cls(task, n_joint, phase_cfg,
-                   _field(d, "n_basis_dmp", int),
-                   _field(d, "dmp_tau", float),
+                   _field(d, "n_basis_dmp", _count),
+                   _field(d, "dmp_tau", _positive),
                    _field(d, "home", lambda home: None
                           if home is None and task == "wpp"
                           else _vector(home, n_joint)))

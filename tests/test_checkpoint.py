@@ -107,8 +107,16 @@ def test_uncheckpointable_type(tmp_path):
     ("residual", "mean_source_indices", [1.5], "integer demo indices"),
     ("ddmp", "home", None, "expected 7 numbers, got shape ()"),
     ("ddmp", "n_basis_dmp", [5], "TypeError"),
+    ("ddmp", "n_basis_dmp", 0, "expected an integer >= 1, got 0"),
+    ("ddmp", "n_basis_dmp", 5.0, "TypeError: expected an integer"),
+    ("ddmp", "dmp_tau", -1.0, "expected a finite number > 0, got -1.0"),
+    ("ddmp", "dmp_tau", float("inf"), "expected a finite number > 0"),
+    ("ddmp", "dmp_tau", "1.0", "TypeError: expected a number, got str"),
+    ("ddmp", "dmp_tau", True, "TypeError: expected a number, got bool"),
 ], ids=["means_without_global", "means_width", "mean_source_fraction",
-        "rtp_without_home", "n_basis_dmp_list"])
+        "rtp_without_home", "n_basis_dmp_list", "n_basis_dmp_zero",
+        "n_basis_dmp_float", "tau_negative", "tau_inf", "tau_text",
+        "tau_bool"])
 def test_malformed_head_field_names_file_and_field(tmp_path, method, field,
                                                    value, why):
     # a head field of the wrong type or shape would otherwise broadcast

@@ -309,6 +309,14 @@ class TestNumericFlags:
         ("train", "tau", "inf"),
         ("generate", "noise", "-1"),
         ("generate", "noise", "nan"),
+        ("train", "n_basis", "-2"),
+        ("train", "n_basis_dmp", "0"),
+        ("train", "epochs", "-1"),
+        ("train", "epochs", "2.5"),
+        ("train", "batch_size", "-1"),
+        ("train", "patience", "0"),
+        ("generate", "trials", "0"),
+        ("generate", "counts", "2,0,1,1"),
     ])
     def test_bad_value_is_usage_error(self, small_dataset, tmp_path, capsys,
                                       via, command, dest, value):
@@ -317,8 +325,9 @@ class TestNumericFlags:
                 if command == "train" else ["generate", "--kind", "rtp",
                                             "--counts", "2,1,1,1"])
         argv += ["--out", tmp_path / "out.json"]
+        flag = "--" + dest.replace("_", "-")
         if via == "flag":
-            argv += [f"--{dest}", value]
+            argv += [flag, value]
         else:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({dest: value}))
@@ -327,7 +336,7 @@ class TestNumericFlags:
             run(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert (f"argument --{dest}: " if via == "flag"
+        assert (f"argument {flag}: " if via == "flag"
                 else f"bad value for {dest!r}: ") in err
 
 

@@ -1,17 +1,34 @@
+import base64
 import dataclasses
+import hashlib
 import json
+import os
 import re
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from mprim.dataset import (HOME_CONFIG, RTP_DEFAULT_COUNTS,
+from mprim.dataset import (DEFAULT_FS, HOME_CONFIG, RTP_DEFAULT_COUNTS,
                            RTP_REGION_HALF_EXTENT, WPP_CONFIG_POSITIONS,
                            WPP_SPLITS, DemoDataset, SplitSpec, apply_split,
                            generate_rtp, generate_wpp, load_jsonl, min_jerk,
                            save_jsonl)
 from mprim.errors import DatasetFormatError
+
+
+def _blob(values):
+    """A trajectory as dataset schema 2 stores it."""
+    return base64.b64encode(
+        np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unblob(text, n_joint=7):
+    return np.frombuffer(base64.b64decode(text), "<f8").reshape(-1, n_joint)
 
 
 class TestMinJerk:
@@ -48,6 +65,23 @@ class TestMinJerk:
     def test_too_short(self):
         with pytest.raises(ValueError):
             min_jerk([0.0], [1.0], 1)
+
+
+@pytest.mark.parametrize("make,contexts,trajectories", [
+    (lambda: generate_rtp(seed=1, counts=(6, 3, 2, 2), noise_std=0.01),
+     "824e233c1256a386f20faeb2edab67aa73602a99bc8f24d888119bd9d017da1e",
+     "f22092ba3c8c2af35a25c3211de015bcaee1631da540c5d453d6591ec8457bb5"),
+    (lambda: generate_wpp(seed=1, trials_per_cell=2),
+     "5dd3e1d1db210a4970a1771b330747e9be68a9cfabada045381cfd4e2275f421",
+     "81e729baedb11d41f7045cff1fbbcd9bad375e2f551bee894f11fa68c33ff1f2"),
+], ids=["rtp", "wpp"])
+def test_generated_arrays_are_pinned(make, contexts, trajectories):
+    # the generators' exact output, bit for bit: a manifest plus its seed
+    # must reproduce a dataset on any install and after any refactor
+    ds = make()
+    assert hashlib.sha256(ds.contexts.tobytes()).hexdigest() == contexts
+    assert (hashlib.sha256(ds.trajectories.tobytes()).hexdigest()
+            == trajectories)
 
 
 class TestGenerateRtp:
@@ -307,9 +341,14 @@ class TestPersistence:
             load_jsonl(path)
 
     @pytest.mark.parametrize("field,shape,want", [
-        ("context", (2,), (3,)),
-        ("trajectory", (150, 6), (150, 7)),
-        ("trajectory", (149, 7), (150, 7)),
+        ("context", (2,), "context shape (2,) differs from the first "
+                          "record's (3,)"),
+        ("trajectory", (150, 6), "context shape (3,) and trajectory of 7200 "
+                                 "bytes are not (D,) and 8*T*J = 8400 bytes "
+                                 "for the header's T = 150, n_joint = 7"),
+        ("trajectory", (149, 7), "context shape (3,) and trajectory of 8344 "
+                                 "bytes are not (D,) and 8*T*J = 8400 bytes "
+                                 "for the header's T = 150, n_joint = 7"),
     ], ids=["context_width", "joints", "samples"])
     def test_inconsistent_record_names_line_and_shapes(self, tmp_path,
                                                        field, shape, want):
@@ -317,19 +356,22 @@ class TestPersistence:
         save_jsonl(generate_rtp(seed=1, counts=(2, 1, 1, 1)), path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[3])
-        value = np.asarray(record[field])
-        record[field] = value[tuple(slice(n) for n in shape)].tolist()
+        if field == "trajectory":
+            value = _unblob(record[field])
+            record[field] = _blob(value[tuple(slice(n) for n in shape)])
+        else:
+            value = np.asarray(record[field])
+            record[field] = value[tuple(slice(n) for n in shape)].tolist()
         lines[3] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match=re.escape(
-                f"line 4: {field} shape {shape} differs from the first "
-                f"record's {want}")):
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"line 4: {want}")):
             load_jsonl(path)
 
     @pytest.mark.parametrize("seed", [[1], "x", 1.5, True, None])
     def test_non_integer_seed_rejected(self, tmp_path, seed):
         path = tmp_path / "demos.jsonl"
-        path.write_text(json.dumps({"schema": 1, "kind": "rtp", "seed": seed,
+        path.write_text(json.dumps({"schema": 2, "kind": "rtp", "seed": seed,
                                     "n_samples": 0}) + "\n")
         with pytest.raises(DatasetFormatError, match="line 1: seed"):
             load_jsonl(path)
@@ -351,7 +393,7 @@ class TestRecordValidation:
     @pytest.mark.parametrize("field,value", [
         ("context", [0.5, float("nan"), 0.05]),
         ("context", [float("inf"), 0.0, 0.05]),
-        ("trajectory", [[float("nan")] * 7] * 150),
+        ("trajectory", _blob([[float("nan")] * 7] * 150)),
     ], ids=["context_nan", "context_inf", "trajectory_nan"])
     def test_non_finite_values_rejected(self, tmp_path, field, value):
         path = tmp_path / "demos.jsonl"
@@ -371,11 +413,31 @@ class TestRecordValidation:
         (None, {"split": "half"}, "line 3: split must be"),
         (None, {"tags": [["region", "Z"]]}, "line 3: tags must be"),
         (None, {"context": 0.5}, r"line 3: .* are not \(D,\) and"),
-        (None, {"trajectory": [[0.0] * 7]}, r"line 3: .* \(T >= 2, n_joint"),
+        (None, {"trajectory": _blob([[0.0] * 7])},
+         r"line 3: .* 8\*T\*J = 8400 bytes for the header's T = 150, "),
+        (None, {"trajectory": "AAAA*AAA"},
+         "line 3: trajectory is not a base64"),
+        (None, {"trajectory": [[0.0] * 7] * 150},
+         "line 3: trajectory is not a base64"),
+        (None, {"trajectory": None}, "line 3: trajectory is not a base64"),
+        ({"n_samples_per_traj": 1}, None,
+         "line 1: n_samples_per_traj must be an integer >= 2, got 1"),
+        ({"n_joint": 7.0}, None, "line 1: n_joint must be an integer >= 1"),
+        ({"n_joint": 0}, None, "line 1: n_joint must be an integer >= 1"),
+        ({"n_samples": -1}, None, "line 1: n_samples must be an integer >= 0"),
+        ({"n_samples": None}, None, "line 1: n_samples must be an integer"),
+        ({"n_samples": 10 ** 12}, None, "header declares 1000000000000 "
+                                        "samples, found 5"),
+        ({"n_samples": 4}, None, "line 6: header declares 4 samples, found "
+                                 "more"),
     ], ids=["fs_negative", "fs_text", "fs_zero", "fs_bool", "kind_unknown",
             "split_number",
             "split_half", "tags_pairs", "context_scalar",
-            "one_sample_trajectory"])
+            "one_sample_trajectory", "trajectory_not_base64",
+            "trajectory_list", "trajectory_null", "header_one_sample",
+            "header_float_joints", "header_no_joints", "header_negative_count",
+            "header_null_count", "header_count_beyond_file",
+            "header_count_short"])
     def test_bad_field_names_line(self, tmp_path, header, record, match):
         path = tmp_path / "demos.jsonl"
         _write_edited(path, header=header, record=record)
@@ -384,9 +446,88 @@ class TestRecordValidation:
 
     def test_header_only_file_checks_sampling_frequency(self, tmp_path):
         path = tmp_path / "demos.jsonl"
-        path.write_text(json.dumps({"schema": 1, "kind": "rtp", "seed": 0,
+        path.write_text(json.dumps({"schema": 2, "kind": "rtp", "seed": 0,
                                     "n_samples": 0,
                                     "sampling_frequency": -5}) + "\n")
         with pytest.raises(DatasetFormatError,
                            match="line 1: sampling_frequency must be"):
             load_jsonl(path)
+
+    def test_schema_1_file_asks_to_regenerate(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text("\n".join(json.dumps(line) for line in (
+            {"schema": 1, "kind": "rtp", "seed": 1, "n_samples": 1,
+             "sampling_frequency": 150.0},
+            {"context": [0.55, 0.0, 0.05], "trajectory": [[0.0] * 7] * 2,
+             "tags": {"region": "A"}, "split": None})) + "\n")
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{path}: line 1: dataset schema 1 is no longer read; re-run "
+                f"`mprim generate` with the arguments in "
+                f"{path}.manifest.json")):
+            load_jsonl(path)
+
+
+# every float64 class the format must carry bit for bit, plus any finite one
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-310, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _round_trip(dataset, edit=None):
+    """Save `dataset` to a temporary file, apply `edit` to its list of
+    lines and load it back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "demos.jsonl")
+        save_jsonl(dataset, path)
+        if edit is not None:
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            edit(lines)
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        return load_jsonl(path)
+
+
+class TestFormatProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.tuples(st.integers(1, 4), st.integers(2, 6),
+                            st.integers(1, 4)).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=_FINITE)))
+    def test_finite_trajectories_round_trip_bit_for_bit(self, values):
+        n = len(values)
+        ds = DemoDataset("wpp", 3, DEFAULT_FS, np.zeros((n, 2)), values,
+                         [{}] * n)
+        back = _round_trip(ds)
+        assert back.trajectories.shape == values.shape
+        assert back.trajectories.tobytes() == values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, 4), data=st.data(),
+           corruption=st.sampled_from(
+               ["nan", "inf", "flip", "truncate", "missing"]))
+    def test_corrupt_trajectory_names_its_line(self, k, data, corruption):
+        ds = generate_rtp(seed=1, counts=(2, 1, 1, 1))
+        t, j = ds.n_samples_per_traj, ds.n_joint
+        edit = None
+        if corruption in ("nan", "inf"):
+            ds.trajectories[k, data.draw(st.integers(0, t - 1)),
+                            data.draw(st.integers(0, j - 1))] = (
+                np.nan if corruption == "nan" else -np.inf)
+        else:
+            size = 4 * (8 * t * j // 3)  # 8400 bytes need no padding
+            at = data.draw(st.integers(0, size - 1))
+            bad = data.draw(st.sampled_from("!*-_.:@~ ="))
+
+            def edit(lines):
+                record = json.loads(lines[k + 1])
+                blob = record["trajectory"]
+                if corruption == "flip":
+                    record["trajectory"] = blob[:at] + bad + blob[at + 1:]
+                elif corruption == "truncate":
+                    record["trajectory"] = blob[:at]
+                else:
+                    del record["trajectory"]
+                lines[k + 1] = json.dumps(record)
+        with pytest.raises(DatasetFormatError, match=f"line {k + 2}: "):
+            _round_trip(ds, edit)
