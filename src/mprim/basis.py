@@ -25,14 +25,6 @@ class PhaseConfig:
         if self.duration_samples < 2:
             raise ValueError("duration_samples must be >= 2")
 
-    def to_dict(self):
-        return {"sampling_frequency": float(self.sampling_frequency),
-                "duration_samples": int(self.duration_samples)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(float(d["sampling_frequency"]), int(d["duration_samples"]))
-
 
 @dataclass(frozen=True)
 class BasisConfig:
@@ -72,16 +64,6 @@ class BasisConfig:
         else:
             width = float(z_end) ** 2 if z_end > 0 else 1.0
         return cls(n_basis, tuple(float(c) for c in centers), width)
-
-    def to_dict(self):
-        return {"n_basis": int(self.n_basis),
-                "centers": [float(c) for c in self.centers],
-                "width": float(self.width)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(int(d["n_basis"]), tuple(float(c) for c in d["centers"]),
-                   float(d["width"]))
 
 
 @dataclass(frozen=True)

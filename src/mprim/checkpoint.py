@@ -1,17 +1,27 @@
 """Versioned JSON checkpoints of trained models.
 
-A checkpoint holds one trained `training.Model` and nothing else: a JSON
-object with "schema" (1), "kind" ("trained_model"), the model's payload
-(`Model.to_dict`, which includes its head's fields) and a free-form
-"meta" dict. Arrays are stored as nested lists with full repr precision
-(bit-exact round trip).
+A checkpoint holds one `training.Model` in one JSON object {"schema": 2,
+"kind": "trained_model", "payload": {...}, "meta": {free-form}}. Its
+float arrays are `dataset.encode_f64` strings ("enc" below), as in
+datasets, so they round-trip bit-exactly. The payload (schema 2) holds
+  {"method": "deep-mp"|"residual"|"ddmp", "task": "rtp"|"wpp",
+   "n_joint": J, "sampling_frequency": Hz, "n_samples_per_traj": T,
+   "layer_sizes": [int, ...], "theta": enc of every weight and bias,
+   layer by layer, "ctx_mean": enc, "ctx_std": enc,
+   "train_indices": [int, ...], "test_indices": [int, ...]}
+and then only the fields of its method's head:
+  deep-mp   "n_basis": int (the basis is `basis.default_basis`)
+  residual  "n_basis": int, "mean_weights": {region: enc of J*n_basis}
+  ddmp      "n_basis_dmp": int, "dmp_tau": float, "home": enc of J or null
+Schema 1 (nested decimal lists) is no longer read: re-run `mprim train`
+with the arguments in the checkpoint's manifest to rewrite it.
 """
 
 import json
 
 from mprim.training import Model
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 KIND = "trained_model"
 
 
@@ -30,9 +40,9 @@ def save(model: Model, path, meta=None):
 def load(path) -> Model:
     """Read a checkpoint back into the trained model it was saved from.
 
-    Invalid JSON, a document that is not an object, and a payload field
-    that is missing or of the wrong type or shape raise ValueError naming
-    the file and the JSON line or the field."""
+    Invalid JSON, a document that is not an object, a schema-1 checkpoint
+    and a payload field that is missing or of the wrong type or shape
+    raise ValueError naming the file and the JSON line or the field."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -42,12 +52,15 @@ def load(path) -> Model:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, got a "
                          f"{type(doc).__name__}")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint schema "
-                         f"{doc.get('schema')!r}")
     if doc.get("kind") != KIND:
         raise ValueError(f"{path}: unknown checkpoint kind "
                          f"{doc.get('kind')!r}; expected {KIND!r}")
+    schema = doc.get("schema")
+    if schema != SCHEMA_VERSION:
+        rerun = (f"; re-run `mprim train` with the arguments in {path}"
+                 f".manifest.json to rewrite it" if schema == 1 else "")
+        raise ValueError(f"{path}: unsupported checkpoint schema "
+                         f"{schema!r}{rerun}")
     if not isinstance(doc.get("payload"), dict):
         raise ValueError(f"{path}: missing field 'payload' (an object)")
     try:

@@ -58,13 +58,6 @@ def _write_manifest(path, command, argv, config, seed, inputs, outputs):
         fh.write("\n")
 
 
-def _resolve_seed(value):
-    if value is not None:
-        return value
-    env = os.environ.get("MPRIM_SEED")
-    return int(env) if env else 0
-
-
 def _parse_hidden(text):
     try:
         sizes = tuple(int(tok) for tok in text.split(",") if tok.strip())
@@ -128,7 +121,7 @@ def _build_parser():
 
     gen = sub.add_parser("generate", help="synthesize a demo dataset")
     gen.add_argument("--kind", choices=("rtp", "wpp"), required=True)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=_int_from(0), default=None)
     gen.add_argument("--out", type=Path, required=True)
     gen.add_argument("--counts", type=_parse_counts, default=None,
                      help="rtp region counts a,b,c,d")
@@ -151,7 +144,7 @@ def _build_parser():
                     help="default 150 for rtp data, 200 for wpp")
     tr.add_argument("--batch-size", type=_int_from(1), default=32)
     tr.add_argument("--lr", type=_finite(0.0), default=1e-3)
-    tr.add_argument("--seed", type=int, default=None)
+    tr.add_argument("--seed", type=_int_from(0), default=None)
     tr.add_argument("--hidden", type=_parse_hidden,
                     default=training.DEFAULT_HIDDEN)
     tr.add_argument("--n-basis", type=_int_from(1), default=None,
@@ -167,45 +160,44 @@ def _build_parser():
     ev.add_argument("--data", type=Path, required=True)
     ev.add_argument("--checkpoint", type=Path, required=True)
     ev.add_argument("--outdir", type=Path, required=True)
-    ev.add_argument("--plot-samples", type=int, default=2)
+    ev.add_argument("--plot-samples", type=_int_from(0), default=2)
     ev.add_argument("--chain", type=Path, default=None,
                     help="kinematic chain config (default: built-in chain)")
     return parser
 
 
 def cmd_generate(args, argv):
-    seed = _resolve_seed(args.seed)
     if args.kind == "rtp":
-        dataset = generate_rtp(seed, counts=args.counts,
+        dataset = generate_rtp(args.seed, counts=args.counts,
                                noise_std=args.noise)
     else:
-        dataset = generate_wpp(seed, trials_per_cell=args.trials)
+        dataset = generate_wpp(args.seed, trials_per_cell=args.trials)
     save_jsonl(dataset, args.out)
     config = {"kind": args.kind,
               "counts": args.counts or list(RTP_DEFAULT_COUNTS.values()),
               "trials": args.trials, "noise": args.noise}
     _write_manifest(args.out.with_suffix(args.out.suffix + ".manifest.json"),
-                    "generate", argv, config, seed, _inputs(args), [args.out])
+                    "generate", argv, config, args.seed, _inputs(args),
+                    [args.out])
     print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
 
 
 def cmd_train(args, argv):
-    seed = _resolve_seed(args.seed)
     dataset = load_jsonl(args.data)
     epochs = args.epochs
     if epochs is None:
         epochs = (training.DEFAULT_EPOCHS_WPP if dataset.kind == "wpp"
                   else training.DEFAULT_EPOCHS_RTP)
     cfg = training.TrainConfig(epochs=epochs, batch_size=args.batch_size,
-                               learning_rate=args.lr, seed=seed,
+                               learning_rate=args.lr, seed=args.seed,
                                early_stop_patience=args.patience)
     split = None
     if args.split is not None:
         if args.split not in WPP_SPLITS:
             raise ValueError(f"unknown split {args.split!r}; expected one of "
                              f"{', '.join(WPP_SPLITS)}")
-        split = apply_split(dataset, WPP_SPLITS[args.split], seed)
+        split = apply_split(dataset, WPP_SPLITS[args.split], args.seed)
     model, report = training.train(
         args.method, dataset, cfg, n_basis=args.n_basis, hidden=args.hidden,
         task=args.task, n_basis_dmp=args.n_basis_dmp, tau=args.tau,
@@ -217,7 +209,7 @@ def cmd_train(args, argv):
               "n_basis_dmp": args.n_basis_dmp, "tau": args.tau,
               "split": args.split, "patience": args.patience,
               "data": str(args.data)}
-    meta = {"config": config, "seed": seed,
+    meta = {"config": config, "seed": args.seed,
             "stopping_reason": report.stopping_reason,
             "best_epoch": report.best_epoch,
             "final_epoch": report.final_epoch,
@@ -229,8 +221,8 @@ def cmd_train(args, argv):
     curve_path = args.out.with_name(args.out.stem + "_losses.csv")
     report.write_csv(curve_path)
     _write_manifest(args.out.with_suffix(args.out.suffix + ".manifest.json"),
-                    "train", argv, config, seed, _inputs(args, args.data),
-                    [args.out, curve_path])
+                    "train", argv, config, args.seed,
+                    _inputs(args, args.data), [args.out, curve_path])
     print(f"trained {args.method} for {report.final_epoch} epochs "
           f"({report.stopping_reason}); checkpoint at {args.out}")
     return 0
@@ -240,6 +232,11 @@ def cmd_eval(args, argv):
     dataset = load_jsonl(args.data)
     model = checkpoint.load(args.checkpoint)
     chain = load_chain(args.chain) if args.chain else default_chain()
+    model.check_fits(dataset)
+    if chain.n_joints != dataset.n_joint:
+        raise ValueError(f"kinematic chain {args.chain or '(built-in)'} has "
+                         f"{chain.n_joints} joints, but the dataset's "
+                         f"trajectories have {dataset.n_joint}")
     indices = np.asarray(model.test_indices, dtype=int)
     if len(indices) == 0:
         print("checkpoint has no held-out samples; evaluating full dataset",
@@ -258,7 +255,7 @@ def cmd_eval(args, argv):
     plots.write_metrics_csv(metrics_path, records + [overall])
 
     outputs = [metrics_path]
-    shown = indices[:max(args.plot_samples, 0)]
+    shown = indices[:args.plot_samples]
     preds = model.predict(dataset, shown) if len(shown) else []
     for i, pred_values in zip(shown, preds):
         gt_values = dataset.trajectories[i]
@@ -351,6 +348,12 @@ def main(argv=None):
     if config is not None:
         _apply_config(parser, config)
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) is None:   # --seed not given
+        env = os.environ.get("MPRIM_SEED")
+        try:
+            args.seed = _int_from(0)(env) if env else 0
+        except argparse.ArgumentTypeError as err:
+            parser.error(f"environment variable MPRIM_SEED: {err}")
     handler = {"generate": cmd_generate, "train": cmd_train,
                "eval": cmd_eval}[args.command]
     try:

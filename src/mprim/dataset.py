@@ -22,12 +22,12 @@ File format (JSONL, dataset schema 2, one object per line):
                    "tags": {...}, "split": null|"train"|"test"}
 Line k + 1 holds demo k. The header's last three fields are written only
 when the file holds demos. A trajectory is its (T, J) array in radians,
-row-major, as little-endian float64 bytes, base64-encoded: 8*T*J bytes,
-so the loader decodes each record straight into its row of one array
-allocated from the header. Contexts are written with full repr precision.
-Both round-trip bit-exactly. Schema 1, which spelled trajectories out as
-nested decimal lists, is no longer read: re-run `mprim generate` with the
-arguments in the file's manifest to rewrite such a file.
+row-major, as little-endian float64, base64-encoded (`encode_f64`, as
+in checkpoints): 8*T*J bytes, so the loader decodes each record into its
+row of one array allocated from the header. Contexts keep full repr
+precision; both round-trip bit-exactly. Schema 1 (nested decimal lists)
+is no longer read: re-run `mprim generate` with the arguments in the
+file's manifest to rewrite such a file.
 """
 
 import base64
@@ -389,6 +389,19 @@ def apply_split(dataset: DemoDataset, spec: SplitSpec, seed: int):
 # ---------------------------------------------------------------------------
 # persistence
 
+def encode_f64(values) -> str:
+    """Base64 of `values` as little-endian float64, row-major."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def decode_f64(text) -> np.ndarray:
+    """Inverse of `encode_f64`: a flat read-only view, else ValueError."""
+    try:
+        return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+    except (TypeError, ValueError) as err:   # binascii.Error, odd length
+        raise ValueError(f"not a base64 string of float64 ({err})") from None
+
+
 def save_jsonl(dataset: DemoDataset, path):
     """Write header plus one record per sample; bit-exact round trip."""
     with open(path, "w") as fh:
@@ -403,9 +416,8 @@ def save_jsonl(dataset: DemoDataset, path):
         rows = zip(dataset.contexts, dataset.trajectories, dataset.tags,
                    dataset.splits)
         for context, values, tags, split in rows:
-            blob = base64.b64encode(values.astype("<f8").tobytes())
             fh.write(json.dumps({"context": context.tolist(),
-                                 "trajectory": blob.decode("ascii"),
+                                 "trajectory": encode_f64(values),
                                  "tags": tags, "split": split}) + "\n")
 
 
@@ -488,22 +500,21 @@ def load_jsonl(path) -> DemoDataset:
             except (KeyError, TypeError, ValueError) as err:
                 fail(line_no, f"bad record ({err})")
             try:
-                raw = base64.b64decode(blob, validate=True)
-            except (TypeError, ValueError) as err:   # binascii.Error
-                fail(line_no, f"trajectory is not a base64 string ({err})")
-            if context.ndim != 1 or len(raw) != row_bytes:
+                values = decode_f64(blob)
+            except ValueError as err:
+                fail(line_no, f"trajectory is {err}")
+            if context.ndim != 1 or values.nbytes != row_bytes:
                 fail(line_no, f"context shape {context.shape} and trajectory "
-                              f"of {len(raw)} bytes are not (D,) and 8*T*J "
-                              f"= {row_bytes} bytes for the header's T = "
-                              f"{t}, n_joint = {j}")
+                              f"of {values.nbytes} bytes are not (D,) and "
+                              f"8*T*J = {row_bytes} bytes for the header's "
+                              f"T = {t}, n_joint = {j}")
             if contexts is None:
                 contexts = np.empty((len(trajectories), len(context)))
             if context.shape != contexts.shape[1:]:
                 fail(line_no, f"context shape {context.shape} differs from "
                               f"the first record's {contexts.shape[1:]}")
-            row = trajectories[k]
-            row[:] = np.frombuffer(raw, "<f8")
-            for what, array in (("context", context), ("trajectory", row)):
+            trajectories[k] = values
+            for what, array in (("context", context), ("trajectory", values)):
                 if not np.all(np.isfinite(array)):
                     fail(line_no, f"{what} holds a non-finite value")
             if not isinstance(tag, dict):

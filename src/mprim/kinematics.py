@@ -39,13 +39,6 @@ class KinematicChain:
     def n_joints(self):
         return len(self.a)
 
-    @classmethod
-    def from_dict(cls, obj):
-        return cls(tuple(float(v) for v in obj["a"]),
-                   tuple(float(v) for v in obj["d"]),
-                   tuple(float(v) for v in obj["alpha"]),
-                   tuple(float(v) for v in obj["theta_offset"]))
-
 
 def joint_transform(a, d, alpha, theta):
     """Homogeneous transform of one DH row (distal convention)."""
@@ -110,8 +103,27 @@ def default_chain() -> KinematicChain:
 
 
 def load_chain(path) -> KinematicChain:
+    """Read a chain config. Invalid JSON, a document that is not a chain
+    object and a DH field that is missing or not a list of numbers raise
+    ValueError naming the file and the JSON line or the field."""
     with open(path) as fh:
-        obj = json.load(fh)
-    if obj.get("kind") != "kinematic_chain":
-        raise ValueError(f"{path} is not a kinematic chain config")
-    return KinematicChain.from_dict(obj)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: invalid JSON at line {err.lineno} "
+                             f"column {err.colno}: {err.msg}") from None
+    if not isinstance(obj, dict) or obj.get("kind") != "kinematic_chain":
+        raise ValueError(f"{path} is not a kinematic chain config: expected "
+                         f'a JSON object with "kind": "kinematic_chain"')
+    rows = []
+    for name in ("a", "d", "alpha", "theta_offset"):
+        row = obj.get(name)
+        if not isinstance(row, list) or not all(
+                type(v) in (int, float) for v in row):
+            raise ValueError(f"{path}: field {name!r} must be a list of "
+                             f"numbers, got {json.dumps(row)}")
+        rows.append(tuple(map(float, row)))
+    try:
+        return KinematicChain(*rows)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

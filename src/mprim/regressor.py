@@ -51,7 +51,6 @@ class MlpParams:
 
     layer_sizes: tuple
     theta: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         sizes = self.layer_sizes
@@ -80,32 +79,11 @@ class MlpParams:
     def n_inputs(self):
         return self.layer_sizes[0]
 
-    def to_dict(self):
-        return {"layer_sizes": list(self.layer_sizes),
-                "weights": [w.tolist() for w in self.weights],
-                "biases": [b.tolist() for b in self.biases],
-                "seed": int(self.seed)}
-
-    @classmethod
-    def from_dict(cls, d):
-        """Inverse of `to_dict`; arrays that do not match `layer_sizes`
-        raise ValueError."""
-        sizes = tuple(d["layer_sizes"])
-        params = cls(sizes, np.zeros(_n_parameters(sizes)), int(d["seed"]))
-        views = params.weights + params.biases
-        arrays = [np.asarray(a, float) for a in d["weights"] + d["biases"]]
-        if [a.shape for a in arrays] != [v.shape for v in views]:
-            raise ValueError(f"weight and bias shapes do not match "
-                             f"layer_sizes {list(sizes)}")
-        for view, array in zip(views, arrays):
-            view[...] = array
-        return params
-
 
 def init_mlp(layer_sizes, seed: int = 0) -> MlpParams:
     """Scaled-uniform (Glorot bounds) initialization, zero biases."""
     sizes = tuple(int(s) for s in layer_sizes)
-    params = MlpParams(sizes, np.zeros(_n_parameters(sizes)), seed)
+    params = MlpParams(sizes, np.zeros(_n_parameters(sizes)))
     rng = np.random.default_rng(seed)
     for w in params.weights:
         d_in, d_out = w.shape

@@ -16,7 +16,7 @@ A head owns the method-specific decisions and nothing else: its targets,
 fitted once per demo before training; its loss, which it computes
 (`loss_and_grad`) with the numeric code of `regressor`; the ground-truth
 trajectories of a split; decoding a batch of network outputs into
-(B, T, n_joint) trajectories; and its checkpoint fields.
+(B, T, n_joint) trajectories; and the checkpoint fields only it has.
 
 `train` runs one deterministic minibatch loop for every head (Adam, seeded
 shuffling, best-validation checkpointing, early stopping on the
@@ -27,14 +27,13 @@ scores every head with the same expressions.
 
 import csv
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
 from mprim import dmp as dmp_mod
 from mprim import kernels, metrics
 from mprim.basis import BasisConfig, PhaseConfig, build_phi, default_basis
-from mprim.dataset import DemoDataset
+from mprim.dataset import DemoDataset, decode_f64, encode_f64
 from mprim.errors import IntegrationError
 from mprim.kinematics import KinematicChain, default_chain, final_distances
 from mprim.promp import fit_weights
@@ -175,10 +174,6 @@ def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
 # ---------------------------------------------------------------------------
 # heads
 
-def _arr(x):
-    return np.asarray(x, dtype=float).tolist()
-
-
 def _field(d, name, parse):
     """Checkpoint payload field `name`, through `parse`; a missing field or
     one that `parse` rejects raises ValueError naming it."""
@@ -197,11 +192,11 @@ def _indices(value):
     return tuple(value)
 
 
-def _count(value):
+def _count(value, low=1):
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {type(value).__name__}")
-    if value < 1:
-        raise ValueError(f"expected an integer >= 1, got {value}")
+    if value < low:
+        raise ValueError(f"expected an integer >= {low}, got {value}")
     return value
 
 
@@ -213,10 +208,11 @@ def _positive(value):
     return float(value)
 
 
-def _vector(value, n):
-    out = np.asarray(value, dtype=float)
-    if out.shape != (n,):
-        raise ValueError(f"expected {n} numbers, got shape {out.shape}")
+def _floats(value, n=None):
+    """An `encode_f64` vector as an array of its own (of `n` values)."""
+    out = decode_f64(value).astype(float)
+    if n is not None and len(out) != n:
+        raise ValueError(f"expected {n} float64 values, got {len(out)}")
     return out
 
 
@@ -224,15 +220,15 @@ def _vector(value, n):
 class Head:
     """What the network's output means, for one method.
 
-    `kind` is the method's name in checkpoints. A subclass fits its
-    targets (`fit`), computes its per-sample loss and the loss gradient
-    w.r.t. a batch of network outputs (`loss_and_grad`), decodes such a
-    batch (`decode`), gives the ground truth of a split (`truth`) and
-    lists its checkpoint fields (`to_dict`/`from_dict`). Trajectories are
-    (B, T, n_joint) arrays.
+    A subclass fits its targets (`fit`), computes its per-sample loss and
+    the loss gradient w.r.t. a batch of network outputs (`loss_and_grad`),
+    decodes such a batch (`decode`), gives the ground truth of a split
+    (`truth`) and writes and reads the checkpoint fields only its method
+    has (`to_dict`, `from_dict`): `n_basis` for deep-mp, plus
+    `mean_weights` for residual, and `n_basis_dmp`, `dmp_tau` and `home`
+    for ddmp (see `checkpoint`). Trajectories are (B, T, n_joint) arrays.
     """
 
-    kind: ClassVar[str]
     task: str                 # rtp | wpp
     n_joint: int
     phase_cfg: PhaseConfig
@@ -242,7 +238,6 @@ class Head:
 class PrompHead(Head):
     """deep-mp: the net predicts every joint's ProMP basis weights."""
 
-    kind: ClassVar[str] = "deep_mp"
     basis_cfg: BasisConfig
 
     def __post_init__(self):
@@ -281,12 +276,12 @@ class PrompHead(Head):
         return np.swapaxes(w @ self.phi.values.T, 1, 2)
 
     def to_dict(self):
-        return {"basis_cfg": self.basis_cfg.to_dict()}
+        return {"n_basis": self.basis_cfg.n_basis}
 
     @classmethod
     def from_dict(cls, task, n_joint, phase_cfg, d):
         return cls(task, n_joint, phase_cfg,
-                   _field(d, "basis_cfg", BasisConfig.from_dict))
+                   default_basis(phase_cfg, _field(d, "n_basis", _count)))
 
 
 @dataclass(frozen=True)
@@ -298,9 +293,7 @@ class ResidualHead(PrompHead):
     Decoding adds the demo's mean back.
     """
 
-    kind: ClassVar[str] = "residual_deep_mp"
     mean_weights: dict             # region (or GLOBAL_GROUP) -> flat mean
-    mean_source_indices: tuple     # the demos the means average
 
     @classmethod
     def fit(cls, dataset, train_idx, n_basis=None, **_):
@@ -313,7 +306,7 @@ class ResidualHead(PrompHead):
         for region in dict.fromkeys(r for r in regions if r is not None):
             means[region] = weights[train_idx[regions == region]].mean(axis=0)
         head = cls(base.task, base.n_joint, base.phase_cfg, base.basis_cfg,
-                   means, tuple(map(int, train_idx)))
+                   means)
         return head, weights - head._means(dataset, range(len(dataset)))
 
     @staticmethod
@@ -332,23 +325,21 @@ class ResidualHead(PrompHead):
 
     def to_dict(self):
         return {**super().to_dict(),
-                "mean_weights": {k: _arr(v)
-                                 for k, v in self.mean_weights.items()},
-                "mean_source_indices": list(self.mean_source_indices)}
+                "mean_weights": {k: encode_f64(v)
+                                 for k, v in self.mean_weights.items()}}
 
     @classmethod
     def from_dict(cls, task, n_joint, phase_cfg, d):
-        basis_cfg = _field(d, "basis_cfg", BasisConfig.from_dict)
+        basis_cfg = default_basis(phase_cfg, _field(d, "n_basis", _count))
         width = n_joint * basis_cfg.n_basis
 
         def means(value):
             if GLOBAL_GROUP not in value:
                 raise KeyError(GLOBAL_GROUP)
-            return {k: _vector(v, width) for k, v in value.items()}
+            return {k: _floats(v, width) for k, v in value.items()}
 
         return cls(task, n_joint, phase_cfg, basis_cfg,
-                   _field(d, "mean_weights", means),
-                   _field(d, "mean_source_indices", _indices))
+                   _field(d, "mean_weights", means))
 
 
 @dataclass(frozen=True)
@@ -361,7 +352,6 @@ class DmpHead(Head):
     start of the training demos.
     """
 
-    kind: ClassVar[str] = "ddmp"
     n_basis_dmp: int
     tau: float
     home: np.ndarray               # rtp only, None for wpp
@@ -426,8 +416,8 @@ class DmpHead(Head):
                 f"indices {rows}", rows=rows) from err
 
     def to_dict(self):
-        return {"n_basis_dmp": self.n_basis_dmp, "dmp_tau": self.tau,
-                "home": None if self.home is None else _arr(self.home)}
+        return {"n_basis_dmp": self.n_basis_dmp, "dmp_tau": float(self.tau),
+                "home": None if self.home is None else encode_f64(self.home)}
 
     @classmethod
     def from_dict(cls, task, n_joint, phase_cfg, d):
@@ -436,14 +426,10 @@ class DmpHead(Head):
                    _field(d, "dmp_tau", _positive),
                    _field(d, "home", lambda home: None
                           if home is None and task == "wpp"
-                          else _vector(home, n_joint)))
+                          else _floats(home, n_joint)))
 
 
 HEADS = {"deep-mp": PrompHead, "residual": ResidualHead, "ddmp": DmpHead}
-# checkpoint fields of every head, at the value a head without them writes
-_HEAD_FIELDS = {"basis_cfg": None, "mean_weights": None,
-                "mean_source_indices": [], "n_basis_dmp": 0, "dmp_tau": 0.0,
-                "home": None}
 
 
 @dataclass(frozen=True)
@@ -488,29 +474,33 @@ class Model:
         return self.head.decode(out, dataset, indices)
 
     def to_dict(self):
-        """Checkpoint payload (schema 1)."""
-        return {"model_kind": self.head.kind, "task": self.head.task,
-                "mlp": self.mlp.to_dict(), "ctx_mean": _arr(self.ctx_mean),
-                "ctx_std": _arr(self.ctx_std), "n_joint": self.head.n_joint,
-                "phase_cfg": self.head.phase_cfg.to_dict(),
-                **_HEAD_FIELDS, **self.head.to_dict(),
+        """Checkpoint payload (schema 2; see `checkpoint`)."""
+        head, phase = self.head, self.head.phase_cfg
+        method = next(m for m, cls in HEADS.items() if type(head) is cls)
+        return {"method": method, "task": head.task, "n_joint": head.n_joint,
+                "sampling_frequency": float(phase.sampling_frequency),
+                "n_samples_per_traj": phase.duration_samples,
+                "layer_sizes": list(self.mlp.layer_sizes),
+                "theta": encode_f64(self.mlp.theta),
+                "ctx_mean": encode_f64(self.ctx_mean),
+                "ctx_std": encode_f64(self.ctx_std),
                 "train_indices": list(self.train_indices),
-                "test_indices": list(self.test_indices)}
+                "test_indices": list(self.test_indices), **head.to_dict()}
 
     @classmethod
     def from_dict(cls, d):
         """Inverse of `to_dict`. A field that is missing or of the wrong
         type or shape raises ValueError naming it."""
-        kinds = {head.kind: head for head in HEADS.values()}
-        head_cls = _field(d, "model_kind", lambda kind: kinds[kind])
-        n_joint = _field(d, "n_joint", int)
-        head = head_cls.from_dict(
-            _field(d, "task", str), n_joint,
-            _field(d, "phase_cfg", PhaseConfig.from_dict), d)
-        mlp = _field(d, "mlp", MlpParams.from_dict)
+        phase_cfg = PhaseConfig(
+            _field(d, "sampling_frequency", _positive),
+            _field(d, "n_samples_per_traj", lambda v: _count(v, 2)))
+        head = _field(d, "method", HEADS.__getitem__).from_dict(
+            _field(d, "task", str), _field(d, "n_joint", _count), phase_cfg, d)
+        sizes = _field(d, "layer_sizes", lambda v: tuple(map(_count, v)))
+        mlp = _field(d, "theta", lambda v: MlpParams(sizes, _floats(v)))
         return cls(head, mlp,
-                   _field(d, "ctx_mean", lambda v: _vector(v, mlp.n_inputs)),
-                   _field(d, "ctx_std", lambda v: _vector(v, mlp.n_inputs)),
+                   _field(d, "ctx_mean", lambda v: _floats(v, mlp.n_inputs)),
+                   _field(d, "ctx_std", lambda v: _floats(v, mlp.n_inputs)),
                    _field(d, "train_indices", _indices),
                    _field(d, "test_indices", _indices))
 

@@ -62,12 +62,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BasisConfig(1, (0.0,), 0.0)          # width must be positive
 
-    def test_round_trip_dicts(self):
-        pc = PhaseConfig(150.0, 150)
-        bc = default_basis(pc, 8)
-        assert PhaseConfig.from_dict(pc.to_dict()) == pc
-        assert BasisConfig.from_dict(bc.to_dict()) == bc
-
 
 class TestBasisRow:
     def test_single_basis_is_one_everywhere(self):

@@ -1,25 +1,24 @@
+import inspect
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from mprim import checkpoint
-from mprim.dataset import generate_rtp, generate_wpp
+from mprim import checkpoint, training
+from mprim.basis import PhaseConfig, default_basis
+from mprim.cli import main
+from mprim.dataset import (decode_f64, encode_f64, generate_rtp, generate_wpp,
+                           save_jsonl)
 from mprim.regressor import MlpParams, init_mlp
-from mprim.training import DmpHead, Model, TrainConfig, train
+from mprim.training import (GLOBAL_GROUP, DmpHead, Model, PrompHead,
+                            ResidualHead, TrainConfig, train)
 
-
-def test_mlp_round_trip(tmp_path):
-    # net parameters go through JSON bit for bit
-    params = init_mlp((3, 8, 4), seed=3)
-    path = tmp_path / "mlp.json"
-    path.write_text(json.dumps(params.to_dict()))
-    back = MlpParams.from_dict(json.loads(path.read_text()))
-    assert back.layer_sizes == params.layer_sizes
-    assert back.seed == params.seed
-    for a, b in zip(params.weights + params.biases,
-                    back.weights + back.biases):
-        np.testing.assert_array_equal(a, b)
+METHODS = ("deep-mp", "residual", "ddmp")
 
 
 def test_dmp_model_round_trip(tmp_path):
@@ -45,7 +44,7 @@ def test_trained_model_round_trip_preserves_predictions(tmp_path):
     checkpoint.save(model, path, meta={"note": "test"})
     back = checkpoint.load(path)
     assert isinstance(back, Model)
-    assert back.head.kind == model.head.kind == "residual_deep_mp"
+    assert type(back.head) is type(model.head) is ResidualHead
     np.testing.assert_array_equal(back.predict(ds, np.arange(len(ds))),
                                   model.predict(ds, np.arange(len(ds))))
     assert back.test_indices == model.test_indices
@@ -64,21 +63,53 @@ def test_save_of_loaded_model_is_byte_identical(tmp_path, method):
 
 
 def test_payload_lists_every_head_field_in_schema_order(tmp_path):
-    # schema 1 keeps one field list for every model kind; fields a head
-    # does not use hold their empty values
+    # schema 2: the fields every model has, then only its own head's
+    common = ["method", "task", "n_joint", "sampling_frequency",
+              "n_samples_per_traj", "layer_sizes", "theta", "ctx_mean",
+              "ctx_std", "train_indices", "test_indices"]
+    own = {"deep-mp": ["n_basis"], "residual": ["n_basis", "mean_weights"],
+           "ddmp": ["n_basis_dmp", "dmp_tau", "home"]}
     ds = generate_rtp(seed=3, counts=(6, 3, 2, 2))
-    model, _ = train("deep-mp", ds, TrainConfig(epochs=1, seed=1))
     path = tmp_path / "model.json"
-    checkpoint.save(model, path)
-    payload = json.loads(path.read_text())["payload"]
-    assert list(payload) == [
-        "model_kind", "task", "mlp", "ctx_mean", "ctx_std", "n_joint",
-        "phase_cfg", "basis_cfg", "mean_weights", "mean_source_indices",
-        "n_basis_dmp", "dmp_tau", "home", "train_indices", "test_indices"]
-    assert (payload["model_kind"], payload["mean_weights"],
-            payload["mean_source_indices"], payload["n_basis_dmp"],
-            payload["dmp_tau"], payload["home"]) == ("deep_mp", None, [], 0,
-                                                     0.0, None)
+    for method in METHODS:
+        model, _ = train(method, ds, TrainConfig(epochs=1, seed=1),
+                         n_basis_dmp=5)
+        checkpoint.save(model, path)
+        payload = json.loads(path.read_text())["payload"]
+        assert list(payload) == common + own[method]
+        assert payload["method"] == method
+        assert payload["layer_sizes"] == [3, 64, 64,
+                                          model.mlp.layer_sizes[-1]]
+
+
+def test_schema_1_names_file_and_rerun(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"schema": 1, "kind": "trained_model",
+                                "payload": {"model_kind": "deep_mp"},
+                                "meta": {}}))
+    with pytest.raises(ValueError) as err:
+        checkpoint.load(path)
+    assert str(err.value) == (
+        f"{path}: unsupported checkpoint schema 1; re-run `mprim train` "
+        f"with the arguments in {path}.manifest.json to rewrite it")
+
+
+def test_fields_the_benchmark_reads(tmp_path):
+    # perfbench/run.py `fit_samples_per_epoch` reloads every checkpoint
+    # the train stage writes and counts the samples trained on from these
+    # fields; a checkpoint without them fails the benchmark's reload check
+    data, ckpt = tmp_path / "d.jsonl", tmp_path / "ck.json"
+    save_jsonl(generate_rtp(seed=2, counts=(4, 2, 2, 2)), data)
+    assert main(["train", "--data", str(data), "--method", "deep-mp",
+                 "--epochs", "3", "--seed", "0", "--out", str(ckpt)]) == 0
+    assert list(inspect.signature(checkpoint.load).parameters) == ["path"]
+    train_indices = checkpoint.load(ckpt).train_indices
+    assert len(train_indices) == 8
+    assert all(type(i) is int for i in train_indices)
+    with open(ckpt) as fh:
+        assert json.load(fh)["meta"]["final_epoch"] == 3
+    val_fraction = training.TrainConfig.val_fraction_of_train
+    assert isinstance(val_fraction, float) and 0.0 < val_fraction < 1.0
 
 
 def test_unknown_kind_rejected(tmp_path):
@@ -101,11 +132,11 @@ def test_uncheckpointable_type(tmp_path):
 
 
 @pytest.mark.parametrize("method,field,value,why", [
-    ("residual", "mean_weights", {"A": [0.0] * 56}, "KeyError: '__global__'"),
-    ("residual", "mean_weights", {"__global__": [0.0]},
-     "expected 56 numbers, got shape (1,)"),
-    ("residual", "mean_source_indices", [1.5], "integer demo indices"),
-    ("ddmp", "home", None, "expected 7 numbers, got shape ()"),
+    ("residual", "mean_weights", {"A": encode_f64([0.0] * 56)},
+     "KeyError: '__global__'"),
+    ("residual", "mean_weights", {"__global__": encode_f64([0.0])},
+     "expected 56 float64 values, got 1"),
+    ("ddmp", "home", None, "not a base64 string of float64"),
     ("ddmp", "n_basis_dmp", [5], "TypeError"),
     ("ddmp", "n_basis_dmp", 0, "expected an integer >= 1, got 0"),
     ("ddmp", "n_basis_dmp", 5.0, "TypeError: expected an integer"),
@@ -113,10 +144,9 @@ def test_uncheckpointable_type(tmp_path):
     ("ddmp", "dmp_tau", float("inf"), "expected a finite number > 0"),
     ("ddmp", "dmp_tau", "1.0", "TypeError: expected a number, got str"),
     ("ddmp", "dmp_tau", True, "TypeError: expected a number, got bool"),
-], ids=["means_without_global", "means_width", "mean_source_fraction",
-        "rtp_without_home", "n_basis_dmp_list", "n_basis_dmp_zero",
-        "n_basis_dmp_float", "tau_negative", "tau_inf", "tau_text",
-        "tau_bool"])
+], ids=["means_without_global", "means_width", "rtp_without_home",
+        "n_basis_dmp_list", "n_basis_dmp_zero", "n_basis_dmp_float",
+        "tau_negative", "tau_inf", "tau_text", "tau_bool"])
 def test_malformed_head_field_names_file_and_field(tmp_path, method, field,
                                                    value, why):
     # a head field of the wrong type or shape would otherwise broadcast
@@ -134,3 +164,96 @@ def test_malformed_head_field_names_file_and_field(tmp_path, method, field,
     assert str(err.value).startswith(
         f"{path}: payload field {field!r} is malformed (")
     assert why in str(err.value)
+
+
+# every finite float64, with the edge values named
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-310, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_PC = PhaseConfig(10.0, 8)
+
+
+def _model(method, floats):
+    """A small model of `method` whose arrays come from `floats(n)`."""
+    n_joint, n_basis = 2, 3
+    if method == "ddmp":
+        head = DmpHead("rtp", n_joint, _PC, n_basis, 5.0, floats(n_joint))
+        width = n_joint * (n_basis + 1)
+    else:
+        basis = default_basis(_PC, n_basis)
+        width = n_joint * n_basis
+        head = (PrompHead("rtp", n_joint, _PC, basis) if method == "deep-mp"
+                else ResidualHead("rtp", n_joint, _PC, basis,
+                                  {GLOBAL_GROUP: floats(width),
+                                   "A": floats(width)}))
+    sizes = (3, 4, width)
+    mlp = MlpParams(sizes, floats(4 * 4 + 5 * width))
+    return Model(head, mlp, floats(3), floats(3), (0, 2), (1,))
+
+
+def _arrays(model):
+    head = model.head
+    return [model.mlp.theta, model.ctx_mean, model.ctx_std,
+            *getattr(head, "mean_weights", {}).values(),
+            *([head.home] if getattr(head, "home", None) is not None
+              else [])]
+
+
+class TestFormatProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(method=st.sampled_from(METHODS), data=st.data())
+    def test_finite_arrays_round_trip_bit_for_bit(self, method, data):
+        model = _model(method, lambda n: data.draw(
+            hnp.arrays(np.float64, n, elements=_FINITE)))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = (os.path.join(tmp, name)
+                             for name in ("a.json", "b.json"))
+            checkpoint.save(model, first)
+            back = checkpoint.load(first)
+            checkpoint.save(back, second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+        assert type(back.head) is type(model.head)
+        for want, got in zip(_arrays(model), _arrays(back), strict=True):
+            assert got.dtype == np.float64
+            assert got.flags.owndata and got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(method=st.sampled_from(METHODS), data=st.data(),
+           corruption=st.sampled_from(["char", "truncate", "length"]))
+    def test_corrupt_array_names_file_and_field(self, method, data,
+                                                corruption):
+        model = _model(method, lambda n: np.linspace(-1.0, 1.0, n))
+        fields = [("theta",), ("ctx_mean",), ("ctx_std",),
+                  *{"residual": [("mean_weights", "A"),
+                                 ("mean_weights", GLOBAL_GROUP)],
+                    "ddmp": [("home",)]}.get(method, [])]
+        path_in_payload = data.draw(st.sampled_from(fields))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            checkpoint.save(model, path)
+            with open(path) as fh:
+                doc = json.load(fh)
+            parent = doc["payload"]
+            for key in path_in_payload[:-1]:
+                parent = parent[key]
+            key = path_in_payload[-1]
+            blob = parent[key]
+            if corruption == "length":
+                values = decode_f64(blob)
+                parent[key] = encode_f64(
+                    values[:-1] if data.draw(st.booleans())
+                    else np.append(values, 0.0))
+            else:
+                at = data.draw(st.integers(0, len(blob) - 1))
+                parent[key] = (blob[:at] if corruption == "truncate" else
+                               blob[:at] + data.draw(st.sampled_from(
+                                   "!*-_.:@~ \u00e9")) + blob[at + 1:])
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            with pytest.raises(ValueError) as err:
+                checkpoint.load(path)
+        assert str(err.value).startswith(
+            f"{path}: payload field {path_in_payload[0]!r} is malformed (")

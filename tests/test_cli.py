@@ -10,9 +10,10 @@ import pytest
 from mprim import checkpoint
 from mprim.basis import PhaseConfig, default_basis
 from mprim.cli import main
-from mprim.dataset import generate_rtp, generate_wpp, load_jsonl, save_jsonl
+from mprim.dataset import (encode_f64, generate_rtp, generate_wpp, load_jsonl,
+                           save_jsonl)
 from mprim.regressor import MlpParams
-from mprim.training import Model, PrompHead
+from mprim.training import Model, PrompHead, ResidualHead
 
 
 def run(args):
@@ -97,7 +98,7 @@ class TestTrain:
         ckpt = tmp_path / "ck.json"
         assert run(["train", "--data", data, "--method", "residual",
                     "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
-        assert checkpoint.load(ckpt).head.kind == "residual_deep_mp"
+        assert type(checkpoint.load(ckpt).head) is ResidualHead
 
     def test_ddmp_rtp_head_excludes_start(self, small_dataset, tmp_path):
         ckpt = tmp_path / "ck.json"
@@ -204,30 +205,32 @@ class TestEval:
         assert "unknown checkpoint kind 'mlp_params'" in err
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda doc: without(doc, "payload", "phase_cfg"),
-         "payload lacks field 'phase_cfg'"),
+        (lambda doc: without(doc, "payload", "n_samples_per_traj"),
+         "payload lacks field 'n_samples_per_traj'"),
         (lambda doc: without(doc, "payload", "task"),
          "payload lacks field 'task'"),
         (lambda doc: without(doc, "payload"), "missing field 'payload'"),
         (lambda doc: json.dumps([doc]), "expected a JSON object, got a list"),
         (lambda doc: "{", "invalid JSON at line 1 column 2"),
-        (lambda doc: replaced(doc, 5, "payload", "mlp"),
-         "payload field 'mlp' is malformed (TypeError: "),
-        (lambda doc: replaced(doc, [[0.0] * 64] * 2, "payload", "mlp",
-                              "weights", 0),
-         "payload field 'mlp' is malformed (ValueError: weight and bias "
-         "shapes do not match layer_sizes [3, 64, 64, 56])"),
-        (lambda doc: replaced(doc, [0.0], "payload", "ctx_mean"),
+        (lambda doc: replaced(doc, 5, "payload", "theta"),
+         "payload field 'theta' is malformed (ValueError: not a base64 "
+         "string of float64 ("),
+        (lambda doc: replaced(doc, [3, 64, 56], "payload", "layer_sizes"),
+         "payload field 'theta' is malformed (ValueError: theta has shape "
+         "(8056,); layer_sizes (3, 64, 56) need (3896,))"),
+        (lambda doc: replaced(doc, encode_f64([0.0]), "payload", "ctx_mean"),
          "payload field 'ctx_mean' is malformed (ValueError: expected 3 "
-         "numbers, got shape (1,))"),
+         "float64 values, got 1)"),
         (lambda doc: replaced(doc, [0.5], "payload", "test_indices"),
          "payload field 'test_indices' is malformed (ValueError: expected "
          "a list of integer demo indices)"),
         (lambda doc: replaced(doc, [True], "payload", "train_indices"),
          "payload field 'train_indices' is malformed"),
+        (lambda doc: replaced(doc, "deep_mp", "payload", "method"),
+         "payload field 'method' is malformed (KeyError: 'deep_mp')"),
     ], ids=["no_phase_cfg", "no_task", "no_payload", "list", "bad_json",
             "mlp_number", "mlp_layer_shape", "ctx_mean_width",
-            "fractional_index", "bool_index"])
+            "fractional_index", "bool_index", "method_unknown"])
     def test_malformed_checkpoint_names_file(self, small_dataset, tmp_path,
                                              capsys, edit, message):
         ckpt = tmp_path / "ck.json"
@@ -279,6 +282,47 @@ class TestEval:
         assert (f"error: demo index {bad} is outside the dataset, which has "
                 "5 demos") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,message", [
+        ("[1, 2]", "is not a kinematic chain config"),
+        (json.dumps({"kind": "kinematic_chain", "a": [0.1] * 7,
+                     "alpha": [0.0] * 7, "theta_offset": [0.0] * 7}),
+         "field 'd' must be a list of numbers, got null"),
+        (json.dumps({"kind": "kinematic_chain", "a": [0.1] * 7,
+                     "d": ["0.1"] * 7, "alpha": [0.0] * 7,
+                     "theta_offset": [0.0] * 7}),
+         "field 'd' must be a list of numbers"),
+        ("{bad", "invalid JSON at line 1 column 2"),
+    ], ids=["list", "no_d", "d_text", "bad_json"])
+    def test_malformed_chain_names_file(self, small_dataset, tmp_path,
+                                        capsys, content, message):
+        ckpt, chain = tmp_path / "ck.json", tmp_path / "chain.json"
+        assert run(["train", "--data", small_dataset, "--method", "deep-mp",
+                    "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
+        chain.write_text(content)
+        capsys.readouterr()
+        assert run(["eval", "--data", small_dataset, "--checkpoint", ckpt,
+                    "--outdir", tmp_path / "o", "--chain", chain]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {chain}" in err and message in err
+
+    def test_chain_joint_count_checked_first(self, small_dataset, tmp_path,
+                                             capsys):
+        # a 2-joint chain on 7-joint data fails before anything is
+        # evaluated or written
+        ckpt, chain = tmp_path / "ck.json", tmp_path / "chain.json"
+        assert run(["train", "--data", small_dataset, "--method", "deep-mp",
+                    "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
+        chain.write_text(json.dumps({
+            "kind": "kinematic_chain", "a": [0.3, 0.2], "d": [0.0, 0.0],
+            "alpha": [0.0, 0.0], "theta_offset": [0.0, 0.0]}))
+        capsys.readouterr()
+        outdir = tmp_path / "o"
+        assert run(["eval", "--data", small_dataset, "--checkpoint", ckpt,
+                    "--outdir", outdir, "--chain", chain]) == 1
+        assert (f"error: kinematic chain {chain} has 2 joints, but the "
+                f"dataset's trajectories have 7") in capsys.readouterr().err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("method", ["deep-mp", "residual", "ddmp"])
     def test_sample_csvs_are_numeric(self, small_dataset, tmp_path, method):
         ckpt = tmp_path / "ck.json"
@@ -317,14 +361,21 @@ class TestNumericFlags:
         ("train", "patience", "0"),
         ("generate", "trials", "0"),
         ("generate", "counts", "2,0,1,1"),
+        ("generate", "seed", "-1"),
+        ("train", "seed", "-1"),
+        ("train", "seed", "1.5"),
+        ("eval", "plot_samples", "-3"),
     ])
     def test_bad_value_is_usage_error(self, small_dataset, tmp_path, capsys,
                                       via, command, dest, value):
-        argv = (["train", "--data", small_dataset, "--method", "ddmp",
-                 "--epochs", "1", "--n-basis-dmp", "5"]
-                if command == "train" else ["generate", "--kind", "rtp",
-                                            "--counts", "2,1,1,1"])
-        argv += ["--out", tmp_path / "out.json"]
+        argv = {"train": ["train", "--data", small_dataset, "--method", "ddmp",
+                          "--epochs", "1", "--n-basis-dmp", "5"],
+                "generate": ["generate", "--kind", "rtp", "--counts",
+                             "2,1,1,1"],
+                "eval": ["eval", "--data", small_dataset, "--checkpoint",
+                         tmp_path / "ck.json"]}[command]
+        argv += ["--outdir" if command == "eval" else "--out",
+                 tmp_path / "out"]
         flag = "--" + dest.replace("_", "-")
         if via == "flag":
             argv += [flag, value]
@@ -338,6 +389,23 @@ class TestNumericFlags:
         err = capsys.readouterr().err
         assert (f"argument {flag}: " if via == "flag"
                 else f"bad value for {dest!r}: ") in err
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("value", ["abc", "-4", "1.5"])
+    def test_bad_env_seed_is_usage_error(self, small_dataset, tmp_path,
+                                         capsys, monkeypatch, command, value):
+        # MPRIM_SEED stands in for --seed and is checked like it
+        monkeypatch.setenv("MPRIM_SEED", value)
+        out = tmp_path / "out.json"
+        argv = (["train", "--data", small_dataset, "--method", "deep-mp",
+                 "--epochs", "1"] if command == "train"
+                else ["generate", "--kind", "rtp", "--counts", "2,1,1,1"])
+        with pytest.raises(SystemExit) as exit_info:
+            run([*argv, "--out", out])
+        assert exit_info.value.code == 2
+        assert not out.exists()
+        assert (f"environment variable MPRIM_SEED: expected an integer >= 0, "
+                f"got {value!r}") in capsys.readouterr().err
 
 
 class TestConfigFile:
