@@ -5,7 +5,7 @@ Every representation downstream works through the T x N basis matrix whose
 row t holds the normalized Gaussian activations at z(t); rows sum to one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,9 +68,16 @@ class BasisConfig:
 
 @dataclass(frozen=True)
 class PhiMatrix:
-    """T x N basis matrix; row t is the activation vector at phase z(t)."""
+    """T x N basis matrix; row t is the activation vector at phase z(t).
+
+    `gram` is the N x N Gram matrix values.T @ values, computed once. It is
+    the normal matrix of the ridge fit and, since |Phi d|^2 = d^T gram d,
+    it lets the trajectory loss score weight residuals without building
+    trajectories.
+    """
 
     values: np.ndarray
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.values
@@ -82,6 +89,7 @@ class PhiMatrix:
             raise ValueError("basis matrix entries must lie in [0, 1]")
         if np.max(np.abs(v.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("basis matrix rows must sum to 1")
+        object.__setattr__(self, "gram", v.T @ v)
 
     @property
     def n_samples(self):

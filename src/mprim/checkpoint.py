@@ -19,6 +19,7 @@ with the arguments in the checkpoint's manifest to rewrite it.
 
 import json
 
+from mprim.jsonio import read_json_object
 from mprim.training import Model
 
 SCHEMA_VERSION = 2
@@ -40,18 +41,11 @@ def save(model: Model, path, meta=None):
 def load(path) -> Model:
     """Read a checkpoint back into the trained model it was saved from.
 
-    Invalid JSON, a document that is not an object, a schema-1 checkpoint
-    and a payload field that is missing or of the wrong type or shape
-    raise ValueError naming the file and the JSON line or the field."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON at line {err.lineno} "
-                             f"column {err.colno}: {err.msg}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object, got a "
-                         f"{type(doc).__name__}")
+    Text that is not UTF-8 or not JSON, a document that is not an object,
+    a schema-1 checkpoint and a payload field that is missing or of the
+    wrong type or shape raise ValueError naming the file and the byte,
+    the JSON line or the field."""
+    doc = read_json_object(path)
     if doc.get("kind") != KIND:
         raise ValueError(f"{path}: unknown checkpoint kind "
                          f"{doc.get('kind')!r}; expected {KIND!r}")

@@ -27,6 +27,7 @@ from mprim import checkpoint, plots, training
 from mprim.dataset import (RTP_DEFAULT_COUNTS, WPP_DEFAULT_TRIALS, WPP_SPLITS,
                            apply_split, generate_rtp, generate_wpp,
                            load_jsonl, save_jsonl)
+from mprim.jsonio import read_json_object
 from mprim.kinematics import default_chain, fk_positions, load_chain
 
 
@@ -304,19 +305,11 @@ def _apply_config(parser, path):
     across subcommands, so a key need only belong to one of them. An
     unreadable or malformed file, an unknown key or a bad value exits 2."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            values = json.load(fh)
+        values = read_json_object(path)
     except OSError as err:
         parser.error(f"cannot read config file {path}: {err.strerror}")
-    except UnicodeDecodeError as err:
-        parser.error(f"config file {path}: not UTF-8 text at byte "
-                     f"{err.start}")
-    except json.JSONDecodeError as err:
-        parser.error(f"config file {path}: invalid JSON at line {err.lineno} "
-                     f"column {err.colno}: {err.msg}")
-    if not isinstance(values, dict):
-        parser.error(f"config file {path}: expected a JSON object of flag "
-                     f"defaults, got a {type(values).__name__}")
+    except ValueError as err:
+        parser.error(f"config file {err}")
     actions = {}
     for sub in parser._subparsers._group_actions[0].choices.values():
         for action in sub._actions:

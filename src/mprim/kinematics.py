@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mprim.jsonio import read_json_object
+
 
 @dataclass(frozen=True)
 class KinematicChain:
@@ -103,16 +105,12 @@ def default_chain() -> KinematicChain:
 
 
 def load_chain(path) -> KinematicChain:
-    """Read a chain config. Invalid JSON, a document that is not a chain
-    object and a DH field that is missing or not a list of numbers raise
-    ValueError naming the file and the JSON line or the field."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON at line {err.lineno} "
-                             f"column {err.colno}: {err.msg}") from None
-    if not isinstance(obj, dict) or obj.get("kind") != "kinematic_chain":
+    """Read a chain config. Text that is not UTF-8 or not JSON, a document
+    that is not a chain object and a DH field that is missing or not a
+    list of numbers raise ValueError naming the file and the byte, the
+    JSON line or the field."""
+    obj = read_json_object(path, "a kinematic chain config")
+    if obj.get("kind") != "kinematic_chain":
         raise ValueError(f"{path} is not a kinematic chain config: expected "
                          f'a JSON object with "kind": "kinematic_chain"')
     rows = []

@@ -34,7 +34,7 @@ def fit_weights(values, phi: PhiMatrix, ridge: float = DEFAULT_RIDGE):
             f"{phi.n_samples}")
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    gram = phi.values.T @ phi.values + ridge * np.eye(phi.n_basis)
+    gram = phi.gram + ridge * np.eye(phi.n_basis)
     if ridge == 0.0:
         cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > _MAX_CONDITION:

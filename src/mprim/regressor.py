@@ -18,7 +18,10 @@ Each head chooses its loss (`training.Head.loss_and_grad`) and computes it
 with `trajectory_loss` (the summed per-joint RMSE of the trajectories two
 weight vectors generate through the basis matrix) or `rms_loss` (a scaled
 RMS of a parameter residual). Both give per-sample losses and their
-gradients w.r.t. the predictions.
+gradients w.r.t. the predictions. `trajectory_loss` works in Gram form:
+a joint's weight residual d generates the trajectory residual Phi d, and
+|Phi d|^2 / T = d^T (Phi^T Phi) d / T, so it needs the basis matrix's
+n_basis-wide Gram matrix only, never the T-long trajectories.
 """
 
 from dataclasses import dataclass
@@ -109,20 +112,23 @@ def mlp_forward(params: MlpParams, ctx):
 # ---------------------------------------------------------------------------
 # losses (value + gradient w.r.t. the prediction)
 
-def trajectory_loss(pred, gt, phi_values, n_joint):
+def trajectory_loss(pred, gt, phi, n_joint):
     """Per-sample trajectory loss of (B, n_joint*n_basis) weight rows and
-    its gradient w.r.t. `pred`."""
+    its gradient w.r.t. `pred`.
+
+    Per sample and joint, with d = pred - gt and G = phi.gram, the RMSE
+    of the trajectory residual Phi d is r = sqrt(d^T G d / T) and its
+    gradient is G d / (T r), taken as 0 where r == 0. The loss of a sample
+    is the sum of r over its joints."""
     b, width = pred.shape
-    n_basis = width // n_joint
-    t = phi_values.shape[0]
-    diff = (pred - gt).reshape(b, n_joint, n_basis)
-    traj_err = diff @ phi_values.T                      # (b, n_joint, T)
-    per_joint = np.sqrt(np.mean(traj_err ** 2, axis=2))  # (b, n_joint)
-    losses = per_joint.sum(axis=1)
+    t = phi.n_samples
+    diff = (pred - gt).reshape(b * n_joint, width // n_joint)
+    gd = diff @ phi.gram
+    per_joint = np.sqrt(np.maximum((diff * gd).sum(axis=1), 0.0) / t)
     safe = np.where(per_joint > 0.0, per_joint, 1.0)
-    grad = traj_err @ phi_values / (t * safe[:, :, None])
+    grad = gd / (t * safe[:, None])
     grad[per_joint == 0.0] = 0.0                        # flat at the optimum
-    return losses, grad.reshape(b, width)
+    return per_joint.reshape(b, n_joint).sum(axis=1), grad.reshape(b, width)
 
 
 def rms_loss(delta, scale):

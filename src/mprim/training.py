@@ -48,6 +48,7 @@ DEFAULT_N_BASIS_DMP = 25
 DEFAULT_DMP_TAU = 7.6
 GOAL_WEIGHT = 100.0   # rtp attractor loss: weight of the goal residual
 GLOBAL_GROUP = "__global__"
+TASKS = ("rtp", "wpp")
 
 
 @dataclass(frozen=True)
@@ -208,6 +209,22 @@ def _positive(value):
     return float(value)
 
 
+def _task(value):
+    if value not in TASKS:
+        raise ValueError(f"expected 'rtp' or 'wpp', got {value!r}")
+    return value
+
+
+def _layer_sizes(value, head):
+    """`layer_sizes` as a tuple of counts whose last is `head`'s width."""
+    sizes = tuple(map(_count, value))
+    if sizes[-1:] != (head.width,):
+        raise ValueError(f"the net's last layer has "
+                         f"{sizes[-1] if sizes else 0} outputs; its head "
+                         f"takes {head.width}")
+    return sizes
+
+
 def _floats(value, n=None):
     """An `encode_f64` vector as an array of its own (of `n` values)."""
     out = decode_f64(value).astype(float)
@@ -223,8 +240,9 @@ class Head:
     A subclass fits its targets (`fit`), computes its per-sample loss and
     the loss gradient w.r.t. a batch of network outputs (`loss_and_grad`),
     decodes such a batch (`decode`), gives the ground truth of a split
-    (`truth`) and writes and reads the checkpoint fields only its method
-    has (`to_dict`, `from_dict`): `n_basis` for deep-mp, plus
+    (`truth`), says how many network outputs it takes (`width`), and
+    writes and reads the checkpoint fields only its method has
+    (`to_dict`, `from_dict`): `n_basis` for deep-mp, plus
     `mean_weights` for residual, and `n_basis_dmp`, `dmp_tau` and `home`
     for ddmp (see `checkpoint`). Trajectories are (B, T, n_joint) arrays.
     """
@@ -263,7 +281,11 @@ class PrompHead(Head):
 
     def loss_and_grad(self, pred, target):
         """The trajectory-space loss of (B, n_joint*n_basis) weights."""
-        return trajectory_loss(pred, target, self.phi.values, self.n_joint)
+        return trajectory_loss(pred, target, self.phi, self.n_joint)
+
+    @property
+    def width(self):
+        return self.n_joint * self.basis_cfg.n_basis
 
     def decode(self, out, dataset, indices):
         return self._trajectories(out)
@@ -361,7 +383,7 @@ class DmpHead(Head):
             n_basis_dmp=DEFAULT_N_BASIS_DMP, tau=DEFAULT_DMP_TAU, **_):
         """(head, attractor parameters of every demo)."""
         task = dataset.kind if task is None else task
-        if task not in ("rtp", "wpp"):
+        if task not in TASKS:
             raise ValueError(f"unknown task {task!r}")
         home = None
         if task == "rtp":
@@ -391,6 +413,11 @@ class DmpHead(Head):
         lw, gw = rms_loss(pred[:, :-j] - target[:, :-j], 1.0)
         lg, gg = rms_loss(pred[:, -j:] - target[:, -j:], GOAL_WEIGHT)
         return lw + lg, np.hstack([gw, gg])
+
+    @property
+    def width(self):
+        return self.n_joint * (self.n_basis_dmp
+                               + (1 if self.task == "rtp" else 2))
 
     def decode(self, out, dataset, indices):
         j, n = self.n_joint, self.n_basis_dmp
@@ -495,8 +522,9 @@ class Model:
             _field(d, "sampling_frequency", _positive),
             _field(d, "n_samples_per_traj", lambda v: _count(v, 2)))
         head = _field(d, "method", HEADS.__getitem__).from_dict(
-            _field(d, "task", str), _field(d, "n_joint", _count), phase_cfg, d)
-        sizes = _field(d, "layer_sizes", lambda v: tuple(map(_count, v)))
+            _field(d, "task", _task), _field(d, "n_joint", _count), phase_cfg,
+            d)
+        sizes = _field(d, "layer_sizes", lambda v: _layer_sizes(v, head))
         mlp = _field(d, "theta", lambda v: MlpParams(sizes, _floats(v)))
         return cls(head, mlp,
                    _field(d, "ctx_mean", lambda v: _floats(v, mlp.n_inputs)),

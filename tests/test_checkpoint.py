@@ -166,6 +166,45 @@ def test_malformed_head_field_names_file_and_field(tmp_path, method, field,
     assert why in str(err.value)
 
 
+@pytest.mark.parametrize("method,field,value,named,why", [
+    ("deep-mp", "n_basis", 7, "layer_sizes",
+     "ValueError: the net's last layer has 56 outputs; its head takes 49"),
+    ("residual", "task", "xyz", "task",
+     "ValueError: expected 'rtp' or 'wpp', got 'xyz'"),
+    ("ddmp", "task", "xyz", "task",
+     "ValueError: expected 'rtp' or 'wpp', got 'xyz'"),
+    ("ddmp", "task", "wpp", "layer_sizes",
+     "ValueError: the net's last layer has 42 outputs; its head takes 49"),
+    ("ddmp", "n_basis_dmp", 6, "layer_sizes",
+     "ValueError: the net's last layer has 42 outputs; its head takes 49"),
+], ids=["n_basis_width", "residual_task", "ddmp_task", "ddmp_task_width",
+        "n_basis_dmp_width"])
+def test_head_that_does_not_fit_net_names_file_and_field(
+        tmp_path, method, field, value, named, why):
+    # an unknown task or a head whose width is not the net's output used
+    # to load, then evaluate silently (residual) or fail deep in numpy
+    ds = generate_rtp(seed=1, counts=(6, 3, 2, 2))
+    model, _ = train(method, ds, TrainConfig(epochs=1, seed=1),
+                     n_basis_dmp=5)
+    path = tmp_path / "model.json"
+    checkpoint.save(model, path)
+    doc = json.loads(path.read_text())
+    doc["payload"][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        checkpoint.load(path)
+    assert str(err.value) == (f"{path}: payload field {named!r} is "
+                              f"malformed ({why})")
+
+
+def test_non_utf8_checkpoint_names_file(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"kind": "\xff"}\n')
+    with pytest.raises(ValueError) as err:
+        checkpoint.load(path)
+    assert str(err.value) == f"{path}: not UTF-8 text at byte 10"
+
+
 # every finite float64, with the edge values named
 _FINITE = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,

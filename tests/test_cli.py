@@ -228,15 +228,25 @@ class TestEval:
          "payload field 'train_indices' is malformed"),
         (lambda doc: replaced(doc, "deep_mp", "payload", "method"),
          "payload field 'method' is malformed (KeyError: 'deep_mp')"),
+        (lambda doc: replaced(doc, "xyz", "payload", "task"),
+         "payload field 'task' is malformed (ValueError: expected 'rtp' or "
+         "'wpp', got 'xyz')"),
+        (lambda doc: replaced(doc, 7, "payload", "n_basis"),
+         "payload field 'layer_sizes' is malformed (ValueError: the net's "
+         "last layer has 56 outputs; its head takes 49)"),
+        (lambda doc: b'{"payload": "\xff"}', "not UTF-8 text at byte 13"),
     ], ids=["no_phase_cfg", "no_task", "no_payload", "list", "bad_json",
             "mlp_number", "mlp_layer_shape", "ctx_mean_width",
-            "fractional_index", "bool_index", "method_unknown"])
+            "fractional_index", "bool_index", "method_unknown",
+            "task_unknown", "head_width", "not_utf8"])
     def test_malformed_checkpoint_names_file(self, small_dataset, tmp_path,
                                              capsys, edit, message):
         ckpt = tmp_path / "ck.json"
         assert run(["train", "--data", small_dataset, "--method", "deep-mp",
                     "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
-        ckpt.write_text(edit(json.loads(ckpt.read_text())))
+        content = edit(json.loads(ckpt.read_text()))
+        ckpt.write_bytes(content if isinstance(content, bytes)
+                         else content.encode())
         capsys.readouterr()
         assert run(["eval", "--data", small_dataset, "--checkpoint", ckpt,
                     "--outdir", tmp_path / "o"]) == 1
@@ -292,13 +302,15 @@ class TestEval:
                      "theta_offset": [0.0] * 7}),
          "field 'd' must be a list of numbers"),
         ("{bad", "invalid JSON at line 1 column 2"),
-    ], ids=["list", "no_d", "d_text", "bad_json"])
+        (b'{"kind": "\xff"}', "not UTF-8 text at byte 10"),
+    ], ids=["list", "no_d", "d_text", "bad_json", "not_utf8"])
     def test_malformed_chain_names_file(self, small_dataset, tmp_path,
                                         capsys, content, message):
         ckpt, chain = tmp_path / "ck.json", tmp_path / "chain.json"
         assert run(["train", "--data", small_dataset, "--method", "deep-mp",
                     "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
-        chain.write_text(content)
+        chain.write_bytes(content if isinstance(content, bytes)
+                          else content.encode())
         capsys.readouterr()
         assert run(["eval", "--data", small_dataset, "--checkpoint", ckpt,
                     "--outdir", tmp_path / "o", "--chain", chain]) == 1

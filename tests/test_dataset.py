@@ -266,6 +266,33 @@ class TestSplits:
         with pytest.raises(ValueError):
             SplitSpec("bad", tuple(enumerate(["train"] * 6, start=1)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(WPP_SPLITS)),
+           data_seed=st.integers(0, 2 ** 32 - 1),
+           trials=st.integers(1, 3),
+           split_seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_spec_splits_a_generated_dataset(self, name, data_seed,
+                                                   trials, split_seed):
+        # train and test are disjoint sorted index sets; whole-pattern
+        # dispositions land on their side, half patterns keep the extra
+        # demo of each cell on the train side, unused patterns appear on
+        # neither, and together they cover every used demo
+        ds = generate_wpp(seed=data_seed, trials_per_cell=trials,
+                          n_samples_traj=8)
+        train_idx, test_idx = apply_split(ds, WPP_SPLITS[name], split_seed)
+        assert np.all(np.diff(train_idx) > 0) and np.all(np.diff(test_idx) > 0)
+        assert set(train_idx).isdisjoint(test_idx)
+        exp_train, exp_test, half, unused = EXPECTED_DISPOSITIONS[name]
+        train_patterns = {ds.tags[i]["pattern"] for i in train_idx}
+        test_patterns = {ds.tags[i]["pattern"] for i in test_idx}
+        assert train_patterns == exp_train | half
+        assert test_patterns == exp_test | (half if trials > 1 else set())
+        used = {i for i, t in enumerate(ds.tags) if t["pattern"] not in unused}
+        assert used == set(train_idx) | set(test_idx)
+        assert ds.splits == ["train" if i in set(train_idx) else "test"
+                             if i in set(test_idx) else None
+                             for i in range(len(ds))]
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):

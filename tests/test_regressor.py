@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mprim import kernels
-from mprim.basis import PhaseConfig, default_basis
+from mprim.basis import PhaseConfig, build_phi, default_basis
+from mprim.promp import DEFAULT_RIDGE, fit_weights
 from mprim.regressor import (BETA1, BETA2, EPSILON, MlpParams, adam_init,
                              adam_step, init_mlp, mlp_forward)
 from mprim.training import DmpHead, PrompHead, batch_loss_and_grad
@@ -285,6 +286,83 @@ class TestGradients:
         with pytest.raises(ValueError, match="differs from target shape"):
             batch_loss_and_grad(traj_head(), np.zeros((1, 5)),
                                 np.zeros((2, 5)))
+
+
+def t_space_loss_and_grad(phi, n_joint, pred, gt):
+    """The trajectory loss built from the T-long residual Phi d of every
+    (sample, joint): the sum over joints of RMS(Phi d), and its gradient
+    Phi^T Phi d / (T * RMS)."""
+    b = len(pred)
+    d = (pred - gt).reshape(b, n_joint, -1)
+    traj = d @ phi.values.T                              # (b, n_joint, T)
+    rms = np.sqrt(np.mean(traj ** 2, axis=2))
+    grad = traj @ phi.values / (phi.n_samples * rms[:, :, None])
+    return rms.sum(axis=1), grad
+
+
+class TestGramForm:
+    """`trajectory_loss` scores d = pred - gt through the Gram matrix
+    Phi^T Phi instead of the trajectories Phi d."""
+
+    PC150 = PhaseConfig(30.0, 150)
+
+    @pytest.mark.parametrize("n_basis", [8, 10], ids=["rtp", "wpp"])
+    def test_matches_trajectory_space_formula(self, n_basis):
+        # 7 joints x 8 (rtp) or 10 (wpp) bases at T = 150. Losses agree to
+        # rtol 1e-12. A gradient entry can be a cancellation of larger
+        # terms, so each entry agrees to 1e-12 of the largest entry of its
+        # (sample, joint) block.
+        head = PrompHead("rtp", 7, self.PC150, default_basis(self.PC150,
+                                                             n_basis))
+        rng = np.random.default_rng(n_basis)
+        for _ in range(20):
+            gt = 10.0 * rng.standard_normal((32, 7 * n_basis))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0, (32, 1))
+            pred = gt + scale * rng.uniform(-1.0, 1.0, gt.shape)
+            losses, grad = head.loss_and_grad(pred, gt)
+            want_losses, want_grad = t_space_loss_and_grad(head.phi, 7,
+                                                           pred, gt)
+            np.testing.assert_allclose(losses, want_losses, rtol=1e-12,
+                                       atol=0.0)
+            err = np.abs(grad.reshape(want_grad.shape) - want_grad)
+            block = np.abs(want_grad).max(axis=2, keepdims=True)
+            assert np.all(err <= 1e-12 * block)
+
+    def test_zero_residual_row_has_zero_loss_and_gradient(self):
+        head = PrompHead("rtp", 7, self.PC150, default_basis(self.PC150, 8))
+        rng = np.random.default_rng(1)
+        gt = rng.standard_normal((3, 56))
+        pred = gt + rng.standard_normal((3, 56))
+        pred[1] = gt[1]
+        losses, grad = head.loss_and_grad(pred, gt)
+        assert losses[1] == 0.0 and np.all(grad[1] == 0.0)
+        assert np.all(losses[[0, 2]] > 0.0)
+        assert np.all(np.isfinite(grad))
+
+    def test_zero_residual_joint_has_zero_gradient_only_there(self):
+        head = PrompHead("rtp", 7, self.PC150, default_basis(self.PC150, 8))
+        rng = np.random.default_rng(2)
+        gt = rng.standard_normal((2, 56))
+        pred = gt + rng.standard_normal((2, 56))
+        pred[0, 3 * 8:4 * 8] = gt[0, 3 * 8:4 * 8]           # joint 3
+        _, grad = head.loss_and_grad(pred, gt)
+        per_joint = np.abs(grad.reshape(2, 7, 8)).max(axis=2)
+        assert per_joint[0, 3] == 0.0
+        assert np.all(np.delete(per_joint[0], 3) > 0.0)
+        assert np.all(per_joint[1] > 0.0)
+
+    @pytest.mark.parametrize("pc,n_basis", [(PhaseConfig(30.0, 150), 8),
+                                            (PhaseConfig(30.0, 150), 10),
+                                            (PhaseConfig(30.0, 30), 5)])
+    def test_fit_through_gram_is_bit_identical(self, pc, n_basis):
+        phi = build_phi(pc, default_basis(pc, n_basis))
+        np.testing.assert_array_equal(phi.gram, phi.values.T @ phi.values)
+        q = np.random.default_rng(3).standard_normal((pc.duration_samples,
+                                                      21))
+        written_out = np.linalg.solve(
+            phi.values.T @ phi.values + DEFAULT_RIDGE * np.eye(n_basis),
+            phi.values.T @ q).T
+        assert fit_weights(q, phi).tobytes() == written_out.tobytes()
 
 
 class TestAdam:

@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mprim import dmp as dmp_mod
 from mprim import kinematics, metrics
@@ -67,6 +69,17 @@ class TestSplits:
     def test_two_samples_train_side(self):
         train_idx, test_idx = random_split(2, 0.85, seed=0)
         assert len(train_idx) == 2 and len(test_idx) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 400),
+           fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sorted_disjoint_cover_with_train_side(self, n, fraction, seed):
+        train_idx, test_idx = random_split(n, fraction, seed)
+        assert len(train_idx) >= 1
+        assert np.all(np.diff(train_idx) > 0) and np.all(np.diff(test_idx) > 0)
+        assert sorted([*train_idx.tolist(), *test_idx.tolist()]) == list(
+            range(n))
 
 
 class TestTrainDeepMp:
