@@ -1,8 +1,9 @@
-"""Phase function and normalized Gaussian basis matrix.
+"""Phase grid and normalized Gaussian basis matrix.
 
 Trajectories are expressed over a phase z(t) = t / f (no time modulation).
 Every representation downstream works through the T x N basis matrix whose
 row t holds the normalized Gaussian activations at z(t); rows sum to one.
+The basis is set by the phase grid and its size N alone (`build_phi`).
 """
 
 from dataclasses import dataclass, field
@@ -24,46 +25,6 @@ class PhaseConfig:
             raise ValueError("sampling_frequency must be > 0")
         if self.duration_samples < 2:
             raise ValueError("duration_samples must be >= 2")
-
-
-@dataclass(frozen=True)
-class BasisConfig:
-    """Normalized-Gaussian basis: center per basis plus one shared width.
-
-    Centers are in phase units and must be strictly increasing; width is
-    the (phase-units squared) denominator scale of the exponentials.
-    """
-
-    n_basis: int
-    centers: tuple
-    width: float
-
-    def __post_init__(self):
-        if self.n_basis < 1:
-            raise ValueError("n_basis must be >= 1")
-        if len(self.centers) != self.n_basis:
-            raise ValueError("centers length must equal n_basis")
-        if not self.width > 0:
-            raise ValueError("width must be > 0")
-        c = np.asarray(self.centers, dtype=float)
-        if self.n_basis > 1 and not np.all(np.diff(c) > 0):
-            raise ValueError("centers must be strictly increasing")
-
-    @classmethod
-    def evenly_spaced(cls, n_basis, z_end):
-        """Default placement: centers evenly over [0, z_end] inclusive.
-
-        Width is the squared center spacing, which puts the crossing point
-        of adjacent bases around 0.6 and keeps the Gram matrix
-        well-conditioned. With a single basis the spacing is undefined, so
-        the width falls back to z_end**2 (or 1 for a degenerate span).
-        """
-        centers = np.linspace(0.0, float(z_end), n_basis)
-        if n_basis > 1:
-            width = float((centers[1] - centers[0]) ** 2)
-        else:
-            width = float(z_end) ** 2 if z_end > 0 else 1.0
-        return cls(n_basis, tuple(float(c) for c in centers), width)
 
 
 @dataclass(frozen=True)
@@ -100,30 +61,22 @@ class PhiMatrix:
         return self.values.shape[1]
 
 
-def phase(t, cfg: PhaseConfig) -> float:
-    """Phase value of sample t, i.e. t / sampling_frequency."""
-    if not 0 <= t < cfg.duration_samples:
-        raise IndexError(
-            f"sample index {t} outside [0, {cfg.duration_samples})")
-    return t / cfg.sampling_frequency
-
-
 def phase_grid(cfg: PhaseConfig) -> np.ndarray:
     """Phase values of all samples, shape (duration_samples,)."""
     return np.arange(cfg.duration_samples, dtype=float) / cfg.sampling_frequency
 
 
-def default_basis(phase_cfg: PhaseConfig, n_basis: int) -> BasisConfig:
-    """Evenly spaced basis over the realized phase span of phase_cfg."""
-    z_end = phase(phase_cfg.duration_samples - 1, phase_cfg)
-    return BasisConfig.evenly_spaced(n_basis, z_end)
+def build_phi(phase_cfg: PhaseConfig, n_basis: int) -> PhiMatrix:
+    """Basis matrix of `n_basis` normalized Gaussians over the phase grid.
 
-
-def build_phi(phase_cfg: PhaseConfig, basis_cfg: BasisConfig) -> PhiMatrix:
-    """Stack basis rows for every sample of the phase grid."""
-    values = kernels.basis_matrix(
-        phase_grid(phase_cfg), np.asarray(basis_cfg.centers), basis_cfg.width)
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError(
-            "basis activations underflowed on part of the phase grid")
-    return PhiMatrix(values)
+    The centers lie evenly over the realized span [0, (T-1)/f], ends
+    included. The shared width is the squared center spacing (the squared
+    span for a single basis), which puts the crossing point of adjacent
+    bases around 0.6 and keeps the Gram matrix well-conditioned.
+    """
+    if n_basis < 1:
+        raise ValueError(f"n_basis must be >= 1, got {n_basis}")
+    z = phase_grid(phase_cfg)
+    centers = np.linspace(0.0, z[-1], n_basis)
+    spacing = centers[1] - centers[0] if n_basis > 1 else z[-1]
+    return PhiMatrix(kernels.basis_matrix(z, centers, float(spacing ** 2)))

@@ -10,9 +10,11 @@ datasets, so they round-trip bit-exactly. The payload (schema 2) holds
    layer by layer, "ctx_mean": enc, "ctx_std": enc,
    "train_indices": [int, ...], "test_indices": [int, ...]}
 and then only the fields of its method's head:
-  deep-mp   "n_basis": int (the basis is `basis.default_basis`)
+  deep-mp   "n_basis": int (`basis.build_phi` sets the basis from it
+            and the phase grid)
   residual  "n_basis": int, "mean_weights": {region: enc of J*n_basis}
   ddmp      "n_basis_dmp": int, "dmp_tau": float, "home": enc of J or null
+Every array value must be finite, and every `ctx_std` entry > 0.
 Schema 1 (nested decimal lists) is no longer read: re-run `mprim train`
 with the arguments in the checkpoint's manifest to rewrite it.
 """

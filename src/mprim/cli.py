@@ -23,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from mprim import checkpoint, plots, training
+from mprim import checkpoint, kinematics, plots, training
 from mprim.dataset import (RTP_DEFAULT_COUNTS, WPP_DEFAULT_TRIALS, WPP_SPLITS,
                            apply_split, generate_rtp, generate_wpp,
                            load_jsonl, save_jsonl)
 from mprim.jsonio import read_json_object
-from mprim.kinematics import default_chain, fk_positions, load_chain
+from mprim.kinematics import default_chain, load_chain
 
 
 def _sha256(path):
@@ -244,7 +244,8 @@ def cmd_eval(args, argv):
               file=sys.stderr)
         indices = np.arange(len(dataset))
 
-    records, overall = training.evaluate(model, dataset, indices, chain)
+    records, overall, pred = training.evaluate(model, dataset, indices,
+                                               chain)
     seen = {rec.group for rec in records}
     everywhere = set(training.group_keys(dataset).tolist())
     for missing in sorted(everywhere - seen):
@@ -256,16 +257,16 @@ def cmd_eval(args, argv):
     plots.write_metrics_csv(metrics_path, records + [overall])
 
     outputs = [metrics_path]
-    shown = indices[:args.plot_samples]
-    preds = model.predict(dataset, shown) if len(shown) else []
-    for i, pred_values in zip(shown, preds):
+    # the plotted samples are the first rows that `evaluate` scored
+    for i, pred_values in zip(indices[:args.plot_samples], pred):
         gt_values = dataset.trajectories[i]
         joints_path = args.outdir / f"sample_{int(i)}_joints.csv"
         ee_path = args.outdir / f"sample_{int(i)}_ee_path.csv"
         svg_path = args.outdir / f"sample_{int(i)}_overlay.svg"
         plots.write_joint_csv(joints_path, gt_values, pred_values)
-        plots.write_ee_path_csv(ee_path, fk_positions(chain, gt_values),
-                                fk_positions(chain, pred_values))
+        plots.write_ee_path_csv(ee_path,
+                                kinematics.fk_position(chain, gt_values),
+                                kinematics.fk_position(chain, pred_values))
         plots.write_overlay_svg(svg_path, gt_values, pred_values)
         outputs += [joints_path, ee_path, svg_path]
 

@@ -4,6 +4,8 @@ The chain is a list of Denavit-Hartenberg rows applied in the distal
 convention, Rz(theta) Tz(d) Tx(a) Rx(alpha), so a single revolute joint
 with link length a sweeps the link in the XY plane. Joint positions are
 radians, link parameters meters; reports convert to millimeters.
+`fk_position` takes joint positions of any shape (..., n_joints), so one
+call covers a whole split or trajectory.
 `load_chain` reads a chain from a JSON file of the form
 {"kind": "kinematic_chain", "a": [...], "d": [...], "alpha": [...],
 "theta_offset": [...]}, one entry per joint.
@@ -43,35 +45,31 @@ class KinematicChain:
 
 
 def joint_transform(a, d, alpha, theta):
-    """Homogeneous transform of one DH row (distal convention)."""
-    ct, st = math.cos(theta), math.sin(theta)
+    """Homogeneous transform of one DH row (distal convention). An array
+    `theta` gives one transform per entry, shape theta.shape + (4, 4)."""
+    ct, st = np.cos(theta), np.sin(theta)
     ca, sa = math.cos(alpha), math.sin(alpha)
-    return np.array([
-        [ct, -st * ca, st * sa, a * ct],
-        [st, ct * ca, -ct * sa, a * st],
-        [0.0, sa, ca, d],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
+    entries = np.broadcast_arrays(ct, -st * ca, st * sa, a * ct,
+                                  st, ct * ca, -ct * sa, a * st,
+                                  0.0, sa, ca, d,
+                                  0.0, 0.0, 0.0, 1.0)
+    return np.stack(entries, axis=-1).reshape(np.shape(theta) + (4, 4))
 
 
 def fk_position(chain: KinematicChain, q) -> np.ndarray:
-    """Translation of the final chain frame for joint positions q, meters."""
+    """Translation of the final chain frame, meters, for joint positions
+    `q` of shape (..., n_joints); returns shape (..., 3). One stack of 4x4
+    transforms per joint covers every row of `q`."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (chain.n_joints,):
+    if q.shape[-1:] != (chain.n_joints,):
         raise ValueError(
             f"expected {chain.n_joints} joint values, got shape {q.shape}")
-    frame = np.eye(4)
+    frame = np.broadcast_to(np.eye(4), q.shape[:-1] + (4, 4))
     for j in range(chain.n_joints):
         frame = frame @ joint_transform(chain.a[j], chain.d[j],
                                         chain.alpha[j],
-                                        q[j] + chain.theta_offset[j])
-    return frame[:3, 3].copy()
-
-
-def fk_positions(chain: KinematicChain, q_rows) -> np.ndarray:
-    """fk_position for every row of a (T, n_joints) array."""
-    q_rows = np.asarray(q_rows, dtype=float)
-    return np.stack([fk_position(chain, row) for row in q_rows])
+                                        q[..., j] + chain.theta_offset[j])
+    return frame[..., :3, 3].copy()
 
 
 def final_distances(pred, truth, chain: KinematicChain) -> np.ndarray:
@@ -83,9 +81,13 @@ def final_distances(pred, truth, chain: KinematicChain) -> np.ndarray:
     if len(pred) != len(truth):
         raise ValueError(f"{len(pred)} predictions but {len(truth)} "
                          "ground-truth trajectories")
-    return np.array([np.linalg.norm(fk_position(chain, p[-1])
-                                    - fk_position(chain, g[-1]))
-                     for p, g in zip(pred, truth)])
+    if not len(pred):
+        return np.zeros(0)
+    diff = (fk_position(chain, np.asarray(pred, float)[:, -1])
+            - fk_position(chain, np.asarray(truth, float)[:, -1]))
+    # a row times a column is the BLAS dot of np.linalg.norm on one row, so
+    # each distance is the per-row norm bit for bit
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None]).reshape(-1))
 
 
 # Stand-in 7-joint chain. The real arm's kinematic parameters are not part

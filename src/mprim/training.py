@@ -32,7 +32,7 @@ import numpy as np
 
 from mprim import dmp as dmp_mod
 from mprim import kernels, metrics
-from mprim.basis import BasisConfig, PhaseConfig, build_phi, default_basis
+from mprim.basis import PhaseConfig, build_phi
 from mprim.dataset import DemoDataset, decode_f64, encode_f64
 from mprim.errors import IntegrationError
 from mprim.kinematics import KinematicChain, default_chain, final_distances
@@ -101,6 +101,15 @@ def random_split(n: int, train_fraction: float, seed: int):
     order = np.random.default_rng(seed).permutation(n)
     n_train = min(n, max(1, int(round(train_fraction * n))))
     return np.sort(order[:n_train]), np.sort(order[n_train:])
+
+
+def _check_inside(indices, n, what):
+    """Raise ValueError unless every entry of `indices` indexes one of `n`
+    demos."""
+    outside = indices[(indices < 0) | (indices >= n)]
+    if len(outside):
+        raise ValueError(f"{what} index {outside[0]} is outside the dataset, "
+                         f"which has {n} demos")
 
 
 def _fit_scaler(contexts):
@@ -225,11 +234,16 @@ def _layer_sizes(value, head):
     return sizes
 
 
-def _floats(value, n=None):
-    """An `encode_f64` vector as an array of its own (of `n` values)."""
+def _floats(value, n=None, positive=False):
+    """An `encode_f64` vector of finite values (`n` of them, each > 0 when
+    `positive`) as an array of its own."""
     out = decode_f64(value).astype(float)
     if n is not None and len(out) != n:
         raise ValueError(f"expected {n} float64 values, got {len(out)}")
+    bad = np.flatnonzero(~np.isfinite(out) | (positive & (out <= 0.0)))
+    if len(bad):
+        raise ValueError(f"value {bad[0]} is {float(out[bad[0]])}; expected "
+                         f"finite numbers{' > 0' if positive else ''}")
     return out
 
 
@@ -256,20 +270,18 @@ class Head:
 class PrompHead(Head):
     """deep-mp: the net predicts every joint's ProMP basis weights."""
 
-    basis_cfg: BasisConfig
+    n_basis: int
 
     def __post_init__(self):
-        object.__setattr__(self, "phi",
-                           build_phi(self.phase_cfg, self.basis_cfg))
+        object.__setattr__(self, "phi", build_phi(self.phase_cfg,
+                                                  self.n_basis))
 
     @classmethod
     def fit(cls, dataset, train_idx, n_basis=None, **_):
         """(head, fitted weights of every demo)."""
         if n_basis is None:
             n_basis = DEFAULT_N_BASIS[dataset.kind]
-        phase_cfg = dataset.phase_cfg
-        head = cls(dataset.kind, dataset.n_joint, phase_cfg,
-                   default_basis(phase_cfg, n_basis))
+        head = cls(dataset.kind, dataset.n_joint, dataset.phase_cfg, n_basis)
         return head, head.weights(dataset.trajectories)
 
     def weights(self, trajectories):
@@ -285,7 +297,7 @@ class PrompHead(Head):
 
     @property
     def width(self):
-        return self.n_joint * self.basis_cfg.n_basis
+        return self.n_joint * self.n_basis
 
     def decode(self, out, dataset, indices):
         return self._trajectories(out)
@@ -298,12 +310,11 @@ class PrompHead(Head):
         return np.swapaxes(w @ self.phi.values.T, 1, 2)
 
     def to_dict(self):
-        return {"n_basis": self.basis_cfg.n_basis}
+        return {"n_basis": self.n_basis}
 
     @classmethod
     def from_dict(cls, task, n_joint, phase_cfg, d):
-        return cls(task, n_joint, phase_cfg,
-                   default_basis(phase_cfg, _field(d, "n_basis", _count)))
+        return cls(task, n_joint, phase_cfg, _field(d, "n_basis", _count))
 
 
 @dataclass(frozen=True)
@@ -327,7 +338,7 @@ class ResidualHead(PrompHead):
         means = {GLOBAL_GROUP: weights[train_idx].mean(axis=0)}
         for region in dict.fromkeys(r for r in regions if r is not None):
             means[region] = weights[train_idx[regions == region]].mean(axis=0)
-        head = cls(base.task, base.n_joint, base.phase_cfg, base.basis_cfg,
+        head = cls(base.task, base.n_joint, base.phase_cfg, base.n_basis,
                    means)
         return head, weights - head._means(dataset, range(len(dataset)))
 
@@ -352,15 +363,14 @@ class ResidualHead(PrompHead):
 
     @classmethod
     def from_dict(cls, task, n_joint, phase_cfg, d):
-        basis_cfg = default_basis(phase_cfg, _field(d, "n_basis", _count))
-        width = n_joint * basis_cfg.n_basis
+        n_basis = _field(d, "n_basis", _count)
 
         def means(value):
             if GLOBAL_GROUP not in value:
                 raise KeyError(GLOBAL_GROUP)
-            return {k: _floats(v, width) for k, v in value.items()}
+            return {k: _floats(v, n_joint * n_basis) for k, v in value.items()}
 
-        return cls(task, n_joint, phase_cfg, basis_cfg,
+        return cls(task, n_joint, phase_cfg, n_basis,
                    _field(d, "mean_weights", means))
 
 
@@ -492,10 +502,7 @@ class Model:
         (B, T, n_joint). An index outside the dataset raises ValueError."""
         self.check_fits(dataset)
         indices = np.asarray(indices, dtype=int)
-        outside = indices[(indices < 0) | (indices >= len(dataset))]
-        if len(outside):
-            raise ValueError(f"demo index {outside[0]} is outside the "
-                             f"dataset, which has {len(dataset)} demos")
+        _check_inside(indices, len(dataset), "demo")
         ctx = dataset.contexts[indices]
         out = mlp_forward(self.mlp, (ctx - self.ctx_mean) / self.ctx_std)
         return self.head.decode(out, dataset, indices)
@@ -528,7 +535,8 @@ class Model:
         mlp = _field(d, "theta", lambda v: MlpParams(sizes, _floats(v)))
         return cls(head, mlp,
                    _field(d, "ctx_mean", lambda v: _floats(v, mlp.n_inputs)),
-                   _field(d, "ctx_std", lambda v: _floats(v, mlp.n_inputs)),
+                   _field(d, "ctx_std",
+                          lambda v: _floats(v, mlp.n_inputs, positive=True)),
                    _field(d, "train_indices", _indices),
                    _field(d, "test_indices", _indices))
 
@@ -545,8 +553,9 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
     `n_basis` is the ProMP basis size (default 8 for rtp data, 10 for
     wpp); `task`, `n_basis_dmp` and `tau` set the attractor head, whose
     variant defaults to the dataset kind. `split` is (train, test)
-    indices; by default a seeded random split. Returns (Model,
-    TrainReport).
+    indices; by default a seeded random split. A split with no train
+    demo, an index outside the dataset or a demo on both sides raises
+    ValueError. Returns (Model, TrainReport).
     """
     if method not in HEADS:
         raise ValueError(f"unknown method {method!r}; "
@@ -556,6 +565,14 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
     if split is None:
         split = random_split(len(dataset), cfg.train_fraction, cfg.seed)
     train_idx, test_idx = (np.asarray(idx, int) for idx in split)
+    if not len(train_idx):   # an empty test side is allowed
+        raise ValueError("the split's train side is empty")
+    _check_inside(train_idx, len(dataset), "train")
+    _check_inside(test_idx, len(dataset), "test")
+    both = set(train_idx.tolist()) & set(test_idx.tolist())
+    if both:
+        raise ValueError(f"demo {min(both)} is on both the train and the "
+                         f"test side of the split")
     head, targets = HEADS[method].fit(dataset, train_idx, n_basis=n_basis,
                                       task=task, n_basis_dmp=n_basis_dmp,
                                       tau=tau)
@@ -581,15 +598,17 @@ def evaluate(model: Model, dataset: DemoDataset, indices,
              chain: KinematicChain = None):
     """Grouped metrics over a dataset subset.
 
-    Returns (records, overall): one EvalRecord per tag group (region or
-    configuration) plus one covering every evaluated sample. The split is
-    predicted and decoded in one call; its ground truth is each demo's
-    fitted representation (basis weights or attractor parameters) decoded
-    the same way, so a ddmp model rolls out the ground-truth refits as
-    one batch and the predictions as another. A divergent rollout raises
-    IntegrationError naming the dataset indices and which of the two it
-    was. Each demo's squared error and end-effector distance are computed
-    once and averaged per group.
+    Returns (records, overall, pred): one EvalRecord per tag group
+    (region or configuration), one covering every evaluated sample, and
+    the (B, T, n_joint) predicted trajectories that they score, in the
+    order of `indices`. The split is predicted and decoded in one call;
+    its ground truth is each demo's fitted representation (basis weights
+    or attractor parameters) decoded the same way, so a ddmp model rolls
+    out the ground-truth refits as one batch and the predictions as
+    another. A divergent rollout raises IntegrationError naming the
+    dataset indices and which of the two it was. Each demo's squared
+    error and end-effector distance are computed once, in one pass over
+    the whole split, and averaged per group.
     """
     indices = np.asarray(indices, dtype=int)
     if len(indices) == 0:
@@ -609,4 +628,4 @@ def evaluate(model: Model, dataset: DemoDataset, indices,
 
     records = [record(name, keys == name)
                for name in sorted(set(keys.tolist()))]
-    return records, record("overall", np.ones(len(indices), bool))
+    return records, record("overall", np.ones(len(indices), bool)), pred

@@ -4,47 +4,46 @@ import numpy as np
 import pytest
 
 from mprim import kernels
-from mprim.basis import (BasisConfig, PhaseConfig, PhiMatrix, build_phi,
-                         default_basis, phase, phase_grid)
+from mprim.basis import PhaseConfig, PhiMatrix, build_phi, phase_grid
 
 
-def basis_row(z, cfg):
+def basis_row(z, centers, width):
     """Normalized activations at one phase value, through the kernel
     build_phi uses for its rows."""
-    return kernels.basis_matrix(np.array([float(z)]), cfg.centers,
-                                cfg.width)[0]
+    return kernels.basis_matrix(np.array([float(z)]), centers, width)[0]
 
 
-def scalar_row(z, cfg):
+def scalar_row(z, centers, width):
     """Normalized exponentials evaluated one basis at a time."""
-    raw = [math.exp(-((z - c) ** 2) / (2 * cfg.width)) for c in cfg.centers]
+    raw = [math.exp(-((z - c) ** 2) / (2 * width)) for c in centers]
     return np.array(raw) / sum(raw)
+
+
+def evenly_spaced(pc, n_basis):
+    """The centers and width build_phi documents: n_basis centers evenly
+    over [0, (T-1)/f], width the squared spacing."""
+    centers = np.linspace(0.0, (pc.duration_samples - 1)
+                          / pc.sampling_frequency, n_basis)
+    return centers, (centers[1] - centers[0]) ** 2
 
 
 class TestPhase:
     def test_zero_sample(self):
-        assert phase(0, PhaseConfig(150.0, 150)) == 0.0
+        assert phase_grid(PhaseConfig(150.0, 150))[0] == 0.0
 
     def test_sample_equal_to_frequency(self):
         # t == f lands exactly on one second of phase
-        assert phase(150, PhaseConfig(150.0, 151)) == 1.0
+        assert phase_grid(PhaseConfig(150.0, 151))[150] == 1.0
 
     def test_midpoint(self):
-        assert phase(75, PhaseConfig(150.0, 150)) == 0.5
-
-    def test_out_of_range_raises(self):
-        cfg = PhaseConfig(150.0, 150)
-        with pytest.raises(IndexError):
-            phase(150, cfg)
-        with pytest.raises(IndexError):
-            phase(-1, cfg)
+        assert phase_grid(PhaseConfig(150.0, 150))[75] == 0.5
 
     def test_grid_matches_scalar(self):
         cfg = PhaseConfig(75.0, 20)
         grid = phase_grid(cfg)
         assert grid.shape == (20,)
         for t in range(20):
-            assert grid[t] == phase(t, cfg)
+            assert grid[t] == t / 75.0
 
 
 class TestConfigValidation:
@@ -54,32 +53,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PhaseConfig(150.0, 1)
 
-    def test_bad_basis_configs(self):
-        with pytest.raises(ValueError):
-            BasisConfig(2, (0.5, 0.5), 0.1)      # not strictly increasing
-        with pytest.raises(ValueError):
-            BasisConfig(3, (0.0, 1.0), 0.1)      # wrong center count
-        with pytest.raises(ValueError):
-            BasisConfig(1, (0.0,), 0.0)          # width must be positive
+    def test_no_basis_rejected(self):
+        with pytest.raises(ValueError, match="n_basis must be >= 1, got 0"):
+            build_phi(PhaseConfig(150.0, 150), 0)
 
 
 class TestBasisRow:
     def test_single_basis_is_one_everywhere(self):
-        cfg = BasisConfig(1, (0.3,), 1.0)
         for z in (0.0, 0.3, 0.77, 5.0):
-            np.testing.assert_allclose(basis_row(z, cfg), [1.0])
+            np.testing.assert_allclose(basis_row(z, [0.3], 1.0), [1.0])
 
     def test_two_symmetric_bases_split_evenly(self):
-        cfg = BasisConfig(2, (0.0, 1.0), 0.2)
-        np.testing.assert_allclose(basis_row(0.5, cfg), [0.5, 0.5])
+        np.testing.assert_allclose(basis_row(0.5, [0.0, 1.0], 0.2),
+                                   [0.5, 0.5])
 
     def test_against_scalar_oracle(self):
         # frozen output of a direct scalar evaluation of the normalized
         # exponentials at z=0, centers {0, 0.5, 1}, width 0.05
-        cfg = BasisConfig(3, (0.0, 0.5, 1.0), 0.05)
         expected = [0.9241030483355481, 0.07585499745096416,
                     4.1954213487732035e-05]
-        np.testing.assert_allclose(basis_row(0.0, cfg), expected, rtol=1e-13)
+        np.testing.assert_allclose(basis_row(0.0, [0.0, 0.5, 1.0], 0.05),
+                                   expected, rtol=1e-13)
 
     def test_matches_fresh_scalar_evaluation(self):
         rng = np.random.default_rng(7)
@@ -87,9 +81,9 @@ class TestBasisRow:
             centers = np.sort(rng.uniform(0.0, 1.0, 5))
             centers += np.arange(5) * 1e-3   # enforce strict increase
             width = rng.uniform(0.01, 0.5)
-            cfg = BasisConfig(5, tuple(centers), width)
             z = rng.uniform(-0.2, 1.2)
-            np.testing.assert_allclose(basis_row(z, cfg), scalar_row(z, cfg),
+            np.testing.assert_allclose(basis_row(z, centers, width),
+                                       scalar_row(z, centers, width),
                                        rtol=1e-12)
 
 
@@ -97,26 +91,25 @@ class TestBuildPhi:
     @pytest.mark.parametrize("n_basis", [1, 8, 10, 25])
     def test_partition_of_unity(self, n_basis):
         pc = PhaseConfig(150.0, 150)
-        phi = build_phi(pc, default_basis(pc, n_basis))
+        phi = build_phi(pc, n_basis)
         assert phi.values.shape == (150, n_basis)
         np.testing.assert_allclose(phi.values.sum(axis=1), 1.0, atol=1e-12)
 
     def test_rows_match_basis_row(self):
         pc = PhaseConfig(150.0, 150)
-        bc = default_basis(pc, 8)
-        phi = build_phi(pc, bc)
+        phi = build_phi(pc, 8)
         for t in (0, 1, 74, 149):
-            np.testing.assert_allclose(phi.values[t],
-                                       scalar_row(phase(t, pc), bc),
-                                       rtol=1e-12)
+            np.testing.assert_allclose(
+                phi.values[t], scalar_row(t / 150.0, *evenly_spaced(pc, 8)),
+                rtol=1e-12)
 
     def test_degenerate_two_sample_single_basis(self):
-        phi = build_phi(PhaseConfig(150.0, 2), BasisConfig(1, (0.0,), 1.0))
+        phi = build_phi(PhaseConfig(150.0, 2), 1)
         np.testing.assert_array_equal(phi.values, [[1.0], [1.0]])
 
     def test_entries_within_unit_interval(self):
         pc = PhaseConfig(150.0, 150)
-        phi = build_phi(pc, default_basis(pc, 10))
+        phi = build_phi(pc, 10)
         assert np.all(phi.values >= 0.0) and np.all(phi.values <= 1.0)
 
     def test_phi_matrix_rejects_bad_rows(self):
@@ -125,34 +118,21 @@ class TestBuildPhi:
         with pytest.raises(ValueError):
             PhiMatrix(np.array([[1.5, -0.5]]))   # entries outside [0, 1]
 
-    def test_underflow_guard(self):
-        # a basis so narrow and far away that every activation underflows
-        cfg = BasisConfig(1, (1000.0,), 1e-6)
-        with pytest.raises(FloatingPointError):
-            build_phi(PhaseConfig(150.0, 2), cfg)
-
 
 class TestBasisProperties:
     def test_translation_consistency(self):
         rng = np.random.default_rng(3)
-        base = BasisConfig(6, tuple(np.linspace(0.0, 1.0, 6)), 0.04)
+        centers = np.linspace(0.0, 1.0, 6)
         for _ in range(20):
             z = rng.uniform(0.0, 1.0)
             offset = rng.uniform(-5.0, 5.0)
-            shifted = BasisConfig(
-                6, tuple(c + offset for c in base.centers), 0.04)
-            np.testing.assert_allclose(basis_row(z, base),
-                                       basis_row(z + offset, shifted),
+            np.testing.assert_allclose(basis_row(z, centers, 0.04),
+                                       basis_row(z + offset, centers + offset,
+                                                 0.04),
                                        atol=1e-12)
 
     def test_center_activation_is_maximal(self):
-        pc = PhaseConfig(150.0, 150)
-        bc = default_basis(pc, 8)
-        for k, c in enumerate(bc.centers):
-            row = basis_row(c, bc)
+        centers, width = evenly_spaced(PhaseConfig(150.0, 150), 8)
+        for k, c in enumerate(centers):
+            row = basis_row(c, centers, width)
             assert np.argmax(row) == k
-
-    def test_default_width_single_basis(self):
-        assert BasisConfig.evenly_spaced(1, 0.0).width == 1.0
-        cfg = BasisConfig.evenly_spaced(1, 2.0)
-        assert cfg.width == pytest.approx(4.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mprim import checkpoint, training
-from mprim.basis import PhaseConfig, default_basis
+from mprim.basis import PhaseConfig
 from mprim.cli import main
 from mprim.dataset import (decode_f64, encode_f64, generate_rtp, generate_wpp,
                            save_jsonl)
@@ -144,26 +144,52 @@ def test_uncheckpointable_type(tmp_path):
     ("ddmp", "dmp_tau", float("inf"), "expected a finite number > 0"),
     ("ddmp", "dmp_tau", "1.0", "TypeError: expected a number, got str"),
     ("ddmp", "dmp_tau", True, "TypeError: expected a number, got bool"),
+    ("deep-mp", "theta", lambda old: _with(old, 5, np.nan),
+     "ValueError: value 5 is nan; expected finite numbers)"),
+    ("deep-mp", "ctx_mean", encode_f64([np.inf, 0.0, 0.0]),
+     "ValueError: value 0 is inf; expected finite numbers)"),
+    ("deep-mp", "ctx_std", encode_f64([0.0, 1.0, 1.0]),
+     "ValueError: value 0 is 0.0; expected finite numbers > 0)"),
+    ("residual", "ctx_std", encode_f64([1.0, -2.0, 1.0]),
+     "ValueError: value 1 is -2.0; expected finite numbers > 0)"),
+    ("residual", "ctx_std", encode_f64([1.0, 1.0, np.inf]),
+     "ValueError: value 2 is inf; expected finite numbers > 0)"),
+    ("residual", "mean_weights",
+     {"__global__": encode_f64([0.0] * 55 + [-np.inf])},
+     "ValueError: value 55 is -inf; expected finite numbers)"),
+    ("ddmp", "home", encode_f64([0.0] * 6 + [np.nan]),
+     "ValueError: value 6 is nan; expected finite numbers)"),
 ], ids=["means_without_global", "means_width", "rtp_without_home",
         "n_basis_dmp_list", "n_basis_dmp_zero", "n_basis_dmp_float",
-        "tau_negative", "tau_inf", "tau_text", "tau_bool"])
+        "tau_negative", "tau_inf", "tau_text", "tau_bool", "theta_nan",
+        "ctx_mean_inf", "ctx_std_zero", "ctx_std_negative", "ctx_std_inf",
+        "means_inf", "home_nan"])
 def test_malformed_head_field_names_file_and_field(tmp_path, method, field,
                                                    value, why):
-    # a head field of the wrong type or shape would otherwise broadcast
-    # silently or fail later with a message naming neither
+    # a field of the wrong type, shape or value would otherwise broadcast
+    # silently, evaluate to NaN or nonsense, or fail later with a message
+    # naming neither; `value` may be a function of the saved value
     ds = generate_rtp(seed=3, counts=(6, 3, 2, 2))
     model, _ = train(method, ds, TrainConfig(epochs=1, seed=1),
                      n_basis_dmp=5)
     path = tmp_path / "model.json"
     checkpoint.save(model, path)
     doc = json.loads(path.read_text())
-    doc["payload"][field] = value
+    old = doc["payload"][field]
+    doc["payload"][field] = value(old) if callable(value) else value
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as err:
         checkpoint.load(path)
     assert str(err.value).startswith(
         f"{path}: payload field {field!r} is malformed (")
     assert why in str(err.value)
+
+
+def _with(blob, k, value):
+    """The `encode_f64` vector `blob` with entry `k` set to `value`."""
+    values = decode_f64(blob).copy()
+    values[k] = value
+    return encode_f64(values)
 
 
 @pytest.mark.parametrize("method,field,value,named,why", [
@@ -205,30 +231,36 @@ def test_non_utf8_checkpoint_names_file(tmp_path):
     assert str(err.value) == f"{path}: not UTF-8 text at byte 10"
 
 
-# every finite float64, with the edge values named
+# every finite float64, with the edge values named; `ctx_std` draws
+# from the positive ones, the only ones a checkpoint holds there
 _FINITE = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                      1e-310, 1e308, -1e308, 1.7976931348623157e308]),
     st.floats(allow_nan=False, allow_infinity=False))
+_POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-310,
+                     1.7976931348623157e308]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 _PC = PhaseConfig(10.0, 8)
 
 
-def _model(method, floats):
-    """A small model of `method` whose arrays come from `floats(n)`."""
+def _model(method, floats, positive):
+    """A small model of `method` whose arrays come from `floats(n)`, and
+    its `ctx_std` from `positive(n)`."""
     n_joint, n_basis = 2, 3
     if method == "ddmp":
         head = DmpHead("rtp", n_joint, _PC, n_basis, 5.0, floats(n_joint))
         width = n_joint * (n_basis + 1)
     else:
-        basis = default_basis(_PC, n_basis)
         width = n_joint * n_basis
-        head = (PrompHead("rtp", n_joint, _PC, basis) if method == "deep-mp"
-                else ResidualHead("rtp", n_joint, _PC, basis,
+        head = (PrompHead("rtp", n_joint, _PC, n_basis)
+                if method == "deep-mp"
+                else ResidualHead("rtp", n_joint, _PC, n_basis,
                                   {GLOBAL_GROUP: floats(width),
                                    "A": floats(width)}))
     sizes = (3, 4, width)
     mlp = MlpParams(sizes, floats(4 * 4 + 5 * width))
-    return Model(head, mlp, floats(3), floats(3), (0, 2), (1,))
+    return Model(head, mlp, floats(3), positive(3), (0, 2), (1,))
 
 
 def _arrays(model):
@@ -243,8 +275,11 @@ class TestFormatProperties:
     @settings(max_examples=60, deadline=None)
     @given(method=st.sampled_from(METHODS), data=st.data())
     def test_finite_arrays_round_trip_bit_for_bit(self, method, data):
-        model = _model(method, lambda n: data.draw(
-            hnp.arrays(np.float64, n, elements=_FINITE)))
+        def arrays(elements):
+            return lambda n: data.draw(
+                hnp.arrays(np.float64, n, elements=elements))
+
+        model = _model(method, arrays(_FINITE), arrays(_POSITIVE))
         with tempfile.TemporaryDirectory() as tmp:
             first, second = (os.path.join(tmp, name)
                              for name in ("a.json", "b.json"))
@@ -264,7 +299,8 @@ class TestFormatProperties:
            corruption=st.sampled_from(["char", "truncate", "length"]))
     def test_corrupt_array_names_file_and_field(self, method, data,
                                                 corruption):
-        model = _model(method, lambda n: np.linspace(-1.0, 1.0, n))
+        model = _model(method, lambda n: np.linspace(-1.0, 1.0, n),
+                       lambda n: np.linspace(0.5, 1.5, n))
         fields = [("theta",), ("ctx_mean",), ("ctx_std",),
                   *{"residual": [("mean_weights", "A"),
                                  ("mean_weights", GLOBAL_GROUP)],

@@ -7,11 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mprim import checkpoint
-from mprim.basis import PhaseConfig, default_basis
+from mprim import checkpoint, training
+from mprim.basis import PhaseConfig
 from mprim.cli import main
 from mprim.dataset import (encode_f64, generate_rtp, generate_wpp, load_jsonl,
                            save_jsonl)
+from mprim.kinematics import default_chain, fk_position
 from mprim.regressor import MlpParams
 from mprim.training import Model, PrompHead, ResidualHead
 
@@ -157,7 +158,7 @@ class TestEval:
         data = tmp_path / "const.jsonl"
         save_jsonl(ds, data)
         pc = PhaseConfig(150.0, 150)
-        head = PrompHead("rtp", 7, pc, default_basis(pc, 8))
+        head = PrompHead("rtp", 7, pc, 8)
         targets = head.weights(ds.trajectories)
         mlp = MlpParams((3, 56), np.r_[np.zeros(3 * 56), targets[0]])
         model = Model(head, mlp, np.zeros(3), np.ones(3),
@@ -353,6 +354,34 @@ class TestEval:
             for row in rows[1:]:
                 for cell in row:
                     float(cell)   # raises on text like np.float64(0.1)
+
+    @pytest.mark.parametrize("method", ["deep-mp", "ddmp"])
+    def test_plotted_samples_are_the_scored_rows(self, small_dataset,
+                                                 tmp_path, method):
+        # the sample CSVs show the first rows of the prediction that
+        # `evaluate` scored, not a second prediction of those demos
+        ckpt = tmp_path / "ck.json"
+        assert run(["train", "--data", small_dataset, "--method", method,
+                    "--epochs", "1", "--seed", "0", "--n-basis-dmp", "5",
+                    "--out", ckpt]) == 0
+        outdir = tmp_path / "evalout"
+        assert run(["eval", "--data", small_dataset, "--checkpoint", ckpt,
+                    "--outdir", outdir, "--plot-samples", "3"]) == 0
+        model = checkpoint.load(ckpt)
+        dataset = load_jsonl(small_dataset)
+        idx = np.asarray(model.test_indices)
+        _, _, pred = training.evaluate(model, dataset, idx)
+        assert len(list(outdir.glob("sample_*_joints.csv"))) == 3
+        for i, rows in zip(idx[:3], pred):
+            joints = np.loadtxt(outdir / f"sample_{i}_joints.csv",
+                                delimiter=",", skiprows=1)
+            np.testing.assert_array_equal(joints[:, 1::2],
+                                          dataset.trajectories[i])
+            np.testing.assert_array_equal(joints[:, 2::2], rows)
+            ee = np.loadtxt(outdir / f"sample_{i}_ee_path.csv",
+                            delimiter=",", skiprows=1)
+            np.testing.assert_array_equal(
+                ee[:, 4:], fk_position(default_chain(), rows))
 
 
 class TestNumericFlags:

@@ -471,6 +471,24 @@ class TestRecordValidation:
         with pytest.raises(DatasetFormatError, match=match):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("line,edit", [
+        (2, lambda text: b"\xff"),
+        (4, lambda text: text.replace(b'"region": "', b'"region": "\xff')),
+        (1, lambda text: text[:-1] + b"\xff}"),
+    ], ids=["whole_line", "in_tag", "header"])
+    def test_non_utf8_line_names_file_and_line(self, tmp_path, line, edit):
+        # read as text, such a byte raised a bare UnicodeDecodeError that
+        # named neither the file nor the line
+        path = tmp_path / "demos.jsonl"
+        save_jsonl(generate_rtp(seed=1, counts=(2, 1, 1, 1)), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = edit(lines[line - 1])
+        path.write_bytes(b"\n".join(lines))
+        byte = lines[line - 1].index(b"\xff")
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{path}: line {line}: not UTF-8 text at byte {byte}")):
+            load_jsonl(path)
+
     def test_header_only_file_checks_sampling_frequency(self, tmp_path):
         path = tmp_path / "demos.jsonl"
         path.write_text(json.dumps({"schema": 2, "kind": "rtp", "seed": 0,

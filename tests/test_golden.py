@@ -39,7 +39,7 @@ def test_overall_metrics_are_pinned(datasets, task, method):
                       early_stop_patience=EPOCHS)
     model, report = train(method, dataset, cfg, split=split)
     assert report.final_epoch == EPOCHS
-    _, overall = evaluate(model, dataset, model.test_indices)
+    _, overall, _ = evaluate(model, dataset, model.test_indices)
     mse, ed, count = GOLDEN[task, method]
     assert (f"{overall.ave_mse:.6g}", f"{overall.ave_ed_mm:.6g}",
             overall.count) == (mse, ed, count)

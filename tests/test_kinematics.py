@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from mprim.kinematics import (KinematicChain, default_chain, final_distances,
-                              fk_position, fk_positions, joint_transform,
-                              load_chain)
+                              fk_position, joint_transform, load_chain)
 
 
 def single_link(a=1.0):
@@ -54,13 +53,33 @@ class TestForwardKinematics:
     def test_wrong_joint_count(self):
         with pytest.raises(ValueError):
             fk_position(single_link(), [0.0, 0.0])
+        with pytest.raises(ValueError, match=r"got shape \(4, 3, 2\)"):
+            fk_position(single_link(), np.zeros((4, 3, 2)))
 
     def test_batch_matches_single(self):
+        # a (B, T, J) stack gives each row's position as a scalar
+        # composition of joint_transform gives it, to 1e-12 m
         chain = default_chain()
-        rows = np.random.default_rng(2).uniform(-1, 1, (5, 7))
-        batch = fk_positions(chain, rows)
-        for i, row in enumerate(rows):
-            np.testing.assert_array_equal(batch[i], fk_position(chain, row))
+        q = np.random.default_rng(2).uniform(-1, 1, (3, 5, 7))
+        batch = fk_position(chain, q)
+        assert batch.shape == (3, 5, 3)
+        for b, t in np.ndindex(3, 5):
+            frame = np.eye(4)
+            for j in range(7):
+                frame = frame @ joint_transform(
+                    chain.a[j], chain.d[j], chain.alpha[j],
+                    float(q[b, t, j]) + chain.theta_offset[j])
+            np.testing.assert_allclose(batch[b, t], frame[:3, 3], rtol=0,
+                                       atol=1e-12)
+
+    def test_transform_stack_matches_scalar_transforms(self):
+        theta = np.random.default_rng(5).uniform(-np.pi, np.pi, (2, 3))
+        stack = joint_transform(0.1, 0.2, 0.3, theta)
+        assert stack.shape == (2, 3, 4, 4)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(
+                stack[idx], joint_transform(0.1, 0.2, 0.3, float(theta[idx])),
+                rtol=0, atol=1e-15)
 
 
 def ave_ed_mm(preds, gts, chain):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mprim.basis import PhaseConfig, default_basis, build_phi
+from mprim.basis import PhaseConfig, build_phi
 from mprim.dataset import generate_rtp
 from mprim.metrics import EvalRecord, squared_trajectory_loss
 from mprim.training import TrainConfig, evaluate, train
@@ -10,7 +10,7 @@ from mprim.training import TrainConfig, evaluate, train
 @pytest.fixture(scope="module")
 def phi():
     pc = PhaseConfig(150.0, 150)
-    return build_phi(pc, default_basis(pc, 8))
+    return build_phi(pc, 8)
 
 
 def random_trajectories(rng, phi, n=5, joints=3):
@@ -57,7 +57,7 @@ class TestAveMse:
         ds = generate_rtp(seed=3, counts=(3, 2, 2, 2))
         model, _ = train("deep-mp", ds, TrainConfig(epochs=1, seed=0))
         idx = np.arange(len(ds))
-        _, overall = evaluate(model, ds, idx)
+        _, overall, _ = evaluate(model, ds, idx)
         sq = squared_trajectory_loss(model.predict(ds, idx),
                                      model.head.truth(ds, idx))
         assert overall.ave_mse == float(np.mean(sq))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mprim.basis import PhaseConfig, default_basis, build_phi
+from mprim.basis import PhaseConfig, build_phi
 from mprim.errors import SingularSystemError
 from mprim.promp import fit_weights
 from mprim.training import PrompHead
@@ -10,8 +10,7 @@ from mprim.training import PrompHead
 @pytest.fixture(scope="module")
 def grid():
     pc = PhaseConfig(150.0, 150)
-    bc = default_basis(pc, 8)
-    return pc, bc, build_phi(pc, bc)
+    return pc, 8, build_phi(pc, 8)
 
 
 def min_jerk_column(q0, q1, n):
@@ -44,7 +43,7 @@ class TestFitWeights:
 
     def test_rank_deficient_raises(self):
         pc = PhaseConfig(150.0, 2)
-        phi = build_phi(pc, default_basis(pc, 5))
+        phi = build_phi(pc, 5)
         with pytest.raises(SingularSystemError, match="condition"):
             fit_weights(np.array([0.1, 0.2]), phi, ridge=0.0)
 
@@ -75,7 +74,7 @@ class TestFitWeights:
 
     def test_rank_deficient_raises_for_columns(self):
         pc = PhaseConfig(150.0, 2)
-        phi = build_phi(pc, default_basis(pc, 5))
+        phi = build_phi(pc, 5)
         with pytest.raises(SingularSystemError, match="condition"):
             fit_weights(np.zeros((2, 3)), phi, ridge=0.0)
 
@@ -92,30 +91,31 @@ class TestReconstruct:
     # batched product with the basis matrix, (B, T, n_joint)
 
     def test_zero_weights_zero_trajectory(self, grid):
-        pc, bc, _ = grid
-        out = PrompHead("rtp", 3, pc, bc).decode(np.zeros((1, 3 * 8)),
-                                                 None, [0])
+        pc, n_basis, _ = grid
+        out = PrompHead("rtp", 3, pc, n_basis).decode(
+            np.zeros((1, 3 * 8)), None, [0])
         assert out.shape == (1, 150, 3)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_single_basis_constant(self):
         pc = PhaseConfig(150.0, 150)
-        head = PrompHead("rtp", 1, pc, default_basis(pc, 1))
+        head = PrompHead("rtp", 1, pc, 1)
         np.testing.assert_allclose(head.decode(np.array([[0.42]]), None, [0]),
                                    0.42)
 
     def test_fit_reconstruct_smooth_demo(self, grid):
         # 8 bases reproduce a minimum-jerk profile well below 1e-3 rad
-        pc, bc, phi = grid
+        pc, n_basis, phi = grid
         values = np.column_stack([min_jerk_column(0.0, 1.2, 150),
                                   min_jerk_column(-0.5, 0.3, 150)])
         flat = fit_weights(values, phi).reshape(1, -1)
-        rebuilt = PrompHead("rtp", 2, pc, bc).decode(flat, None, [0])[0]
+        rebuilt = PrompHead("rtp", 2, pc, n_basis).decode(flat, None,
+                                                          [0])[0]
         rmse = np.sqrt(np.mean((rebuilt - values) ** 2))
         assert rmse < 1e-3
 
     def test_dimension_mismatch(self, grid):
-        pc, bc, _ = grid
+        pc, n_basis, _ = grid
         with pytest.raises(ValueError):
-            PrompHead("rtp", 2, pc, bc).decode(np.zeros((1, 2 * 5)), None,
-                                               [0])
+            PrompHead("rtp", 2, pc, n_basis).decode(np.zeros((1, 2 * 5)),
+                                                    None, [0])

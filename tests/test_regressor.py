@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mprim import kernels
-from mprim.basis import PhaseConfig, build_phi, default_basis
+from mprim.basis import PhaseConfig, build_phi
 from mprim.promp import DEFAULT_RIDGE, fit_weights
 from mprim.regressor import (BETA1, BETA2, EPSILON, MlpParams, adam_init,
                              adam_step, init_mlp, mlp_forward)
@@ -12,7 +12,7 @@ PC = PhaseConfig(30.0, 30)
 
 
 def traj_head(n_joint=1, n_basis=5):
-    return PrompHead("rtp", n_joint, PC, default_basis(PC, n_basis))
+    return PrompHead("rtp", n_joint, PC, n_basis)
 
 
 def dmp_head(task, n_joint):
@@ -312,8 +312,7 @@ class TestGramForm:
         # rtol 1e-12. A gradient entry can be a cancellation of larger
         # terms, so each entry agrees to 1e-12 of the largest entry of its
         # (sample, joint) block.
-        head = PrompHead("rtp", 7, self.PC150, default_basis(self.PC150,
-                                                             n_basis))
+        head = PrompHead("rtp", 7, self.PC150, n_basis)
         rng = np.random.default_rng(n_basis)
         for _ in range(20):
             gt = 10.0 * rng.standard_normal((32, 7 * n_basis))
@@ -329,7 +328,7 @@ class TestGramForm:
             assert np.all(err <= 1e-12 * block)
 
     def test_zero_residual_row_has_zero_loss_and_gradient(self):
-        head = PrompHead("rtp", 7, self.PC150, default_basis(self.PC150, 8))
+        head = PrompHead("rtp", 7, self.PC150, 8)
         rng = np.random.default_rng(1)
         gt = rng.standard_normal((3, 56))
         pred = gt + rng.standard_normal((3, 56))
@@ -340,7 +339,7 @@ class TestGramForm:
         assert np.all(np.isfinite(grad))
 
     def test_zero_residual_joint_has_zero_gradient_only_there(self):
-        head = PrompHead("rtp", 7, self.PC150, default_basis(self.PC150, 8))
+        head = PrompHead("rtp", 7, self.PC150, 8)
         rng = np.random.default_rng(2)
         gt = rng.standard_normal((2, 56))
         pred = gt + rng.standard_normal((2, 56))
@@ -355,7 +354,7 @@ class TestGramForm:
                                             (PhaseConfig(30.0, 150), 10),
                                             (PhaseConfig(30.0, 30), 5)])
     def test_fit_through_gram_is_bit_identical(self, pc, n_basis):
-        phi = build_phi(pc, default_basis(pc, n_basis))
+        phi = build_phi(pc, n_basis)
         np.testing.assert_array_equal(phi.gram, phi.values.T @ phi.values)
         q = np.random.default_rng(3).standard_normal((pc.duration_samples,
                                                       21))

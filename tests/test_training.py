@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mprim import dmp as dmp_mod
 from mprim import kinematics, metrics
-from mprim.basis import PhaseConfig, default_basis, build_phi
+from mprim.basis import PhaseConfig, build_phi
 from mprim.dataset import WPP_SPLITS, apply_split, generate_rtp, generate_wpp
 from mprim.dmp import fit_dmp, rollout_matched
 from mprim.errors import IntegrationError
@@ -31,8 +31,7 @@ def tiny_wpp():
 
 def grids_for(dataset, n_basis=8):
     pc = PhaseConfig(dataset.sampling_frequency, dataset.n_samples_per_traj)
-    bc = default_basis(pc, n_basis)
-    return pc, bc, build_phi(pc, bc)
+    return pc, n_basis, build_phi(pc, n_basis)
 
 
 def net_outputs(model, dataset, indices):
@@ -81,6 +80,24 @@ class TestSplits:
         assert sorted([*train_idx.tolist(), *test_idx.tolist()]) == list(
             range(n))
 
+    @pytest.mark.parametrize("split,message", [
+        (([], [0, 1]), "the split's train side is empty"),
+        (([0, 99], [1]), "train index 99 is outside the dataset, which has "
+                         "15 demos"),
+        (([0, 1], [2, -1]), "test index -1 is outside the dataset, which has "
+                            "15 demos"),
+        (([0, 1, 2], [2, 3]), "demo 2 is on both the train and the test side "
+                              "of the split"),
+    ], ids=["empty_train", "train_past_end", "test_negative", "overlap"])
+    def test_bad_split_rejected(self, split, message):
+        # an empty train side trained a NaN model, an index past the end
+        # raised a bare IndexError, an overlap scored training demos
+        ds = generate_rtp(seed=1, counts=(6, 3, 3, 3))
+        with pytest.raises(ValueError) as err:
+            train("deep-mp", ds, TrainConfig(epochs=1),
+                  split=tuple(np.array(side, int) for side in split))
+        assert str(err.value) == message
+
 
 class TestTrainDeepMp:
     def test_zero_epochs_returns_init(self, small_rtp):
@@ -120,7 +137,7 @@ class TestTrainDeepMp:
         # the bar the net has to clear
         rng = np.random.default_rng(12)
         ds = generate_rtp(seed=23, counts=(120, 40, 30, 20))
-        pc, bc, phi = grids_for(ds)
+        pc, n_basis, phi = grids_for(ds)
         targets_map = rng.standard_normal((3, 7 * 8)) * 0.3
         for context, values in zip(ds.contexts, ds.trajectories):
             flat = context @ targets_map
@@ -252,22 +269,22 @@ class TestEvaluate:
     def test_oracle_model_scores_zero(self, small_rtp):
         # a bias-only net that always outputs the exact weights of a
         # constant dataset must score zero everywhere
-        pc, bc, phi = grids_for(small_rtp)
+        pc, n_basis, phi = grids_for(small_rtp)
         ds = copy.deepcopy(small_rtp)
         ds.contexts[:] = ds.contexts[0]
         ds.trajectories[:] = ds.trajectories[0]
-        head = PrompHead("rtp", 7, pc, bc)
+        head = PrompHead("rtp", 7, pc, n_basis)
         targets = head.weights(ds.trajectories)
         mlp = MlpParams((3, 56), np.r_[np.zeros(3 * 56), targets[0]])
         model = Model(head, mlp, np.zeros(3), np.ones(3),
                       test_indices=tuple(range(len(ds))))
-        records, overall = evaluate(model, ds, np.arange(len(ds)))
+        records, overall, _ = evaluate(model, ds, np.arange(len(ds)))
         assert overall.ave_mse == 0.0
         assert overall.ave_ed_mm == 0.0
 
     def test_grouping_by_region(self, small_rtp):
         model, _ = train("deep-mp", small_rtp, TrainConfig(epochs=2, seed=5))
-        records, overall = evaluate(model, small_rtp,
+        records, overall, _ = evaluate(model, small_rtp,
                                     np.arange(len(small_rtp)))
         assert [r.group for r in records] == ["A", "B", "C", "D"]
         assert overall.count == len(small_rtp)
@@ -277,14 +294,14 @@ class TestEvaluate:
         cfg = TrainConfig(epochs=1, seed=0)
         split = apply_split(tiny_wpp, WPP_SPLITS["WPP9"], seed=0)
         model, _ = train("ddmp", tiny_wpp, cfg, n_basis_dmp=5, split=split)
-        records, _ = evaluate(model, tiny_wpp, split[1])
+        records, _, _ = evaluate(model, tiny_wpp, split[1])
         assert [r.group for r in records] == ["I", "II", "III", "IV"]
 
     def test_ddmp_matches_per_demo_rollouts(self, tiny_wpp):
         split = apply_split(tiny_wpp, WPP_SPLITS["WPP1"], seed=0)
         model, _ = train("ddmp", tiny_wpp, TrainConfig(epochs=2, seed=3),
                          split=split)
-        _, overall = evaluate(model, tiny_wpp, split[1])
+        _, overall, _ = evaluate(model, tiny_wpp, split[1])
         head = model.head
         n, j, k = head.phase_cfg.duration_samples, 7, head.n_basis_dmp
         sq, preds, gts = [], [], []
@@ -338,7 +355,7 @@ class TestEvaluate:
         _, _, phi = grids_for(small_rtp)
         model, _ = train("deep-mp", small_rtp, TrainConfig(epochs=3, seed=6))
         idx = np.asarray(model.test_indices)
-        _, overall = evaluate(model, small_rtp, idx)
+        _, overall, _ = evaluate(model, small_rtp, idx)
         gt = all_weights(model, small_rtp)[idx].reshape(len(idx), 7, 8)
         pred = net_outputs(model, small_rtp, idx).reshape(len(idx), 7, 8)
         # per demo: squared RMSE of each joint's trajectory, summed
@@ -348,16 +365,31 @@ class TestEvaluate:
                                                 rel=1e-12)
 
     def test_fk_once_per_demo_and_side(self, small_rtp, monkeypatch):
-        # each demo's end-effector distance is computed once, not once for
-        # its group row and again for the overall row
+        # one fk_position call per side takes the final sample of every
+        # demo of the split, so each demo's end-effector distance is
+        # computed once, not once per metrics row
         model, _ = train("deep-mp", small_rtp, TrainConfig(epochs=1, seed=2))
         calls = []
         fk = kinematics.fk_position
         monkeypatch.setattr(kinematics, "fk_position",
-                            lambda chain, q: calls.append(1) or fk(chain, q))
+                            lambda chain, q: calls.append(q) or fk(chain, q))
         idx = np.asarray(model.test_indices)
-        evaluate(model, small_rtp, idx)
-        assert len(calls) == 2 * len(idx)
+        _, _, pred = evaluate(model, small_rtp, idx)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], pred[:, -1])
+        np.testing.assert_array_equal(
+            calls[1], model.head.truth(small_rtp, idx)[:, -1])
+
+    @pytest.mark.parametrize("method", ["residual", "ddmp"])
+    def test_returns_the_prediction_it_scores(self, small_rtp, method):
+        model, _ = train(method, small_rtp, TrainConfig(epochs=1, seed=3),
+                         n_basis_dmp=5)
+        idx = np.asarray(model.test_indices)
+        _, overall, pred = evaluate(model, small_rtp, idx)
+        np.testing.assert_array_equal(pred, model.predict(small_rtp, idx))
+        assert overall.ave_mse == float(np.mean(
+            metrics.squared_trajectory_loss(
+                pred, model.head.truth(small_rtp, idx))))
 
     def test_residual_decode_adds_region_mean(self, small_rtp):
         model, _ = train("residual", small_rtp, TrainConfig(epochs=1, seed=4))
@@ -369,7 +401,7 @@ class TestEvaluate:
             small_rtp.tags[i]["region"],
             head.mean_weights["__global__"]) for i in idx])
         plain = PrompHead(head.task, head.n_joint, head.phase_cfg,
-                          head.basis_cfg)
+                          head.n_basis)
         np.testing.assert_array_equal(
             head.decode(out, small_rtp, idx),
             plain.decode(out + means, small_rtp, idx))
@@ -412,13 +444,13 @@ class TestDispatchAndReport:
     def test_train_dispatch(self, small_rtp):
         model, _ = train("deep-mp", small_rtp, TrainConfig(epochs=1, seed=0))
         assert type(model.head) is PrompHead
-        assert model.head.basis_cfg.n_basis == 8   # rtp default
+        assert model.head.n_basis == 8   # rtp default
         with pytest.raises(ValueError, match="unknown method"):
             train("mystery", small_rtp, TrainConfig(epochs=1))
 
     def test_wpp_basis_default(self, tiny_wpp):
         model, _ = train("deep-mp", tiny_wpp, TrainConfig(epochs=1, seed=0))
-        assert model.head.basis_cfg.n_basis == 10
+        assert model.head.n_basis == 10
 
     def test_report_csv(self, tmp_path):
         report = TrainReport(train_loss=[0.5, 0.25], val_loss=[0.6, 0.3],
