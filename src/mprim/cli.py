@@ -12,6 +12,13 @@ run can be reproduced from the manifest alone. Exit codes: 0 success,
 environment variable when --seed is not given. `--config FILE`, given
 before the subcommand, supplies flag defaults from a JSON object; the file
 is then one of the run's inputs.
+
+Reproducibility: with the same arguments and seed, every output is bit
+for bit identical for the same numpy build, BLAS kernel and CPU dispatch
+target, at 1 or 2 BLAS threads. Across BLAS kernels or CPU dispatch
+targets the bits move (matmul and solve follow the BLAS kernel, exp
+follows numpy's dispatch), and the deep-mp metrics move within their
+seed-to-seed spread.
 """
 
 import argparse

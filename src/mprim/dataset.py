@@ -214,7 +214,6 @@ def _sample_region_xy(rng, region):
 
 
 def generate_rtp(seed: int, counts=None, n_samples_traj: int = DEFAULT_T,
-                 sampling_frequency: float = DEFAULT_FS,
                  noise_std: float = 0.0) -> DemoDataset:
     """Reach dataset: phantom positions per region, point-to-point demos.
 
@@ -243,7 +242,7 @@ def generate_rtp(seed: int, counts=None, n_samples_traj: int = DEFAULT_T,
             contexts.append(pos)
             trajectories.append(values)
             tags.append({"region": region})
-    return DemoDataset("rtp", seed, sampling_frequency, np.stack(contexts),
+    return DemoDataset("rtp", seed, DEFAULT_FS, np.stack(contexts),
                        np.stack(trajectories), tags)
 
 
@@ -255,8 +254,7 @@ def wpp_context(config: str, pattern: int) -> np.ndarray:
 
 
 def generate_wpp(seed: int, trials_per_cell: int = WPP_DEFAULT_TRIALS,
-                 n_samples_traj: int = DEFAULT_T,
-                 sampling_frequency: float = DEFAULT_FS) -> DemoDataset:
+                 n_samples_traj: int = DEFAULT_T) -> DemoDataset:
     """Palpation dataset: 7 patterns x 4 configurations x trials strokes.
 
     Each trial strokes outward from the nipple along its pattern's angle,
@@ -290,7 +288,7 @@ def generate_wpp(seed: int, trials_per_cell: int = WPP_DEFAULT_TRIALS,
                 trajectories.append(_wpp_joint_embed(points))
                 tags.append(
                     {"pattern": pattern, "config": config, "short": short})
-    return DemoDataset("wpp", seed, sampling_frequency, np.stack(contexts),
+    return DemoDataset("wpp", seed, DEFAULT_FS, np.stack(contexts),
                        np.stack(trajectories), tags)
 
 
@@ -299,70 +297,51 @@ def generate_wpp(seed: int, trials_per_cell: int = WPP_DEFAULT_TRIALS,
 
 TRAIN, TEST, HALF, UNUSED = "train", "test", "half", "unused"
 
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Per-pattern disposition of a palpation experiment."""
-
-    experiment: str
-    dispositions: tuple   # ((pattern, disposition), ...) for patterns 1..7
-
-    def __post_init__(self):
-        values = dict(self.dispositions)
-        if sorted(values) != list(range(1, 8)):
-            raise ValueError("dispositions must cover patterns 1..7")
-        trainish = any(v in (TRAIN, HALF) for v in values.values())
-        testish = any(v in (TEST, HALF) for v in values.values())
-        if not (trainish and testish):
-            raise ValueError(
-                "spec needs at least one training and one test disposition")
-
-    def disposition(self, pattern):
-        return dict(self.dispositions)[pattern]
-
-
-def _spec(experiment, *dispositions):
-    return SplitSpec(experiment, tuple(enumerate(dispositions, start=1)))
-
-
+# experiment -> dispositions of patterns 1..7: the whole pattern goes to
+# train or test, half/half per configuration, or is left unused
 WPP_SPLITS = {
-    "WPP1": _spec("WPP1", TRAIN, TRAIN, TRAIN, TEST, TEST, TRAIN, TRAIN),
-    "WPP2": _spec("WPP2", TRAIN, TRAIN, TEST, TEST, TRAIN, TRAIN, TRAIN),
-    "WPP3": _spec("WPP3", TRAIN, TRAIN, TEST, TEST, TRAIN, UNUSED, UNUSED),
-    "WPP4": _spec("WPP4", TRAIN, TEST, TEST, TRAIN, TRAIN, UNUSED, UNUSED),
-    "WPP5": _spec("WPP5", TRAIN, TRAIN, TRAIN, HALF, HALF, TRAIN, TRAIN),
-    "WPP6": _spec("WPP6", TRAIN, TRAIN, HALF, HALF, TRAIN, TRAIN, TRAIN),
-    "WPP7": _spec("WPP7", TRAIN, TRAIN, HALF, HALF, TRAIN, UNUSED, UNUSED),
-    "WPP8": _spec("WPP8", TRAIN, HALF, HALF, TRAIN, TRAIN, UNUSED, UNUSED),
-    "WPP9": _spec("WPP9", HALF, HALF, HALF, HALF, HALF, HALF, HALF),
-    "WPP10": _spec("WPP10", HALF, HALF, HALF, HALF, HALF, UNUSED, UNUSED),
+    "WPP1": (TRAIN, TRAIN, TRAIN, TEST, TEST, TRAIN, TRAIN),
+    "WPP2": (TRAIN, TRAIN, TEST, TEST, TRAIN, TRAIN, TRAIN),
+    "WPP3": (TRAIN, TRAIN, TEST, TEST, TRAIN, UNUSED, UNUSED),
+    "WPP4": (TRAIN, TEST, TEST, TRAIN, TRAIN, UNUSED, UNUSED),
+    "WPP5": (TRAIN, TRAIN, TRAIN, HALF, HALF, TRAIN, TRAIN),
+    "WPP6": (TRAIN, TRAIN, HALF, HALF, TRAIN, TRAIN, TRAIN),
+    "WPP7": (TRAIN, TRAIN, HALF, HALF, TRAIN, UNUSED, UNUSED),
+    "WPP8": (TRAIN, HALF, HALF, TRAIN, TRAIN, UNUSED, UNUSED),
+    "WPP9": (HALF, HALF, HALF, HALF, HALF, HALF, HALF),
+    "WPP10": (HALF, HALF, HALF, HALF, HALF, UNUSED, UNUSED),
 }
 
 
-def apply_split(dataset: DemoDataset, spec: SplitSpec, seed: int):
-    """Resolve a split spec into (train_indices, test_indices).
+def apply_split(dataset: DemoDataset, dispositions, seed: int):
+    """Resolve the dispositions of patterns 1..7 (a `WPP_SPLITS` value)
+    into (train_indices, test_indices).
 
     Whole-pattern dispositions go entirely to one side; half/half patterns
     are split per configuration with a seeded shuffle (train keeps the
     extra sample on odd cells); unused patterns appear on neither side.
-    Also sets `dataset.splits`.
+    Every demo needs a pattern tag that is an integer in 1..7. Also sets
+    `dataset.splits`.
     """
     by_pattern = {}
     for i, tags in enumerate(dataset.tags):
         if "pattern" not in tags:
             raise ValueError("dataset samples lack pattern tags")
-        by_pattern.setdefault(tags["pattern"], []).append(i)
-    needed = [p for p, d in spec.dispositions if d != UNUSED]
-    missing = [p for p in needed if p not in by_pattern]
+        pattern = tags["pattern"]
+        if type(pattern) is not int or not 1 <= pattern <= 7:
+            raise ValueError(f"demo {i} has pattern tag {pattern!r}; "
+                             f"expected an integer in 1..7")
+        by_pattern.setdefault(pattern, []).append(i)
+    missing = [p for p, d in enumerate(dispositions, start=1)
+               if d != UNUSED and p not in by_pattern]
     if missing:
-        raise ValueError(
-            f"split {spec.experiment} references patterns missing from the "
-            f"dataset: {missing}")
+        raise ValueError(f"the split references patterns missing from the "
+                         f"dataset: {missing}")
 
     rng = np.random.default_rng(seed)
     train, test = [], []
     for pattern in sorted(by_pattern):
-        disposition = spec.disposition(pattern)
+        disposition = dispositions[pattern - 1]
         indices = by_pattern[pattern]
         if disposition == TRAIN:
             train.extend(indices)

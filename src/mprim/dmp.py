@@ -6,12 +6,10 @@ normalized mix of Gaussian kernels in x scaled by x*(g - q0), so the
 system always settles on the goal once the phase has died out.
 
 The gains, the kernel placement and the rollout resolution are fixed
-module constants. `fit_dmp` fits one demo; `rollout_matched` integrates a
-batch of systems given as stacked (B, ...) arrays, each row bit for bit
-the trajectory it gets alone.
+module constants. `fit_dmp` fits a (B, T, n_joint) stack of demos and
+`rollout_matched` integrates a batch of systems given as stacked (B, ...)
+arrays; in both, each row is bit for bit what it gets alone.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,16 +23,6 @@ ALPHA_X = ALPHA_Z / 3.0
 # 150-sample minimum-jerk demo to ~5e-3 rad RMSE with 25 kernels
 KERNEL_WIDTH_SCALE = 4.0
 ROLLOUT_OVERSAMPLE = 10
-
-
-@dataclass(frozen=True)
-class DmpModel:
-    """Parameters `fit_dmp` fits to one demo."""
-
-    forcing_weights: np.ndarray   # (n_joint, n_basis)
-    goal: np.ndarray              # (n_joint,) rad
-    start: np.ndarray             # (n_joint,) rad
-    degenerate_joints: tuple = ()   # joints with g == q0, forcing zeroed
 
 
 def forcing_kernels(n_basis):
@@ -61,47 +49,62 @@ def _check_tau(tau):
         raise ValueError("tau must be > 0")
 
 
-def fit_dmp(values, n_basis: int, tau: float) -> DmpModel:
-    """Fit forcing weights to a demo by locally weighted regression.
+def fit_dmp(trajectories, n_basis: int, tau: float):
+    """Fit forcing weights to a stack of demos by locally weighted
+    regression.
 
-    `values` is the demo's (T, n_joint) joint positions. The demo is
-    mapped onto the nominal duration tau, velocities and accelerations
-    come from central finite differences (one-sided at the ends), and each
-    kernel is regressed independently against the target forcing term. A
-    joint whose demo starts on its goal has no start-to-goal span to scale
-    the forcing term; its weights are set to zero and the joint index is
-    recorded on the model.
+    `trajectories` is the (B, T, n_joint) joint positions of B demos.
+    Each demo is mapped onto the nominal duration tau, velocities and
+    accelerations come from central finite differences (one-sided at the
+    ends), and each kernel is regressed independently against the target
+    forcing term. Returns (forcing weights (B, n_joint, n_basis), goals
+    (B, n_joint), starts (B, n_joint)). A joint whose demo starts on its
+    goal has no start-to-goal span to scale the forcing term, so its
+    regression has a zero denominator and its weights come out zero.
+
+    The work loops over joints, not demos, and each (demo, joint)
+    regression is its own matrix-vector product, so every row is bit for
+    bit its B = 1 fit; one flat (B, T) x (T, n_basis) product would let
+    BLAS round a row differently depending on its place in the stack.
     """
     _check_tau(tau)
-    q = np.asarray(values, dtype=float)
-    T = q.shape[0]
+    q = np.asarray(trajectories, dtype=float)
+    if q.ndim != 3:
+        raise ValueError(f"expected a (B, T, n_joint) stack of demos, got "
+                         f"shape {q.shape}")
+    T = q.shape[1]
     if T < 3:
         raise ValueError("need at least 3 samples to differentiate the demo")
     dt = tau / (T - 1)
-    qd = np.gradient(q, dt, axis=0, edge_order=2)
-    qdd = np.gradient(qd, dt, axis=0, edge_order=2)
-    start, goal = q[0].copy(), q[-1].copy()
+    starts, goals = q[:, 0].copy(), q[:, -1].copy()
 
     x = np.exp(-ALPHA_X * np.arange(T) * dt / tau)
     centers, widths = forcing_kernels(n_basis)
-    psi = np.exp(-widths[None, :] * (x[:, None] - centers[None, :]) ** 2)
+    psi_t = np.exp(-widths[None, :] * (x[:, None] - centers[None, :]) ** 2).T
 
-    # f_target = tau^2 qdd - alpha_z (beta_z (g - q) - tau qd), per joint
-    f_target = tau ** 2 * qdd - ALPHA_Z * (BETA_Z * (goal - q) - tau * qd)
-
-    weights = np.zeros((q.shape[1], n_basis))
-    degenerate = []
-    for j in range(q.shape[1]):
-        span = goal[j] - start[j]
-        if span == 0.0:
-            degenerate.append(j)
-            continue
-        xi = x * span
-        num = psi.T @ (xi * f_target[:, j])
-        den = psi.T @ (xi * xi)
-        weights[j] = np.where(den > 1e-300, num / np.where(den > 0, den, 1.0),
-                              0.0)
-    return DmpModel(weights, goal, start, tuple(degenerate))
+    weights = np.empty((q.shape[0], q.shape[2], n_basis))
+    for j in range(q.shape[2]):
+        # f_target = tau^2 qdd - alpha_z (beta_z (g - q) - tau qd), built
+        # in place so that at most three (B, T) arrays live at a time
+        qd = np.gradient(q[:, :, j], dt, axis=1, edge_order=2)
+        qdd = np.gradient(qd, dt, axis=1, edge_order=2)
+        f = goals[:, j, None] - q[:, :, j]
+        f *= BETA_Z
+        qd *= tau
+        f -= qd
+        f *= ALPHA_Z
+        qdd *= tau ** 2
+        np.subtract(qdd, f, out=f)
+        del qd, qdd
+        xi = x * (goals[:, j] - starts[:, j])[:, None]
+        f *= xi
+        xi *= xi
+        num = np.matmul(psi_t, f[..., None])[..., 0]
+        den = np.matmul(psi_t, xi[..., None])[..., 0]
+        del f, xi
+        weights[:, j] = np.where(den > 1e-300,
+                                 num / np.where(den > 0, den, 1.0), 0.0)
+    return weights, goals, starts
 
 
 def rollout_matched(start, goal, forcing_weights, tau: float,

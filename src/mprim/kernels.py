@@ -12,16 +12,12 @@ def basis_matrix(z, centers, width):
     """Normalized Gaussian basis activations, one row per phase value.
 
     Rows are b_i(z)/sum_j b_j(z) with b_i(z) = exp(-(z - c_i)^2 / (2*width)).
-    Rows where every unnormalized activation underflows come back as
-    non-finite; the caller is responsible for rejecting those.
     """
     z = np.asarray(z, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     diff = z[:, None] - centers[None, :]
     raw = np.exp(-(diff * diff) / (2.0 * width))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = raw / raw.sum(axis=1)[:, None]
-    return out
+    return raw / raw.sum(axis=1)[:, None]
 
 
 def mlp_forward_acts(x, weights, biases):

@@ -96,17 +96,12 @@ def init_mlp(layer_sizes, seed: int = 0) -> MlpParams:
 
 
 def mlp_forward(params: MlpParams, ctx):
-    """Deterministic forward pass; accepts one context or a batch."""
+    """Deterministic forward pass of a (B, n_inputs) batch of contexts."""
     x = np.asarray(ctx, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != params.n_inputs:
-        raise ValueError(
-            f"context has {x.shape[1]} features, network expects "
-            f"{params.n_inputs}")
-    out = kernels.mlp_forward_acts(x, params.weights, params.biases)[-1]
-    return out[0] if single else out
+    if x.ndim != 2 or x.shape[1] != params.n_inputs:
+        raise ValueError(f"contexts have shape {x.shape}, network expects "
+                         f"(B, {params.n_inputs})")
+    return kernels.mlp_forward_acts(x, params.weights, params.biases)[-1]
 
 
 # ---------------------------------------------------------------------------

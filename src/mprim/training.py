@@ -13,10 +13,11 @@ that meaning is a `Head`:
                  leaves the known start configuration out of the output
 
 A head owns the method-specific decisions and nothing else: its targets,
-fitted once per demo before training; its loss, which it computes
-(`loss_and_grad`) with the numeric code of `regressor`; the ground-truth
-trajectories of a split; decoding a batch of network outputs into
-(B, T, n_joint) trajectories; and the checkpoint fields only it has.
+fitted to the whole stack of demos in one call before training; its
+loss, which it computes (`loss_and_grad`) with the numeric code of
+`regressor`; the ground-truth trajectories of a split; decoding a batch
+of network outputs into (B, T, n_joint) trajectories; and the checkpoint
+fields only it has.
 
 `train` runs one deterministic minibatch loop for every head (Adam, seeded
 shuffling, best-validation checkpointing, early stopping on the
@@ -103,13 +104,24 @@ def random_split(n: int, train_fraction: float, seed: int):
     return np.sort(order[:n_train]), np.sort(order[n_train:])
 
 
-def _check_inside(indices, n, what):
-    """Raise ValueError unless every entry of `indices` indexes one of `n`
+def _demo_indices(indices, n, what):
+    """`indices` as a 1-D int array. ValueError names the first entry that
+    is not an integer (a float, a bool) or does not index one of `n`
     demos."""
+    values = np.asarray(indices)
+    if values.ndim != 1:
+        raise ValueError(f"expected a 1-D sequence of {what} indices, got "
+                         f"shape {values.shape}")
+    if values.dtype.kind not in "iu":
+        for v in values.tolist():
+            if type(v) is not int:
+                raise ValueError(f"{what} index {v!r} is not an integer")
+    indices = values.astype(int)
     outside = indices[(indices < 0) | (indices >= n)]
     if len(outside):
         raise ValueError(f"{what} index {outside[0]} is outside the dataset, "
                          f"which has {n} demos")
+    return indices
 
 
 def _fit_scaler(contexts):
@@ -400,18 +412,11 @@ class DmpHead(Head):
             home = dataset.trajectories[train_idx, 0].mean(axis=0)
         head = cls(task, dataset.n_joint, dataset.phase_cfg, n_basis_dmp,
                    tau, home)
-        forcing, goals, starts = head._fits(dataset.trajectories)
+        forcing, goals, starts = dmp_mod.fit_dmp(dataset.trajectories,
+                                                 n_basis_dmp, tau)
         return head, np.concatenate(
             [forcing.reshape(len(forcing), -1), goals]
             + ([starts] if task == "wpp" else []), axis=1)
-
-    def _fits(self, trajectories):
-        """Stacked forcing weights, goals and starts of each trajectory."""
-        fits = [dmp_mod.fit_dmp(values, self.n_basis_dmp, self.tau)
-                for values in trajectories]
-        return (np.stack([m.forcing_weights for m in fits]),
-                np.stack([m.goal for m in fits]),
-                np.stack([m.start for m in fits]))
 
     def loss_and_grad(self, pred, target):
         """rtp: the RMS of the forcing-weight residual plus GOAL_WEIGHT
@@ -438,8 +443,9 @@ class DmpHead(Head):
         return self._rollouts(forcing, goals, starts, "prediction", indices)
 
     def truth(self, dataset, indices):
-        return self._rollouts(*self._fits(dataset.trajectories[indices]),
-                              "ground-truth", indices)
+        fits = dmp_mod.fit_dmp(dataset.trajectories[indices],
+                               self.n_basis_dmp, self.tau)
+        return self._rollouts(*fits, "ground-truth", indices)
 
     def _rollouts(self, forcing, goals, starts, what, indices):
         """One batched rollout; a divergence names the dataset indices."""
@@ -499,10 +505,10 @@ class Model:
 
     def predict(self, dataset: DemoDataset, indices):
         """Predicted trajectories of the demos at `indices`, shape
-        (B, T, n_joint). An index outside the dataset raises ValueError."""
+        (B, T, n_joint). An index that is not an integer or lies outside
+        the dataset raises ValueError."""
         self.check_fits(dataset)
-        indices = np.asarray(indices, dtype=int)
-        _check_inside(indices, len(dataset), "demo")
+        indices = _demo_indices(indices, len(dataset), "demo")
         ctx = dataset.contexts[indices]
         out = mlp_forward(self.mlp, (ctx - self.ctx_mean) / self.ctx_std)
         return self.head.decode(out, dataset, indices)
@@ -554,8 +560,8 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
     wpp); `task`, `n_basis_dmp` and `tau` set the attractor head, whose
     variant defaults to the dataset kind. `split` is (train, test)
     indices; by default a seeded random split. A split with no train
-    demo, an index outside the dataset or a demo on both sides raises
-    ValueError. Returns (Model, TrainReport).
+    demo, an index that is not an integer or lies outside the dataset, or
+    a demo on both sides raises ValueError. Returns (Model, TrainReport).
     """
     if method not in HEADS:
         raise ValueError(f"unknown method {method!r}; "
@@ -564,11 +570,10 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
         raise ValueError("dataset is empty")
     if split is None:
         split = random_split(len(dataset), cfg.train_fraction, cfg.seed)
-    train_idx, test_idx = (np.asarray(idx, int) for idx in split)
+    train_idx, test_idx = (_demo_indices(idx, len(dataset), what)
+                           for idx, what in zip(split, ("train", "test")))
     if not len(train_idx):   # an empty test side is allowed
         raise ValueError("the split's train side is empty")
-    _check_inside(train_idx, len(dataset), "train")
-    _check_inside(test_idx, len(dataset), "test")
     both = set(train_idx.tolist()) & set(test_idx.tolist())
     if both:
         raise ValueError(f"demo {min(both)} is on both the train and the "
@@ -610,7 +615,7 @@ def evaluate(model: Model, dataset: DemoDataset, indices,
     error and end-effector distance are computed once, in one pass over
     the whole split, and averaged per group.
     """
-    indices = np.asarray(indices, dtype=int)
+    indices = _demo_indices(indices, len(dataset), "demo")
     if len(indices) == 0:
         raise ValueError("cannot evaluate an empty split")
     if chain is None:

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from mprim.dataset import (DEFAULT_FS, HOME_CONFIG, RTP_DEFAULT_COUNTS,
                            RTP_REGION_HALF_EXTENT, WPP_CONFIG_POSITIONS,
-                           WPP_SPLITS, DemoDataset, SplitSpec, apply_split,
+                           WPP_SPLITS, DemoDataset, apply_split,
                            generate_rtp, generate_wpp, load_jsonl, min_jerk,
                            save_jsonl)
 from mprim.errors import DatasetFormatError
@@ -192,10 +192,11 @@ EXPECTED_DISPOSITIONS = {
 class TestSplits:
     @pytest.mark.parametrize("name", sorted(WPP_SPLITS))
     def test_registry_matches_protocol_table(self, name):
-        spec = WPP_SPLITS[name]
+        dispositions = WPP_SPLITS[name]
+        assert len(dispositions) == 7
         train, test, half, unused = EXPECTED_DISPOSITIONS[name]
         for pattern in range(1, 8):
-            d = spec.disposition(pattern)
+            d = dispositions[pattern - 1]
             expected = ("train" if pattern in train else
                         "test" if pattern in test else
                         "half" if pattern in half else "unused")
@@ -260,11 +261,14 @@ class TestSplits:
         with pytest.raises(ValueError):
             apply_split(ds, WPP_SPLITS["WPP1"], seed=0)
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SplitSpec("bad", tuple(enumerate(["train"] * 7, start=1)))
-        with pytest.raises(ValueError):
-            SplitSpec("bad", tuple(enumerate(["train"] * 6, start=1)))
+    @pytest.mark.parametrize("tag", [0, 8, [1], True, 1.0, "1"])
+    def test_bad_pattern_tag_names_the_demo(self, tag):
+        # tuple indexing would wrap pattern 0 around to pattern 7
+        ds = generate_wpp(seed=2, trials_per_cell=1)
+        ds.tags[5]["pattern"] = tag
+        with pytest.raises(ValueError, match=r"demo 5 has pattern tag .*"
+                                             r"integer in 1\.\.7"):
+            apply_split(ds, WPP_SPLITS["WPP1"], seed=0)
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(WPP_SPLITS)),

@@ -89,31 +89,37 @@ def adam_reference(arrays, grads_per_step, learning_rate):
 class TestMlpForward:
     def test_zero_parameters_zero_output(self):
         params = MlpParams((3, 2), np.zeros(8))
-        np.testing.assert_array_equal(mlp_forward(params, np.ones(3)), 0.0)
+        out = mlp_forward(params, np.ones((4, 3)))
+        assert out.shape == (4, 2)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_identity_single_layer(self):
         params = MlpParams((3, 3), np.r_[np.eye(3).ravel(), np.zeros(3)])
-        x = np.array([0.2, -0.7, 1.5])
+        x = np.array([[0.2, -0.7, 1.5], [1.0, 0.0, -2.0]])
         np.testing.assert_array_equal(mlp_forward(params, x), x)
 
     def test_seeded_init_reproducible(self):
         a = init_mlp((4, 8, 2), seed=5)
         b = init_mlp((4, 8, 2), seed=5)
-        x = np.array([0.1, 0.2, 0.3, 0.4])
+        x = np.array([[0.1, 0.2, 0.3, 0.4]])
         np.testing.assert_array_equal(mlp_forward(a, x), mlp_forward(b, x))
 
     def test_batch_and_single_agree(self):
+        # each row of a batch as a batch of one
         params = init_mlp((3, 6, 2), seed=0)
         x = np.random.default_rng(1).standard_normal((5, 3))
         batch = mlp_forward(params, x)
         for i in range(5):
-            np.testing.assert_allclose(mlp_forward(params, x[i]), batch[i],
-                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(mlp_forward(params, x[i:i + 1])[0],
+                                       batch[i], rtol=1e-12, atol=1e-14)
 
     def test_wrong_width_rejected(self):
+        # a single unbatched context is rejected too
         params = init_mlp((3, 2), seed=0)
-        with pytest.raises(ValueError):
-            mlp_forward(params, np.zeros(4))
+        for shape in [(2, 4), (3,), (1, 1, 3)]:
+            with pytest.raises(ValueError,
+                               match=r"network expects \(B, 3\)"):
+                mlp_forward(params, np.zeros(shape))
 
 
 class TestFlatLayout:
@@ -237,7 +243,7 @@ class TestLossValues:
 class TestGradients:
     def test_zero_gradient_at_optimum(self):
         params = init_mlp((2, 4, 10), seed=0)
-        ctx = np.array([0.5, -0.5])
+        ctx = np.array([[0.5, -0.5]])
         target = mlp_forward(params, ctx)   # prediction == ground truth
         grad, loss = mlp_backward(params, ctx, traj_head(2), target)
         assert loss == 0.0
@@ -274,8 +280,8 @@ class TestGradients:
             analytic, _ = mlp_backward(params, ctx, head, target)
 
             def loss_fn(p, c, _t=target):
-                pred = mlp_forward(p, c)
-                losses, _ = head.loss_and_grad(pred[None, :], _t[None, :])
+                pred = mlp_forward(p, c[None, :])
+                losses, _ = head.loss_and_grad(pred, _t[None, :])
                 return losses[0]
 
             numeric = numeric_gradient(params, ctx, loss_fn)

@@ -98,6 +98,18 @@ class TestSplits:
                   split=tuple(np.array(side, int) for side in split))
         assert str(err.value) == message
 
+    def test_non_integer_split_rejected(self):
+        # these were truncated and trained on demos 0, 1 and 2
+        ds = generate_rtp(seed=1, counts=(6, 3, 3, 3))
+        with pytest.raises(ValueError,
+                           match=r"^train index 0\.5 is not an integer$"):
+            train("deep-mp", ds, TrainConfig(epochs=1),
+                  split=([0.5, 1.7, 2.2], [3.9]))
+        with pytest.raises(ValueError,
+                           match=r"^test index 3\.9 is not an integer$"):
+            train("deep-mp", ds, TrainConfig(epochs=1),
+                  split=([0, 1, 2], [3.9]))
+
 
 class TestTrainDeepMp:
     def test_zero_epochs_returns_init(self, small_rtp):
@@ -306,9 +318,9 @@ class TestEvaluate:
         n, j, k = head.phase_cfg.duration_samples, 7, head.n_basis_dmp
         sq, preds, gts = [], [], []
         for i, out in zip(split[1], net_outputs(model, tiny_wpp, split[1])):
-            fit = fit_dmp(tiny_wpp.trajectories[i], k, head.tau)
-            gt = rollout_matched(fit.start[None], fit.goal[None],
-                                 fit.forcing_weights[None], head.tau, n)[0]
+            forcing, goal, start = fit_dmp(tiny_wpp.trajectories[i][None], k,
+                                           head.tau)
+            gt = rollout_matched(start, goal, forcing, head.tau, n)[0]
             # wpp output layout [forcing, joint-major | goal | start]
             pred = rollout_matched(out[None, j * k + j:],
                                    out[None, j * k:j * k + j],
@@ -329,23 +341,22 @@ class TestEvaluate:
                          split=split)
         bad = int(split[1][3])
 
-        def poison(dmp):   # a NaN forcing weight makes that row non-finite
-            w = dmp.forcing_weights.copy()
-            w[0, 0] = np.nan
-            return dataclasses.replace(dmp, forcing_weights=w)
-
         if which == "prediction":
             # a NaN context gives that demo a NaN network output
             contexts = tiny_wpp.contexts.copy()
             contexts[bad] = np.nan
             monkeypatch.setattr(tiny_wpp, "contexts", contexts)
         else:
-            # each demo reaches fit_dmp as a new view, so match by value
-            bad_values = tiny_wpp.trajectories[bad]
-            monkeypatch.setattr(dmp_mod, "fit_dmp", lambda values, *a: (
-                poison(fit_dmp(values, *a))
-                if np.array_equal(values, bad_values)
-                else fit_dmp(values, *a)))
+            # a NaN forcing weight in the bad demo's row of the stacked
+            # fit makes its ground-truth rollout non-finite
+            def poisoned(trajectories, *a):
+                forcing, goals, starts = fit_dmp(trajectories, *a)
+                for row, values in enumerate(trajectories):
+                    if np.array_equal(values, tiny_wpp.trajectories[bad]):
+                        forcing[row, 0, 0] = np.nan
+                return forcing, goals, starts
+
+            monkeypatch.setattr(dmp_mod, "fit_dmp", poisoned)
         with pytest.raises(IntegrationError,
                            match=rf"{which} rollout .* \[{bad}\]") as err:
             evaluate(model, tiny_wpp, split[1])
@@ -411,6 +422,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(model, small_rtp, np.array([], int))
 
+    def test_non_integer_indices_rejected(self, small_rtp):
+        # these were truncated and scored demos 1 and 2
+        model, _ = train("deep-mp", small_rtp, TrainConfig(epochs=1, seed=7))
+        with pytest.raises(ValueError,
+                           match=r"^demo index 1\.5 is not an integer$"):
+            evaluate(model, small_rtp, [1.5, 2.5])
+        with pytest.raises(ValueError, match="expected a 1-D sequence"):
+            evaluate(model, small_rtp, 3)
+
 
 class TestModelFitsDataset:
     @pytest.fixture(scope="class")
@@ -438,6 +458,13 @@ class TestModelFitsDataset:
 
     def test_fitting_dataset_passes(self, rtp_model, small_rtp):
         rtp_model.check_fits(small_rtp)
+
+    def test_non_integer_index_rejected(self, rtp_model, small_rtp):
+        # [0.9] predicted demo 0, and [True] would predict demo 1
+        for indices, name in (([0.9], "0.9"), ([True], "True")):
+            with pytest.raises(ValueError, match=rf"^demo index {name} is "
+                                                 rf"not an integer$"):
+                rtp_model.predict(small_rtp, indices)
 
 
 class TestDispatchAndReport:
