@@ -1,9 +1,11 @@
-"""Phase grid and normalized Gaussian basis matrix.
+"""Normalized Gaussian basis matrix over the normalized phase.
 
-Trajectories are expressed over a phase z(t) = t / f (no time modulation).
-Every representation downstream works through the T x N basis matrix whose
-row t holds the normalized Gaussian activations at z(t); rows sum to one.
-The basis is set by the phase grid and its size N alone (`build_phi`).
+Every demo and every rollout spans one nominal duration, so a trajectory
+of T samples is expressed over the phase s_k = k/(T-1) in [0, 1]; the
+sampling frequency does not enter. Every representation downstream works
+through the T x N basis matrix whose row k holds the normalized Gaussian
+activations at s_k; rows sum to one. The basis is set by T and its size N
+alone (`build_phi`).
 """
 
 from dataclasses import dataclass, field
@@ -14,22 +16,8 @@ from mprim import kernels
 
 
 @dataclass(frozen=True)
-class PhaseConfig:
-    """Sampling grid of a trajectory: frequency in Hz and sample count."""
-
-    sampling_frequency: float
-    duration_samples: int
-
-    def __post_init__(self):
-        if not self.sampling_frequency > 0:
-            raise ValueError("sampling_frequency must be > 0")
-        if self.duration_samples < 2:
-            raise ValueError("duration_samples must be >= 2")
-
-
-@dataclass(frozen=True)
 class PhiMatrix:
-    """T x N basis matrix; row t is the activation vector at phase z(t).
+    """T x N basis matrix; row k is the activation vector at phase s_k.
 
     `gram` is the N x N Gram matrix values.T @ values, computed once. It is
     the normal matrix of the ridge fit and, since |Phi d|^2 = d^T gram d,
@@ -61,22 +49,20 @@ class PhiMatrix:
         return self.values.shape[1]
 
 
-def phase_grid(cfg: PhaseConfig) -> np.ndarray:
-    """Phase values of all samples, shape (duration_samples,)."""
-    return np.arange(cfg.duration_samples, dtype=float) / cfg.sampling_frequency
+def build_phi(n_samples: int, n_basis: int) -> PhiMatrix:
+    """Basis matrix of `n_basis` normalized Gaussians over the phase
+    s_k = k/(n_samples-1), k = 0..n_samples-1.
 
-
-def build_phi(phase_cfg: PhaseConfig, n_basis: int) -> PhiMatrix:
-    """Basis matrix of `n_basis` normalized Gaussians over the phase grid.
-
-    The centers lie evenly over the realized span [0, (T-1)/f], ends
-    included. The shared width is the squared center spacing (the squared
-    span for a single basis), which puts the crossing point of adjacent
-    bases around 0.6 and keeps the Gram matrix well-conditioned.
+    The centers lie evenly over [0, 1], ends included. The shared width is
+    the squared center spacing (1.0 for a single basis), which puts the
+    crossing point of adjacent bases around 0.6 and keeps the Gram matrix
+    well-conditioned.
     """
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     if n_basis < 1:
         raise ValueError(f"n_basis must be >= 1, got {n_basis}")
-    z = phase_grid(phase_cfg)
-    centers = np.linspace(0.0, z[-1], n_basis)
-    spacing = centers[1] - centers[0] if n_basis > 1 else z[-1]
-    return PhiMatrix(kernels.basis_matrix(z, centers, float(spacing ** 2)))
+    s = np.arange(n_samples) / (n_samples - 1)
+    centers = np.linspace(0.0, 1.0, n_basis)
+    width = (centers[1] - centers[0]) ** 2 if n_basis > 1 else 1.0
+    return PhiMatrix(kernels.basis_matrix(s, centers, float(width)))

@@ -5,16 +5,19 @@ A checkpoint holds one `training.Model` in one JSON object {"schema": 2,
 float arrays are `dataset.encode_f64` strings ("enc" below), as in
 datasets, so they round-trip bit-exactly. The payload (schema 2) holds
   {"method": "deep-mp"|"residual"|"ddmp", "task": "rtp"|"wpp",
-   "n_joint": J, "sampling_frequency": Hz, "n_samples_per_traj": T,
+   "n_joint": J, "n_samples_per_traj": T,
    "layer_sizes": [int, ...], "theta": enc of every weight and bias,
    layer by layer, "ctx_mean": enc, "ctx_std": enc,
    "train_indices": [int, ...], "test_indices": [int, ...]}
 and then only the fields of its method's head:
   deep-mp   "n_basis": int (`basis.build_phi` sets the basis from it
-            and the phase grid)
+            and T)
   residual  "n_basis": int, "mean_weights": {region: enc of J*n_basis}
-  ddmp      "n_basis_dmp": int, "dmp_tau": float, "home": enc of J or null
-Every array value must be finite, and every `ctx_std` entry > 0.
+  ddmp      "n_basis_dmp": int, "home": enc of J or null
+Every array value must be finite, and every `ctx_std` entry > 0. Other
+payload fields are ignored: checkpoints written while the models still
+took a sampling rate and a DMP time constant hold one field for each,
+and they load as before.
 Schema 1 (nested decimal lists) is no longer read: re-run `mprim train`
 with the arguments in the checkpoint's manifest to rewrite it.
 """

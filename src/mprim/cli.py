@@ -35,7 +35,7 @@ from mprim.dataset import (RTP_DEFAULT_COUNTS, WPP_DEFAULT_TRIALS, WPP_SPLITS,
                            apply_split, generate_rtp, generate_wpp,
                            load_jsonl, save_jsonl)
 from mprim.jsonio import read_json_object
-from mprim.kinematics import default_chain, load_chain
+from mprim.kinematics import DEFAULT_CHAIN, load_chain
 
 
 def _sha256(path):
@@ -159,8 +159,9 @@ def _build_parser():
                     help="default 8 for rtp data, 10 for wpp")
     tr.add_argument("--n-basis-dmp", type=_int_from(1),
                     default=training.DEFAULT_N_BASIS_DMP)
-    tr.add_argument("--tau", type=_finite(0.0),
-                    default=training.DEFAULT_DMP_TAU)
+    tr.add_argument("--tau", type=_finite(0.0), default=None,
+                    help="no effect: the attractor works in unit time; "
+                         "still parsed so that older command lines run")
     tr.add_argument("--patience", type=_int_from(1), default=20)
     tr.add_argument("--out", type=Path, required=True)
 
@@ -208,15 +209,13 @@ def cmd_train(args, argv):
         split = apply_split(dataset, WPP_SPLITS[args.split], args.seed)
     model, report = training.train(
         args.method, dataset, cfg, n_basis=args.n_basis, hidden=args.hidden,
-        task=args.task, n_basis_dmp=args.n_basis_dmp, tau=args.tau,
-        split=split)
+        task=args.task, n_basis_dmp=args.n_basis_dmp, split=split)
 
     config = {"method": args.method, "epochs": epochs,
               "batch_size": args.batch_size, "lr": args.lr,
               "hidden": list(args.hidden), "n_basis": args.n_basis,
-              "n_basis_dmp": args.n_basis_dmp, "tau": args.tau,
-              "split": args.split, "patience": args.patience,
-              "data": str(args.data)}
+              "n_basis_dmp": args.n_basis_dmp, "split": args.split,
+              "patience": args.patience, "data": str(args.data)}
     meta = {"config": config, "seed": args.seed,
             "stopping_reason": report.stopping_reason,
             "best_epoch": report.best_epoch,
@@ -239,7 +238,7 @@ def cmd_train(args, argv):
 def cmd_eval(args, argv):
     dataset = load_jsonl(args.data)
     model = checkpoint.load(args.checkpoint)
-    chain = load_chain(args.chain) if args.chain else default_chain()
+    chain = load_chain(args.chain) if args.chain else DEFAULT_CHAIN
     model.check_fits(dataset)
     if chain.n_joints != dataset.n_joint:
         raise ValueError(f"kinematic chain {args.chain or '(built-in)'} has "

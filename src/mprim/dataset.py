@@ -8,10 +8,12 @@ smooth nonlinear function into joint space, so the context-to-weights
 relation is learnable by construction but not affine.
 
 In memory, a `DemoDataset` of N demos holds one set of arrays: `contexts`
-(N, D), `trajectories` (N, T, n_joint) in radians, sampled at
-`sampling_frequency` Hz, plus per demo a `tags` dict and a `splits` label
-(None, "train" or "test"). Every demo shares one phase grid, so the grid
-and the sizes are read from the array shapes.
+(N, D), `trajectories` (N, T, n_joint) in radians, plus per demo a `tags`
+dict and a `splits` label (None, "train" or "test"). Every demo spans one
+nominal duration in T samples, so the models see time only as the
+normalized phase k/(T-1) and the sizes are read from the array shapes.
+`sampling_frequency` (Hz) is recorded provenance: it is checked and
+round-tripped, but no model reads it.
 
 File format (JSONL, dataset schema 2, one object per line):
   line 1   header {"schema": 2, "kind": "rtp"|"wpp", "seed": int,
@@ -37,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mprim.basis import PhaseConfig
 from mprim.errors import DatasetFormatError
 
 SCHEMA_VERSION = 2
@@ -143,8 +144,10 @@ class DemoDataset:
                 f"N tags and splits, got contexts {self.contexts.shape}, "
                 f"trajectories {self.trajectories.shape}, {sizes[2]} tags "
                 f"and {sizes[3]} splits")
-        if len(self):   # the shared grid needs fs > 0 and T >= 2
-            PhaseConfig(self.sampling_frequency, self.n_samples_per_traj)
+        if len(self) and not self.sampling_frequency > 0:
+            raise ValueError("sampling_frequency must be > 0")
+        if len(self) and self.n_samples_per_traj < 2:
+            raise ValueError("n_samples_per_traj must be >= 2")
 
     def __len__(self):
         return len(self.trajectories)
@@ -160,10 +163,6 @@ class DemoDataset:
     @property
     def context_dim(self):
         return self.contexts.shape[1]
-
-    @property
-    def phase_cfg(self):
-        return PhaseConfig(self.sampling_frequency, self.n_samples_per_traj)
 
 
 def min_jerk(q0, q1, n_samples: int) -> np.ndarray:

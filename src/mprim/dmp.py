@@ -1,7 +1,9 @@
 """Discrete dynamic movement primitives (goal-attractor baseline).
 
 One second-order spring-damper per joint, driven by a phase-gated forcing
-term. The phase x decays exponentially in time, the forcing term is a
+term, in unit time: every demo and every rollout spans t in [0, 1], so
+dq/dt = v and dv/dt = alpha_z*(beta_z*(g - q) - v) + f(x). The phase
+x = exp(-alpha_x t) decays exponentially, the forcing term is a
 normalized mix of Gaussian kernels in x scaled by x*(g - q0), so the
 system always settles on the goal once the phase has died out.
 
@@ -28,9 +30,9 @@ ROLLOUT_OVERSAMPLE = 10
 def forcing_kernels(n_basis):
     """Kernel centers/widths in phase space, evenly spaced in time.
 
-    Centers follow the exponential phase at equal time steps over one
-    nominal duration; widths scale with the inverse squared spacing so
-    neighbouring kernels keep a constant overlap.
+    Centers follow the exponential phase at equal time steps over unit
+    time; widths scale with the inverse squared spacing so neighbouring
+    kernels keep a constant overlap.
     """
     if n_basis < 1:
         raise ValueError("n_basis must be >= 1")
@@ -44,17 +46,12 @@ def forcing_kernels(n_basis):
     return centers, widths
 
 
-def _check_tau(tau):
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
-
-
-def fit_dmp(trajectories, n_basis: int, tau: float):
+def fit_dmp(trajectories, n_basis: int):
     """Fit forcing weights to a stack of demos by locally weighted
     regression.
 
     `trajectories` is the (B, T, n_joint) joint positions of B demos.
-    Each demo is mapped onto the nominal duration tau, velocities and
+    Each demo is mapped onto unit time, dt = 1/(T-1); velocities and
     accelerations come from central finite differences (one-sided at the
     ends), and each kernel is regressed independently against the target
     forcing term. Returns (forcing weights (B, n_joint, n_basis), goals
@@ -67,7 +64,6 @@ def fit_dmp(trajectories, n_basis: int, tau: float):
     bit its B = 1 fit; one flat (B, T) x (T, n_basis) product would let
     BLAS round a row differently depending on its place in the stack.
     """
-    _check_tau(tau)
     q = np.asarray(trajectories, dtype=float)
     if q.ndim != 3:
         raise ValueError(f"expected a (B, T, n_joint) stack of demos, got "
@@ -75,25 +71,23 @@ def fit_dmp(trajectories, n_basis: int, tau: float):
     T = q.shape[1]
     if T < 3:
         raise ValueError("need at least 3 samples to differentiate the demo")
-    dt = tau / (T - 1)
+    dt = 1.0 / (T - 1)
     starts, goals = q[:, 0].copy(), q[:, -1].copy()
 
-    x = np.exp(-ALPHA_X * np.arange(T) * dt / tau)
+    x = np.exp(-ALPHA_X * np.arange(T) * dt)
     centers, widths = forcing_kernels(n_basis)
     psi_t = np.exp(-widths[None, :] * (x[:, None] - centers[None, :]) ** 2).T
 
     weights = np.empty((q.shape[0], q.shape[2], n_basis))
     for j in range(q.shape[2]):
-        # f_target = tau^2 qdd - alpha_z (beta_z (g - q) - tau qd), built
-        # in place so that at most three (B, T) arrays live at a time
+        # f_target = qdd - alpha_z (beta_z (g - q) - qd), built in place so
+        # that at most three (B, T) arrays live at a time
         qd = np.gradient(q[:, :, j], dt, axis=1, edge_order=2)
         qdd = np.gradient(qd, dt, axis=1, edge_order=2)
         f = goals[:, j, None] - q[:, :, j]
         f *= BETA_Z
-        qd *= tau
         f -= qd
         f *= ALPHA_Z
-        qdd *= tau ** 2
         np.subtract(qdd, f, out=f)
         del qd, qdd
         xi = x * (goals[:, j] - starts[:, j])[:, None]
@@ -107,19 +101,17 @@ def fit_dmp(trajectories, n_basis: int, tau: float):
     return weights, goals, starts
 
 
-def rollout_matched(start, goal, forcing_weights, tau: float,
-                    n_samples: int):
+def rollout_matched(start, goal, forcing_weights, n_samples: int):
     """Rollouts of a batch, on the n_samples grid a demo of that length uses.
 
     `start` and `goal` are (B, n_joint), `forcing_weights` is
-    (B, n_joint, n_basis); every row shares tau. Integrates with explicit
-    Euler at ROLLOUT_OVERSAMPLE sub-steps per demo sample over one nominal
-    duration tau and keeps every ROLLOUT_OVERSAMPLE-th point, so sample k
-    lands exactly at time k*tau/(n_samples-1). Returns (B, n_samples,
-    n_joint), sample 0 of each row being its start. A non-finite state
-    raises IntegrationError naming the diverged rows.
+    (B, n_joint, n_basis). Integrates with explicit Euler at
+    ROLLOUT_OVERSAMPLE sub-steps per demo sample over unit time and keeps
+    every ROLLOUT_OVERSAMPLE-th point, so sample k lands exactly at time
+    k/(n_samples-1). Returns (B, n_samples, n_joint), sample 0 of each row
+    being its start. A non-finite state raises IntegrationError naming the
+    diverged rows.
     """
-    _check_tau(tau)
     if n_samples < 2:
         raise ValueError("need n_samples >= 2")
     # a contiguous stack: a strided view can make BLAS round the forcing
@@ -135,8 +127,8 @@ def rollout_matched(start, goal, forcing_weights, tau: float,
         raise ValueError("need at least one system to roll out")
     centers, widths = forcing_kernels(w.shape[2])
     steps = (n_samples - 1) * ROLLOUT_OVERSAMPLE
-    track = kernels.dmp_rollout(start, goal, w, centers, widths, tau,
-                                ALPHA_Z, BETA_Z, ALPHA_X, tau / steps,
+    track = kernels.dmp_rollout(start, goal, w, centers, widths, 1.0,
+                                ALPHA_Z, BETA_Z, ALPHA_X, 1.0 / steps,
                                 steps + 1, ROLLOUT_OVERSAMPLE)
     bad = np.flatnonzero(~np.isfinite(track).all(axis=(1, 2)))
     if len(bad):

@@ -60,7 +60,9 @@ def dmp_rollout(start, goal, forcing_weights, centers, widths, tau,
     The forcing term f is the kernel-weighted mix scaled by the phase x
     and the start-to-goal span. All B systems share tau, the gains and the
     kernels, so the phase x and the kernel activations are computed once
-    for every step; only the (B, n_joint) state is integrated.
+    for every step; only the (B, n_joint) state is integrated. mprim calls
+    it in unit time, with tau = 1 and dt = 1/(steps - 1); see
+    `dmp.rollout_matched`.
 
     `start` and `goal` have shape (B, n_joint), `forcing_weights`
     (B, n_joint, n_basis). Returns the positions at steps 0, stride,

@@ -102,10 +102,6 @@ DEFAULT_CHAIN = KinematicChain(
 )
 
 
-def default_chain() -> KinematicChain:
-    return DEFAULT_CHAIN
-
-
 def load_chain(path) -> KinematicChain:
     """Read a chain config. Text that is not UTF-8 or not JSON, a document
     that is not a chain object and a DH field that is missing or not a

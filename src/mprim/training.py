@@ -33,10 +33,10 @@ import numpy as np
 
 from mprim import dmp as dmp_mod
 from mprim import kernels, metrics
-from mprim.basis import PhaseConfig, build_phi
+from mprim.basis import build_phi
 from mprim.dataset import DemoDataset, decode_f64, encode_f64
 from mprim.errors import IntegrationError
-from mprim.kinematics import KinematicChain, default_chain, final_distances
+from mprim.kinematics import DEFAULT_CHAIN, KinematicChain, final_distances
 from mprim.promp import fit_weights
 from mprim.regressor import (MlpParams, adam_init, adam_step, init_mlp,
                              mlp_forward, rms_loss, trajectory_loss)
@@ -46,7 +46,6 @@ DEFAULT_EPOCHS_WPP = 200
 DEFAULT_HIDDEN = (64, 64)
 DEFAULT_N_BASIS = {"rtp": 8, "wpp": 10}
 DEFAULT_N_BASIS_DMP = 25
-DEFAULT_DMP_TAU = 7.6
 GOAL_WEIGHT = 100.0   # rtp attractor loss: weight of the goal residual
 GLOBAL_GROUP = "__global__"
 TASKS = ("rtp", "wpp")
@@ -222,14 +221,6 @@ def _count(value, low=1):
     return value
 
 
-def _positive(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {type(value).__name__}")
-    if not 0.0 < value < np.inf:
-        raise ValueError(f"expected a finite number > 0, got {value}")
-    return float(value)
-
-
 def _task(value):
     if value not in TASKS:
         raise ValueError(f"expected 'rtp' or 'wpp', got {value!r}")
@@ -269,13 +260,14 @@ class Head:
     (`truth`), says how many network outputs it takes (`width`), and
     writes and reads the checkpoint fields only its method has
     (`to_dict`, `from_dict`): `n_basis` for deep-mp, plus
-    `mean_weights` for residual, and `n_basis_dmp`, `dmp_tau` and `home`
-    for ddmp (see `checkpoint`). Trajectories are (B, T, n_joint) arrays.
+    `mean_weights` for residual, and `n_basis_dmp` and `home` for ddmp
+    (see `checkpoint`). Trajectories are (B, T, n_joint) arrays, with T =
+    `n_samples`.
     """
 
     task: str                 # rtp | wpp
     n_joint: int
-    phase_cfg: PhaseConfig
+    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -285,7 +277,7 @@ class PrompHead(Head):
     n_basis: int
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", build_phi(self.phase_cfg,
+        object.__setattr__(self, "phi", build_phi(self.n_samples,
                                                   self.n_basis))
 
     @classmethod
@@ -293,7 +285,8 @@ class PrompHead(Head):
         """(head, fitted weights of every demo)."""
         if n_basis is None:
             n_basis = DEFAULT_N_BASIS[dataset.kind]
-        head = cls(dataset.kind, dataset.n_joint, dataset.phase_cfg, n_basis)
+        head = cls(dataset.kind, dataset.n_joint, dataset.n_samples_per_traj,
+                   n_basis)
         return head, head.weights(dataset.trajectories)
 
     def weights(self, trajectories):
@@ -325,8 +318,8 @@ class PrompHead(Head):
         return {"n_basis": self.n_basis}
 
     @classmethod
-    def from_dict(cls, task, n_joint, phase_cfg, d):
-        return cls(task, n_joint, phase_cfg, _field(d, "n_basis", _count))
+    def from_dict(cls, task, n_joint, n_samples, d):
+        return cls(task, n_joint, n_samples, _field(d, "n_basis", _count))
 
 
 @dataclass(frozen=True)
@@ -350,7 +343,7 @@ class ResidualHead(PrompHead):
         means = {GLOBAL_GROUP: weights[train_idx].mean(axis=0)}
         for region in dict.fromkeys(r for r in regions if r is not None):
             means[region] = weights[train_idx[regions == region]].mean(axis=0)
-        head = cls(base.task, base.n_joint, base.phase_cfg, base.n_basis,
+        head = cls(base.task, base.n_joint, base.n_samples, base.n_basis,
                    means)
         return head, weights - head._means(dataset, range(len(dataset)))
 
@@ -374,7 +367,7 @@ class ResidualHead(PrompHead):
                                  for k, v in self.mean_weights.items()}}
 
     @classmethod
-    def from_dict(cls, task, n_joint, phase_cfg, d):
+    def from_dict(cls, task, n_joint, n_samples, d):
         n_basis = _field(d, "n_basis", _count)
 
         def means(value):
@@ -382,7 +375,7 @@ class ResidualHead(PrompHead):
                 raise KeyError(GLOBAL_GROUP)
             return {k: _floats(v, n_joint * n_basis) for k, v in value.items()}
 
-        return cls(task, n_joint, phase_cfg, n_basis,
+        return cls(task, n_joint, n_samples, n_basis,
                    _field(d, "mean_weights", means))
 
 
@@ -397,12 +390,11 @@ class DmpHead(Head):
     """
 
     n_basis_dmp: int
-    tau: float
     home: np.ndarray               # rtp only, None for wpp
 
     @classmethod
     def fit(cls, dataset, train_idx, task=None,
-            n_basis_dmp=DEFAULT_N_BASIS_DMP, tau=DEFAULT_DMP_TAU, **_):
+            n_basis_dmp=DEFAULT_N_BASIS_DMP, **_):
         """(head, attractor parameters of every demo)."""
         task = dataset.kind if task is None else task
         if task not in TASKS:
@@ -410,10 +402,10 @@ class DmpHead(Head):
         home = None
         if task == "rtp":
             home = dataset.trajectories[train_idx, 0].mean(axis=0)
-        head = cls(task, dataset.n_joint, dataset.phase_cfg, n_basis_dmp,
-                   tau, home)
+        head = cls(task, dataset.n_joint, dataset.n_samples_per_traj,
+                   n_basis_dmp, home)
         forcing, goals, starts = dmp_mod.fit_dmp(dataset.trajectories,
-                                                 n_basis_dmp, tau)
+                                                 n_basis_dmp)
         return head, np.concatenate(
             [forcing.reshape(len(forcing), -1), goals]
             + ([starts] if task == "wpp" else []), axis=1)
@@ -444,14 +436,14 @@ class DmpHead(Head):
 
     def truth(self, dataset, indices):
         fits = dmp_mod.fit_dmp(dataset.trajectories[indices],
-                               self.n_basis_dmp, self.tau)
+                               self.n_basis_dmp)
         return self._rollouts(*fits, "ground-truth", indices)
 
     def _rollouts(self, forcing, goals, starts, what, indices):
         """One batched rollout; a divergence names the dataset indices."""
         try:
-            return dmp_mod.rollout_matched(starts, goals, forcing, self.tau,
-                                           self.phase_cfg.duration_samples)
+            return dmp_mod.rollout_matched(starts, goals, forcing,
+                                           self.n_samples)
         except IntegrationError as err:
             rows = [int(indices[r]) for r in err.rows]
             raise IntegrationError(
@@ -459,14 +451,13 @@ class DmpHead(Head):
                 f"indices {rows}", rows=rows) from err
 
     def to_dict(self):
-        return {"n_basis_dmp": self.n_basis_dmp, "dmp_tau": float(self.tau),
+        return {"n_basis_dmp": self.n_basis_dmp,
                 "home": None if self.home is None else encode_f64(self.home)}
 
     @classmethod
-    def from_dict(cls, task, n_joint, phase_cfg, d):
-        return cls(task, n_joint, phase_cfg,
+    def from_dict(cls, task, n_joint, n_samples, d):
+        return cls(task, n_joint, n_samples,
                    _field(d, "n_basis_dmp", _count),
-                   _field(d, "dmp_tau", _positive),
                    _field(d, "home", lambda home: None
                           if home is None and task == "wpp"
                           else _floats(home, n_joint)))
@@ -498,7 +489,7 @@ class Model:
                 ("trajectories have {} joints", dataset.n_joint,
                  self.head.n_joint),
                 ("trajectories have {} samples", dataset.n_samples_per_traj,
-                 self.head.phase_cfg.duration_samples)):
+                 self.head.n_samples)):
             if have != want:
                 raise ValueError(f"dataset {what.format(have)}, checkpoint "
                                  f"expects {want}")
@@ -515,11 +506,10 @@ class Model:
 
     def to_dict(self):
         """Checkpoint payload (schema 2; see `checkpoint`)."""
-        head, phase = self.head, self.head.phase_cfg
+        head = self.head
         method = next(m for m, cls in HEADS.items() if type(head) is cls)
         return {"method": method, "task": head.task, "n_joint": head.n_joint,
-                "sampling_frequency": float(phase.sampling_frequency),
-                "n_samples_per_traj": phase.duration_samples,
+                "n_samples_per_traj": head.n_samples,
                 "layer_sizes": list(self.mlp.layer_sizes),
                 "theta": encode_f64(self.mlp.theta),
                 "ctx_mean": encode_f64(self.ctx_mean),
@@ -530,13 +520,11 @@ class Model:
     @classmethod
     def from_dict(cls, d):
         """Inverse of `to_dict`. A field that is missing or of the wrong
-        type or shape raises ValueError naming it."""
-        phase_cfg = PhaseConfig(
-            _field(d, "sampling_frequency", _positive),
-            _field(d, "n_samples_per_traj", lambda v: _count(v, 2)))
+        type or shape raises ValueError naming it. Fields it does not read
+        are ignored."""
         head = _field(d, "method", HEADS.__getitem__).from_dict(
-            _field(d, "task", _task), _field(d, "n_joint", _count), phase_cfg,
-            d)
+            _field(d, "task", _task), _field(d, "n_joint", _count),
+            _field(d, "n_samples_per_traj", lambda v: _count(v, 2)), d)
         sizes = _field(d, "layer_sizes", lambda v: _layer_sizes(v, head))
         mlp = _field(d, "theta", lambda v: MlpParams(sizes, _floats(v)))
         return cls(head, mlp,
@@ -552,16 +540,15 @@ class Model:
 
 def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
           n_basis: int = None, hidden=DEFAULT_HIDDEN, task: str = None,
-          n_basis_dmp: int = DEFAULT_N_BASIS_DMP,
-          tau: float = DEFAULT_DMP_TAU, split=None):
+          n_basis_dmp: int = DEFAULT_N_BASIS_DMP, split=None):
     """Train the net of `method` (deep-mp, residual or ddmp).
 
     `n_basis` is the ProMP basis size (default 8 for rtp data, 10 for
-    wpp); `task`, `n_basis_dmp` and `tau` set the attractor head, whose
-    variant defaults to the dataset kind. `split` is (train, test)
-    indices; by default a seeded random split. A split with no train
-    demo, an index that is not an integer or lies outside the dataset, or
-    a demo on both sides raises ValueError. Returns (Model, TrainReport).
+    wpp); `task` and `n_basis_dmp` set the attractor head, whose variant
+    defaults to the dataset kind. `split` is (train, test) indices; by
+    default a seeded random split. A split with no train demo, an index
+    that is not an integer or lies outside the dataset, or a demo on both
+    sides raises ValueError. Returns (Model, TrainReport).
     """
     if method not in HEADS:
         raise ValueError(f"unknown method {method!r}; "
@@ -579,8 +566,7 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
         raise ValueError(f"demo {min(both)} is on both the train and the "
                          f"test side of the split")
     head, targets = HEADS[method].fit(dataset, train_idx, n_basis=n_basis,
-                                      task=task, n_basis_dmp=n_basis_dmp,
-                                      tau=tau)
+                                      task=task, n_basis_dmp=n_basis_dmp)
     contexts = dataset.contexts
     mean, std = _fit_scaler(contexts[train_idx])
     params, report = _run_training((contexts - mean) / std, targets,
@@ -600,7 +586,7 @@ def group_keys(dataset: DemoDataset):
 
 
 def evaluate(model: Model, dataset: DemoDataset, indices,
-             chain: KinematicChain = None):
+             chain: KinematicChain = DEFAULT_CHAIN):
     """Grouped metrics over a dataset subset.
 
     Returns (records, overall, pred): one EvalRecord per tag group
@@ -618,8 +604,6 @@ def evaluate(model: Model, dataset: DemoDataset, indices,
     indices = _demo_indices(indices, len(dataset), "demo")
     if len(indices) == 0:
         raise ValueError("cannot evaluate an empty split")
-    if chain is None:
-        chain = default_chain()
     pred = model.predict(dataset, indices)
     truth = model.head.truth(dataset, indices)
     sq = metrics.squared_trajectory_loss(pred, truth)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mprim import kernels
-from mprim.basis import PhaseConfig, PhiMatrix, build_phi, phase_grid
+from mprim.basis import PhiMatrix, build_phi
 
 
 def basis_row(z, centers, width):
@@ -19,43 +19,50 @@ def scalar_row(z, centers, width):
     return np.array(raw) / sum(raw)
 
 
-def evenly_spaced(pc, n_basis):
+def evenly_spaced(n_basis):
     """The centers and width build_phi documents: n_basis centers evenly
-    over [0, (T-1)/f], width the squared spacing."""
-    centers = np.linspace(0.0, (pc.duration_samples - 1)
-                          / pc.sampling_frequency, n_basis)
+    over [0, 1], width the squared spacing."""
+    centers = np.linspace(0.0, 1.0, n_basis)
     return centers, (centers[1] - centers[0]) ** 2
 
 
 class TestPhase:
-    def test_zero_sample(self):
-        assert phase_grid(PhaseConfig(150.0, 150))[0] == 0.0
+    """Row k of the basis matrix is the activation at phase k/(T-1)."""
 
-    def test_sample_equal_to_frequency(self):
-        # t == f lands exactly on one second of phase
-        assert phase_grid(PhaseConfig(150.0, 151))[150] == 1.0
+    def test_zero_sample(self):
+        np.testing.assert_array_equal(build_phi(150, 8).values[0],
+                                      basis_row(0.0, *evenly_spaced(8)))
+
+    def test_last_sample_at_phase_one(self):
+        np.testing.assert_array_equal(build_phi(150, 8).values[-1],
+                                      basis_row(1.0, *evenly_spaced(8)))
 
     def test_midpoint(self):
-        assert phase_grid(PhaseConfig(150.0, 150))[75] == 0.5
+        # an odd T puts sample (T-1)/2 on phase 0.5, where the evenly
+        # spaced basis is symmetric
+        row = build_phi(151, 8).values[75]
+        np.testing.assert_array_equal(row, basis_row(0.5, *evenly_spaced(8)))
+        np.testing.assert_allclose(row, row[::-1], rtol=1e-12)
 
     def test_grid_matches_scalar(self):
-        cfg = PhaseConfig(75.0, 20)
-        grid = phase_grid(cfg)
-        assert grid.shape == (20,)
+        phi = build_phi(20, 5)
+        assert phi.values.shape == (20, 5)
         for t in range(20):
-            assert grid[t] == t / 75.0
+            np.testing.assert_allclose(
+                phi.values[t], scalar_row(t / 19, *evenly_spaced(5)),
+                rtol=1e-12)
 
 
 class TestConfigValidation:
     def test_bad_phase_configs(self):
-        with pytest.raises(ValueError):
-            PhaseConfig(0.0, 150)
-        with pytest.raises(ValueError):
-            PhaseConfig(150.0, 1)
+        with pytest.raises(ValueError, match="n_samples must be >= 2, got 1"):
+            build_phi(1, 8)
+        with pytest.raises(ValueError, match="n_samples must be >= 2, got 0"):
+            build_phi(0, 8)
 
     def test_no_basis_rejected(self):
         with pytest.raises(ValueError, match="n_basis must be >= 1, got 0"):
-            build_phi(PhaseConfig(150.0, 150), 0)
+            build_phi(150, 0)
 
 
 class TestBasisRow:
@@ -90,26 +97,23 @@ class TestBasisRow:
 class TestBuildPhi:
     @pytest.mark.parametrize("n_basis", [1, 8, 10, 25])
     def test_partition_of_unity(self, n_basis):
-        pc = PhaseConfig(150.0, 150)
-        phi = build_phi(pc, n_basis)
+        phi = build_phi(150, n_basis)
         assert phi.values.shape == (150, n_basis)
         np.testing.assert_allclose(phi.values.sum(axis=1), 1.0, atol=1e-12)
 
     def test_rows_match_basis_row(self):
-        pc = PhaseConfig(150.0, 150)
-        phi = build_phi(pc, 8)
+        phi = build_phi(150, 8)
         for t in (0, 1, 74, 149):
             np.testing.assert_allclose(
-                phi.values[t], scalar_row(t / 150.0, *evenly_spaced(pc, 8)),
+                phi.values[t], scalar_row(t / 149, *evenly_spaced(8)),
                 rtol=1e-12)
 
     def test_degenerate_two_sample_single_basis(self):
-        phi = build_phi(PhaseConfig(150.0, 2), 1)
+        phi = build_phi(2, 1)
         np.testing.assert_array_equal(phi.values, [[1.0], [1.0]])
 
     def test_entries_within_unit_interval(self):
-        pc = PhaseConfig(150.0, 150)
-        phi = build_phi(pc, 10)
+        phi = build_phi(150, 10)
         assert np.all(phi.values >= 0.0) and np.all(phi.values <= 1.0)
 
     def test_phi_matrix_rejects_bad_rows(self):
@@ -132,7 +136,7 @@ class TestBasisProperties:
                                        atol=1e-12)
 
     def test_center_activation_is_maximal(self):
-        centers, width = evenly_spaced(PhaseConfig(150.0, 150), 8)
+        centers, width = evenly_spaced(8)
         for k, c in enumerate(centers):
             row = basis_row(c, centers, width)
             assert np.argmax(row) == k

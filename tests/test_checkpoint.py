@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mprim import checkpoint, training
-from mprim.basis import PhaseConfig
 from mprim.cli import main
 from mprim.dataset import (decode_f64, encode_f64, generate_rtp, generate_wpp,
                            save_jsonl)
@@ -24,13 +23,13 @@ METHODS = ("deep-mp", "residual", "ddmp")
 def test_dmp_model_round_trip(tmp_path):
     ds = generate_rtp(seed=4, counts=(6, 3, 2, 2))
     model, _ = train("ddmp", ds, TrainConfig(epochs=1, seed=2),
-                     n_basis_dmp=6, tau=5.0)
+                     n_basis_dmp=6)
     path = tmp_path / "ddmp.json"
     checkpoint.save(model, path)
     back = checkpoint.load(path)
     assert isinstance(back.head, DmpHead)
     head = back.head
-    assert (head.task, head.n_basis_dmp, head.tau) == ("rtp", 6, 5.0)
+    assert (head.task, head.n_basis_dmp) == ("rtp", 6)
     np.testing.assert_array_equal(back.head.home, model.head.home)
     idx = np.asarray(model.test_indices)
     np.testing.assert_array_equal(back.predict(ds, idx),
@@ -64,11 +63,11 @@ def test_save_of_loaded_model_is_byte_identical(tmp_path, method):
 
 def test_payload_lists_every_head_field_in_schema_order(tmp_path):
     # schema 2: the fields every model has, then only its own head's
-    common = ["method", "task", "n_joint", "sampling_frequency",
-              "n_samples_per_traj", "layer_sizes", "theta", "ctx_mean",
-              "ctx_std", "train_indices", "test_indices"]
+    common = ["method", "task", "n_joint", "n_samples_per_traj",
+              "layer_sizes", "theta", "ctx_mean", "ctx_std", "train_indices",
+              "test_indices"]
     own = {"deep-mp": ["n_basis"], "residual": ["n_basis", "mean_weights"],
-           "ddmp": ["n_basis_dmp", "dmp_tau", "home"]}
+           "ddmp": ["n_basis_dmp", "home"]}
     ds = generate_rtp(seed=3, counts=(6, 3, 2, 2))
     path = tmp_path / "model.json"
     for method in METHODS:
@@ -80,6 +79,26 @@ def test_payload_lists_every_head_field_in_schema_order(tmp_path):
         assert payload["method"] == method
         assert payload["layer_sizes"] == [3, 64, 64,
                                           model.mlp.layer_sizes[-1]]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_checkpoint_with_time_scales_still_loads(tmp_path, method):
+    # checkpoints written while the basis took a sampling rate and the
+    # attractor a time constant hold those fields; both cancelled out of
+    # every prediction, so such a checkpoint predicts what it did
+    ds = generate_wpp(seed=5, trials_per_cell=1)
+    model, _ = train(method, ds, TrainConfig(epochs=1, seed=0),
+                     n_basis_dmp=5)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    checkpoint.save(model, new)
+    doc = json.loads(new.read_text())
+    doc["payload"]["sampling_frequency"] = 150.0
+    if method == "ddmp":
+        doc["payload"]["dmp_tau"] = 7.6
+    old.write_text(json.dumps(doc))
+    idx = np.arange(len(ds))
+    np.testing.assert_array_equal(checkpoint.load(old).predict(ds, idx),
+                                  checkpoint.load(new).predict(ds, idx))
 
 
 def test_schema_1_names_file_and_rerun(tmp_path):
@@ -140,10 +159,6 @@ def test_uncheckpointable_type(tmp_path):
     ("ddmp", "n_basis_dmp", [5], "TypeError"),
     ("ddmp", "n_basis_dmp", 0, "expected an integer >= 1, got 0"),
     ("ddmp", "n_basis_dmp", 5.0, "TypeError: expected an integer"),
-    ("ddmp", "dmp_tau", -1.0, "expected a finite number > 0, got -1.0"),
-    ("ddmp", "dmp_tau", float("inf"), "expected a finite number > 0"),
-    ("ddmp", "dmp_tau", "1.0", "TypeError: expected a number, got str"),
-    ("ddmp", "dmp_tau", True, "TypeError: expected a number, got bool"),
     ("deep-mp", "theta", lambda old: _with(old, 5, np.nan),
      "ValueError: value 5 is nan; expected finite numbers)"),
     ("deep-mp", "ctx_mean", encode_f64([np.inf, 0.0, 0.0]),
@@ -161,9 +176,8 @@ def test_uncheckpointable_type(tmp_path):
      "ValueError: value 6 is nan; expected finite numbers)"),
 ], ids=["means_without_global", "means_width", "rtp_without_home",
         "n_basis_dmp_list", "n_basis_dmp_zero", "n_basis_dmp_float",
-        "tau_negative", "tau_inf", "tau_text", "tau_bool", "theta_nan",
-        "ctx_mean_inf", "ctx_std_zero", "ctx_std_negative", "ctx_std_inf",
-        "means_inf", "home_nan"])
+        "theta_nan", "ctx_mean_inf", "ctx_std_zero", "ctx_std_negative",
+        "ctx_std_inf", "means_inf", "home_nan"])
 def test_malformed_head_field_names_file_and_field(tmp_path, method, field,
                                                    value, why):
     # a field of the wrong type, shape or value would otherwise broadcast
@@ -241,7 +255,7 @@ _POSITIVE = st.one_of(
     st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-310,
                      1.7976931348623157e308]),
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-_PC = PhaseConfig(10.0, 8)
+_N_SAMPLES = 8
 
 
 def _model(method, floats, positive):
@@ -249,13 +263,13 @@ def _model(method, floats, positive):
     its `ctx_std` from `positive(n)`."""
     n_joint, n_basis = 2, 3
     if method == "ddmp":
-        head = DmpHead("rtp", n_joint, _PC, n_basis, 5.0, floats(n_joint))
+        head = DmpHead("rtp", n_joint, _N_SAMPLES, n_basis, floats(n_joint))
         width = n_joint * (n_basis + 1)
     else:
         width = n_joint * n_basis
-        head = (PrompHead("rtp", n_joint, _PC, n_basis)
+        head = (PrompHead("rtp", n_joint, _N_SAMPLES, n_basis)
                 if method == "deep-mp"
-                else ResidualHead("rtp", n_joint, _PC, n_basis,
+                else ResidualHead("rtp", n_joint, _N_SAMPLES, n_basis,
                                   {GLOBAL_GROUP: floats(width),
                                    "A": floats(width)}))
     sizes = (3, 4, width)

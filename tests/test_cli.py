@@ -1,18 +1,19 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mprim import checkpoint, training
-from mprim.basis import PhaseConfig
-from mprim.cli import main
+from mprim.cli import _build_parser, main
 from mprim.dataset import (encode_f64, generate_rtp, generate_wpp, load_jsonl,
                            save_jsonl)
-from mprim.kinematics import default_chain, fk_position
+from mprim.kinematics import DEFAULT_CHAIN, fk_position
 from mprim.regressor import MlpParams
 from mprim.training import Model, PrompHead, ResidualHead
 
@@ -136,6 +137,28 @@ class TestTrain:
                     "--method", "deep-mp", "--out", tmp_path / "x.json"])
         assert code == 1
 
+    @pytest.mark.parametrize("fs", [1e300, 1e-300])
+    def test_sampling_frequency_changes_nothing(self, small_dataset,
+                                                tmp_path, fs):
+        # the header's sampling frequency is provenance: no model reads it,
+        # so an extreme one trains and scores exactly like 150 Hz (1e300
+        # used to underflow the basis width and fail training)
+        lines = small_dataset.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        assert header["sampling_frequency"] == 150.0
+        header["sampling_frequency"] = fs
+        rewritten = tmp_path / "fs.jsonl"
+        rewritten.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        metrics = []
+        for data in (small_dataset, rewritten):
+            ckpt, outdir = tmp_path / f"{data.stem}.json", tmp_path / data.stem
+            assert run(["train", "--data", data, "--method", "deep-mp",
+                        "--epochs", "3", "--seed", "0", "--out", ckpt]) == 0
+            assert run(["eval", "--data", data, "--checkpoint", ckpt,
+                        "--outdir", outdir]) == 0
+            metrics.append((outdir / "metrics.csv").read_bytes())
+        assert metrics[0] == metrics[1]
+
     def test_manifest_lists_everything(self, small_dataset, tmp_path):
         ckpt = tmp_path / "ck.json"
         run(["train", "--data", small_dataset, "--method", "deep-mp",
@@ -157,8 +180,7 @@ class TestEval:
         ds.trajectories[:] = ds.trajectories[0]
         data = tmp_path / "const.jsonl"
         save_jsonl(ds, data)
-        pc = PhaseConfig(150.0, 150)
-        head = PrompHead("rtp", 7, pc, 8)
+        head = PrompHead("rtp", 7, 150, 8)
         targets = head.weights(ds.trajectories)
         mlp = MlpParams((3, 56), np.r_[np.zeros(3 * 56), targets[0]])
         model = Model(head, mlp, np.zeros(3), np.ones(3),
@@ -381,7 +403,7 @@ class TestEval:
             ee = np.loadtxt(outdir / f"sample_{i}_ee_path.csv",
                             delimiter=",", skiprows=1)
             np.testing.assert_array_equal(
-                ee[:, 4:], fk_position(default_chain(), rows))
+                ee[:, 4:], fk_position(DEFAULT_CHAIN, rows))
 
 
 class TestNumericFlags:
@@ -545,3 +567,23 @@ class TestConfigFile:
         message = self.usage_error(tmp_path, capsys, "[1, 2]",
                                    "--kind", "rtp")
         assert "JSON object" in message and "list" in message
+
+
+def test_benchmark_command_lines_parse():
+    # perfbench/run.py passes these command lines to every stage; a flag
+    # it passes that the parser no longer knows would fail only the
+    # benchmark run, so it is checked here (the file is read, not changed)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    parser = _build_parser()
+    for workload in bench.WORKLOADS.values():
+        for tiny in (False, True):
+            argvs = [bench.generate_argv(workload.kind, 1, tiny)]
+            for method in workload.methods:
+                argvs += [bench.train_argv(workload, method, 1, tiny),
+                          bench.train_argv(workload, method, 1, tiny, True),
+                          bench.eval_argv(method)]
+            for argv in argvs:
+                assert parser.parse_args(argv).command == argv[0], argv

@@ -331,7 +331,7 @@ class TestPersistence:
         ({"splits": [None] * 5}, "5 splits"),
         ({"trajectories": np.zeros((4, 150))}, "trajectories (4, 150)"),
         ({"contexts": np.zeros(4)}, "contexts (4,)"),
-        ({"trajectories": np.zeros((4, 1, 7))}, "duration_samples must be"),
+        ({"trajectories": np.zeros((4, 1, 7))}, "n_samples_per_traj must be"),
         ({"sampling_frequency": 0.0}, "sampling_frequency must be"),
     ], ids=["contexts", "tags", "splits", "2d_trajectories", "1d_contexts",
             "one_sample", "zero_frequency"])

@@ -7,8 +7,6 @@ from mprim.dmp import (ALPHA_X, ALPHA_Z, BETA_Z, fit_dmp, forcing_kernels,
                        rollout_matched)
 from mprim.errors import IntegrationError
 
-TAU = 7.6
-
 
 def min_jerk_values(q0, q1, n=150):
     q0 = np.atleast_1d(np.asarray(q0, float))
@@ -18,26 +16,25 @@ def min_jerk_values(q0, q1, n=150):
     return q0 + prof[:, None] * (q1 - q0)
 
 
-def fit_one(values, n_basis=25, tau=TAU):
+def fit_one(values, n_basis=25):
     """(forcing weights (n_joint, n_basis), goal, start) of one demo."""
-    weights, goals, starts = fit_dmp(np.asarray(values)[None], n_basis, tau)
+    weights, goals, starts = fit_dmp(np.asarray(values)[None], n_basis)
     return weights[0], goals[0], starts[0]
 
 
-def reference_fit(values, n_basis, tau):
-    """The forcing weights of one (T, n_joint) demo, fitted one joint at a
-    time with the skip of zero-span joints made explicit: the arithmetic
-    the stacked fit must reproduce bit for bit."""
+def reference_fit(values, n_basis):
+    """The forcing weights of one (T, n_joint) demo in unit time, fitted
+    one joint at a time with the skip of zero-span joints made explicit:
+    the arithmetic the stacked fit must reproduce bit for bit."""
     T = len(values)
-    dt = tau / (T - 1)
+    dt = 1.0 / (T - 1)
     qd = np.gradient(values, dt, axis=0, edge_order=2)
     qdd = np.gradient(qd, dt, axis=0, edge_order=2)
     start, goal = values[0], values[-1]
-    x = np.exp(-ALPHA_X * np.arange(T) * dt / tau)
+    x = np.exp(-ALPHA_X * np.arange(T) * dt)
     centers, widths = forcing_kernels(n_basis)
     psi = np.exp(-widths[None, :] * (x[:, None] - centers[None, :]) ** 2)
-    f_target = tau ** 2 * qdd - ALPHA_Z * (BETA_Z * (goal - values)
-                                           - tau * qd)
+    f_target = qdd - ALPHA_Z * (BETA_Z * (goal - values) - qd)
     weights = np.zeros((values.shape[1], n_basis))
     for j in range(values.shape[1]):
         span = goal[j] - start[j]
@@ -51,10 +48,10 @@ def reference_fit(values, n_basis, tau):
     return weights
 
 
-def rollout_one(fit, tau=TAU, n_samples=150):
+def rollout_one(fit, n_samples=150):
     """The (n_samples, n_joint) rollout of one demo's fit."""
     weights, goal, start = fit
-    return rollout_matched(start[None], goal[None], weights[None], tau,
+    return rollout_matched(start[None], goal[None], weights[None],
                            n_samples)[0]
 
 
@@ -104,19 +101,19 @@ class TestFit:
 
     def test_goal_and_start_from_demo(self):
         stack = degenerate_stack()
-        weights, goals, starts = fit_dmp(stack, 25, TAU)
+        weights, goals, starts = fit_dmp(stack, 25)
         assert weights.shape == (4, 2, 25)
         np.testing.assert_array_equal(starts, stack[:, 0])
         np.testing.assert_array_equal(goals, stack[:, -1])
 
     def test_too_short_demo_rejected(self):
         with pytest.raises(ValueError):
-            fit_dmp(np.zeros((1, 2, 1)), 25, TAU)
+            fit_dmp(np.zeros((1, 2, 1)), 25)
 
     @pytest.mark.parametrize("shape", [(150, 2), (150,), (1, 1, 150, 2)])
     def test_stack_that_is_not_3d_rejected(self, shape):
         with pytest.raises(ValueError, match=r"\(B, T, n_joint\)"):
-            fit_dmp(np.zeros(shape), 25, TAU)
+            fit_dmp(np.zeros(shape), 25)
 
     def test_mixed_degenerate_joint(self):
         # the second joint starts on its goal: a zero span, so zero weights
@@ -127,7 +124,7 @@ class TestFit:
         assert np.any(weights[0] != 0.0)
 
     def test_degenerate_rows_get_zero_weights(self):
-        weights, _, _ = fit_dmp(degenerate_stack(), 25, TAU)
+        weights, _, _ = fit_dmp(degenerate_stack(), 25)
         np.testing.assert_array_equal(weights[1], 0.0)
         np.testing.assert_array_equal(weights[3, 0], 0.0)
         assert np.all(weights[[0, 2]] != 0.0) and np.all(weights[3, 1] != 0.0)
@@ -135,47 +132,35 @@ class TestFit:
     @pytest.mark.parametrize("seed", range(3))
     def test_stack_equals_single_fits(self, seed):
         stack = degenerate_stack(seed)
-        fits = fit_dmp(stack, 25, TAU)
+        fits = fit_dmp(stack, 25)
         for b in range(len(stack)):
-            for stacked, single in zip(fits, fit_dmp(stack[b:b + 1], 25,
-                                                     TAU)):
+            for stacked, single in zip(fits, fit_dmp(stack[b:b + 1], 25)):
                 assert np.array_equal(stacked[b], single[0]), b
-            assert np.array_equal(fits[0][b],
-                                  reference_fit(stack[b], 25, TAU)), b
+            assert np.array_equal(fits[0][b], reference_fit(stack[b], 25)), b
 
 
 class TestRollout:
     def test_zero_forcing_converges_without_overshoot(self):
-        out = rollout_matched(*zero_forcing([0.0], [1.0]), TAU, 150)
+        out = rollout_matched(*zero_forcing([0.0], [1.0]), 150)
         assert abs(out[0, -1, 0] - 1.0) < 1e-3
         assert out[0, :, 0].max() <= 1.0 + 1e-9   # critically damped
 
     def test_start_equals_goal_stays_constant(self):
-        out = rollout_matched(*zero_forcing([0.7], [0.7]), TAU, 150)
+        out = rollout_matched(*zero_forcing([0.7], [0.7]), 150)
         np.testing.assert_array_equal(out, 0.7)
 
     def test_goal_convergence_with_arbitrary_forcing(self):
         rng = np.random.default_rng(8)
         goal = np.array([[1.0, -0.5]])
         out = rollout_matched(np.array([[0.0, 0.3]]), goal,
-                              rng.standard_normal((1, 2, 25)) * 50.0, TAU,
-                              150)
+                              rng.standard_normal((1, 2, 25)) * 50.0, 150)
         assert np.max(np.abs(out[0, -1] - goal[0])) < 1e-3
 
-    def test_time_scaling_preserves_path(self):
-        fit = fit_one(min_jerk_values([0.3], [1.4]))
-        base = rollout_one(fit, TAU)
-        slow = rollout_one(fit, 2 * TAU)
-        # matched phase samples: same path in position space
-        assert np.max(np.abs(base - slow)) < 1e-3
-
     def test_bad_dt_and_steps(self):
-        # the Euler step is tau / ((n_samples - 1) * oversample)
+        # the Euler step is 1 / ((n_samples - 1) * oversample)
         batch = zero_forcing([0.0], [1.0])
-        with pytest.raises(ValueError, match="tau"):
-            rollout_matched(*batch, 0.0, 150)
         with pytest.raises(ValueError, match="n_samples"):
-            rollout_matched(*batch, TAU, 1)
+            rollout_matched(*batch, 1)
 
     def test_divergence_detected(self):
         # forcing near the float limit, scaled by a span of 100, overflows
@@ -185,7 +170,7 @@ class TestRollout:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError):
-                rollout_matched(start, goal, w, TAU, 150)
+                rollout_matched(start, goal, w, 150)
 
     def test_divergent_row_is_named(self):
         # a joint on its goal feels no force, so only row 1 blows up
@@ -195,31 +180,31 @@ class TestRollout:
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError,
                                match=r"row\(s\) \[1\]") as err:
-                rollout_matched(start, goal, w, TAU, 150)
+                rollout_matched(start, goal, w, 150)
         assert err.value.rows == (1,)
 
     def test_batch_equals_single_rollouts(self):
         rng = np.random.default_rng(3)
         start, goal = rng.standard_normal((2, 3, 2))
         w = rng.standard_normal((3, 2, 25)) * 50.0
-        batch = rollout_matched(start, goal, w, TAU, 150)
+        batch = rollout_matched(start, goal, w, 150)
         assert batch.shape == (3, 150, 2)
         for b in range(3):
             np.testing.assert_array_equal(
                 batch[b], rollout_matched(start[b:b + 1], goal[b:b + 1],
-                                          w[b:b + 1], TAU, 150)[0])
+                                          w[b:b + 1], 150)[0])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             rollout_matched(np.zeros((0, 2)), np.zeros((0, 2)),
-                            np.zeros((0, 2, 25)), TAU, 150)
+                            np.zeros((0, 2, 25)), 150)
 
     def test_mismatched_shapes_rejected(self):
         start, goal, w = zero_forcing([0.0, 0.1], [1.0, 1.1])
         with pytest.raises(ValueError, match="batch"):
-            rollout_matched(start, goal[:1], w, TAU, 150)
+            rollout_matched(start, goal[:1], w, 150)
         with pytest.raises(ValueError, match="batch"):
-            rollout_matched(start, goal, w[0], TAU, 150)
+            rollout_matched(start, goal, w[0], 150)
 
     def test_matched_rollout_grid(self):
         fit = fit_one(min_jerk_values([0.0], [1.0]))
@@ -238,7 +223,3 @@ class TestKernels:
     def test_single_kernel(self):
         centers, widths = forcing_kernels(1)
         assert centers.shape == widths.shape == (1,)
-
-    def test_model_validation(self):
-        with pytest.raises(ValueError, match="tau"):
-            fit_one(min_jerk_values([0.0], [1.0]), tau=-1.0)

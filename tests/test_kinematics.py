@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mprim.kinematics import (KinematicChain, default_chain, final_distances,
+from mprim.kinematics import (DEFAULT_CHAIN, KinematicChain, final_distances,
                               fk_position, joint_transform, load_chain)
 
 
@@ -41,7 +41,7 @@ class TestForwardKinematics:
                                        atol=1e-12)
 
     def test_continuity_under_tiny_perturbation(self):
-        chain = default_chain()
+        chain = DEFAULT_CHAIN
         rng = np.random.default_rng(1)
         q = rng.uniform(-1.0, 1.0, 7)
         base = fk_position(chain, q)
@@ -59,7 +59,7 @@ class TestForwardKinematics:
     def test_batch_matches_single(self):
         # a (B, T, J) stack gives each row's position as a scalar
         # composition of joint_transform gives it, to 1e-12 m
-        chain = default_chain()
+        chain = DEFAULT_CHAIN
         q = np.random.default_rng(2).uniform(-1, 1, (3, 5, 7))
         batch = fk_position(chain, q)
         assert batch.shape == (3, 5, 3)
@@ -100,7 +100,7 @@ class TestAveEd:
             math.sqrt(2) * 1000)
 
     def test_matches_per_sample_recomputation(self):
-        chain = default_chain()
+        chain = DEFAULT_CHAIN
         rng = np.random.default_rng(3)
         preds = rng.uniform(-1, 1, (6, 4, 7))
         gts = rng.uniform(-1, 1, (6, 4, 7))
@@ -111,7 +111,7 @@ class TestAveEd:
                                    expected, rtol=1e-12)
 
     def test_symmetry_and_positivity(self):
-        chain = default_chain()
+        chain = DEFAULT_CHAIN
         rng = np.random.default_rng(4)
         a = rng.uniform(-1, 1, (4, 3, 7))
         b = rng.uniform(-1, 1, (4, 3, 7))
@@ -128,7 +128,7 @@ class TestAveEd:
 
 class TestChainConfig:
     def test_round_trip(self, tmp_path):
-        chain = default_chain()
+        chain = DEFAULT_CHAIN
         path = tmp_path / "chain.json"
         path.write_text(json.dumps({
             "kind": "kinematic_chain", "a": list(chain.a),

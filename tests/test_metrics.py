@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mprim.basis import PhaseConfig, build_phi
+from mprim.basis import build_phi
 from mprim.dataset import generate_rtp
 from mprim.metrics import EvalRecord, squared_trajectory_loss
 from mprim.training import TrainConfig, evaluate, train
@@ -9,8 +9,7 @@ from mprim.training import TrainConfig, evaluate, train
 
 @pytest.fixture(scope="module")
 def phi():
-    pc = PhaseConfig(150.0, 150)
-    return build_phi(pc, 8)
+    return build_phi(150, 8)
 
 
 def random_trajectories(rng, phi, n=5, joints=3):

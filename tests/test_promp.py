@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mprim.basis import PhaseConfig, build_phi
+from mprim.basis import build_phi
 from mprim.errors import SingularSystemError
 from mprim.promp import fit_weights
 from mprim.training import PrompHead
@@ -9,8 +9,7 @@ from mprim.training import PrompHead
 
 @pytest.fixture(scope="module")
 def grid():
-    pc = PhaseConfig(150.0, 150)
-    return pc, 8, build_phi(pc, 8)
+    return 150, 8, build_phi(150, 8)
 
 
 def min_jerk_column(q0, q1, n):
@@ -42,8 +41,7 @@ class TestFitWeights:
         np.testing.assert_allclose(fit, 0.0, atol=1e-6)
 
     def test_rank_deficient_raises(self):
-        pc = PhaseConfig(150.0, 2)
-        phi = build_phi(pc, 5)
+        phi = build_phi(2, 5)
         with pytest.raises(SingularSystemError, match="condition"):
             fit_weights(np.array([0.1, 0.2]), phi, ridge=0.0)
 
@@ -73,8 +71,7 @@ class TestFitWeights:
                                        rtol=1e-12, atol=1e-12)
 
     def test_rank_deficient_raises_for_columns(self):
-        pc = PhaseConfig(150.0, 2)
-        phi = build_phi(pc, 5)
+        phi = build_phi(2, 5)
         with pytest.raises(SingularSystemError, match="condition"):
             fit_weights(np.zeros((2, 3)), phi, ridge=0.0)
 
@@ -91,31 +88,30 @@ class TestReconstruct:
     # batched product with the basis matrix, (B, T, n_joint)
 
     def test_zero_weights_zero_trajectory(self, grid):
-        pc, n_basis, _ = grid
-        out = PrompHead("rtp", 3, pc, n_basis).decode(
+        n_samples, n_basis, _ = grid
+        out = PrompHead("rtp", 3, n_samples, n_basis).decode(
             np.zeros((1, 3 * 8)), None, [0])
         assert out.shape == (1, 150, 3)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_single_basis_constant(self):
-        pc = PhaseConfig(150.0, 150)
-        head = PrompHead("rtp", 1, pc, 1)
+        head = PrompHead("rtp", 1, 150, 1)
         np.testing.assert_allclose(head.decode(np.array([[0.42]]), None, [0]),
                                    0.42)
 
     def test_fit_reconstruct_smooth_demo(self, grid):
         # 8 bases reproduce a minimum-jerk profile well below 1e-3 rad
-        pc, n_basis, phi = grid
+        n_samples, n_basis, phi = grid
         values = np.column_stack([min_jerk_column(0.0, 1.2, 150),
                                   min_jerk_column(-0.5, 0.3, 150)])
         flat = fit_weights(values, phi).reshape(1, -1)
-        rebuilt = PrompHead("rtp", 2, pc, n_basis).decode(flat, None,
-                                                          [0])[0]
+        rebuilt = PrompHead("rtp", 2, n_samples, n_basis).decode(
+            flat, None, [0])[0]
         rmse = np.sqrt(np.mean((rebuilt - values) ** 2))
         assert rmse < 1e-3
 
     def test_dimension_mismatch(self, grid):
-        pc, n_basis, _ = grid
+        n_samples, n_basis, _ = grid
         with pytest.raises(ValueError):
-            PrompHead("rtp", 2, pc, n_basis).decode(np.zeros((1, 2 * 5)),
-                                                    None, [0])
+            PrompHead("rtp", 2, n_samples, n_basis).decode(
+                np.zeros((1, 2 * 5)), None, [0])

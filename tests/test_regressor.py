@@ -2,21 +2,21 @@ import numpy as np
 import pytest
 
 from mprim import kernels
-from mprim.basis import PhaseConfig, build_phi
+from mprim.basis import build_phi
 from mprim.promp import DEFAULT_RIDGE, fit_weights
 from mprim.regressor import (BETA1, BETA2, EPSILON, MlpParams, adam_init,
                              adam_step, init_mlp, mlp_forward)
 from mprim.training import DmpHead, PrompHead, batch_loss_and_grad
 
-PC = PhaseConfig(30.0, 30)
+T = 30
 
 
 def traj_head(n_joint=1, n_basis=5):
-    return PrompHead("rtp", n_joint, PC, n_basis)
+    return PrompHead("rtp", n_joint, T, n_basis)
 
 
 def dmp_head(task, n_joint):
-    return DmpHead(task, n_joint, PC, 5, 7.6, None)
+    return DmpHead(task, n_joint, T, 5, None)
 
 
 @pytest.fixture(scope="module")
@@ -310,15 +310,13 @@ class TestGramForm:
     """`trajectory_loss` scores d = pred - gt through the Gram matrix
     Phi^T Phi instead of the trajectories Phi d."""
 
-    PC150 = PhaseConfig(30.0, 150)
-
     @pytest.mark.parametrize("n_basis", [8, 10], ids=["rtp", "wpp"])
     def test_matches_trajectory_space_formula(self, n_basis):
         # 7 joints x 8 (rtp) or 10 (wpp) bases at T = 150. Losses agree to
         # rtol 1e-12. A gradient entry can be a cancellation of larger
         # terms, so each entry agrees to 1e-12 of the largest entry of its
         # (sample, joint) block.
-        head = PrompHead("rtp", 7, self.PC150, n_basis)
+        head = PrompHead("rtp", 7, 150, n_basis)
         rng = np.random.default_rng(n_basis)
         for _ in range(20):
             gt = 10.0 * rng.standard_normal((32, 7 * n_basis))
@@ -334,7 +332,7 @@ class TestGramForm:
             assert np.all(err <= 1e-12 * block)
 
     def test_zero_residual_row_has_zero_loss_and_gradient(self):
-        head = PrompHead("rtp", 7, self.PC150, 8)
+        head = PrompHead("rtp", 7, 150, 8)
         rng = np.random.default_rng(1)
         gt = rng.standard_normal((3, 56))
         pred = gt + rng.standard_normal((3, 56))
@@ -345,7 +343,7 @@ class TestGramForm:
         assert np.all(np.isfinite(grad))
 
     def test_zero_residual_joint_has_zero_gradient_only_there(self):
-        head = PrompHead("rtp", 7, self.PC150, 8)
+        head = PrompHead("rtp", 7, 150, 8)
         rng = np.random.default_rng(2)
         gt = rng.standard_normal((2, 56))
         pred = gt + rng.standard_normal((2, 56))
@@ -356,14 +354,13 @@ class TestGramForm:
         assert np.all(np.delete(per_joint[0], 3) > 0.0)
         assert np.all(per_joint[1] > 0.0)
 
-    @pytest.mark.parametrize("pc,n_basis", [(PhaseConfig(30.0, 150), 8),
-                                            (PhaseConfig(30.0, 150), 10),
-                                            (PhaseConfig(30.0, 30), 5)])
-    def test_fit_through_gram_is_bit_identical(self, pc, n_basis):
-        phi = build_phi(pc, n_basis)
+    @pytest.mark.parametrize("n_samples,n_basis", [(150, 8), (150, 10),
+                                                   (30, 5)],
+                             ids=["pc0-8", "pc1-10", "pc2-5"])
+    def test_fit_through_gram_is_bit_identical(self, n_samples, n_basis):
+        phi = build_phi(n_samples, n_basis)
         np.testing.assert_array_equal(phi.gram, phi.values.T @ phi.values)
-        q = np.random.default_rng(3).standard_normal((pc.duration_samples,
-                                                      21))
+        q = np.random.default_rng(3).standard_normal((n_samples, 21))
         written_out = np.linalg.solve(
             phi.values.T @ phi.values + DEFAULT_RIDGE * np.eye(n_basis),
             phi.values.T @ q).T

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from mprim import dmp as dmp_mod
 from mprim import kinematics, metrics
-from mprim.basis import PhaseConfig, build_phi
+from mprim.basis import build_phi
 from mprim.dataset import WPP_SPLITS, apply_split, generate_rtp, generate_wpp
 from mprim.dmp import fit_dmp, rollout_matched
 from mprim.errors import IntegrationError
-from mprim.kinematics import default_chain, final_distances
+from mprim.kinematics import DEFAULT_CHAIN, final_distances
 from mprim.regressor import MlpParams, mlp_forward
 from mprim.training import (DmpHead, Model, PrompHead, ResidualHead,
                             TrainConfig, TrainReport, evaluate, random_split,
@@ -30,8 +30,8 @@ def tiny_wpp():
 
 
 def grids_for(dataset, n_basis=8):
-    pc = PhaseConfig(dataset.sampling_frequency, dataset.n_samples_per_traj)
-    return pc, n_basis, build_phi(pc, n_basis)
+    n_samples = dataset.n_samples_per_traj
+    return n_samples, n_basis, build_phi(n_samples, n_basis)
 
 
 def net_outputs(model, dataset, indices):
@@ -149,7 +149,7 @@ class TestTrainDeepMp:
         # the bar the net has to clear
         rng = np.random.default_rng(12)
         ds = generate_rtp(seed=23, counts=(120, 40, 30, 20))
-        pc, n_basis, phi = grids_for(ds)
+        _, n_basis, phi = grids_for(ds)
         targets_map = rng.standard_normal((3, 7 * 8)) * 0.3
         for context, values in zip(ds.contexts, ds.trajectories):
             flat = context @ targets_map
@@ -261,8 +261,7 @@ class TestTrainDdmp:
         out = net_outputs(model, small_rtp, [0])[0]
         # output layout [forcing, joint-major | goal]; rtp starts at home
         expected = rollout_matched(model.head.home[None], out[None, 70:77],
-                                   out[:70].reshape(1, 7, 10),
-                                   model.head.tau, 150)
+                                   out[:70].reshape(1, 7, 10), 150)
         traj = model.predict(small_rtp, [0])
         assert traj.shape == (1, 150, 7)
         np.testing.assert_array_equal(traj, expected)
@@ -271,7 +270,7 @@ class TestTrainDdmp:
         # prediction identical to the target parameter vector gives a
         # zero-loss epoch immediately
         head, targets = DmpHead.fit(small_rtp, np.arange(len(small_rtp)),
-                                    task="rtp", n_basis_dmp=10, tau=7.6)
+                                    task="rtp", n_basis_dmp=10)
         assert head.task == "rtp"
         losses, grads = head.loss_and_grad(targets[:4], targets[:4])
         assert np.all(losses == 0.0) and np.all(grads == 0.0)
@@ -281,11 +280,11 @@ class TestEvaluate:
     def test_oracle_model_scores_zero(self, small_rtp):
         # a bias-only net that always outputs the exact weights of a
         # constant dataset must score zero everywhere
-        pc, n_basis, phi = grids_for(small_rtp)
+        n_samples, n_basis, _ = grids_for(small_rtp)
         ds = copy.deepcopy(small_rtp)
         ds.contexts[:] = ds.contexts[0]
         ds.trajectories[:] = ds.trajectories[0]
-        head = PrompHead("rtp", 7, pc, n_basis)
+        head = PrompHead("rtp", 7, n_samples, n_basis)
         targets = head.weights(ds.trajectories)
         mlp = MlpParams((3, 56), np.r_[np.zeros(3 * 56), targets[0]])
         model = Model(head, mlp, np.zeros(3), np.ones(3),
@@ -315,23 +314,21 @@ class TestEvaluate:
                          split=split)
         _, overall, _ = evaluate(model, tiny_wpp, split[1])
         head = model.head
-        n, j, k = head.phase_cfg.duration_samples, 7, head.n_basis_dmp
+        n, j, k = head.n_samples, 7, head.n_basis_dmp
         sq, preds, gts = [], [], []
         for i, out in zip(split[1], net_outputs(model, tiny_wpp, split[1])):
-            forcing, goal, start = fit_dmp(tiny_wpp.trajectories[i][None], k,
-                                           head.tau)
-            gt = rollout_matched(start, goal, forcing, head.tau, n)[0]
+            forcing, goal, start = fit_dmp(tiny_wpp.trajectories[i][None], k)
+            gt = rollout_matched(start, goal, forcing, n)[0]
             # wpp output layout [forcing, joint-major | goal | start]
             pred = rollout_matched(out[None, j * k + j:],
                                    out[None, j * k:j * k + j],
-                                   out[:j * k].reshape(1, j, k), head.tau,
-                                   n)[0]
+                                   out[:j * k].reshape(1, j, k), n)[0]
             sq.append(float(np.sum(np.mean((pred - gt) ** 2, axis=0))))
             preds.append(pred)
             gts.append(gt)
         assert overall.ave_mse == float(np.mean(sq))
         assert overall.ave_ed_mm == float(np.mean(final_distances(
-            preds, gts, default_chain()))) * 1000.0
+            preds, gts, DEFAULT_CHAIN))) * 1000.0
 
     @pytest.mark.parametrize("which", ["prediction", "ground-truth"])
     def test_ddmp_divergence_names_dataset_index(self, tiny_wpp, monkeypatch,
@@ -411,7 +408,7 @@ class TestEvaluate:
         means = np.stack([head.mean_weights.get(
             small_rtp.tags[i]["region"],
             head.mean_weights["__global__"]) for i in idx])
-        plain = PrompHead(head.task, head.n_joint, head.phase_cfg,
+        plain = PrompHead(head.task, head.n_joint, head.n_samples,
                           head.n_basis)
         np.testing.assert_array_equal(
             head.decode(out, small_rtp, idx),
