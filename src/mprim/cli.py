@@ -145,7 +145,7 @@ def _build_parser():
     tr.add_argument("--method", choices=("deep-mp", "residual", "ddmp"),
                     required=True)
     tr.add_argument("--task", choices=("rtp", "wpp"), default=None,
-                    help="attractor head variant (defaults to dataset kind)")
+                    help="must equal the dataset kind, which sets the task")
     tr.add_argument("--split", default=None,
                     help="WPP1..WPP10 pattern split (default: random)")
     tr.add_argument("--epochs", type=_int_from(0), default=None,
@@ -201,15 +201,22 @@ def cmd_train(args, argv):
     cfg = training.TrainConfig(epochs=epochs, batch_size=args.batch_size,
                                learning_rate=args.lr, seed=args.seed,
                                early_stop_patience=args.patience)
+    if args.task not in (None, dataset.kind):
+        raise ValueError(f"--task {args.task}: {args.data} holds "
+                         f"{dataset.kind} demos, which set the task")
     split = None
     if args.split is not None:
         if args.split not in WPP_SPLITS:
-            raise ValueError(f"unknown split {args.split!r}; expected one of "
-                             f"{', '.join(WPP_SPLITS)}")
-        split = apply_split(dataset, WPP_SPLITS[args.split], args.seed)
+            raise ValueError(f"--split {args.split}: unknown split; expected "
+                             f"one of {', '.join(WPP_SPLITS)}")
+        try:
+            split = apply_split(dataset, WPP_SPLITS[args.split], args.seed)
+        except ValueError as err:
+            raise ValueError(f"--split {args.split}: {args.data} holds "
+                             f"{dataset.kind} demos: {err}") from None
     model, report = training.train(
         args.method, dataset, cfg, n_basis=args.n_basis, hidden=args.hidden,
-        task=args.task, n_basis_dmp=args.n_basis_dmp, split=split)
+        n_basis_dmp=args.n_basis_dmp, split=split)
 
     config = {"method": args.method, "epochs": epochs,
               "batch_size": args.batch_size, "lr": args.lr,

@@ -9,9 +9,10 @@ relation is learnable by construction but not affine.
 
 In memory, a `DemoDataset` of N demos holds one set of arrays: `contexts`
 (N, D), `trajectories` (N, T, n_joint) in radians, plus per demo a `tags`
-dict and a `splits` label (None, "train" or "test"). Every demo spans one
-nominal duration in T samples, so the models see time only as the
-normalized phase k/(T-1) and the sizes are read from the array shapes.
+dict. A train/test split belongs to a run, not to the demos: `apply_split`
+returns it, and a checkpoint records it. Every demo spans one nominal
+duration in T samples, so the models see time only as the normalized
+phase k/(T-1) and the sizes are read from the array shapes.
 `sampling_frequency` (Hz) is recorded provenance: it is checked and
 round-tripped, but no model reads it.
 
@@ -19,10 +20,11 @@ File format (JSONL, dataset schema 2, one object per line):
   line 1   header {"schema": 2, "kind": "rtp"|"wpp", "seed": int,
                    "n_samples": int, "sampling_frequency": float,
                    "n_samples_per_traj": T, "n_joint": J}
-  line 2.. sample {"context": [D floats],
+  line 2.. sample {"context": [D numbers],
                    "trajectory": base64 of T*J float64 (see below),
-                   "tags": {...}, "split": null|"train"|"test"}
-Line k + 1 holds demo k. The header's last three fields are written only
+                   "tags": {...}}
+Line k + 1 holds demo k; other keys, such as the per-record "split" of
+older files, are ignored. The header's last three fields are written only
 when the file holds demos. A trajectory is its (T, J) array in radians,
 row-major, as little-endian float64, base64-encoded (`encode_f64`, as
 in checkpoints): 8*T*J bytes, so the loader decodes each record into its
@@ -35,6 +37,7 @@ file's manifest to rewrite such a file.
 import base64
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +45,7 @@ import numpy as np
 from mprim.errors import DatasetFormatError
 
 SCHEMA_VERSION = 2
+TASKS = ("rtp", "wpp")   # dataset kinds: reach-to-palpate, palpation paths
 DEFAULT_T = 150
 DEFAULT_FS = 150.0
 
@@ -130,20 +134,17 @@ class DemoDataset:
     trajectories: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 0, 0)))
     tags: list = field(default_factory=list)
-    splits: list = None             # None: no demo assigned to a side
 
     def __post_init__(self):
-        if self.splits is None:
-            self.splits = [None] * len(self.tags)
-        sizes = (len(self.contexts), len(self.trajectories), len(self.tags),
-                 len(self.splits))
+        if self.kind not in TASKS:
+            raise ValueError(f"unknown task {self.kind!r}")
+        sizes = (len(self.contexts), len(self.trajectories), len(self.tags))
         if (self.contexts.ndim != 2 or self.trajectories.ndim != 3
                 or len(set(sizes)) > 1):
             raise ValueError(
                 f"expected (N, D) contexts, (N, T, n_joint) trajectories and "
-                f"N tags and splits, got contexts {self.contexts.shape}, "
-                f"trajectories {self.trajectories.shape}, {sizes[2]} tags "
-                f"and {sizes[3]} splits")
+                f"N tags, got contexts {self.contexts.shape}, trajectories "
+                f"{self.trajectories.shape} and {sizes[2]} tags")
         if len(self) and not self.sampling_frequency > 0:
             raise ValueError("sampling_frequency must be > 0")
         if len(self) and self.n_samples_per_traj < 2:
@@ -319,8 +320,8 @@ def apply_split(dataset: DemoDataset, dispositions, seed: int):
     Whole-pattern dispositions go entirely to one side; half/half patterns
     are split per configuration with a seeded shuffle (train keeps the
     extra sample on odd cells); unused patterns appear on neither side.
-    Every demo needs a pattern tag that is an integer in 1..7. Also sets
-    `dataset.splits`.
+    Every demo needs a pattern tag that is an integer in 1..7. The dataset
+    is left unchanged.
     """
     by_pattern = {}
     for i, tags in enumerate(dataset.tags):
@@ -357,11 +358,7 @@ def apply_split(dataset: DemoDataset, dispositions, seed: int):
                 train.extend(cell[:n_train].tolist())
                 test.extend(cell[n_train:].tolist())
 
-    train, test = sorted(train), sorted(test)
-    train_set, test_set = set(train), set(test)
-    dataset.splits = [TRAIN if i in train_set else TEST if i in test_set
-                      else None for i in range(len(dataset))]
-    return np.array(train, dtype=int), np.array(test, dtype=int)
+    return np.array(sorted(train), dtype=int), np.array(sorted(test), dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +388,11 @@ def save_jsonl(dataset: DemoDataset, path):
                 n_samples_per_traj=dataset.n_samples_per_traj,
                 n_joint=dataset.n_joint)
         fh.write(json.dumps(header) + "\n")
-        rows = zip(dataset.contexts, dataset.trajectories, dataset.tags,
-                   dataset.splits)
-        for context, values, tags, split in rows:
+        for context, values, tags in zip(dataset.contexts,
+                                         dataset.trajectories, dataset.tags):
             fh.write(json.dumps({"context": context.tolist(),
                                  "trajectory": encode_f64(values),
-                                 "tags": tags, "split": split}) + "\n")
+                                 "tags": tags}) + "\n")
 
 
 def load_jsonl(path) -> DemoDataset:
@@ -404,13 +400,13 @@ def load_jsonl(path) -> DemoDataset:
     not UTF-8 text, are reported by number.
 
     The header seed must be an integer, its sampling frequency a positive
-    number and its sample count a non-negative integer; a file with demos
-    also declares T >= 2 and n_joint >= 1. Every record holds a finite
-    context vector as wide as the first record's, a base64 trajectory of
-    exactly the header's 8*T*J bytes that decodes to finite values, a
-    tags object and a split of null, "train" or "test". The trajectory
-    array is allocated once from the header, and each record is decoded
-    straight into its row; the count is checked against the records last.
+    float64 number and its sample count a non-negative integer; a file
+    with demos also declares T >= 2 and n_joint >= 1. Every record holds
+    a context list of finite float64 numbers as wide as the first
+    record's, a base64 trajectory of exactly the header's 8*T*J bytes that
+    decodes to finite values, and a tags object. The trajectory array is
+    allocated once from the header, and each record is decoded straight
+    into its row; the count is checked against the records last.
     """
     def fail(line_no, why):
         raise DatasetFormatError(f"{path}: line {line_no}: {why}")
@@ -441,7 +437,7 @@ def load_jsonl(path) -> DemoDataset:
                 f"{path}: empty file, expected a header line")
         header = parse(1, first_line)
         if (not isinstance(header, dict)
-                or header.get("kind") not in ("rtp", "wpp")):
+                or header.get("kind") not in TASKS):
             fail(1, "header must be an object whose 'kind' is rtp or wpp")
         if header.get("schema") == 1:
             fail(1, f"dataset schema 1 is no longer read; re-run `mprim "
@@ -453,10 +449,9 @@ def load_jsonl(path) -> DemoDataset:
         if isinstance(seed, bool) or not isinstance(seed, int):
             fail(1, f"seed must be an integer, got {json.dumps(seed)}")
         fs = header.get("sampling_frequency", DEFAULT_FS)
-        if (isinstance(fs, bool) or not isinstance(fs, (int, float))
-                or not 0.0 < fs < np.inf):
-            fail(1, f"sampling_frequency must be a positive number, got "
-                    f"{json.dumps(fs)}")
+        if type(fs) not in (int, float) or not 0 < fs <= sys.float_info.max:
+            fail(1, f"sampling_frequency must be a positive number within "
+                    f"float64's range, got {json.dumps(fs)}")
         n = header_int("n_samples", 0)
         t = j = room = 0
         if n:
@@ -470,16 +465,22 @@ def load_jsonl(path) -> DemoDataset:
 
         row_bytes = 8 * t * j
         trajectories = np.empty((min(n, room), t * j))
-        contexts, tags, splits = None, [], []
+        contexts, tags = None, []
         for k, line in enumerate(fh):
             line_no = k + 2
             if k == n:
                 fail(line_no, f"header declares {n} samples, found more")
             record = parse(line_no, line)
             try:
-                context = np.asarray(record["context"], dtype=float)
+                context = record["context"]
                 blob, tag = record["trajectory"], record["tags"]
-                split = record.get("split")
+                # numpy would convert "0.6" to 0.6 and true to 1.0
+                if isinstance(context, list) and not (
+                        {*map(type, context)} <= {int, float}):
+                    raise TypeError("context entries must be numbers")
+                context = np.asarray(context, dtype=float)
+            except OverflowError:
+                fail(line_no, "context holds an integer too large for float64")
             except (KeyError, TypeError, ValueError) as err:
                 fail(line_no, f"bad record ({err})")
             try:
@@ -503,12 +504,8 @@ def load_jsonl(path) -> DemoDataset:
             if not isinstance(tag, dict):
                 fail(line_no, f"tags must be a JSON object, got "
                               f"{json.dumps(tag)}")
-            if split not in (None, TRAIN, TEST):
-                fail(line_no, f'split must be null, "train" or "test", got '
-                              f"{json.dumps(split)}")
             contexts[k] = context
             tags.append(tag)
-            splits.append(split)
 
     if len(tags) != n:
         raise DatasetFormatError(
@@ -516,4 +513,4 @@ def load_jsonl(path) -> DemoDataset:
     if not n:
         return DemoDataset(header["kind"], seed, float(fs))
     return DemoDataset(header["kind"], seed, float(fs), contexts,
-                       trajectories.reshape(n, t, j), tags, splits)
+                       trajectories.reshape(n, t, j), tags)

@@ -13,6 +13,7 @@ call covers a whole split or trajectory.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,8 @@ DEFAULT_CHAIN = KinematicChain(
 def load_chain(path) -> KinematicChain:
     """Read a chain config. Text that is not UTF-8 or not JSON, a document
     that is not a chain object and a DH field that is missing or not a
-    list of numbers raise ValueError naming the file and the byte, the
-    JSON line or the field."""
+    list of numbers within float64's range raise ValueError naming the
+    file and the byte, the JSON line or the field."""
     obj = read_json_object(path, "a kinematic chain config")
     if obj.get("kind") != "kinematic_chain":
         raise ValueError(f"{path} is not a kinematic chain config: expected "
@@ -114,8 +115,9 @@ def load_chain(path) -> KinematicChain:
     rows = []
     for name in ("a", "d", "alpha", "theta_offset"):
         row = obj.get(name)
-        if not isinstance(row, list) or not all(
-                type(v) in (int, float) for v in row):
+        if not isinstance(row, list) or not all(   # ints compare exactly
+                type(v) in (int, float) and abs(v) <= sys.float_info.max
+                for v in row):
             raise ValueError(f"{path}: field {name!r} must be a list of "
                              f"numbers, got {json.dumps(row)}")
         rows.append(tuple(map(float, row)))

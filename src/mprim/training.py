@@ -9,8 +9,9 @@ that meaning is a `Head`:
                  training-split mean (per region when region tags exist);
                  decoding adds the mean back
   DmpHead        ddmp: goal-attractor parameters, trained with the
-                 parameter-space losses; the reach variant (task "rtp")
-                 leaves the known start configuration out of the output
+                 parameter-space losses; the variant follows the dataset
+                 kind, and the reach variant (rtp) leaves the known start
+                 configuration out of the output
 
 A head owns the method-specific decisions and nothing else: its targets,
 fitted to the whole stack of demos in one call before training; its
@@ -28,13 +29,14 @@ scores every head with the same expressions.
 
 import csv
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from mprim import dmp as dmp_mod
 from mprim import kernels, metrics
 from mprim.basis import build_phi
-from mprim.dataset import DemoDataset, decode_f64, encode_f64
+from mprim.dataset import TASKS, DemoDataset, decode_f64, encode_f64
 from mprim.errors import IntegrationError
 from mprim.kinematics import DEFAULT_CHAIN, KinematicChain, final_distances
 from mprim.promp import fit_weights
@@ -48,7 +50,6 @@ DEFAULT_N_BASIS = {"rtp": 8, "wpp": 10}
 DEFAULT_N_BASIS_DMP = 25
 GOAL_WEIGHT = 100.0   # rtp attractor loss: weight of the goal residual
 GLOBAL_GROUP = "__global__"
-TASKS = ("rtp", "wpp")
 
 
 @dataclass(frozen=True)
@@ -56,18 +57,14 @@ class TrainConfig:
     epochs: int
     batch_size: int = 32
     learning_rate: float = 1e-3
-    train_fraction: float = 0.85
-    val_fraction_of_train: float = 0.25
     seed: int = 0
     early_stop_patience: int = 20
+    train_fraction: ClassVar[float] = 0.85
+    val_fraction_of_train: ClassVar[float] = 0.25
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-        if not 0.0 < self.val_fraction_of_train < 1.0:
-            raise ValueError("val_fraction_of_train must be in (0, 1)")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
 
@@ -150,8 +147,6 @@ def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
     n_val = int(len(train_idx) * cfg.val_fraction_of_train)
     val_idx = train_idx[local[:n_val]]
     fit_idx = train_idx[local[n_val:]]
-    if len(fit_idx) == 0:
-        fit_idx, val_idx = val_idx, fit_idx
 
     layer_sizes = (x_std.shape[1], *hidden, targets.shape[1])
     params = init_mlp(layer_sizes, cfg.seed)
@@ -393,22 +388,19 @@ class DmpHead(Head):
     home: np.ndarray               # rtp only, None for wpp
 
     @classmethod
-    def fit(cls, dataset, train_idx, task=None,
-            n_basis_dmp=DEFAULT_N_BASIS_DMP, **_):
-        """(head, attractor parameters of every demo)."""
-        task = dataset.kind if task is None else task
-        if task not in TASKS:
-            raise ValueError(f"unknown task {task!r}")
+    def fit(cls, dataset, train_idx, n_basis_dmp=DEFAULT_N_BASIS_DMP, **_):
+        """(head, attractor parameters of every demo); the variant is the
+        dataset kind."""
         home = None
-        if task == "rtp":
+        if dataset.kind == "rtp":
             home = dataset.trajectories[train_idx, 0].mean(axis=0)
-        head = cls(task, dataset.n_joint, dataset.n_samples_per_traj,
+        head = cls(dataset.kind, dataset.n_joint, dataset.n_samples_per_traj,
                    n_basis_dmp, home)
         forcing, goals, starts = dmp_mod.fit_dmp(dataset.trajectories,
                                                  n_basis_dmp)
         return head, np.concatenate(
             [forcing.reshape(len(forcing), -1), goals]
-            + ([starts] if task == "wpp" else []), axis=1)
+            + ([starts] if dataset.kind == "wpp" else []), axis=1)
 
     def loss_and_grad(self, pred, target):
         """rtp: the RMS of the forcing-weight residual plus GOAL_WEIGHT
@@ -539,13 +531,13 @@ class Model:
 # training and evaluation
 
 def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
-          n_basis: int = None, hidden=DEFAULT_HIDDEN, task: str = None,
+          n_basis: int = None, hidden=DEFAULT_HIDDEN,
           n_basis_dmp: int = DEFAULT_N_BASIS_DMP, split=None):
     """Train the net of `method` (deep-mp, residual or ddmp).
 
     `n_basis` is the ProMP basis size (default 8 for rtp data, 10 for
-    wpp); `task` and `n_basis_dmp` set the attractor head, whose variant
-    defaults to the dataset kind. `split` is (train, test) indices; by
+    wpp); `n_basis_dmp` sets the attractor head, whose variant follows the
+    dataset kind. `split` is (train, test) indices; by
     default a seeded random split. A split with no train demo, an index
     that is not an integer or lies outside the dataset, or a demo on both
     sides raises ValueError. Returns (Model, TrainReport).
@@ -566,7 +558,7 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
         raise ValueError(f"demo {min(both)} is on both the train and the "
                          f"test side of the split")
     head, targets = HEADS[method].fit(dataset, train_idx, n_basis=n_basis,
-                                      task=task, n_basis_dmp=n_basis_dmp)
+                                      n_basis_dmp=n_basis_dmp)
     contexts = dataset.contexts
     mean, std = _fit_scaler(contexts[train_idx])
     params, report = _run_training((contexts - mean) / std, targets,

@@ -96,7 +96,7 @@ class TestTrain:
         ds = generate_rtp(seed=2, counts=(1, 1, 1, 1))
         save_jsonl(dataclasses.replace(
             ds, contexts=ds.contexts[:2], trajectories=ds.trajectories[:2],
-            tags=ds.tags[:2], splits=ds.splits[:2]), data)
+            tags=ds.tags[:2]), data)
         ckpt = tmp_path / "ck.json"
         assert run(["train", "--data", data, "--method", "residual",
                     "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
@@ -109,6 +109,31 @@ class TestTrain:
                     "--n-basis-dmp", "10", "--out", ckpt]) == 0
         model = checkpoint.load(ckpt)
         assert model.mlp.layer_sizes[-1] == 7 * (10 + 1)
+
+    @pytest.mark.parametrize("flag", [["--task", "wpp"], ["--split", "WPP1"]],
+                             ids=["task", "split"])
+    def test_flag_against_data_kind_names_flag_file_and_kind(
+            self, small_dataset, tmp_path, capsys, flag):
+        ckpt = tmp_path / "ck.json"
+        capsys.readouterr()
+        assert run(["train", "--data", small_dataset, "--method", "ddmp",
+                    "--epochs", "1", *flag, "--out", ckpt]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: {' '.join(flag)}: {small_dataset} holds rtp demos"
+                in err)
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("method", ["deep-mp", "ddmp"])
+    def test_task_equal_to_data_kind_changes_nothing(self, small_dataset,
+                                                     tmp_path, method):
+        argv = ["train", "--data", small_dataset, "--method", method,
+                "--epochs", "2", "--seed", "0", "--n-basis-dmp", "10"]
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        assert run(argv + ["--out", plain]) == 0
+        assert run(argv + ["--task", "rtp", "--out", flagged]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+        assert ((tmp_path / "flagged_losses.csv").read_bytes()
+                == (tmp_path / "plain_losses.csv").read_bytes())
 
     def test_zero_epochs_empty_curve(self, small_dataset, tmp_path):
         ckpt = tmp_path / "ck.json"
@@ -324,9 +349,13 @@ class TestEval:
                      "d": ["0.1"] * 7, "alpha": [0.0] * 7,
                      "theta_offset": [0.0] * 7}),
          "field 'd' must be a list of numbers"),
+        (json.dumps({"kind": "kinematic_chain", "a": [10 ** 400] + [0.1] * 6,
+                     "d": [0.0] * 7, "alpha": [0.0] * 7,
+                     "theta_offset": [0.0] * 7}),
+         "field 'a' must be a list of numbers"),
         ("{bad", "invalid JSON at line 1 column 2"),
         (b'{"kind": "\xff"}', "not UTF-8 text at byte 10"),
-    ], ids=["list", "no_d", "d_text", "bad_json", "not_utf8"])
+    ], ids=["list", "no_d", "d_text", "a_too_large", "bad_json", "not_utf8"])
     def test_malformed_chain_names_file(self, small_dataset, tmp_path,
                                         capsys, content, message):
         ckpt, chain = tmp_path / "ck.json", tmp_path / "chain.json"
@@ -587,3 +616,29 @@ def test_benchmark_command_lines_parse():
                           bench.eval_argv(method)]
             for argv in argvs:
                 assert parser.parse_args(argv).command == argv[0], argv
+
+
+def test_benchmark_accepts_the_outputs(tmp_path, monkeypatch):
+    # perfbench/run.py checks every stage's outputs with these functions
+    # and refuses a run whose outputs fail them; run each workload's stages
+    # at the benchmark's tiny size and apply the same checks
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for name, workload in bench.WORKLOADS.items():
+        cwd = tmp_path / name
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(bench.generate_argv(workload.kind, 1, True)) == 0
+        assert bench.manifest_ok(cwd, "data.jsonl.manifest.json")
+        for method in workload.methods:
+            assert main(bench.train_argv(workload, method, 1, True)) == 0
+            assert bench.manifest_ok(cwd, f"{method}.json.manifest.json")
+            epochs, fit_size = bench.fit_samples_per_epoch(
+                cwd / f"{method}.json")
+            assert epochs == bench.TINY_EPOCHS and fit_size > 0
+            assert main(bench.eval_argv(method)) == 0
+            assert bench.manifest_ok(cwd, f"eval-{method}/manifest.json")
+            assert bench.read_overall(
+                cwd / f"eval-{method}" / "metrics.csv") is not None, method

@@ -230,25 +230,6 @@ class TestSplits:
                 n_train = sum(1 for i in cell if i in set(train_idx))
                 assert n_train == 2      # 4 trials -> 2/2
 
-    def test_split_annotates_samples(self):
-        ds = generate_wpp(seed=2, trials_per_cell=2)
-        train_idx, test_idx = apply_split(ds, WPP_SPLITS["WPP4"], seed=0)
-        for i in train_idx:
-            assert ds.splits[i] == "train"
-        for i in test_idx:
-            assert ds.splits[i] == "test"
-
-    def test_split_tags_agree_with_indices(self):
-        ds = generate_wpp(seed=2, trials_per_cell=2)
-        train_idx, test_idx = apply_split(ds, WPP_SPLITS["WPP3"], seed=0)
-        train, test = set(train_idx.tolist()), set(test_idx.tolist())
-        tags = ds.splits
-        assert [i for i, t in enumerate(tags) if t == "train"] == sorted(train)
-        assert [i for i, t in enumerate(tags) if t == "test"] == sorted(test)
-        assert None in tags   # WPP3 leaves patterns 6 and 7 unused
-        assert all(t is None for i, t in enumerate(tags)
-                   if i not in train | test)
-
     def test_seed_determinism(self):
         ds = generate_wpp(seed=2, trials_per_cell=4)
         a = apply_split(ds, WPP_SPLITS["WPP9"], seed=5)
@@ -293,15 +274,11 @@ class TestSplits:
         assert test_patterns == exp_test | (half if trials > 1 else set())
         used = {i for i, t in enumerate(ds.tags) if t["pattern"] not in unused}
         assert used == set(train_idx) | set(test_idx)
-        assert ds.splits == ["train" if i in set(train_idx) else "test"
-                             if i in set(test_idx) else None
-                             for i in range(len(ds))]
 
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         ds = generate_wpp(seed=8, trials_per_cell=2)
-        apply_split(ds, WPP_SPLITS["WPP4"], seed=0)
         path = tmp_path / "demos.jsonl"
         save_jsonl(ds, path)
         back = load_jsonl(path)
@@ -309,17 +286,14 @@ class TestPersistence:
         assert back.sampling_frequency == ds.sampling_frequency
         np.testing.assert_array_equal(back.contexts, ds.contexts)
         np.testing.assert_array_equal(back.trajectories, ds.trajectories)
-        assert back.tags == ds.tags and back.splits == ds.splits
+        assert back.tags == ds.tags
 
     @pytest.mark.parametrize("kind", ["rtp", "wpp"])
     def test_save_of_loaded_file_is_byte_identical(self, tmp_path, kind):
-        # the wpp file has WPP3 splits, so patterns 6 and 7 hold null splits
         if kind == "rtp":
             ds = generate_rtp(seed=1, counts=(6, 3, 2, 2), noise_std=0.01)
         else:
             ds = generate_wpp(seed=1, trials_per_cell=2)
-            apply_split(ds, WPP_SPLITS["WPP3"], seed=1)
-            assert None in ds.splits and "test" in ds.splits
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_jsonl(ds, first)
         save_jsonl(load_jsonl(first), second)
@@ -328,17 +302,33 @@ class TestPersistence:
     @pytest.mark.parametrize("change,got", [
         ({"contexts": np.zeros((3, 3))}, "contexts (3, 3)"),
         ({"tags": [{}] * 3}, "3 tags"),
-        ({"splits": [None] * 5}, "5 splits"),
         ({"trajectories": np.zeros((4, 150))}, "trajectories (4, 150)"),
         ({"contexts": np.zeros(4)}, "contexts (4,)"),
         ({"trajectories": np.zeros((4, 1, 7))}, "n_samples_per_traj must be"),
         ({"sampling_frequency": 0.0}, "sampling_frequency must be"),
-    ], ids=["contexts", "tags", "splits", "2d_trajectories", "1d_contexts",
-            "one_sample", "zero_frequency"])
+        ({"kind": "xyz"}, "unknown task 'xyz'"),
+    ], ids=["contexts", "tags", "2d_trajectories", "1d_contexts",
+            "one_sample", "zero_frequency", "unknown_kind"])
     def test_dataset_rejects_inconsistent_arrays(self, change, got):
         ds = generate_rtp(seed=1, counts=(1, 1, 1, 1))
         with pytest.raises(ValueError, match=re.escape(got)):
             dataclasses.replace(ds, **change)
+
+    def test_older_split_keys_are_ignored(self, tmp_path):
+        # files written while the dataset still carried split labels hold
+        # a "split" in every record; they load like the same file without
+        ds = generate_wpp(seed=8, trials_per_cell=1)
+        plain, labelled = tmp_path / "plain.jsonl", tmp_path / "old.jsonl"
+        save_jsonl(ds, plain)
+        lines = plain.read_text().splitlines()
+        for k in range(1, len(lines)):
+            split = ("train", "test", None)[k % 3]
+            lines[k] = json.dumps({**json.loads(lines[k]), "split": split})
+        labelled.write_text("\n".join(lines) + "\n")
+        back, old = load_jsonl(plain), load_jsonl(labelled)
+        assert old.contexts.tobytes() == back.contexts.tobytes()
+        assert old.trajectories.tobytes() == back.trajectories.tobytes()
+        assert old.tags == back.tags == ds.tags
 
     def test_empty_dataset_round_trips(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -438,10 +428,17 @@ class TestRecordValidation:
         ({"sampling_frequency": "x"}, None, "line 1: sampling_frequency"),
         ({"sampling_frequency": 0}, None, "line 1: sampling_frequency"),
         ({"sampling_frequency": True}, None, "line 1: sampling_frequency"),
+        ({"sampling_frequency": 10 ** 400}, None,
+         "line 1: sampling_frequency must be a positive number within "
+         "float64's range"),
         ({"kind": "xyz"}, None, "line 1: header must be an object whose "
                                 "'kind' is rtp or wpp"),
-        (None, {"split": 5}, "line 3: split must be"),
-        (None, {"split": "half"}, "line 3: split must be"),
+        (None, {"context": [10 ** 400, 0.0, 0.05]},
+         "line 3: context holds an integer too large for float64"),
+        (None, {"context": ["0.6", "0.0", "0.05"]},
+         r"line 3: bad record \(context entries must be numbers\)"),
+        (None, {"context": [True, 0.0, 0.05]},
+         r"line 3: bad record \(context entries must be numbers\)"),
         (None, {"tags": [["region", "Z"]]}, "line 3: tags must be"),
         (None, {"context": 0.5}, r"line 3: .* are not \(D,\) and"),
         (None, {"trajectory": _blob([[0.0] * 7])},
@@ -461,9 +458,9 @@ class TestRecordValidation:
                                         "samples, found 5"),
         ({"n_samples": 4}, None, "line 6: header declares 4 samples, found "
                                  "more"),
-    ], ids=["fs_negative", "fs_text", "fs_zero", "fs_bool", "kind_unknown",
-            "split_number",
-            "split_half", "tags_pairs", "context_scalar",
+    ], ids=["fs_negative", "fs_text", "fs_zero", "fs_bool", "fs_too_large",
+            "kind_unknown", "context_too_large", "context_text",
+            "context_bool", "tags_pairs", "context_scalar",
             "one_sample_trajectory", "trajectory_not_base64",
             "trajectory_list", "trajectory_null", "header_one_sample",
             "header_float_joints", "header_no_joints", "header_negative_count",

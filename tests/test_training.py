@@ -49,8 +49,7 @@ def first_demos(dataset, n):
     """A dataset of the first `n` demos of `dataset`."""
     return dataclasses.replace(
         dataset, contexts=dataset.contexts[:n],
-        trajectories=dataset.trajectories[:n], tags=dataset.tags[:n],
-        splits=dataset.splits[:n])
+        trajectories=dataset.trajectories[:n], tags=dataset.tags[:n])
 
 
 class TestSplits:
@@ -270,7 +269,7 @@ class TestTrainDdmp:
         # prediction identical to the target parameter vector gives a
         # zero-loss epoch immediately
         head, targets = DmpHead.fit(small_rtp, np.arange(len(small_rtp)),
-                                    task="rtp", n_basis_dmp=10)
+                                    n_basis_dmp=10)
         assert head.task == "rtp"
         losses, grads = head.loss_and_grad(targets[:4], targets[:4])
         assert np.all(losses == 0.0) and np.all(grads == 0.0)
@@ -489,5 +488,3 @@ class TestDispatchAndReport:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=1, train_fraction=1.5)
