@@ -401,7 +401,8 @@ def load_jsonl(path) -> DemoDataset:
 
     The header seed must be an integer, its sampling frequency a positive
     float64 number and its sample count a non-negative integer; a file
-    with demos also declares T >= 2 and n_joint >= 1. Every record holds
+    with demos also declares T >= 2 and n_joint >= 1, with a trajectory's
+    8*T*J bytes within the platform's largest size. Every record holds
     a context list of finite float64 numbers as wide as the first
     record's, a base64 trajectory of exactly the header's 8*T*J bytes that
     decodes to finite values, and a tags object. The trajectory array is
@@ -457,6 +458,9 @@ def load_jsonl(path) -> DemoDataset:
         if n:
             t = header_int("n_samples_per_traj", 2)
             j = header_int("n_joint", 1)
+            if 8 * t * j > sys.maxsize:
+                fail(1, f"n_samples_per_traj {t} and n_joint {j} make a "
+                        f"trajectory of more than {sys.maxsize} bytes")
             # a record holds at least the base64 of its trajectory, so the
             # file cannot hold more than `room` records that pass the byte
             # count: an inflated count allocates no more than that, and a

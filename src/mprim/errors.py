@@ -6,9 +6,9 @@ class SingularSystemError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Numerical integration produced a non-finite state.
+    """A DMP rollout produced a non-finite state.
 
-    `rows` lists the diverged rows of a batched integration, when known.
+    `rows` lists the diverged rows of a batched rollout, when known.
     """
 
     def __init__(self, message, rows=()):

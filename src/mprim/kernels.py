@@ -1,8 +1,10 @@
 """The hot numerical kernels, in numpy.
 
 Each function works on float64 arrays. `dmp_rollout` integrates a whole
-batch of goal-attractor systems in one Euler loop; the other three are the
-basis activations and the dense-net forward/backward passes.
+batch of goal-attractor systems in one Euler loop, the reference from
+which `dmp.linear_responses` builds the responses that every rollout
+mixes; the other three are the basis activations and the dense-net
+forward/backward passes.
 """
 
 import numpy as np
@@ -53,7 +55,8 @@ def mlp_backward_acts(acts, weights, delta_out, grads_w, grads_b):
 
 def dmp_rollout(start, goal, forcing_weights, centers, widths, tau,
                 alpha_z, beta_z, alpha_x, dt, steps, stride=1):
-    """Explicit-Euler integration of a batch of goal-attractor systems.
+    """Explicit-Euler integration of a batch of goal-attractor systems: the
+    reference that the DMP rollouts are built from.
 
     State per joint: position q and scaled velocity v, with
     tau*dq = v and tau*dv = alpha_z*(beta_z*(g - q) - v) + f(x).
@@ -61,8 +64,10 @@ def dmp_rollout(start, goal, forcing_weights, centers, widths, tau,
     and the start-to-goal span. All B systems share tau, the gains and the
     kernels, so the phase x and the kernel activations are computed once
     for every step; only the (B, n_joint) state is integrated. mprim calls
-    it in unit time, with tau = 1 and dt = 1/(steps - 1); see
-    `dmp.rollout_matched`.
+    it in unit time, with tau = 1 and dt = 1/(steps - 1), once per
+    (n_basis, grid) in a process: `dmp.linear_responses` turns the tracks
+    of unit systems into responses, which `dmp.rollout_matched` mixes
+    instead of integrating.
 
     `start` and `goal` have shape (B, n_joint), `forcing_weights`
     (B, n_joint, n_basis). Returns the positions at steps 0, stride,

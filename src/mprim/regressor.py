@@ -6,8 +6,8 @@ numpy/kernels. All its weights and biases live in one float64 vector
 `theta`, layer by layer: [W0 row-major | b0 | W1 | b1 | ...]. The
 per-layer arrays are views into it, and so are the per-layer gradients,
 which the backward pass writes into one flat buffer of the same layout.
-Adam keeps its two moments as vectors of that layout too, so one update
-of the whole net is three in-place vector expressions.
+Adam keeps its two moments as vectors of that layout too, and one update
+of the whole net runs in place through two preallocated vectors.
 
 Head layouts are joint-major flat vectors:
   trajectory head   [theta_joint0 | theta_joint1 | ...]         (n_joint*n_basis)
@@ -24,7 +24,7 @@ a joint's weight residual d generates the trajectory residual Phi d, and
 n_basis-wide Gram matrix only, never the T-long trajectories.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,13 +142,18 @@ def rms_loss(delta, scale):
 
 @dataclass
 class AdamState:
-    """First and second moments, laid out like `theta`, and the number of
-    steps taken."""
+    """First and second moments, laid out like `theta`, the number of
+    steps taken, and two work vectors of that layout that each update
+    computes through, so that a step allocates nothing."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
+    buffers: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.buffers = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def adam_init(params: MlpParams, learning_rate: float = 1e-3) -> AdamState:
@@ -158,12 +163,27 @@ def adam_init(params: MlpParams, learning_rate: float = 1e-3) -> AdamState:
 
 def adam_step(state: AdamState, theta, grad):
     """One Adam update of `theta` by its gradient `grad`; `theta`,
-    `state.m`, `state.v` and `state.step` change in place."""
+    `state.m`, `state.v` and `state.step` change in place.
+
+    The update is m <- BETA1*m + (1-BETA1)*g, v <- BETA2*v + (1-BETA2)*g*g
+    and theta <- theta - lr*(m/c1) / (sqrt(v/c2) + EPSILON), with the bias
+    corrections c = 1 - BETA**step, each operation written into the
+    state's buffers."""
     state.step += 1
     c1, c2 = 1.0 - BETA1 ** state.step, 1.0 - BETA2 ** state.step
     m, v = state.m, state.v
+    a, b = state.buffers
     m *= BETA1
-    m += (1 - BETA1) * grad
+    np.multiply(grad, 1 - BETA1, out=a)
+    m += a
     v *= BETA2
-    v += (1 - BETA2) * grad * grad
-    theta -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPSILON)
+    np.multiply(grad, 1 - BETA2, out=a)
+    a *= grad
+    v += a
+    np.divide(m, c1, out=a)
+    a *= state.learning_rate
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += EPSILON
+    a /= b
+    theta -= a

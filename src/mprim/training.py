@@ -249,7 +249,8 @@ def _floats(value, n=None, positive=False):
 class Head:
     """What the network's output means, for one method.
 
-    A subclass fits its targets (`fit`), computes its per-sample loss and
+    A subclass fits its targets (`fit`, whose one keyword is its basis
+    size: `n_basis` or `n_basis_dmp`), computes its per-sample loss and
     the loss gradient w.r.t. a batch of network outputs (`loss_and_grad`),
     decodes such a batch (`decode`), gives the ground truth of a split
     (`truth`), says how many network outputs it takes (`width`), and
@@ -276,7 +277,7 @@ class PrompHead(Head):
                                                   self.n_basis))
 
     @classmethod
-    def fit(cls, dataset, train_idx, n_basis=None, **_):
+    def fit(cls, dataset, train_idx, n_basis=None):
         """(head, fitted weights of every demo)."""
         if n_basis is None:
             n_basis = DEFAULT_N_BASIS[dataset.kind]
@@ -329,7 +330,7 @@ class ResidualHead(PrompHead):
     mean_weights: dict             # region (or GLOBAL_GROUP) -> flat mean
 
     @classmethod
-    def fit(cls, dataset, train_idx, n_basis=None, **_):
+    def fit(cls, dataset, train_idx, n_basis=None):
         if len(train_idx) < 2:
             raise ValueError("residual variant needs at least 2 training "
                              "demos")
@@ -388,7 +389,7 @@ class DmpHead(Head):
     home: np.ndarray               # rtp only, None for wpp
 
     @classmethod
-    def fit(cls, dataset, train_idx, n_basis_dmp=DEFAULT_N_BASIS_DMP, **_):
+    def fit(cls, dataset, train_idx, n_basis_dmp=DEFAULT_N_BASIS_DMP):
         """(head, attractor parameters of every demo); the variant is the
         dataset kind."""
         home = None
@@ -557,8 +558,9 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
     if both:
         raise ValueError(f"demo {min(both)} is on both the train and the "
                          f"test side of the split")
-    head, targets = HEADS[method].fit(dataset, train_idx, n_basis=n_basis,
-                                      n_basis_dmp=n_basis_dmp)
+    size = ({"n_basis_dmp": n_basis_dmp} if method == "ddmp"
+            else {"n_basis": n_basis})
+    head, targets = HEADS[method].fit(dataset, train_idx, **size)
     contexts = dataset.contexts
     mean, std = _fit_scaler(contexts[train_idx])
     params, report = _run_training((contexts - mean) / std, targets,

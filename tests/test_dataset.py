@@ -472,6 +472,20 @@ class TestRecordValidation:
         with pytest.raises(DatasetFormatError, match=match):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("header", [
+        {"n_samples_per_traj": 10 ** 400}, {"n_joint": 10 ** 400},
+        {"n_joint": 10 ** 30}],
+        ids=["samples_per_traj_huge", "joints_huge", "joints_beyond_int64"])
+    def test_oversized_header_names_file_line_and_fields(self, tmp_path,
+                                                         header):
+        path = tmp_path / "demos.jsonl"
+        _write_edited(path, header=header)
+        with pytest.raises(DatasetFormatError) as err:
+            load_jsonl(path)
+        assert str(err.value).startswith(f"{path}: line 1: "
+                                         f"n_samples_per_traj ")
+        assert " and n_joint " in str(err.value)
+
     @pytest.mark.parametrize("line,edit", [
         (2, lambda text: b"\xff"),
         (4, lambda text: text.replace(b'"region": "', b'"region": "\xff')),

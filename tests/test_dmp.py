@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from mprim.dmp import (ALPHA_X, ALPHA_Z, BETA_Z, fit_dmp, forcing_kernels,
-                       rollout_matched)
+from mprim import kernels
+from mprim.dmp import (ALPHA_X, ALPHA_Z, BETA_Z, ROLLOUT_OVERSAMPLE, fit_dmp,
+                       forcing_kernels, linear_responses, rollout_matched)
 from mprim.errors import IntegrationError
 
 
@@ -211,6 +212,59 @@ class TestRollout:
         out = rollout_one(fit)
         assert out.shape == (150, 1)
         np.testing.assert_array_equal(out[0], fit[2])
+
+
+def euler_rollout(start, goal, w, n_samples):
+    """The Euler loop on the grid `rollout_matched` uses."""
+    centers, widths = forcing_kernels(w.shape[2])
+    steps = (n_samples - 1) * ROLLOUT_OVERSAMPLE
+    return kernels.dmp_rollout(start, goal, w, centers, widths, 1.0, ALPHA_Z,
+                               BETA_Z, ALPHA_X, 1.0 / steps, steps + 1,
+                               ROLLOUT_OVERSAMPLE)
+
+
+class TestLinearResponses:
+    # the response mix differs from the Euler loop by rounding only
+    ATOL = 1e-12
+
+    @pytest.mark.parametrize("n_joint", [2, 7])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_euler_loop(self, seed, n_joint):
+        rng = np.random.default_rng(seed)
+        start, goal = rng.standard_normal((2, 6, n_joint))
+        w = rng.standard_normal((6, n_joint, 25)) * 200.0
+        np.testing.assert_allclose(rollout_matched(start, goal, w, 150),
+                                   euler_rollout(start, goal, w, 150),
+                                   rtol=0.0, atol=self.ATOL)
+
+    def test_degenerate_joint_in_mixed_batch_stays_on_start(self):
+        rng = np.random.default_rng(4)
+        start, goal = rng.standard_normal((2, 3, 2))
+        goal[1, 0] = start[1, 0]
+        w = rng.standard_normal((3, 2, 25)) * 200.0
+        out = rollout_matched(start, goal, w, 150)
+        assert np.all(out[1, :, 0] == start[1, 0])
+        assert np.all(np.ptp(out[[0, 2]], axis=1) > 0.0)
+
+    def test_built_once_per_grid_and_read_only(self, monkeypatch):
+        calls, reference = [], kernels.dmp_rollout
+
+        def counted(*args):
+            calls.append(args[10])   # the step count
+            return reference(*args)
+
+        monkeypatch.setattr(kernels, "dmp_rollout", counted)
+        linear_responses.cache_clear()
+        batch = zero_forcing([0.0, 0.5], [1.0, -0.5], n_basis=7)
+        for _ in range(3):
+            rollout_matched(*batch, 40)
+            rollout_matched(*batch, 60)
+        assert calls == [391, 591]   # one Euler loop per (K, T)
+        responses = linear_responses(7, 40)
+        assert responses.shape == (8, 40)
+        assert not responses.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            responses[0, 0] = 1.0
 
 
 class TestKernels:

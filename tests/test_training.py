@@ -471,6 +471,14 @@ class TestDispatchAndReport:
         with pytest.raises(ValueError, match="unknown method"):
             train("mystery", small_rtp, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("head, keyword", [
+        (DmpHead, {"task": "wpp"}), (DmpHead, {"n_basis": 8}),
+        (PrompHead, {"n_basis_dmp": 25}), (ResidualHead, {"n_basis_dmp": 25})])
+    def test_head_fit_rejects_a_keyword_of_another_head(self, small_rtp,
+                                                         head, keyword):
+        with pytest.raises(TypeError, match=next(iter(keyword))):
+            head.fit(small_rtp, np.arange(len(small_rtp)), **keyword)
+
     def test_wpp_basis_default(self, tiny_wpp):
         model, _ = train("deep-mp", tiny_wpp, TrainConfig(epochs=1, seed=0))
         assert model.head.n_basis == 10
