@@ -24,7 +24,7 @@ with the arguments in the checkpoint's manifest to rewrite it.
 
 import json
 
-from mprim.jsonio import read_json_object
+from mprim.jsonio import read_json_object, replace_on_success
 from mprim.training import Model
 
 SCHEMA_VERSION = 2
@@ -32,14 +32,27 @@ KIND = "trained_model"
 
 
 def save(model: Model, path, meta=None):
-    """Write a checkpoint; `meta` is an optional free-form metadata dict."""
+    """Write a checkpoint; `meta` is an optional free-form metadata dict.
+
+    Only what `load` reads back is written. The payload goes through
+    `Model.from_dict`, the reader's checks, first: a non-finite `theta`,
+    scaler, mean or `home` entry, or a `ctx_std` entry <= 0, raises
+    ValueError naming the field. A meta value that standard JSON cannot
+    hold (NaN, infinity, a numpy scalar) raises ValueError or TypeError.
+    The file at `path` is replaced only by a complete checkpoint: a
+    failed save leaves it as it was."""
     if not isinstance(model, Model):
         raise TypeError(f"cannot checkpoint object of type "
                         f"{type(model).__name__}; only trained models")
-    doc = {"schema": SCHEMA_VERSION, "kind": KIND,
-           "payload": model.to_dict(), "meta": meta or {}}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    payload = model.to_dict()
+    try:
+        Model.from_dict(payload)
+    except ValueError as err:
+        raise ValueError(f"cannot write checkpoint {path}: {err}") from None
+    doc = {"schema": SCHEMA_VERSION, "kind": KIND, "payload": payload,
+           "meta": meta or {}}
+    with replace_on_success(path) as fh:
+        json.dump(doc, fh, allow_nan=False)
         fh.write("\n")
 
 

@@ -227,8 +227,8 @@ def cmd_train(args, argv):
             "stopping_reason": report.stopping_reason,
             "best_epoch": report.best_epoch,
             "final_epoch": report.final_epoch,
-            "final_train_loss": (report.train_loss[-1]
-                                 if report.train_loss else None),
+            "final_train_batch_loss": (report.train_batch_loss[-1]
+                                       if report.train_batch_loss else None),
             "final_val_loss": (report.val_loss[-1]
                                if report.val_loss else None)}
     checkpoint.save(model, args.out, meta=meta)

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mprim.errors import DatasetFormatError
+from mprim.jsonio import replace_on_success
 
 SCHEMA_VERSION = 2
 TASKS = ("rtp", "wpp")   # dataset kinds: reach-to-palpate, palpation paths
@@ -377,9 +378,54 @@ def decode_f64(text) -> np.ndarray:
         raise ValueError(f"not a base64 string of float64 ({err})") from None
 
 
+def _check_json_value(value, where):
+    """Raise ValueError unless `value` reads back from JSON as itself:
+    None, a bool, an int, a finite float, a str, or a list or str-keyed
+    dict of such values. `where` names the value in the message."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return
+    if isinstance(value, float):
+        if not np.isfinite(value):
+            raise ValueError(f"{where} is {value}, which JSON cannot hold")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_json_value(item, f"{where}[{i}]")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise ValueError(f"{where} has the key {key!r}; JSON object "
+                                 f"keys are strings")
+            _check_json_value(item, f"{where}[{key!r}]")
+    else:
+        raise ValueError(f"{where} is of type {type(value).__name__}, not "
+                         f"a JSON value")
+
+
 def save_jsonl(dataset: DemoDataset, path):
-    """Write header plus one record per sample; bit-exact round trip."""
-    with open(path, "w") as fh:
+    """Write header plus one record per sample; bit-exact round trip.
+
+    Only what `load_jsonl` reads back is written: a seed that is not an
+    integer, a non-finite context or trajectory value, or tags that are
+    not a JSON object of JSON values raise ValueError naming the demo.
+    The file at `path` is replaced only by a complete dataset: a failed
+    save leaves it as it was.
+    """
+    if isinstance(dataset.seed, bool) or not isinstance(dataset.seed, int):
+        raise ValueError(f"seed must be an integer, got {dataset.seed!r}")
+    for what, array in (("context", dataset.contexts),
+                        ("trajectory", dataset.trajectories)):
+        # the min or the max is NaN or infinite when any value is; they
+        # need no temporary array the size of the data
+        if array.size and not np.isfinite([array.min(), array.max()]).all():
+            finite = np.isfinite(array).reshape(len(array), -1).all(axis=1)
+            raise ValueError(f"demo {np.argmin(finite)}: {what} holds a "
+                             f"non-finite value")
+    for k, tags in enumerate(dataset.tags):
+        if not isinstance(tags, dict):
+            raise ValueError(f"demo {k}: tags must be a dict, got a "
+                             f"{type(tags).__name__}")
+        _check_json_value(tags, f"demo {k}: tags")
+    with replace_on_success(path) as fh:
         header = {"schema": SCHEMA_VERSION, "kind": dataset.kind,
                   "seed": dataset.seed, "n_samples": len(dataset)}
         if len(dataset):
@@ -387,7 +433,7 @@ def save_jsonl(dataset: DemoDataset, path):
                 sampling_frequency=float(dataset.sampling_frequency),
                 n_samples_per_traj=dataset.n_samples_per_traj,
                 n_joint=dataset.n_joint)
-        fh.write(json.dumps(header) + "\n")
+        fh.write(json.dumps(header, allow_nan=False) + "\n")
         for context, values, tags in zip(dataset.contexts,
                                          dataset.trajectories, dataset.tags):
             fh.write(json.dumps({"context": context.tolist(),

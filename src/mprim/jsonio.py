@@ -1,7 +1,29 @@
-"""Reading the single-document JSON files: checkpoints, kinematic chain
-configs and --config files."""
+"""Reading the single-document JSON files (checkpoints, kinematic chain
+configs and --config files), and writing a file whole or not at all."""
 
+import contextlib
 import json
+import os
+
+
+@contextlib.contextmanager
+def replace_on_success(path):
+    """A text file to write in place of the file at `path`.
+
+    The text goes to a new file next to `path`, which replaces `path`
+    only when the block exits without an exception. On an exception the
+    new file is removed, so an existing `path` stays as it was and a
+    missing one stays missing."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read_json_object(path, what=None):

@@ -37,7 +37,7 @@ from mprim import dmp as dmp_mod
 from mprim import kernels, metrics
 from mprim.basis import build_phi
 from mprim.dataset import TASKS, DemoDataset, decode_f64, encode_f64
-from mprim.errors import IntegrationError
+from mprim.errors import IntegrationError, TrainingDivergedError
 from mprim.kinematics import DEFAULT_CHAIN, KinematicChain, final_distances
 from mprim.promp import fit_weights
 from mprim.regressor import (MlpParams, adam_init, adam_step, init_mlp,
@@ -71,22 +71,32 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch loss curves and how the run ended."""
+    """Per-epoch loss curves and how the run ended.
 
-    train_loss: list = field(default_factory=list)
+    `train_batch_loss` is the mean of the epoch's per-sample minibatch
+    losses, each taken before its batch's Adam step, so the weights move
+    within the epoch it averages over. `val_loss` is the loss that model
+    selection and early stopping use: a full pass over the validation
+    side after the epoch, or over the fit set when the validation side
+    is empty. `stopping_reason` is "zero_epochs", "max_epochs",
+    "early_stopping" or "diverged".
+    """
+
+    train_batch_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     best_epoch: int = -1
     stopping_reason: str = "zero_epochs"
 
     @property
     def final_epoch(self):
-        return len(self.train_loss)
+        return len(self.train_batch_loss)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_loss"])
-            for e, (tr, va) in enumerate(zip(self.train_loss, self.val_loss)):
+            writer.writerow(["epoch", "train_batch_loss", "val_loss"])
+            for e, (tr, va) in enumerate(zip(self.train_batch_loss,
+                                             self.val_loss)):
                 writer.writerow([e, repr(tr), repr(va)])
 
 
@@ -139,9 +149,25 @@ def batch_loss_and_grad(head, pred, target):
     return head.loss_and_grad(pred, target)
 
 
+# a diverging run is caught by the finiteness check of each epoch's
+# losses, not by numpy's overflow warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
                   head):
-    """Deterministic Adam loop; returns (best_params, report)."""
+    """Deterministic Adam loop; returns (best_params, report).
+
+    An epoch records as its train loss the mean of the per-sample losses
+    that its minibatch passes compute anyway, each before its batch's
+    step (`TrainReport.train_batch_loss`). Its `val_loss` is the one full
+    pass of the epoch: over the validation side, or over the fit set when
+    that side is empty. Selection keeps the weights of the epoch with the
+    lowest `val_loss`, and early stopping counts epochs since then.
+
+    An epoch whose train or validation loss is not finite is not
+    recorded. The run stops there with `stopping_reason` "diverged" and
+    keeps the best weights so far; when there are none, `best_epoch`
+    stays -1 and `train` raises TrainingDivergedError.
+    """
     rng = np.random.default_rng(cfg.seed)
     local = rng.permutation(len(train_idx))
     n_val = int(len(train_idx) * cfg.val_fraction_of_train)
@@ -153,6 +179,7 @@ def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
     state = adam_init(params, cfg.learning_rate)
     grad = np.empty_like(params.theta)
     grads_w, grads_b = params.views(grad)
+    batch_losses = np.empty(len(fit_idx))
     report = TrainReport()
 
     def mean_loss(idx):
@@ -168,12 +195,18 @@ def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
             batch = fit_idx[order[lo:lo + cfg.batch_size]]
             acts = kernels.mlp_forward_acts(x_std[batch], params.weights,
                                             params.biases)
-            _, dpred = batch_loss_and_grad(head, acts[-1], targets[batch])
+            losses, dpred = batch_loss_and_grad(head, acts[-1],
+                                                targets[batch])
+            batch_losses[lo:lo + len(batch)] = losses
             kernels.mlp_backward_acts(acts, params.weights,
                                       dpred / len(batch), grads_w, grads_b)
             adam_step(state, params.theta, grad)
-        report.train_loss.append(mean_loss(fit_idx))
-        val = mean_loss(val_idx) if len(val_idx) else report.train_loss[-1]
+        train_loss = float(np.mean(batch_losses))
+        val = mean_loss(val_idx if len(val_idx) else fit_idx)
+        if not np.isfinite([train_loss, val]).all():
+            reason = "diverged"
+            break
+        report.train_batch_loss.append(train_loss)
         report.val_loss.append(val)
         if val < best_val:
             best_theta, best_val, best_epoch = params.theta.copy(), val, epoch
@@ -541,7 +574,9 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
     dataset kind. `split` is (train, test) indices; by
     default a seeded random split. A split with no train demo, an index
     that is not an integer or lies outside the dataset, or a demo on both
-    sides raises ValueError. Returns (Model, TrainReport).
+    sides raises ValueError. A run whose loss is not finite before any
+    epoch could be kept raises TrainingDivergedError. Returns (Model,
+    TrainReport).
     """
     if method not in HEADS:
         raise ValueError(f"unknown method {method!r}; "
@@ -565,6 +600,9 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
     mean, std = _fit_scaler(contexts[train_idx])
     params, report = _run_training((contexts - mean) / std, targets,
                                    train_idx, cfg, hidden, head)
+    if report.stopping_reason == "diverged" and report.best_epoch < 0:
+        raise TrainingDivergedError(report.final_epoch, method,
+                                    cfg.learning_rate)
     model = Model(head, params, mean, std, tuple(map(int, train_idx)),
                   tuple(map(int, test_idx)))
     return model, report

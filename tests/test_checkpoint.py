@@ -245,6 +245,58 @@ def test_non_utf8_checkpoint_names_file(tmp_path):
     assert str(err.value) == f"{path}: not UTF-8 text at byte 10"
 
 
+def _linear_model(method):
+    return _model(method, lambda n: np.linspace(-1.0, 1.0, n),
+                  lambda n: np.linspace(0.5, 1.5, n))
+
+
+@pytest.mark.parametrize("method,field,value,why", [
+    ("deep-mp", "theta", np.nan, "value 1 is nan; expected finite numbers"),
+    ("deep-mp", "ctx_mean", np.inf, "value 1 is inf; expected finite"),
+    ("deep-mp", "ctx_std", 0.0, "value 1 is 0.0; expected finite numbers > 0"),
+    ("residual", "ctx_std", -1.0, "value 1 is -1.0; expected finite"),
+    ("residual", "mean_weights", -np.inf, "value 1 is -inf; expected"),
+    ("ddmp", "home", np.nan, "value 1 is nan; expected finite numbers"),
+], ids=["theta_nan", "ctx_mean_inf", "ctx_std_zero", "ctx_std_negative",
+        "means_inf", "home_nan"])
+def test_save_refuses_what_load_rejects(tmp_path, method, field, value, why):
+    model = _linear_model(method)
+    path = tmp_path / "model.json"
+    checkpoint.save(model, path)
+    before = path.read_bytes()
+    head = model.head
+    array = {"theta": model.mlp.theta, "ctx_mean": model.ctx_mean,
+             "ctx_std": model.ctx_std,
+             "mean_weights": getattr(head, "mean_weights", {}).get("A"),
+             "home": getattr(head, "home", None)}[field]
+    array[1] = value
+    with pytest.raises(ValueError) as err:
+        checkpoint.save(model, path)
+    assert str(err.value).startswith(
+        f"cannot write checkpoint {path}: payload field {field!r} is "
+        f"malformed (")
+    assert why in str(err.value)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
+@pytest.mark.parametrize("meta,error", [
+    ({"final_val_loss": float("nan")}, ValueError),
+    ({"final_val_loss": float("-inf")}, ValueError),
+    ({"best_epoch": np.int64(3)}, TypeError),
+], ids=["nan", "inf", "numpy_int"])
+def test_save_refuses_meta_that_is_not_standard_json(tmp_path, meta, error):
+    model = _linear_model("deep-mp")
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    checkpoint.save(model, kept, meta={"note": "first"})
+    before = kept.read_bytes()
+    for path in (kept, fresh):
+        with pytest.raises(error):
+            checkpoint.save(model, path, meta=meta)
+    assert kept.read_bytes() == before
+    assert os.listdir(tmp_path) == ["kept.json"]
+
+
 # every finite float64, with the edge values named; `ctx_std` draws
 # from the positive ones, the only ones a checkpoint holds there
 _FINITE = st.one_of(
@@ -306,6 +358,39 @@ class TestFormatProperties:
         for want, got in zip(_arrays(model), _arrays(back), strict=True):
             assert got.dtype == np.float64
             assert got.flags.owndata and got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(method=st.sampled_from(METHODS), data=st.data(),
+           any_float=st.booleans())
+    def test_save_writes_what_load_returns_or_nothing(self, method, data,
+                                                      any_float):
+        # arrays from every float64, NaN and infinities included, or from
+        # the values a checkpoint holds; a save either raises and leaves
+        # the file as it was or writes what a load returns bit for bit
+        def arrays(elements):
+            return lambda n: data.draw(hnp.arrays(
+                np.float64, n, elements=st.floats() if any_float
+                else elements))
+
+        model = _model(method, arrays(_FINITE), arrays(_POSITIVE))
+        loadable = (all(np.isfinite(a).all() for a in _arrays(model))
+                    and (model.ctx_std > 0).all())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            with open(path, "w") as fh:
+                fh.write("an earlier file\n")
+            try:
+                checkpoint.save(model, path)
+            except ValueError:
+                assert not loadable
+                with open(path) as fh:
+                    assert fh.read() == "an earlier file\n"
+                assert os.listdir(tmp) == ["model.json"]
+                return
+            assert loadable
+            back = checkpoint.load(path)
+        for want, got in zip(_arrays(model), _arrays(back), strict=True):
             assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=80, deadline=None)

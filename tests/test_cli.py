@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -135,15 +136,33 @@ class TestTrain:
         assert ((tmp_path / "flagged_losses.csv").read_bytes()
                 == (tmp_path / "plain_losses.csv").read_bytes())
 
+    @pytest.mark.parametrize("method", ["deep-mp", "ddmp"])
+    def test_diverged_run_exits_1_and_writes_nothing(
+            self, small_dataset, tmp_path, capsys, method):
+        ckpt = tmp_path / "ck.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["train", "--data", small_dataset, "--method", method,
+                        "--epochs", "3", "--lr", "1e300", "--out",
+                        ckpt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: training diverged at epoch 0: the "
+                              f"{method} loss is not finite at learning "
+                              f"rate 1e+300")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            small_dataset.name]
+
     def test_zero_epochs_empty_curve(self, small_dataset, tmp_path):
         ckpt = tmp_path / "ck.json"
         assert run(["train", "--data", small_dataset, "--method", "deep-mp",
                     "--epochs", "0", "--seed", "0", "--out", ckpt]) == 0
         curve = tmp_path / "ck_losses.csv"
         rows = list(csv.reader(curve.open()))
-        assert rows == [["epoch", "train_loss", "val_loss"]]
+        assert rows == [["epoch", "train_batch_loss", "val_loss"]]
         meta = json.loads(ckpt.read_text())["meta"]
         assert meta["final_epoch"] == 0
+        assert meta["final_train_batch_loss"] is None
 
     def test_unknown_method_usage_error(self, small_dataset, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -398,6 +398,59 @@ class TestPersistence:
             load_jsonl(path)
 
 
+def _five_demos(**tags_of_demo):
+    """Five rtp demos; `tags_of_demo` maps "d<k>" to the tags of demo k."""
+    ds = generate_rtp(seed=1, counts=(2, 1, 1, 1))
+    tags = [tags_of_demo.get(f"d{k}", t) for k, t in enumerate(ds.tags)]
+    return dataclasses.replace(ds, tags=tags)
+
+
+class TestWriterChecks:
+    """save_jsonl writes only what load_jsonl reads back, and a failed
+    save leaves the target as it was."""
+
+    def assert_refused(self, tmp_path, ds, match):
+        kept, fresh = tmp_path / "kept.jsonl", tmp_path / "fresh.jsonl"
+        save_jsonl(generate_rtp(seed=2, counts=(1, 1, 1, 1)), kept)
+        before = kept.read_bytes()
+        for path in (kept, fresh):
+            with pytest.raises(ValueError, match=match):
+                save_jsonl(ds, path)
+        assert kept.read_bytes() == before
+        assert os.listdir(tmp_path) == ["kept.jsonl"]
+
+    def test_numpy_tag_after_two_records(self, tmp_path):
+        # json.dumps used to raise TypeError here, after writing a header
+        # that declares 5 records and then 2 of them
+        self.assert_refused(tmp_path, _five_demos(d2={"region": np.int64(3)}),
+                            r"^demo 2: tags\['region'\] is of type int64, "
+                            r"not a JSON value$")
+
+    @pytest.mark.parametrize("tags,match", [
+        ({"seen": (1, 2)}, r"demo 4: tags\['seen'\] is of type tuple"),
+        ({"w": [0.5, float("nan")]}, r"demo 4: tags\['w'\]\[1\] is nan"),
+        ({"w": {"x": float("inf")}}, r"demo 4: tags\['w'\]\['x'\] is inf"),
+        ({"w": {3: "a"}}, r"demo 4: tags\['w'\] has the key 3"),
+        ({"w": {"s": {1}}}, r"demo 4: tags\['w'\]\['s'\] is of type set"),
+        (["region", "A"], r"demo 4: tags must be a dict, got a list"),
+    ], ids=["tuple", "nan", "inf", "int_key", "set", "list"])
+    def test_tags_that_json_does_not_read_back(self, tmp_path, tags, match):
+        self.assert_refused(tmp_path, _five_demos(d4=tags), match)
+
+    @pytest.mark.parametrize("what", ["context", "trajectory"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_values(self, tmp_path, what, value):
+        ds = _five_demos()
+        {"context": ds.contexts, "trajectory": ds.trajectories}[what][3].flat[
+            1] = value
+        self.assert_refused(tmp_path, ds,
+                            f"^demo 3: {what} holds a non-finite value$")
+
+    def test_numpy_seed(self, tmp_path):
+        ds = dataclasses.replace(_five_demos(), seed=np.int64(1))
+        self.assert_refused(tmp_path, ds, "seed must be an integer")
+
+
 def _write_edited(path, header=None, record=None, line=3):
     """Save a small rtp dataset to `path`, then update its header and the
     record on 1-based `line` with the given fields."""
@@ -569,11 +622,18 @@ class TestFormatProperties:
     def test_corrupt_trajectory_names_its_line(self, k, data, corruption):
         ds = generate_rtp(seed=1, counts=(2, 1, 1, 1))
         t, j = ds.n_samples_per_traj, ds.n_joint
-        edit = None
         if corruption in ("nan", "inf"):
-            ds.trajectories[k, data.draw(st.integers(0, t - 1)),
-                            data.draw(st.integers(0, j - 1))] = (
-                np.nan if corruption == "nan" else -np.inf)
+            at = (data.draw(st.integers(0, t - 1)),
+                  data.draw(st.integers(0, j - 1)))
+
+            def edit(lines):
+                # save_jsonl refuses non-finite values, so the file gets
+                # its bad value after saving
+                record = json.loads(lines[k + 1])
+                values = _unblob(record["trajectory"], j).copy()
+                values[at] = np.nan if corruption == "nan" else -np.inf
+                record["trajectory"] = _blob(values)
+                lines[k + 1] = json.dumps(record)
         else:
             size = 4 * (8 * t * j // 3)  # 8400 bytes need no padding
             at = data.draw(st.integers(0, size - 1))
@@ -591,3 +651,51 @@ class TestFormatProperties:
                 lines[k + 1] = json.dumps(record)
         with pytest.raises(DatasetFormatError, match=f"line {k + 2}: "):
             _round_trip(ds, edit)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), any_float=st.booleans(),
+           bad_tag=st.one_of(st.none(), st.sampled_from(
+               [np.int64(3), np.bool_(True), (1, 2), float("nan"),
+                {1: "a"}, {"s": {2}}, b"x"])))
+    def test_save_writes_what_load_returns_or_nothing(self, data, any_float,
+                                                      bad_tag):
+        # arrays from every float64, NaN and infinities included, or from
+        # the finite ones, and tags of JSON values, perhaps with one value
+        # that JSON does not read back; a save either raises and leaves
+        # the file as it was or writes what a load returns bit for bit
+        n, t, j, d = data.draw(st.tuples(st.integers(1, 3), st.integers(2, 5),
+                                         st.integers(1, 3), st.integers(1, 3)))
+        elements = st.floats() if any_float else _FINITE
+        contexts = data.draw(hnp.arrays(np.float64, (n, d), elements=elements))
+        trajectories = data.draw(hnp.arrays(np.float64, (n, t, j),
+                                            elements=elements))
+        leaf = (st.none() | st.booleans() | st.integers() | st.text()
+                | st.floats(allow_nan=False, allow_infinity=False))
+        value = st.recursive(leaf, lambda inner: st.lists(inner, max_size=3)
+                             | st.dictionaries(st.text(), inner, max_size=3),
+                             max_leaves=6)
+        tags = data.draw(st.lists(st.dictionaries(st.text(), value,
+                                                  max_size=3),
+                                  min_size=n, max_size=n))
+        if bad_tag is not None:
+            tags[data.draw(st.integers(0, n - 1))]["bad"] = bad_tag
+        ds = DemoDataset("wpp", 3, DEFAULT_FS, contexts, trajectories, tags)
+        loadable = (np.isfinite(contexts).all()
+                    and np.isfinite(trajectories).all() and bad_tag is None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "demos.jsonl")
+            with open(path, "w") as fh:
+                fh.write("an earlier file\n")
+            try:
+                save_jsonl(ds, path)
+            except ValueError:
+                assert not loadable
+                with open(path) as fh:
+                    assert fh.read() == "an earlier file\n"
+                assert os.listdir(tmp) == ["demos.jsonl"]
+                return
+            assert loadable
+            back = load_jsonl(path)
+        assert back.contexts.tobytes() == contexts.tobytes()
+        assert back.trajectories.tobytes() == trajectories.tobytes()
+        assert back.tags == tags

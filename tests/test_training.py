@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mprim import dmp as dmp_mod
-from mprim import kinematics, metrics
+from mprim import kernels, kinematics, metrics, training
 from mprim.basis import build_phi
 from mprim.dataset import WPP_SPLITS, apply_split, generate_rtp, generate_wpp
 from mprim.dmp import fit_dmp, rollout_matched
-from mprim.errors import IntegrationError
+from mprim.errors import IntegrationError, TrainingDivergedError
 from mprim.kinematics import DEFAULT_CHAIN, final_distances
 from mprim.regressor import MlpParams, mlp_forward
 from mprim.training import (DmpHead, Model, PrompHead, ResidualHead,
@@ -128,7 +130,7 @@ class TestTrainDeepMp:
                           seed=2, early_stop_patience=12_000)
         model, report = train("deep-mp", ds, cfg,
                               split=(np.array([0]), np.array([], int)))
-        assert report.train_loss[-1] < 1e-3
+        assert report.train_batch_loss[-1] < 1e-3
 
     def test_checkpoint_is_best_validation(self, small_rtp):
         model, report = train("deep-mp", small_rtp,
@@ -139,7 +141,7 @@ class TestTrainDeepMp:
         cfg = TrainConfig(epochs=8, seed=9)
         _, r1 = train("deep-mp", small_rtp, cfg)
         _, r2 = train("deep-mp", small_rtp, cfg)
-        assert r1.train_loss == r2.train_loss
+        assert r1.train_batch_loss == r2.train_batch_loss
         assert r1.val_loss == r2.val_loss
 
     def test_affine_map_close_to_ridge_oracle(self):
@@ -235,7 +237,7 @@ class TestTrainResidual:
             cfg = TrainConfig(epochs=12, seed=seed)
             _, full = train("deep-mp", small_rtp, cfg)
             _, res = train("residual", small_rtp, cfg)
-            if res.train_loss[-1] <= full.train_loss[-1]:
+            if res.train_batch_loss[-1] <= full.train_batch_loss[-1]:
                 wins += 1
         assert wins >= 3
 
@@ -273,6 +275,132 @@ class TestTrainDdmp:
         assert head.task == "rtp"
         losses, grads = head.loss_and_grad(targets[:4], targets[:4])
         assert np.all(losses == 0.0) and np.all(grads == 0.0)
+
+
+class TestEpochLoop:
+    """What one epoch computes: the minibatch passes, whose losses make the
+    train loss, plus one full pass for selection."""
+
+    CFG = TrainConfig(epochs=4, batch_size=7, seed=4, early_stop_patience=4)
+
+    @staticmethod
+    def counted(monkeypatch, module, name, record):
+        """Wrap `module.name` so that every call appends
+        `record(args, result)` to the returned list."""
+        calls, inner = [], getattr(module, name)
+
+        def wrapper(*args):
+            result = inner(*args)
+            calls.append(record(args, result))
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_minibatch_passes_plus_one_validation_pass(self, small_rtp,
+                                                       monkeypatch):
+        forward = self.counted(monkeypatch, kernels, "mlp_forward_acts",
+                               lambda args, acts: len(args[0]))
+        model, report = train("deep-mp", small_rtp, self.CFG)
+        assert report.final_epoch == self.CFG.epochs
+        n_train, size = len(model.train_indices), self.CFG.batch_size
+        n_val = int(n_train * TrainConfig.val_fraction_of_train)
+        n_batches = math.ceil((n_train - n_val) / size)
+        assert len(forward) == self.CFG.epochs * (n_batches + 1)
+        # each epoch: the minibatches of the fit set, then the validation
+        # side in one pass
+        batches = [size] * (n_batches - 1) + [(n_train - n_val) % size
+                                              or size]
+        assert forward == (batches + [n_val]) * self.CFG.epochs
+
+    def test_train_loss_is_the_mean_minibatch_loss(self, small_rtp,
+                                                   monkeypatch):
+        losses = self.counted(monkeypatch, training, "batch_loss_and_grad",
+                              lambda args, result: result[0].copy())
+        _, report = train("deep-mp", small_rtp, self.CFG)
+        n_calls = len(losses) // self.CFG.epochs
+        for epoch, train_loss in enumerate(report.train_batch_loss):
+            calls = losses[epoch * n_calls:(epoch + 1) * n_calls]
+            # the last call of an epoch is the validation pass
+            assert calls[-1].mean() == report.val_loss[epoch]
+            # the same values in the same order: only the grouping of
+            # the sum may differ, which rtol=1e-14 covers
+            np.testing.assert_allclose(train_loss,
+                                       np.concatenate(calls[:-1]).mean(),
+                                       rtol=1e-14)
+
+    def test_empty_validation_side_selects_on_the_fit_set(self, small_rtp,
+                                                          monkeypatch):
+        # three train demos leave the validation side empty, so selection
+        # runs a full pass over the fit set after each epoch
+        thetas = self.counted(monkeypatch, training, "adam_step",
+                              lambda args, result: args[1].copy())
+        cfg = TrainConfig(epochs=6, batch_size=1, learning_rate=0.02,
+                          seed=5, early_stop_patience=6)
+        train_idx = np.array([0, 9, 17])
+        model, report = train("deep-mp", small_rtp, cfg,
+                              split=(train_idx, np.array([1, 2])))
+        assert int(len(train_idx) * cfg.val_fraction_of_train) == 0
+        head, sizes = model.head, model.mlp.layer_sizes
+        x = (small_rtp.contexts[train_idx] - model.ctx_mean) / model.ctx_std
+        targets = head.weights(small_rtp.trajectories[train_idx])
+        epoch_end = thetas[len(train_idx) - 1::len(train_idx)]
+        full = [head.loss_and_grad(mlp_forward(MlpParams(sizes, theta), x),
+                                   targets)[0].mean()
+                for theta in epoch_end]
+        # the fit set is taken in shuffled order, so the mean may group
+        # its three terms differently
+        np.testing.assert_allclose(report.val_loss, full, rtol=1e-14)
+        assert report.best_epoch == int(np.argmin(full))
+        assert (model.mlp.theta.tobytes()
+                == epoch_end[report.best_epoch].tobytes())
+        assert report.train_batch_loss != report.val_loss
+
+
+class TestDivergence:
+    def test_no_finite_epoch_raises_and_warns_nothing(self, small_rtp):
+        cfg = TrainConfig(epochs=5, learning_rate=1e300, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError) as err:
+                train("ddmp", small_rtp, cfg, n_basis_dmp=10)
+        assert (err.value.epoch, err.value.method,
+                err.value.learning_rate) == (0, "ddmp", 1e300)
+        assert "epoch 0" in str(err.value) and "ddmp" in str(err.value)
+        assert "1e+300" in str(err.value)
+
+    @pytest.mark.parametrize("step", ["first", "last"])
+    def test_later_divergence_keeps_the_best_epoch(self, small_rtp,
+                                                   monkeypatch, step):
+        # the weights turn NaN after the first step of epoch 2 (so its
+        # minibatch loss is NaN) or after its last step (so only its
+        # validation pass is)
+        cfg = TrainConfig(epochs=5, batch_size=16, seed=2,
+                          early_stop_patience=5)
+        kept, kept_report = train("deep-mp", small_rtp,
+                                  dataclasses.replace(cfg, epochs=2))
+        n_train = len(kept.train_indices)
+        n_batches = math.ceil(
+            (n_train - int(n_train * cfg.val_fraction_of_train))
+            / cfg.batch_size)
+        poison_at = 2 * n_batches + (1 if step == "first" else n_batches)
+        adam_step, calls = training.adam_step, []
+
+        def poisoned(state, theta, grad):
+            adam_step(state, theta, grad)
+            calls.append(None)
+            if len(calls) >= poison_at:
+                theta[0] = np.nan
+
+        monkeypatch.setattr(training, "adam_step", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, report = train("deep-mp", small_rtp, cfg)
+        assert report.stopping_reason == "diverged"
+        assert report.train_batch_loss == kept_report.train_batch_loss
+        assert report.val_loss == kept_report.val_loss
+        assert report.best_epoch == kept_report.best_epoch
+        assert model.mlp.theta.tobytes() == kept.mlp.theta.tobytes()
 
 
 class TestEvaluate:
@@ -484,12 +612,12 @@ class TestDispatchAndReport:
         assert model.head.n_basis == 10
 
     def test_report_csv(self, tmp_path):
-        report = TrainReport(train_loss=[0.5, 0.25], val_loss=[0.6, 0.3],
+        report = TrainReport(train_batch_loss=[0.5, 0.25], val_loss=[0.6, 0.3],
                              best_epoch=1, stopping_reason="max_epochs")
         path = tmp_path / "curve.csv"
         report.write_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss"
+        assert lines[0] == "epoch,train_batch_loss,val_loss"
         assert len(lines) == 3
         assert report.final_epoch == 2
 
