@@ -19,6 +19,10 @@ target, at 1 or 2 BLAS threads. Across BLAS kernels or CPU dispatch
 targets the bits move (matmul and solve follow the BLAS kernel, exp
 follows numpy's dispatch), and the deep-mp metrics move within their
 seed-to-seed spread.
+
+A subcommand imports only what it runs. `generate` loads `dataset` and
+what it imports (`errors`, `jsonio`); `train` and `eval` import the
+trainer and the modules they read and write with when they start.
 """
 
 import argparse
@@ -30,12 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from mprim import checkpoint, kinematics, plots, training
 from mprim.dataset import (RTP_DEFAULT_COUNTS, WPP_DEFAULT_TRIALS, WPP_SPLITS,
                            apply_split, generate_rtp, generate_wpp,
                            load_jsonl, save_jsonl)
 from mprim.jsonio import read_json_object
-from mprim.kinematics import DEFAULT_CHAIN, load_chain
 
 
 def _sha256(path):
@@ -153,12 +155,12 @@ def _build_parser():
     tr.add_argument("--batch-size", type=_int_from(1), default=32)
     tr.add_argument("--lr", type=_finite(0.0), default=1e-3)
     tr.add_argument("--seed", type=_int_from(0), default=None)
-    tr.add_argument("--hidden", type=_parse_hidden,
-                    default=training.DEFAULT_HIDDEN)
+    tr.add_argument("--hidden", type=_parse_hidden, default=None,
+                    help="hidden layer sizes (default 64,64)")
     tr.add_argument("--n-basis", type=_int_from(1), default=None,
                     help="default 8 for rtp data, 10 for wpp")
-    tr.add_argument("--n-basis-dmp", type=_int_from(1),
-                    default=training.DEFAULT_N_BASIS_DMP)
+    tr.add_argument("--n-basis-dmp", type=_int_from(1), default=None,
+                    help="default 25")
     tr.add_argument("--tau", type=_finite(0.0), default=None,
                     help="no effect: the attractor works in unit time; "
                          "still parsed so that older command lines run")
@@ -179,12 +181,13 @@ def cmd_generate(args, argv):
     if args.kind == "rtp":
         dataset = generate_rtp(args.seed, counts=args.counts,
                                noise_std=args.noise)
+        config = {"kind": "rtp",
+                  "counts": args.counts or list(RTP_DEFAULT_COUNTS.values()),
+                  "noise": args.noise}
     else:
         dataset = generate_wpp(args.seed, trials_per_cell=args.trials)
+        config = {"kind": "wpp", "trials": args.trials}
     save_jsonl(dataset, args.out)
-    config = {"kind": args.kind,
-              "counts": args.counts or list(RTP_DEFAULT_COUNTS.values()),
-              "trials": args.trials, "noise": args.noise}
     _write_manifest(args.out.with_suffix(args.out.suffix + ".manifest.json"),
                     "generate", argv, config, args.seed, _inputs(args),
                     [args.out])
@@ -193,11 +196,17 @@ def cmd_generate(args, argv):
 
 
 def cmd_train(args, argv):
+    from mprim import checkpoint, training
+
     dataset = load_jsonl(args.data)
     epochs = args.epochs
     if epochs is None:
         epochs = (training.DEFAULT_EPOCHS_WPP if dataset.kind == "wpp"
                   else training.DEFAULT_EPOCHS_RTP)
+    hidden = (training.DEFAULT_HIDDEN if args.hidden is None
+              else args.hidden)
+    n_basis_dmp = (training.DEFAULT_N_BASIS_DMP if args.n_basis_dmp is None
+                   else args.n_basis_dmp)
     cfg = training.TrainConfig(epochs=epochs, batch_size=args.batch_size,
                                learning_rate=args.lr, seed=args.seed,
                                early_stop_patience=args.patience)
@@ -215,13 +224,13 @@ def cmd_train(args, argv):
             raise ValueError(f"--split {args.split}: {args.data} holds "
                              f"{dataset.kind} demos: {err}") from None
     model, report = training.train(
-        args.method, dataset, cfg, n_basis=args.n_basis, hidden=args.hidden,
-        n_basis_dmp=args.n_basis_dmp, split=split)
+        args.method, dataset, cfg, n_basis=args.n_basis, hidden=hidden,
+        n_basis_dmp=n_basis_dmp, split=split)
 
     config = {"method": args.method, "epochs": epochs,
               "batch_size": args.batch_size, "lr": args.lr,
-              "hidden": list(args.hidden), "n_basis": args.n_basis,
-              "n_basis_dmp": args.n_basis_dmp, "split": args.split,
+              "hidden": list(hidden), "n_basis": args.n_basis,
+              "n_basis_dmp": n_basis_dmp, "split": args.split,
               "patience": args.patience, "data": str(args.data)}
     meta = {"config": config, "seed": args.seed,
             "stopping_reason": report.stopping_reason,
@@ -243,9 +252,12 @@ def cmd_train(args, argv):
 
 
 def cmd_eval(args, argv):
+    from mprim import checkpoint, kinematics, plots, training
+
     dataset = load_jsonl(args.data)
     model = checkpoint.load(args.checkpoint)
-    chain = load_chain(args.chain) if args.chain else DEFAULT_CHAIN
+    chain = (kinematics.load_chain(args.chain) if args.chain
+             else kinematics.DEFAULT_CHAIN)
     model.check_fits(dataset)
     if chain.n_joints != dataset.n_joint:
         raise ValueError(f"kinematic chain {args.chain or '(built-in)'} has "
@@ -361,6 +373,9 @@ def main(argv=None):
             args.seed = _int_from(0)(env) if env else 0
         except argparse.ArgumentTypeError as err:
             parser.error(f"environment variable MPRIM_SEED: {err}")
+    if args.command == "generate" and args.kind == "wpp" and args.noise:
+        parser.error("argument --noise: applies to --kind rtp only; "
+                     "wpp demos have no joint noise")
     handler = {"generate": cmd_generate, "train": cmd_train,
                "eval": cmd_eval}[args.command]
     try:

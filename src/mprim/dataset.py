@@ -23,8 +23,12 @@ File format (JSONL, dataset schema 2, one object per line):
   line 2.. sample {"context": [D numbers],
                    "trajectory": base64 of T*J float64 (see below),
                    "tags": {...}}
-Line k + 1 holds demo k; other keys, such as the per-record "split" of
-older files, are ignored. The header's last three fields are written only
+Line k + 1 holds demo k. `save_jsonl` writes each sample line as exactly
+  {"context": [...], "trajectory": "<base64>", "tags": {...}}
+with the keys in that order, ", " and ": " as separators, and the context
+and tags as `json.dumps` writes them. The reader takes any JSON object
+with these keys; other keys, such as the per-record "split" of older
+files, are ignored. The header's last three fields are written only
 when the file holds demos. A trajectory is its (T, J) array in radians,
 row-major, as little-endian float64, base64-encoded (`encode_f64`, as
 in checkpoints): 8*T*J bytes, so the loader decodes each record into its
@@ -171,7 +175,9 @@ def min_jerk(q0, q1, n_samples: int) -> np.ndarray:
     """Quintic point-to-point profile with zero endpoint velocity/acceleration.
 
     q(s) = q0 + (q1 - q0) * (10 s^3 - 15 s^4 + 6 s^5), s = t/(T-1); shape
-    (n_samples, n_joint).
+    (n_samples, n_joint), or (N, n_samples, n_joint) when q0 or q1 is an
+    (N, n_joint) stack. The profile is elementwise, so each of a stack's
+    profiles equals the single call bit for bit.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -179,14 +185,21 @@ def min_jerk(q0, q1, n_samples: int) -> np.ndarray:
     q1 = np.atleast_1d(np.asarray(q1, dtype=float))
     s = np.linspace(0.0, 1.0, n_samples)
     prof = 10.0 * s ** 3 - 15.0 * s ** 4 + 6.0 * s ** 5
-    return q0[None, :] + prof[:, None] * (q1 - q0)[None, :]
+    out = prof[:, None] * (q1 - q0)[..., None, :]
+    out += q0[..., None, :]   # in place: one array the size of the result
+    return out
 
 
 def goal_config(phantom_pos) -> np.ndarray:
-    """Reach-target joint configuration for a phantom position."""
-    u = (np.asarray(phantom_pos, dtype=float) - _CTX_CENTER) / _CTX_SCALE
-    return HOME_CONFIG + 0.4 * (_GOAL_LIN @ u) + _GOAL_SIN_AMP * np.sin(
-        _GOAL_SIN_W @ u)
+    """Reach-target joint configuration (n_joint,) for a phantom position
+    (3,), or (N, n_joint) configurations for an (N, 3) stack of them.
+
+    As in `_wpp_joint_embed`, the stacked matmul keeps each row's bits.
+    """
+    u = ((np.asarray(phantom_pos, dtype=float) - _CTX_CENTER) / _CTX_SCALE)[
+        ..., None]
+    return HOME_CONFIG + 0.4 * np.matmul(_GOAL_LIN, u)[..., 0] + (
+        _GOAL_SIN_AMP * np.sin(np.matmul(_GOAL_SIN_W, u)[..., 0]))
 
 
 def _wpp_joint_embed(points) -> np.ndarray:
@@ -214,37 +227,62 @@ def _sample_region_xy(rng, region):
             return np.array(RTP_CENTER_XY) + xy
 
 
+def _region_counts(counts) -> dict:
+    """`counts` as {region: count}: a dict keyed by region names, or a
+    sequence of one count per region A..D. Each count is an int >= 1;
+    anything else raises ValueError naming the entry."""
+    names = list(RTP_REGION_HALF_EXTENT)
+    if not isinstance(counts, dict):
+        if len(counts) != len(names):
+            raise ValueError(f"counts must hold {len(names)} counts, one per "
+                             f"region {', '.join(names)}, got {counts!r}")
+        counts = dict(zip(names, counts))
+    if not counts:
+        raise ValueError("counts names no region")
+    for region, count in counts.items():
+        if region not in RTP_REGION_HALF_EXTENT:
+            raise ValueError(f"counts key {region!r} is not a region; "
+                             f"expected one of {', '.join(names)}")
+        if type(count) is not int or count < 1:
+            raise ValueError(f"region {region} count must be an integer >= "
+                             f"1, got {count!r}")
+    return counts
+
+
 def generate_rtp(seed: int, counts=None, n_samples_traj: int = DEFAULT_T,
                  noise_std: float = 0.0) -> DemoDataset:
     """Reach dataset: phantom positions per region, point-to-point demos.
 
     Every demo starts at the home configuration and moves to the goal
     configuration determined by the phantom position; the context is that
-    position. `noise_std` adds seeded Gaussian joint noise to emulate the
-    variance of hand-guided demos (off by default).
+    position. `counts` gives the demos per region (see `_region_counts`;
+    default `RTP_DEFAULT_COUNTS`). `noise_std` adds seeded Gaussian joint
+    noise to emulate the variance of hand-guided demos (off by default).
+
+    The seeded draws are made demo by demo (position, then noise); the
+    goals and profiles of all demos are then computed as one stack.
     """
-    if counts is None:
-        counts = RTP_DEFAULT_COUNTS
-    elif not isinstance(counts, dict):
-        counts = dict(zip(RTP_REGION_HALF_EXTENT, counts))
-    if any(c <= 0 for c in counts.values()):
-        raise ValueError("region counts must be positive")
+    counts = _region_counts(RTP_DEFAULT_COUNTS if counts is None else counts)
+    n = sum(counts.values())
     rng = np.random.default_rng(seed)
-    contexts, trajectories, tags = [], [], []
+    contexts = np.empty((n, 3))
+    noise = (np.empty((n, n_samples_traj, len(HOME_CONFIG)))
+             if noise_std > 0.0 else None)
+    tags = []
     for region, count in counts.items():
         for _ in range(count):
-            xy = _sample_region_xy(rng, region)
-            z = rng.uniform(*RTP_Z_RANGE)
-            pos = np.array([xy[0], xy[1], z])
-            values = min_jerk(HOME_CONFIG, goal_config(pos), n_samples_traj)
-            if noise_std > 0.0:
-                values = values + noise_std * rng.standard_normal(
-                    values.shape)
-            contexts.append(pos)
-            trajectories.append(values)
+            k = len(tags)
+            contexts[k, :2] = _sample_region_xy(rng, region)
+            contexts[k, 2] = rng.uniform(*RTP_Z_RANGE)
+            if noise is not None:
+                rng.standard_normal(out=noise[k])
             tags.append({"region": region})
-    return DemoDataset("rtp", seed, DEFAULT_FS, np.stack(contexts),
-                       np.stack(trajectories), tags)
+    trajectories = min_jerk(HOME_CONFIG, goal_config(contexts),
+                            n_samples_traj)
+    if noise is not None:
+        noise *= noise_std
+        trajectories += noise
+    return DemoDataset("rtp", seed, DEFAULT_FS, contexts, trajectories, tags)
 
 
 def wpp_context(config: str, pattern: int) -> np.ndarray:
@@ -266,7 +304,10 @@ def generate_wpp(seed: int, trials_per_cell: int = WPP_DEFAULT_TRIALS,
     if trials_per_cell < 1:
         raise ValueError("trials_per_cell must be >= 1")
     rng = np.random.default_rng(seed)
-    contexts, trajectories, tags = [], [], []
+    n = 7 * len(WPP_CONFIG_POSITIONS) * trials_per_cell
+    contexts = np.empty((n, 3 + 7))   # see wpp_context
+    trajectories = np.empty((n, n_samples_traj, len(HOME_CONFIG)))
+    tags = []
     s = np.linspace(0.0, 1.0, n_samples_traj)
     timing = 10.0 * s ** 3 - 15.0 * s ** 4 + 6.0 * s ** 5
     for pattern in range(1, 8):
@@ -285,12 +326,13 @@ def generate_wpp(seed: int, trials_per_cell: int = WPP_DEFAULT_TRIALS,
                     [np.cos(angle), np.sin(angle), 0.0])
                 points = nipple[None, :] + timing[:, None] * (
                     end - nipple)[None, :]
-                contexts.append(wpp_context(config, pattern))
-                trajectories.append(_wpp_joint_embed(points))
+                # one demo at a time: embedding the whole stack at once
+                # would hold several stack-sized temporaries
+                contexts[len(tags)] = wpp_context(config, pattern)
+                trajectories[len(tags)] = _wpp_joint_embed(points)
                 tags.append(
                     {"pattern": pattern, "config": config, "short": short})
-    return DemoDataset("wpp", seed, DEFAULT_FS, np.stack(contexts),
-                       np.stack(trajectories), tags)
+    return DemoDataset("wpp", seed, DEFAULT_FS, contexts, trajectories, tags)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +476,12 @@ def save_jsonl(dataset: DemoDataset, path):
                 n_samples_per_traj=dataset.n_samples_per_traj,
                 n_joint=dataset.n_joint)
         fh.write(json.dumps(header, allow_nan=False) + "\n")
-        for context, values, tags in zip(dataset.contexts,
+        # the record line spelled out (see the module docstring): base64
+        # needs no JSON escaping, so the long string is written as it is
+        for context, values, tags in zip(dataset.contexts.tolist(),
                                          dataset.trajectories, dataset.tags):
-            fh.write(json.dumps({"context": context.tolist(),
-                                 "trajectory": encode_f64(values),
-                                 "tags": tags}) + "\n")
+            fh.write(f'{{"context": {json.dumps(context)}, "trajectory": '
+                     f'"{encode_f64(values)}", "tags": {json.dumps(tags)}}}\n')
 
 
 def load_jsonl(path) -> DemoDataset:

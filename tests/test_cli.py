@@ -3,6 +3,9 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -89,6 +92,39 @@ class TestGenerate:
         run(["generate", "--kind", "rtp", "--seed", "17", "--counts",
              "4,2,2,2", "--out", b])
         assert load_jsonl(a).seed == load_jsonl(b).seed == 17
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_noise_for_wpp_is_usage_error(self, tmp_path, capsys, via):
+        out = tmp_path / "w.jsonl"
+        argv = ["generate", "--kind", "wpp", "--trials", "1", "--out", out]
+        if via == "flag":
+            argv += ["--noise", "0.5"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"noise": 0.5}))
+            argv = ["--config", config, *argv]
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv)
+        assert exit_info.value.code == 2
+        assert "argument --noise: applies to --kind rtp only" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,flags,config", [
+        ("rtp", ["--counts", "4,2,2,2", "--noise", "0.01"],
+         {"kind": "rtp", "counts": [4, 2, 2, 2], "noise": 0.01}),
+        ("rtp", [], {"kind": "rtp", "counts": [292, 128, 73, 52],
+                     "noise": 0.0}),
+        ("wpp", ["--trials", "1", "--noise", "0"],
+         {"kind": "wpp", "trials": 1}),
+    ])
+    def test_manifest_config_holds_what_the_generator_read(
+            self, tmp_path, kind, flags, config):
+        out = tmp_path / "d.jsonl"
+        assert run(["generate", "--kind", kind, *flags, "--out", out]) == 0
+        manifest = json.loads(
+            (tmp_path / "d.jsonl.manifest.json").read_text())
+        assert manifest["config"] == config
 
 
 class TestTrain:
@@ -202,6 +238,18 @@ class TestTrain:
                         "--outdir", outdir]) == 0
             metrics.append((outdir / "metrics.csv").read_bytes())
         assert metrics[0] == metrics[1]
+
+    def test_defaults_resolved_into_the_config(self, small_dataset,
+                                               tmp_path):
+        ckpt = tmp_path / "ck.json"
+        assert run(["train", "--data", small_dataset, "--method", "ddmp",
+                    "--epochs", "1", "--out", ckpt]) == 0
+        config = json.loads(ckpt.read_text())["meta"]["config"]
+        assert config["hidden"] == list(training.DEFAULT_HIDDEN)
+        assert config["n_basis_dmp"] == training.DEFAULT_N_BASIS_DMP
+        manifest = json.loads(
+            (tmp_path / "ck.json.manifest.json").read_text())
+        assert manifest["config"] == config
 
     def test_manifest_lists_everything(self, small_dataset, tmp_path):
         ckpt = tmp_path / "ck.json"
@@ -661,3 +709,48 @@ def test_benchmark_accepts_the_outputs(tmp_path, monkeypatch):
             assert bench.manifest_ok(cwd, f"eval-{method}/manifest.json")
             assert bench.read_overall(
                 cwd / f"eval-{method}" / "metrics.csv") is not None, method
+
+
+# every subcommand in one fresh interpreter; prints the mprim modules
+# loaded after importing the CLI and after each subcommand
+_FOOTPRINT = """
+import json, sys
+import mprim.cli
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("mprim"))
+seen = {"import": loaded()}
+for stage, argv in [
+        ("rtp", ["generate", "--kind", "rtp", "--counts", "6,3,2,2",
+                 "--out", "rtp.jsonl"]),
+        ("wpp", ["generate", "--kind", "wpp", "--trials", "1",
+                 "--out", "wpp.jsonl"]),
+        ("train", ["train", "--data", "rtp.jsonl", "--method", "deep-mp",
+                   "--epochs", "2", "--out", "ck.json"]),
+        ("eval", ["eval", "--data", "rtp.jsonl", "--checkpoint", "ck.json",
+                  "--outdir", "ev", "--plot-samples", "1"])]:
+    assert mprim.cli.main(argv) == 0, argv
+    seen[stage] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_generate_imports_only_the_dataset_modules(tmp_path):
+    # a subcommand imports what it runs; generate needs none of the
+    # trainer's modules, and train and eval still find theirs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    trainer_modules = {f"mprim.{name}" for name in (
+        "training", "checkpoint", "plots", "kinematics", "dmp", "regressor",
+        "basis", "promp", "metrics", "kernels")}
+    for stage in ("import", "rtp", "wpp"):
+        assert not trainer_modules & set(seen[stage]), stage
+    assert {"mprim.training", "mprim.checkpoint"} <= set(seen["train"])
+    assert trainer_modules <= set(seen["eval"])
+    assert (tmp_path / "ck.json").is_file()
+    assert (tmp_path / "ev" / "metrics.csv").is_file()

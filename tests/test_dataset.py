@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from mprim.dataset import (DEFAULT_FS, HOME_CONFIG, RTP_DEFAULT_COUNTS,
                            RTP_REGION_HALF_EXTENT, WPP_CONFIG_POSITIONS,
-                           WPP_SPLITS, DemoDataset, apply_split,
+                           WPP_SPLITS, DemoDataset, apply_split, goal_config,
                            generate_rtp, generate_wpp, load_jsonl, min_jerk,
                            save_jsonl)
 from mprim.errors import DatasetFormatError
@@ -84,6 +84,38 @@ def test_generated_arrays_are_pinned(make, contexts, trajectories):
             == trajectories)
 
 
+@pytest.mark.parametrize("make,file_sha", [
+    (lambda: generate_rtp(seed=1, counts=(6, 3, 2, 2), noise_std=0.01),
+     "71a4adfb431de3ced948064f5163a22983f611f04f7695c3de56888a0cd9537e"),
+    (lambda: generate_wpp(seed=1, trials_per_cell=2),
+     "586ff6ceb2565e8b594d89cfb13bffe1c2dd1e8bd58794d7da7be7894df7f4e0"),
+], ids=["rtp", "wpp"])
+def test_saved_files_are_pinned(tmp_path, make, file_sha):
+    # the dataset file of the pinned datasets, byte for byte: the writer
+    # spells out the record line, and it must stay the line json.dumps of
+    # the record object writes
+    path = tmp_path / "d.jsonl"
+    save_jsonl(make(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+
+
+class TestStacks:
+    # a stack of N inputs gives the N single calls' results bit for bit
+
+    def test_goal_config(self):
+        positions = generate_rtp(seed=4, counts=(5, 4, 3, 3)).contexts
+        singles = np.array([goal_config(p) for p in positions])
+        assert np.array_equal(goal_config(positions), singles)
+
+    def test_min_jerk(self):
+        rng = np.random.default_rng(0)
+        q0, q1 = rng.normal(size=(2, 12, 7))
+        singles = np.array([min_jerk(a, b, 40) for a, b in zip(q0, q1)])
+        assert np.array_equal(min_jerk(q0, q1, 40), singles)
+        home_singles = np.array([min_jerk(HOME_CONFIG, b, 40) for b in q1])
+        assert np.array_equal(min_jerk(HOME_CONFIG, q1, 40), home_singles)
+
+
 class TestGenerateRtp:
     def test_default_counts_total(self):
         ds = generate_rtp(seed=7)
@@ -132,8 +164,26 @@ class TestGenerateRtp:
         assert not np.allclose(clean.trajectories[0], noisy.trajectories[0])
 
     def test_bad_counts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="region A count must be an "
+                                             "integer >= 1, got 0"):
             generate_rtp(seed=0, counts=(0, 1, 1, 1))
+
+    @pytest.mark.parametrize("counts,match", [
+        ((1, 2, 3), r"4 counts, one per region A, B, C, D, got \(1, 2, 3\)"),
+        ((1, 2, 3, 4, 5), r"4 counts.*got \(1, 2, 3, 4, 5\)"),
+        ({"A": 1, "E": 2}, "counts key 'E' is not a region"),
+        ({}, "names no region"),
+        ((True, 1, 1, 1), "region A count .* got True"),
+        ((1, 1, 2.0, 1), "region C count .* got 2.0"),
+        ({"B": "3"}, "region B count .* got '3'"),
+    ], ids=["three", "five", "unknown_key", "empty", "bool", "float", "str"])
+    def test_bad_counts_name_the_entry(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            generate_rtp(seed=0, counts=counts)
+
+    def test_counts_by_region_name(self):
+        ds = generate_rtp(seed=0, counts={"C": 2, "A": 1})
+        assert [t["region"] for t in ds.tags] == ["C", "C", "A"]
 
 
 class TestGenerateWpp:
