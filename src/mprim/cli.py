@@ -282,16 +282,18 @@ def cmd_eval(args, argv):
     plots.write_metrics_csv(metrics_path, records + [overall])
 
     outputs = [metrics_path]
-    # the plotted samples are the first rows that `evaluate` scored
-    for i, pred_values in zip(indices[:args.plot_samples], pred):
-        gt_values = dataset.trajectories[i]
+    # the plotted samples are the first rows that `evaluate` scored; one
+    # FK call covers their ground truths and predictions
+    shown = indices[:args.plot_samples]
+    truth, pred = dataset.trajectories[shown], pred[:len(shown)]
+    ee_gt, ee_pred = kinematics.fk_position(chain, np.stack([truth, pred]))
+    for i, gt_values, pred_values, gt_xyz, pred_xyz in zip(
+            shown, truth, pred, ee_gt, ee_pred):
         joints_path = args.outdir / f"sample_{int(i)}_joints.csv"
         ee_path = args.outdir / f"sample_{int(i)}_ee_path.csv"
         svg_path = args.outdir / f"sample_{int(i)}_overlay.svg"
         plots.write_joint_csv(joints_path, gt_values, pred_values)
-        plots.write_ee_path_csv(ee_path,
-                                kinematics.fk_position(chain, gt_values),
-                                kinematics.fk_position(chain, pred_values))
+        plots.write_ee_path_csv(ee_path, gt_xyz, pred_xyz)
         plots.write_overlay_svg(svg_path, gt_values, pred_values)
         outputs += [joints_path, ee_path, svg_path]
 

@@ -14,17 +14,16 @@ arrays; in both, each row is bit for bit what it gets alone.
 
 Every system shares the gains, the kernels and the unit time span, so its
 Euler recurrence is linear in its start, its goal and its forcing weights
-times its start-to-goal span. `linear_responses` pushes unit inputs
-through the Euler loop (`kernels.dmp_rollout`) once per (n_basis,
-n_samples), and a rollout batch is then one matrix product with those
-responses.
+times its start-to-goal span. `linear_responses` computes the responses to
+unit inputs once per (n_basis, n_samples), advancing the recurrence one
+sample interval at a time, and a rollout batch is then one matrix product
+with those responses.
 """
 
 import functools
 
 import numpy as np
 
-from mprim import kernels
 from mprim.errors import IntegrationError
 
 ALPHA_Z = 25.0
@@ -34,10 +33,6 @@ ALPHA_X = ALPHA_Z / 3.0
 # 150-sample minimum-jerk demo to ~5e-3 rad RMSE with 25 kernels
 KERNEL_WIDTH_SCALE = 4.0
 ROLLOUT_OVERSAMPLE = 10
-# the forcing weight of a response's unit input: large, so that the
-# response stands clear of the unforced track it is taken from, and a
-# power of two, so that dividing it out again is exact
-UNIT = 2.0 ** 20
 
 
 def forcing_kernels(n_basis):
@@ -120,26 +115,44 @@ def linear_responses(n_basis: int, n_samples: int):
 
     Returns a read-only (n_basis + 1, n_samples) array. Row 0 is the
     offset response r0: the unforced system from start 1 to goal 0. Row
-    1 + i is the response R_i to forcing weight i at a unit span. Both
-    come from one `kernels.dmp_rollout` call on n_basis + 2 unit systems:
-    the offset one, an unforced one from 0 to 1, and one from 0 to 1 per
-    kernel with weight UNIT on that kernel alone; R_i is the last kind's
-    track minus the unforced one, divided by UNIT. The array is computed
-    once per (n_basis, n_samples) in a process.
+    1 + i is the response R_i to forcing weight i at a unit span, from
+    rest on the goal. Both are the Euler recurrence of `rollout_matched`'s
+    grid, advanced one sample interval at a time: one Euler step maps the
+    error state (q - goal, v) to `step @ state + (0, dt*f)`, so the
+    ROLLOUT_OVERSAMPLE steps of an interval are one product with the
+    interval's power of `step` plus one kick, the interval's forcing
+    carried to its end. The kicks of every interval come from one
+    product, and the loop left runs once per sample on a
+    (2, n_basis + 1) state. The array is computed once per
+    (n_basis, n_samples) in a process.
     """
-    centers, widths = forcing_kernels(n_basis)
-    start = np.zeros((n_basis + 2, 1))
-    start[0] = 1.0
-    goal = 1.0 - start
-    w = np.zeros((n_basis + 2, 1, n_basis))
-    w[2:, 0] = UNIT * np.eye(n_basis)
     steps = (n_samples - 1) * ROLLOUT_OVERSAMPLE
-    track = kernels.dmp_rollout(start, goal, w, centers, widths, 1.0,
-                                ALPHA_Z, BETA_Z, ALPHA_X, 1.0 / steps,
-                                steps + 1, ROLLOUT_OVERSAMPLE)[:, :, 0]
-    responses = np.empty((n_basis + 1, n_samples))
-    responses[0] = track[0]
-    np.divide(track[2:] - track[1], UNIT, out=responses[1:])
+    dt = 1.0 / steps
+    step = np.array([[1.0, dt],
+                     [-dt * ALPHA_Z * BETA_Z, 1.0 - dt * ALPHA_Z]])
+    # the forcing term of each unit weight at a unit span, at the start of
+    # each Euler step
+    x = np.exp(-ALPHA_X * (np.arange(steps) * dt))
+    centers, widths = forcing_kernels(n_basis)
+    psi = np.exp(-widths * (x[:, None] - centers) ** 2)
+    forcing = psi / psi.sum(axis=1)[:, None] * x[:, None]
+    # column i: how the forcing of an interval's step i reaches its end
+    carry = np.empty((2, ROLLOUT_OVERSAMPLE))
+    carry[:, -1] = (0.0, dt)
+    for i in range(ROLLOUT_OVERSAMPLE - 1, 0, -1):
+        carry[:, i - 1] = step @ carry[:, i]
+    kicks = np.zeros((n_samples - 1, 2, n_basis + 1))
+    np.matmul(carry, forcing.reshape(n_samples - 1, ROLLOUT_OVERSAMPLE,
+                                     n_basis), out=kicks[:, :, 1:])
+    interval = np.linalg.matrix_power(step, ROLLOUT_OVERSAMPLE)
+    track = np.empty((n_samples, n_basis + 1))
+    state = np.zeros((2, n_basis + 1))
+    state[0, 0] = 1.0
+    track[0] = state[0]
+    for k in range(n_samples - 1):
+        state = interval @ state + kicks[k]
+        track[k + 1] = state[0]
+    responses = np.ascontiguousarray(track.T)
     responses.flags.writeable = False
     return responses
 

@@ -1,10 +1,10 @@
 """The hot numerical kernels, in numpy.
 
-Each function works on float64 arrays. `dmp_rollout` integrates a whole
-batch of goal-attractor systems in one Euler loop, the reference from
-which `dmp.linear_responses` builds the responses that every rollout
-mixes; the other three are the basis activations and the dense-net
-forward/backward passes.
+Each function works on float64 arrays: the basis activations and the
+dense-net forward/backward passes, and `dmp_rollout`, which integrates a
+whole batch of goal-attractor systems in one Euler loop. The pipeline does
+not call `dmp_rollout`; it is the step-by-step reference that the tests
+hold `dmp.linear_responses` and `dmp.rollout_matched` to.
 """
 
 import numpy as np
@@ -56,18 +56,18 @@ def mlp_backward_acts(acts, weights, delta_out, grads_w, grads_b):
 def dmp_rollout(start, goal, forcing_weights, centers, widths, tau,
                 alpha_z, beta_z, alpha_x, dt, steps, stride=1):
     """Explicit-Euler integration of a batch of goal-attractor systems: the
-    reference that the DMP rollouts are built from.
+    step-by-step reference that the tests check the DMP rollouts against.
 
     State per joint: position q and scaled velocity v, with
     tau*dq = v and tau*dv = alpha_z*(beta_z*(g - q) - v) + f(x).
     The forcing term f is the kernel-weighted mix scaled by the phase x
     and the start-to-goal span. All B systems share tau, the gains and the
     kernels, so the phase x and the kernel activations are computed once
-    for every step; only the (B, n_joint) state is integrated. mprim calls
-    it in unit time, with tau = 1 and dt = 1/(steps - 1), once per
-    (n_basis, grid) in a process: `dmp.linear_responses` turns the tracks
-    of unit systems into responses, which `dmp.rollout_matched` mixes
-    instead of integrating.
+    for every step; only the (B, n_joint) state is integrated. The tests
+    call it in unit time, with tau = 1 and dt = 1/(steps - 1), on the grid
+    `dmp.rollout_matched` uses; no pipeline stage calls it, because
+    `dmp.linear_responses` advances the same recurrence one sample interval
+    at a time.
 
     `start` and `goal` have shape (B, n_joint), `forcing_weights`
     (B, n_joint, n_basis). Returns the positions at steps 0, stride,

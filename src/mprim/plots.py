@@ -19,18 +19,16 @@ def write_joint_csv(path, gt_values, pred_values):
     pred = np.asarray(pred_values, float)
     if gt.shape != pred.shape:
         raise ValueError("ground truth and prediction shapes differ")
-    n_joint = gt.shape[1]
     header = ["t"]
-    for j in range(n_joint):
+    for j in range(gt.shape[1]):
         header += [f"joint{j + 1}_gt", f"joint{j + 1}_pred"]
+    # each row interleaves the joints' gt and pred values
+    rows = np.stack([gt, pred], axis=2).reshape(len(gt), -1).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t in range(gt.shape[0]):
-            row = [t]
-            for j in range(n_joint):
-                row += [repr(float(gt[t, j])), repr(float(pred[t, j]))]
-            writer.writerow(row)
+        for t, row in enumerate(rows):
+            writer.writerow([t, *map(repr, row)])
 
 
 def write_ee_path_csv(path, gt_xyz, pred_xyz):
@@ -41,13 +39,13 @@ def write_ee_path_csv(path, gt_xyz, pred_xyz):
         writer = csv.writer(fh)
         writer.writerow(["t", "x_gt", "y_gt", "z_gt",
                          "x_pred", "y_pred", "z_pred"])
-        for t in range(gt.shape[0]):
-            writer.writerow([t] + [repr(float(v)) for v in gt[t]]
-                            + [repr(float(v)) for v in pred[t]])
+        for t, row in enumerate(np.hstack([gt, pred]).tolist()):
+            writer.writerow([t, *map(repr, row)])
 
 
 def _polyline(xs, ys, color, dashed=False):
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    pts = " ".join(f"{x:.2f},{y:.2f}"
+                   for x, y in zip(xs.tolist(), ys.tolist()))
     dash = ' stroke-dasharray="6,4"' if dashed else ""
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2"'
             f'{dash} points="{pts}"/>')

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mprim import checkpoint, training
+from mprim import checkpoint, kinematics, training
 from mprim.cli import _build_parser, main
 from mprim.dataset import (encode_f64, generate_rtp, generate_wpp, load_jsonl,
                            save_jsonl)
@@ -263,6 +263,24 @@ class TestTrain:
         assert str(tmp_path / "ck_losses.csv") in manifest["outputs"]
 
 
+# recorded before the plot writers moved to `.tolist()` rows and the one
+# FK call
+SAMPLE_FILE_SHA256 = {
+    "sample_1_ee_path.csv":
+        "8d8ca8d8172b31b26500071c9876a9e5c32e4d54ae9b98812ef33bef1a754d06",
+    "sample_1_joints.csv":
+        "e9860239d94464258a2d1670f4ea27b746c0f62a1722919d61ed40aa0147657d",
+    "sample_1_overlay.svg":
+        "365822d9415e83c19179ae65d8681e605be521506e8fa8e016a48111efad4d0e",
+    "sample_9_ee_path.csv":
+        "7cdbea95b554d5fa952a7322417d3ef43e6ea47dc0793fe2f5df7b30ddc0b9b9",
+    "sample_9_joints.csv":
+        "450f79776a67ef75421ecee36965edbe642ae0794435dd6fb16ee6f11daa4ce2",
+    "sample_9_overlay.svg":
+        "91565742de3a7e12bdf321cb5ed652102bb0ce10cb8fc9f26e3b6497d4edec01",
+}
+
+
 class TestEval:
     def test_perfect_oracle_checkpoint_scores_zero(self, tmp_path):
         # constant dataset plus a bias-only network that emits the exact
@@ -308,6 +326,21 @@ class TestEval:
         assert len(ee_rows) == 1 + 150
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert str(outdir / "metrics.csv") in manifest["outputs"]
+
+    def test_sample_files_are_pinned(self, small_dataset, tmp_path):
+        # the sample files of a small seeded deep-mp eval, byte for byte:
+        # the writers format every number themselves, and the plotted
+        # samples share one FK call. The hashes hold within the
+        # reproducibility envelope that the `cli` docstring states.
+        ckpt = tmp_path / "ck.json"
+        assert run(["train", "--data", small_dataset, "--method", "deep-mp",
+                    "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
+        outdir = tmp_path / "evalout"
+        assert run(["eval", "--data", small_dataset, "--checkpoint", ckpt,
+                    "--outdir", outdir, "--plot-samples", "2"]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in outdir.glob("sample_*")}
+        assert digests == SAMPLE_FILE_SHA256
 
     def test_wrong_checkpoint_kind(self, small_dataset, tmp_path, capsys):
         # checkpoints hold trained models only; any other kind is refused
@@ -475,16 +508,23 @@ class TestEval:
 
     @pytest.mark.parametrize("method", ["deep-mp", "ddmp"])
     def test_plotted_samples_are_the_scored_rows(self, small_dataset,
-                                                 tmp_path, method):
+                                                 tmp_path, monkeypatch,
+                                                 method):
         # the sample CSVs show the first rows of the prediction that
         # `evaluate` scored, not a second prediction of those demos
         ckpt = tmp_path / "ck.json"
         assert run(["train", "--data", small_dataset, "--method", method,
                     "--epochs", "1", "--seed", "0", "--n-basis-dmp", "5",
                     "--out", ckpt]) == 0
+        calls, fk = [], kinematics.fk_position
+        monkeypatch.setattr(kinematics, "fk_position",
+                            lambda chain, q: calls.append(q.shape)
+                            or fk(chain, q))
         outdir = tmp_path / "evalout"
         assert run(["eval", "--data", small_dataset, "--checkpoint", ckpt,
                     "--outdir", outdir, "--plot-samples", "3"]) == 0
+        # one call per side for the final distances, one for the plots
+        assert calls[-1] == (2, 3, 150, 7) and len(calls) == 3
         model = checkpoint.load(ckpt)
         dataset = load_jsonl(small_dataset)
         idx = np.asarray(model.test_indices)

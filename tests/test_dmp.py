@@ -246,20 +246,40 @@ class TestLinearResponses:
         assert np.all(out[1, :, 0] == start[1, 0])
         assert np.all(np.ptp(out[[0, 2]], axis=1) > 0.0)
 
-    def test_built_once_per_grid_and_read_only(self, monkeypatch):
-        calls, reference = [], kernels.dmp_rollout
+    # the forcing weight of a reference unit system: large, so that its
+    # track stands clear of the unforced one it is taken from, and a power
+    # of two, so that dividing it out again is exact
+    UNIT = 2.0 ** 20
+    # each response row against the Euler loop's, relative to the row's
+    # peak: both are the same recurrence, rounded along different paths
+    RTOL = 2e-14
 
-        def counted(*args):
-            calls.append(args[10])   # the step count
-            return reference(*args)
+    @pytest.mark.parametrize("n_basis,n_samples", [(1, 2), (7, 40),
+                                                   (25, 150)])
+    def test_rows_equal_euler_unit_systems(self, n_basis, n_samples):
+        # row 0: start 1, goal 0, unforced; row 1 + i: the track from 0 to
+        # 1 with weight UNIT on kernel i, minus the unforced one, per UNIT
+        start = np.zeros((n_basis + 2, 1))
+        start[0] = 1.0
+        w = np.zeros((n_basis + 2, 1, n_basis))
+        w[2:, 0] = self.UNIT * np.eye(n_basis)
+        track = euler_rollout(start, 1.0 - start, w, n_samples)[:, :, 0]
+        reference = np.vstack([track[:1],
+                               (track[2:] - track[1]) / self.UNIT])
+        responses = linear_responses(n_basis, n_samples)
+        assert responses.shape == reference.shape
+        peak = np.abs(reference).max(axis=1, keepdims=True)
+        assert np.all(np.abs(responses - reference)
+                      <= self.RTOL * peak), n_basis
 
-        monkeypatch.setattr(kernels, "dmp_rollout", counted)
+    def test_built_once_per_grid_and_read_only(self):
         linear_responses.cache_clear()
         batch = zero_forcing([0.0, 0.5], [1.0, -0.5], n_basis=7)
         for _ in range(3):
             rollout_matched(*batch, 40)
             rollout_matched(*batch, 60)
-        assert calls == [391, 591]   # one Euler loop per (K, T)
+        info = linear_responses.cache_info()
+        assert (info.misses, info.hits) == (2, 4)   # one build per (K, T)
         responses = linear_responses(7, 40)
         assert responses.shape == (8, 40)
         assert not responses.flags.writeable
