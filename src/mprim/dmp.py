@@ -8,9 +8,10 @@ normalized mix of Gaussian kernels in x scaled by x*(g - q0), so the
 system always settles on the goal once the phase has died out.
 
 The gains, the kernel placement and the rollout resolution are fixed
-module constants. `fit_dmp` fits a (B, T, n_joint) stack of demos and
-`rollout_matched` rolls out a batch of systems given as stacked (B, ...)
-arrays; in both, each row is bit for bit what it gets alone.
+module constants. `fit_dmp` fits a (B, T, n_joint) stack of demos chunk
+by chunk and `rollout_matched` rolls out a batch of systems given as
+stacked (B, ...) arrays; in both, each row is bit for bit what it gets
+alone.
 
 Every system shares the gains, the kernels and the unit time span, so its
 Euler recurrence is linear in its start, its goal and its forcing weights
@@ -25,6 +26,7 @@ import functools
 import numpy as np
 
 from mprim.errors import IntegrationError
+from mprim.kernels import CHUNK_DEMOS
 
 ALPHA_Z = 25.0
 BETA_Z = ALPHA_Z / 4.0   # critical damping
@@ -67,7 +69,9 @@ def fit_dmp(trajectories, n_basis: int):
     goal has no start-to-goal span to scale the forcing term, so its
     regression has a zero denominator and its weights come out zero.
 
-    The work loops over joints, not demos, and each (demo, joint)
+    The stack is read where it lies. The work loops over chunks of at
+    most CHUNK_DEMOS demos, then over joints, so its (chunk, T)
+    temporaries have a fixed size whatever B is. Each (demo, joint)
     regression is its own matrix-vector product, so every row is bit for
     bit its B = 1 fit; one flat (B, T) x (T, n_basis) product would let
     BLAS round a row differently depending on its place in the stack.
@@ -87,25 +91,29 @@ def fit_dmp(trajectories, n_basis: int):
     psi_t = np.exp(-widths[None, :] * (x[:, None] - centers[None, :]) ** 2).T
 
     weights = np.empty((q.shape[0], q.shape[2], n_basis))
-    for j in range(q.shape[2]):
-        # f_target = qdd - alpha_z (beta_z (g - q) - qd), built in place so
-        # that at most three (B, T) arrays live at a time
-        qd = np.gradient(q[:, :, j], dt, axis=1, edge_order=2)
-        qdd = np.gradient(qd, dt, axis=1, edge_order=2)
-        f = goals[:, j, None] - q[:, :, j]
-        f *= BETA_Z
-        f -= qd
-        f *= ALPHA_Z
-        np.subtract(qdd, f, out=f)
-        del qd, qdd
-        xi = x * (goals[:, j] - starts[:, j])[:, None]
-        f *= xi
-        xi *= xi
-        num = np.matmul(psi_t, f[..., None])[..., 0]
-        den = np.matmul(psi_t, xi[..., None])[..., 0]
-        del f, xi
-        weights[:, j] = np.where(den > 1e-300,
-                                 num / np.where(den > 0, den, 1.0), 0.0)
+    for lo in range(0, len(q), CHUNK_DEMOS):
+        rows = slice(lo, lo + CHUNK_DEMOS)
+        for j in range(q.shape[2]):
+            # f_target = qdd - alpha_z (beta_z (g - q) - qd), built in place
+            # so that at most three (chunk, T) arrays live at a time
+            qj, goal = q[rows, :, j], goals[rows, j]
+            qd = np.gradient(qj, dt, axis=1, edge_order=2)
+            qdd = np.gradient(qd, dt, axis=1, edge_order=2)
+            f = goal[:, None] - qj
+            f *= BETA_Z
+            f -= qd
+            f *= ALPHA_Z
+            np.subtract(qdd, f, out=f)
+            del qd, qdd
+            xi = x * (goal - starts[rows, j])[:, None]
+            f *= xi
+            xi *= xi
+            num = np.matmul(psi_t, f[..., None])[..., 0]
+            den = np.matmul(psi_t, xi[..., None])[..., 0]
+            del f, xi
+            weights[rows, j] = np.where(den > 1e-300,
+                                        num / np.where(den > 0, den, 1.0),
+                                        0.0)
     return weights, goals, starts
 
 

@@ -9,6 +9,11 @@ hold `dmp.linear_responses` and `dmp.rollout_matched` to.
 
 import numpy as np
 
+# Code that works through a whole (B, T, n_joint) stack of demos, fitting,
+# gathering or scoring it, takes at most this many demos per pass, so its
+# temporaries have a fixed size whatever B is.
+CHUNK_DEMOS = 64
+
 
 def basis_matrix(z, centers, width):
     """Normalized Gaussian basis activations, one row per phase value.

@@ -35,6 +35,8 @@ def write_ee_path_csv(path, gt_xyz, pred_xyz):
     """End-effector paths: t, gt x/y/z, pred x/y/z (meters)."""
     gt = np.asarray(gt_xyz, float)
     pred = np.asarray(pred_xyz, float)
+    if gt.shape != pred.shape:
+        raise ValueError("ground truth and prediction shapes differ")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x_gt", "y_gt", "z_gt",

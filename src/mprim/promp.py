@@ -3,9 +3,9 @@
 A joint trajectory q, a (T, n_joint) array of joint positions, is
 modelled as q_t = psi_t . theta. `fit_weights` fits the basis weights
 theta by ridge-regularized least squares, one shared normal matrix for
-every joint and demo. Decoding weights back into trajectories is one
-batched product with the basis matrix, done by the heads in
-`mprim.training`.
+every joint and demo, reading a stack of demos where it lies. Decoding
+weights back into trajectories is one batched product with the basis
+matrix, done by the heads in `mprim.training`.
 """
 
 import numpy as np
@@ -20,15 +20,20 @@ _MAX_CONDITION = 1e12
 def fit_weights(values, phi: PhiMatrix, ridge: float = DEFAULT_RIDGE):
     """Ridge least-squares basis weights of trajectory columns.
 
-    `values` is one column (T,) or m columns side by side (T, m), e.g.
-    every joint of a trajectory or of many demos. All columns share one
-    normal matrix: (ridge*I + Phi^T Phi) theta = Phi^T q is solved once
-    for all of them. Returns (n_basis,) for one column, else
-    (m, n_basis). With ridge == 0 a rank-deficient basis matrix is
-    rejected instead of silently producing garbage.
+    `values` is one column (T,), m columns side by side (T, m), e.g. every
+    joint of one demo, or a stack of B such demos (B, T, m). All columns
+    share one normal matrix: (ridge*I + Phi^T Phi) theta = Phi^T q. The
+    right-hand side Phi^T q is one stacked product read from `values`
+    where it lies, so no copy of `values` is made and only arrays of the
+    weights' size are allocated. Returns (n_basis,), (m, n_basis) or
+    (B, m, n_basis). A demo of a stack is solved alone, so each row of a
+    stack's weights is bit for bit the fit of its (T, m) demo. With
+    ridge == 0 a rank-deficient basis matrix is rejected instead of
+    silently producing garbage.
     """
     q = np.asarray(values, dtype=float)
-    if q.ndim not in (1, 2) or q.shape[0] != phi.n_samples:
+    n_samples = q.shape[1] if q.ndim == 3 else q.shape[0]
+    if q.ndim not in (1, 2, 3) or n_samples != phi.n_samples:
         raise ValueError(
             f"trajectory shape {q.shape} does not match basis matrix rows "
             f"{phi.n_samples}")
@@ -42,4 +47,5 @@ def fit_weights(values, phi: PhiMatrix, ridge: float = DEFAULT_RIDGE):
                 f"normal matrix condition number {cond:.3e} exceeds "
                 f"{_MAX_CONDITION:.0e} with ridge=0; the basis matrix is "
                 "rank deficient, use a positive ridge")
-    return np.linalg.solve(gram, phi.values.T @ q).T
+    weights = np.linalg.solve(gram, np.matmul(phi.values.T, q))
+    return weights if q.ndim == 1 else np.swapaxes(weights, -1, -2)

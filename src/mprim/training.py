@@ -25,6 +25,13 @@ shuffling, best-validation checkpointing, early stopping on the
 validation loss) and returns a `Model`: the net, its context scaler, its
 split and its head. `evaluate` decodes a whole split in one call and
 scores every head with the same expressions.
+
+Memory rule: a stage holds the dataset, one split's prediction and truth,
+and temporaries of at most one chunk of `kernels.CHUNK_DEMOS` demos (plus
+arrays of the fitted parameters' size). The heads fit the dataset's
+(N, T, n_joint) stack where it lies and gather a split's demos one chunk
+at a time; `metrics` scores a split chunk by chunk. No stage makes a
+second copy of the stack.
 """
 
 import csv
@@ -128,6 +135,15 @@ def _demo_indices(indices, n, what):
         raise ValueError(f"{what} index {outside[0]} is outside the dataset, "
                          f"which has {n} demos")
     return indices
+
+
+def _chunks(stack, indices):
+    """The rows of `stack` at `indices`, in order, as copies of at most
+    `kernels.CHUNK_DEMOS` rows each: a gather that never copies the whole
+    selection."""
+    step = kernels.CHUNK_DEMOS
+    return (stack[indices[lo:lo + step]]
+            for lo in range(0, len(indices), step))
 
 
 def _fit_scaler(contexts):
@@ -320,10 +336,11 @@ class PrompHead(Head):
 
     def weights(self, trajectories):
         """Flat fitted weights of (B, T, n_joint) trajectories, joint-major,
-        shape (B, n_joint*n_basis); one ridge solve covers them all."""
-        b, t, j = trajectories.shape
-        columns = trajectories.transpose(1, 0, 2).reshape(t, b * j)
-        return fit_weights(columns, self.phi).reshape(b, -1)
+        shape (B, n_joint*n_basis). `fit_weights` reads the stack where it
+        lies, so no copy of it is made, and each row is its demo's own
+        fit bit for bit."""
+        return fit_weights(trajectories, self.phi).reshape(
+            len(trajectories), -1)
 
     def loss_and_grad(self, pred, target):
         """The trajectory-space loss of (B, n_joint*n_basis) weights."""
@@ -337,7 +354,10 @@ class PrompHead(Head):
         return self._trajectories(out)
 
     def truth(self, dataset, indices):
-        return self._trajectories(self.weights(dataset.trajectories[indices]))
+        """The demos at `indices` decoded from their fitted weights; the
+        demos are gathered one chunk at a time."""
+        return self._trajectories(np.concatenate(
+            [self.weights(c) for c in _chunks(dataset.trajectories, indices)]))
 
     def _trajectories(self, flat):
         w = flat.reshape(len(flat), self.n_joint, -1)
@@ -461,9 +481,12 @@ class DmpHead(Head):
         return self._rollouts(forcing, goals, starts, "prediction", indices)
 
     def truth(self, dataset, indices):
-        fits = dmp_mod.fit_dmp(dataset.trajectories[indices],
-                               self.n_basis_dmp)
-        return self._rollouts(*fits, "ground-truth", indices)
+        """The rollouts of the demos at `indices` refitted; the demos are
+        gathered and fitted one chunk at a time."""
+        fits = zip(*(dmp_mod.fit_dmp(c, self.n_basis_dmp)
+                     for c in _chunks(dataset.trajectories, indices)))
+        return self._rollouts(*map(np.concatenate, fits), "ground-truth",
+                              indices)
 
     def _rollouts(self, forcing, goals, starts, what, indices):
         """One batched rollout; a divergence names the dataset indices."""

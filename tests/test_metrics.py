@@ -3,6 +3,7 @@ import pytest
 
 from mprim.basis import build_phi
 from mprim.dataset import generate_rtp
+from mprim.kernels import CHUNK_DEMOS
 from mprim.metrics import EvalRecord, squared_trajectory_loss
 from mprim.training import TrainConfig, evaluate, train
 
@@ -69,6 +70,21 @@ class TestAveMse:
         ratio = (squared_trajectory_loss(scaled, gt)
                  / squared_trajectory_loss(base, gt))
         np.testing.assert_allclose(ratio, 9.0, rtol=1e-10)
+
+    def test_rows_across_chunks_equal_single_demo_calls(self, phi):
+        rng = np.random.default_rng(6)
+        n = 2 * CHUNK_DEMOS + 5
+        pred = random_trajectories(rng, phi, n=n, joints=7)
+        truth = random_trajectories(rng, phi, n=n, joints=7)
+        kept = pred.copy(), truth.copy()
+        loss = squared_trajectory_loss(pred, truth)
+        assert loss.shape == (n,)
+        for b in range(n):
+            assert loss[b] == squared_trajectory_loss(pred[b:b + 1],
+                                                      truth[b:b + 1])[0], b
+        # the loss is a pure function of its inputs
+        assert np.array_equal(pred, kept[0])
+        assert np.array_equal(truth, kept[1])
 
     def test_input_validation(self, phi):
         rng = np.random.default_rng(5)

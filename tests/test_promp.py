@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mprim.basis import build_phi
+from mprim.dataset import generate_rtp, generate_wpp
 from mprim.errors import SingularSystemError
+from mprim.kernels import CHUNK_DEMOS
 from mprim.promp import fit_weights
 from mprim.training import PrompHead
 
@@ -81,6 +83,50 @@ class TestFitWeights:
         norms = [np.linalg.norm(fit_weights(q, phi, ridge=lam))
                  for lam in (0.0, 1e-4, 1e-2, 1.0, 100.0)]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+@pytest.fixture(scope="module", params=["rtp", "wpp"])
+def stack_head(request):
+    """A seeded stack of more than CHUNK_DEMOS demos and its deep-mp
+    head."""
+    if request.param == "rtp":
+        ds = generate_rtp(seed=31, counts=(40, 20, 10, 10))
+    else:
+        ds = generate_wpp(seed=32, trials_per_cell=3)
+    assert len(ds) > CHUNK_DEMOS
+    return ds, PrompHead.fit(ds, np.arange(len(ds)))[0]
+
+
+class TestStackedFit:
+    # PrompHead.weights fits a stack in one call; each row must be what
+    # its demo gets alone, wherever it sits in whatever stack
+
+    def test_stack_equals_single_fits(self, stack_head):
+        ds, head = stack_head
+        stacked = head.weights(ds.trajectories)
+        assert stacked.shape == (len(ds), head.width)
+        for b, demo in enumerate(ds.trajectories):
+            assert np.array_equal(
+                stacked[b], fit_weights(demo, head.phi).reshape(-1)), b
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_equals_fits_of_any_split(self, stack_head, seed):
+        ds, head = stack_head
+        stacked = head.weights(ds.trajectories)
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(len(ds))
+        cuts = np.sort(rng.choice(np.arange(1, len(ds)), 4, replace=False))
+        for part in np.split(order, cuts):
+            assert np.array_equal(head.weights(ds.trajectories[part]),
+                                  stacked[part])
+
+    def test_truth_across_chunks_equals_single_truths(self, stack_head):
+        ds, head = stack_head
+        idx = np.random.default_rng(4).permutation(len(ds))
+        truth = head.truth(ds, idx)
+        assert truth.shape == ds.trajectories.shape
+        for row, i in enumerate(idx):
+            assert np.array_equal(truth[row], head.truth(ds, [i])[0]), i
 
 
 class TestReconstruct:

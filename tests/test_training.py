@@ -457,6 +457,16 @@ class TestEvaluate:
         assert overall.ave_ed_mm == float(np.mean(final_distances(
             preds, gts, DEFAULT_CHAIN))) * 1000.0
 
+    def test_ddmp_truth_across_chunks_equals_single_truths(self):
+        ds = generate_wpp(seed=33, trials_per_cell=3)
+        assert len(ds) > kernels.CHUNK_DEMOS
+        head, _ = DmpHead.fit(ds, np.arange(len(ds)))
+        idx = np.random.default_rng(5).permutation(len(ds))
+        truth = head.truth(ds, idx)
+        assert truth.shape == ds.trajectories.shape
+        for row, i in enumerate(idx):
+            assert np.array_equal(truth[row], head.truth(ds, [i])[0]), i
+
     @pytest.mark.parametrize("which", ["prediction", "ground-truth"])
     def test_ddmp_divergence_names_dataset_index(self, tiny_wpp, monkeypatch,
                                                  which):
