@@ -13,13 +13,10 @@ dict. A train/test split belongs to a run, not to the demos: `apply_split`
 returns it, and a checkpoint records it. Every demo spans one nominal
 duration in T samples, so the models see time only as the normalized
 phase k/(T-1) and the sizes are read from the array shapes.
-`sampling_frequency` (Hz) is recorded provenance: it is checked and
-round-tripped, but no model reads it.
 
 File format (JSONL, dataset schema 2, one object per line):
   line 1   header {"schema": 2, "kind": "rtp"|"wpp", "seed": int,
-                   "n_samples": int, "sampling_frequency": float,
-                   "n_samples_per_traj": T, "n_joint": J}
+                   "n_samples": int, "n_samples_per_traj": T, "n_joint": J}
   line 2.. sample {"context": [D numbers],
                    "trajectory": base64 of T*J float64 (see below),
                    "tags": {...}}
@@ -27,15 +24,16 @@ Line k + 1 holds demo k. `save_jsonl` writes each sample line as exactly
   {"context": [...], "trajectory": "<base64>", "tags": {...}}
 with the keys in that order, ", " and ": " as separators, and the context
 and tags as `json.dumps` writes them. The reader takes any JSON object
-with these keys; other keys, such as the per-record "split" of older
-files, are ignored. The header's last three fields are written only
-when the file holds demos. A trajectory is its (T, J) array in radians,
-row-major, as little-endian float64, base64-encoded (`encode_f64`, as
-in checkpoints): 8*T*J bytes, so the loader decodes each record into its
-row of one array allocated from the header. Contexts keep full repr
-precision; both round-trip bit-exactly. Schema 1 (nested decimal lists)
-is no longer read: re-run `mprim generate` with the arguments in the
-file's manifest to rewrite such a file.
+with these keys; other keys are ignored, such as the per-record "split"
+and the header's "sampling_frequency" that older files hold. The
+header's last two fields are written only when the file holds demos. A
+trajectory is its (T, J) array in radians, row-major, as little-endian
+float64, base64-encoded (`encode_f64`, as in checkpoints): 8*T*J bytes,
+so the loader decodes each record into its row of one array allocated
+from the header. Contexts keep full repr precision; both round-trip
+bit-exactly. Schema 1 (nested decimal lists) is no longer read: re-run
+`mprim generate` with the arguments in the file's manifest to rewrite
+such a file.
 """
 
 import base64
@@ -52,7 +50,6 @@ from mprim.jsonio import replace_on_success
 SCHEMA_VERSION = 2
 TASKS = ("rtp", "wpp")   # dataset kinds: reach-to-palpate, palpation paths
 DEFAULT_T = 150
-DEFAULT_FS = 150.0
 
 HOME_CONFIG = np.array([0.0, -0.785, 0.0, -2.356, 0.0, 1.571, 0.785])
 
@@ -134,7 +131,6 @@ class DemoDataset:
 
     kind: str                       # "rtp" or "wpp"
     seed: int
-    sampling_frequency: float = DEFAULT_FS
     contexts: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     trajectories: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 0, 0)))
@@ -150,8 +146,6 @@ class DemoDataset:
                 f"expected (N, D) contexts, (N, T, n_joint) trajectories and "
                 f"N tags, got contexts {self.contexts.shape}, trajectories "
                 f"{self.trajectories.shape} and {sizes[2]} tags")
-        if len(self) and not self.sampling_frequency > 0:
-            raise ValueError("sampling_frequency must be > 0")
         if len(self) and self.n_samples_per_traj < 2:
             raise ValueError("n_samples_per_traj must be >= 2")
 
@@ -282,7 +276,7 @@ def generate_rtp(seed: int, counts=None, n_samples_traj: int = DEFAULT_T,
     if noise is not None:
         noise *= noise_std
         trajectories += noise
-    return DemoDataset("rtp", seed, DEFAULT_FS, contexts, trajectories, tags)
+    return DemoDataset("rtp", seed, contexts, trajectories, tags)
 
 
 def wpp_context(config: str, pattern: int) -> np.ndarray:
@@ -332,7 +326,7 @@ def generate_wpp(seed: int, trials_per_cell: int = WPP_DEFAULT_TRIALS,
                 trajectories[len(tags)] = _wpp_joint_embed(points)
                 tags.append(
                     {"pattern": pattern, "config": config, "short": short})
-    return DemoDataset("wpp", seed, DEFAULT_FS, contexts, trajectories, tags)
+    return DemoDataset("wpp", seed, contexts, trajectories, tags)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +465,8 @@ def save_jsonl(dataset: DemoDataset, path):
         header = {"schema": SCHEMA_VERSION, "kind": dataset.kind,
                   "seed": dataset.seed, "n_samples": len(dataset)}
         if len(dataset):
-            header.update(
-                sampling_frequency=float(dataset.sampling_frequency),
-                n_samples_per_traj=dataset.n_samples_per_traj,
-                n_joint=dataset.n_joint)
+            header.update(n_samples_per_traj=dataset.n_samples_per_traj,
+                          n_joint=dataset.n_joint)
         fh.write(json.dumps(header, allow_nan=False) + "\n")
         # the record line spelled out (see the module docstring): base64
         # needs no JSON escaping, so the long string is written as it is
@@ -488,15 +480,15 @@ def load_jsonl(path) -> DemoDataset:
     """Inverse of save_jsonl; malformed lines, including lines that are
     not UTF-8 text, are reported by number.
 
-    The header seed must be an integer, its sampling frequency a positive
-    float64 number and its sample count a non-negative integer; a file
-    with demos also declares T >= 2 and n_joint >= 1, with a trajectory's
-    8*T*J bytes within the platform's largest size. Every record holds
-    a context list of finite float64 numbers as wide as the first
-    record's, a base64 trajectory of exactly the header's 8*T*J bytes that
-    decodes to finite values, and a tags object. The trajectory array is
-    allocated once from the header, and each record is decoded straight
-    into its row; the count is checked against the records last.
+    The header must hold an integer seed and a non-negative integer
+    sample count; a file with demos also declares T >= 2 and n_joint >= 1,
+    with a trajectory's 8*T*J bytes within the platform's largest size.
+    Every record holds a context list of finite float64 numbers as wide
+    as the first record's, a base64 trajectory of exactly the header's
+    8*T*J bytes that decodes to finite values, and a tags object. The
+    trajectory array is allocated once from the header, and each record
+    is decoded straight into its row; the count is checked against the
+    records last.
     """
     def fail(line_no, why):
         raise DatasetFormatError(f"{path}: line {line_no}: {why}")
@@ -535,13 +527,9 @@ def load_jsonl(path) -> DemoDataset:
                     f"to rewrite it as schema {SCHEMA_VERSION}")
         if header.get("schema") != SCHEMA_VERSION:
             fail(1, f"unsupported schema {header.get('schema')!r}")
-        seed = header.get("seed", 0)
+        seed = header.get("seed")
         if isinstance(seed, bool) or not isinstance(seed, int):
             fail(1, f"seed must be an integer, got {json.dumps(seed)}")
-        fs = header.get("sampling_frequency", DEFAULT_FS)
-        if type(fs) not in (int, float) or not 0 < fs <= sys.float_info.max:
-            fail(1, f"sampling_frequency must be a positive number within "
-                    f"float64's range, got {json.dumps(fs)}")
         n = header_int("n_samples", 0)
         t = j = room = 0
         if n:
@@ -604,6 +592,6 @@ def load_jsonl(path) -> DemoDataset:
         raise DatasetFormatError(
             f"{path}: header declares {n} samples, found {len(tags)}")
     if not n:
-        return DemoDataset(header["kind"], seed, float(fs))
-    return DemoDataset(header["kind"], seed, float(fs), contexts,
+        return DemoDataset(header["kind"], seed)
+    return DemoDataset(header["kind"], seed, contexts,
                        trajectories.reshape(n, t, j), tags)

@@ -206,7 +206,11 @@ def rollout_matched(start, goal, forcing_weights, n_samples: int):
         # second copy of the tracks is made
         np.matmul(mix, responses, out=track.transpose(0, 2, 1))
         track += goal[:, None]
-    bad = np.flatnonzero(~np.isfinite(track).all(axis=(1, 2)))
+        # a row's min or max is NaN or infinite when any of its values
+        # is; they need no temporary array the size of the tracks
+        finite = np.isfinite([track.min(axis=(1, 2)),
+                              track.max(axis=(1, 2))]).all(axis=0)
+    bad = np.flatnonzero(~finite)
     if len(bad):
         raise IntegrationError(
             f"rollout diverged to a non-finite state in batch row(s) "

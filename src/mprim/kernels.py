@@ -1,10 +1,7 @@
 """The hot numerical kernels, in numpy.
 
 Each function works on float64 arrays: the basis activations and the
-dense-net forward/backward passes, and `dmp_rollout`, which integrates a
-whole batch of goal-attractor systems in one Euler loop. The pipeline does
-not call `dmp_rollout`; it is the step-by-step reference that the tests
-hold `dmp.linear_responses` and `dmp.rollout_matched` to.
+dense-net forward/backward passes.
 """
 
 import numpy as np
@@ -57,56 +54,3 @@ def mlp_backward_acts(acts, weights, delta_out, grads_w, grads_b):
             # tanh'(z) expressed through the stored activation
             delta = (delta @ weights[k].T) * (1.0 - acts[k] * acts[k])
 
-
-def dmp_rollout(start, goal, forcing_weights, centers, widths, tau,
-                alpha_z, beta_z, alpha_x, dt, steps, stride=1):
-    """Explicit-Euler integration of a batch of goal-attractor systems: the
-    step-by-step reference that the tests check the DMP rollouts against.
-
-    State per joint: position q and scaled velocity v, with
-    tau*dq = v and tau*dv = alpha_z*(beta_z*(g - q) - v) + f(x).
-    The forcing term f is the kernel-weighted mix scaled by the phase x
-    and the start-to-goal span. All B systems share tau, the gains and the
-    kernels, so the phase x and the kernel activations are computed once
-    for every step; only the (B, n_joint) state is integrated. The tests
-    call it in unit time, with tau = 1 and dt = 1/(steps - 1), on the grid
-    `dmp.rollout_matched` uses; no pipeline stage calls it, because
-    `dmp.linear_responses` advances the same recurrence one sample interval
-    at a time.
-
-    `start` and `goal` have shape (B, n_joint), `forcing_weights`
-    (B, n_joint, n_basis). Returns the positions at steps 0, stride,
-    2*stride, ... below `steps`, shape (B, n_out, n_joint): one contiguous
-    trajectory per system, sample 0 being its start configuration. Only
-    those samples are kept, so memory does not grow with the number of
-    steps. A state that goes non-finite is returned as such, without a
-    numpy warning; the caller rejects it.
-
-    The forcing mix is a stacked product, one (n_joint, n_basis) matrix-
-    vector product per system, so each system gets bit for bit the result
-    it gets alone. One flat (B*n_joint, n_basis) product would let BLAS
-    round a row differently depending on its place in the batch.
-    """
-    start = np.asarray(start, dtype=np.float64)
-    goal = np.asarray(goal, dtype=np.float64)
-    w = np.asarray(forcing_weights, dtype=np.float64)
-    span = goal - start
-    # phase and kernel activations at the start of each Euler step
-    x = np.exp(-alpha_x * (np.arange(steps - 1) * dt) / tau)
-    psi = np.exp(-widths * (x[:, None] - centers) ** 2)
-    psi_sum = psi.sum(axis=1)
-    out = np.empty((start.shape[0], (steps - 1) // stride + 1,
-                    start.shape[1]))
-    q = start.copy()
-    v = np.zeros_like(q)
-    out[:, 0] = q
-    # a diverging row overflows quietly; the caller rejects non-finite rows
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(1, steps):
-            f = (w @ psi[s - 1]) / psi_sum[s - 1] * x[s - 1] * span
-            v_dot = (alpha_z * (beta_z * (goal - q) - v) + f) / tau
-            q = q + dt * (v / tau)
-            v = v + dt * v_dot
-            if s % stride == 0:
-                out[:, s // stride] = q
-    return out

@@ -137,13 +137,12 @@ def _demo_indices(indices, n, what):
     return indices
 
 
-def _chunks(stack, indices):
-    """The rows of `stack` at `indices`, in order, as copies of at most
-    `kernels.CHUNK_DEMOS` rows each: a gather that never copies the whole
-    selection."""
+def _chunks(n):
+    """Slices that cover positions 0..n-1 in order, `kernels.CHUNK_DEMOS`
+    at a time: a split's demos are gathered one such chunk at a time,
+    never the whole selection at once."""
     step = kernels.CHUNK_DEMOS
-    return (stack[indices[lo:lo + step]]
-            for lo in range(0, len(indices), step))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def _fit_scaler(contexts):
@@ -356,8 +355,10 @@ class PrompHead(Head):
     def truth(self, dataset, indices):
         """The demos at `indices` decoded from their fitted weights; the
         demos are gathered one chunk at a time."""
+        stack = dataset.trajectories
         return self._trajectories(np.concatenate(
-            [self.weights(c) for c in _chunks(dataset.trajectories, indices)]))
+            [self.weights(stack[indices[rows]])
+             for rows in _chunks(len(indices))]))
 
     def _trajectories(self, flat):
         w = flat.reshape(len(flat), self.n_joint, -1)
@@ -482,11 +483,16 @@ class DmpHead(Head):
 
     def truth(self, dataset, indices):
         """The rollouts of the demos at `indices` refitted; the demos are
-        gathered and fitted one chunk at a time."""
-        fits = zip(*(dmp_mod.fit_dmp(c, self.n_basis_dmp)
-                     for c in _chunks(dataset.trajectories, indices)))
-        return self._rollouts(*map(np.concatenate, fits), "ground-truth",
-                              indices)
+        gathered and fitted one chunk at a time into arrays allocated
+        once for the split, and a gathered chunk lives only during its
+        fit."""
+        n, j, k = len(indices), self.n_joint, self.n_basis_dmp
+        fits = np.empty((n, j, k)), np.empty((n, j)), np.empty((n, j))
+        for rows in _chunks(n):
+            for whole, part in zip(fits, dmp_mod.fit_dmp(
+                    dataset.trajectories[indices[rows]], k)):
+                whole[rows] = part
+        return self._rollouts(*fits, "ground-truth", indices)
 
     def _rollouts(self, forcing, goals, starts, what, indices):
         """One batched rollout; a divergence names the dataset indices."""

@@ -217,28 +217,6 @@ class TestTrain:
                     "--method", "deep-mp", "--out", tmp_path / "x.json"])
         assert code == 1
 
-    @pytest.mark.parametrize("fs", [1e300, 1e-300])
-    def test_sampling_frequency_changes_nothing(self, small_dataset,
-                                                tmp_path, fs):
-        # the header's sampling frequency is provenance: no model reads it,
-        # so an extreme one trains and scores exactly like 150 Hz (1e300
-        # used to underflow the basis width and fail training)
-        lines = small_dataset.read_text().splitlines(keepends=True)
-        header = json.loads(lines[0])
-        assert header["sampling_frequency"] == 150.0
-        header["sampling_frequency"] = fs
-        rewritten = tmp_path / "fs.jsonl"
-        rewritten.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
-        metrics = []
-        for data in (small_dataset, rewritten):
-            ckpt, outdir = tmp_path / f"{data.stem}.json", tmp_path / data.stem
-            assert run(["train", "--data", data, "--method", "deep-mp",
-                        "--epochs", "3", "--seed", "0", "--out", ckpt]) == 0
-            assert run(["eval", "--data", data, "--checkpoint", ckpt,
-                        "--outdir", outdir]) == 0
-            metrics.append((outdir / "metrics.csv").read_bytes())
-        assert metrics[0] == metrics[1]
-
     def test_defaults_resolved_into_the_config(self, small_dataset,
                                                tmp_path):
         ckpt = tmp_path / "ck.json"

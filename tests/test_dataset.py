@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mprim.dataset import (DEFAULT_FS, HOME_CONFIG, RTP_DEFAULT_COUNTS,
+from mprim.dataset import (HOME_CONFIG, RTP_DEFAULT_COUNTS,
                            RTP_REGION_HALF_EXTENT, WPP_CONFIG_POSITIONS,
                            WPP_SPLITS, DemoDataset, apply_split, goal_config,
                            generate_rtp, generate_wpp, load_jsonl, min_jerk,
@@ -86,9 +86,9 @@ def test_generated_arrays_are_pinned(make, contexts, trajectories):
 
 @pytest.mark.parametrize("make,file_sha", [
     (lambda: generate_rtp(seed=1, counts=(6, 3, 2, 2), noise_std=0.01),
-     "71a4adfb431de3ced948064f5163a22983f611f04f7695c3de56888a0cd9537e"),
+     "3d2c14873e93b8811f465ce40a428992e088b53b2ac9d841131f15315efd128a"),
     (lambda: generate_wpp(seed=1, trials_per_cell=2),
-     "586ff6ceb2565e8b594d89cfb13bffe1c2dd1e8bd58794d7da7be7894df7f4e0"),
+     "421280ecfdc1b196747a6d8619efa6c4214a3c05cca5ea6143f0de212205a982"),
 ], ids=["rtp", "wpp"])
 def test_saved_files_are_pinned(tmp_path, make, file_sha):
     # the dataset file of the pinned datasets, byte for byte: the writer
@@ -333,7 +333,6 @@ class TestPersistence:
         save_jsonl(ds, path)
         back = load_jsonl(path)
         assert back.kind == ds.kind and back.seed == ds.seed
-        assert back.sampling_frequency == ds.sampling_frequency
         np.testing.assert_array_equal(back.contexts, ds.contexts)
         np.testing.assert_array_equal(back.trajectories, ds.trajectories)
         assert back.tags == ds.tags
@@ -355,10 +354,9 @@ class TestPersistence:
         ({"trajectories": np.zeros((4, 150))}, "trajectories (4, 150)"),
         ({"contexts": np.zeros(4)}, "contexts (4,)"),
         ({"trajectories": np.zeros((4, 1, 7))}, "n_samples_per_traj must be"),
-        ({"sampling_frequency": 0.0}, "sampling_frequency must be"),
         ({"kind": "xyz"}, "unknown task 'xyz'"),
     ], ids=["contexts", "tags", "2d_trajectories", "1d_contexts",
-            "one_sample", "zero_frequency", "unknown_kind"])
+            "one_sample", "unknown_kind"])
     def test_dataset_rejects_inconsistent_arrays(self, change, got):
         ds = generate_rtp(seed=1, counts=(1, 1, 1, 1))
         with pytest.raises(ValueError, match=re.escape(got)):
@@ -379,6 +377,25 @@ class TestPersistence:
         assert old.contexts.tobytes() == back.contexts.tobytes()
         assert old.trajectories.tobytes() == back.trajectories.tobytes()
         assert old.tags == back.tags == ds.tags
+
+    @pytest.mark.parametrize("fs", [150.0, 1e300, 1e-300, -5, 0, True, "x",
+                                    10 ** 400],
+                             ids=["fs_150", "fs_1e300", "fs_1e-300",
+                                  "fs_negative", "fs_zero", "fs_bool",
+                                  "fs_text", "fs_too_large"])
+    def test_older_sampling_frequency_is_ignored(self, tmp_path, fs):
+        # files written while the dataset recorded a sampling frequency
+        # hold it in the header; no model read it, so whatever its value,
+        # such a file loads like the same file without the key
+        plain, old = tmp_path / "plain.jsonl", tmp_path / "old.jsonl"
+        _write_edited(plain)
+        _write_edited(old, header={"sampling_frequency": fs})
+        assert "sampling_frequency" not in plain.read_text()
+        back, older = load_jsonl(plain), load_jsonl(old)
+        assert (older.kind, older.seed) == (back.kind, back.seed) == ("rtp", 1)
+        assert older.contexts.tobytes() == back.contexts.tobytes()
+        assert older.trajectories.tobytes() == back.trajectories.tobytes()
+        assert older.tags == back.tags
 
     def test_empty_dataset_round_trips(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -439,11 +456,15 @@ class TestPersistence:
                            match=re.escape(f"line 4: {want}")):
             load_jsonl(path)
 
-    @pytest.mark.parametrize("seed", [[1], "x", 1.5, True, None])
+    @pytest.mark.parametrize("seed", [[1], "x", 1.5, True, None,
+                                      pytest.param(..., id="absent")])
     def test_non_integer_seed_rejected(self, tmp_path, seed):
+        # only the header carries the seed, so it may not be left out
+        header = {"schema": 2, "kind": "rtp", "n_samples": 0}
+        if seed is not ...:
+            header["seed"] = seed
         path = tmp_path / "demos.jsonl"
-        path.write_text(json.dumps({"schema": 2, "kind": "rtp", "seed": seed,
-                                    "n_samples": 0}) + "\n")
+        path.write_text(json.dumps(header) + "\n")
         with pytest.raises(DatasetFormatError, match="line 1: seed"):
             load_jsonl(path)
 
@@ -527,13 +548,6 @@ class TestRecordValidation:
             load_jsonl(path)
 
     @pytest.mark.parametrize("header,record,match", [
-        ({"sampling_frequency": -5}, None, "line 1: sampling_frequency"),
-        ({"sampling_frequency": "x"}, None, "line 1: sampling_frequency"),
-        ({"sampling_frequency": 0}, None, "line 1: sampling_frequency"),
-        ({"sampling_frequency": True}, None, "line 1: sampling_frequency"),
-        ({"sampling_frequency": 10 ** 400}, None,
-         "line 1: sampling_frequency must be a positive number within "
-         "float64's range"),
         ({"kind": "xyz"}, None, "line 1: header must be an object whose "
                                 "'kind' is rtp or wpp"),
         (None, {"context": [10 ** 400, 0.0, 0.05]},
@@ -561,8 +575,7 @@ class TestRecordValidation:
                                         "samples, found 5"),
         ({"n_samples": 4}, None, "line 6: header declares 4 samples, found "
                                  "more"),
-    ], ids=["fs_negative", "fs_text", "fs_zero", "fs_bool", "fs_too_large",
-            "kind_unknown", "context_too_large", "context_text",
+    ], ids=["kind_unknown", "context_too_large", "context_text",
             "context_bool", "tags_pairs", "context_scalar",
             "one_sample_trajectory", "trajectory_not_base64",
             "trajectory_list", "trajectory_null", "header_one_sample",
@@ -605,15 +618,6 @@ class TestRecordValidation:
         byte = lines[line - 1].index(b"\xff")
         with pytest.raises(DatasetFormatError, match=re.escape(
                 f"{path}: line {line}: not UTF-8 text at byte {byte}")):
-            load_jsonl(path)
-
-    def test_header_only_file_checks_sampling_frequency(self, tmp_path):
-        path = tmp_path / "demos.jsonl"
-        path.write_text(json.dumps({"schema": 2, "kind": "rtp", "seed": 0,
-                                    "n_samples": 0,
-                                    "sampling_frequency": -5}) + "\n")
-        with pytest.raises(DatasetFormatError,
-                           match="line 1: sampling_frequency must be"):
             load_jsonl(path)
 
     def test_schema_1_file_asks_to_regenerate(self, tmp_path):
@@ -659,8 +663,7 @@ class TestFormatProperties:
         lambda shape: hnp.arrays(np.float64, shape, elements=_FINITE)))
     def test_finite_trajectories_round_trip_bit_for_bit(self, values):
         n = len(values)
-        ds = DemoDataset("wpp", 3, DEFAULT_FS, np.zeros((n, 2)), values,
-                         [{}] * n)
+        ds = DemoDataset("wpp", 3, np.zeros((n, 2)), values, [{}] * n)
         back = _round_trip(ds)
         assert back.trajectories.shape == values.shape
         assert back.trajectories.tobytes() == values.tobytes()
@@ -729,7 +732,7 @@ class TestFormatProperties:
                                   min_size=n, max_size=n))
         if bad_tag is not None:
             tags[data.draw(st.integers(0, n - 1))]["bad"] = bad_tag
-        ds = DemoDataset("wpp", 3, DEFAULT_FS, contexts, trajectories, tags)
+        ds = DemoDataset("wpp", 3, contexts, trajectories, tags)
         loadable = (np.isfinite(contexts).all()
                     and np.isfinite(trajectories).all() and bad_tag is None)
         with tempfile.TemporaryDirectory() as tmp:

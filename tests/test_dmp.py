@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from mprim import kernels
 from mprim.dmp import (ALPHA_X, ALPHA_Z, BETA_Z, ROLLOUT_OVERSAMPLE, fit_dmp,
                        forcing_kernels, linear_responses, rollout_matched)
 from mprim.errors import IntegrationError
@@ -214,13 +213,27 @@ class TestRollout:
         np.testing.assert_array_equal(out[0], fit[2])
 
 
-def euler_rollout(start, goal, w, n_samples):
-    """The Euler loop on the grid `rollout_matched` uses."""
-    centers, widths = forcing_kernels(w.shape[2])
+def euler_reference(start, goal, w, n_samples):
+    """One system in unit time, one Euler step at a time, on the grid
+    `rollout_matched` uses: the positions (n_samples, n_joint) at every
+    ROLLOUT_OVERSAMPLE-th step."""
+    centers, widths = forcing_kernels(w.shape[1])
     steps = (n_samples - 1) * ROLLOUT_OVERSAMPLE
-    return kernels.dmp_rollout(start, goal, w, centers, widths, 1.0, ALPHA_Z,
-                               BETA_Z, ALPHA_X, 1.0 / steps, steps + 1,
-                               ROLLOUT_OVERSAMPLE)
+    dt = 1.0 / steps
+    span = goal - start
+    out = np.empty((steps + 1, start.shape[0]))
+    q = start.copy()
+    v = np.zeros_like(q)
+    out[0] = q
+    for s in range(1, steps + 1):
+        x = np.exp(-ALPHA_X * ((s - 1) * dt))
+        psi = np.exp(-widths * (x - centers) ** 2)
+        f = (w @ psi) / psi.sum() * x * span
+        v_dot = ALPHA_Z * (BETA_Z * (goal - q) - v) + f
+        q = q + dt * v
+        v = v + dt * v_dot
+        out[s] = q
+    return out[::ROLLOUT_OVERSAMPLE]
 
 
 class TestLinearResponses:
@@ -233,9 +246,11 @@ class TestLinearResponses:
         rng = np.random.default_rng(seed)
         start, goal = rng.standard_normal((2, 6, n_joint))
         w = rng.standard_normal((6, n_joint, 25)) * 200.0
-        np.testing.assert_allclose(rollout_matched(start, goal, w, 150),
-                                   euler_rollout(start, goal, w, 150),
-                                   rtol=0.0, atol=self.ATOL)
+        out = rollout_matched(start, goal, w, 150)
+        for b in range(len(w)):
+            np.testing.assert_allclose(
+                out[b], euler_reference(start[b], goal[b], w[b], 150),
+                rtol=0.0, atol=self.ATOL)
 
     def test_degenerate_joint_in_mixed_batch_stays_on_start(self):
         rng = np.random.default_rng(4)
@@ -257,13 +272,14 @@ class TestLinearResponses:
     @pytest.mark.parametrize("n_basis,n_samples", [(1, 2), (7, 40),
                                                    (25, 150)])
     def test_rows_equal_euler_unit_systems(self, n_basis, n_samples):
-        # row 0: start 1, goal 0, unforced; row 1 + i: the track from 0 to
-        # 1 with weight UNIT on kernel i, minus the unforced one, per UNIT
-        start = np.zeros((n_basis + 2, 1))
+        # the unit systems are the joints of one system. Joint 0: start 1,
+        # goal 0, unforced; joint 1 + i: the track from 0 to 1 with weight
+        # UNIT on kernel i, minus the unforced one, per UNIT
+        start = np.zeros(n_basis + 2)
         start[0] = 1.0
-        w = np.zeros((n_basis + 2, 1, n_basis))
-        w[2:, 0] = self.UNIT * np.eye(n_basis)
-        track = euler_rollout(start, 1.0 - start, w, n_samples)[:, :, 0]
+        w = np.zeros((n_basis + 2, n_basis))
+        w[2:] = self.UNIT * np.eye(n_basis)
+        track = euler_reference(start, 1.0 - start, w, n_samples).T
         reference = np.vstack([track[:1],
                                (track[2:] - track[1]) / self.UNIT])
         responses = linear_responses(n_basis, n_samples)

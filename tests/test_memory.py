@@ -16,6 +16,10 @@ from mprim.training import HEADS, TrainConfig, evaluate, train
 # what a call may allocate beyond what it returns, as a share of the
 # bytes of the stack it works through
 STACK_SHARE = 0.25
+# evaluate holds besides the prediction and truth at most one chunk's
+# temporaries and arrays of the fitted parameters' size (on this stack:
+# 0.12 for ddmp, 0.08 for deep-mp and residual)
+EVALUATE_SHARE = 0.15
 
 
 @pytest.fixture(scope="module")
@@ -58,4 +62,4 @@ def test_evaluate_holds_prediction_truth_and_a_chunk(paper_wpp, method):
     evaluate(model, ds, test_idx)
     (*_, pred), peak = traced_peak(lambda: evaluate(model, ds, test_idx))
     # besides the prediction it returns, it holds the split's truth
-    assert peak - 2 * pred.nbytes < STACK_SHARE * ds.trajectories.nbytes
+    assert peak - 2 * pred.nbytes < EVALUATE_SHARE * ds.trajectories.nbytes
