@@ -12,7 +12,8 @@ In memory, a `DemoDataset` of N demos holds one set of arrays: `contexts`
 dict. A train/test split belongs to a run, not to the demos: `apply_split`
 returns it, and a checkpoint records it. Every demo spans one nominal
 duration in T samples, so the models see time only as the normalized
-phase k/(T-1) and the sizes are read from the array shapes.
+phase k/(T-1) and the sizes are read from the array shapes. Both
+generators write T = `DEFAULT_T` samples per demo.
 
 File format (JSONL, dataset schema 2, one object per line):
   line 1   header {"schema": 2, "kind": "rtp"|"wpp", "seed": int,
@@ -243,15 +244,16 @@ def _region_counts(counts) -> dict:
     return counts
 
 
-def generate_rtp(seed: int, counts=None, n_samples_traj: int = DEFAULT_T,
+def generate_rtp(seed: int, counts=None,
                  noise_std: float = 0.0) -> DemoDataset:
     """Reach dataset: phantom positions per region, point-to-point demos.
 
     Every demo starts at the home configuration and moves to the goal
-    configuration determined by the phantom position; the context is that
-    position. `counts` gives the demos per region (see `_region_counts`;
-    default `RTP_DEFAULT_COUNTS`). `noise_std` adds seeded Gaussian joint
-    noise to emulate the variance of hand-guided demos (off by default).
+    configuration determined by the phantom position in `DEFAULT_T`
+    samples; the context is that position. `counts` gives the demos per
+    region (see `_region_counts`; default `RTP_DEFAULT_COUNTS`).
+    `noise_std` adds seeded Gaussian joint noise to emulate the variance
+    of hand-guided demos (off by default).
 
     The seeded draws are made demo by demo (position, then noise); the
     goals and profiles of all demos are then computed as one stack.
@@ -260,7 +262,7 @@ def generate_rtp(seed: int, counts=None, n_samples_traj: int = DEFAULT_T,
     n = sum(counts.values())
     rng = np.random.default_rng(seed)
     contexts = np.empty((n, 3))
-    noise = (np.empty((n, n_samples_traj, len(HOME_CONFIG)))
+    noise = (np.empty((n, DEFAULT_T, len(HOME_CONFIG)))
              if noise_std > 0.0 else None)
     tags = []
     for region, count in counts.items():
@@ -271,8 +273,7 @@ def generate_rtp(seed: int, counts=None, n_samples_traj: int = DEFAULT_T,
             if noise is not None:
                 rng.standard_normal(out=noise[k])
             tags.append({"region": region})
-    trajectories = min_jerk(HOME_CONFIG, goal_config(contexts),
-                            n_samples_traj)
+    trajectories = min_jerk(HOME_CONFIG, goal_config(contexts), DEFAULT_T)
     if noise is not None:
         noise *= noise_std
         trajectories += noise
@@ -286,23 +287,24 @@ def wpp_context(config: str, pattern: int) -> np.ndarray:
     return np.concatenate([np.asarray(WPP_CONFIG_POSITIONS[config]), onehot])
 
 
-def generate_wpp(seed: int, trials_per_cell: int = WPP_DEFAULT_TRIALS,
-                 n_samples_traj: int = DEFAULT_T) -> DemoDataset:
+def generate_wpp(seed: int,
+                 trials_per_cell: int = WPP_DEFAULT_TRIALS) -> DemoDataset:
     """Palpation dataset: 7 patterns x 4 configurations x trials strokes.
 
     Each trial strokes outward from the nipple along its pattern's angle,
-    with a small seeded perturbation of angle and length per trial, and is
-    embedded into joint space by a fixed smooth map. Patterns 6 and 7 use
-    a reduced stroke length and carry a "short" tag.
+    with a small seeded perturbation of angle and length per trial, in
+    `DEFAULT_T` samples, and is embedded into joint space by a fixed
+    smooth map. Patterns 6 and 7 use a reduced stroke length and carry a
+    "short" tag.
     """
     if trials_per_cell < 1:
         raise ValueError("trials_per_cell must be >= 1")
     rng = np.random.default_rng(seed)
     n = 7 * len(WPP_CONFIG_POSITIONS) * trials_per_cell
     contexts = np.empty((n, 3 + 7))   # see wpp_context
-    trajectories = np.empty((n, n_samples_traj, len(HOME_CONFIG)))
+    trajectories = np.empty((n, DEFAULT_T, len(HOME_CONFIG)))
     tags = []
-    s = np.linspace(0.0, 1.0, n_samples_traj)
+    s = np.linspace(0.0, 1.0, DEFAULT_T)
     timing = 10.0 * s ** 3 - 15.0 * s ** 4 + 6.0 * s ** 5
     for pattern in range(1, 8):
         base_angle = 2.0 * np.pi * (pattern - 1) / 7.0

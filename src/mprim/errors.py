@@ -1,17 +1,13 @@
 """Exception types shared across the package."""
 
 
-class SingularSystemError(ValueError):
-    """A linear system is singular or too ill-conditioned to solve."""
-
-
 class IntegrationError(RuntimeError):
     """A DMP rollout produced a non-finite state.
 
-    `rows` lists the diverged rows of a batched rollout, when known.
+    `rows` lists the diverged rows of a batched rollout.
     """
 
-    def __init__(self, message, rows=()):
+    def __init__(self, message, rows):
         super().__init__(message)
         self.rows = tuple(rows)
 

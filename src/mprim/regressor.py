@@ -83,8 +83,9 @@ class MlpParams:
         return self.layer_sizes[0]
 
 
-def init_mlp(layer_sizes, seed: int = 0) -> MlpParams:
-    """Scaled-uniform (Glorot bounds) initialization, zero biases."""
+def init_mlp(layer_sizes, seed: int) -> MlpParams:
+    """Scaled-uniform (Glorot bounds) initialization drawn from `seed`,
+    zero biases."""
     sizes = tuple(int(s) for s in layer_sizes)
     params = MlpParams(sizes, np.zeros(_n_parameters(sizes)))
     rng = np.random.default_rng(seed)
@@ -148,15 +149,16 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    step: int = 0
-    learning_rate: float = 1e-3
+    step: int
+    learning_rate: float
     buffers: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.buffers = (np.empty_like(self.m), np.empty_like(self.m))
 
 
-def adam_init(params: MlpParams, learning_rate: float = 1e-3) -> AdamState:
+def adam_init(params: MlpParams, learning_rate: float) -> AdamState:
+    """Zero moments for `params` at step 0, stepping at `learning_rate`."""
     return AdamState(np.zeros_like(params.theta),
                      np.zeros_like(params.theta), 0, learning_rate)
 

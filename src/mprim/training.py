@@ -395,7 +395,11 @@ class ResidualHead(PrompHead):
             means[region] = weights[train_idx[regions == region]].mean(axis=0)
         head = cls(base.task, base.n_joint, base.n_samples, base.n_basis,
                    means)
-        return head, weights - head._means(dataset, range(len(dataset)))
+        # each demo's weights less its group's mean, in place
+        for row, region in zip(weights,
+                               cls._regions(dataset, range(len(dataset)))):
+            row -= means.get(region, means[GLOBAL_GROUP])
+        return head, weights
 
     @staticmethod
     def _regions(dataset, indices):
@@ -451,11 +455,16 @@ class DmpHead(Head):
             home = dataset.trajectories[train_idx, 0].mean(axis=0)
         head = cls(dataset.kind, dataset.n_joint, dataset.n_samples_per_traj,
                    n_basis_dmp, home)
-        forcing, goals, starts = dmp_mod.fit_dmp(dataset.trajectories,
-                                                 n_basis_dmp)
-        return head, np.concatenate(
-            [forcing.reshape(len(forcing), -1), goals]
-            + ([starts] if dataset.kind == "wpp" else []), axis=1)
+        # fitted one chunk of the stack at a time into the targets, so a
+        # chunk's fit lives only while its rows are written
+        stack = dataset.trajectories
+        targets = np.empty((len(stack), head.width))
+        for rows in _chunks(len(stack)):
+            forcing, goals, starts = dmp_mod.fit_dmp(stack[rows], n_basis_dmp)
+            targets[rows] = np.hstack(
+                [forcing.reshape(len(forcing), -1), goals]
+                + ([starts] if dataset.kind == "wpp" else []))
+        return head, targets
 
     def loss_and_grad(self, pred, target):
         """rtp: the RMS of the forcing-weight residual plus GOAL_WEIGHT

@@ -312,8 +312,7 @@ class TestSplits:
         # dispositions land on their side, half patterns keep the extra
         # demo of each cell on the train side, unused patterns appear on
         # neither, and together they cover every used demo
-        ds = generate_wpp(seed=data_seed, trials_per_cell=trials,
-                          n_samples_traj=8)
+        ds = generate_wpp(seed=data_seed, trials_per_cell=trials)
         train_idx, test_idx = apply_split(ds, WPP_SPLITS[name], split_seed)
         assert np.all(np.diff(train_idx) > 0) and np.all(np.diff(test_idx) > 0)
         assert set(train_idx).isdisjoint(test_idx)

@@ -3,9 +3,8 @@ import pytest
 
 from mprim.basis import build_phi
 from mprim.dataset import generate_rtp, generate_wpp
-from mprim.errors import SingularSystemError
 from mprim.kernels import CHUNK_DEMOS
-from mprim.promp import fit_weights
+from mprim.promp import RIDGE, fit_weights
 from mprim.training import PrompHead
 
 
@@ -20,69 +19,35 @@ def min_jerk_column(q0, q1, n):
 
 
 class TestFitWeights:
-    def test_recovers_generating_weights(self, grid):
-        # generate-then-fit oracle: a trajectory built from known weights
-        # must be refit exactly with no regularization
-        _, _, phi = grid
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            theta = rng.standard_normal(8)
-            fit = fit_weights(phi.values @ theta, phi, ridge=0.0)
-            np.testing.assert_allclose(fit, theta, atol=1e-9)
-
-    def test_constant_trajectory_reconstructs_exactly(self, grid):
-        # partition of unity makes constants representable
-        _, _, phi = grid
-        fit = fit_weights(np.full(150, 0.7), phi, ridge=0.0)
-        np.testing.assert_allclose(phi.values @ fit, 0.7, atol=1e-9)
-
-    def test_huge_ridge_shrinks_to_zero(self, grid):
-        _, _, phi = grid
-        q = min_jerk_column(0.2, 1.1, 150)
-        fit = fit_weights(q, phi, ridge=1e12)
-        np.testing.assert_allclose(fit, 0.0, atol=1e-6)
-
-    def test_rank_deficient_raises(self):
-        phi = build_phi(2, 5)
-        with pytest.raises(SingularSystemError, match="condition"):
-            fit_weights(np.array([0.1, 0.2]), phi, ridge=0.0)
-
     def test_length_mismatch(self, grid):
         _, _, phi = grid
         with pytest.raises(ValueError):
-            fit_weights(np.zeros(10), phi)
+            fit_weights(np.zeros((1, 10, 1)), phi)
+        # one demo is a stack of one, not a (T, m) array
+        with pytest.raises(ValueError):
+            fit_weights(np.zeros((150, 1)), phi)
 
-    def test_residual_orthogonal_to_basis_columns(self, grid):
-        # normal-equations optimality at ridge=0
+    def test_ridge_normal_equations_hold(self, grid):
+        # the fit solves Phi^T (Phi w - q) + RIDGE w = 0, to rounding
         _, _, phi = grid
         rng = np.random.default_rng(1)
-        q = rng.standard_normal(150)
-        fit = fit_weights(q, phi, ridge=0.0)
-        residual = phi.values @ fit - q
-        assert np.max(np.abs(phi.values.T @ residual)) < 1e-8
+        q = rng.standard_normal((3, 150, 2))
+        fit = fit_weights(q, phi)
+        residual = np.swapaxes(fit @ phi.values.T, 1, 2) - q
+        normal = phi.values.T @ residual + RIDGE * np.swapaxes(fit, 1, 2)
+        assert np.max(np.abs(normal)) < 1e-8
 
     def test_columns_share_one_solve(self, grid):
         # many columns at once give each column's own fit, one row each
         _, _, phi = grid
         rng = np.random.default_rng(2)
-        q = rng.standard_normal((150, 5))
+        q = rng.standard_normal((1, 150, 5))
         fit = fit_weights(q, phi)
-        assert fit.shape == (5, 8)
+        assert fit.shape == (1, 5, 8)
         for j in range(5):
-            np.testing.assert_allclose(fit[j], fit_weights(q[:, j], phi),
+            np.testing.assert_allclose(fit[0, j],
+                                       fit_weights(q[..., j:j + 1], phi)[0, 0],
                                        rtol=1e-12, atol=1e-12)
-
-    def test_rank_deficient_raises_for_columns(self):
-        phi = build_phi(2, 5)
-        with pytest.raises(SingularSystemError, match="condition"):
-            fit_weights(np.zeros((2, 3)), phi, ridge=0.0)
-
-    def test_ridge_shrinkage_monotone(self, grid):
-        _, _, phi = grid
-        q = min_jerk_column(-0.4, 0.9, 150)
-        norms = [np.linalg.norm(fit_weights(q, phi, ridge=lam))
-                 for lam in (0.0, 1e-4, 1e-2, 1.0, 100.0)]
-        assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
 @pytest.fixture(scope="module", params=["rtp", "wpp"])
@@ -107,7 +72,7 @@ class TestStackedFit:
         assert stacked.shape == (len(ds), head.width)
         for b, demo in enumerate(ds.trajectories):
             assert np.array_equal(
-                stacked[b], fit_weights(demo, head.phi).reshape(-1)), b
+                stacked[b], fit_weights(demo[None], head.phi).reshape(-1)), b
 
     @pytest.mark.parametrize("seed", range(3))
     def test_stack_equals_fits_of_any_split(self, stack_head, seed):
@@ -150,7 +115,7 @@ class TestReconstruct:
         n_samples, n_basis, phi = grid
         values = np.column_stack([min_jerk_column(0.0, 1.2, 150),
                                   min_jerk_column(-0.5, 0.3, 150)])
-        flat = fit_weights(values, phi).reshape(1, -1)
+        flat = fit_weights(values[None], phi).reshape(1, -1)
         rebuilt = PrompHead("rtp", 2, n_samples, n_basis).decode(
             flat, None, [0])[0]
         rmse = np.sqrt(np.mean((rebuilt - values) ** 2))

@@ -3,7 +3,7 @@ import pytest
 
 from mprim import kernels
 from mprim.basis import build_phi
-from mprim.promp import DEFAULT_RIDGE, fit_weights
+from mprim.promp import RIDGE, fit_weights
 from mprim.regressor import (BETA1, BETA2, EPSILON, MlpParams, adam_init,
                              adam_step, init_mlp, mlp_forward)
 from mprim.training import DmpHead, PrompHead, batch_loss_and_grad
@@ -362,15 +362,15 @@ class TestGramForm:
         np.testing.assert_array_equal(phi.gram, phi.values.T @ phi.values)
         q = np.random.default_rng(3).standard_normal((n_samples, 21))
         written_out = np.linalg.solve(
-            phi.values.T @ phi.values + DEFAULT_RIDGE * np.eye(n_basis),
+            phi.values.T @ phi.values + RIDGE * np.eye(n_basis),
             phi.values.T @ q).T
-        assert fit_weights(q, phi).tobytes() == written_out.tobytes()
+        assert fit_weights(q[None], phi)[0].tobytes() == written_out.tobytes()
 
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
         params = init_mlp((2, 3), seed=0)
-        state = adam_init(params)
+        state = adam_init(params, learning_rate=1e-3)
         before = params.theta.copy()
         adam_step(state, params.theta, np.zeros_like(params.theta))
         np.testing.assert_array_equal(params.theta, before)

@@ -229,9 +229,11 @@ class TestTrainResidual:
         assert "__global__" in model.head.mean_weights
         assert {"A", "B", "C", "D"} <= set(model.head.mean_weights)
 
-    def test_residual_not_worse_than_full_subset_of_seeds(self, small_rtp):
-        # paired-run check, recorded rather than hard-asserted per seed:
-        # the residual variant should win on most seeds
+    def test_residual_train_batch_loss_not_worse_on_most_seeds(
+            self, small_rtp):
+        # paired runs of 12 epochs at 5 seeds: the residual variant's last
+        # train batch loss is no higher than deep-mp's on at least 3 of
+        # them; held-out error is not compared here
         wins = 0
         for seed in range(5):
             cfg = TrainConfig(epochs=12, seed=seed)
@@ -584,8 +586,9 @@ class TestModelFitsDataset:
                            "joints, checkpoint expects 7"):
             rtp_model.predict(ds, [0])
 
-    def test_samples_per_trajectory(self, rtp_model):
-        ds = generate_rtp(seed=1, counts=(2, 1, 1, 1), n_samples_traj=100)
+    def test_samples_per_trajectory(self, rtp_model, small_rtp):
+        ds = dataclasses.replace(
+            small_rtp, trajectories=small_rtp.trajectories[:, :100])
         with pytest.raises(ValueError, match="dataset trajectories have 100 "
                            "samples, checkpoint expects 150"):
             evaluate(rtp_model, ds, [0])
