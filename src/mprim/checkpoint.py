@@ -2,8 +2,9 @@
 
 A checkpoint holds one `training.Model` in one JSON object {"schema": 2,
 "kind": "trained_model", "payload": {...}, "meta": {free-form}}. Its
-float arrays are `dataset.encode_f64` strings ("enc" below), as in
-datasets, so they round-trip bit-exactly. The payload (schema 2) holds
+float arrays are `jsonio.encode_f64` strings ("enc" below), base64 of
+little-endian float64, so they round-trip bit-exactly. The payload
+(schema 2) holds
   {"method": "deep-mp"|"residual"|"ddmp", "task": "rtp"|"wpp",
    "n_joint": J, "n_samples_per_traj": T,
    "layer_sizes": [int, ...], "theta": enc of every weight and bias,

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands:
-  generate   synthesize a demonstration dataset (JSONL + manifest)
+  generate   synthesize a demonstration dataset (JSON lines + float64
+             block + manifest)
   train      fit a model on a dataset (checkpoint + loss CSV + manifest)
   eval       grouped metrics and plot artifacts for a checkpoint
 

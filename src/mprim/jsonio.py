@@ -1,9 +1,13 @@
 """Reading the single-document JSON files (checkpoints, kinematic chain
-configs and --config files), and writing a file whole or not at all."""
+configs and --config files), writing a file whole or not at all, and the
+base64 float64 strings that checkpoints hold their arrays in."""
 
+import base64
 import contextlib
 import json
 import os
+
+import numpy as np
 
 
 @contextlib.contextmanager
@@ -11,9 +15,10 @@ def replace_on_success(path):
     """A text file to write in place of the file at `path`.
 
     The text goes to a new file next to `path`, which replaces `path`
-    only when the block exits without an exception. On an exception the
-    new file is removed, so an existing `path` stays as it was and a
-    missing one stays missing."""
+    only when the block exits without an exception. Bytes may follow the
+    text: `flush()` the file, then write them to its `buffer`. On an
+    exception the new file is removed, so an existing `path` stays as it
+    was and a missing one stays missing."""
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "x")
@@ -47,3 +52,16 @@ def read_json_object(path, what=None):
                          f"expected a JSON object, got a "
                          f"{type(doc).__name__}")
     return doc
+
+
+def encode_f64(values) -> str:
+    """Base64 of `values` as little-endian float64, row-major."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def decode_f64(text) -> np.ndarray:
+    """Inverse of `encode_f64`: a flat read-only view, else ValueError."""
+    try:
+        return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+    except (TypeError, ValueError) as err:   # binascii.Error, odd length
+        raise ValueError(f"not a base64 string of float64 ({err})") from None

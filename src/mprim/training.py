@@ -43,8 +43,9 @@ import numpy as np
 from mprim import dmp as dmp_mod
 from mprim import kernels, metrics
 from mprim.basis import build_phi
-from mprim.dataset import TASKS, DemoDataset, decode_f64, encode_f64
+from mprim.dataset import TASKS, DemoDataset
 from mprim.errors import IntegrationError, TrainingDivergedError
+from mprim.jsonio import decode_f64, encode_f64
 from mprim.kinematics import DEFAULT_CHAIN, KinematicChain, final_distances
 from mprim.promp import fit_weights
 from mprim.regressor import (MlpParams, adam_init, adam_step, init_mlp,
@@ -196,11 +197,9 @@ def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
     grads_w, grads_b = params.views(grad)
     batch_losses = np.empty(len(fit_idx))
     report = TrainReport()
-
-    def mean_loss(idx):
-        losses, _ = batch_loss_and_grad(
-            head, mlp_forward(params, x_std[idx]), targets[idx])
-        return float(np.mean(losses))
+    # the side each epoch checks, gathered once for every epoch
+    check_idx = val_idx if len(val_idx) else fit_idx
+    check_x, check_targets = x_std[check_idx], targets[check_idx]
 
     best_theta, best_val, best_epoch = None, np.inf, -1
     reason = "zero_epochs" if cfg.epochs == 0 else "max_epochs"
@@ -217,7 +216,9 @@ def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
                                       dpred / len(batch), grads_w, grads_b)
             adam_step(state, params.theta, grad)
         train_loss = float(np.mean(batch_losses))
-        val = mean_loss(val_idx if len(val_idx) else fit_idx)
+        losses, _ = batch_loss_and_grad(
+            head, mlp_forward(params, check_x), check_targets)
+        val = float(np.mean(losses))
         if not np.isfinite([train_loss, val]).all():
             reason = "diverged"
             break

@@ -11,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from mprim import checkpoint, training
 from mprim.cli import main
-from mprim.dataset import (decode_f64, encode_f64, generate_rtp, generate_wpp,
-                           save_jsonl)
+from mprim.dataset import generate_rtp, generate_wpp, save_jsonl
+from mprim.jsonio import decode_f64, encode_f64
 from mprim.regressor import MlpParams, init_mlp
 from mprim.training import (GLOBAL_GROUP, DmpHead, Model, PrompHead,
                             ResidualHead, TrainConfig, train)

@@ -15,8 +15,8 @@ import pytest
 
 from mprim import checkpoint, kinematics, training
 from mprim.cli import _build_parser, main
-from mprim.dataset import (encode_f64, generate_rtp, generate_wpp, load_jsonl,
-                           save_jsonl)
+from mprim.dataset import generate_rtp, generate_wpp, load_jsonl, save_jsonl
+from mprim.jsonio import encode_f64
 from mprim.kinematics import DEFAULT_CHAIN, fk_position
 from mprim.regressor import MlpParams
 from mprim.training import Model, PrompHead, ResidualHead

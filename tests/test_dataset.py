@@ -4,8 +4,11 @@ import hashlib
 import json
 import os
 import re
+import struct
 import tempfile
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,14 +24,23 @@ from mprim.dataset import (HOME_CONFIG, RTP_DEFAULT_COUNTS,
 from mprim.errors import DatasetFormatError
 
 
-def _blob(values):
-    """A trajectory as dataset schema 2 stores it."""
-    return base64.b64encode(
-        np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def _parts(path, block_bytes):
+    """The lines of the text part and the trajectory block of the dataset
+    file at `path`, whose block is `block_bytes` long."""
+    data = path.read_bytes()
+    cut = len(data) - block_bytes
+    return data[:cut].decode().splitlines(), data[cut:]
 
 
-def _unblob(text, n_joint=7):
-    return np.frombuffer(base64.b64decode(text), "<f8").reshape(-1, n_joint)
+def _write_parts(path, lines, block):
+    path.write_bytes(("\n".join(lines) + "\n").encode() + block)
+
+
+def _set_value(block, index, value):
+    """`block` with its float64 number `index` set to `value`."""
+    out = bytearray(block)
+    struct.pack_into("<d", out, 8 * index, value)
+    return bytes(out)
 
 
 class TestMinJerk:
@@ -86,17 +98,20 @@ def test_generated_arrays_are_pinned(make, contexts, trajectories):
 
 @pytest.mark.parametrize("make,file_sha", [
     (lambda: generate_rtp(seed=1, counts=(6, 3, 2, 2), noise_std=0.01),
-     "3d2c14873e93b8811f465ce40a428992e088b53b2ac9d841131f15315efd128a"),
+     "6234a944cfae95a57af5dfffe8599dc933d00eefc98d4b008458ee878e109cdc"),
     (lambda: generate_wpp(seed=1, trials_per_cell=2),
-     "421280ecfdc1b196747a6d8619efa6c4214a3c05cca5ea6143f0de212205a982"),
+     "ab9b18608f70a5141750dcb97471ee4e101207134cad217e195f84a0edd6b9d4"),
 ], ids=["rtp", "wpp"])
 def test_saved_files_are_pinned(tmp_path, make, file_sha):
-    # the dataset file of the pinned datasets, byte for byte: the writer
-    # spells out the record line, and it must stay the line json.dumps of
-    # the record object writes
+    # the dataset file of the pinned datasets, byte for byte; it ends in
+    # the bytes of the stack that test_generated_arrays_are_pinned pins
+    ds = make()
     path = tmp_path / "d.jsonl"
-    save_jsonl(make(), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+    save_jsonl(ds, path)
+    data = path.read_bytes()
+    stack = ds.trajectories.astype("<f8").tobytes()
+    assert data[-len(stack):] == stack
+    assert hashlib.sha256(data).hexdigest() == file_sha
 
 
 class TestStacks:
@@ -367,11 +382,11 @@ class TestPersistence:
         ds = generate_wpp(seed=8, trials_per_cell=1)
         plain, labelled = tmp_path / "plain.jsonl", tmp_path / "old.jsonl"
         save_jsonl(ds, plain)
-        lines = plain.read_text().splitlines()
+        lines, block = _parts(plain, ds.trajectories.nbytes)
         for k in range(1, len(lines)):
             split = ("train", "test", None)[k % 3]
             lines[k] = json.dumps({**json.loads(lines[k]), "split": split})
-        labelled.write_text("\n".join(lines) + "\n")
+        _write_parts(labelled, lines, block)
         back, old = load_jsonl(plain), load_jsonl(labelled)
         assert old.contexts.tobytes() == back.contexts.tobytes()
         assert old.trajectories.tobytes() == back.trajectories.tobytes()
@@ -389,7 +404,7 @@ class TestPersistence:
         plain, old = tmp_path / "plain.jsonl", tmp_path / "old.jsonl"
         _write_edited(plain)
         _write_edited(old, header={"sampling_frequency": fs})
-        assert "sampling_frequency" not in plain.read_text()
+        assert b"sampling_frequency" not in plain.read_bytes()
         back, older = load_jsonl(plain), load_jsonl(old)
         assert (older.kind, older.seed) == (back.kind, back.seed) == ("rtp", 1)
         assert older.contexts.tobytes() == back.contexts.tobytes()
@@ -406,9 +421,9 @@ class TestPersistence:
         ds = generate_rtp(seed=1, counts=(2, 1, 1, 1))
         path = tmp_path / "demos.jsonl"
         save_jsonl(ds, path)
-        lines = path.read_text().splitlines()
+        lines, block = _parts(path, ds.trajectories.nbytes)
         lines[3] = lines[3][:40]   # truncate a record mid-JSON
-        path.write_text("\n".join(lines) + "\n")
+        _write_parts(path, lines, block)
         with pytest.raises(DatasetFormatError, match="line 4"):
             load_jsonl(path)
 
@@ -419,47 +434,41 @@ class TestPersistence:
             load_jsonl(path)
 
     def test_sample_count_mismatch(self, tmp_path):
+        # fewer record lines than the header declares, before a whole block
         ds = generate_rtp(seed=1, counts=(2, 1, 1, 1))
         path = tmp_path / "demos.jsonl"
         save_jsonl(ds, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")   # drop one record
-        with pytest.raises(DatasetFormatError, match="declares"):
+        lines, block = _parts(path, ds.trajectories.nbytes)
+        _write_parts(path, lines[:-1], block)   # drop one record
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{path}: line 6: header declares 5 samples, found 4")):
             load_jsonl(path)
 
-    @pytest.mark.parametrize("field,shape,want", [
-        ("context", (2,), "context shape (2,) differs from the first "
-                          "record's (3,)"),
-        ("trajectory", (150, 6), "context shape (3,) and trajectory of 7200 "
-                                 "bytes are not (D,) and 8*T*J = 8400 bytes "
-                                 "for the header's T = 150, n_joint = 7"),
-        ("trajectory", (149, 7), "context shape (3,) and trajectory of 8344 "
-                                 "bytes are not (D,) and 8*T*J = 8400 bytes "
-                                 "for the header's T = 150, n_joint = 7"),
+    @pytest.mark.parametrize("header,record,want", [
+        (None, {"context": [0.55, 0.0]},
+         "line 4: context shape (2,) differs from the first record's (3,)"),
+        ({"n_joint": 6}, None,
+         "line 7: found 42000 bytes after line 6, not the trajectory block "
+         "of 8*N*T*J = 36000 bytes for the header's N = 5, T = 150, "
+         "n_joint = 6"),
+        ({"n_samples_per_traj": 149}, None,
+         "line 7: found 42000 bytes after line 6, not the trajectory block "
+         "of 8*N*T*J = 41720 bytes for the header's N = 5, T = 149, "
+         "n_joint = 7"),
     ], ids=["context_width", "joints", "samples"])
     def test_inconsistent_record_names_line_and_shapes(self, tmp_path,
-                                                       field, shape, want):
+                                                       header, record, want):
         path = tmp_path / "demos.jsonl"
-        save_jsonl(generate_rtp(seed=1, counts=(2, 1, 1, 1)), path)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[3])
-        if field == "trajectory":
-            value = _unblob(record[field])
-            record[field] = _blob(value[tuple(slice(n) for n in shape)])
-        else:
-            value = np.asarray(record[field])
-            record[field] = value[tuple(slice(n) for n in shape)].tolist()
-        lines[3] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
+        _write_edited(path, header=header, record=record, line=4)
         with pytest.raises(DatasetFormatError,
-                           match=re.escape(f"line 4: {want}")):
+                           match=re.escape(f"{path}: {want}")):
             load_jsonl(path)
 
     @pytest.mark.parametrize("seed", [[1], "x", 1.5, True, None,
                                       pytest.param(..., id="absent")])
     def test_non_integer_seed_rejected(self, tmp_path, seed):
         # only the header carries the seed, so it may not be left out
-        header = {"schema": 2, "kind": "rtp", "n_samples": 0}
+        header = {"schema": 3, "kind": "rtp", "n_samples": 0}
         if seed is not ...:
             header["seed"] = seed
         path = tmp_path / "demos.jsonl"
@@ -521,27 +530,34 @@ class TestWriterChecks:
         self.assert_refused(tmp_path, ds, "seed must be an integer")
 
 
-def _write_edited(path, header=None, record=None, line=3):
-    """Save a small rtp dataset to `path`, then update its header and the
-    record on 1-based `line` with the given fields."""
-    save_jsonl(generate_rtp(seed=1, counts=(2, 1, 1, 1)), path)
-    lines = path.read_text().splitlines()
+def _write_edited(path, header=None, record=None, line=3, block=None):
+    """Save five rtp demos (T = 150, n_joint = 7) to `path`, then update
+    its header and the record on 1-based `line` with the given fields,
+    and pass its trajectory block through `block`."""
+    ds = generate_rtp(seed=1, counts=(2, 1, 1, 1))
+    save_jsonl(ds, path)
+    lines, data = _parts(path, ds.trajectories.nbytes)
     for no, fields in ((1, header), (line, record)):
         if fields:
             lines[no - 1] = json.dumps({**json.loads(lines[no - 1]),
                                         **fields})
-    path.write_text("\n".join(lines) + "\n")
+    _write_parts(path, lines, data if block is None else block(data))
 
 
 class TestRecordValidation:
     @pytest.mark.parametrize("field,value", [
         ("context", [0.5, float("nan"), 0.05]),
         ("context", [float("inf"), 0.0, 0.05]),
-        ("trajectory", _blob([[float("nan")] * 7] * 150)),
+        ("trajectory", float("nan")),
     ], ids=["context_nan", "context_inf", "trajectory_nan"])
     def test_non_finite_values_rejected(self, tmp_path, field, value):
+        # demo 1: the record on line 3 and the block's second trajectory
         path = tmp_path / "demos.jsonl"
-        _write_edited(path, record={field: value})
+        if field == "context":
+            _write_edited(path, record={field: value})
+        else:
+            _write_edited(path, block=lambda data: _set_value(
+                data, 150 * 7 + 10, value))
         with pytest.raises(DatasetFormatError,
                            match=f"line 3: {field} holds a non-finite"):
             load_jsonl(path)
@@ -556,14 +572,8 @@ class TestRecordValidation:
         (None, {"context": [True, 0.0, 0.05]},
          r"line 3: bad record \(context entries must be numbers\)"),
         (None, {"tags": [["region", "Z"]]}, "line 3: tags must be"),
-        (None, {"context": 0.5}, r"line 3: .* are not \(D,\) and"),
-        (None, {"trajectory": _blob([[0.0] * 7])},
-         r"line 3: .* 8\*T\*J = 8400 bytes for the header's T = 150, "),
-        (None, {"trajectory": "AAAA*AAA"},
-         "line 3: trajectory is not a base64"),
-        (None, {"trajectory": [[0.0] * 7] * 150},
-         "line 3: trajectory is not a base64"),
-        (None, {"trajectory": None}, "line 3: trajectory is not a base64"),
+        (None, {"context": 0.5},
+         "line 3: context must be a list of numbers, got 0.5"),
         ({"n_samples_per_traj": 1}, None,
          "line 1: n_samples_per_traj must be an integer >= 2, got 1"),
         ({"n_joint": 7.0}, None, "line 1: n_joint must be an integer >= 1"),
@@ -572,13 +582,12 @@ class TestRecordValidation:
         ({"n_samples": None}, None, "line 1: n_samples must be an integer"),
         ({"n_samples": 10 ** 12}, None, "header declares 1000000000000 "
                                         "samples, found 5"),
-        ({"n_samples": 4}, None, "line 6: header declares 4 samples, found "
-                                 "more"),
+        ({"n_samples": 4}, None,
+         r"line 6: found \d+ bytes after line 5, not the trajectory block "
+         r"of 8\*N\*T\*J = 33600 bytes for the header's N = 4, "),
     ], ids=["kind_unknown", "context_too_large", "context_text",
             "context_bool", "tags_pairs", "context_scalar",
-            "one_sample_trajectory", "trajectory_not_base64",
-            "trajectory_list", "trajectory_null", "header_one_sample",
-            "header_float_joints", "header_no_joints", "header_negative_count",
+            "header_one_sample", "header_float_joints", "header_no_joints", "header_negative_count",
             "header_null_count", "header_count_beyond_file",
             "header_count_short"])
     def test_bad_field_names_line(self, tmp_path, header, record, match):
@@ -600,6 +609,46 @@ class TestRecordValidation:
         assert str(err.value).startswith(f"{path}: line 1: "
                                          f"n_samples_per_traj ")
         assert " and n_joint " in str(err.value)
+
+    @pytest.mark.parametrize("edit,found", [
+        (lambda data: data[:5 * 7 * 8], 280),
+        (lambda data: data[:-8], 41992),
+        (lambda data: data + bytes(8), 42008),
+        (lambda data: b"", 0),
+    ], ids=["one_sample", "short", "long", "missing"])
+    def test_bad_block_names_line(self, tmp_path, edit, found):
+        path = tmp_path / "demos.jsonl"
+        _write_edited(path, block=edit)
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{path}: line 7: found {found} bytes after line 6, not the "
+                f"trajectory block of 8*N*T*J = 42000 bytes for the header's "
+                f"N = 5, T = 150, n_joint = 7")):
+            load_jsonl(path)
+
+    def test_inflated_count_fails_before_allocating(self, tmp_path):
+        # the header sizes a stack of 2**50 demos, about 9e18 bytes; the
+        # reader finds the block of the 5 records instead and allocates
+        # nothing of the header's size
+        path = tmp_path / "demos.jsonl"
+        _write_edited(path, header={"n_samples": 2 ** 50})
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFormatError, match=re.escape(
+                    f"{path}: line 7: header declares {2 ** 50} samples, "
+                    f"found 5")):
+                load_jsonl(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_record_error_comes_before_block_error(self, tmp_path):
+        # records are checked as they are read, the block after them
+        path = tmp_path / "demos.jsonl"
+        _write_edited(path, record={"tags": None}, line=5,
+                      block=lambda data: _set_value(data[:-8], 0, np.inf))
+        with pytest.raises(DatasetFormatError, match="line 5: tags must be"):
+            load_jsonl(path)
 
     @pytest.mark.parametrize("line,edit", [
         (2, lambda text: b"\xff"),
@@ -632,6 +681,20 @@ class TestRecordValidation:
                 f"{path}.manifest.json")):
             load_jsonl(path)
 
+    def test_schema_2_file_asks_to_regenerate(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text("\n".join(json.dumps(line) for line in (
+            {"schema": 2, "kind": "rtp", "seed": 1, "n_samples": 1,
+             "n_samples_per_traj": 2, "n_joint": 7},
+            {"context": [0.55, 0.0, 0.05],
+             "trajectory": base64.b64encode(bytes(8 * 2 * 7)).decode(),
+             "tags": {"region": "A"}})) + "\n")
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{path}: line 1: dataset schema 2 is no longer read; re-run "
+                f"`mprim generate` with the arguments in "
+                f"{path}.manifest.json to rewrite it as schema 3")):
+            load_jsonl(path)
+
 
 # every float64 class the format must carry bit for bit, plus any finite one
 _FINITE = st.one_of(
@@ -641,17 +704,14 @@ _FINITE = st.one_of(
 
 
 def _round_trip(dataset, edit=None):
-    """Save `dataset` to a temporary file, apply `edit` to its list of
-    lines and load it back."""
+    """Save `dataset` to a temporary file, replace its trajectory block by
+    what `edit` returns for it and load it back."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "demos.jsonl")
+        path = Path(tmp) / "demos.jsonl"
         save_jsonl(dataset, path)
         if edit is not None:
-            with open(path) as fh:
-                lines = fh.read().splitlines()
-            edit(lines)
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            lines, block = _parts(path, dataset.trajectories.nbytes)
+            _write_parts(path, lines, edit(block))
         return load_jsonl(path)
 
 
@@ -669,39 +729,34 @@ class TestFormatProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(0, 4), data=st.data(),
-           corruption=st.sampled_from(
-               ["nan", "inf", "flip", "truncate", "missing"]))
+           corruption=st.sampled_from(["nan", "inf", "truncate", "extend"]))
     def test_corrupt_trajectory_names_its_line(self, k, data, corruption):
+        # a non-finite value names the line of its demo; a block cut short
+        # or extended names line 7, where the block of 5 demos begins
         ds = generate_rtp(seed=1, counts=(2, 1, 1, 1))
         t, j = ds.n_samples_per_traj, ds.n_joint
         if corruption in ("nan", "inf"):
-            at = (data.draw(st.integers(0, t - 1)),
-                  data.draw(st.integers(0, j - 1)))
+            at = k * t * j + data.draw(st.integers(0, t * j - 1))
+            line = k + 2
 
-            def edit(lines):
+            def edit(block):
                 # save_jsonl refuses non-finite values, so the file gets
                 # its bad value after saving
-                record = json.loads(lines[k + 1])
-                values = _unblob(record["trajectory"], j).copy()
-                values[at] = np.nan if corruption == "nan" else -np.inf
-                record["trajectory"] = _blob(values)
-                lines[k + 1] = json.dumps(record)
-        else:
-            size = 4 * (8 * t * j // 3)  # 8400 bytes need no padding
-            at = data.draw(st.integers(0, size - 1))
-            bad = data.draw(st.sampled_from("!*-_.:@~ ="))
+                return _set_value(block, at,
+                                  np.nan if corruption == "nan" else -np.inf)
+        elif corruption == "truncate":
+            cut = data.draw(st.integers(1, ds.trajectories.nbytes))
+            line = len(ds) + 2
 
-            def edit(lines):
-                record = json.loads(lines[k + 1])
-                blob = record["trajectory"]
-                if corruption == "flip":
-                    record["trajectory"] = blob[:at] + bad + blob[at + 1:]
-                elif corruption == "truncate":
-                    record["trajectory"] = blob[:at]
-                else:
-                    del record["trajectory"]
-                lines[k + 1] = json.dumps(record)
-        with pytest.raises(DatasetFormatError, match=f"line {k + 2}: "):
+            def edit(block):
+                return block[:-cut]
+        else:
+            extra = data.draw(st.binary(min_size=1, max_size=64))
+            line = len(ds) + 2
+
+            def edit(block):
+                return block + extra
+        with pytest.raises(DatasetFormatError, match=f"line {line}: "):
             _round_trip(ds, edit)
 
     @settings(max_examples=80, deadline=None)

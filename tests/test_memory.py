@@ -1,22 +1,24 @@
 """Memory budget of the passes over a whole stack of demos.
 
 A stage holds the dataset, one split's prediction and truth, and
-temporaries of at most a chunk of demos; no fit or score makes a second
-copy of the stack. `ru_maxrss` covers the whole process, so these tests
-trace one call with tracemalloc, which sees numpy's array buffers.
+temporaries of at most a chunk of demos; no save, load, fit or score
+makes a second copy of the stack. `ru_maxrss` covers the whole process,
+so these tests trace one call with tracemalloc, which sees numpy's array
+buffers.
 """
 
 import tracemalloc
 
 import pytest
 
-from mprim.dataset import WPP_SPLITS, apply_split, generate_wpp
+from mprim.dataset import (WPP_SPLITS, apply_split, generate_wpp, load_jsonl,
+                           save_jsonl)
 from mprim.training import HEADS, TrainConfig, evaluate, train
 
-# what a fit may allocate beyond what it returns, as a share of the bytes
-# of the stack it works through: a chunk's temporaries and arrays of the
-# targets' size (on this stack: 0.086 for ddmp, 0.069 for deep-mp and
-# residual)
+# what a save, a load or a fit may allocate beyond what it returns, as a
+# share of the bytes of the stack it works through: a chunk's temporaries
+# and arrays of the targets' size (on this stack: 0.086 for the ddmp fit,
+# 0.069 for deep-mp and residual; 0.048 for a save and 0.055 for a load)
 STACK_SHARE = 0.10
 # evaluate holds besides the prediction and truth at most one chunk's
 # temporaries and arrays of the fitted parameters' size (on this stack:
@@ -42,6 +44,24 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def test_save_writes_the_stack_from_its_own_buffer(paper_wpp, tmp_path):
+    ds, _ = paper_wpp
+    path = tmp_path / "wpp.jsonl"
+    save_jsonl(ds, path)
+    _, peak = traced_peak(lambda: save_jsonl(ds, path))
+    assert peak < STACK_SHARE * ds.trajectories.nbytes
+
+
+def test_load_reads_the_stack_into_the_array_it_returns(paper_wpp,
+                                                        tmp_path):
+    ds, _ = paper_wpp
+    path = tmp_path / "wpp.jsonl"
+    save_jsonl(ds, path)
+    back, peak = traced_peak(lambda: load_jsonl(path))
+    returned = back.trajectories.nbytes + back.contexts.nbytes
+    assert peak - returned < STACK_SHARE * ds.trajectories.nbytes
 
 
 @pytest.mark.parametrize("method", sorted(HEADS))
