@@ -204,17 +204,27 @@ def goal_config(phantom_pos) -> np.ndarray:
         _GOAL_SIN_AMP * np.sin(np.matmul(_GOAL_SIN_W, u)[..., 0]))
 
 
-def _wpp_joint_embed(points) -> np.ndarray:
-    """Joint configurations (T, n_joint) of stroke points (T, 3).
+def _wpp_joint_embed(points, out):
+    """Write the joint configurations (..., T, n_joint) of the stroke
+    points (..., T, 3) into `out`; `points` is scaled in place.
 
     The stacked matmul applies each map to one point at a time, so every
     row equals the matrix-vector product of that point alone; `u @ M.T`
     would hand the whole stroke to BLAS, which may round differently.
+    Each step writes into `out` or works in place, in the order
+    HOME + 0.5 (LIN u) + AMP sin(SIN_W u), so the sine term is the only
+    temporary.
     """
-    u = ((np.asarray(points, dtype=float) - _CTX_CENTER) / _CTX_SCALE)[
-        ..., None]
-    return HOME_CONFIG + 0.5 * np.matmul(_WPP_LIN, u)[..., 0] + (
-        _WPP_SIN_AMP * np.sin(np.matmul(_WPP_SIN_W, u)[..., 0]))
+    points -= _CTX_CENTER
+    points /= _CTX_SCALE
+    u = points[..., None]
+    np.matmul(_WPP_LIN, u, out=out[..., None])
+    out *= 0.5
+    out += HOME_CONFIG
+    wave = np.matmul(_WPP_SIN_W, u)[..., 0]
+    np.sin(wave, out=wave)
+    wave *= _WPP_SIN_AMP
+    out += wave
 
 
 def _sample_region_xy(rng, region):
@@ -312,7 +322,7 @@ def generate_wpp(seed: int,
     trajectories = np.empty((n, DEFAULT_T, len(HOME_CONFIG)))
     tags = []
     s = np.linspace(0.0, 1.0, DEFAULT_T)
-    timing = 10.0 * s ** 3 - 15.0 * s ** 4 + 6.0 * s ** 5
+    timing = (10.0 * s ** 3 - 15.0 * s ** 4 + 6.0 * s ** 5)[:, None]
     for pattern in range(1, 8):
         base_angle = 2.0 * np.pi * (pattern - 1) / 7.0
         short = pattern in WPP_SHORT_PATTERNS
@@ -321,20 +331,23 @@ def generate_wpp(seed: int,
             length = WPP_STROKE_LENGTH * WPP_CONFIG_LENGTH_SCALE[config]
             if short:
                 length *= WPP_SHORT_FACTOR
-            for _ in range(trials_per_cell):
-                angle = base_angle + WPP_ANGLE_JITTER * rng.standard_normal()
-                trial_len = length * (
-                    1.0 + WPP_LENGTH_JITTER * rng.standard_normal())
-                end = nipple + trial_len * np.array(
-                    [np.cos(angle), np.sin(angle), 0.0])
-                points = nipple[None, :] + timing[:, None] * (
-                    end - nipple)[None, :]
-                # one demo at a time: embedding the whole stack at once
-                # would hold several stack-sized temporaries
-                contexts[len(tags)] = wpp_context(config, pattern)
-                trajectories[len(tags)] = _wpp_joint_embed(points)
-                tags.append(
-                    {"pattern": pattern, "config": config, "short": short})
+            # per trial an angle draw, then a length draw
+            jitter = rng.standard_normal((trials_per_cell, 2))
+            angle = base_angle + WPP_ANGLE_JITTER * jitter[:, 0]
+            trial_len = length * (1.0 + WPP_LENGTH_JITTER * jitter[:, 1])
+            direction = np.stack(
+                [np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=1)
+            end = nipple + trial_len[:, None] * direction
+            points = timing * (end - nipple)[:, None, :]
+            points += nipple
+            # one (pattern, configuration) cell at a time, written into its
+            # rows: embedding the whole stack at once would hold several
+            # stack-sized temporaries, and a cell is 1/28 of the demos
+            rows = slice(len(tags), len(tags) + trials_per_cell)
+            contexts[rows] = wpp_context(config, pattern)
+            _wpp_joint_embed(points, trajectories[rows])
+            tags += [{"pattern": pattern, "config": config, "short": short}
+                     for _ in range(trials_per_cell)]
     return DemoDataset("wpp", seed, contexts, trajectories, tags)
 
 

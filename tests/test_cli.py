@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import json
@@ -752,15 +753,20 @@ print(json.dumps(seen))
 """
 
 
-def test_generate_imports_only_the_dataset_modules(tmp_path):
-    # a subcommand imports what it runs; generate needs none of the
-    # trainer's modules, and train and eval still find theirs
+def _child(args, cwd):
+    """`python *args` in `cwd`, with this checkout's package on the path;
+    the finished process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], cwd=tmp_path,
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_generate_imports_only_the_dataset_modules(tmp_path):
+    # a subcommand imports what it runs; generate needs none of the
+    # trainer's modules, and train and eval still find theirs
+    proc = _child(["-c", _FOOTPRINT], tmp_path)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     trainer_modules = {f"mprim.{name}" for name in (
@@ -772,3 +778,70 @@ def test_generate_imports_only_the_dataset_modules(tmp_path):
     assert trainer_modules <= set(seen["eval"])
     assert (tmp_path / "ck.json").is_file()
     assert (tmp_path / "ev" / "metrics.csv").is_file()
+
+
+class TestProcessEntry:
+    # `python -m mprim.cli` and the `mprim` script run `entry`, which
+    # freezes the imported objects and then runs `main` on sys.argv
+    STAGES = [
+        ["generate", "--kind", "rtp", "--seed", "5", "--counts", "6,3,2,2",
+         "--out", "data.jsonl"],
+        ["train", "--data", "data.jsonl", "--method", "deep-mp", "--epochs",
+         "2", "--seed", "5", "--out", "ck.json"],
+        ["eval", "--data", "data.jsonl", "--checkpoint", "ck.json",
+         "--outdir", "ev", "--plot-samples", "1"]]
+
+    def test_stages_match_in_process_main(self, tmp_path, monkeypatch,
+                                          capsys):
+        child_dir, own_dir = tmp_path / "child", tmp_path / "own"
+        child_dir.mkdir()
+        own_dir.mkdir()
+        monkeypatch.chdir(own_dir)
+        for argv in self.STAGES:
+            proc = _child(["-m", "mprim.cli", *argv], child_dir)
+            assert proc.returncode == 0, proc.stderr
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out and proc.stdout == out, argv
+        files = sorted(p.relative_to(own_dir) for p in own_dir.rglob("*")
+                       if p.is_file())
+        assert len(files) == 10   # generate 2, train 3, eval 5
+        assert sorted(p.relative_to(child_dir) for p in child_dir.rglob("*")
+                      if p.is_file()) == files
+        for path in files:
+            assert ((child_dir / path).read_bytes()
+                    == (own_dir / path).read_bytes()), path
+
+    def test_script_runs_the_same_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(path, "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"mprim": "mprim.cli:entry"}
+
+    def test_missing_data_file_exits_1(self, tmp_path):
+        proc = _child(["-m", "mprim.cli", *self.STAGES[1]], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "data.jsonl" in proc.stderr
+
+    def test_unknown_flag_exits_2(self, tmp_path):
+        proc = _child(["-m", "mprim.cli", *self.STAGES[0], "--no-such-flag"],
+                      tmp_path)
+        assert proc.returncode == 2
+        assert "--no-such-flag" in proc.stderr
+
+    def test_only_the_entry_freezes(self, tmp_path, monkeypatch):
+        script = ("import gc, runpy, sys\n"
+                  f"sys.argv = ['mprim', *{self.STAGES[0]!r}]\n"
+                  "try:\n"
+                  "    runpy.run_module('mprim.cli', run_name='__main__')\n"
+                  "except SystemExit as done:\n"
+                  "    print(done.code, gc.get_freeze_count())\n")
+        proc = _child(["-c", script], tmp_path)
+        code, frozen = proc.stdout.splitlines()[-1].split()
+        assert code == "0" and int(frozen) > 0, proc.stderr
+        monkeypatch.chdir(tmp_path)
+        before = gc.get_freeze_count()
+        assert main(self.STAGES[0]) == 0
+        assert gc.get_freeze_count() == before

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mprim import dataset
 from mprim.dataset import (HOME_CONFIG, RTP_DEFAULT_COUNTS,
                            RTP_REGION_HALF_EXTENT, WPP_CONFIG_POSITIONS,
                            WPP_SPLITS, DemoDataset, apply_split, goal_config,
@@ -129,6 +130,44 @@ class TestStacks:
         assert np.array_equal(min_jerk(q0, q1, 40), singles)
         home_singles = np.array([min_jerk(HOME_CONFIG, b, 40) for b in q1])
         assert np.array_equal(min_jerk(HOME_CONFIG, q1, 40), home_singles)
+
+
+    @pytest.mark.parametrize("seed,trials", [(7, 5), (23, 31)])
+    def test_generate_wpp(self, seed, trials):
+        # the reference: one demo at a time, with scalar draws (angle,
+        # then length) and the embedding written out as one expression
+        rng = np.random.default_rng(seed)
+        s = np.linspace(0.0, 1.0, dataset.DEFAULT_T)
+        timing = 10.0 * s ** 3 - 15.0 * s ** 4 + 6.0 * s ** 5
+        contexts, trajectories = [], []
+        for pattern in range(1, 8):
+            base_angle = 2.0 * np.pi * (pattern - 1) / 7.0
+            for config, nipple in WPP_CONFIG_POSITIONS.items():
+                nipple = np.asarray(nipple)
+                length = (dataset.WPP_STROKE_LENGTH
+                          * dataset.WPP_CONFIG_LENGTH_SCALE[config])
+                if pattern in dataset.WPP_SHORT_PATTERNS:
+                    length *= dataset.WPP_SHORT_FACTOR
+                for _ in range(trials):
+                    angle = base_angle + (dataset.WPP_ANGLE_JITTER
+                                          * rng.standard_normal())
+                    trial_len = length * (1.0 + dataset.WPP_LENGTH_JITTER
+                                          * rng.standard_normal())
+                    end = nipple + trial_len * np.array(
+                        [np.cos(angle), np.sin(angle), 0.0])
+                    points = nipple[None, :] + timing[:, None] * (
+                        end - nipple)[None, :]
+                    u = ((points - dataset._CTX_CENTER)
+                         / dataset._CTX_SCALE)[..., None]
+                    trajectories.append(
+                        HOME_CONFIG
+                        + 0.5 * np.matmul(dataset._WPP_LIN, u)[..., 0]
+                        + dataset._WPP_SIN_AMP * np.sin(
+                            np.matmul(dataset._WPP_SIN_W, u)[..., 0]))
+                    contexts.append(dataset.wpp_context(config, pattern))
+        ds = generate_wpp(seed, trials_per_cell=trials)
+        assert np.array_equal(ds.contexts, np.array(contexts))
+        assert np.array_equal(ds.trajectories, np.array(trajectories))
 
 
 class TestGenerateRtp:

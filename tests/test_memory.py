@@ -1,10 +1,10 @@
 """Memory budget of the passes over a whole stack of demos.
 
 A stage holds the dataset, one split's prediction and truth, and
-temporaries of at most a chunk of demos; no save, load, fit or score
-makes a second copy of the stack. `ru_maxrss` covers the whole process,
-so these tests trace one call with tracemalloc, which sees numpy's array
-buffers.
+temporaries of at most a chunk of demos; no generate, save, load, fit or
+score makes a second copy of the stack. `ru_maxrss` covers the whole
+process, so these tests trace one call with tracemalloc, which sees
+numpy's array buffers.
 """
 
 import tracemalloc
@@ -15,10 +15,11 @@ from mprim.dataset import (WPP_SPLITS, apply_split, generate_wpp, load_jsonl,
                            save_jsonl)
 from mprim.training import HEADS, TrainConfig, evaluate, train
 
-# what a save, a load or a fit may allocate beyond what it returns, as a
-# share of the bytes of the stack it works through: a chunk's temporaries
-# and arrays of the targets' size (on this stack: 0.086 for the ddmp fit,
-# 0.069 for deep-mp and residual; 0.048 for a save and 0.055 for a load)
+# what a generate, a save, a load or a fit may allocate beyond what it
+# returns, as a share of the bytes of the stack it works through: a
+# chunk's temporaries and arrays of the targets' size (on this stack:
+# 0.086 for the ddmp fit, 0.069 for deep-mp and residual; 0.072 for the
+# wpp generator, tags included; 0.048 for a save and 0.055 for a load)
 STACK_SHARE = 0.10
 # evaluate holds besides the prediction and truth at most one chunk's
 # temporaries and arrays of the fitted parameters' size (on this stack:
@@ -44,6 +45,13 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def test_generate_writes_each_cell_into_the_stack():
+    generate_wpp(seed=1, trials_per_cell=1)   # fills what a first call fills
+    ds, peak = traced_peak(lambda: generate_wpp(seed=23))
+    returned = ds.trajectories.nbytes + ds.contexts.nbytes
+    assert peak - returned < STACK_SHARE * ds.trajectories.nbytes
 
 
 def test_save_writes_the_stack_from_its_own_buffer(paper_wpp, tmp_path):

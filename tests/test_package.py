@@ -14,8 +14,6 @@ from mprim import (checkpoint, cli, dmp, kernels, kinematics, metrics, plots,
 # defaulted parameters that no call in the package passes, each with the
 # reason it keeps its default
 UNPASSED_DEFAULTS = {
-    "cli.main.argv": "the console script calls main() with no arguments, "
-                     "and main then reads sys.argv",
     "training.ResidualHead.fit.n_basis": "train passes each head's basis "
                                          "size through **size",
     "training.DmpHead.fit.n_basis_dmp": "train passes each head's basis "
