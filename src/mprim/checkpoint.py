@@ -2,19 +2,20 @@
 
 A checkpoint holds one `training.Model` in one JSON object {"schema": 2,
 "kind": "trained_model", "payload": {...}, "meta": {free-form}}. Its
-float arrays are `jsonio.encode_f64` strings ("enc" below), base64 of
-little-endian float64, so they round-trip bit-exactly. The payload
-(schema 2) holds
+float arrays are this module's `encode_f64` strings ("enc" below),
+base64 of little-endian float64, so they round-trip bit-exactly. The
+payload (schema 2) holds
   {"method": "deep-mp"|"residual"|"ddmp", "task": "rtp"|"wpp",
    "n_joint": J, "n_samples_per_traj": T,
    "layer_sizes": [int, ...], "theta": enc of every weight and bias,
    layer by layer, "ctx_mean": enc, "ctx_std": enc,
    "train_indices": [int, ...], "test_indices": [int, ...]}
-and then only the fields of its method's head:
+and then only its head's own fields, the head's dataclass fields after
+`task`, `n_joint` and `n_samples` in declaration order:
   deep-mp   "n_basis": int (`basis.build_phi` sets the basis from it
             and T)
   residual  "n_basis": int, "mean_weights": {region: enc of J*n_basis}
-  ddmp      "n_basis_dmp": int, "home": enc of J or null
+  ddmp      "n_basis_dmp": int, "home": enc of J (rtp) or null (wpp)
 Every array value must be finite, and every `ctx_std` entry > 0. Other
 payload fields are ignored: checkpoints written while the models still
 took a sampling rate and a DMP time constant hold one field for each,
@@ -23,10 +24,16 @@ Schema 1 (nested decimal lists) is no longer read: re-run `mprim train`
 with the arguments in the checkpoint's manifest to rewrite it.
 """
 
+import base64
+import dataclasses
 import json
 
+import numpy as np
+
+from mprim.dataset import TASKS
 from mprim.jsonio import read_json_object, replace_on_success
-from mprim.training import Model
+from mprim.regressor import MlpParams
+from mprim.training import GLOBAL_GROUP, HEADS, Model
 
 SCHEMA_VERSION = 2
 KIND = "trained_model"
@@ -35,19 +42,18 @@ KIND = "trained_model"
 def save(model: Model, path, meta=None):
     """Write a checkpoint; `meta` is an optional free-form metadata dict.
 
-    Only what `load` reads back is written. The payload goes through
-    `Model.from_dict`, the reader's checks, first: a non-finite `theta`,
-    scaler, mean or `home` entry, or a `ctx_std` entry <= 0, raises
-    ValueError naming the field. A meta value that standard JSON cannot
-    hold (NaN, infinity, a numpy scalar) raises ValueError or TypeError.
-    The file at `path` is replaced only by a complete checkpoint: a
-    failed save leaves it as it was."""
+    Only what `load` reads back is written. The payload goes through the
+    reader's checks first: a non-finite `theta`, scaler, mean or `home`
+    entry, or a `ctx_std` entry <= 0, raises ValueError naming the field.
+    A meta value that standard JSON cannot hold (NaN, infinity, a numpy
+    scalar) raises ValueError or TypeError. A failed save leaves the file
+    at `path` as it was: only a complete checkpoint replaces it."""
     if not isinstance(model, Model):
         raise TypeError(f"cannot checkpoint object of type "
                         f"{type(model).__name__}; only trained models")
-    payload = model.to_dict()
+    payload = _payload(model)
     try:
-        Model.from_dict(payload)
+        _model(payload)
     except ValueError as err:
         raise ValueError(f"cannot write checkpoint {path}: {err}") from None
     doc = {"schema": SCHEMA_VERSION, "kind": KIND, "payload": payload,
@@ -77,6 +83,142 @@ def load(path) -> Model:
     if not isinstance(doc.get("payload"), dict):
         raise ValueError(f"{path}: missing field 'payload' (an object)")
     try:
-        return Model.from_dict(doc["payload"])
+        return _model(doc["payload"])
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+
+
+def encode_f64(values) -> str:
+    """Base64 of `values` as little-endian float64, row-major."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def decode_f64(text) -> np.ndarray:
+    """Inverse of `encode_f64`: a flat read-only view, else ValueError."""
+    try:
+        return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+    except (TypeError, ValueError) as err:   # binascii.Error, odd length
+        raise ValueError(f"not a base64 string of float64 ({err})") from None
+
+
+# ---------------------------------------------------------------------------
+# payload writer and reader
+
+def _payload(model):
+    """The checkpoint payload of `model`, fields in schema order."""
+    head = model.head
+    return {"method": next(m for m, cls in HEADS.items() if type(head) is cls),
+            "task": head.task, "n_joint": head.n_joint,
+            "n_samples_per_traj": head.n_samples,
+            "layer_sizes": list(model.mlp.layer_sizes),
+            "theta": encode_f64(model.mlp.theta),
+            "ctx_mean": encode_f64(model.ctx_mean),
+            "ctx_std": encode_f64(model.ctx_std),
+            "train_indices": list(model.train_indices),
+            "test_indices": list(model.test_indices),
+            **{f.name: _HEAD_FIELDS[f.name][0](getattr(head, f.name))
+               for f in dataclasses.fields(head)[3:]}}
+
+
+def _model(d):
+    """Inverse of `_payload`. ValueError names the first field, in payload
+    order, that is missing or malformed (a wpp `home` after `layer_sizes`)."""
+    cls = _field(d, "method", HEADS.__getitem__)
+    head = {"task": _field(d, "task", _task),
+            "n_joint": _field(d, "n_joint", _count),
+            "n_samples": _field(d, "n_samples_per_traj",
+                                lambda v: _count(v, 2))}
+    for f in dataclasses.fields(cls)[3:]:
+        head[f.name] = _field(d, f.name, _HEAD_FIELDS[f.name][1], head)
+    head = cls(**head)
+    sizes = _field(d, "layer_sizes", _layer_sizes, head)
+    if head.task == "wpp" and getattr(head, "home", None) is not None:
+        _field(d, "home", _null)  # after layer_sizes: that names a wrong task
+    mlp = _field(d, "theta", lambda v: MlpParams(sizes, _floats(v)))
+    return Model(head, mlp, _field(d, "ctx_mean", _floats, mlp.n_inputs),
+                 _field(d, "ctx_std",
+                        lambda v: _floats(v, mlp.n_inputs, positive=True)),
+                 _field(d, "train_indices", _indices),
+                 _field(d, "test_indices", _indices))
+
+
+def _field(d, name, parse, *args):
+    """Payload field `name`, through `parse(value, *args)`; a missing field
+    or one that `parse` rejects raises ValueError naming it."""
+    if name not in d:
+        raise ValueError(f"payload lacks field {name!r}")
+    try:
+        return parse(d[name], *args)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"payload field {name!r} is malformed "
+                         f"({type(err).__name__}: {err})") from None
+
+
+def _indices(value):
+    if not isinstance(value, list) or any(type(i) is not int for i in value):
+        raise ValueError("expected a list of integer demo indices")
+    return tuple(value)
+
+
+def _count(value, low=1):
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    if value < low:
+        raise ValueError(f"expected an integer >= {low}, got {value}")
+    return value
+
+
+def _task(value):
+    if value not in TASKS:
+        raise ValueError(f"expected 'rtp' or 'wpp', got {value!r}")
+    return value
+
+
+def _layer_sizes(value, head):
+    """`layer_sizes` as a tuple of counts whose last is `head`'s width."""
+    sizes = tuple(map(_count, value))
+    if sizes[-1:] != (head.width,):
+        raise ValueError(f"the net's last layer has "
+                         f"{sizes[-1] if sizes else 0} outputs; its head "
+                         f"takes {head.width}")
+    return sizes
+
+
+def _floats(value, n=None, positive=False):
+    """An `encode_f64` vector of finite values (`n` of them, each > 0 when
+    `positive`) as an array of its own."""
+    out = decode_f64(value).astype(float)
+    if n is not None and len(out) != n:
+        raise ValueError(f"expected {n} float64 values, got {len(out)}")
+    bad = np.flatnonzero(~np.isfinite(out) | (positive & (out <= 0.0)))
+    if len(bad):
+        raise ValueError(f"value {bad[0]} is {float(out[bad[0]])}; expected "
+                         f"finite numbers{' > 0' if positive else ''}")
+    return out
+
+
+def _means(value, head):
+    if GLOBAL_GROUP not in value:
+        raise KeyError(GLOBAL_GROUP)
+    width = head["n_joint"] * head["n_basis"]
+    return {k: _floats(v, width) for k, v in value.items()}
+
+
+def _home(value, head):
+    return (None if value is None and head["task"] == "wpp"
+            else _floats(value, head["n_joint"]))
+
+
+def _null(value):
+    raise ValueError(f"expected null, got a {type(value).__name__}")
+
+
+# a head's own field (a dataclass field after task, n_joint and n_samples)
+# -> (writer, reader of (value, the head's fields read so far))
+_HEAD_FIELDS = {
+    "n_basis": (lambda n: n, lambda value, head: _count(value)),
+    "mean_weights": (lambda means: {k: encode_f64(v)
+                                    for k, v in means.items()}, _means),
+    "n_basis_dmp": (lambda n: n, lambda value, head: _count(value)),
+    "home": (lambda home: None if home is None else encode_f64(home), _home),
+}

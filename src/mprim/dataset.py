@@ -9,11 +9,11 @@ relation is learnable by construction but not affine.
 
 In memory, a `DemoDataset` of N demos holds one set of arrays: `contexts`
 (N, D), `trajectories` (N, T, n_joint) in radians, plus per demo a `tags`
-dict. A train/test split belongs to a run, not to the demos: `apply_split`
-returns it, and a checkpoint records it. Every demo spans one nominal
-duration in T samples, so the models see time only as the normalized
-phase k/(T-1) and the sizes are read from the array shapes. Both
-generators write T = `DEFAULT_T` samples per demo.
+dict. A train/test split belongs to a run, not to the demos:
+`random_split` or `apply_split` returns it, and a checkpoint records it.
+Every demo spans one nominal duration in T samples, so the models see
+time only as the normalized phase k/(T-1) and the sizes are read from
+the array shapes. Both generators write T = `DEFAULT_T` samples per demo.
 
 File format (dataset schema 3): JSON lines, then one binary block.
   line 1        header {"schema": 3, "kind": "rtp"|"wpp", "seed": int,
@@ -352,7 +352,7 @@ def generate_wpp(seed: int,
 
 
 # ---------------------------------------------------------------------------
-# pattern-level split protocol
+# split protocols: seeded random (reach), pattern-level (palpation)
 
 TRAIN, TEST, HALF, UNUSED = "train", "test", "half", "unused"
 
@@ -370,6 +370,13 @@ WPP_SPLITS = {
     "WPP9": (HALF, HALF, HALF, HALF, HALF, HALF, HALF),
     "WPP10": (HALF, HALF, HALF, HALF, HALF, UNUSED, UNUSED),
 }
+
+
+def random_split(n: int, train_fraction: float, seed: int):
+    """Seeded shuffle split into (train_indices, test_indices)."""
+    order = np.random.default_rng(seed).permutation(n)
+    n_train = min(n, max(1, int(round(train_fraction * n))))
+    return np.sort(order[:n_train]), np.sort(order[n_train:])
 
 
 def apply_split(dataset: DemoDataset, dispositions, seed: int):

@@ -1,13 +1,9 @@
 """Reading the single-document JSON files (checkpoints, kinematic chain
-configs and --config files), writing a file whole or not at all, and the
-base64 float64 strings that checkpoints hold their arrays in."""
+configs and --config files), and writing a file whole or not at all."""
 
-import base64
 import contextlib
 import json
 import os
-
-import numpy as np
 
 
 @contextlib.contextmanager
@@ -53,15 +49,3 @@ def read_json_object(path, what=None):
                          f"{type(doc).__name__}")
     return doc
 
-
-def encode_f64(values) -> str:
-    """Base64 of `values` as little-endian float64, row-major."""
-    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
-
-
-def decode_f64(text) -> np.ndarray:
-    """Inverse of `encode_f64`: a flat read-only view, else ValueError."""
-    try:
-        return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
-    except (TypeError, ValueError) as err:   # binascii.Error, odd length
-        raise ValueError(f"not a base64 string of float64 ({err})") from None

@@ -16,9 +16,9 @@ that meaning is a `Head`:
 A head owns the method-specific decisions and nothing else: its targets,
 fitted to the whole stack of demos in one call before training; its
 loss, which it computes (`loss_and_grad`) with the numeric code of
-`regressor`; the ground-truth trajectories of a split; decoding a batch
-of network outputs into (B, T, n_joint) trajectories; and the checkpoint
-fields only it has.
+`regressor`; the ground-truth trajectories of a split; and decoding a
+batch of network outputs into (B, T, n_joint) trajectories. What a
+checkpoint holds of a head, and how, is `checkpoint`'s alone.
 
 `train` runs one deterministic minibatch loop for every head (Adam, seeded
 shuffling, best-validation checkpointing, early stopping on the
@@ -43,9 +43,8 @@ import numpy as np
 from mprim import dmp as dmp_mod
 from mprim import kernels, metrics
 from mprim.basis import build_phi
-from mprim.dataset import TASKS, DemoDataset
+from mprim.dataset import DemoDataset, random_split
 from mprim.errors import IntegrationError, TrainingDivergedError
-from mprim.jsonio import decode_f64, encode_f64
 from mprim.kinematics import DEFAULT_CHAIN, KinematicChain, final_distances
 from mprim.promp import fit_weights
 from mprim.regressor import (MlpParams, adam_init, adam_step, init_mlp,
@@ -110,13 +109,6 @@ class TrainReport:
 
 # ---------------------------------------------------------------------------
 # splits
-
-def random_split(n: int, train_fraction: float, seed: int):
-    """Seeded shuffle split into (train_indices, test_indices)."""
-    order = np.random.default_rng(seed).permutation(n)
-    n_train = min(n, max(1, int(round(train_fraction * n))))
-    return np.sort(order[:n_train]), np.sort(order[n_train:])
-
 
 def _demo_indices(indices, n, what):
     """`indices` as a 1-D int array. ValueError names the first entry that
@@ -239,61 +231,6 @@ def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
 # ---------------------------------------------------------------------------
 # heads
 
-def _field(d, name, parse):
-    """Checkpoint payload field `name`, through `parse`; a missing field or
-    one that `parse` rejects raises ValueError naming it."""
-    if name not in d:
-        raise ValueError(f"payload lacks field {name!r}")
-    try:
-        return parse(d[name])
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"payload field {name!r} is malformed "
-                         f"({type(err).__name__}: {err})") from None
-
-
-def _indices(value):
-    if not isinstance(value, list) or any(type(i) is not int for i in value):
-        raise ValueError("expected a list of integer demo indices")
-    return tuple(value)
-
-
-def _count(value, low=1):
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {type(value).__name__}")
-    if value < low:
-        raise ValueError(f"expected an integer >= {low}, got {value}")
-    return value
-
-
-def _task(value):
-    if value not in TASKS:
-        raise ValueError(f"expected 'rtp' or 'wpp', got {value!r}")
-    return value
-
-
-def _layer_sizes(value, head):
-    """`layer_sizes` as a tuple of counts whose last is `head`'s width."""
-    sizes = tuple(map(_count, value))
-    if sizes[-1:] != (head.width,):
-        raise ValueError(f"the net's last layer has "
-                         f"{sizes[-1] if sizes else 0} outputs; its head "
-                         f"takes {head.width}")
-    return sizes
-
-
-def _floats(value, n=None, positive=False):
-    """An `encode_f64` vector of finite values (`n` of them, each > 0 when
-    `positive`) as an array of its own."""
-    out = decode_f64(value).astype(float)
-    if n is not None and len(out) != n:
-        raise ValueError(f"expected {n} float64 values, got {len(out)}")
-    bad = np.flatnonzero(~np.isfinite(out) | (positive & (out <= 0.0)))
-    if len(bad):
-        raise ValueError(f"value {bad[0]} is {float(out[bad[0]])}; expected "
-                         f"finite numbers{' > 0' if positive else ''}")
-    return out
-
-
 @dataclass(frozen=True)
 class Head:
     """What the network's output means, for one method.
@@ -302,12 +239,8 @@ class Head:
     size: `n_basis` or `n_basis_dmp`), computes its per-sample loss and
     the loss gradient w.r.t. a batch of network outputs (`loss_and_grad`),
     decodes such a batch (`decode`), gives the ground truth of a split
-    (`truth`), says how many network outputs it takes (`width`), and
-    writes and reads the checkpoint fields only its method has
-    (`to_dict`, `from_dict`): `n_basis` for deep-mp, plus
-    `mean_weights` for residual, and `n_basis_dmp` and `home` for ddmp
-    (see `checkpoint`). Trajectories are (B, T, n_joint) arrays, with T =
-    `n_samples`.
+    (`truth`) and says how many network outputs it takes (`width`).
+    Trajectories are (B, T, n_joint) arrays, with T = `n_samples`.
     """
 
     task: str                 # rtp | wpp
@@ -365,13 +298,6 @@ class PrompHead(Head):
         w = flat.reshape(len(flat), self.n_joint, -1)
         return np.swapaxes(w @ self.phi.values.T, 1, 2)
 
-    def to_dict(self):
-        return {"n_basis": self.n_basis}
-
-    @classmethod
-    def from_dict(cls, task, n_joint, n_samples, d):
-        return cls(task, n_joint, n_samples, _field(d, "n_basis", _count))
-
 
 @dataclass(frozen=True)
 class ResidualHead(PrompHead):
@@ -415,23 +341,6 @@ class ResidualHead(PrompHead):
 
     def decode(self, out, dataset, indices):
         return self._trajectories(out + self._means(dataset, indices))
-
-    def to_dict(self):
-        return {**super().to_dict(),
-                "mean_weights": {k: encode_f64(v)
-                                 for k, v in self.mean_weights.items()}}
-
-    @classmethod
-    def from_dict(cls, task, n_joint, n_samples, d):
-        n_basis = _field(d, "n_basis", _count)
-
-        def means(value):
-            if GLOBAL_GROUP not in value:
-                raise KeyError(GLOBAL_GROUP)
-            return {k: _floats(v, n_joint * n_basis) for k, v in value.items()}
-
-        return cls(task, n_joint, n_samples, n_basis,
-                   _field(d, "mean_weights", means))
 
 
 @dataclass(frozen=True)
@@ -515,18 +424,6 @@ class DmpHead(Head):
                 f"{what} rollout diverged to a non-finite state for dataset "
                 f"indices {rows}", rows=rows) from err
 
-    def to_dict(self):
-        return {"n_basis_dmp": self.n_basis_dmp,
-                "home": None if self.home is None else encode_f64(self.home)}
-
-    @classmethod
-    def from_dict(cls, task, n_joint, n_samples, d):
-        return cls(task, n_joint, n_samples,
-                   _field(d, "n_basis_dmp", _count),
-                   _field(d, "home", lambda home: None
-                          if home is None and task == "wpp"
-                          else _floats(home, n_joint)))
-
 
 HEADS = {"deep-mp": PrompHead, "residual": ResidualHead, "ddmp": DmpHead}
 
@@ -568,36 +465,6 @@ class Model:
         ctx = dataset.contexts[indices]
         out = mlp_forward(self.mlp, (ctx - self.ctx_mean) / self.ctx_std)
         return self.head.decode(out, dataset, indices)
-
-    def to_dict(self):
-        """Checkpoint payload (schema 2; see `checkpoint`)."""
-        head = self.head
-        method = next(m for m, cls in HEADS.items() if type(head) is cls)
-        return {"method": method, "task": head.task, "n_joint": head.n_joint,
-                "n_samples_per_traj": head.n_samples,
-                "layer_sizes": list(self.mlp.layer_sizes),
-                "theta": encode_f64(self.mlp.theta),
-                "ctx_mean": encode_f64(self.ctx_mean),
-                "ctx_std": encode_f64(self.ctx_std),
-                "train_indices": list(self.train_indices),
-                "test_indices": list(self.test_indices), **head.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d):
-        """Inverse of `to_dict`. A field that is missing or of the wrong
-        type or shape raises ValueError naming it. Fields it does not read
-        are ignored."""
-        head = _field(d, "method", HEADS.__getitem__).from_dict(
-            _field(d, "task", _task), _field(d, "n_joint", _count),
-            _field(d, "n_samples_per_traj", lambda v: _count(v, 2)), d)
-        sizes = _field(d, "layer_sizes", lambda v: _layer_sizes(v, head))
-        mlp = _field(d, "theta", lambda v: MlpParams(sizes, _floats(v)))
-        return cls(head, mlp,
-                   _field(d, "ctx_mean", lambda v: _floats(v, mlp.n_inputs)),
-                   _field(d, "ctx_std",
-                          lambda v: _floats(v, mlp.n_inputs, positive=True)),
-                   _field(d, "train_indices", _indices),
-                   _field(d, "test_indices", _indices))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mprim import checkpoint, training
+from mprim.checkpoint import decode_f64, encode_f64
 from mprim.cli import main
 from mprim.dataset import generate_rtp, generate_wpp, save_jsonl
-from mprim.jsonio import decode_f64, encode_f64
 from mprim.regressor import MlpParams, init_mlp
 from mprim.training import (GLOBAL_GROUP, DmpHead, Model, PrompHead,
                             ResidualHead, TrainConfig, train)
@@ -68,17 +68,26 @@ def test_payload_lists_every_head_field_in_schema_order(tmp_path):
               "test_indices"]
     own = {"deep-mp": ["n_basis"], "residual": ["n_basis", "mean_weights"],
            "ddmp": ["n_basis_dmp", "home"]}
-    ds = generate_rtp(seed=3, counts=(6, 3, 2, 2))
+    # the net's inputs and outputs per task: 3 or 10 context features;
+    # 7 joints x 8 or 10 basis weights, and for ddmp 7 x 5 forcing
+    # weights, the goal and, on wpp only, the start
+    inputs = {"rtp": 3, "wpp": 10}
+    width = {"rtp": {"deep-mp": 56, "residual": 56, "ddmp": 42},
+             "wpp": {"deep-mp": 70, "residual": 70, "ddmp": 49}}
     path = tmp_path / "model.json"
-    for method in METHODS:
-        model, _ = train(method, ds, TrainConfig(epochs=1, seed=1),
-                         n_basis_dmp=5)
-        checkpoint.save(model, path)
-        payload = json.loads(path.read_text())["payload"]
-        assert list(payload) == common + own[method]
-        assert payload["method"] == method
-        assert payload["layer_sizes"] == [3, 64, 64,
-                                          model.mlp.layer_sizes[-1]]
+    for ds in (generate_rtp(seed=3, counts=(6, 3, 2, 2)),
+               generate_wpp(seed=5, trials_per_cell=1)):
+        for method in METHODS:
+            model, _ = train(method, ds, TrainConfig(epochs=1, seed=1),
+                             n_basis_dmp=5)
+            checkpoint.save(model, path)
+            payload = json.loads(path.read_text())["payload"]
+            assert list(payload) == common + own[method]
+            assert (payload["method"], payload["task"]) == (method, ds.kind)
+            assert payload["layer_sizes"] == [inputs[ds.kind], 64, 64,
+                                              width[ds.kind][method]]
+            if method == "ddmp":
+                assert (payload["home"] is None) == (ds.kind == "wpp")
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -150,40 +159,44 @@ def test_uncheckpointable_type(tmp_path):
         checkpoint.save(init_mlp((2, 3), seed=0), tmp_path / "nope.json")
 
 
-@pytest.mark.parametrize("method,field,value,why", [
-    ("residual", "mean_weights", {"A": encode_f64([0.0] * 56)},
+@pytest.mark.parametrize("task,method,field,value,why", [
+    ("rtp", "residual", "mean_weights", {"A": encode_f64([0.0] * 56)},
      "KeyError: '__global__'"),
-    ("residual", "mean_weights", {"__global__": encode_f64([0.0])},
+    ("rtp", "residual", "mean_weights", {"__global__": encode_f64([0.0])},
      "expected 56 float64 values, got 1"),
-    ("ddmp", "home", None, "not a base64 string of float64"),
-    ("ddmp", "n_basis_dmp", [5], "TypeError"),
-    ("ddmp", "n_basis_dmp", 0, "expected an integer >= 1, got 0"),
-    ("ddmp", "n_basis_dmp", 5.0, "TypeError: expected an integer"),
-    ("deep-mp", "theta", lambda old: _with(old, 5, np.nan),
+    ("rtp", "ddmp", "home", None, "not a base64 string of float64"),
+    ("rtp", "ddmp", "n_basis_dmp", [5], "TypeError"),
+    ("rtp", "ddmp", "n_basis_dmp", 0, "expected an integer >= 1, got 0"),
+    ("rtp", "ddmp", "n_basis_dmp", 5.0, "TypeError: expected an integer"),
+    ("rtp", "deep-mp", "theta", lambda old: _with(old, 5, np.nan),
      "ValueError: value 5 is nan; expected finite numbers)"),
-    ("deep-mp", "ctx_mean", encode_f64([np.inf, 0.0, 0.0]),
+    ("rtp", "deep-mp", "ctx_mean", encode_f64([np.inf, 0.0, 0.0]),
      "ValueError: value 0 is inf; expected finite numbers)"),
-    ("deep-mp", "ctx_std", encode_f64([0.0, 1.0, 1.0]),
+    ("rtp", "deep-mp", "ctx_std", encode_f64([0.0, 1.0, 1.0]),
      "ValueError: value 0 is 0.0; expected finite numbers > 0)"),
-    ("residual", "ctx_std", encode_f64([1.0, -2.0, 1.0]),
+    ("rtp", "residual", "ctx_std", encode_f64([1.0, -2.0, 1.0]),
      "ValueError: value 1 is -2.0; expected finite numbers > 0)"),
-    ("residual", "ctx_std", encode_f64([1.0, 1.0, np.inf]),
+    ("rtp", "residual", "ctx_std", encode_f64([1.0, 1.0, np.inf]),
      "ValueError: value 2 is inf; expected finite numbers > 0)"),
-    ("residual", "mean_weights",
+    ("rtp", "residual", "mean_weights",
      {"__global__": encode_f64([0.0] * 55 + [-np.inf])},
      "ValueError: value 55 is -inf; expected finite numbers)"),
-    ("ddmp", "home", encode_f64([0.0] * 6 + [np.nan]),
+    ("rtp", "ddmp", "home", encode_f64([0.0] * 6 + [np.nan]),
      "ValueError: value 6 is nan; expected finite numbers)"),
+    ("wpp", "ddmp", "home", encode_f64([0.0] * 7),
+     "ValueError: expected null, got a str)"),
 ], ids=["means_without_global", "means_width", "rtp_without_home",
         "n_basis_dmp_list", "n_basis_dmp_zero", "n_basis_dmp_float",
         "theta_nan", "ctx_mean_inf", "ctx_std_zero", "ctx_std_negative",
-        "ctx_std_inf", "means_inf", "home_nan"])
-def test_malformed_head_field_names_file_and_field(tmp_path, method, field,
-                                                   value, why):
+        "ctx_std_inf", "means_inf", "home_nan", "wpp_with_home"])
+def test_malformed_head_field_names_file_and_field(tmp_path, task, method,
+                                                   field, value, why):
     # a field of the wrong type, shape or value would otherwise broadcast
     # silently, evaluate to NaN or nonsense, or fail later with a message
-    # naming neither; `value` may be a function of the saved value
-    ds = generate_rtp(seed=3, counts=(6, 3, 2, 2))
+    # naming neither; `value` may be a function of the saved value. A wpp
+    # head has no home: its net predicts the starts
+    ds = (generate_rtp(seed=3, counts=(6, 3, 2, 2)) if task == "rtp"
+          else generate_wpp(seed=5, trials_per_cell=1))
     model, _ = train(method, ds, TrainConfig(epochs=1, seed=1),
                      n_basis_dmp=5)
     path = tmp_path / "model.json"

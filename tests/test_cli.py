@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from mprim import checkpoint, kinematics, training
+from mprim.checkpoint import encode_f64
 from mprim.cli import _build_parser, main
 from mprim.dataset import generate_rtp, generate_wpp, load_jsonl, save_jsonl
-from mprim.jsonio import encode_f64
 from mprim.kinematics import DEFAULT_CHAIN, fk_position
 from mprim.regressor import MlpParams
 from mprim.training import Model, PrompHead, ResidualHead

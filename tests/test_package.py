@@ -1,6 +1,6 @@
 """Guards over the whole package: the names the benchmark tracer wraps,
-and library surface (names, defaulted parameters) that nothing in the
-package uses."""
+the one module that holds the checkpoint format, and library surface
+(names, defaulted parameters) that nothing in the package uses."""
 
 import ast
 import dataclasses
@@ -82,6 +82,29 @@ def test_every_public_name_has_a_reader_in_the_package():
               if not any(stmt.name in names
                          for reader, names in readers if reader is not stmt)]
     assert unread == []
+
+
+def test_checkpoint_alone_writes_and_reads_the_format():
+    # the checkpoint format has one home: no other module imports the
+    # base64 codec its arrays are held in, and no class of mprim writes
+    # or reads itself (`to_dict`, `from_dict`)
+    found = []
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            modules = ([alias.name for alias in node.names]
+                       if isinstance(node, ast.Import) else
+                       [node.module or ""]
+                       if isinstance(node, ast.ImportFrom) else [])
+            if (path.stem != "checkpoint"
+                    and "base64" in (m.split(".")[0] for m in modules)):
+                found.append(f"{path.stem} imports base64")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.stem}.{node.name}.{item.name}"
+                          for item in node.body
+                          if isinstance(item, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef))
+                          and item.name in ("to_dict", "from_dict")]
+    assert found == []
 
 
 def _call(call, classes, owner):

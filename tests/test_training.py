@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from mprim import dmp as dmp_mod
 from mprim import kernels, kinematics, metrics, training
 from mprim.basis import build_phi
-from mprim.dataset import WPP_SPLITS, apply_split, generate_rtp, generate_wpp
+from mprim.dataset import (WPP_SPLITS, apply_split, generate_rtp,
+                           generate_wpp, random_split)
 from mprim.dmp import fit_dmp, rollout_matched
 from mprim.errors import IntegrationError, TrainingDivergedError
 from mprim.kinematics import DEFAULT_CHAIN, final_distances
 from mprim.regressor import MlpParams, mlp_forward
 from mprim.training import (DmpHead, Model, PrompHead, ResidualHead,
-                            TrainConfig, TrainReport, evaluate, random_split,
-                            train)
+                            TrainConfig, TrainReport, evaluate, train)
 
 
 @pytest.fixture(scope="module")
