@@ -16,7 +16,8 @@ and then only its head's own fields, the head's dataclass fields after
             and T)
   residual  "n_basis": int, "mean_weights": {region: enc of J*n_basis}
   ddmp      "n_basis_dmp": int, "home": enc of J (rtp) or null (wpp)
-Every array value must be finite, and every `ctx_std` entry > 0. Other
+Every array value must be finite, and every `ctx_std` entry > 0. The
+two index lists form a split that `dataset.check_split` accepts. Other
 payload fields are ignored: checkpoints written while the models still
 took a sampling rate and a DMP time constant hold one field for each,
 and they load as before.
@@ -30,7 +31,7 @@ import json
 
 import numpy as np
 
-from mprim.dataset import TASKS
+from mprim.dataset import TASKS, check_split
 from mprim.jsonio import read_json_object, replace_on_success
 from mprim.regressor import MlpParams
 from mprim.training import GLOBAL_GROUP, HEADS, Model
@@ -39,8 +40,8 @@ SCHEMA_VERSION = 2
 KIND = "trained_model"
 
 
-def save(model: Model, path, meta=None):
-    """Write a checkpoint; `meta` is an optional free-form metadata dict.
+def save(model: Model, path, meta):
+    """Write a checkpoint; `meta` is a free-form metadata dict.
 
     Only what `load` reads back is written. The payload goes through the
     reader's checks first: a non-finite `theta`, scaler, mean or `home`
@@ -57,7 +58,7 @@ def save(model: Model, path, meta=None):
     except ValueError as err:
         raise ValueError(f"cannot write checkpoint {path}: {err}") from None
     doc = {"schema": SCHEMA_VERSION, "kind": KIND, "payload": payload,
-           "meta": meta or {}}
+           "meta": meta}
     with replace_on_success(path) as fh:
         json.dump(doc, fh, allow_nan=False)
         fh.write("\n")
@@ -138,8 +139,8 @@ def _model(d):
     return Model(head, mlp, _field(d, "ctx_mean", _floats, mlp.n_inputs),
                  _field(d, "ctx_std",
                         lambda v: _floats(v, mlp.n_inputs, positive=True)),
-                 _field(d, "train_indices", _indices),
-                 _field(d, "test_indices", _indices))
+                 train := _field(d, "train_indices", _indices, None),
+                 _field(d, "test_indices", _indices, train))
 
 
 def _field(d, name, parse, *args):
@@ -154,9 +155,11 @@ def _field(d, name, parse, *args):
                          f"({type(err).__name__}: {err})") from None
 
 
-def _indices(value):
+def _indices(value, train):
+    """The split's train side, or with `train` its test side, as a tuple."""
     if not isinstance(value, list) or any(type(i) is not int for i in value):
         raise ValueError("expected a list of integer demo indices")
+    check_split(*((value, ()) if train is None else (train, value)))
     return tuple(value)
 
 

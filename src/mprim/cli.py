@@ -12,7 +12,10 @@ run can be reproduced from the manifest alone. Exit codes: 0 success,
 2 usage error, 1 runtime failure. The seed falls back to the MPRIM_SEED
 environment variable when --seed is not given. `--config FILE`, given
 before the subcommand, supplies flag defaults from a JSON object; the file
-is then one of the run's inputs.
+is then one of the run's inputs. Only this module defaults a run; the
+library takes every setting from its caller. The defaults sit in the
+flags and, per dataset kind, in `_BY_KIND`; `--help` shows them, and a
+train run's config (manifest, checkpoint meta) records resolved values.
 
 Reproducibility: with the same arguments and seed, every output is bit
 for bit identical for the same numpy build, BLAS kernel and CPU dispatch
@@ -53,6 +56,9 @@ from mprim.dataset import (RTP_DEFAULT_COUNTS, WPP_DEFAULT_TRIALS, WPP_SPLITS,
                            apply_split, generate_rtp, generate_wpp,
                            load_jsonl, save_jsonl)
 from mprim.jsonio import read_json_object
+
+_BY_KIND = {"epochs": {"rtp": 150, "wpp": 200},
+            "n_basis": {"rtp": 8, "wpp": 10}}
 
 
 def _sha256(path):
@@ -143,19 +149,24 @@ def _build_parser():
              "(e.g. batch_size for --batch-size); values are checked like "
              "the flags, and flags given on the command line win")
     sub = parser.add_subparsers(dest="command", required=True)
+    by_kind = {dest: "(default: {})".format(", ".join(
+        f"{value} for {kind} data" for kind, value in defaults.items()))
+        for dest, defaults in _BY_KIND.items()}
 
     gen = sub.add_parser("generate", help="synthesize a demo dataset")
     gen.add_argument("--kind", choices=("rtp", "wpp"), required=True)
     gen.add_argument("--seed", type=_int_from(0), default=None)
     gen.add_argument("--out", type=Path, required=True)
-    gen.add_argument("--counts", type=_parse_counts, default=None,
-                     help="rtp region counts a,b,c,d")
+    gen.add_argument("--counts", type=_parse_counts,
+                     default=list(RTP_DEFAULT_COUNTS.values()),
+                     help="rtp region counts a,b,c,d (default: %(default)s)")
     gen.add_argument("--trials", type=_int_from(1),
                      default=WPP_DEFAULT_TRIALS,
-                     help="wpp trials per pattern/configuration cell")
+                     help="wpp trials per pattern/configuration cell "
+                          "(default: %(default)s)")
     gen.add_argument("--noise", type=_finite(0.0, inclusive=True),
                      default=0.0,
-                     help="rtp joint noise standard deviation (rad)")
+                     help="rtp joint noise std in rad (default: %(default)s)")
 
     tr = sub.add_parser("train", help="train a model on a dataset")
     tr.add_argument("--data", type=Path, required=True)
@@ -166,27 +177,31 @@ def _build_parser():
     tr.add_argument("--split", default=None,
                     help="WPP1..WPP10 pattern split (default: random)")
     tr.add_argument("--epochs", type=_int_from(0), default=None,
-                    help="default 150 for rtp data, 200 for wpp")
-    tr.add_argument("--batch-size", type=_int_from(1), default=32)
-    tr.add_argument("--lr", type=_finite(0.0), default=1e-3)
+                    help=by_kind["epochs"])
+    tr.add_argument("--batch-size", type=_int_from(1), default=32,
+                    help="(default: %(default)s)")
+    tr.add_argument("--lr", type=_finite(0.0), default=1e-3,
+                    help="(default: %(default)s)")
     tr.add_argument("--seed", type=_int_from(0), default=None)
-    tr.add_argument("--hidden", type=_parse_hidden, default=None,
-                    help="hidden layer sizes (default 64,64)")
+    tr.add_argument("--hidden", type=_parse_hidden, default="64,64",
+                    help="hidden layer sizes (default: %(default)s)")
     tr.add_argument("--n-basis", type=_int_from(1), default=None,
-                    help="default 8 for rtp data, 10 for wpp")
-    tr.add_argument("--n-basis-dmp", type=_int_from(1), default=None,
-                    help="default 25")
+                    help=by_kind["n_basis"])
+    tr.add_argument("--n-basis-dmp", type=_int_from(1), default=25,
+                    help="(default: %(default)s)")
     tr.add_argument("--tau", type=_finite(0.0), default=None,
                     help="no effect: the attractor works in unit time; "
                          "still parsed so that older command lines run")
-    tr.add_argument("--patience", type=_int_from(1), default=20)
+    tr.add_argument("--patience", type=_int_from(1), default=20,
+                    help="(default: %(default)s)")
     tr.add_argument("--out", type=Path, required=True)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     ev.add_argument("--data", type=Path, required=True)
     ev.add_argument("--checkpoint", type=Path, required=True)
     ev.add_argument("--outdir", type=Path, required=True)
-    ev.add_argument("--plot-samples", type=_int_from(0), default=2)
+    ev.add_argument("--plot-samples", type=_int_from(0), default=2,
+                    help="(default: %(default)s)")
     ev.add_argument("--chain", type=Path, default=None,
                     help="kinematic chain config (default: built-in chain)")
     return parser
@@ -194,11 +209,8 @@ def _build_parser():
 
 def cmd_generate(args, argv):
     if args.kind == "rtp":
-        dataset = generate_rtp(args.seed, counts=args.counts,
-                               noise_std=args.noise)
-        config = {"kind": "rtp",
-                  "counts": args.counts or list(RTP_DEFAULT_COUNTS.values()),
-                  "noise": args.noise}
+        dataset = generate_rtp(args.seed, args.counts, args.noise)
+        config = {"kind": "rtp", "counts": args.counts, "noise": args.noise}
     else:
         dataset = generate_wpp(args.seed, trials_per_cell=args.trials)
         config = {"kind": "wpp", "trials": args.trials}
@@ -214,17 +226,12 @@ def cmd_train(args, argv):
     from mprim import checkpoint, training
 
     dataset = load_jsonl(args.data)
-    epochs = args.epochs
-    if epochs is None:
-        epochs = (training.DEFAULT_EPOCHS_WPP if dataset.kind == "wpp"
-                  else training.DEFAULT_EPOCHS_RTP)
-    hidden = (training.DEFAULT_HIDDEN if args.hidden is None
-              else args.hidden)
-    n_basis_dmp = (training.DEFAULT_N_BASIS_DMP if args.n_basis_dmp is None
-                   else args.n_basis_dmp)
-    cfg = training.TrainConfig(epochs=epochs, batch_size=args.batch_size,
-                               learning_rate=args.lr, seed=args.seed,
-                               early_stop_patience=args.patience)
+    for dest, defaults in _BY_KIND.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, defaults[dataset.kind])
+    cfg = training.TrainConfig(
+        epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
+        seed=args.seed, early_stop_patience=args.patience)
     if args.task not in (None, dataset.kind):
         raise ValueError(f"--task {args.task}: {args.data} holds "
                          f"{dataset.kind} demos, which set the task")
@@ -239,13 +246,13 @@ def cmd_train(args, argv):
             raise ValueError(f"--split {args.split}: {args.data} holds "
                              f"{dataset.kind} demos: {err}") from None
     model, report = training.train(
-        args.method, dataset, cfg, n_basis=args.n_basis, hidden=hidden,
-        n_basis_dmp=n_basis_dmp, split=split)
+        args.method, dataset, cfg, n_basis=args.n_basis, hidden=args.hidden,
+        n_basis_dmp=args.n_basis_dmp, split=split)
 
-    config = {"method": args.method, "epochs": epochs,
+    config = {"method": args.method, "epochs": args.epochs,
               "batch_size": args.batch_size, "lr": args.lr,
-              "hidden": list(hidden), "n_basis": args.n_basis,
-              "n_basis_dmp": n_basis_dmp, "split": args.split,
+              "hidden": list(args.hidden), "n_basis": args.n_basis,
+              "n_basis_dmp": args.n_basis_dmp, "split": args.split,
               "patience": args.patience, "data": str(args.data)}
     meta = {"config": config, "seed": args.seed,
             "stopping_reason": report.stopping_reason,

@@ -48,6 +48,7 @@ import json
 import os
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,50 +240,34 @@ def _sample_region_xy(rng, region):
             return np.array(RTP_CENTER_XY) + xy
 
 
-def _region_counts(counts) -> dict:
-    """`counts` as {region: count}: a dict keyed by region names, or a
-    sequence of one count per region A..D. Each count is an int >= 1;
-    anything else raises ValueError naming the entry."""
-    names = list(RTP_REGION_HALF_EXTENT)
-    if not isinstance(counts, dict):
-        if len(counts) != len(names):
-            raise ValueError(f"counts must hold {len(names)} counts, one per "
-                             f"region {', '.join(names)}, got {counts!r}")
-        counts = dict(zip(names, counts))
-    if not counts:
-        raise ValueError("counts names no region")
-    for region, count in counts.items():
-        if region not in RTP_REGION_HALF_EXTENT:
-            raise ValueError(f"counts key {region!r} is not a region; "
-                             f"expected one of {', '.join(names)}")
-        if type(count) is not int or count < 1:
-            raise ValueError(f"region {region} count must be an integer >= "
-                             f"1, got {count!r}")
-    return counts
-
-
-def generate_rtp(seed: int, counts=None,
-                 noise_std: float = 0.0) -> DemoDataset:
+def generate_rtp(seed: int, counts, noise_std: float) -> DemoDataset:
     """Reach dataset: phantom positions per region, point-to-point demos.
 
     Every demo starts at the home configuration and moves to the goal
     configuration determined by the phantom position in `DEFAULT_T`
-    samples; the context is that position. `counts` gives the demos per
-    region (see `_region_counts`; default `RTP_DEFAULT_COUNTS`).
-    `noise_std` adds seeded Gaussian joint noise to emulate the variance
-    of hand-guided demos (off by default).
+    samples; the context is that position. `counts` holds the demos of
+    regions A..D, four ints >= 1; a bad entry raises ValueError naming
+    it. `noise_std` > 0 adds seeded Gaussian joint noise of that standard
+    deviation to emulate the variance of hand-guided demos.
 
     The seeded draws are made demo by demo (position, then noise); the
     goals and profiles of all demos are then computed as one stack.
     """
-    counts = _region_counts(RTP_DEFAULT_COUNTS if counts is None else counts)
-    n = sum(counts.values())
+    names = list(RTP_REGION_HALF_EXTENT)
+    if len(counts) != len(names):
+        raise ValueError(f"counts must hold {len(names)} counts, one per "
+                         f"region {', '.join(names)}, got {counts!r}")
+    for region, count in zip(names, counts):
+        if type(count) is not int or count < 1:
+            raise ValueError(f"region {region} count must be an integer >= "
+                             f"1, got {count!r}")
+    n = sum(counts)
     rng = np.random.default_rng(seed)
     contexts = np.empty((n, 3))
     noise = (np.empty((n, DEFAULT_T, len(HOME_CONFIG)))
              if noise_std > 0.0 else None)
     tags = []
-    for region, count in counts.items():
+    for region, count in zip(names, counts):
         for _ in range(count):
             k = len(tags)
             contexts[k, :2] = _sample_region_xy(rng, region)
@@ -304,8 +289,7 @@ def wpp_context(config: str, pattern: int) -> np.ndarray:
     return np.concatenate([np.asarray(WPP_CONFIG_POSITIONS[config]), onehot])
 
 
-def generate_wpp(seed: int,
-                 trials_per_cell: int = WPP_DEFAULT_TRIALS) -> DemoDataset:
+def generate_wpp(seed: int, trials_per_cell: int) -> DemoDataset:
     """Palpation dataset: 7 patterns x 4 configurations x trials strokes.
 
     Each trial strokes outward from the nipple along its pattern's angle,
@@ -427,6 +411,21 @@ def apply_split(dataset: DemoDataset, dispositions, seed: int):
     return np.array(sorted(train), dtype=int), np.array(sorted(test), dtype=int)
 
 
+def check_split(train, test):
+    """ValueError unless the int lists `train` and `test` form a split: a
+    nonempty train side, no demo on both sides, none twice on one side.
+    Pure Python: numpy's set routines add 0.5 MB of RSS (numpy.ma, sort)."""
+    if len(train) == 0:
+        raise ValueError("the split's train side is empty")
+    both = set(train).intersection(test)
+    if both:
+        raise ValueError(f"demo {min(both)} is on both the train and the "
+                         f"test side of the split")
+    for name, side in (("train", train), ("test", test)):
+        twice = [demo for demo, n in Counter(side).items() if n > 1]
+        if twice:
+            raise ValueError(f"demo {min(twice)} is on the {name} side of "
+                             f"the split more than once")
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +578,13 @@ def load_jsonl(path) -> DemoDataset:
         context_values, width, tags = array("d"), None, []
         for k in range(n):
             line_no = k + 2
-            # the records end early when the rest of the file is nothing,
-            # the block of the records so far (the header overstates N) or
-            # the block of N demos (a record line is missing)
-            if size - offset in (0, 8 * k * t * j, block_bytes):
-                fail(line_no, f"header declares {n} samples, found {k}")
             line = fh.readline()
+            # the records end early when the rest is nothing, the block of
+            # the records so far (N overstated) or of N demos (a record is
+            # missing), unless a record line follows (a block cut short)
+            if (size - offset in (0, 8 * k * t * j, block_bytes)
+                    and not line.startswith(b'{"')):
+                fail(line_no, f"header declares {n} samples, found {k}")
             offset += len(line)
             record = parse(line_no, line)
             try:

@@ -24,7 +24,8 @@ checkpoint holds of a head, and how, is `checkpoint`'s alone.
 shuffling, best-validation checkpointing, early stopping on the
 validation loss) and returns a `Model`: the net, its context scaler, its
 split and its head. `evaluate` decodes a whole split in one call and
-scores every head with the same expressions.
+scores every head with the same expressions. No setting of a run has
+a default here: the caller states each one; `mprim.cli` holds defaults.
 
 Memory rule: a stage holds the dataset, one split's prediction and truth,
 and temporaries of at most one chunk of `kernels.CHUNK_DEMOS` demos (plus
@@ -43,29 +44,26 @@ import numpy as np
 from mprim import dmp as dmp_mod
 from mprim import kernels, metrics
 from mprim.basis import build_phi
-from mprim.dataset import DemoDataset, random_split
+from mprim.dataset import DemoDataset, check_split, random_split
 from mprim.errors import IntegrationError, TrainingDivergedError
-from mprim.kinematics import DEFAULT_CHAIN, KinematicChain, final_distances
+from mprim.kinematics import KinematicChain, final_distances
 from mprim.promp import fit_weights
 from mprim.regressor import (MlpParams, adam_init, adam_step, init_mlp,
                              mlp_forward, rms_loss, trajectory_loss)
 
-DEFAULT_EPOCHS_RTP = 150
-DEFAULT_EPOCHS_WPP = 200
-DEFAULT_HIDDEN = (64, 64)
-DEFAULT_N_BASIS = {"rtp": 8, "wpp": 10}
-DEFAULT_N_BASIS_DMP = 25
 GOAL_WEIGHT = 100.0   # rtp attractor loss: weight of the goal residual
 GLOBAL_GROUP = "__global__"
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings of the minibatch loop; the split fractions are fixed."""
+
     epochs: int
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    seed: int = 0
-    early_stop_patience: int = 20
+    batch_size: int
+    learning_rate: float
+    seed: int
+    early_stop_patience: int
     train_fraction: ClassVar[float] = 0.85
     val_fraction_of_train: ClassVar[float] = 0.25
 
@@ -235,7 +233,7 @@ def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
 class Head:
     """What the network's output means, for one method.
 
-    A subclass fits its targets (`fit`, whose one keyword is its basis
+    A subclass fits its targets (`fit`, whose third argument is its basis
     size: `n_basis` or `n_basis_dmp`), computes its per-sample loss and
     the loss gradient w.r.t. a batch of network outputs (`loss_and_grad`),
     decodes such a batch (`decode`), gives the ground truth of a split
@@ -259,10 +257,8 @@ class PrompHead(Head):
                                                   self.n_basis))
 
     @classmethod
-    def fit(cls, dataset, train_idx, n_basis=None):
+    def fit(cls, dataset, train_idx, n_basis):
         """(head, fitted weights of every demo)."""
-        if n_basis is None:
-            n_basis = DEFAULT_N_BASIS[dataset.kind]
         head = cls(dataset.kind, dataset.n_joint, dataset.n_samples_per_traj,
                    n_basis)
         return head, head.weights(dataset.trajectories)
@@ -311,7 +307,7 @@ class ResidualHead(PrompHead):
     mean_weights: dict             # region (or GLOBAL_GROUP) -> flat mean
 
     @classmethod
-    def fit(cls, dataset, train_idx, n_basis=None):
+    def fit(cls, dataset, train_idx, n_basis):
         if len(train_idx) < 2:
             raise ValueError("residual variant needs at least 2 training "
                              "demos")
@@ -357,7 +353,7 @@ class DmpHead(Head):
     home: np.ndarray               # rtp only, None for wpp
 
     @classmethod
-    def fit(cls, dataset, train_idx, n_basis_dmp=DEFAULT_N_BASIS_DMP):
+    def fit(cls, dataset, train_idx, n_basis_dmp):
         """(head, attractor parameters of every demo); the variant is the
         dataset kind."""
         home = None
@@ -438,8 +434,8 @@ class Model:
     mlp: MlpParams
     ctx_mean: np.ndarray
     ctx_std: np.ndarray
-    train_indices: tuple = ()
-    test_indices: tuple = ()
+    train_indices: tuple
+    test_indices: tuple
 
     def check_fits(self, dataset: DemoDataset):
         """Raise ValueError unless `dataset` has this model's shapes."""
@@ -471,18 +467,17 @@ class Model:
 # training and evaluation
 
 def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
-          n_basis: int = None, hidden=DEFAULT_HIDDEN,
-          n_basis_dmp: int = DEFAULT_N_BASIS_DMP, split=None):
+          n_basis: int, hidden, n_basis_dmp: int, split):
     """Train the net of `method` (deep-mp, residual or ddmp).
 
-    `n_basis` is the ProMP basis size (default 8 for rtp data, 10 for
-    wpp); `n_basis_dmp` sets the attractor head, whose variant follows the
-    dataset kind. `split` is (train, test) indices; by
-    default a seeded random split. A split with no train demo, an index
-    that is not an integer or lies outside the dataset, or a demo on both
-    sides raises ValueError. A run whose loss is not finite before any
-    epoch could be kept raises TrainingDivergedError. Returns (Model,
-    TrainReport).
+    `n_basis` is the ProMP basis size of deep-mp and residual, and
+    `n_basis_dmp` that of ddmp's attractor, whose variant follows the
+    dataset kind. `hidden` holds the hidden layer sizes. `split` is
+    (train, test) indices, or None for a random split seeded by
+    `cfg.seed`. An index that is not an integer or lies outside the
+    dataset, or a split that `dataset.check_split` rejects, raises
+    ValueError. A run whose loss is not finite before any epoch could be
+    kept raises TrainingDivergedError. Returns (Model, TrainReport).
     """
     if method not in HEADS:
         raise ValueError(f"unknown method {method!r}; "
@@ -493,15 +488,9 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
         split = random_split(len(dataset), cfg.train_fraction, cfg.seed)
     train_idx, test_idx = (_demo_indices(idx, len(dataset), what)
                            for idx, what in zip(split, ("train", "test")))
-    if not len(train_idx):   # an empty test side is allowed
-        raise ValueError("the split's train side is empty")
-    both = set(train_idx.tolist()) & set(test_idx.tolist())
-    if both:
-        raise ValueError(f"demo {min(both)} is on both the train and the "
-                         f"test side of the split")
-    size = ({"n_basis_dmp": n_basis_dmp} if method == "ddmp"
-            else {"n_basis": n_basis})
-    head, targets = HEADS[method].fit(dataset, train_idx, **size)
+    check_split(train_idx.tolist(), test_idx.tolist())
+    head, targets = HEADS[method].fit(
+        dataset, train_idx, n_basis_dmp if method == "ddmp" else n_basis)
     contexts = dataset.contexts
     mean, std = _fit_scaler(contexts[train_idx])
     params, report = _run_training((contexts - mean) / std, targets,
@@ -524,7 +513,7 @@ def group_keys(dataset: DemoDataset):
 
 
 def evaluate(model: Model, dataset: DemoDataset, indices,
-             chain: KinematicChain = DEFAULT_CHAIN):
+             chain: KinematicChain):
     """Grouped metrics over a dataset subset.
 
     Returns (records, overall, pred): one EvalRecord per tag group
@@ -536,8 +525,8 @@ def evaluate(model: Model, dataset: DemoDataset, indices,
     out the ground-truth refits as one batch and the predictions as
     another. A divergent rollout raises IntegrationError naming the
     dataset indices and which of the two it was. Each demo's squared
-    error and end-effector distance are computed once, in one pass over
-    the whole split, and averaged per group.
+    error and end-effector distance (on `chain`) are computed once, in
+    one pass over the whole split, and averaged per group.
     """
     indices = _demo_indices(indices, len(dataset), "demo")
     if len(indices) == 0:

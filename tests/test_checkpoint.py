@@ -20,12 +20,20 @@ from mprim.training import (GLOBAL_GROUP, DmpHead, Model, PrompHead,
 METHODS = ("deep-mp", "residual", "ddmp")
 
 
+def _trained(method, ds, epochs, seed, n_basis_dmp):
+    """The model of `method` trained on `ds` on a random split, at `mprim
+    train`'s batch size, rate, patience, hidden layers and basis size."""
+    cfg = TrainConfig(epochs=epochs, batch_size=32, learning_rate=1e-3,
+                      seed=seed, early_stop_patience=20)
+    return train(method, ds, cfg, n_basis={"rtp": 8, "wpp": 10}[ds.kind],
+                 hidden=(64, 64), n_basis_dmp=n_basis_dmp, split=None)[0]
+
+
 def test_dmp_model_round_trip(tmp_path):
-    ds = generate_rtp(seed=4, counts=(6, 3, 2, 2))
-    model, _ = train("ddmp", ds, TrainConfig(epochs=1, seed=2),
-                     n_basis_dmp=6)
+    ds = generate_rtp(seed=4, counts=(6, 3, 2, 2), noise_std=0.0)
+    model = _trained("ddmp", ds, epochs=1, seed=2, n_basis_dmp=6)
     path = tmp_path / "ddmp.json"
-    checkpoint.save(model, path)
+    checkpoint.save(model, path, meta={})
     back = checkpoint.load(path)
     assert isinstance(back.head, DmpHead)
     head = back.head
@@ -37,8 +45,8 @@ def test_dmp_model_round_trip(tmp_path):
 
 
 def test_trained_model_round_trip_preserves_predictions(tmp_path):
-    ds = generate_rtp(seed=3, counts=(6, 3, 2, 2))
-    model, _ = train("residual", ds, TrainConfig(epochs=2, seed=1))
+    ds = generate_rtp(seed=3, counts=(6, 3, 2, 2), noise_std=0.0)
+    model = _trained("residual", ds, epochs=2, seed=1, n_basis_dmp=25)
     path = tmp_path / "model.json"
     checkpoint.save(model, path, meta={"note": "test"})
     back = checkpoint.load(path)
@@ -53,11 +61,10 @@ def test_trained_model_round_trip_preserves_predictions(tmp_path):
 @pytest.mark.parametrize("method", ["deep-mp", "residual", "ddmp"])
 def test_save_of_loaded_model_is_byte_identical(tmp_path, method):
     ds = generate_wpp(seed=5, trials_per_cell=1)
-    model, _ = train(method, ds, TrainConfig(epochs=1, seed=0),
-                     n_basis_dmp=5)
+    model = _trained(method, ds, epochs=1, seed=0, n_basis_dmp=5)
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    checkpoint.save(model, first)
-    checkpoint.save(checkpoint.load(first), second)
+    checkpoint.save(model, first, meta={})
+    checkpoint.save(checkpoint.load(first), second, meta={})
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -75,12 +82,11 @@ def test_payload_lists_every_head_field_in_schema_order(tmp_path):
     width = {"rtp": {"deep-mp": 56, "residual": 56, "ddmp": 42},
              "wpp": {"deep-mp": 70, "residual": 70, "ddmp": 49}}
     path = tmp_path / "model.json"
-    for ds in (generate_rtp(seed=3, counts=(6, 3, 2, 2)),
+    for ds in (generate_rtp(seed=3, counts=(6, 3, 2, 2), noise_std=0.0),
                generate_wpp(seed=5, trials_per_cell=1)):
         for method in METHODS:
-            model, _ = train(method, ds, TrainConfig(epochs=1, seed=1),
-                             n_basis_dmp=5)
-            checkpoint.save(model, path)
+            model = _trained(method, ds, epochs=1, seed=1, n_basis_dmp=5)
+            checkpoint.save(model, path, meta={})
             payload = json.loads(path.read_text())["payload"]
             assert list(payload) == common + own[method]
             assert (payload["method"], payload["task"]) == (method, ds.kind)
@@ -96,10 +102,9 @@ def test_checkpoint_with_time_scales_still_loads(tmp_path, method):
     # attractor a time constant hold those fields; both cancelled out of
     # every prediction, so such a checkpoint predicts what it did
     ds = generate_wpp(seed=5, trials_per_cell=1)
-    model, _ = train(method, ds, TrainConfig(epochs=1, seed=0),
-                     n_basis_dmp=5)
+    model = _trained(method, ds, epochs=1, seed=0, n_basis_dmp=5)
     new, old = tmp_path / "new.json", tmp_path / "old.json"
-    checkpoint.save(model, new)
+    checkpoint.save(model, new, meta={})
     doc = json.loads(new.read_text())
     doc["payload"]["sampling_frequency"] = 150.0
     if method == "ddmp":
@@ -127,7 +132,7 @@ def test_fields_the_benchmark_reads(tmp_path):
     # the train stage writes and counts the samples trained on from these
     # fields; a checkpoint without them fails the benchmark's reload check
     data, ckpt = tmp_path / "d.jsonl", tmp_path / "ck.json"
-    save_jsonl(generate_rtp(seed=2, counts=(4, 2, 2, 2)), data)
+    save_jsonl(generate_rtp(seed=2, counts=(4, 2, 2, 2), noise_std=0.0), data)
     assert main(["train", "--data", str(data), "--method", "deep-mp",
                  "--epochs", "3", "--seed", "0", "--out", str(ckpt)]) == 0
     assert list(inspect.signature(checkpoint.load).parameters) == ["path"]
@@ -156,7 +161,8 @@ def test_unsupported_schema(tmp_path):
 
 def test_uncheckpointable_type(tmp_path):
     with pytest.raises(TypeError):
-        checkpoint.save(init_mlp((2, 3), seed=0), tmp_path / "nope.json")
+        checkpoint.save(init_mlp((2, 3), seed=0), tmp_path / "nope.json",
+                        meta={})
 
 
 @pytest.mark.parametrize("task,method,field,value,why", [
@@ -195,12 +201,11 @@ def test_malformed_head_field_names_file_and_field(tmp_path, task, method,
     # silently, evaluate to NaN or nonsense, or fail later with a message
     # naming neither; `value` may be a function of the saved value. A wpp
     # head has no home: its net predicts the starts
-    ds = (generate_rtp(seed=3, counts=(6, 3, 2, 2)) if task == "rtp"
-          else generate_wpp(seed=5, trials_per_cell=1))
-    model, _ = train(method, ds, TrainConfig(epochs=1, seed=1),
-                     n_basis_dmp=5)
+    ds = (generate_rtp(seed=3, counts=(6, 3, 2, 2), noise_std=0.0)
+          if task == "rtp" else generate_wpp(seed=5, trials_per_cell=1))
+    model = _trained(method, ds, epochs=1, seed=1, n_basis_dmp=5)
     path = tmp_path / "model.json"
-    checkpoint.save(model, path)
+    checkpoint.save(model, path, meta={})
     doc = json.loads(path.read_text())
     old = doc["payload"][field]
     doc["payload"][field] = value(old) if callable(value) else value
@@ -236,11 +241,10 @@ def test_head_that_does_not_fit_net_names_file_and_field(
         tmp_path, method, field, value, named, why):
     # an unknown task or a head whose width is not the net's output used
     # to load, then evaluate silently (residual) or fail deep in numpy
-    ds = generate_rtp(seed=1, counts=(6, 3, 2, 2))
-    model, _ = train(method, ds, TrainConfig(epochs=1, seed=1),
-                     n_basis_dmp=5)
+    ds = generate_rtp(seed=1, counts=(6, 3, 2, 2), noise_std=0.0)
+    model = _trained(method, ds, epochs=1, seed=1, n_basis_dmp=5)
     path = tmp_path / "model.json"
-    checkpoint.save(model, path)
+    checkpoint.save(model, path, meta={})
     doc = json.loads(path.read_text())
     doc["payload"][field] = value
     path.write_text(json.dumps(doc))
@@ -248,6 +252,31 @@ def test_head_that_does_not_fit_net_names_file_and_field(
         checkpoint.load(path)
     assert str(err.value) == (f"{path}: payload field {named!r} is "
                               f"malformed ({why})")
+
+
+@pytest.mark.parametrize("train_indices,test_indices,field,why", [
+    ([0, 2, 3], [3, 5], "test_indices",
+     "demo 3 is on both the train and the test side of the split"),
+    ([0, 2], [1, 4, 1], "test_indices",
+     "demo 1 is on the test side of the split more than once"),
+    ([0, 2, 0], [1], "train_indices",
+     "demo 0 is on the train side of the split more than once"),
+    ([], [0, 1, 2], "train_indices", "the split's train side is empty"),
+], ids=["overlap", "repeat", "train_repeat", "empty_train"])
+def test_split_that_train_rejects_names_file_and_field(
+        tmp_path, train_indices, test_indices, field, why):
+    # such a split loaded, and `mprim eval` then scored training demos,
+    # or one demo twice, as held-out ones
+    path = tmp_path / "model.json"
+    checkpoint.save(_linear_model("deep-mp"), path, meta={})
+    doc = json.loads(path.read_text())
+    doc["payload"].update(train_indices=train_indices,
+                          test_indices=test_indices)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        checkpoint.load(path)
+    assert str(err.value) == (f"{path}: payload field {field!r} is "
+                              f"malformed (ValueError: {why})")
 
 
 def test_non_utf8_checkpoint_names_file(tmp_path):
@@ -275,7 +304,7 @@ def _linear_model(method):
 def test_save_refuses_what_load_rejects(tmp_path, method, field, value, why):
     model = _linear_model(method)
     path = tmp_path / "model.json"
-    checkpoint.save(model, path)
+    checkpoint.save(model, path, meta={})
     before = path.read_bytes()
     head = model.head
     array = {"theta": model.mlp.theta, "ctx_mean": model.ctx_mean,
@@ -284,7 +313,7 @@ def test_save_refuses_what_load_rejects(tmp_path, method, field, value, why):
              "home": getattr(head, "home", None)}[field]
     array[1] = value
     with pytest.raises(ValueError) as err:
-        checkpoint.save(model, path)
+        checkpoint.save(model, path, meta={})
     assert str(err.value).startswith(
         f"cannot write checkpoint {path}: payload field {field!r} is "
         f"malformed (")
@@ -362,9 +391,9 @@ class TestFormatProperties:
         with tempfile.TemporaryDirectory() as tmp:
             first, second = (os.path.join(tmp, name)
                              for name in ("a.json", "b.json"))
-            checkpoint.save(model, first)
+            checkpoint.save(model, first, meta={})
             back = checkpoint.load(first)
-            checkpoint.save(back, second)
+            checkpoint.save(back, second, meta={})
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
         assert type(back.head) is type(model.head)
@@ -394,7 +423,7 @@ class TestFormatProperties:
             with open(path, "w") as fh:
                 fh.write("an earlier file\n")
             try:
-                checkpoint.save(model, path)
+                checkpoint.save(model, path, meta={})
             except ValueError:
                 assert not loadable
                 with open(path) as fh:
@@ -420,7 +449,7 @@ class TestFormatProperties:
         path_in_payload = data.draw(st.sampled_from(fields))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "model.json")
-            checkpoint.save(model, path)
+            checkpoint.save(model, path, meta={})
             with open(path) as fh:
                 doc = json.load(fh)
             parent = doc["payload"]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mprim import checkpoint, kinematics, training
+from mprim import checkpoint, cli, kinematics, training
 from mprim.checkpoint import encode_f64
 from mprim.cli import _build_parser, main
 from mprim.dataset import generate_rtp, generate_wpp, load_jsonl, save_jsonl
@@ -49,7 +49,8 @@ def replaced(doc, value, *path):
 @pytest.fixture()
 def small_dataset(tmp_path):
     path = tmp_path / "demos.jsonl"
-    save_jsonl(generate_rtp(seed=13, counts=(12, 6, 4, 4)), path)
+    save_jsonl(generate_rtp(seed=13, counts=(12, 6, 4, 4), noise_std=0.0),
+               path)
     return path
 
 
@@ -131,7 +132,7 @@ class TestGenerate:
 class TestTrain:
     def test_residual_on_two_demo_dataset(self, tmp_path):
         data = tmp_path / "two.jsonl"
-        ds = generate_rtp(seed=2, counts=(1, 1, 1, 1))
+        ds = generate_rtp(seed=2, counts=(1, 1, 1, 1), noise_std=0.0)
         save_jsonl(dataclasses.replace(
             ds, contexts=ds.contexts[:2], trajectories=ds.trajectories[:2],
             tags=ds.tags[:2]), data)
@@ -220,15 +221,70 @@ class TestTrain:
 
     def test_defaults_resolved_into_the_config(self, small_dataset,
                                                tmp_path):
+        # the config records the values the run used, the per-kind basis
+        # size included
+        wpp = tmp_path / "wpp.jsonl"
+        save_jsonl(generate_wpp(seed=1, trials_per_cell=1), wpp)
         ckpt = tmp_path / "ck.json"
-        assert run(["train", "--data", small_dataset, "--method", "ddmp",
-                    "--epochs", "1", "--out", ckpt]) == 0
-        config = json.loads(ckpt.read_text())["meta"]["config"]
-        assert config["hidden"] == list(training.DEFAULT_HIDDEN)
-        assert config["n_basis_dmp"] == training.DEFAULT_N_BASIS_DMP
-        manifest = json.loads(
-            (tmp_path / "ck.json.manifest.json").read_text())
-        assert manifest["config"] == config
+        for method, data, n_basis in (("ddmp", small_dataset, 8),
+                                      ("deep-mp", small_dataset, 8),
+                                      ("deep-mp", wpp, 10)):
+            assert run(["train", "--data", data, "--method", method,
+                        "--epochs", "1", "--out", ckpt]) == 0
+            config = json.loads(ckpt.read_text())["meta"]["config"]
+            assert (config["hidden"], config["n_basis_dmp"],
+                    config["n_basis"]) == ([64, 64], 25, n_basis), method
+            manifest = json.loads(
+                (tmp_path / "ck.json.manifest.json").read_text())
+            assert manifest["config"] == config
+
+    def test_run_defaults_are_pinned(self, tmp_path, monkeypatch):
+        # the CLI is the one place that defaults a run: minimal command
+        # lines, and train's per-kind defaults resolved on each kind's
+        # data up to the call of `train`
+        parser = _build_parser()
+        gen = parser.parse_args(["generate", "--kind", "rtp", "--out", "d"])
+        assert (gen.counts, gen.trials, gen.noise) == (
+            [292, 128, 73, 52], 31, 0.0)
+        ev = parser.parse_args(["eval", "--data", "d", "--checkpoint", "c",
+                                "--outdir", "o"])
+        assert ev.plot_samples == 2
+        calls = {}
+
+        def stop(method, dataset, cfg, **sizes):
+            calls[dataset.kind] = cfg, sizes
+            raise RuntimeError("stopped before training")
+
+        monkeypatch.setattr(training, "train", stop)
+        for kind, dataset in (
+                ("rtp", generate_rtp(seed=1, counts=(2, 1, 1, 1),
+                                     noise_std=0.0)),
+                ("wpp", generate_wpp(seed=1, trials_per_cell=1))):
+            save_jsonl(dataset, tmp_path / f"{kind}.jsonl")
+            assert run(["train", "--data", tmp_path / f"{kind}.jsonl",
+                        "--method", "deep-mp", "--out", "ck.json"]) == 1
+        for kind, epochs, n_basis in (("rtp", 150, 8), ("wpp", 200, 10)):
+            cfg, sizes = calls[kind]
+            assert (cfg.epochs, cfg.batch_size, cfg.learning_rate,
+                    cfg.early_stop_patience) == (epochs, 32, 1e-3, 20)
+            assert sizes == {"n_basis": n_basis, "hidden": (64, 64),
+                             "n_basis_dmp": 25, "split": None}
+
+    def test_help_shows_the_defaults(self, capsys):
+        # each flag's help shows its default, read from the flag or, per
+        # dataset kind, from the table that cmd_train resolves
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["train", "--help"])
+        options = " ".join(capsys.readouterr().out.split()).split(
+            "options:")[1]
+        by_kind = {f"--{dest.replace('_', '-')}": ", ".join(
+            f"{value} for {kind} data" for kind, value in defaults.items())
+            for dest, defaults in cli._BY_KIND.items()}
+        for flag, default in (*by_kind.items(), ("--batch-size", "32"),
+                              ("--lr", "0.001"), ("--hidden", "64,64"),
+                              ("--n-basis-dmp", "25"), ("--patience", "20")):
+            entry = options.split(f" {flag} ")[1].split(" --")[0]
+            assert f"(default: {default})" in entry, flag
 
     def test_manifest_lists_everything(self, small_dataset, tmp_path):
         ckpt = tmp_path / "ck.json"
@@ -264,7 +320,7 @@ class TestEval:
     def test_perfect_oracle_checkpoint_scores_zero(self, tmp_path):
         # constant dataset plus a bias-only network that emits the exact
         # fitted weights: every metrics row must be zero
-        ds = generate_rtp(seed=5, counts=(4, 2, 2, 2))
+        ds = generate_rtp(seed=5, counts=(4, 2, 2, 2), noise_std=0.0)
         ds.contexts[:] = ds.contexts[0]
         ds.trajectories[:] = ds.trajectories[0]
         data = tmp_path / "const.jsonl"
@@ -273,9 +329,10 @@ class TestEval:
         targets = head.weights(ds.trajectories)
         mlp = MlpParams((3, 56), np.r_[np.zeros(3 * 56), targets[0]])
         model = Model(head, mlp, np.zeros(3), np.ones(3),
-                      test_indices=tuple(range(len(ds))))
+                      train_indices=(0,),
+                      test_indices=tuple(range(1, len(ds))))
         ckpt = tmp_path / "oracle.json"
-        checkpoint.save(model, ckpt)
+        checkpoint.save(model, ckpt, meta={})
         outdir = tmp_path / "out"
         assert run(["eval", "--data", data, "--checkpoint", ckpt,
                     "--outdir", outdir, "--plot-samples", "1"]) == 0
@@ -407,12 +464,14 @@ class TestEval:
                     "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
         doc = json.loads(ckpt.read_text())
         if index is not None:
-            doc["payload"]["test_indices"] = [0, index]
+            held_out = min(doc["payload"]["test_indices"])
+            doc["payload"]["test_indices"] = [held_out, index]
             ckpt.write_text(json.dumps(doc))
         bad = index if index is not None else next(
             i for i in doc["payload"]["test_indices"] if i >= 5)
         few = tmp_path / "few.jsonl"
-        save_jsonl(generate_rtp(seed=2, counts=(2, 1, 1, 1)), few)
+        save_jsonl(generate_rtp(seed=2, counts=(2, 1, 1, 1), noise_std=0.0),
+                   few)
         capsys.readouterr()
         assert run(["eval", "--data", few, "--checkpoint", ckpt,
                     "--outdir", tmp_path / "o"]) == 1
@@ -507,7 +566,7 @@ class TestEval:
         model = checkpoint.load(ckpt)
         dataset = load_jsonl(small_dataset)
         idx = np.asarray(model.test_indices)
-        _, _, pred = training.evaluate(model, dataset, idx)
+        _, _, pred = training.evaluate(model, dataset, idx, DEFAULT_CHAIN)
         assert len(list(outdir.glob("sample_*_joints.csv"))) == 3
         for i, rows in zip(idx[:3], pred):
             joints = np.loadtxt(outdir / f"sample_{i}_joints.csv",

@@ -19,9 +19,9 @@ from hypothesis.extra import numpy as hnp
 from mprim import dataset
 from mprim.dataset import (HOME_CONFIG, RTP_DEFAULT_COUNTS,
                            RTP_REGION_HALF_EXTENT, WPP_CONFIG_POSITIONS,
-                           WPP_SPLITS, DemoDataset, apply_split, goal_config,
-                           generate_rtp, generate_wpp, load_jsonl, min_jerk,
-                           save_jsonl)
+                           WPP_DEFAULT_TRIALS, WPP_SPLITS, DemoDataset,
+                           apply_split, goal_config, generate_rtp,
+                           generate_wpp, load_jsonl, min_jerk, save_jsonl)
 from mprim.errors import DatasetFormatError
 
 
@@ -119,7 +119,8 @@ class TestStacks:
     # a stack of N inputs gives the N single calls' results bit for bit
 
     def test_goal_config(self):
-        positions = generate_rtp(seed=4, counts=(5, 4, 3, 3)).contexts
+        positions = generate_rtp(seed=4, counts=(5, 4, 3, 3),
+                                 noise_std=0.0).contexts
         singles = np.array([goal_config(p) for p in positions])
         assert np.array_equal(goal_config(positions), singles)
 
@@ -172,20 +173,21 @@ class TestStacks:
 
 class TestGenerateRtp:
     def test_default_counts_total(self):
-        ds = generate_rtp(seed=7)
+        ds = generate_rtp(seed=7, counts=tuple(RTP_DEFAULT_COUNTS.values()),
+                          noise_std=0.0)
         assert len(ds) == 545
         assert ds.contexts.shape == (545, 3)
         assert ds.trajectories.shape == (545, 150, 7)
         assert Counter(t["region"] for t in ds.tags) == RTP_DEFAULT_COUNTS
 
     def test_deterministic(self):
-        a, b = generate_rtp(seed=3, counts=(5, 4, 3, 2)), \
-            generate_rtp(seed=3, counts=(5, 4, 3, 2))
+        a, b = generate_rtp(seed=3, counts=(5, 4, 3, 2), noise_std=0.0), \
+            generate_rtp(seed=3, counts=(5, 4, 3, 2), noise_std=0.0)
         np.testing.assert_array_equal(a.contexts, b.contexts)
         np.testing.assert_array_equal(a.trajectories, b.trajectories)
 
     def test_positions_inside_their_region_rings(self):
-        ds = generate_rtp(seed=5, counts=(30, 30, 30, 30))
+        ds = generate_rtp(seed=5, counts=(30, 30, 30, 30), noise_std=0.0)
         names = list(RTP_REGION_HALF_EXTENT)
         for context, tags in zip(ds.contexts, ds.tags):
             dx = abs(context[0] - 0.55)
@@ -208,41 +210,35 @@ class TestGenerateRtp:
         assert all(a > b for a, b in zip(dens, dens[1:]))
 
     def test_trajectories_start_at_home(self):
-        ds = generate_rtp(seed=1, counts=(2, 2, 2, 2))
+        ds = generate_rtp(seed=1, counts=(2, 2, 2, 2), noise_std=0.0)
         np.testing.assert_array_equal(
             ds.trajectories[:, 0], np.broadcast_to(HOME_CONFIG, (8, 7)))
 
     def test_noise_option(self):
-        clean = generate_rtp(seed=2, counts=(3, 1, 1, 1))
+        clean = generate_rtp(seed=2, counts=(3, 1, 1, 1), noise_std=0.0)
         noisy = generate_rtp(seed=2, counts=(3, 1, 1, 1), noise_std=0.01)
         assert not np.allclose(clean.trajectories[0], noisy.trajectories[0])
 
     def test_bad_counts(self):
         with pytest.raises(ValueError, match="region A count must be an "
                                              "integer >= 1, got 0"):
-            generate_rtp(seed=0, counts=(0, 1, 1, 1))
+            generate_rtp(seed=0, counts=(0, 1, 1, 1), noise_std=0.0)
 
     @pytest.mark.parametrize("counts,match", [
         ((1, 2, 3), r"4 counts, one per region A, B, C, D, got \(1, 2, 3\)"),
         ((1, 2, 3, 4, 5), r"4 counts.*got \(1, 2, 3, 4, 5\)"),
-        ({"A": 1, "E": 2}, "counts key 'E' is not a region"),
-        ({}, "names no region"),
         ((True, 1, 1, 1), "region A count .* got True"),
         ((1, 1, 2.0, 1), "region C count .* got 2.0"),
-        ({"B": "3"}, "region B count .* got '3'"),
-    ], ids=["three", "five", "unknown_key", "empty", "bool", "float", "str"])
+        ((1, "3", 1, 1), "region B count .* got '3'"),
+    ], ids=["three", "five", "bool", "float", "str"])
     def test_bad_counts_name_the_entry(self, counts, match):
         with pytest.raises(ValueError, match=match):
-            generate_rtp(seed=0, counts=counts)
-
-    def test_counts_by_region_name(self):
-        ds = generate_rtp(seed=0, counts={"C": 2, "A": 1})
-        assert [t["region"] for t in ds.tags] == ["C", "C", "A"]
+            generate_rtp(seed=0, counts=counts, noise_std=0.0)
 
 
 class TestGenerateWpp:
     def test_default_cell_structure(self):
-        ds = generate_wpp(seed=9)
+        ds = generate_wpp(seed=9, trials_per_cell=WPP_DEFAULT_TRIALS)
         assert len(ds) == 868   # 7 patterns x 4 configs x 31 trials
         cells = Counter((t["pattern"], t["config"]) for t in ds.tags)
         assert len(cells) == 28
@@ -342,7 +338,7 @@ class TestSplits:
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_missing_patterns_detected(self):
-        ds = generate_rtp(seed=0, counts=(2, 1, 1, 1))
+        ds = generate_rtp(seed=0, counts=(2, 1, 1, 1), noise_std=0.0)
         with pytest.raises(ValueError):
             apply_split(ds, WPP_SPLITS["WPP1"], seed=0)
 
@@ -411,7 +407,7 @@ class TestPersistence:
     ], ids=["contexts", "tags", "2d_trajectories", "1d_contexts",
             "one_sample", "unknown_kind"])
     def test_dataset_rejects_inconsistent_arrays(self, change, got):
-        ds = generate_rtp(seed=1, counts=(1, 1, 1, 1))
+        ds = generate_rtp(seed=1, counts=(1, 1, 1, 1), noise_std=0.0)
         with pytest.raises(ValueError, match=re.escape(got)):
             dataclasses.replace(ds, **change)
 
@@ -457,7 +453,7 @@ class TestPersistence:
         assert len(back) == 0 and back.kind == "rtp"
 
     def test_corrupted_line_names_line_number(self, tmp_path):
-        ds = generate_rtp(seed=1, counts=(2, 1, 1, 1))
+        ds = generate_rtp(seed=1, counts=(2, 1, 1, 1), noise_std=0.0)
         path = tmp_path / "demos.jsonl"
         save_jsonl(ds, path)
         lines, block = _parts(path, ds.trajectories.nbytes)
@@ -474,7 +470,7 @@ class TestPersistence:
 
     def test_sample_count_mismatch(self, tmp_path):
         # fewer record lines than the header declares, before a whole block
-        ds = generate_rtp(seed=1, counts=(2, 1, 1, 1))
+        ds = generate_rtp(seed=1, counts=(2, 1, 1, 1), noise_std=0.0)
         path = tmp_path / "demos.jsonl"
         save_jsonl(ds, path)
         lines, block = _parts(path, ds.trajectories.nbytes)
@@ -518,7 +514,7 @@ class TestPersistence:
 
 def _five_demos(**tags_of_demo):
     """Five rtp demos; `tags_of_demo` maps "d<k>" to the tags of demo k."""
-    ds = generate_rtp(seed=1, counts=(2, 1, 1, 1))
+    ds = generate_rtp(seed=1, counts=(2, 1, 1, 1), noise_std=0.0)
     tags = [tags_of_demo.get(f"d{k}", t) for k, t in enumerate(ds.tags)]
     return dataclasses.replace(ds, tags=tags)
 
@@ -529,7 +525,8 @@ class TestWriterChecks:
 
     def assert_refused(self, tmp_path, ds, match):
         kept, fresh = tmp_path / "kept.jsonl", tmp_path / "fresh.jsonl"
-        save_jsonl(generate_rtp(seed=2, counts=(1, 1, 1, 1)), kept)
+        save_jsonl(generate_rtp(seed=2, counts=(1, 1, 1, 1), noise_std=0.0),
+                   kept)
         before = kept.read_bytes()
         for path in (kept, fresh):
             with pytest.raises(ValueError, match=match):
@@ -573,7 +570,7 @@ def _write_edited(path, header=None, record=None, line=3, block=None):
     """Save five rtp demos (T = 150, n_joint = 7) to `path`, then update
     its header and the record on 1-based `line` with the given fields,
     and pass its trajectory block through `block`."""
-    ds = generate_rtp(seed=1, counts=(2, 1, 1, 1))
+    ds = generate_rtp(seed=1, counts=(2, 1, 1, 1), noise_std=0.0)
     save_jsonl(ds, path)
     lines, data = _parts(path, ds.trajectories.nbytes)
     for no, fields in ((1, header), (line, record)):
@@ -652,9 +649,10 @@ class TestRecordValidation:
     @pytest.mark.parametrize("edit,found", [
         (lambda data: data[:5 * 7 * 8], 280),
         (lambda data: data[:-8], 41992),
+        (lambda data: data[:-99], 41901),
         (lambda data: data + bytes(8), 42008),
         (lambda data: b"", 0),
-    ], ids=["one_sample", "short", "long", "missing"])
+    ], ids=["one_sample", "short", "short_by_a_record", "long", "missing"])
     def test_bad_block_names_line(self, tmp_path, edit, found):
         path = tmp_path / "demos.jsonl"
         _write_edited(path, block=edit)
@@ -698,7 +696,8 @@ class TestRecordValidation:
         # read as text, such a byte raised a bare UnicodeDecodeError that
         # named neither the file nor the line
         path = tmp_path / "demos.jsonl"
-        save_jsonl(generate_rtp(seed=1, counts=(2, 1, 1, 1)), path)
+        save_jsonl(generate_rtp(seed=1, counts=(2, 1, 1, 1), noise_std=0.0),
+                   path)
         lines = path.read_bytes().split(b"\n")
         lines[line - 1] = edit(lines[line - 1])
         path.write_bytes(b"\n".join(lines))
@@ -772,7 +771,7 @@ class TestFormatProperties:
     def test_corrupt_trajectory_names_its_line(self, k, data, corruption):
         # a non-finite value names the line of its demo; a block cut short
         # or extended names line 7, where the block of 5 demos begins
-        ds = generate_rtp(seed=1, counts=(2, 1, 1, 1))
+        ds = generate_rtp(seed=1, counts=(2, 1, 1, 1), noise_std=0.0)
         t, j = ds.n_samples_per_traj, ds.n_joint
         if corruption in ("nan", "inf"):
             at = k * t * j + data.draw(st.integers(0, t * j - 1))

@@ -9,6 +9,7 @@ the trainer, the heads or the evaluation must leave these figures alone.
 import pytest
 
 from mprim.dataset import WPP_SPLITS, apply_split, generate_rtp, generate_wpp
+from mprim.kinematics import DEFAULT_CHAIN
 from mprim.training import TrainConfig, evaluate, train
 
 EPOCHS = 60
@@ -26,7 +27,7 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def datasets():
-    rtp = generate_rtp(seed=31, counts=(24, 12, 8, 6))
+    rtp = generate_rtp(seed=31, counts=(24, 12, 8, 6), noise_std=0.0)
     wpp = generate_wpp(seed=32, trials_per_cell=2)
     return {"rtp": (rtp, None),
             "wpp": (wpp, apply_split(wpp, WPP_SPLITS["WPP1"], 32))}
@@ -35,11 +36,14 @@ def datasets():
 @pytest.mark.parametrize("task,method", sorted(GOLDEN))
 def test_overall_metrics_are_pinned(datasets, task, method):
     dataset, split = datasets[task]
-    cfg = TrainConfig(epochs=EPOCHS, learning_rate=5e-3, seed=5,
-                      early_stop_patience=EPOCHS)
-    model, report = train(method, dataset, cfg, split=split)
+    cfg = TrainConfig(epochs=EPOCHS, batch_size=32, learning_rate=5e-3,
+                      seed=5, early_stop_patience=EPOCHS)
+    model, report = train(method, dataset, cfg,
+                          n_basis={"rtp": 8, "wpp": 10}[task],
+                          hidden=(64, 64), n_basis_dmp=25, split=split)
     assert report.final_epoch == EPOCHS
-    _, overall, _ = evaluate(model, dataset, model.test_indices)
+    _, overall, _ = evaluate(model, dataset, model.test_indices,
+                             DEFAULT_CHAIN)
     mse, ed, count = GOLDEN[task, method]
     assert (f"{overall.ave_mse:.6g}", f"{overall.ave_ed_mm:.6g}",
             overall.count) == (mse, ed, count)

@@ -11,8 +11,9 @@ import tracemalloc
 
 import pytest
 
-from mprim.dataset import (WPP_SPLITS, apply_split, generate_wpp, load_jsonl,
-                           save_jsonl)
+from mprim.dataset import (WPP_DEFAULT_TRIALS, WPP_SPLITS, apply_split,
+                           generate_wpp, load_jsonl, save_jsonl)
+from mprim.kinematics import DEFAULT_CHAIN
 from mprim.training import HEADS, TrainConfig, evaluate, train
 
 # what a generate, a save, a load or a fit may allocate beyond what it
@@ -31,7 +32,7 @@ EVALUATE_SHARE = 0.15
 def paper_wpp():
     """The paper-sized palpation stack (868 demos, about 7 MB) and its
     WPP1 split."""
-    ds = generate_wpp(seed=23)
+    ds = generate_wpp(seed=23, trials_per_cell=WPP_DEFAULT_TRIALS)
     return ds, apply_split(ds, WPP_SPLITS["WPP1"], seed=0)
 
 
@@ -49,7 +50,8 @@ def traced_peak(call):
 
 def test_generate_writes_each_cell_into_the_stack():
     generate_wpp(seed=1, trials_per_cell=1)   # fills what a first call fills
-    ds, peak = traced_peak(lambda: generate_wpp(seed=23))
+    ds, peak = traced_peak(lambda: generate_wpp(
+        seed=23, trials_per_cell=WPP_DEFAULT_TRIALS))
     returned = ds.trajectories.nbytes + ds.contexts.nbytes
     assert peak - returned < STACK_SHARE * ds.trajectories.nbytes
 
@@ -76,8 +78,9 @@ def test_load_reads_the_stack_into_the_array_it_returns(paper_wpp,
 def test_head_fit_holds_no_copy_of_the_stack(paper_wpp, method):
     ds, (train_idx, _) = paper_wpp
 
-    def fit():
-        return HEADS[method].fit(ds, train_idx)
+    def fit():   # at the basis sizes `mprim train` uses on wpp data
+        return HEADS[method].fit(ds, train_idx,
+                                 25 if method == "ddmp" else 10)
 
     fit()   # fills the caches a first call fills
     (_, targets), peak = traced_peak(fit)
@@ -87,9 +90,12 @@ def test_head_fit_holds_no_copy_of_the_stack(paper_wpp, method):
 @pytest.mark.parametrize("method", sorted(HEADS))
 def test_evaluate_holds_prediction_truth_and_a_chunk(paper_wpp, method):
     ds, (train_idx, test_idx) = paper_wpp
-    model, _ = train(method, ds, TrainConfig(epochs=0),
-                     split=(train_idx, test_idx))
-    evaluate(model, ds, test_idx)
-    (*_, pred), peak = traced_peak(lambda: evaluate(model, ds, test_idx))
+    cfg = TrainConfig(epochs=0, batch_size=32, learning_rate=1e-3, seed=0,
+                      early_stop_patience=20)
+    model, _ = train(method, ds, cfg, n_basis=10, hidden=(64, 64),
+                     n_basis_dmp=25, split=(train_idx, test_idx))
+    evaluate(model, ds, test_idx, DEFAULT_CHAIN)
+    (*_, pred), peak = traced_peak(
+        lambda: evaluate(model, ds, test_idx, DEFAULT_CHAIN))
     # besides the prediction it returns, it holds the split's truth
     assert peak - 2 * pred.nbytes < EVALUATE_SHARE * ds.trajectories.nbytes

@@ -4,6 +4,7 @@ import pytest
 from mprim.basis import build_phi
 from mprim.dataset import generate_rtp
 from mprim.kernels import CHUNK_DEMOS
+from mprim.kinematics import DEFAULT_CHAIN
 from mprim.metrics import EvalRecord, squared_trajectory_loss
 from mprim.training import TrainConfig, evaluate, train
 
@@ -54,10 +55,13 @@ class TestAveMse:
 
     def test_equals_mean_of_squared_losses_exactly(self):
         # a metrics row's AveMSE is the plain mean of these per-demo terms
-        ds = generate_rtp(seed=3, counts=(3, 2, 2, 2))
-        model, _ = train("deep-mp", ds, TrainConfig(epochs=1, seed=0))
+        ds = generate_rtp(seed=3, counts=(3, 2, 2, 2), noise_std=0.0)
+        cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-3,
+                          seed=0, early_stop_patience=20)
+        model, _ = train("deep-mp", ds, cfg, n_basis=8, hidden=(64, 64),
+                         n_basis_dmp=25, split=None)
         idx = np.arange(len(ds))
-        _, overall, _ = evaluate(model, ds, idx)
+        _, overall, _ = evaluate(model, ds, idx, DEFAULT_CHAIN)
         sq = squared_trajectory_loss(model.predict(ds, idx),
                                      model.head.truth(ds, idx))
         assert overall.ave_mse == float(np.mean(sq))

@@ -1,6 +1,7 @@
 """Guards over the whole package: the names the benchmark tracer wraps,
-the one module that holds the checkpoint format, and library surface
-(names, defaulted parameters) that nothing in the package uses."""
+the one module that holds the checkpoint format, library surface (names,
+defaulted parameters) that nothing in the package uses, and defaults
+that only tests rely on."""
 
 import ast
 import dataclasses
@@ -14,15 +15,10 @@ from mprim import (checkpoint, cli, dmp, kernels, kinematics, metrics, plots,
 # defaulted parameters that no call in the package passes, each with the
 # reason it keeps its default
 UNPASSED_DEFAULTS = {
-    "training.ResidualHead.fit.n_basis": "train passes each head's basis "
-                                         "size through **size",
-    "training.DmpHead.fit.n_basis_dmp": "train passes each head's basis "
-                                        "size through **size",
-    **{f"training.TrainReport.{name}": "a report starts empty, and the "
-                                       "training loop fills it"
-       for name in ("train_batch_loss", "val_loss", "best_epoch",
-                    "stopping_reason")},
-}
+    f"training.TrainReport.{name}": "a report starts empty, and the "
+                                    "training loop fills it"
+    for name in ("train_batch_loss", "val_loss", "best_epoch",
+                 "stopping_reason")}
 
 
 def test_names_the_tracer_wraps():
@@ -109,9 +105,10 @@ def test_checkpoint_alone_writes_and_reads_the_format():
 
 def _call(call, classes, owner):
     """((class or None, name) called, number of positional arguments,
-    keywords) of `call`, made inside class `owner` or None. `C.f(...)` and
-    `cls.f(...)` call class C's f, `cls(...)` calls `owner`, and any other
-    call names only its function. Positions end at the first `*args`."""
+    keywords, whether it unpacks `*args` or `**kwargs`) of `call`, made
+    inside class `owner` or None. `C.f(...)` and `cls.f(...)` call class
+    C's f, `cls(...)` calls `owner`, and any other call names only its
+    function. Positions end at the first `*args`."""
     func, receiver = call.func, None
     if isinstance(func, ast.Name):
         name = owner if func.id == "cls" else func.id
@@ -123,7 +120,9 @@ def _call(call, classes, owner):
         name = None
     n_pos = next((i for i, arg in enumerate(call.args)
                   if isinstance(arg, ast.Starred)), len(call.args))
-    return (receiver, name), n_pos, {k.arg for k in call.keywords}
+    keywords = {k.arg for k in call.keywords}
+    return ((receiver, name), n_pos, keywords,
+            n_pos < len(call.args) or None in keywords)
 
 
 def _defaulted(fn, method):
@@ -147,9 +146,12 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
     # a default that no call overrides is a knob that no boundary can set:
     # each defaulted parameter of a function, a method or a dataclass of
     # mprim is passed, by keyword or by position, by some call in the
-    # package, or it is in UNPASSED_DEFAULTS with its reason. A class call
-    # C(...) passes C's fields and its __init__'s parameters; calls from
-    # tests do not count, and *args and **kwargs pass nothing
+    # package, or it is in UNPASSED_DEFAULTS with its reason. A default
+    # that every call passes serves only tests: each other defaulted
+    # parameter is also left out by some call that names its function and
+    # unpacks no *args or **kwargs. A class call C(...) passes C's fields
+    # and its __init__'s parameters; calls from tests do not count, and
+    # *args and **kwargs pass nothing
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(Path(kernels.__file__).parent.glob("*.py"))}
     classes = {stmt.name for tree in trees.values() for stmt in tree.body
@@ -190,14 +192,21 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
                     (None, stmt.name), pos, f.name)
     assert defaulted
 
-    def passes(call, target):
-        (receiver, name), n_pos, keywords = call
+    def calls_of(target):
         (owner, fn), pos, param = target
-        return (name == fn and receiver in (None, owner)
-                and (param in keywords or pos is not None and pos < n_pos))
+        for (receiver, name), n_pos, keywords, unpacks in calls:
+            if name == fn and receiver in (None, owner):
+                yield (param in keywords or pos is not None and pos < n_pos,
+                       unpacks)
 
     unpassed = {q for q, target in defaulted.items()
-                if not any(passes(call, target) for call in calls)}
+                if not any(passed for passed, _ in calls_of(target))}
     # no default that nothing passes, and no reason for one that is passed
     assert sorted(unpassed - UNPASSED_DEFAULTS.keys()) == []
     assert sorted(UNPASSED_DEFAULTS.keys() - unpassed) == []
+    # and no default that every call passes
+    always_passed = {q for q, target in defaulted.items()
+                     if q not in UNPASSED_DEFAULTS
+                     and not any(not passed and not unpacks
+                                 for passed, unpacks in calls_of(target))}
+    assert sorted(always_passed) == []

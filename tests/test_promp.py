@@ -55,11 +55,12 @@ def stack_head(request):
     """A seeded stack of more than CHUNK_DEMOS demos and its deep-mp
     head."""
     if request.param == "rtp":
-        ds = generate_rtp(seed=31, counts=(40, 20, 10, 10))
+        ds = generate_rtp(seed=31, counts=(40, 20, 10, 10), noise_std=0.0)
     else:
         ds = generate_wpp(seed=32, trials_per_cell=3)
     assert len(ds) > CHUNK_DEMOS
-    return ds, PrompHead.fit(ds, np.arange(len(ds)))[0]
+    n_basis = {"rtp": 8, "wpp": 10}[ds.kind]
+    return ds, PrompHead.fit(ds, np.arange(len(ds)), n_basis)[0]
 
 
 class TestStackedFit:

@@ -23,12 +23,28 @@ from mprim.training import (DmpHead, Model, PrompHead, ResidualHead,
 
 @pytest.fixture(scope="module")
 def small_rtp():
-    return generate_rtp(seed=21, counts=(24, 12, 8, 6))
+    return generate_rtp(seed=21, counts=(24, 12, 8, 6), noise_std=0.0)
 
 
 @pytest.fixture(scope="module")
 def tiny_wpp():
     return generate_wpp(seed=22, trials_per_cell=2)
+
+
+def config(epochs, seed, **changes):
+    """A TrainConfig of `epochs` and `seed` at `mprim train`'s batch size,
+    learning rate and patience, except where `changes` names another."""
+    return TrainConfig(**{"epochs": epochs, "batch_size": 32,
+                          "learning_rate": 1e-3, "seed": seed,
+                          "early_stop_patience": 20, **changes})
+
+
+def trained(method, dataset, cfg, **changes):
+    """`train` at `mprim train`'s sizes for the dataset's kind, on a
+    random split, except where `changes` names another."""
+    return train(method, dataset, cfg, **{
+        "n_basis": {"rtp": 8, "wpp": 10}[dataset.kind], "hidden": (64, 64),
+        "n_basis_dmp": 25, "split": None, **changes})
 
 
 def grids_for(dataset, n_basis=8):
@@ -89,33 +105,36 @@ class TestSplits:
                             "15 demos"),
         (([0, 1, 2], [2, 3]), "demo 2 is on both the train and the test side "
                               "of the split"),
-    ], ids=["empty_train", "train_past_end", "test_negative", "overlap"])
+        (([0, 1, 1], [2]), "demo 1 is on the train side of the split more "
+                           "than once"),
+    ], ids=["empty_train", "train_past_end", "test_negative", "overlap",
+            "repeat"])
     def test_bad_split_rejected(self, split, message):
         # an empty train side trained a NaN model, an index past the end
         # raised a bare IndexError, an overlap scored training demos
-        ds = generate_rtp(seed=1, counts=(6, 3, 3, 3))
+        ds = generate_rtp(seed=1, counts=(6, 3, 3, 3), noise_std=0.0)
         with pytest.raises(ValueError) as err:
-            train("deep-mp", ds, TrainConfig(epochs=1),
-                  split=tuple(np.array(side, int) for side in split))
+            trained("deep-mp", ds, config(epochs=1, seed=0),
+                    split=tuple(np.array(side, int) for side in split))
         assert str(err.value) == message
 
     def test_non_integer_split_rejected(self):
         # these were truncated and trained on demos 0, 1 and 2
-        ds = generate_rtp(seed=1, counts=(6, 3, 3, 3))
+        ds = generate_rtp(seed=1, counts=(6, 3, 3, 3), noise_std=0.0)
         with pytest.raises(ValueError,
                            match=r"^train index 0\.5 is not an integer$"):
-            train("deep-mp", ds, TrainConfig(epochs=1),
-                  split=([0.5, 1.7, 2.2], [3.9]))
+            trained("deep-mp", ds, config(epochs=1, seed=0),
+                    split=([0.5, 1.7, 2.2], [3.9]))
         with pytest.raises(ValueError,
                            match=r"^test index 3\.9 is not an integer$"):
-            train("deep-mp", ds, TrainConfig(epochs=1),
-                  split=([0, 1, 2], [3.9]))
+            trained("deep-mp", ds, config(epochs=1, seed=0),
+                    split=([0, 1, 2], [3.9]))
 
 
 class TestTrainDeepMp:
     def test_zero_epochs_returns_init(self, small_rtp):
-        model, report = train("deep-mp", small_rtp,
-                              TrainConfig(epochs=0, seed=1))
+        model, report = trained("deep-mp", small_rtp,
+                                config(epochs=0, seed=1))
         assert report.final_epoch == 0
         assert report.stopping_reason == "zero_epochs"
         assert isinstance(model, Model)
@@ -125,22 +144,23 @@ class TestTrainDeepMp:
         # pure memorization: the loss floor scales with the Adam step
         # size, so a small rate plus many cheap single-sample epochs gets
         # below 1e-3
-        ds = first_demos(generate_rtp(seed=5, counts=(1, 1, 1, 1)), 1)
+        ds = first_demos(generate_rtp(seed=5, counts=(1, 1, 1, 1),
+                                      noise_std=0.0), 1)
         cfg = TrainConfig(epochs=12_000, batch_size=1, learning_rate=5e-5,
                           seed=2, early_stop_patience=12_000)
-        model, report = train("deep-mp", ds, cfg,
-                              split=(np.array([0]), np.array([], int)))
+        model, report = trained("deep-mp", ds, cfg,
+                                split=(np.array([0]), np.array([], int)))
         assert report.train_batch_loss[-1] < 1e-3
 
     def test_checkpoint_is_best_validation(self, small_rtp):
-        model, report = train("deep-mp", small_rtp,
-                              TrainConfig(epochs=30, seed=3))
+        model, report = trained("deep-mp", small_rtp,
+                                config(epochs=30, seed=3))
         assert report.best_epoch == int(np.argmin(report.val_loss))
 
     def test_seeded_curves_are_identical(self, small_rtp):
-        cfg = TrainConfig(epochs=8, seed=9)
-        _, r1 = train("deep-mp", small_rtp, cfg)
-        _, r2 = train("deep-mp", small_rtp, cfg)
+        cfg = config(epochs=8, seed=9)
+        _, r1 = trained("deep-mp", small_rtp, cfg)
+        _, r2 = trained("deep-mp", small_rtp, cfg)
         assert r1.train_batch_loss == r2.train_batch_loss
         assert r1.val_loss == r2.val_loss
 
@@ -149,16 +169,16 @@ class TestTrainDeepMp:
         # ridge is the right model here, so landing within 2x of it is
         # the bar the net has to clear
         rng = np.random.default_rng(12)
-        ds = generate_rtp(seed=23, counts=(120, 40, 30, 20))
+        ds = generate_rtp(seed=23, counts=(120, 40, 30, 20), noise_std=0.0)
         _, n_basis, phi = grids_for(ds)
         targets_map = rng.standard_normal((3, 7 * 8)) * 0.3
         for context, values in zip(ds.contexts, ds.trajectories):
             flat = context @ targets_map
             clean = phi.values @ flat.reshape(7, 8).T
             values[:] = clean + 0.05 * rng.standard_normal(clean.shape)
-        cfg = TrainConfig(epochs=300, learning_rate=5e-4, seed=4,
-                          early_stop_patience=300)
-        model, _ = train("deep-mp", ds, cfg, hidden=(32,))
+        cfg = config(epochs=300, seed=4, learning_rate=5e-4,
+                     early_stop_patience=300)
+        model, _ = trained("deep-mp", ds, cfg, hidden=(32,))
         test_idx = np.asarray(model.test_indices)
         train_idx = np.asarray(model.train_indices)
         targets = all_weights(model, ds)
@@ -170,40 +190,42 @@ class TestTrainDeepMp:
         ora = model.head.decode(np.hstack([ctx[test_idx], ones[test_idx]])
                                 @ coef, ds, test_idx)
         gt = model.head.truth(ds, test_idx)
-        net_mse = evaluate(model, ds, test_idx)[1].ave_mse
+        net_mse = evaluate(model, ds, test_idx, DEFAULT_CHAIN)[1].ave_mse
         ridge_mse = np.mean(metrics.squared_trajectory_loss(ora, gt))
         assert net_mse <= 2 * ridge_mse
 
 
 class TestTrainResidual:
     def test_two_demo_dataset_trains(self):
-        ds = first_demos(generate_rtp(seed=6, counts=(1, 1, 1, 1)), 2)
-        model, report = train("residual", ds, TrainConfig(epochs=2, seed=0))
+        ds = first_demos(generate_rtp(seed=6, counts=(1, 1, 1, 1),
+                                      noise_std=0.0), 2)
+        model, report = trained("residual", ds, config(epochs=2, seed=0))
         assert report.final_epoch == 2
 
     def test_single_demo_rejected(self):
-        ds = first_demos(generate_rtp(seed=6, counts=(1, 1, 1, 1)), 1)
+        ds = first_demos(generate_rtp(seed=6, counts=(1, 1, 1, 1),
+                                      noise_std=0.0), 1)
         with pytest.raises(ValueError, match="at least 2"):
-            train("residual", ds, TrainConfig(epochs=1),
-                  split=(np.array([0]), np.array([], int)))
+            trained("residual", ds, config(epochs=1, seed=0),
+                    split=(np.array([0]), np.array([], int)))
 
     def test_identical_demos_reconstruct_common_trajectory(self):
-        ds = generate_rtp(seed=7, counts=(1, 1, 1, 1))
+        ds = generate_rtp(seed=7, counts=(1, 1, 1, 1), noise_std=0.0)
         ds.contexts[1:] = ds.contexts[0]
         ds.trajectories[1:] = ds.trajectories[0]
         for tags in ds.tags:
             tags["region"] = "A"
-        cfg = TrainConfig(epochs=5, seed=1)
+        cfg = config(epochs=5, seed=1)
         split = (np.arange(4), np.array([], int))
-        model, _ = train("residual", ds, cfg, split=split)
+        model, _ = trained("residual", ds, cfg, split=split)
         traj = model.predict(ds, [0])[0]
         rmse = np.sqrt(np.mean((traj - ds.trajectories[0]) ** 2))
         assert rmse < 1e-3
 
     def test_residual_targets_mean_center(self, small_rtp):
         # residuals across the training split average to the zero vector
-        cfg = TrainConfig(epochs=1, seed=8)
-        model, _ = train("residual", small_rtp, cfg)
+        cfg = config(epochs=1, seed=8)
+        model, _ = trained("residual", small_rtp, cfg)
         train_idx = np.asarray(model.train_indices)
         targets = all_weights(model, small_rtp)
         residuals = []
@@ -216,7 +238,7 @@ class TestTrainResidual:
     def test_no_leakage_into_mean(self, small_rtp):
         # the global mean averages the fitted weights of the train split
         # and of no held-out demo
-        model, _ = train("residual", small_rtp, TrainConfig(epochs=1, seed=9))
+        model, _ = trained("residual", small_rtp, config(epochs=1, seed=9))
         assert set(model.train_indices).isdisjoint(model.test_indices)
         weights = model.head.weights(small_rtp.trajectories)
         np.testing.assert_array_equal(
@@ -224,8 +246,8 @@ class TestTrainResidual:
             weights[list(model.train_indices)].mean(axis=0))
 
     def test_region_means_exist_with_global_fallback(self, small_rtp):
-        model, _ = train("residual", small_rtp,
-                         TrainConfig(epochs=1, seed=10))
+        model, _ = trained("residual", small_rtp,
+                           config(epochs=1, seed=10))
         assert "__global__" in model.head.mean_weights
         assert {"A", "B", "C", "D"} <= set(model.head.mean_weights)
 
@@ -236,9 +258,9 @@ class TestTrainResidual:
         # them; held-out error is not compared here
         wins = 0
         for seed in range(5):
-            cfg = TrainConfig(epochs=12, seed=seed)
-            _, full = train("deep-mp", small_rtp, cfg)
-            _, res = train("residual", small_rtp, cfg)
+            cfg = config(epochs=12, seed=seed)
+            _, full = trained("deep-mp", small_rtp, cfg)
+            _, res = trained("residual", small_rtp, cfg)
             if res.train_batch_loss[-1] <= full.train_batch_loss[-1]:
                 wins += 1
         assert wins >= 3
@@ -246,21 +268,21 @@ class TestTrainResidual:
 
 class TestTrainDdmp:
     def test_rtp_head_excludes_start(self, small_rtp):
-        cfg = TrainConfig(epochs=1, seed=0)
-        model, _ = train("ddmp", small_rtp, cfg, n_basis_dmp=25)
+        cfg = config(epochs=1, seed=0)
+        model, _ = trained("ddmp", small_rtp, cfg, n_basis_dmp=25)
         assert model.head.task == "rtp"
         assert model.mlp.layer_sizes[-1] == 7 * (25 + 1)
         assert model.head.home is not None
 
     def test_wpp_head_includes_start(self, tiny_wpp):
-        cfg = TrainConfig(epochs=1, seed=0)
-        model, _ = train("ddmp", tiny_wpp, cfg, n_basis_dmp=25)
+        cfg = config(epochs=1, seed=0)
+        model, _ = trained("ddmp", tiny_wpp, cfg, n_basis_dmp=25)
         assert model.head.task == "wpp"
         assert model.mlp.layer_sizes[-1] == 7 * (25 + 2)
 
     def test_predicted_model_round_trip(self, small_rtp):
-        cfg = TrainConfig(epochs=2, seed=1)
-        model, _ = train("ddmp", small_rtp, cfg, n_basis_dmp=10)
+        cfg = config(epochs=2, seed=1)
+        model, _ = trained("ddmp", small_rtp, cfg, n_basis_dmp=10)
         out = net_outputs(model, small_rtp, [0])[0]
         # output layout [forcing, joint-major | goal]; rtp starts at home
         expected = rollout_matched(model.head.home[None], out[None, 70:77],
@@ -283,7 +305,7 @@ class TestEpochLoop:
     """What one epoch computes: the minibatch passes, whose losses make the
     train loss, plus one full pass for selection."""
 
-    CFG = TrainConfig(epochs=4, batch_size=7, seed=4, early_stop_patience=4)
+    CFG = config(epochs=4, seed=4, batch_size=7, early_stop_patience=4)
 
     @staticmethod
     def counted(monkeypatch, module, name, record):
@@ -303,7 +325,7 @@ class TestEpochLoop:
                                                        monkeypatch):
         forward = self.counted(monkeypatch, kernels, "mlp_forward_acts",
                                lambda args, acts: len(args[0]))
-        model, report = train("deep-mp", small_rtp, self.CFG)
+        model, report = trained("deep-mp", small_rtp, self.CFG)
         assert report.final_epoch == self.CFG.epochs
         n_train, size = len(model.train_indices), self.CFG.batch_size
         n_val = int(n_train * TrainConfig.val_fraction_of_train)
@@ -319,7 +341,7 @@ class TestEpochLoop:
                                                    monkeypatch):
         losses = self.counted(monkeypatch, training, "batch_loss_and_grad",
                               lambda args, result: result[0].copy())
-        _, report = train("deep-mp", small_rtp, self.CFG)
+        _, report = trained("deep-mp", small_rtp, self.CFG)
         n_calls = len(losses) // self.CFG.epochs
         for epoch, train_loss in enumerate(report.train_batch_loss):
             calls = losses[epoch * n_calls:(epoch + 1) * n_calls]
@@ -340,8 +362,8 @@ class TestEpochLoop:
         cfg = TrainConfig(epochs=6, batch_size=1, learning_rate=0.02,
                           seed=5, early_stop_patience=6)
         train_idx = np.array([0, 9, 17])
-        model, report = train("deep-mp", small_rtp, cfg,
-                              split=(train_idx, np.array([1, 2])))
+        model, report = trained("deep-mp", small_rtp, cfg,
+                                split=(train_idx, np.array([1, 2])))
         assert int(len(train_idx) * cfg.val_fraction_of_train) == 0
         head, sizes = model.head, model.mlp.layer_sizes
         x = (small_rtp.contexts[train_idx] - model.ctx_mean) / model.ctx_std
@@ -361,11 +383,11 @@ class TestEpochLoop:
 
 class TestDivergence:
     def test_no_finite_epoch_raises_and_warns_nothing(self, small_rtp):
-        cfg = TrainConfig(epochs=5, learning_rate=1e300, seed=1)
+        cfg = config(epochs=5, seed=1, learning_rate=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergedError) as err:
-                train("ddmp", small_rtp, cfg, n_basis_dmp=10)
+                trained("ddmp", small_rtp, cfg, n_basis_dmp=10)
         assert (err.value.epoch, err.value.method,
                 err.value.learning_rate) == (0, "ddmp", 1e300)
         assert "epoch 0" in str(err.value) and "ddmp" in str(err.value)
@@ -377,10 +399,9 @@ class TestDivergence:
         # the weights turn NaN after the first step of epoch 2 (so its
         # minibatch loss is NaN) or after its last step (so only its
         # validation pass is)
-        cfg = TrainConfig(epochs=5, batch_size=16, seed=2,
-                          early_stop_patience=5)
-        kept, kept_report = train("deep-mp", small_rtp,
-                                  dataclasses.replace(cfg, epochs=2))
+        cfg = config(epochs=5, seed=2, batch_size=16, early_stop_patience=5)
+        kept, kept_report = trained("deep-mp", small_rtp,
+                                    dataclasses.replace(cfg, epochs=2))
         n_train = len(kept.train_indices)
         n_batches = math.ceil(
             (n_train - int(n_train * cfg.val_fraction_of_train))
@@ -397,7 +418,7 @@ class TestDivergence:
         monkeypatch.setattr(training, "adam_step", poisoned)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model, report = train("deep-mp", small_rtp, cfg)
+            model, report = trained("deep-mp", small_rtp, cfg)
         assert report.stopping_reason == "diverged"
         assert report.train_batch_loss == kept_report.train_batch_loss
         assert report.val_loss == kept_report.val_loss
@@ -417,31 +438,32 @@ class TestEvaluate:
         targets = head.weights(ds.trajectories)
         mlp = MlpParams((3, 56), np.r_[np.zeros(3 * 56), targets[0]])
         model = Model(head, mlp, np.zeros(3), np.ones(3),
-                      test_indices=tuple(range(len(ds))))
-        records, overall, _ = evaluate(model, ds, np.arange(len(ds)))
+                      train_indices=(), test_indices=tuple(range(len(ds))))
+        records, overall, _ = evaluate(model, ds, np.arange(len(ds)),
+                                       DEFAULT_CHAIN)
         assert overall.ave_mse == 0.0
         assert overall.ave_ed_mm == 0.0
 
     def test_grouping_by_region(self, small_rtp):
-        model, _ = train("deep-mp", small_rtp, TrainConfig(epochs=2, seed=5))
+        model, _ = trained("deep-mp", small_rtp, config(epochs=2, seed=5))
         records, overall, _ = evaluate(model, small_rtp,
-                                    np.arange(len(small_rtp)))
+                                    np.arange(len(small_rtp)), DEFAULT_CHAIN)
         assert [r.group for r in records] == ["A", "B", "C", "D"]
         assert overall.count == len(small_rtp)
         assert sum(r.count for r in records) == overall.count
 
     def test_wpp_grouping_by_config(self, tiny_wpp):
-        cfg = TrainConfig(epochs=1, seed=0)
+        cfg = config(epochs=1, seed=0)
         split = apply_split(tiny_wpp, WPP_SPLITS["WPP9"], seed=0)
-        model, _ = train("ddmp", tiny_wpp, cfg, n_basis_dmp=5, split=split)
-        records, _, _ = evaluate(model, tiny_wpp, split[1])
+        model, _ = trained("ddmp", tiny_wpp, cfg, n_basis_dmp=5, split=split)
+        records, _, _ = evaluate(model, tiny_wpp, split[1], DEFAULT_CHAIN)
         assert [r.group for r in records] == ["I", "II", "III", "IV"]
 
     def test_ddmp_matches_per_demo_rollouts(self, tiny_wpp):
         split = apply_split(tiny_wpp, WPP_SPLITS["WPP1"], seed=0)
-        model, _ = train("ddmp", tiny_wpp, TrainConfig(epochs=2, seed=3),
-                         split=split)
-        _, overall, _ = evaluate(model, tiny_wpp, split[1])
+        model, _ = trained("ddmp", tiny_wpp, config(epochs=2, seed=3),
+                           split=split)
+        _, overall, _ = evaluate(model, tiny_wpp, split[1], DEFAULT_CHAIN)
         head = model.head
         n, j, k = head.n_samples, 7, head.n_basis_dmp
         sq, preds, gts = [], [], []
@@ -462,7 +484,7 @@ class TestEvaluate:
     def test_ddmp_truth_across_chunks_equals_single_truths(self):
         ds = generate_wpp(seed=33, trials_per_cell=3)
         assert len(ds) > kernels.CHUNK_DEMOS
-        head, _ = DmpHead.fit(ds, np.arange(len(ds)))
+        head, _ = DmpHead.fit(ds, np.arange(len(ds)), 25)
         idx = np.random.default_rng(5).permutation(len(ds))
         truth = head.truth(ds, idx)
         assert truth.shape == ds.trajectories.shape
@@ -473,8 +495,8 @@ class TestEvaluate:
     def test_ddmp_divergence_names_dataset_index(self, tiny_wpp, monkeypatch,
                                                  which):
         split = apply_split(tiny_wpp, WPP_SPLITS["WPP1"], seed=0)
-        model, _ = train("ddmp", tiny_wpp, TrainConfig(epochs=1, seed=0),
-                         split=split)
+        model, _ = trained("ddmp", tiny_wpp, config(epochs=1, seed=0),
+                           split=split)
         bad = int(split[1][3])
 
         if which == "prediction":
@@ -495,14 +517,14 @@ class TestEvaluate:
             monkeypatch.setattr(dmp_mod, "fit_dmp", poisoned)
         with pytest.raises(IntegrationError,
                            match=rf"{which} rollout .* \[{bad}\]") as err:
-            evaluate(model, tiny_wpp, split[1])
+            evaluate(model, tiny_wpp, split[1], DEFAULT_CHAIN)
         assert err.value.rows == (bad,)
 
     def test_ave_mse_matches_recomputation(self, small_rtp):
         _, _, phi = grids_for(small_rtp)
-        model, _ = train("deep-mp", small_rtp, TrainConfig(epochs=3, seed=6))
+        model, _ = trained("deep-mp", small_rtp, config(epochs=3, seed=6))
         idx = np.asarray(model.test_indices)
-        _, overall, _ = evaluate(model, small_rtp, idx)
+        _, overall, _ = evaluate(model, small_rtp, idx, DEFAULT_CHAIN)
         gt = all_weights(model, small_rtp)[idx].reshape(len(idx), 7, 8)
         pred = net_outputs(model, small_rtp, idx).reshape(len(idx), 7, 8)
         # per demo: squared RMSE of each joint's trajectory, summed
@@ -515,13 +537,13 @@ class TestEvaluate:
         # one fk_position call per side takes the final sample of every
         # demo of the split, so each demo's end-effector distance is
         # computed once, not once per metrics row
-        model, _ = train("deep-mp", small_rtp, TrainConfig(epochs=1, seed=2))
+        model, _ = trained("deep-mp", small_rtp, config(epochs=1, seed=2))
         calls = []
         fk = kinematics.fk_position
         monkeypatch.setattr(kinematics, "fk_position",
                             lambda chain, q: calls.append(q) or fk(chain, q))
         idx = np.asarray(model.test_indices)
-        _, _, pred = evaluate(model, small_rtp, idx)
+        _, _, pred = evaluate(model, small_rtp, idx, DEFAULT_CHAIN)
         assert len(calls) == 2
         np.testing.assert_array_equal(calls[0], pred[:, -1])
         np.testing.assert_array_equal(
@@ -529,17 +551,17 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("method", ["residual", "ddmp"])
     def test_returns_the_prediction_it_scores(self, small_rtp, method):
-        model, _ = train(method, small_rtp, TrainConfig(epochs=1, seed=3),
-                         n_basis_dmp=5)
+        model, _ = trained(method, small_rtp, config(epochs=1, seed=3),
+                           n_basis_dmp=5)
         idx = np.asarray(model.test_indices)
-        _, overall, pred = evaluate(model, small_rtp, idx)
+        _, overall, pred = evaluate(model, small_rtp, idx, DEFAULT_CHAIN)
         np.testing.assert_array_equal(pred, model.predict(small_rtp, idx))
         assert overall.ave_mse == float(np.mean(
             metrics.squared_trajectory_loss(
                 pred, model.head.truth(small_rtp, idx))))
 
     def test_residual_decode_adds_region_mean(self, small_rtp):
-        model, _ = train("residual", small_rtp, TrainConfig(epochs=1, seed=4))
+        model, _ = trained("residual", small_rtp, config(epochs=1, seed=4))
         head = model.head
         assert isinstance(head, ResidualHead)
         idx = np.asarray(model.test_indices)
@@ -554,30 +576,30 @@ class TestEvaluate:
             plain.decode(out + means, small_rtp, idx))
 
     def test_empty_split_rejected(self, small_rtp):
-        model, _ = train("deep-mp", small_rtp, TrainConfig(epochs=1, seed=7))
+        model, _ = trained("deep-mp", small_rtp, config(epochs=1, seed=7))
         with pytest.raises(ValueError):
-            evaluate(model, small_rtp, np.array([], int))
+            evaluate(model, small_rtp, np.array([], int), DEFAULT_CHAIN)
 
     def test_non_integer_indices_rejected(self, small_rtp):
         # these were truncated and scored demos 1 and 2
-        model, _ = train("deep-mp", small_rtp, TrainConfig(epochs=1, seed=7))
+        model, _ = trained("deep-mp", small_rtp, config(epochs=1, seed=7))
         with pytest.raises(ValueError,
                            match=r"^demo index 1\.5 is not an integer$"):
-            evaluate(model, small_rtp, [1.5, 2.5])
+            evaluate(model, small_rtp, [1.5, 2.5], DEFAULT_CHAIN)
         with pytest.raises(ValueError, match="expected a 1-D sequence"):
-            evaluate(model, small_rtp, 3)
+            evaluate(model, small_rtp, 3, DEFAULT_CHAIN)
 
 
 class TestModelFitsDataset:
     @pytest.fixture(scope="class")
     def rtp_model(self, small_rtp):
-        return train("ddmp", small_rtp, TrainConfig(epochs=1, seed=0),
-                     n_basis_dmp=5)[0]
+        return trained("ddmp", small_rtp, config(epochs=1, seed=0),
+                       n_basis_dmp=5)[0]
 
     def test_context_width(self, rtp_model, tiny_wpp):
         with pytest.raises(ValueError, match="dataset contexts have 10 "
                            "features, checkpoint expects 3"):
-            evaluate(rtp_model, tiny_wpp, [0, 1])
+            evaluate(rtp_model, tiny_wpp, [0, 1], DEFAULT_CHAIN)
 
     def test_joint_count(self, rtp_model, small_rtp):
         ds = dataclasses.replace(
@@ -591,7 +613,7 @@ class TestModelFitsDataset:
             small_rtp, trajectories=small_rtp.trajectories[:, :100])
         with pytest.raises(ValueError, match="dataset trajectories have 100 "
                            "samples, checkpoint expects 150"):
-            evaluate(rtp_model, ds, [0])
+            evaluate(rtp_model, ds, [0], DEFAULT_CHAIN)
 
     def test_fitting_dataset_passes(self, rtp_model, small_rtp):
         rtp_model.check_fits(small_rtp)
@@ -606,11 +628,11 @@ class TestModelFitsDataset:
 
 class TestDispatchAndReport:
     def test_train_dispatch(self, small_rtp):
-        model, _ = train("deep-mp", small_rtp, TrainConfig(epochs=1, seed=0))
+        model, _ = trained("deep-mp", small_rtp, config(epochs=1, seed=0))
         assert type(model.head) is PrompHead
-        assert model.head.n_basis == 8   # rtp default
+        assert model.head.n_basis == 8
         with pytest.raises(ValueError, match="unknown method"):
-            train("mystery", small_rtp, TrainConfig(epochs=1))
+            trained("mystery", small_rtp, config(epochs=1, seed=0))
 
     @pytest.mark.parametrize("head, keyword", [
         (DmpHead, {"task": "wpp"}), (DmpHead, {"n_basis": 8}),
@@ -619,10 +641,6 @@ class TestDispatchAndReport:
                                                          head, keyword):
         with pytest.raises(TypeError, match=next(iter(keyword))):
             head.fit(small_rtp, np.arange(len(small_rtp)), **keyword)
-
-    def test_wpp_basis_default(self, tiny_wpp):
-        model, _ = train("deep-mp", tiny_wpp, TrainConfig(epochs=1, seed=0))
-        assert model.head.n_basis == 10
 
     def test_report_csv(self, tmp_path):
         report = TrainReport(train_batch_loss=[0.5, 0.25], val_loss=[0.6, 0.3],
@@ -636,4 +654,4 @@ class TestDispatchAndReport:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(epochs=-1)
+            config(epochs=-1, seed=0)
