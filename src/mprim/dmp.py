@@ -8,8 +8,8 @@ normalized mix of Gaussian kernels in x scaled by x*(g - q0), so the
 system always settles on the goal once the phase has died out.
 
 The gains, the kernel placement and the rollout resolution are fixed
-module constants. `fit_dmp` fits a (B, T, n_joint) stack of demos chunk
-by chunk and `rollout_matched` rolls out a batch of systems given as
+module constants. `fit_dmp` fits chosen demos of a (N, T, n_joint) stack
+chunk by chunk and `rollout_matched` rolls out a batch of systems given as
 stacked (B, ...) arrays; in both, each row is bit for bit what it gets
 alone.
 
@@ -56,25 +56,27 @@ def forcing_kernels(n_basis):
     return centers, widths
 
 
-def fit_dmp(trajectories, n_basis: int):
-    """Fit forcing weights to a stack of demos by locally weighted
-    regression.
+def fit_dmp(trajectories, indices, n_basis: int):
+    """Fit forcing weights to the demos at `indices` of a stack by
+    locally weighted regression.
 
-    `trajectories` is the (B, T, n_joint) joint positions of B demos.
-    Each demo is mapped onto unit time, dt = 1/(T-1); velocities and
-    accelerations come from central finite differences (one-sided at the
-    ends), and each kernel is regressed independently against the target
-    forcing term. Returns (forcing weights (B, n_joint, n_basis), goals
-    (B, n_joint), starts (B, n_joint)). A joint whose demo starts on its
-    goal has no start-to-goal span to scale the forcing term, so its
-    regression has a zero denominator and its weights come out zero.
+    `trajectories` is the (N, T, n_joint) joint positions of N demos and
+    `indices` a 1-D integer sequence of B of them. Each demo is mapped
+    onto unit time, dt = 1/(T-1); velocities and accelerations come from
+    central finite differences (one-sided at the ends), and each kernel
+    is regressed independently against the target forcing term. Returns
+    (forcing weights (B, n_joint, n_basis), goals (B, n_joint), starts
+    (B, n_joint)), row b for demo `indices[b]`. A joint whose demo starts
+    on its goal has no start-to-goal span to scale the forcing term, so
+    its regression has a zero denominator and its weights come out zero.
 
     The stack is read where it lies. The work loops over chunks of at
-    most CHUNK_DEMOS demos, then over joints, so its (chunk, T)
-    temporaries have a fixed size whatever B is. Each (demo, joint)
-    regression is its own matrix-vector product, so every row is bit for
-    bit its B = 1 fit; one flat (B, T) x (T, n_basis) product would let
-    BLAS round a row differently depending on its place in the stack.
+    most CHUNK_DEMOS indices, then over joints, gathering one (chunk, T)
+    joint column at a time, so its temporaries have a fixed size whatever
+    B and N are. Each (demo, joint) regression is its own matrix-vector
+    product, so every row is bit for bit its B = 1 fit; one flat
+    (B, T) x (T, n_basis) product would let BLAS round a row differently
+    depending on its place in the stack.
     """
     q = np.asarray(trajectories, dtype=float)
     if q.ndim != 3:
@@ -84,19 +86,20 @@ def fit_dmp(trajectories, n_basis: int):
     if T < 3:
         raise ValueError("need at least 3 samples to differentiate the demo")
     dt = 1.0 / (T - 1)
-    starts, goals = q[:, 0].copy(), q[:, -1].copy()
+    indices = np.asarray(indices)
+    starts, goals = q[indices, 0], q[indices, -1]
 
     x = np.exp(-ALPHA_X * np.arange(T) * dt)
     centers, widths = forcing_kernels(n_basis)
     psi_t = np.exp(-widths[None, :] * (x[:, None] - centers[None, :]) ** 2).T
 
-    weights = np.empty((q.shape[0], q.shape[2], n_basis))
-    for lo in range(0, len(q), CHUNK_DEMOS):
+    weights = np.empty((len(indices), q.shape[2], n_basis))
+    for lo in range(0, len(indices), CHUNK_DEMOS):
         rows = slice(lo, lo + CHUNK_DEMOS)
         for j in range(q.shape[2]):
             # f_target = qdd - alpha_z (beta_z (g - q) - qd), built in place
             # so that at most three (chunk, T) arrays live at a time
-            qj, goal = q[rows, :, j], goals[rows, j]
+            qj, goal = q[indices[rows], :, j], goals[rows, j]
             qd = np.gradient(qj, dt, axis=1, edge_order=2)
             qdd = np.gradient(qd, dt, axis=1, edge_order=2)
             f = goal[:, None] - qj

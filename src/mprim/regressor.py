@@ -7,7 +7,9 @@ numpy/kernels. All its weights and biases live in one float64 vector
 per-layer arrays are views into it, and so are the per-layer gradients,
 which the backward pass writes into one flat buffer of the same layout.
 Adam keeps its two moments as vectors of that layout too, and one update
-of the whole net runs in place through two preallocated vectors.
+of the whole net runs in place through two preallocated vectors. From
+step 356 on, the first moment's bias correction 1 - BETA1**step is
+exactly 1.0, and the update skips dividing by it, with the same bits.
 
 Head layouts are joint-major flat vectors:
   trajectory head   [theta_joint0 | theta_joint1 | ...]         (n_joint*n_basis)
@@ -102,7 +104,8 @@ def mlp_forward(params: MlpParams, ctx):
     if x.ndim != 2 or x.shape[1] != params.n_inputs:
         raise ValueError(f"contexts have shape {x.shape}, network expects "
                          f"(B, {params.n_inputs})")
-    return kernels.mlp_forward_acts(x, params.weights, params.biases)[-1]
+    out = [np.empty((len(x), d)) for d in params.layer_sizes[1:]]
+    return kernels.mlp_forward_acts(x, params.weights, params.biases, out)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +131,24 @@ def trajectory_loss(pred, gt, phi, n_joint):
 
 
 def rms_loss(delta, scale):
-    """scale*RMS(gt - pred) per row and its gradient w.r.t. pred, with
-    delta = pred - gt."""
+    """scale*RMS(gt - pred) per row of a (B, n) residual delta = pred - gt,
+    and its gradient w.r.t. pred.
+
+    The mean is np.mean's own arithmetic, a sum by `np.add.reduce` divided
+    by n, without its Python wrapper, which costs about as much as the sum
+    on a minibatch. The gradient is computed in the squares' array, and
+    rows at the optimum (rare) are zeroed only when there are some."""
     n = delta.shape[-1]
-    r = np.sqrt(np.mean(delta * delta, axis=-1))
+    g = delta * delta
+    r = np.add.reduce(g, axis=-1)
+    r /= n
+    np.sqrt(r, out=r)
     safe = np.where(r > 0.0, r, 1.0)
-    g = scale * delta / (n * safe[..., None])
-    g[r == 0.0] = 0.0
+    np.multiply(delta, scale, out=g)
+    g /= (n * safe)[:, None]
+    zero = r == 0.0
+    if zero.any():
+        g[zero] = 0.0
     return scale * r, g
 
 
@@ -170,7 +184,9 @@ def adam_step(state: AdamState, theta, grad):
     The update is m <- BETA1*m + (1-BETA1)*g, v <- BETA2*v + (1-BETA2)*g*g
     and theta <- theta - lr*(m/c1) / (sqrt(v/c2) + EPSILON), with the bias
     corrections c = 1 - BETA**step, each operation written into the
-    state's buffers."""
+    state's buffers. From step 356 on, BETA1**step is below half an ulp
+    of 1, so c1 is exactly 1.0; m/1.0 is m in IEEE arithmetic, and the
+    step then skips that divide with the same bits."""
     state.step += 1
     c1, c2 = 1.0 - BETA1 ** state.step, 1.0 - BETA2 ** state.step
     m, v = state.m, state.v
@@ -182,8 +198,11 @@ def adam_step(state: AdamState, theta, grad):
     np.multiply(grad, 1 - BETA2, out=a)
     a *= grad
     v += a
-    np.divide(m, c1, out=a)
-    a *= state.learning_rate
+    if c1 == 1.0:
+        np.multiply(m, state.learning_rate, out=a)
+    else:
+        np.divide(m, c1, out=a)
+        a *= state.learning_rate
     np.divide(v, c2, out=b)
     np.sqrt(b, out=b)
     b += EPSILON

@@ -14,7 +14,7 @@ that meaning is a `Head`:
                  configuration out of the output
 
 A head owns the method-specific decisions and nothing else: its targets,
-fitted to the whole stack of demos in one call before training; its
+fitted to the training split's demos in one call before training; its
 loss, which it computes (`loss_and_grad`) with the numeric code of
 `regressor`; the ground-truth trajectories of a split; and decoding a
 batch of network outputs into (B, T, n_joint) trajectories. What a
@@ -29,10 +29,12 @@ a default here: the caller states each one; `mprim.cli` holds defaults.
 
 Memory rule: a stage holds the dataset, one split's prediction and truth,
 and temporaries of at most one chunk of `kernels.CHUNK_DEMOS` demos (plus
-arrays of the fitted parameters' size). The heads fit the dataset's
-(N, T, n_joint) stack where it lies and gather a split's demos one chunk
-at a time; `metrics` scores a split chunk by chunk. No stage makes a
-second copy of the stack.
+arrays of the fitted parameters' size). The heads read a split's demos
+from the dataset's (N, T, n_joint) stack one chunk at a time; `metrics`
+scores a split chunk by chunk. No stage makes a second copy of the
+stack. The training loop allocates its arrays once per run and passes
+the validation side one chunk at a time, so an epoch allocates only the
+loss temporaries of one minibatch or chunk.
 """
 
 import csv
@@ -158,16 +160,25 @@ def batch_loss_and_grad(head, pred, target):
 # a diverging run is caught by the finiteness check of each epoch's
 # losses, not by numpy's overflow warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
-                  head):
-    """Deterministic Adam loop; returns (best_params, report).
+def _run_training(x, targets, cfg: TrainConfig, hidden, head):
+    """Deterministic Adam loop over the training split's standardised
+    contexts `x` and their `targets`, row for row; returns (best_params,
+    report).
 
     An epoch records as its train loss the mean of the per-sample losses
     that its minibatch passes compute anyway, each before its batch's
     step (`TrainReport.train_batch_loss`). Its `val_loss` is the one full
     pass of the epoch: over the validation side, or over the fit set when
-    that side is empty. Selection keeps the weights of the epoch with the
-    lowest `val_loss`, and early stopping counts epochs since then.
+    that side is empty, one `_chunks` slice at a time. Selection keeps
+    the weights of the epoch with the lowest `val_loss`, and early
+    stopping counts epochs since then.
+
+    Every array the passes write is allocated once per run: the layer and
+    backward work buffers, the epoch's shuffled fit rows (gathered once
+    per epoch, each minibatch a slice of them), the gathered check side,
+    the per-sample losses of both and the best weights. What an epoch
+    allocates is its permutation and the temporaries of the head's loss
+    on one minibatch or one check chunk.
 
     An epoch whose train or validation loss is not finite is not
     recorded. The run stops there with `stopping_reason` "diverged" and
@@ -175,47 +186,64 @@ def _run_training(x_std, targets, train_idx, cfg: TrainConfig, hidden,
     stays -1 and `train` raises TrainingDivergedError.
     """
     rng = np.random.default_rng(cfg.seed)
-    local = rng.permutation(len(train_idx))
-    n_val = int(len(train_idx) * cfg.val_fraction_of_train)
-    val_idx = train_idx[local[:n_val]]
-    fit_idx = train_idx[local[n_val:]]
+    local = rng.permutation(len(x))
+    n_val = int(len(x) * cfg.val_fraction_of_train)
+    fit_pos = local[n_val:]
+    # the side each epoch checks, gathered once for every epoch
+    check_pos = local[:n_val] if n_val else fit_pos
+    check_x, check_targets = x[check_pos], targets[check_pos]
 
-    layer_sizes = (x_std.shape[1], *hidden, targets.shape[1])
+    layer_sizes = (x.shape[1], *hidden, targets.shape[1])
     params = init_mlp(layer_sizes, cfg.seed)
     state = adam_init(params, cfg.learning_rate)
     grad = np.empty_like(params.theta)
     grads_w, grads_b = params.views(grad)
-    batch_losses = np.empty(len(fit_idx))
+    # rows of the largest pass: a minibatch or a check chunk
+    rows = max(min(cfg.batch_size, len(fit_pos)),
+               min(kernels.CHUNK_DEMOS, len(check_pos)))
+    layers = [np.empty((rows, d)) for d in layer_sizes[1:]]
+    work = [(np.empty((rows, d)), np.empty((rows, d))) for d in hidden]
+    epoch_x = np.empty((len(fit_pos), x.shape[1]))
+    epoch_targets = np.empty((len(fit_pos), targets.shape[1]))
+    batch_losses = np.empty(len(fit_pos))
+    check_losses = np.empty(len(check_pos))
     report = TrainReport()
-    # the side each epoch checks, gathered once for every epoch
-    check_idx = val_idx if len(val_idx) else fit_idx
-    check_x, check_targets = x_std[check_idx], targets[check_idx]
 
-    best_theta, best_val, best_epoch = None, np.inf, -1
+    best_theta, best_val, best_epoch = np.empty_like(params.theta), np.inf, -1
     reason = "zero_epochs" if cfg.epochs == 0 else "max_epochs"
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(fit_idx))
+        # the positions are rows of `x`, so "clip" clips nothing; it
+        # writes straight into `out`, where "raise" buffers the copy
+        order = fit_pos[rng.permutation(len(fit_pos))]
+        np.take(x, order, axis=0, out=epoch_x, mode="clip")
+        np.take(targets, order, axis=0, out=epoch_targets, mode="clip")
         for lo in range(0, len(order), cfg.batch_size):
-            batch = fit_idx[order[lo:lo + cfg.batch_size]]
-            acts = kernels.mlp_forward_acts(x_std[batch], params.weights,
-                                            params.biases)
+            batch = slice(lo, lo + cfg.batch_size)
+            acts = kernels.mlp_forward_acts(epoch_x[batch], params.weights,
+                                            params.biases, layers)
             losses, dpred = batch_loss_and_grad(head, acts[-1],
-                                                targets[batch])
-            batch_losses[lo:lo + len(batch)] = losses
-            kernels.mlp_backward_acts(acts, params.weights,
-                                      dpred / len(batch), grads_w, grads_b)
+                                                epoch_targets[batch])
+            batch_losses[batch] = losses
+            dpred /= len(losses)
+            kernels.mlp_backward_acts(acts, params.weights, dpred, grads_w,
+                                      grads_b, work)
             adam_step(state, params.theta, grad)
         train_loss = float(np.mean(batch_losses))
-        losses, _ = batch_loss_and_grad(
-            head, mlp_forward(params, check_x), check_targets)
-        val = float(np.mean(losses))
+        for chunk in _chunks(len(check_pos)):
+            acts = kernels.mlp_forward_acts(check_x[chunk], params.weights,
+                                            params.biases, layers)
+            losses, _ = batch_loss_and_grad(head, acts[-1],
+                                            check_targets[chunk])
+            check_losses[chunk] = losses
+        val = float(np.mean(check_losses))
         if not np.isfinite([train_loss, val]).all():
             reason = "diverged"
             break
         report.train_batch_loss.append(train_loss)
         report.val_loss.append(val)
         if val < best_val:
-            best_theta, best_val, best_epoch = params.theta.copy(), val, epoch
+            best_theta[:] = params.theta
+            best_val, best_epoch = val, epoch
         elif epoch - best_epoch >= cfg.early_stop_patience:
             reason = "early_stopping"
             break
@@ -258,10 +286,11 @@ class PrompHead(Head):
 
     @classmethod
     def fit(cls, dataset, train_idx, n_basis):
-        """(head, fitted weights of every demo)."""
+        """(head, fitted weights of the demos at `train_idx`, in that
+        order)."""
         head = cls(dataset.kind, dataset.n_joint, dataset.n_samples_per_traj,
                    n_basis)
-        return head, head.weights(dataset.trajectories)
+        return head, head._fitted(dataset, train_idx)
 
     def weights(self, trajectories):
         """Flat fitted weights of (B, T, n_joint) trajectories, joint-major,
@@ -283,12 +312,17 @@ class PrompHead(Head):
         return self._trajectories(out)
 
     def truth(self, dataset, indices):
-        """The demos at `indices` decoded from their fitted weights; the
-        demos are gathered one chunk at a time."""
-        stack = dataset.trajectories
-        return self._trajectories(np.concatenate(
-            [self.weights(stack[indices[rows]])
-             for rows in _chunks(len(indices))]))
+        """The demos at `indices` decoded from their fitted weights."""
+        return self._trajectories(self._fitted(dataset, indices))
+
+    def _fitted(self, dataset, indices):
+        """Flat fitted weights of the demos at `indices`; the demos are
+        gathered and fitted one chunk at a time into an array allocated
+        once."""
+        stack, out = dataset.trajectories, np.empty((len(indices), self.width))
+        for rows in _chunks(len(indices)):
+            out[rows] = self.weights(stack[indices[rows]])
+        return out
 
     def _trajectories(self, flat):
         w = flat.reshape(len(flat), self.n_joint, -1)
@@ -312,15 +346,15 @@ class ResidualHead(PrompHead):
             raise ValueError("residual variant needs at least 2 training "
                              "demos")
         base, weights = PrompHead.fit(dataset, train_idx, n_basis)
-        regions = np.array(cls._regions(dataset, train_idx))
-        means = {GLOBAL_GROUP: weights[train_idx].mean(axis=0)}
+        regions = cls._regions(dataset, train_idx)
+        means = {GLOBAL_GROUP: weights.mean(axis=0)}
+        tagged = np.array(regions)
         for region in dict.fromkeys(r for r in regions if r is not None):
-            means[region] = weights[train_idx[regions == region]].mean(axis=0)
+            means[region] = weights[tagged == region].mean(axis=0)
         head = cls(base.task, base.n_joint, base.n_samples, base.n_basis,
                    means)
-        # each demo's weights less its group's mean, in place
-        for row, region in zip(weights,
-                               cls._regions(dataset, range(len(dataset)))):
+        # each training demo's weights less its group's mean, in place
+        for row, region in zip(weights, regions):
             row -= means.get(region, means[GLOBAL_GROUP])
         return head, weights
 
@@ -354,22 +388,22 @@ class DmpHead(Head):
 
     @classmethod
     def fit(cls, dataset, train_idx, n_basis_dmp):
-        """(head, attractor parameters of every demo); the variant is the
-        dataset kind."""
+        """(head, attractor parameters of the demos at `train_idx`, in that
+        order); the variant is the dataset kind."""
         home = None
         if dataset.kind == "rtp":
             home = dataset.trajectories[train_idx, 0].mean(axis=0)
         head = cls(dataset.kind, dataset.n_joint, dataset.n_samples_per_traj,
                    n_basis_dmp, home)
-        # fitted one chunk of the stack at a time into the targets, so a
-        # chunk's fit lives only while its rows are written
-        stack = dataset.trajectories
-        targets = np.empty((len(stack), head.width))
-        for rows in _chunks(len(stack)):
-            forcing, goals, starts = dmp_mod.fit_dmp(stack[rows], n_basis_dmp)
-            targets[rows] = np.hstack(
-                [forcing.reshape(len(forcing), -1), goals]
-                + ([starts] if dataset.kind == "wpp" else []))
+        # fitted one chunk at a time into the targets, so a chunk's fit
+        # lives only while its rows are written
+        targets = np.empty((len(train_idx), head.width))
+        for rows in _chunks(len(train_idx)):
+            forcing, goals, starts = dmp_mod.fit_dmp(
+                dataset.trajectories, train_idx[rows], n_basis_dmp)
+            np.concatenate([forcing.reshape(len(forcing), -1), goals]
+                           + ([starts] if dataset.kind == "wpp" else []),
+                           axis=1, out=targets[rows])
         return head, targets
 
     def loss_and_grad(self, pred, target):
@@ -397,16 +431,10 @@ class DmpHead(Head):
         return self._rollouts(forcing, goals, starts, "prediction", indices)
 
     def truth(self, dataset, indices):
-        """The rollouts of the demos at `indices` refitted; the demos are
-        gathered and fitted one chunk at a time into arrays allocated
-        once for the split, and a gathered chunk lives only during its
-        fit."""
-        n, j, k = len(indices), self.n_joint, self.n_basis_dmp
-        fits = np.empty((n, j, k)), np.empty((n, j)), np.empty((n, j))
-        for rows in _chunks(n):
-            for whole, part in zip(fits, dmp_mod.fit_dmp(
-                    dataset.trajectories[indices[rows]], k)):
-                whole[rows] = part
+        """The rollouts of the demos at `indices` refitted, read from the
+        stack where they lie."""
+        fits = dmp_mod.fit_dmp(dataset.trajectories, indices,
+                               self.n_basis_dmp)
         return self._rollouts(*fits, "ground-truth", indices)
 
     def _rollouts(self, forcing, goals, starts, what, indices):
@@ -491,10 +519,10 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
     check_split(train_idx.tolist(), test_idx.tolist())
     head, targets = HEADS[method].fit(
         dataset, train_idx, n_basis_dmp if method == "ddmp" else n_basis)
-    contexts = dataset.contexts
-    mean, std = _fit_scaler(contexts[train_idx])
-    params, report = _run_training((contexts - mean) / std, targets,
-                                   train_idx, cfg, hidden, head)
+    contexts = dataset.contexts[train_idx]
+    mean, std = _fit_scaler(contexts)
+    params, report = _run_training((contexts - mean) / std, targets, cfg,
+                                   hidden, head)
     if report.stopping_reason == "diverged" and report.best_epoch < 0:
         raise TrainingDivergedError(report.final_epoch, method,
                                     cfg.learning_rate)

@@ -18,7 +18,7 @@ def min_jerk_values(q0, q1, n=150):
 
 def fit_one(values, n_basis=25):
     """(forcing weights (n_joint, n_basis), goal, start) of one demo."""
-    weights, goals, starts = fit_dmp(np.asarray(values)[None], n_basis)
+    weights, goals, starts = fit_dmp(np.asarray(values)[None], [0], n_basis)
     return weights[0], goals[0], starts[0]
 
 
@@ -101,19 +101,19 @@ class TestFit:
 
     def test_goal_and_start_from_demo(self):
         stack = degenerate_stack()
-        weights, goals, starts = fit_dmp(stack, 25)
+        weights, goals, starts = fit_dmp(stack, range(len(stack)), 25)
         assert weights.shape == (4, 2, 25)
         np.testing.assert_array_equal(starts, stack[:, 0])
         np.testing.assert_array_equal(goals, stack[:, -1])
 
     def test_too_short_demo_rejected(self):
         with pytest.raises(ValueError):
-            fit_dmp(np.zeros((1, 2, 1)), 25)
+            fit_dmp(np.zeros((1, 2, 1)), [0], 25)
 
     @pytest.mark.parametrize("shape", [(150, 2), (150,), (1, 1, 150, 2)])
     def test_stack_that_is_not_3d_rejected(self, shape):
         with pytest.raises(ValueError, match=r"\(B, T, n_joint\)"):
-            fit_dmp(np.zeros(shape), 25)
+            fit_dmp(np.zeros(shape), [0], 25)
 
     def test_mixed_degenerate_joint(self):
         # the second joint starts on its goal: a zero span, so zero weights
@@ -124,7 +124,7 @@ class TestFit:
         assert np.any(weights[0] != 0.0)
 
     def test_degenerate_rows_get_zero_weights(self):
-        weights, _, _ = fit_dmp(degenerate_stack(), 25)
+        weights, _, _ = fit_dmp(degenerate_stack(), range(4), 25)
         np.testing.assert_array_equal(weights[1], 0.0)
         np.testing.assert_array_equal(weights[3, 0], 0.0)
         assert np.all(weights[[0, 2]] != 0.0) and np.all(weights[3, 1] != 0.0)
@@ -132,11 +132,15 @@ class TestFit:
     @pytest.mark.parametrize("seed", range(3))
     def test_stack_equals_single_fits(self, seed):
         stack = degenerate_stack(seed)
-        fits = fit_dmp(stack, 25)
-        for b in range(len(stack)):
-            for stacked, single in zip(fits, fit_dmp(stack[b:b + 1], 25)):
-                assert np.array_equal(stacked[b], single[0]), b
-            assert np.array_equal(fits[0][b], reference_fit(stack[b], 25)), b
+        # the demos in any order, one of them twice
+        order = np.random.default_rng(seed).permutation([0, 1, 2, 3, 2])
+        fits = fit_dmp(stack, order, 25)
+        for row, b in enumerate(order):
+            for stacked, single in zip(fits, fit_dmp(stack[b:b + 1], [0],
+                                                     25)):
+                assert np.array_equal(stacked[row], single[0]), b
+            assert np.array_equal(fits[0][row],
+                                  reference_fit(stack[b], 25)), b
 
 
 class TestRollout:

@@ -45,16 +45,26 @@ def loss_ddmp_wpp(pred, gt):
     return loss_of(dmp_head("wpp", 1), pred, gt)
 
 
+def layer_buffers(params, rows):
+    """The forward pass's per-layer arrays and the backward pass's work
+    pairs, for batches of at most `rows`."""
+    out = [np.empty((rows, d)) for d in params.layer_sizes[1:]]
+    work = [(np.empty((rows, d)), np.empty((rows, d)))
+            for d in params.layer_sizes[1:-1]]
+    return out, work
+
+
 def mlp_backward(params, ctx, head, target):
     """Gradient of one sample's loss w.r.t. `theta`, through the same
     kernels the training loop calls; (gradient, loss)."""
+    out, work = layer_buffers(params, 1)
     acts = kernels.mlp_forward_acts(np.atleast_2d(ctx), params.weights,
-                                    params.biases)
+                                    params.biases, out)
     losses, dpred = batch_loss_and_grad(head, acts[-1],
                                         np.atleast_2d(target))
     grad = np.empty_like(params.theta)
     kernels.mlp_backward_acts(acts, params.weights, dpred,
-                              *params.views(grad))
+                              *params.views(grad), work)
     return grad, float(losses[0])
 
 
@@ -140,11 +150,13 @@ class TestFlatLayout:
         params = init_mlp((10, 64, 64, 56), seed=8)
         x = rng.standard_normal((32, 10))
         delta = rng.standard_normal((32, 56))
-        acts = kernels.mlp_forward_acts(x, params.weights, params.biases)
+        out, work = layer_buffers(params, 40)
+        acts = kernels.mlp_forward_acts(x, params.weights, params.biases,
+                                        out)
         grad = np.full_like(params.theta, np.nan)
         grads_w, grads_b = params.views(grad)
         kernels.mlp_backward_acts(acts, params.weights, delta, grads_w,
-                                  grads_b)
+                                  grads_b, work)
         assert np.all(np.isfinite(grad))   # every parameter was written
         for k in (2, 1, 0):
             np.testing.assert_array_equal(grads_w[k], acts[k].T @ delta)
@@ -389,6 +401,23 @@ class TestAdam:
         adam_step(state, params.theta, g)
         inc = params.weights[0][0, 0] - before
         assert inc == pytest.approx(-0.01, rel=1e-3)
+
+    def test_steps_around_the_exact_bias_correction_equal_the_divide(self):
+        # from step 356 on, 1 - BETA1**step is exactly 1.0 and adam_step
+        # skips dividing m by it; steps 355, 356 and 357 still equal the
+        # plain divide form bit for bit
+        assert 1.0 - BETA1 ** 355 != 1.0 == 1.0 - BETA1 ** 356
+        params = init_mlp((3, 8, 4), seed=6)
+        arrays = [params.theta.copy()]
+        grads = np.random.default_rng(6).standard_normal(
+            (357, params.theta.size))
+        state = adam_init(params, learning_rate=0.01)
+        for step, g in enumerate(grads, start=1):
+            adam_step(state, params.theta, g)
+            if step >= 355:
+                expected, = adam_reference(arrays, ([g] for g in
+                                                    grads[:step]), 0.01)
+                assert params.theta.tobytes() == expected.tobytes(), step
 
     def test_quadratic_bowl_convergence(self):
         # convergence oracle: minimize 0.5*||x||^2 by feeding the exact

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from mprim import dmp as dmp_mod
 from mprim import kernels, kinematics, metrics, training
 from mprim.basis import build_phi
-from mprim.dataset import (WPP_SPLITS, apply_split, generate_rtp,
-                           generate_wpp, random_split)
+from mprim.dataset import (WPP_DEFAULT_TRIALS, WPP_SPLITS, apply_split,
+                           generate_rtp, generate_wpp, random_split)
 from mprim.dmp import fit_dmp, rollout_matched
 from mprim.errors import IntegrationError, TrainingDivergedError
 from mprim.kinematics import DEFAULT_CHAIN, final_distances
@@ -29,6 +29,14 @@ def small_rtp():
 @pytest.fixture(scope="module")
 def tiny_wpp():
     return generate_wpp(seed=22, trials_per_cell=2)
+
+
+@pytest.fixture(scope="module")
+def paper_wpp():
+    """The paper-sized palpation set (868 demos) and its WPP1 split, whose
+    validation side spans three chunks."""
+    ds = generate_wpp(seed=22, trials_per_cell=WPP_DEFAULT_TRIALS)
+    return ds, apply_split(ds, WPP_SPLITS["WPP1"], seed=0)
 
 
 def config(epochs, seed, **changes):
@@ -245,6 +253,16 @@ class TestTrainResidual:
             model.head.mean_weights["__global__"],
             weights[list(model.train_indices)].mean(axis=0))
 
+    def test_targets_are_the_centred_training_rows(self, small_rtp):
+        # one row per training demo, in the split's order, less its
+        # region's mean
+        idx = np.random.default_rng(11).permutation(len(small_rtp))[:30]
+        head, targets = ResidualHead.fit(small_rtp, idx, 8)
+        weights = head.weights(small_rtp.trajectories[idx])
+        means = np.stack([head.mean_weights[small_rtp.tags[i]["region"]]
+                          for i in idx])
+        assert targets.tobytes() == (weights - means).tobytes()
+
     def test_region_means_exist_with_global_fallback(self, small_rtp):
         model, _ = trained("residual", small_rtp,
                            config(epochs=1, seed=10))
@@ -301,9 +319,22 @@ class TestTrainDdmp:
         assert np.all(losses == 0.0) and np.all(grads == 0.0)
 
 
+@pytest.mark.parametrize("head", [PrompHead, DmpHead])
+def test_head_fits_the_training_rows_alone(head):
+    # the targets of a shuffled index set that spans two chunks are the
+    # rows of a fit of every demo, in that order, bit for bit
+    ds = generate_wpp(seed=33, trials_per_cell=3)
+    rng = np.random.default_rng(6)
+    idx = rng.permutation(len(ds))[:kernels.CHUNK_DEMOS + 9]
+    k = 25 if head is DmpHead else 10
+    _, targets = head.fit(ds, idx, k)
+    _, every = head.fit(ds, np.arange(len(ds)), k)
+    assert targets.tobytes() == every[idx].tobytes()
+
+
 class TestEpochLoop:
     """What one epoch computes: the minibatch passes, whose losses make the
-    train loss, plus one full pass for selection."""
+    train loss, plus one full pass for selection, a chunk at a time."""
 
     CFG = config(epochs=4, seed=4, batch_size=7, early_stop_patience=4)
 
@@ -321,37 +352,46 @@ class TestEpochLoop:
         monkeypatch.setattr(module, name, wrapper)
         return calls
 
-    def test_minibatch_passes_plus_one_validation_pass(self, small_rtp,
+    def test_minibatch_passes_plus_one_validation_pass(self, paper_wpp,
                                                        monkeypatch):
         forward = self.counted(monkeypatch, kernels, "mlp_forward_acts",
                                lambda args, acts: len(args[0]))
-        model, report = trained("deep-mp", small_rtp, self.CFG)
+        dataset, split = paper_wpp
+        model, report = trained("deep-mp", dataset, self.CFG, split=split)
         assert report.final_epoch == self.CFG.epochs
         n_train, size = len(model.train_indices), self.CFG.batch_size
         n_val = int(n_train * TrainConfig.val_fraction_of_train)
-        n_batches = math.ceil((n_train - n_val) / size)
-        assert len(forward) == self.CFG.epochs * (n_batches + 1)
+        n_fit, chunk = n_train - n_val, kernels.CHUNK_DEMOS
+        assert 2 * chunk < n_val < 3 * chunk
         # each epoch: the minibatches of the fit set, then the validation
-        # side in one pass
-        batches = [size] * (n_batches - 1) + [(n_train - n_val) % size
-                                              or size]
-        assert forward == (batches + [n_val]) * self.CFG.epochs
+        # side one chunk at a time: 64, 64, then the remainder
+        n_batches = math.ceil(n_fit / size)
+        batches = [size] * (n_batches - 1) + [n_fit % size or size]
+        checks = [chunk, chunk, n_val - 2 * chunk]
+        assert forward == (batches + checks) * self.CFG.epochs
 
-    def test_train_loss_is_the_mean_minibatch_loss(self, small_rtp,
+    def test_train_loss_is_the_mean_minibatch_loss(self, paper_wpp,
                                                    monkeypatch):
         losses = self.counted(monkeypatch, training, "batch_loss_and_grad",
                               lambda args, result: result[0].copy())
-        _, report = trained("deep-mp", small_rtp, self.CFG)
+        dataset, split = paper_wpp
+        model, report = trained("deep-mp", dataset, self.CFG, split=split)
+        n_train = len(model.train_indices)
+        n_val = int(n_train * TrainConfig.val_fraction_of_train)
+        n_checks = math.ceil(n_val / kernels.CHUNK_DEMOS)
         n_calls = len(losses) // self.CFG.epochs
         for epoch, train_loss in enumerate(report.train_batch_loss):
             calls = losses[epoch * n_calls:(epoch + 1) * n_calls]
-            # the last call of an epoch is the validation pass
-            assert calls[-1].mean() == report.val_loss[epoch]
+            # the last calls of an epoch are the validation chunks; the
+            # validation loss is the mean of their losses as one array
+            checks = calls[-n_checks:]
+            assert sum(map(len, checks)) == n_val
+            assert np.concatenate(checks).mean() == report.val_loss[epoch]
             # the same values in the same order: only the grouping of
             # the sum may differ, which rtol=1e-14 covers
-            np.testing.assert_allclose(train_loss,
-                                       np.concatenate(calls[:-1]).mean(),
-                                       rtol=1e-14)
+            np.testing.assert_allclose(
+                train_loss, np.concatenate(calls[:-n_checks]).mean(),
+                rtol=1e-14)
 
     def test_empty_validation_side_selects_on_the_fit_set(self, small_rtp,
                                                           monkeypatch):
@@ -468,7 +508,7 @@ class TestEvaluate:
         n, j, k = head.n_samples, 7, head.n_basis_dmp
         sq, preds, gts = [], [], []
         for i, out in zip(split[1], net_outputs(model, tiny_wpp, split[1])):
-            forcing, goal, start = fit_dmp(tiny_wpp.trajectories[i][None], k)
+            forcing, goal, start = fit_dmp(tiny_wpp.trajectories, [i], k)
             gt = rollout_matched(start, goal, forcing, n)[0]
             # wpp output layout [forcing, joint-major | goal | start]
             pred = rollout_matched(out[None, j * k + j:],
@@ -507,11 +547,10 @@ class TestEvaluate:
         else:
             # a NaN forcing weight in the bad demo's row of the stacked
             # fit makes its ground-truth rollout non-finite
-            def poisoned(trajectories, *a):
-                forcing, goals, starts = fit_dmp(trajectories, *a)
-                for row, values in enumerate(trajectories):
-                    if np.array_equal(values, tiny_wpp.trajectories[bad]):
-                        forcing[row, 0, 0] = np.nan
+            def poisoned(trajectories, indices, n_basis):
+                forcing, goals, starts = fit_dmp(trajectories, indices,
+                                                 n_basis)
+                forcing[np.asarray(indices) == bad, 0, 0] = np.nan
                 return forcing, goals, starts
 
             monkeypatch.setattr(dmp_mod, "fit_dmp", poisoned)
