@@ -14,15 +14,17 @@ and then only its head's own fields, the head's dataclass fields after
 `task`, `n_joint` and `n_samples` in declaration order:
   deep-mp   "n_basis": int (`basis.build_phi` sets the basis from it
             and T)
-  residual  "n_basis": int, "mean_weights": {region: enc of J*n_basis}
+  residual  "n_basis": int, "mean_weights": {"__global__": enc of J*n_basis}
   ddmp      "n_basis_dmp": int, "home": enc of J (rtp) or null (wpp)
 Every array value must be finite, and every `ctx_std` entry > 0. The
 two index lists form a split that `dataset.check_split` accepts. Other
 payload fields are ignored: checkpoints written while the models still
 took a sampling rate and a DMP time constant hold one field for each,
 and they load as before.
-Schema 1 (nested decimal lists) is no longer read: re-run `mprim train`
-with the arguments in the checkpoint's manifest to rewrite it.
+Schema 1 (nested decimal lists) is no longer read, nor are the
+per-region means, keys of `mean_weights` besides "__global__", that rtp
+residual checkpoints held: re-run `mprim train` with the arguments in
+the checkpoint's manifest to rewrite either.
 """
 
 import base64
@@ -34,10 +36,15 @@ import numpy as np
 from mprim.dataset import TASKS, check_split
 from mprim.jsonio import read_json_object, replace_on_success
 from mprim.regressor import MlpParams
-from mprim.training import GLOBAL_GROUP, HEADS, Model
+from mprim.training import HEADS, Model
 
 SCHEMA_VERSION = 2
 KIND = "trained_model"
+GLOBAL_GROUP = "__global__"   # the one key of a residual's `mean_weights`
+
+
+class OutdatedError(ValueError):
+    """A payload field in a form that only an earlier version wrote."""
 
 
 def save(model: Model, path, meta):
@@ -68,25 +75,27 @@ def load(path) -> Model:
     """Read a checkpoint back into the trained model it was saved from.
 
     Text that is not UTF-8 or not JSON, a document that is not an object,
-    a schema-1 checkpoint and a payload field that is missing or of the
-    wrong type or shape raise ValueError naming the file and the byte,
-    the JSON line or the field."""
+    a schema-1 checkpoint and a payload field that is missing, outdated or
+    of the wrong type or shape raise ValueError naming the file and the
+    byte, the JSON line or the field, and how to rewrite an outdated
+    one."""
     doc = read_json_object(path)
     if doc.get("kind") != KIND:
         raise ValueError(f"{path}: unknown checkpoint kind "
                          f"{doc.get('kind')!r}; expected {KIND!r}")
     schema = doc.get("schema")
+    rerun = (f"; re-run `mprim train` with the arguments in {path}"
+             f".manifest.json to rewrite it")
     if schema != SCHEMA_VERSION:
-        rerun = (f"; re-run `mprim train` with the arguments in {path}"
-                 f".manifest.json to rewrite it" if schema == 1 else "")
         raise ValueError(f"{path}: unsupported checkpoint schema "
-                         f"{schema!r}{rerun}")
+                         f"{schema!r}{rerun if schema == 1 else ''}")
     if not isinstance(doc.get("payload"), dict):
         raise ValueError(f"{path}: missing field 'payload' (an object)")
     try:
         return _model(doc["payload"])
     except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+        hint = rerun if isinstance(err, OutdatedError) else ""
+        raise ValueError(f"{path}: {err}{hint}") from None
 
 
 def encode_f64(values) -> str:
@@ -145,14 +154,16 @@ def _model(d):
 
 def _field(d, name, parse, *args):
     """Payload field `name`, through `parse(value, *args)`; a missing field
-    or one that `parse` rejects raises ValueError naming it."""
+    or one that `parse` rejects raises ValueError naming it; an
+    OutdatedError keeps its type."""
     if name not in d:
         raise ValueError(f"payload lacks field {name!r}")
     try:
         return parse(d[name], *args)
     except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"payload field {name!r} is malformed "
-                         f"({type(err).__name__}: {err})") from None
+        kind = OutdatedError if isinstance(err, OutdatedError) else ValueError
+        raise kind(f"payload field {name!r} is malformed "
+                   f"({type(err).__name__}: {err})") from None
 
 
 def _indices(value, train):
@@ -201,10 +212,12 @@ def _floats(value, n=None, positive=False):
 
 
 def _means(value, head):
-    if GLOBAL_GROUP not in value:
-        raise KeyError(GLOBAL_GROUP)
-    width = head["n_joint"] * head["n_basis"]
-    return {k: _floats(v, width) for k, v in value.items()}
+    """The one training mean, from {GLOBAL_GROUP: enc}."""
+    extra = sorted(value.keys() - {GLOBAL_GROUP})
+    if extra:
+        raise OutdatedError(f"keys {extra} besides {GLOBAL_GROUP!r} hold "
+                            f"per-region means, which are no longer read")
+    return _floats(value[GLOBAL_GROUP], head["n_joint"] * head["n_basis"])
 
 
 def _home(value, head):
@@ -220,8 +233,7 @@ def _null(value):
 # -> (writer, reader of (value, the head's fields read so far))
 _HEAD_FIELDS = {
     "n_basis": (lambda n: n, lambda value, head: _count(value)),
-    "mean_weights": (lambda means: {k: encode_f64(v)
-                                    for k, v in means.items()}, _means),
+    "mean_weights": (lambda mean: {GLOBAL_GROUP: encode_f64(mean)}, _means),
     "n_basis_dmp": (lambda n: n, lambda value, head: _count(value)),
     "home": (lambda home: None if home is None else encode_f64(home), _home),
 }

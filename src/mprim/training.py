@@ -5,9 +5,8 @@ that meaning is a `Head`:
 
   PrompHead      deep-mp: every joint's ProMP basis weights, trained with
                  the trajectory-space loss
-  ResidualHead   residual: the deviation of those weights from the
-                 training-split mean (per region when region tags exist);
-                 decoding adds the mean back
+  ResidualHead   residual: the deviation of those weights from their
+                 mean over the training split; decoding adds the mean back
   DmpHead        ddmp: goal-attractor parameters, trained with the
                  parameter-space losses; the variant follows the dataset
                  kind, and the reach variant (rtp) leaves the known start
@@ -54,7 +53,6 @@ from mprim.regressor import (MlpParams, adam_init, adam_step, init_mlp,
                              mlp_forward, rms_loss, trajectory_loss)
 
 GOAL_WEIGHT = 100.0   # rtp attractor loss: weight of the goal residual
-GLOBAL_GROUP = "__global__"
 
 
 @dataclass(frozen=True)
@@ -264,8 +262,9 @@ class Head:
     A subclass fits its targets (`fit`, whose third argument is its basis
     size: `n_basis` or `n_basis_dmp`), computes its per-sample loss and
     the loss gradient w.r.t. a batch of network outputs (`loss_and_grad`),
-    decodes such a batch (`decode`), gives the ground truth of a split
-    (`truth`) and says how many network outputs it takes (`width`).
+    decodes such a batch from the outputs alone (`decode`; the dataset
+    indices of its rows only name a failure), gives the ground truth of a
+    split (`truth`) and says how many network outputs it takes (`width`).
     Trajectories are (B, T, n_joint) arrays, with T = `n_samples`.
     """
 
@@ -308,7 +307,7 @@ class PrompHead(Head):
     def width(self):
         return self.n_joint * self.n_basis
 
-    def decode(self, out, dataset, indices):
+    def decode(self, out, indices):
         return self._trajectories(out)
 
     def truth(self, dataset, indices):
@@ -331,14 +330,10 @@ class PrompHead(Head):
 
 @dataclass(frozen=True)
 class ResidualHead(PrompHead):
-    """residual: the net predicts the deviation from mean basis weights.
+    """residual: the net predicts the deviation from the mean basis
+    weights of the training split; decoding adds that mean back."""
 
-    The means come from the training split only: one per region when the
-    demos carry region tags, plus a global one for every other demo.
-    Decoding adds the demo's mean back.
-    """
-
-    mean_weights: dict             # region (or GLOBAL_GROUP) -> flat mean
+    mean_weights: np.ndarray       # flat, n_joint*n_basis
 
     @classmethod
     def fit(cls, dataset, train_idx, n_basis):
@@ -346,31 +341,13 @@ class ResidualHead(PrompHead):
             raise ValueError("residual variant needs at least 2 training "
                              "demos")
         base, weights = PrompHead.fit(dataset, train_idx, n_basis)
-        regions = cls._regions(dataset, train_idx)
-        means = {GLOBAL_GROUP: weights.mean(axis=0)}
-        tagged = np.array(regions)
-        for region in dict.fromkeys(r for r in regions if r is not None):
-            means[region] = weights[tagged == region].mean(axis=0)
-        head = cls(base.task, base.n_joint, base.n_samples, base.n_basis,
-                   means)
-        # each training demo's weights less its group's mean, in place
-        for row, region in zip(weights, regions):
-            row -= means.get(region, means[GLOBAL_GROUP])
-        return head, weights
+        mean = weights.mean(axis=0)
+        weights -= mean
+        return cls(base.task, base.n_joint, base.n_samples, base.n_basis,
+                   mean), weights
 
-    @staticmethod
-    def _regions(dataset, indices):
-        """The region tag of each demo as a string, None where it has none."""
-        regions = (dataset.tags[i].get("region") for i in indices)
-        return [None if r is None else str(r) for r in regions]
-
-    def _means(self, dataset, indices):
-        fallback = self.mean_weights[GLOBAL_GROUP]
-        return np.stack([self.mean_weights.get(r, fallback)
-                         for r in self._regions(dataset, indices)])
-
-    def decode(self, out, dataset, indices):
-        return self._trajectories(out + self._means(dataset, indices))
+    def decode(self, out, indices):
+        return self._trajectories(out + self.mean_weights)
 
 
 @dataclass(frozen=True)
@@ -422,7 +399,7 @@ class DmpHead(Head):
         return self.n_joint * (self.n_basis_dmp
                                + (1 if self.task == "rtp" else 2))
 
-    def decode(self, out, dataset, indices):
+    def decode(self, out, indices):
         j, n = self.n_joint, self.n_basis_dmp
         forcing = out[:, :j * n].reshape(len(out), j, n)
         goals = out[:, j * n:j * n + j]
@@ -488,7 +465,7 @@ class Model:
         indices = _demo_indices(indices, len(dataset), "demo")
         ctx = dataset.contexts[indices]
         out = mlp_forward(self.mlp, (ctx - self.ctx_mean) / self.ctx_std)
-        return self.head.decode(out, dataset, indices)
+        return self.head.decode(out, indices)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mprim import checkpoint, training
-from mprim.checkpoint import decode_f64, encode_f64
+from mprim.checkpoint import GLOBAL_GROUP, decode_f64, encode_f64
 from mprim.cli import main
 from mprim.dataset import generate_rtp, generate_wpp, save_jsonl
 from mprim.regressor import MlpParams, init_mlp
-from mprim.training import (GLOBAL_GROUP, DmpHead, Model, PrompHead,
-                            ResidualHead, TrainConfig, train)
+from mprim.training import (DmpHead, Model, PrompHead, ResidualHead,
+                            TrainConfig, train)
 
 METHODS = ("deep-mp", "residual", "ddmp")
 
@@ -165,9 +165,18 @@ def test_uncheckpointable_type(tmp_path):
                         meta={})
 
 
+_REGION_MEANS = ("(OutdatedError: keys {} besides '__global__' hold "
+                 "per-region means, which are no longer read); re-run "
+                 "`mprim train` with the arguments in ")
+
+
 @pytest.mark.parametrize("task,method,field,value,why", [
     ("rtp", "residual", "mean_weights", {"A": encode_f64([0.0] * 56)},
-     "KeyError: '__global__'"),
+     _REGION_MEANS.format("['A']")),
+    ("rtp", "residual", "mean_weights",
+     lambda old: {**old, "A": old["__global__"]},
+     _REGION_MEANS.format("['A']")),
+    ("rtp", "residual", "mean_weights", {}, "KeyError: '__global__'"),
     ("rtp", "residual", "mean_weights", {"__global__": encode_f64([0.0])},
      "expected 56 float64 values, got 1"),
     ("rtp", "ddmp", "home", None, "not a base64 string of float64"),
@@ -191,7 +200,8 @@ def test_uncheckpointable_type(tmp_path):
      "ValueError: value 6 is nan; expected finite numbers)"),
     ("wpp", "ddmp", "home", encode_f64([0.0] * 7),
      "ValueError: expected null, got a str)"),
-], ids=["means_without_global", "means_width", "rtp_without_home",
+], ids=["means_without_global", "means_with_region", "means_empty",
+        "means_width", "rtp_without_home",
         "n_basis_dmp_list", "n_basis_dmp_zero", "n_basis_dmp_float",
         "theta_nan", "ctx_mean_inf", "ctx_std_zero", "ctx_std_negative",
         "ctx_std_inf", "means_inf", "home_nan", "wpp_with_home"])
@@ -200,7 +210,9 @@ def test_malformed_head_field_names_file_and_field(tmp_path, task, method,
     # a field of the wrong type, shape or value would otherwise broadcast
     # silently, evaluate to NaN or nonsense, or fail later with a message
     # naming neither; `value` may be a function of the saved value. A wpp
-    # head has no home: its net predicts the starts
+    # head has no home: its net predicts the starts. A residual head keeps
+    # one mean; the per-region means that rtp checkpoints held before are
+    # refused with the hint to rewrite the file
     ds = (generate_rtp(seed=3, counts=(6, 3, 2, 2), noise_std=0.0)
           if task == "rtp" else generate_wpp(seed=5, trials_per_cell=1))
     model = _trained(method, ds, epochs=1, seed=1, n_basis_dmp=5)
@@ -309,7 +321,7 @@ def test_save_refuses_what_load_rejects(tmp_path, method, field, value, why):
     head = model.head
     array = {"theta": model.mlp.theta, "ctx_mean": model.ctx_mean,
              "ctx_std": model.ctx_std,
-             "mean_weights": getattr(head, "mean_weights", {}).get("A"),
+             "mean_weights": getattr(head, "mean_weights", None),
              "home": getattr(head, "home", None)}[field]
     array[1] = value
     with pytest.raises(ValueError) as err:
@@ -364,8 +376,7 @@ def _model(method, floats, positive):
         head = (PrompHead("rtp", n_joint, _N_SAMPLES, n_basis)
                 if method == "deep-mp"
                 else ResidualHead("rtp", n_joint, _N_SAMPLES, n_basis,
-                                  {GLOBAL_GROUP: floats(width),
-                                   "A": floats(width)}))
+                                  floats(width)))
     sizes = (3, 4, width)
     mlp = MlpParams(sizes, floats(4 * 4 + 5 * width))
     return Model(head, mlp, floats(3), positive(3), (0, 2), (1,))
@@ -373,10 +384,9 @@ def _model(method, floats, positive):
 
 def _arrays(model):
     head = model.head
+    own = (getattr(head, name, None) for name in ("mean_weights", "home"))
     return [model.mlp.theta, model.ctx_mean, model.ctx_std,
-            *getattr(head, "mean_weights", {}).values(),
-            *([head.home] if getattr(head, "home", None) is not None
-              else [])]
+            *(array for array in own if array is not None)]
 
 
 class TestFormatProperties:
@@ -443,8 +453,7 @@ class TestFormatProperties:
         model = _model(method, lambda n: np.linspace(-1.0, 1.0, n),
                        lambda n: np.linspace(0.5, 1.5, n))
         fields = [("theta",), ("ctx_mean",), ("ctx_std",),
-                  *{"residual": [("mean_weights", "A"),
-                                 ("mean_weights", GLOBAL_GROUP)],
+                  *{"residual": [("mean_weights", GLOBAL_GROUP)],
                     "ddmp": [("home",)]}.get(method, [])]
         path_in_payload = data.draw(st.sampled_from(fields))
         with tempfile.TemporaryDirectory() as tmp:

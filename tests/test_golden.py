@@ -17,7 +17,7 @@ EPOCHS = 60
 # (task, method) -> (ave_mse rad^2, ave_ed mm, test demos)
 GOLDEN = {
     ("rtp", "deep-mp"): ("0.0115672", "30.2162", 8),
-    ("rtp", "residual"): ("0.00660767", "35.6849", 8),
+    ("rtp", "residual"): ("0.00158175", "10.9755", 8),
     ("rtp", "ddmp"): ("0.107718", "40.0512", 8),
     ("wpp", "deep-mp"): ("0.306317", "251.066", 16),
     ("wpp", "residual"): ("0.0787784", "148.343", 16),

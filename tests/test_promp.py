@@ -102,13 +102,13 @@ class TestReconstruct:
     def test_zero_weights_zero_trajectory(self, grid):
         n_samples, n_basis, _ = grid
         out = PrompHead("rtp", 3, n_samples, n_basis).decode(
-            np.zeros((1, 3 * 8)), None, [0])
+            np.zeros((1, 3 * 8)), [0])
         assert out.shape == (1, 150, 3)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_single_basis_constant(self):
         head = PrompHead("rtp", 1, 150, 1)
-        np.testing.assert_allclose(head.decode(np.array([[0.42]]), None, [0]),
+        np.testing.assert_allclose(head.decode(np.array([[0.42]]), [0]),
                                    0.42)
 
     def test_fit_reconstruct_smooth_demo(self, grid):
@@ -118,7 +118,7 @@ class TestReconstruct:
                                   min_jerk_column(-0.5, 0.3, 150)])
         flat = fit_weights(values[None], phi).reshape(1, -1)
         rebuilt = PrompHead("rtp", 2, n_samples, n_basis).decode(
-            flat, None, [0])[0]
+            flat, [0])[0]
         rmse = np.sqrt(np.mean((rebuilt - values) ** 2))
         assert rmse < 1e-3
 
@@ -126,4 +126,4 @@ class TestReconstruct:
         n_samples, n_basis, _ = grid
         with pytest.raises(ValueError):
             PrompHead("rtp", 2, n_samples, n_basis).decode(
-                np.zeros((1, 2 * 5)), None, [0])
+                np.zeros((1, 2 * 5)), [0])

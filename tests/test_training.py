@@ -196,7 +196,7 @@ class TestTrainDeepMp:
         coef = np.linalg.lstsq(np.hstack([ctx[train_idx], ones[train_idx]]),
                                targets[train_idx], rcond=None)[0]
         ora = model.head.decode(np.hstack([ctx[test_idx], ones[test_idx]])
-                                @ coef, ds, test_idx)
+                                @ coef, test_idx)
         gt = model.head.truth(ds, test_idx)
         net_mse = evaluate(model, ds, test_idx, DEFAULT_CHAIN)[1].ave_mse
         ridge_mse = np.mean(metrics.squared_trajectory_loss(ora, gt))
@@ -236,38 +236,39 @@ class TestTrainResidual:
         model, _ = trained("residual", small_rtp, cfg)
         train_idx = np.asarray(model.train_indices)
         targets = all_weights(model, small_rtp)
-        residuals = []
-        for i in train_idx:
-            region = small_rtp.tags[i]["region"]
-            residuals.append(targets[i] - model.head.mean_weights[region])
-        np.testing.assert_allclose(np.mean(residuals, axis=0), 0.0,
-                                   atol=1e-10)
+        residuals = targets[train_idx] - model.head.mean_weights
+        np.testing.assert_allclose(residuals.mean(axis=0), 0.0, atol=1e-10)
 
     def test_no_leakage_into_mean(self, small_rtp):
-        # the global mean averages the fitted weights of the train split
-        # and of no held-out demo
+        # the mean averages the fitted weights of the train split and of
+        # no held-out demo
         model, _ = trained("residual", small_rtp, config(epochs=1, seed=9))
         assert set(model.train_indices).isdisjoint(model.test_indices)
         weights = model.head.weights(small_rtp.trajectories)
         np.testing.assert_array_equal(
-            model.head.mean_weights["__global__"],
+            model.head.mean_weights,
             weights[list(model.train_indices)].mean(axis=0))
 
     def test_targets_are_the_centred_training_rows(self, small_rtp):
-        # one row per training demo, in the split's order, less its
-        # region's mean
+        # one row per training demo, in the split's order, less the mean
         idx = np.random.default_rng(11).permutation(len(small_rtp))[:30]
         head, targets = ResidualHead.fit(small_rtp, idx, 8)
         weights = head.weights(small_rtp.trajectories[idx])
-        means = np.stack([head.mean_weights[small_rtp.tags[i]["region"]]
-                          for i in idx])
-        assert targets.tobytes() == (weights - means).tobytes()
+        assert targets.tobytes() == (weights - head.mean_weights).tobytes()
 
-    def test_region_means_exist_with_global_fallback(self, small_rtp):
-        model, _ = trained("residual", small_rtp,
-                           config(epochs=1, seed=10))
-        assert "__global__" in model.head.mean_weights
-        assert {"A", "B", "C", "D"} <= set(model.head.mean_weights)
+    def test_region_tags_change_nothing(self, small_rtp):
+        # no head reads a demo's tags: the set without its region tags
+        # trains the same net and predicts the same trajectories
+        untagged = dataclasses.replace(small_rtp, tags=[
+            {k: v for k, v in tags.items() if k != "region"}
+            for tags in small_rtp.tags])
+        cfg = config(epochs=3, seed=10)
+        model, _ = trained("residual", small_rtp, cfg)
+        bare, _ = trained("residual", untagged, cfg)
+        assert bare.mlp.theta.tobytes() == model.mlp.theta.tobytes()
+        idx = np.arange(len(small_rtp))
+        assert (bare.predict(untagged, idx).tobytes()
+                == model.predict(small_rtp, idx).tobytes())
 
     def test_residual_train_batch_loss_not_worse_on_most_seeds(
             self, small_rtp):
@@ -282,6 +283,23 @@ class TestTrainResidual:
             if res.train_batch_loss[-1] <= full.train_batch_loss[-1]:
                 wins += 1
         assert wins >= 3
+
+    def test_residual_held_out_error_below_deep_mp_on_most_seeds(self):
+        # the paper's residual claim on held-out error: a quarter-size rtp
+        # set, 150 epochs at `mprim train`'s flags, seeds 1-5. Measured,
+        # residual is lower at 5 of 5 seeds, by 17-53x (it was lower at 1
+        # of 5 while the head kept one mean per region); the threshold
+        # leaves one seed of margin
+        ds = generate_rtp(seed=3, counts=(73, 32, 18, 13), noise_std=0.0)
+        wins = 0
+        for seed in range(1, 6):
+            errors = []
+            for method in ("deep-mp", "residual"):
+                model, _ = trained(method, ds, config(epochs=150, seed=seed))
+                errors.append(evaluate(model, ds, model.test_indices,
+                                       DEFAULT_CHAIN)[1].ave_mse)
+            wins += errors[1] < errors[0]
+        assert wins >= 4
 
 
 class TestTrainDdmp:
@@ -599,20 +617,17 @@ class TestEvaluate:
             metrics.squared_trajectory_loss(
                 pred, model.head.truth(small_rtp, idx))))
 
-    def test_residual_decode_adds_region_mean(self, small_rtp):
+    def test_residual_decode_adds_the_training_mean(self, small_rtp):
         model, _ = trained("residual", small_rtp, config(epochs=1, seed=4))
         head = model.head
         assert isinstance(head, ResidualHead)
+        assert head.mean_weights.shape == (head.width,)
         idx = np.asarray(model.test_indices)
         out = net_outputs(model, small_rtp, idx)
-        means = np.stack([head.mean_weights.get(
-            small_rtp.tags[i]["region"],
-            head.mean_weights["__global__"]) for i in idx])
         plain = PrompHead(head.task, head.n_joint, head.n_samples,
                           head.n_basis)
         np.testing.assert_array_equal(
-            head.decode(out, small_rtp, idx),
-            plain.decode(out + means, small_rtp, idx))
+            head.decode(out, idx), plain.decode(out + head.mean_weights, idx))
 
     def test_empty_split_rejected(self, small_rtp):
         model, _ = trained("deep-mp", small_rtp, config(epochs=1, seed=7))
