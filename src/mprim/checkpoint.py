@@ -16,8 +16,11 @@ and then only its head's own fields, the head's dataclass fields after
             and T)
   residual  "n_basis": int, "mean_weights": {"__global__": enc of J*n_basis}
   ddmp      "n_basis_dmp": int, "home": enc of J (rtp) or null (wpp)
-Every array value must be finite, and every `ctx_std` entry > 0. The
-two index lists form a split that `dataset.check_split` accepts. Other
+Every array value must be finite, and every `ctx_std` entry > 0. J,
+each layer size, `n_basis` and `n_basis_dmp` are integers >= 1 and T one
+>= 2, by the rule of `jsonio.integer`; "task" passes
+`dataset.check_task`. The two index lists form a split that
+`dataset.check_split` accepts. Other
 payload fields are ignored: checkpoints written while the models still
 took a sampling rate and a DMP time constant hold one field for each,
 and they load as before.
@@ -33,8 +36,8 @@ import json
 
 import numpy as np
 
-from mprim.dataset import TASKS, check_split
-from mprim.jsonio import read_json_object, replace_on_success
+from mprim.dataset import check_split, check_task
+from mprim.jsonio import integer, read_json_object, replace_on_success
 from mprim.regressor import MlpParams
 from mprim.training import HEADS, Model
 
@@ -134,10 +137,10 @@ def _model(d):
     """Inverse of `_payload`. ValueError names the first field, in payload
     order, that is missing or malformed (a wpp `home` after `layer_sizes`)."""
     cls = _field(d, "method", HEADS.__getitem__)
-    head = {"task": _field(d, "task", _task),
-            "n_joint": _field(d, "n_joint", _count),
-            "n_samples": _field(d, "n_samples_per_traj",
-                                lambda v: _count(v, 2))}
+    head = {"task": _field(d, "task", check_task),
+            "n_joint": _field(d, "n_joint", integer, 1, "n_joint"),
+            "n_samples": _field(d, "n_samples_per_traj", integer, 2,
+                                "n_samples_per_traj")}
     for f in dataclasses.fields(cls)[3:]:
         head[f.name] = _field(d, f.name, _HEAD_FIELDS[f.name][1], head)
     head = cls(**head)
@@ -174,23 +177,10 @@ def _indices(value, train):
     return tuple(value)
 
 
-def _count(value, low=1):
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {type(value).__name__}")
-    if value < low:
-        raise ValueError(f"expected an integer >= {low}, got {value}")
-    return value
-
-
-def _task(value):
-    if value not in TASKS:
-        raise ValueError(f"expected 'rtp' or 'wpp', got {value!r}")
-    return value
-
-
 def _layer_sizes(value, head):
     """`layer_sizes` as a tuple of counts whose last is `head`'s width."""
-    sizes = tuple(map(_count, value))
+    sizes = tuple(integer(size, 1, f"layer_sizes[{k}]")
+                  for k, size in enumerate(value))
     if sizes[-1:] != (head.width,):
         raise ValueError(f"the net's last layer has "
                          f"{sizes[-1] if sizes else 0} outputs; its head "
@@ -232,8 +222,9 @@ def _null(value):
 # a head's own field (a dataclass field after task, n_joint and n_samples)
 # -> (writer, reader of (value, the head's fields read so far))
 _HEAD_FIELDS = {
-    "n_basis": (lambda n: n, lambda value, head: _count(value)),
+    "n_basis": (lambda n: n, lambda value, head: integer(value, 1, "n_basis")),
     "mean_weights": (lambda mean: {GLOBAL_GROUP: encode_f64(mean)}, _means),
-    "n_basis_dmp": (lambda n: n, lambda value, head: _count(value)),
+    "n_basis_dmp": (lambda n: n,
+                    lambda value, head: integer(value, 1, "n_basis_dmp")),
     "home": (lambda home: None if home is None else encode_f64(home), _home),
 }

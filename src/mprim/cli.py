@@ -91,13 +91,11 @@ def _write_manifest(path, command, argv, config, seed, inputs, outputs):
 
 def _parse_hidden(text):
     try:
-        sizes = tuple(int(tok) for tok in text.split(",") if tok.strip())
-        if all(size >= 1 for size in sizes):
-            return sizes
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"bad hidden layer list {text!r}, expected sizes >= 1, e.g. 64,64")
+        return tuple(_int_from(1)(tok) for tok in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"bad hidden layer list {text!r}, expected sizes >= 1, "
+            f"e.g. 64,64") from None
 
 
 def _int_from(low):

@@ -7,9 +7,9 @@ trial count. Both map a low-dimensional scene context through a fixed
 smooth nonlinear function into joint space, so the context-to-weights
 relation is learnable by construction but not affine.
 
-In memory, a `DemoDataset` of N demos holds one set of arrays: `contexts`
-(N, D), `trajectories` (N, T, n_joint) in radians, plus per demo a `tags`
-dict. A train/test split belongs to a run, not to the demos:
+In memory, a `DemoDataset` of N >= 1 demos holds one set of arrays:
+`contexts` (N, D), `trajectories` (N, T, n_joint) in radians, plus per
+demo a `tags` dict. A train/test split belongs to a run, not to the demos:
 `random_split` or `apply_split` returns it, and a checkpoint records it.
 Every demo spans one nominal duration in T samples, so the models see
 time only as the normalized phase k/(T-1) and the sizes are read from
@@ -18,7 +18,8 @@ the array shapes. Both generators write T = `DEFAULT_T` samples per demo.
 File format (dataset schema 3): JSON lines, then one binary block.
   line 1        header {"schema": 3, "kind": "rtp"|"wpp", "seed": int,
                         "n_samples": N, "n_samples_per_traj": T,
-                        "n_joint": J}
+                        "n_joint": J}, where seed >= 0, N >= 1, T >= 2
+                        and J >= 1 are integers by `jsonio.integer`
   lines 2..N+1  record {"context": [D numbers], "tags": {...}}
   then          exactly 8*N*T*J bytes and nothing after them: the
                 (N, T, J) trajectory stack in radians as little-endian
@@ -27,8 +28,7 @@ Line k + 2 and the k-th (T, J) slab of the block hold demo k.
 `save_jsonl` writes each record line as `json.dumps` writes {"context":
 [...], "tags": {...}}. The reader takes any JSON object with these keys;
 other keys are ignored, such as the per-record "split" and the header's
-"sampling_frequency" that older files hold. The header's last two fields
-are written only when the file holds demos. Contexts keep full repr
+"sampling_frequency" that older files hold. Contexts keep full repr
 precision; both round-trip bit-exactly.
 
 The stack is raw bytes because decoding it was most of the loading: with
@@ -49,16 +49,24 @@ import os
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from mprim.errors import DatasetFormatError
-from mprim.jsonio import replace_on_success
+from mprim.jsonio import integer, replace_on_success
 
 SCHEMA_VERSION = 3
-TASKS = ("rtp", "wpp")   # dataset kinds: reach-to-palpate, palpation paths
 DEFAULT_T = 150
+TASKS = ("rtp", "wpp")   # dataset kinds: reach-to-palpate, palpation paths
+
+
+def check_task(value):
+    """`value` when it is one of `TASKS`, else ValueError."""
+    if value not in TASKS:
+        raise ValueError(f"expected 'rtp' or 'wpp', got {value!r}")
+    return value
+
 
 HOME_CONFIG = np.array([0.0, -0.785, 0.0, -2.356, 0.0, 1.571, 0.785])
 
@@ -136,18 +144,18 @@ _WPP_SIN_AMP = 0.20
 @dataclass
 class DemoDataset:
     """The demonstrations of one task kind as stacked arrays; see the
-    module docstring for the fields."""
+    module docstring for the fields. A kind that is not in `TASKS`, arrays
+    whose shapes disagree, no demo or fewer than 2 samples per demo raise
+    ValueError."""
 
     kind: str                       # "rtp" or "wpp"
     seed: int
-    contexts: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    trajectories: np.ndarray = field(
-        default_factory=lambda: np.zeros((0, 0, 0)))
-    tags: list = field(default_factory=list)
+    contexts: np.ndarray
+    trajectories: np.ndarray
+    tags: list
 
     def __post_init__(self):
-        if self.kind not in TASKS:
-            raise ValueError(f"unknown task {self.kind!r}")
+        check_task(self.kind)
         sizes = (len(self.contexts), len(self.trajectories), len(self.tags))
         if (self.contexts.ndim != 2 or self.trajectories.ndim != 3
                 or len(set(sizes)) > 1):
@@ -155,7 +163,9 @@ class DemoDataset:
                 f"expected (N, D) contexts, (N, T, n_joint) trajectories and "
                 f"N tags, got contexts {self.contexts.shape}, trajectories "
                 f"{self.trajectories.shape} and {sizes[2]} tags")
-        if len(self) and self.n_samples_per_traj < 2:
+        if not len(self):
+            raise ValueError("expected at least one demo, got none")
+        if self.n_samples_per_traj < 2:
             raise ValueError("n_samples_per_traj must be >= 2")
 
     def __len__(self):
@@ -257,11 +267,8 @@ def generate_rtp(seed: int, counts, noise_std: float) -> DemoDataset:
     if len(counts) != len(names):
         raise ValueError(f"counts must hold {len(names)} counts, one per "
                          f"region {', '.join(names)}, got {counts!r}")
-    for region, count in zip(names, counts):
-        if type(count) is not int or count < 1:
-            raise ValueError(f"region {region} count must be an integer >= "
-                             f"1, got {count!r}")
-    n = sum(counts)
+    n = sum(integer(count, 1, f"region {region} count")
+            for region, count in zip(names, counts))
     rng = np.random.default_rng(seed)
     contexts = np.empty((n, 3))
     noise = (np.empty((n, DEFAULT_T, len(HOME_CONFIG)))
@@ -296,10 +303,9 @@ def generate_wpp(seed: int, trials_per_cell: int) -> DemoDataset:
     with a small seeded perturbation of angle and length per trial, in
     `DEFAULT_T` samples, and is embedded into joint space by a fixed
     smooth map. Patterns 6 and 7 use a reduced stroke length and carry a
-    "short" tag.
+    "short" tag. `trials_per_cell` is an int >= 1.
     """
-    if trials_per_cell < 1:
-        raise ValueError("trials_per_cell must be >= 1")
+    integer(trials_per_cell, 1, "trials_per_cell")
     rng = np.random.default_rng(seed)
     n = 7 * len(WPP_CONFIG_POSITIONS) * trials_per_cell
     contexts = np.empty((n, 3 + 7))   # see wpp_context
@@ -473,15 +479,14 @@ def save_jsonl(dataset: DemoDataset, path):
     block; bit-exact round trip.
 
     Only what `load_jsonl` reads back is written: a seed that is not an
-    integer, a non-finite context or trajectory value, or tags that are
+    integer >= 0, a non-finite context or trajectory value, or tags that are
     not a JSON object of JSON values raise ValueError naming the demo.
     The file at `path` is replaced only by a complete dataset: a failed
     save leaves it as it was. The block is written from the stack's own
     buffer; only a stack that is not C-contiguous little-endian float64
     is converted first.
     """
-    if isinstance(dataset.seed, bool) or not isinstance(dataset.seed, int):
-        raise ValueError(f"seed must be an integer, got {dataset.seed!r}")
+    integer(dataset.seed, 0, "seed")
     bad = _first_non_finite(dataset.contexts, dataset.trajectories)
     if bad:
         raise ValueError(f"demo {bad[0]}: {bad[1]} holds a non-finite value")
@@ -493,10 +498,9 @@ def save_jsonl(dataset: DemoDataset, path):
     block = np.ascontiguousarray(dataset.trajectories, "<f8")
     with replace_on_success(path) as fh:
         header = {"schema": SCHEMA_VERSION, "kind": dataset.kind,
-                  "seed": dataset.seed, "n_samples": len(dataset)}
-        if len(dataset):
-            header.update(n_samples_per_traj=dataset.n_samples_per_traj,
-                          n_joint=dataset.n_joint)
+                  "seed": dataset.seed, "n_samples": len(dataset),
+                  "n_samples_per_traj": dataset.n_samples_per_traj,
+                  "n_joint": dataset.n_joint}
         fh.write(json.dumps(header, allow_nan=False) + "\n")
         for context, tags in zip(dataset.contexts.tolist(), dataset.tags):
             fh.write(json.dumps({"context": context, "tags": tags}) + "\n")
@@ -510,8 +514,7 @@ def load_jsonl(path) -> DemoDataset:
     else the block's line N + 2, else the line of the first demo that
     holds a non-finite value.
 
-    The header must hold an integer seed and a non-negative integer
-    sample count N; a file with demos also declares T >= 2 and
+    The header must hold the integers seed >= 0, N >= 1, T >= 2 and
     n_joint = J >= 1, with 8*T*J bytes within the platform's largest
     size. Each of the N record lines holds a context list of numbers as
     long as the first record's and a tags object. Exactly the 8*N*T*J
@@ -534,13 +537,6 @@ def load_jsonl(path) -> DemoDataset:
         except json.JSONDecodeError as err:
             fail(line_no, f"invalid JSON ({err.msg})")
 
-    def header_int(name, low):
-        value = header.get(name)
-        if type(value) is not int or value < low:
-            fail(1, f"{name} must be an integer >= {low}, got "
-                    f"{json.dumps(value)}")
-        return value
-
     # bytes, so that a bad byte is reported by its line and the block
     # is read as it lies
     with open(path, "rb", buffering=1 << 16) as fh:
@@ -561,17 +557,16 @@ def load_jsonl(path) -> DemoDataset:
                     f"{SCHEMA_VERSION}")
         if schema != SCHEMA_VERSION:
             fail(1, f"unsupported schema {schema!r}")
-        seed = header.get("seed")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            fail(1, f"seed must be an integer, got {json.dumps(seed)}")
-        n = header_int("n_samples", 0)
-        t = j = 0
-        if n:
-            t = header_int("n_samples_per_traj", 2)
-            j = header_int("n_joint", 1)
-            if 8 * t * j > sys.maxsize:
-                fail(1, f"n_samples_per_traj {t} and n_joint {j} make a "
-                        f"trajectory of more than {sys.maxsize} bytes")
+        try:   # the integer fields, each with its least value
+            seed, n, t, j = (
+                integer(header.get(name), low, name) for name, low in
+                (("seed", 0), ("n_samples", 1), ("n_samples_per_traj", 2),
+                 ("n_joint", 1)))
+        except ValueError as err:
+            fail(1, err)
+        if 8 * t * j > sys.maxsize:
+            fail(1, f"n_samples_per_traj {t} and n_joint {j} make a "
+                    f"trajectory of more than {sys.maxsize} bytes")
         block_bytes = 8 * n * t * j
 
         offset = len(first_line)
@@ -624,8 +619,6 @@ def load_jsonl(path) -> DemoDataset:
         if found != block_bytes:   # the file shrank while it was read
             block_error(found)
 
-    if not n:
-        return DemoDataset(header["kind"], seed)
     contexts = np.frombuffer(context_values, float).reshape(n, width)
     bad = _first_non_finite(contexts, trajectories)
     if bad:

@@ -1,5 +1,6 @@
 """Reading the single-document JSON files (checkpoints, kinematic chain
-configs and --config files), and writing a file whole or not at all."""
+configs and --config files), writing a file whole or not at all, and the
+one integer rule of every file field that holds a count or a seed."""
 
 import contextlib
 import json
@@ -49,3 +50,15 @@ def read_json_object(path, what=None):
                          f"{type(doc).__name__}")
     return doc
 
+
+def integer(value, low, name):
+    """`value` when it is an int, not a bool, and >= `low`; else ValueError
+    "`name` must be an integer >= `low`, got `value`", with `value` as JSON
+    spells it (its repr when JSON cannot, as for a numpy scalar)."""
+    if type(value) is int and value >= low:
+        return value
+    try:
+        spelled = json.dumps(value)
+    except TypeError:
+        spelled = repr(value)
+    raise ValueError(f"{name} must be an integer >= {low}, got {spelled}")

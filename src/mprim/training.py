@@ -444,8 +444,6 @@ class Model:
 
     def check_fits(self, dataset: DemoDataset):
         """Raise ValueError unless `dataset` has this model's shapes."""
-        if len(dataset) == 0:
-            raise ValueError("dataset is empty")
         for what, have, want in (
                 ("contexts have {} features", dataset.context_dim,
                  self.mlp.n_inputs),
@@ -487,8 +485,6 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
     if method not in HEADS:
         raise ValueError(f"unknown method {method!r}; "
                          "expected deep-mp, residual or ddmp")
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
     if split is None:
         split = random_split(len(dataset), cfg.train_fraction, cfg.seed)
     train_idx, test_idx = (_demo_indices(idx, len(dataset), what)

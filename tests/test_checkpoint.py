@@ -180,9 +180,12 @@ _REGION_MEANS = ("(OutdatedError: keys {} besides '__global__' hold "
     ("rtp", "residual", "mean_weights", {"__global__": encode_f64([0.0])},
      "expected 56 float64 values, got 1"),
     ("rtp", "ddmp", "home", None, "not a base64 string of float64"),
-    ("rtp", "ddmp", "n_basis_dmp", [5], "TypeError"),
-    ("rtp", "ddmp", "n_basis_dmp", 0, "expected an integer >= 1, got 0"),
-    ("rtp", "ddmp", "n_basis_dmp", 5.0, "TypeError: expected an integer"),
+    ("rtp", "ddmp", "n_basis_dmp", [5],
+     "(ValueError: n_basis_dmp must be an integer >= 1, got [5])"),
+    ("rtp", "ddmp", "n_basis_dmp", 0,
+     "(ValueError: n_basis_dmp must be an integer >= 1, got 0)"),
+    ("rtp", "ddmp", "n_basis_dmp", 5.0,
+     "(ValueError: n_basis_dmp must be an integer >= 1, got 5.0)"),
     ("rtp", "deep-mp", "theta", lambda old: _with(old, 5, np.nan),
      "ValueError: value 5 is nan; expected finite numbers)"),
     ("rtp", "deep-mp", "ctx_mean", encode_f64([np.inf, 0.0, 0.0]),

@@ -219,6 +219,23 @@ class TestTrain:
                     "--method", "deep-mp", "--out", tmp_path / "x.json"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_file_without_demos_refused_at_load(self, tmp_path, capsys,
+                                                command):
+        # such a file loaded, and then `train` and `eval` each refused it
+        # with a "dataset is empty" of their own
+        data = tmp_path / "empty.jsonl"
+        data.write_text(json.dumps({"schema": 3, "kind": "rtp", "seed": 0,
+                                    "n_samples": 0}) + "\n")
+        ckpt = tmp_path / "ck.json"
+        argv = {"train": ["train", "--data", data, "--method", "deep-mp",
+                          "--out", ckpt],
+                "eval": ["eval", "--data", data, "--checkpoint", ckpt,
+                         "--outdir", tmp_path / "o"]}[command]
+        assert run(argv) == 1
+        assert (f"error: {data}: line 1: n_samples must be an integer >= 1, "
+                f"got 0") in capsys.readouterr().err
+
     def test_defaults_resolved_into_the_config(self, small_dataset,
                                                tmp_path):
         # the config records the values the run used, the per-kind basis
@@ -587,6 +604,9 @@ class TestNumericFlags:
         ("train", "lr", "-1"),
         ("train", "hidden", "-3"),
         ("train", "hidden", "0"),
+        ("train", "hidden", ""),
+        ("train", "hidden", ","),
+        ("train", "hidden", "64,,64"),
         ("train", "tau", "inf"),
         ("generate", "noise", "-1"),
         ("generate", "noise", "nan"),

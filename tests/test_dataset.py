@@ -227,9 +227,9 @@ class TestGenerateRtp:
     @pytest.mark.parametrize("counts,match", [
         ((1, 2, 3), r"4 counts, one per region A, B, C, D, got \(1, 2, 3\)"),
         ((1, 2, 3, 4, 5), r"4 counts.*got \(1, 2, 3, 4, 5\)"),
-        ((True, 1, 1, 1), "region A count .* got True"),
+        ((True, 1, 1, 1), "region A count .* got true"),
         ((1, 1, 2.0, 1), "region C count .* got 2.0"),
-        ((1, "3", 1, 1), "region B count .* got '3'"),
+        ((1, "3", 1, 1), 'region B count .* got "3"'),
     ], ids=["three", "five", "bool", "float", "str"])
     def test_bad_counts_name_the_entry(self, counts, match):
         with pytest.raises(ValueError, match=match):
@@ -403,9 +403,11 @@ class TestPersistence:
         ({"trajectories": np.zeros((4, 150))}, "trajectories (4, 150)"),
         ({"contexts": np.zeros(4)}, "contexts (4,)"),
         ({"trajectories": np.zeros((4, 1, 7))}, "n_samples_per_traj must be"),
-        ({"kind": "xyz"}, "unknown task 'xyz'"),
+        ({"kind": "xyz"}, "expected 'rtp' or 'wpp', got 'xyz'"),
+        ({"contexts": np.zeros((0, 3)), "trajectories": np.zeros((0, 150, 7)),
+          "tags": []}, "expected at least one demo, got none"),
     ], ids=["contexts", "tags", "2d_trajectories", "1d_contexts",
-            "one_sample", "unknown_kind"])
+            "one_sample", "unknown_kind", "no_demos"])
     def test_dataset_rejects_inconsistent_arrays(self, change, got):
         ds = generate_rtp(seed=1, counts=(1, 1, 1, 1), noise_std=0.0)
         with pytest.raises(ValueError, match=re.escape(got)):
@@ -446,11 +448,16 @@ class TestPersistence:
         assert older.trajectories.tobytes() == back.trajectories.tobytes()
         assert older.tags == back.tags
 
-    def test_empty_dataset_round_trips(self, tmp_path):
+    def test_header_without_demos_refused(self, tmp_path):
+        # the file that the writer made of a dataset without demos; it
+        # loaded, and then `mprim train` and `mprim eval` refused it
         path = tmp_path / "empty.jsonl"
-        save_jsonl(DemoDataset("rtp", 0), path)
-        back = load_jsonl(path)
-        assert len(back) == 0 and back.kind == "rtp"
+        path.write_text(json.dumps({"schema": 3, "kind": "rtp", "seed": 0,
+                                    "n_samples": 0}) + "\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load_jsonl(path)
+        assert str(err.value) == (f"{path}: line 1: n_samples must be an "
+                                  f"integer >= 1, got 0")
 
     def test_corrupted_line_names_line_number(self, tmp_path):
         ds = generate_rtp(seed=1, counts=(2, 1, 1, 1), noise_std=0.0)
@@ -503,7 +510,7 @@ class TestPersistence:
                                       pytest.param(..., id="absent")])
     def test_non_integer_seed_rejected(self, tmp_path, seed):
         # only the header carries the seed, so it may not be left out
-        header = {"schema": 3, "kind": "rtp", "n_samples": 0}
+        header = {"schema": 3, "kind": "rtp", "n_samples": 5}
         if seed is not ...:
             header["seed"] = seed
         path = tmp_path / "demos.jsonl"
@@ -614,7 +621,7 @@ class TestRecordValidation:
          "line 1: n_samples_per_traj must be an integer >= 2, got 1"),
         ({"n_joint": 7.0}, None, "line 1: n_joint must be an integer >= 1"),
         ({"n_joint": 0}, None, "line 1: n_joint must be an integer >= 1"),
-        ({"n_samples": -1}, None, "line 1: n_samples must be an integer >= 0"),
+        ({"n_samples": -1}, None, "line 1: n_samples must be an integer >= 1"),
         ({"n_samples": None}, None, "line 1: n_samples must be an integer"),
         ({"n_samples": 10 ** 12}, None, "header declares 1000000000000 "
                                         "samples, found 5"),
