@@ -99,14 +99,11 @@ def _parse_hidden(text):
 
 
 def _int_from(low):
-    """argparse type of an integer >= `low`."""
+    """argparse type of an integer >= `low`: ASCII digits, optional "-"."""
     def integer(text):
-        try:
-            value = int(text)
-            if value >= low:
-                return value
-        except ValueError:
-            pass
+        digits = text[1:] if text.startswith("-") else text
+        if digits.isascii() and digits.isdigit() and int(text) >= low:
+            return int(text)
         raise argparse.ArgumentTypeError(
             f"expected an integer >= {low}, got {text!r}")
     return integer
@@ -289,8 +286,8 @@ def cmd_eval(args, argv):
               file=sys.stderr)
         indices = np.arange(len(dataset))
 
-    records, overall, pred = training.evaluate(model, dataset, indices,
-                                               chain)
+    records, overall, out = training.evaluate(model, dataset, indices,
+                                              chain)
     seen = {rec.group for rec in records}
     everywhere = set(training.group_keys(dataset).tolist())
     for missing in sorted(everywhere - seen):
@@ -302,10 +299,11 @@ def cmd_eval(args, argv):
     plots.write_metrics_csv(metrics_path, records + [overall])
 
     outputs = [metrics_path]
-    # the plotted samples are the first rows that `evaluate` scored; one
-    # FK call covers their ground truths and predictions
+    # the plotted samples are the first rows that `evaluate` scored, decoded
+    # from its outputs; one FK call covers their truths and predictions
     shown = indices[:args.plot_samples]
-    truth, pred = dataset.trajectories[shown], pred[:len(shown)]
+    truth = dataset.trajectories[shown]
+    pred = model.head.decode(out[:len(shown)], shown) if len(shown) else truth
     ee_gt, ee_pred = kinematics.fk_position(chain, np.stack([truth, pred]))
     for i, gt_values, pred_values, gt_xyz, pred_xyz in zip(
             shown, truth, pred, ee_gt, ee_pred):

@@ -9,9 +9,8 @@ system always settles on the goal once the phase has died out.
 
 The gains, the kernel placement and the rollout resolution are fixed
 module constants. `fit_dmp` fits chosen demos of a (N, T, n_joint) stack
-chunk by chunk and `rollout_matched` rolls out a batch of systems given as
-stacked (B, ...) arrays; in both, each row is bit for bit what it gets
-alone.
+and `rollout_matched` rolls out a batch of systems given as stacked
+(B, ...) arrays; in both, each row is bit for bit what it gets alone.
 
 Every system shares the gains, the kernels and the unit time span, so its
 Euler recurrence is linear in its start, its goal and its forcing weights
@@ -26,7 +25,6 @@ import functools
 import numpy as np
 
 from mprim.errors import IntegrationError
-from mprim.kernels import CHUNK_DEMOS
 
 ALPHA_Z = 25.0
 BETA_Z = ALPHA_Z / 4.0   # critical damping
@@ -56,6 +54,20 @@ def forcing_kernels(n_basis):
     return centers, widths
 
 
+def _gradient(f, dt, out):
+    """`np.gradient(f, dt, axis=1, edge_order=2)` of a (B, T) array, bit
+    for bit, into the C-contiguous `out` with no temporary of f's size:
+    the interior differences run over the flat arrays (no ufunc buffer),
+    and the edge formulas then overwrite each row's two ends, where a
+    flat difference spans two rows."""
+    flat, flat_out = f.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2:], flat[:-2], out=flat_out[1:-1])
+    flat_out[1:-1] /= 2.0 * dt
+    out[:, 0] = -1.5 / dt * f[:, 0] + 2.0 / dt * f[:, 1] + -0.5 / dt * f[:, 2]
+    out[:, -1] = (0.5 / dt * f[:, -3] + -2.0 / dt * f[:, -2]
+                  + 1.5 / dt * f[:, -1])
+
+
 def fit_dmp(trajectories, indices, n_basis: int):
     """Fit forcing weights to the demos at `indices` of a stack by
     locally weighted regression.
@@ -63,17 +75,17 @@ def fit_dmp(trajectories, indices, n_basis: int):
     `trajectories` is the (N, T, n_joint) joint positions of N demos and
     `indices` a 1-D integer sequence of B of them. Each demo is mapped
     onto unit time, dt = 1/(T-1); velocities and accelerations come from
-    central finite differences (one-sided at the ends), and each kernel
-    is regressed independently against the target forcing term. Returns
-    (forcing weights (B, n_joint, n_basis), goals (B, n_joint), starts
-    (B, n_joint)), row b for demo `indices[b]`. A joint whose demo starts
-    on its goal has no start-to-goal span to scale the forcing term, so
-    its regression has a zero denominator and its weights come out zero.
+    central finite differences (one-sided at the ends, as `np.gradient`
+    with `edge_order=2`), and each kernel is regressed independently
+    against the target forcing term. Returns (forcing weights
+    (B, n_joint, n_basis), goals (B, n_joint), starts (B, n_joint)), row
+    b for demo `indices[b]`. A joint whose demo starts on its goal has no
+    start-to-goal span to scale the forcing term, so its regression has a
+    zero denominator and its weights come out zero.
 
-    The stack is read where it lies. The work loops over chunks of at
-    most CHUNK_DEMOS indices, then over joints, gathering one (chunk, T)
-    joint column at a time, so its temporaries have a fixed size whatever
-    B and N are. Each (demo, joint) regression is its own matrix-vector
+    Callers pass at most one chunk of indices. The stack is read where
+    it lies, one (B, T) joint column at a time, into at most three (B, T)
+    arrays. Each (demo, joint) regression is its own matrix-vector
     product, so every row is bit for bit its B = 1 fit; one flat
     (B, T) x (T, n_basis) product would let BLAS round a row differently
     depending on its place in the stack.
@@ -94,29 +106,25 @@ def fit_dmp(trajectories, indices, n_basis: int):
     psi_t = np.exp(-widths[None, :] * (x[:, None] - centers[None, :]) ** 2).T
 
     weights = np.empty((len(indices), q.shape[2], n_basis))
-    for lo in range(0, len(indices), CHUNK_DEMOS):
-        rows = slice(lo, lo + CHUNK_DEMOS)
-        for j in range(q.shape[2]):
-            # f_target = qdd - alpha_z (beta_z (g - q) - qd), built in place
-            # so that at most three (chunk, T) arrays live at a time
-            qj, goal = q[indices[rows], :, j], goals[rows, j]
-            qd = np.gradient(qj, dt, axis=1, edge_order=2)
-            qdd = np.gradient(qd, dt, axis=1, edge_order=2)
-            f = goal[:, None] - qj
-            f *= BETA_Z
-            f -= qd
-            f *= ALPHA_Z
-            np.subtract(qdd, f, out=f)
-            del qd, qdd
-            xi = x * (goal - starts[rows, j])[:, None]
-            f *= xi
-            xi *= xi
-            num = np.matmul(psi_t, f[..., None])[..., 0]
-            den = np.matmul(psi_t, xi[..., None])[..., 0]
-            del f, xi
-            weights[rows, j] = np.where(den > 1e-300,
-                                        num / np.where(den > 0, den, 1.0),
-                                        0.0)
+    qd, qdd = np.empty((2, len(indices), T))
+    for j in range(q.shape[2]):
+        # f_target = qdd - alpha_z (beta_z (g - q) - qd), built in place
+        # over the gathered joint column
+        f, goal = q[indices, :, j], goals[:, j]
+        _gradient(f, dt, out=qd)
+        _gradient(qd, dt, out=qdd)
+        np.subtract(goal[:, None], f, out=f)
+        f *= BETA_Z
+        f -= qd
+        f *= ALPHA_Z
+        np.subtract(qdd, f, out=f)
+        xi = np.multiply(x, (goal - starts[:, j])[:, None], out=qd)
+        f *= xi
+        xi *= xi
+        num = np.matmul(psi_t, f[..., None])[..., 0]
+        den = np.matmul(psi_t, xi[..., None])[..., 0]
+        weights[:, j] = np.where(den > 1e-300,
+                                 num / np.where(den > 0, den, 1.0), 0.0)
     return weights, goals, starts
 
 

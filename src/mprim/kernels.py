@@ -8,11 +8,6 @@ from pass to pass, with at least as many rows as the largest batch.
 
 import numpy as np
 
-# Code that works through a whole (B, T, n_joint) stack of demos, fitting,
-# gathering or scoring it, takes at most this many demos per pass, so its
-# temporaries have a fixed size whatever B is.
-CHUNK_DEMOS = 64
-
 
 def basis_matrix(z, centers, width):
     """Normalized Gaussian basis activations, one row per phase value.

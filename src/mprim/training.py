@@ -22,18 +22,17 @@ checkpoint holds of a head, and how, is `checkpoint`'s alone.
 `train` runs one deterministic minibatch loop for every head (Adam, seeded
 shuffling, best-validation checkpointing, early stopping on the
 validation loss) and returns a `Model`: the net, its context scaler, its
-split and its head. `evaluate` decodes a whole split in one call and
+split and its head. `evaluate` runs the net over a whole split and
 scores every head with the same expressions. No setting of a run has
 a default here: the caller states each one; `mprim.cli` holds defaults.
 
-Memory rule: a stage holds the dataset, one split's prediction and truth,
-and temporaries of at most one chunk of `kernels.CHUNK_DEMOS` demos (plus
-arrays of the fitted parameters' size). The heads read a split's demos
-from the dataset's (N, T, n_joint) stack one chunk at a time; `metrics`
-scores a split chunk by chunk. No stage makes a second copy of the
-stack. The training loop allocates its arrays once per run and passes
-the validation side one chunk at a time, so an epoch allocates only the
-loss temporaries of one minibatch or chunk.
+Memory rule: a stage holds the dataset, arrays of the size of a split's
+network outputs or fitted parameters, and temporaries of at most one
+chunk of `CHUNK_DEMOS` demos. The passes over a split (`Head.fit`,
+`evaluate`, the training loop) take one `_chunks` slice at a time, and
+no code below them loops over chunks. No stage copies the stack or
+holds a (B, T, n_joint) array of a whole split; an epoch of the
+training loop allocates only the loss temporaries of a minibatch or chunk.
 """
 
 import csv
@@ -53,6 +52,9 @@ from mprim.regressor import (MlpParams, adam_init, adam_step, init_mlp,
                              mlp_forward, rms_loss, trajectory_loss)
 
 GOAL_WEIGHT = 100.0   # rtp attractor loss: weight of the goal residual
+# a pass over a split takes at most this many demos at a time, so its
+# temporaries have a fixed size whatever the split's size
+CHUNK_DEMOS = 64
 
 
 @dataclass(frozen=True)
@@ -129,11 +131,9 @@ def _demo_indices(indices, n, what):
 
 
 def _chunks(n):
-    """Slices that cover positions 0..n-1 in order, `kernels.CHUNK_DEMOS`
-    at a time: a split's demos are gathered one such chunk at a time,
-    never the whole selection at once."""
-    step = kernels.CHUNK_DEMOS
-    return (slice(lo, lo + step) for lo in range(0, n, step))
+    """Slices that cover positions 0..n-1 in order, `CHUNK_DEMOS` at a
+    time, so that a pass never gathers a whole selection at once."""
+    return (slice(lo, lo + CHUNK_DEMOS) for lo in range(0, n, CHUNK_DEMOS))
 
 
 def _fit_scaler(contexts):
@@ -198,7 +198,7 @@ def _run_training(x, targets, cfg: TrainConfig, hidden, head):
     grads_w, grads_b = params.views(grad)
     # rows of the largest pass: a minibatch or a check chunk
     rows = max(min(cfg.batch_size, len(fit_pos)),
-               min(kernels.CHUNK_DEMOS, len(check_pos)))
+               min(CHUNK_DEMOS, len(check_pos)))
     layers = [np.empty((rows, d)) for d in layer_sizes[1:]]
     work = [(np.empty((rows, d)), np.empty((rows, d))) for d in hidden]
     epoch_x = np.empty((len(fit_pos), x.shape[1]))
@@ -455,15 +455,15 @@ class Model:
                 raise ValueError(f"dataset {what.format(have)}, checkpoint "
                                  f"expects {want}")
 
-    def predict(self, dataset: DemoDataset, indices):
-        """Predicted trajectories of the demos at `indices`, shape
-        (B, T, n_joint). An index that is not an integer or lies outside
-        the dataset raises ValueError."""
+    def outputs(self, dataset: DemoDataset, indices):
+        """Network outputs of the demos at `indices`, shape
+        (B, head.width), from one forward pass; `head.decode` makes them
+        trajectories. An index that is not an integer or lies outside the
+        dataset raises ValueError."""
         self.check_fits(dataset)
         indices = _demo_indices(indices, len(dataset), "demo")
         ctx = dataset.contexts[indices]
-        out = mlp_forward(self.mlp, (ctx - self.ctx_mean) / self.ctx_std)
-        return self.head.decode(out, indices)
+        return mlp_forward(self.mlp, (ctx - self.ctx_mean) / self.ctx_std)
 
 
 # ---------------------------------------------------------------------------
@@ -517,25 +517,32 @@ def evaluate(model: Model, dataset: DemoDataset, indices,
              chain: KinematicChain):
     """Grouped metrics over a dataset subset.
 
-    Returns (records, overall, pred): one EvalRecord per tag group
+    Returns (records, overall, outputs): one EvalRecord per tag group
     (region or configuration), one covering every evaluated sample, and
-    the (B, T, n_joint) predicted trajectories that they score, in the
-    order of `indices`. The split is predicted and decoded in one call;
-    its ground truth is each demo's fitted representation (basis weights
-    or attractor parameters) decoded the same way, so a ddmp model rolls
-    out the ground-truth refits as one batch and the predictions as
-    another. A divergent rollout raises IntegrationError naming the
-    dataset indices and which of the two it was. Each demo's squared
-    error and end-effector distance (on `chain`) are computed once, in
-    one pass over the whole split, and averaged per group.
+    the (B, head.width) network outputs whose decoding they score, in the
+    order of `indices`. The net runs over the whole split in one pass (a
+    one-row pass would round differently); then each `_chunks` slice is
+    decoded and scored against its ground truth, each demo's fitted
+    representation decoded the same way (a ddmp model rolls out a chunk's
+    refits as one batch and its predictions as another). A divergent
+    rollout raises IntegrationError naming the dataset indices and which
+    of the two it was. Each demo's squared error and end-effector
+    distance (on `chain`) are computed once and averaged per group.
     """
     indices = _demo_indices(indices, len(dataset), "demo")
     if len(indices) == 0:
         raise ValueError("cannot evaluate an empty split")
-    pred = model.predict(dataset, indices)
-    truth = model.head.truth(dataset, indices)
-    sq = metrics.squared_trajectory_loss(pred, truth)
-    dist = final_distances(pred, truth, chain)
+    out = model.outputs(dataset, indices)
+    sq = np.empty(len(indices))
+    # both sides' final samples: one FK call per side covers the split
+    ends = np.empty((2, len(indices), 1, dataset.n_joint))
+    for rows in _chunks(len(indices)):
+        pred = model.head.decode(out[rows], indices[rows])
+        truth = model.head.truth(dataset, indices[rows])
+        sq[rows] = metrics.squared_trajectory_loss(pred, truth)
+        ends[0, rows], ends[1, rows] = pred[:, -1:], truth[:, -1:]
+        del pred, truth   # before the next chunk's are made
+    dist = final_distances(ends[0], ends[1], chain)
     keys = group_keys(dataset)[indices]
 
     def record(name, rows):
@@ -545,4 +552,4 @@ def evaluate(model: Model, dataset: DemoDataset, indices,
 
     records = [record(name, keys == name)
                for name in sorted(set(keys.tolist()))]
-    return records, record("overall", np.ones(len(indices), bool)), pred
+    return records, record("overall", np.ones(len(indices), bool)), out

@@ -566,7 +566,8 @@ class TestEval:
                                                  tmp_path, monkeypatch,
                                                  method):
         # the sample CSVs show the first rows of the prediction that
-        # `evaluate` scored, not a second prediction of those demos
+        # `evaluate` scored, decoded from its outputs, not from a second
+        # pass of the net over those demos
         ckpt = tmp_path / "ck.json"
         assert run(["train", "--data", small_dataset, "--method", method,
                     "--epochs", "1", "--seed", "0", "--n-basis-dmp", "5",
@@ -583,7 +584,8 @@ class TestEval:
         model = checkpoint.load(ckpt)
         dataset = load_jsonl(small_dataset)
         idx = np.asarray(model.test_indices)
-        _, _, pred = training.evaluate(model, dataset, idx, DEFAULT_CHAIN)
+        _, _, out = training.evaluate(model, dataset, idx, DEFAULT_CHAIN)
+        pred = model.head.decode(out, idx)
         assert len(list(outdir.glob("sample_*_joints.csv"))) == 3
         for i, rows in zip(idx[:3], pred):
             joints = np.loadtxt(outdir / f"sample_{i}_joints.csv",
@@ -622,6 +624,14 @@ class TestNumericFlags:
         ("train", "seed", "-1"),
         ("train", "seed", "1.5"),
         ("eval", "plot_samples", "-3"),
+        # only ASCII decimal digits after an optional "-", which int()
+        # alone would widen to these
+        ("train", "epochs", "1_0"),
+        ("train", "batch_size", "+7"),
+        ("train", "patience", " 7 "),
+        ("train", "seed", "\uff17"),   # a fullwidth 7
+        ("train", "hidden", "64, 64"),
+        ("generate", "counts", "2,1,1,+1"),
     ])
     def test_bad_value_is_usage_error(self, small_dataset, tmp_path, capsys,
                                       via, command, dest, value):

@@ -3,10 +3,9 @@ import pytest
 
 from mprim.basis import build_phi
 from mprim.dataset import generate_rtp
-from mprim.kernels import CHUNK_DEMOS
 from mprim.kinematics import DEFAULT_CHAIN
 from mprim.metrics import EvalRecord, squared_trajectory_loss
-from mprim.training import TrainConfig, evaluate, train
+from mprim.training import CHUNK_DEMOS, TrainConfig, evaluate, train
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +60,8 @@ class TestAveMse:
         model, _ = train("deep-mp", ds, cfg, n_basis=8, hidden=(64, 64),
                          n_basis_dmp=25, split=None)
         idx = np.arange(len(ds))
-        _, overall, _ = evaluate(model, ds, idx, DEFAULT_CHAIN)
-        sq = squared_trajectory_loss(model.predict(ds, idx),
+        _, overall, out = evaluate(model, ds, idx, DEFAULT_CHAIN)
+        sq = squared_trajectory_loss(model.head.decode(out, idx),
                                      model.head.truth(ds, idx))
         assert overall.ave_mse == float(np.mean(sq))
 

@@ -3,9 +3,8 @@ import pytest
 
 from mprim.basis import build_phi
 from mprim.dataset import generate_rtp, generate_wpp
-from mprim.kernels import CHUNK_DEMOS
 from mprim.promp import RIDGE, fit_weights
-from mprim.training import PrompHead
+from mprim.training import CHUNK_DEMOS, PrompHead
 
 
 @pytest.fixture(scope="module")

@@ -66,6 +66,11 @@ def net_outputs(model, dataset, indices):
     return mlp_forward(model.mlp, (ctx - model.ctx_mean) / model.ctx_std)
 
 
+def predicted(model, dataset, indices):
+    """The trajectories `model` predicts for the demos at `indices`."""
+    return model.head.decode(model.outputs(dataset, indices), indices)
+
+
 def all_weights(model, dataset):
     """Fitted flat basis weights of every demo of `dataset`."""
     return model.head.weights(dataset.trajectories)
@@ -244,7 +249,7 @@ class TestTrainResidual:
         cfg = config(epochs=5, seed=1)
         split = (np.arange(4), np.array([], int))
         model, _ = trained("residual", ds, cfg, split=split)
-        traj = model.predict(ds, [0])[0]
+        traj = predicted(model, ds, [0])[0]
         rmse = np.sqrt(np.mean((traj - ds.trajectories[0]) ** 2))
         assert rmse < 1e-3
 
@@ -285,8 +290,8 @@ class TestTrainResidual:
         bare, _ = trained("residual", untagged, cfg)
         assert bare.mlp.theta.tobytes() == model.mlp.theta.tobytes()
         idx = np.arange(len(small_rtp))
-        assert (bare.predict(untagged, idx).tobytes()
-                == model.predict(small_rtp, idx).tobytes())
+        assert (predicted(bare, untagged, idx).tobytes()
+                == predicted(model, small_rtp, idx).tobytes())
 
     def test_residual_train_batch_loss_not_worse_on_most_seeds(
             self, small_rtp):
@@ -336,7 +341,7 @@ class TestTrainDdmp:
         # output layout [forcing, joint-major | goal]; rtp starts at home
         expected = rollout_matched(model.head.home[None], out[None, 70:77],
                                    out[:70].reshape(1, 7, 10), 150)
-        traj = model.predict(small_rtp, [0])
+        traj = predicted(model, small_rtp, [0])
         assert traj.shape == (1, 150, 7)
         np.testing.assert_array_equal(traj, expected)
 
@@ -371,7 +376,7 @@ def test_head_fits_the_training_rows_alone(head):
     # rows of a fit of every demo, in that order, bit for bit
     ds = generate_wpp(seed=33, trials_per_cell=3)
     rng = np.random.default_rng(6)
-    idx = rng.permutation(len(ds))[:kernels.CHUNK_DEMOS + 9]
+    idx = rng.permutation(len(ds))[:training.CHUNK_DEMOS + 9]
     k = 25 if head is DmpHead else 10
     _, targets = head.fit(ds, idx, k)
     _, every = head.fit(ds, np.arange(len(ds)), k)
@@ -407,7 +412,7 @@ class TestEpochLoop:
         assert report.final_epoch == self.CFG.epochs
         n_train, size = len(model.train_indices), self.CFG.batch_size
         n_val = int(n_train * TrainConfig.val_fraction_of_train)
-        n_fit, chunk = n_train - n_val, kernels.CHUNK_DEMOS
+        n_fit, chunk = n_train - n_val, training.CHUNK_DEMOS
         assert 2 * chunk < n_val < 3 * chunk
         # each epoch: the minibatches of the fit set, then the validation
         # side one chunk at a time: 64, 64, then the remainder
@@ -424,7 +429,7 @@ class TestEpochLoop:
         model, report = trained("deep-mp", dataset, self.CFG, split=split)
         n_train = len(model.train_indices)
         n_val = int(n_train * TrainConfig.val_fraction_of_train)
-        n_checks = math.ceil(n_val / kernels.CHUNK_DEMOS)
+        n_checks = math.ceil(n_val / training.CHUNK_DEMOS)
         n_calls = len(losses) // self.CFG.epochs
         for epoch, train_loss in enumerate(report.train_batch_loss):
             calls = losses[epoch * n_calls:(epoch + 1) * n_calls]
@@ -569,7 +574,7 @@ class TestEvaluate:
 
     def test_ddmp_truth_across_chunks_equals_single_truths(self):
         ds = generate_wpp(seed=33, trials_per_cell=3)
-        assert len(ds) > kernels.CHUNK_DEMOS
+        assert len(ds) > training.CHUNK_DEMOS
         head, _ = DmpHead.fit(ds, np.arange(len(ds)), 25)
         idx = np.random.default_rng(5).permutation(len(ds))
         truth = head.truth(ds, idx)
@@ -620,30 +625,49 @@ class TestEvaluate:
 
     def test_fk_once_per_demo_and_side(self, small_rtp, monkeypatch):
         # one fk_position call per side takes the final sample of every
-        # demo of the split, so each demo's end-effector distance is
-        # computed once, not once per metrics row
+        # demo of the split, however many chunks score it, so each demo's
+        # end-effector distance is computed once, not once per metrics row
         model, _ = trained("deep-mp", small_rtp, config(epochs=1, seed=2))
+        monkeypatch.setattr(training, "CHUNK_DEMOS", 4)
         calls = []
         fk = kinematics.fk_position
         monkeypatch.setattr(kinematics, "fk_position",
                             lambda chain, q: calls.append(q) or fk(chain, q))
         idx = np.asarray(model.test_indices)
-        _, _, pred = evaluate(model, small_rtp, idx, DEFAULT_CHAIN)
+        assert len(idx) > 4
+        _, _, out = evaluate(model, small_rtp, idx, DEFAULT_CHAIN)
         assert len(calls) == 2
-        np.testing.assert_array_equal(calls[0], pred[:, -1])
+        np.testing.assert_array_equal(calls[0],
+                                      model.head.decode(out, idx)[:, -1])
         np.testing.assert_array_equal(
             calls[1], model.head.truth(small_rtp, idx)[:, -1])
 
     @pytest.mark.parametrize("method", ["residual", "ddmp"])
     def test_returns_the_prediction_it_scores(self, small_rtp, method):
+        # as the network outputs whose decoding it scored
         model, _ = trained(method, small_rtp, config(epochs=1, seed=3),
                            n_basis_dmp=5)
         idx = np.asarray(model.test_indices)
-        _, overall, pred = evaluate(model, small_rtp, idx, DEFAULT_CHAIN)
-        np.testing.assert_array_equal(pred, model.predict(small_rtp, idx))
+        _, overall, out = evaluate(model, small_rtp, idx, DEFAULT_CHAIN)
+        np.testing.assert_array_equal(out, model.outputs(small_rtp, idx))
         assert overall.ave_mse == float(np.mean(
             metrics.squared_trajectory_loss(
-                pred, model.head.truth(small_rtp, idx))))
+                model.head.decode(out, idx),
+                model.head.truth(small_rtp, idx))))
+
+    @pytest.mark.parametrize("method", ["deep-mp", "residual", "ddmp"])
+    def test_chunk_size_changes_no_bit(self, method, monkeypatch):
+        # a split of more than two chunks scores the same, bit for bit,
+        # one demo pair or one default chunk at a time
+        ds = generate_wpp(seed=34, trials_per_cell=5)
+        model, _ = trained(method, ds, config(epochs=1, seed=4))
+        idx = np.random.default_rng(7).permutation(len(ds))
+        assert len(idx) > 2 * training.CHUNK_DEMOS
+        default = evaluate(model, ds, idx, DEFAULT_CHAIN)
+        monkeypatch.setattr(training, "CHUNK_DEMOS", 2)
+        small = evaluate(model, ds, idx, DEFAULT_CHAIN)
+        assert repr(small[:2]) == repr(default[:2])
+        assert small[2].tobytes() == default[2].tobytes()
 
     def test_residual_decode_adds_the_training_mean(self, small_rtp):
         model, _ = trained("residual", small_rtp, config(epochs=1, seed=4))
@@ -688,7 +712,7 @@ class TestModelFitsDataset:
             small_rtp, trajectories=small_rtp.trajectories[:, :, :6])
         with pytest.raises(ValueError, match="dataset trajectories have 6 "
                            "joints, checkpoint expects 7"):
-            rtp_model.predict(ds, [0])
+            rtp_model.outputs(ds, [0])
 
     def test_samples_per_trajectory(self, rtp_model, small_rtp):
         ds = dataclasses.replace(
@@ -705,7 +729,7 @@ class TestModelFitsDataset:
         for indices, name in (([0.9], "0.9"), ([True], "True")):
             with pytest.raises(ValueError, match=rf"^demo index {name} is "
                                                  rf"not an integer$"):
-                rtp_model.predict(small_rtp, indices)
+                rtp_model.outputs(small_rtp, indices)
 
 
 class TestDispatchAndReport:
