@@ -12,7 +12,7 @@ payload (schema 2) holds
    "train_indices": [int, ...], "test_indices": [int, ...]}
 and then only its head's own fields, the head's dataclass fields after
 `task`, `n_joint` and `n_samples` in declaration order:
-  deep-mp   "n_basis": int (`basis.build_phi` sets the basis from it
+  deep-mp   "n_basis": int (`promp.build_phi` sets the basis from it
             and T)
   residual  "n_basis": int, "mean_weights": {"__global__": enc of J*n_basis}
   ddmp      "n_basis_dmp": int, "home": enc of J (rtp) or null (wpp)

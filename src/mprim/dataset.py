@@ -205,37 +205,35 @@ def min_jerk(q0, q1, n_samples: int) -> np.ndarray:
 
 def goal_config(phantom_pos) -> np.ndarray:
     """Reach-target joint configuration (n_joint,) for a phantom position
-    (3,), or (N, n_joint) configurations for an (N, 3) stack of them.
-
-    As in `_wpp_joint_embed`, the stacked matmul keeps each row's bits.
-    """
-    u = ((np.asarray(phantom_pos, dtype=float) - _CTX_CENTER) / _CTX_SCALE)[
-        ..., None]
-    return HOME_CONFIG + 0.4 * np.matmul(_GOAL_LIN, u)[..., 0] + (
-        _GOAL_SIN_AMP * np.sin(np.matmul(_GOAL_SIN_W, u)[..., 0]))
+    (3,), or (N, n_joint) configurations for an (N, 3) stack of them."""
+    points = np.array(phantom_pos, dtype=float)
+    return _joint_map(points, _GOAL_LIN, 0.4, _GOAL_SIN_W, _GOAL_SIN_AMP,
+                      np.empty(points.shape[:-1] + HOME_CONFIG.shape))
 
 
-def _wpp_joint_embed(points, out):
-    """Write the joint configurations (..., T, n_joint) of the stroke
-    points (..., T, 3) into `out`; `points` is scaled in place.
+def _joint_map(points, lin, gain, sin_w, amp, out):
+    """Write the joint configurations (..., n_joint) of the workspace
+    points (..., 3) into `out` and return it; `points` is scaled in place
+    to u = (points - center) / scale.
 
     The stacked matmul applies each map to one point at a time, so every
     row equals the matrix-vector product of that point alone; `u @ M.T`
-    would hand the whole stroke to BLAS, which may round differently.
+    would hand the whole stack to BLAS, which may round differently.
     Each step writes into `out` or works in place, in the order
-    HOME + 0.5 (LIN u) + AMP sin(SIN_W u), so the sine term is the only
+    HOME + gain (lin u) + amp sin(sin_w u), so the sine term is the only
     temporary.
     """
     points -= _CTX_CENTER
     points /= _CTX_SCALE
     u = points[..., None]
-    np.matmul(_WPP_LIN, u, out=out[..., None])
-    out *= 0.5
+    np.matmul(lin, u, out=out[..., None])
+    out *= gain
     out += HOME_CONFIG
-    wave = np.matmul(_WPP_SIN_W, u)[..., 0]
+    wave = np.matmul(sin_w, u)[..., 0]
     np.sin(wave, out=wave)
-    wave *= _WPP_SIN_AMP
+    wave *= amp
     out += wave
+    return out
 
 
 def _sample_region_xy(rng, region):
@@ -311,8 +309,6 @@ def generate_wpp(seed: int, trials_per_cell: int) -> DemoDataset:
     contexts = np.empty((n, 3 + 7))   # see wpp_context
     trajectories = np.empty((n, DEFAULT_T, len(HOME_CONFIG)))
     tags = []
-    s = np.linspace(0.0, 1.0, DEFAULT_T)
-    timing = (10.0 * s ** 3 - 15.0 * s ** 4 + 6.0 * s ** 5)[:, None]
     for pattern in range(1, 8):
         base_angle = 2.0 * np.pi * (pattern - 1) / 7.0
         short = pattern in WPP_SHORT_PATTERNS
@@ -328,14 +324,14 @@ def generate_wpp(seed: int, trials_per_cell: int) -> DemoDataset:
             direction = np.stack(
                 [np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=1)
             end = nipple + trial_len[:, None] * direction
-            points = timing * (end - nipple)[:, None, :]
-            points += nipple
+            points = min_jerk(nipple, end, DEFAULT_T)
             # one (pattern, configuration) cell at a time, written into its
             # rows: embedding the whole stack at once would hold several
             # stack-sized temporaries, and a cell is 1/28 of the demos
             rows = slice(len(tags), len(tags) + trials_per_cell)
             contexts[rows] = wpp_context(config, pattern)
-            _wpp_joint_embed(points, trajectories[rows])
+            _joint_map(points, _WPP_LIN, 0.5, _WPP_SIN_W, _WPP_SIN_AMP,
+                       trajectories[rows])
             tags += [{"pattern": pattern, "config": config, "short": short}
                      for _ in range(trials_per_cell)]
     return DemoDataset("wpp", seed, contexts, trajectories, tags)

@@ -50,11 +50,11 @@ def joint_transform(a, d, alpha, theta):
     `theta` gives one transform per entry, shape theta.shape + (4, 4)."""
     ct, st = np.cos(theta), np.sin(theta)
     ca, sa = math.cos(alpha), math.sin(alpha)
-    entries = np.broadcast_arrays(ct, -st * ca, st * sa, a * ct,
-                                  st, ct * ca, -ct * sa, a * st,
-                                  0.0, sa, ca, d,
-                                  0.0, 0.0, 0.0, 1.0)
-    return np.stack(entries, axis=-1).reshape(np.shape(theta) + (4, 4))
+    out = np.empty(np.shape(theta) + (16,))   # the last 8 are constant
+    np.stack([ct, -st * ca, st * sa, a * ct, st, ct * ca, -ct * sa, a * st],
+             axis=-1, out=out[..., :8])
+    out[..., 8:] = (0.0, sa, ca, d, 0.0, 0.0, 0.0, 1.0)
+    return out.reshape(np.shape(theta) + (4, 4))
 
 
 def fk_position(chain: KinematicChain, q) -> np.ndarray:

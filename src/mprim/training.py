@@ -16,7 +16,8 @@ A head owns the method-specific decisions and nothing else: its targets,
 fitted to the training split's demos in one call before training; its
 loss, which it computes (`loss_and_grad`) with the numeric code of
 `regressor`; the ground-truth trajectories of a split; and decoding a
-batch of network outputs into (B, T, n_joint) trajectories. What a
+batch of network outputs into (B, T, n_joint) trajectories. The ProMP
+heads fit and reconstruct through `promp`, ddmp through `dmp`. What a
 checkpoint holds of a head, and how, is `checkpoint`'s alone.
 
 `train` runs one deterministic minibatch loop for every head (Adam, seeded
@@ -43,11 +44,10 @@ import numpy as np
 
 from mprim import dmp as dmp_mod
 from mprim import kernels, metrics
-from mprim.basis import build_phi
 from mprim.dataset import DemoDataset, check_split, random_split
 from mprim.errors import IntegrationError, TrainingDivergedError
 from mprim.kinematics import KinematicChain, final_distances
-from mprim.promp import fit_weights
+from mprim.promp import build_phi, fit_weights, reconstruct
 from mprim.regressor import (MlpParams, adam_init, adam_step, init_mlp,
                              mlp_forward, rms_loss, trajectory_loss)
 
@@ -291,14 +291,6 @@ class PrompHead(Head):
                    n_basis)
         return head, head._fitted(dataset, train_idx)
 
-    def weights(self, trajectories):
-        """Flat fitted weights of (B, T, n_joint) trajectories, joint-major,
-        shape (B, n_joint*n_basis). `fit_weights` reads the stack where it
-        lies, so no copy of it is made, and each row is its demo's own
-        fit bit for bit."""
-        return fit_weights(trajectories, self.phi).reshape(
-            len(trajectories), -1)
-
     def loss_and_grad(self, pred, target):
         """The trajectory-space loss of (B, n_joint*n_basis) weights."""
         return trajectory_loss(pred, target, self.phi, self.n_joint)
@@ -315,17 +307,19 @@ class PrompHead(Head):
         return self._trajectories(self._fitted(dataset, indices))
 
     def _fitted(self, dataset, indices):
-        """Flat fitted weights of the demos at `indices`; the demos are
-        gathered and fitted one chunk at a time into an array allocated
-        once."""
+        """Flat fitted weights of the demos at `indices`, joint-major,
+        shape (B, n_joint*n_basis); the demos are gathered and fitted one
+        chunk at a time into an array allocated once, and each row is its
+        demo's own fit bit for bit."""
         stack, out = dataset.trajectories, np.empty((len(indices), self.width))
         for rows in _chunks(len(indices)):
-            out[rows] = self.weights(stack[indices[rows]])
+            out[rows] = fit_weights(stack[indices[rows]], self.phi).reshape(
+                -1, self.width)
         return out
 
     def _trajectories(self, flat):
-        w = flat.reshape(len(flat), self.n_joint, -1)
-        return np.swapaxes(w @ self.phi.values.T, 1, 2)
+        return reconstruct(flat.reshape(len(flat), self.n_joint, -1),
+                           self.phi)
 
 
 @dataclass(frozen=True)

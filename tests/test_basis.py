@@ -1,10 +1,13 @@
+"""The basis half of `mprim.promp`: the phase grid, `build_phi` and the
+normalized Gaussian rows of `kernels.basis_matrix`."""
+
 import math
 
 import numpy as np
 import pytest
 
 from mprim import kernels
-from mprim.basis import PhiMatrix, build_phi
+from mprim.promp import PhiMatrix, build_phi
 
 
 def basis_row(z, centers, width):

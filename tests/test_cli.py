@@ -19,6 +19,7 @@ from mprim.checkpoint import encode_f64
 from mprim.cli import _build_parser, main
 from mprim.dataset import generate_rtp, generate_wpp, load_jsonl, save_jsonl
 from mprim.kinematics import DEFAULT_CHAIN, fk_position
+from mprim.promp import fit_weights
 from mprim.regressor import MlpParams
 from mprim.training import Model, PrompHead, ResidualHead
 
@@ -343,8 +344,8 @@ class TestEval:
         data = tmp_path / "const.jsonl"
         save_jsonl(ds, data)
         head = PrompHead("rtp", 7, 150, 8)
-        targets = head.weights(ds.trajectories)
-        mlp = MlpParams((3, 56), np.r_[np.zeros(3 * 56), targets[0]])
+        target = fit_weights(ds.trajectories[:1], head.phi).reshape(-1)
+        mlp = MlpParams((3, 56), np.r_[np.zeros(3 * 56), target])
         model = Model(head, mlp, np.zeros(3), np.ones(3),
                       train_indices=(0,),
                       test_indices=tuple(range(1, len(ds))))
@@ -860,7 +861,7 @@ def test_generate_imports_only_the_dataset_modules(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     trainer_modules = {f"mprim.{name}" for name in (
         "training", "checkpoint", "plots", "kinematics", "dmp", "regressor",
-        "basis", "promp", "metrics", "kernels")}
+        "promp", "metrics", "kernels")}
     for stage in ("import", "rtp", "wpp"):
         assert not trainer_modules & set(seen[stage]), stage
     assert {"mprim.training", "mprim.checkpoint"} <= set(seen["train"])

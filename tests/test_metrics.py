@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mprim.basis import build_phi
 from mprim.dataset import generate_rtp
 from mprim.kinematics import DEFAULT_CHAIN
 from mprim.metrics import EvalRecord, squared_trajectory_loss
+from mprim.promp import build_phi
 from mprim.training import CHUNK_DEMOS, TrainConfig, evaluate, train
 
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mprim.basis import build_phi
 from mprim.dataset import generate_rtp, generate_wpp
-from mprim.promp import RIDGE, fit_weights
+from mprim.promp import RIDGE, build_phi, fit_weights, reconstruct
 from mprim.training import CHUNK_DEMOS, PrompHead
 
 
@@ -63,26 +62,26 @@ def stack_head(request):
 
 
 class TestStackedFit:
-    # PrompHead.weights fits a stack in one call; each row must be what
-    # its demo gets alone, wherever it sits in whatever stack
+    # fit_weights fits a stack in one call; each row must be what its demo
+    # gets alone, wherever it sits in whatever stack
 
     def test_stack_equals_single_fits(self, stack_head):
         ds, head = stack_head
-        stacked = head.weights(ds.trajectories)
-        assert stacked.shape == (len(ds), head.width)
+        stacked = fit_weights(ds.trajectories, head.phi)
+        assert stacked.shape == (len(ds), head.n_joint, head.n_basis)
         for b, demo in enumerate(ds.trajectories):
-            assert np.array_equal(
-                stacked[b], fit_weights(demo[None], head.phi).reshape(-1)), b
+            assert np.array_equal(stacked[b],
+                                  fit_weights(demo[None], head.phi)[0]), b
 
     @pytest.mark.parametrize("seed", range(3))
     def test_stack_equals_fits_of_any_split(self, stack_head, seed):
         ds, head = stack_head
-        stacked = head.weights(ds.trajectories)
+        stacked = fit_weights(ds.trajectories, head.phi)
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(ds))
         cuts = np.sort(rng.choice(np.arange(1, len(ds)), 4, replace=False))
         for part in np.split(order, cuts):
-            assert np.array_equal(head.weights(ds.trajectories[part]),
+            assert np.array_equal(fit_weights(ds.trajectories[part], head.phi),
                                   stacked[part])
 
     def test_truth_across_chunks_equals_single_truths(self, stack_head):
@@ -95,8 +94,30 @@ class TestStackedFit:
 
 
 class TestReconstruct:
-    # weights decode into trajectories through the deep-mp head: one
-    # batched product with the basis matrix, (B, T, n_joint)
+    # weights decode into trajectories in one batched product with the
+    # basis matrix, (B, m, n_basis) -> (B, T, m); the deep-mp head decodes
+    # its flat outputs through it
+
+    def test_columns_are_basis_combinations(self, grid):
+        n_samples, n_basis, phi = grid
+        w = np.random.default_rng(5).standard_normal((2, 3, n_basis))
+        out = reconstruct(w, phi)
+        assert out.shape == (2, n_samples, 3)
+        for b in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(out[b, :, j], phi.values @ w[b, j],
+                                           rtol=1e-12, atol=1e-14)
+
+    def test_stack_equals_single_reconstructions(self, stack_head):
+        # more rows than one chunk: each row decodes bit for bit as it
+        # does alone, as each row of a stacked fit is its demo's own fit
+        ds, head = stack_head
+        w = fit_weights(ds.trajectories, head.phi)
+        stacked = reconstruct(w, head.phi)
+        assert len(w) > CHUNK_DEMOS and stacked.shape == ds.trajectories.shape
+        for b in range(len(w)):
+            assert np.array_equal(stacked[b],
+                                  reconstruct(w[b:b + 1], head.phi)[0]), b
 
     def test_zero_weights_zero_trajectory(self, grid):
         n_samples, n_basis, _ = grid

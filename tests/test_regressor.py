@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mprim import kernels
-from mprim.basis import build_phi
-from mprim.promp import RIDGE, fit_weights
+from mprim.promp import RIDGE, build_phi, fit_weights
 from mprim.regressor import (BETA1, BETA2, EPSILON, MlpParams, adam_init,
                              adam_step, init_mlp, mlp_forward)
 from mprim.training import DmpHead, PrompHead, batch_loss_and_grad

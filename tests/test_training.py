@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from mprim import dmp as dmp_mod
 from mprim import kernels, kinematics, metrics, training
-from mprim.basis import build_phi
 from mprim.dataset import (WPP_DEFAULT_TRIALS, WPP_SPLITS, apply_split,
                            generate_rtp, generate_wpp, random_split)
 from mprim.dmp import fit_dmp, rollout_matched
 from mprim.errors import IntegrationError, TrainingDivergedError
 from mprim.kinematics import DEFAULT_CHAIN, final_distances
+from mprim.promp import build_phi, fit_weights
 from mprim.regressor import MlpParams, mlp_forward
 from mprim.training import (DmpHead, Model, PrompHead, ResidualHead,
                             TrainConfig, TrainReport, evaluate, train)
@@ -71,9 +71,15 @@ def predicted(model, dataset, indices):
     return model.head.decode(model.outputs(dataset, indices), indices)
 
 
+def flat_weights(head, stack):
+    """Fitted flat basis weights of a (B, T, n_joint) stack, joint-major,
+    the layout of a ProMP head's targets."""
+    return fit_weights(stack, head.phi).reshape(len(stack), -1)
+
+
 def all_weights(model, dataset):
     """Fitted flat basis weights of every demo of `dataset`."""
-    return model.head.weights(dataset.trajectories)
+    return flat_weights(model.head, dataset.trajectories)
 
 
 def first_demos(dataset, n):
@@ -267,7 +273,7 @@ class TestTrainResidual:
         # no held-out demo
         model, _ = trained("residual", small_rtp, config(epochs=1, seed=9))
         assert set(model.train_indices).isdisjoint(model.test_indices)
-        weights = model.head.weights(small_rtp.trajectories)
+        weights = all_weights(model, small_rtp)
         np.testing.assert_array_equal(
             model.head.mean_weights,
             weights[list(model.train_indices)].mean(axis=0))
@@ -276,7 +282,7 @@ class TestTrainResidual:
         # one row per training demo, in the split's order, less the mean
         idx = np.random.default_rng(11).permutation(len(small_rtp))[:30]
         head, targets = ResidualHead.fit(small_rtp, idx, 8)
-        weights = head.weights(small_rtp.trajectories[idx])
+        weights = flat_weights(head, small_rtp.trajectories[idx])
         assert targets.tobytes() == (weights - head.mean_weights).tobytes()
 
     def test_region_tags_change_nothing(self, small_rtp):
@@ -458,7 +464,7 @@ class TestEpochLoop:
         assert int(len(train_idx) * cfg.val_fraction_of_train) == 0
         head, sizes = model.head, model.mlp.layer_sizes
         x = (small_rtp.contexts[train_idx] - model.ctx_mean) / model.ctx_std
-        targets = head.weights(small_rtp.trajectories[train_idx])
+        targets = flat_weights(head, small_rtp.trajectories[train_idx])
         epoch_end = thetas[len(train_idx) - 1::len(train_idx)]
         full = [head.loss_and_grad(mlp_forward(MlpParams(sizes, theta), x),
                                    targets)[0].mean()
@@ -526,7 +532,7 @@ class TestEvaluate:
         ds.contexts[:] = ds.contexts[0]
         ds.trajectories[:] = ds.trajectories[0]
         head = PrompHead("rtp", 7, n_samples, n_basis)
-        targets = head.weights(ds.trajectories)
+        targets = flat_weights(head, ds.trajectories)
         mlp = MlpParams((3, 56), np.r_[np.zeros(3 * 56), targets[0]])
         model = Model(head, mlp, np.zeros(3), np.ones(3),
                       train_indices=(), test_indices=tuple(range(len(ds))))
