@@ -14,7 +14,8 @@ and then only its head's own fields, the head's dataclass fields after
 `task`, `n_joint` and `n_samples` in declaration order:
   deep-mp   "n_basis": int (`promp.build_phi` sets the basis from it
             and T)
-  residual  "n_basis": int, "mean_weights": {"__global__": enc of J*n_basis}
+  residual  "n_basis": int (the training mean it starts from is in the
+            trained output bias, part of "theta")
   ddmp      "n_basis_dmp": int, "home": enc of J (rtp) or null (wpp)
 Every array value must be finite, and every `ctx_std` entry > 0. J,
 each layer size, `n_basis` and `n_basis_dmp` are integers >= 1 and T one
@@ -24,10 +25,12 @@ each layer size, `n_basis` and `n_basis_dmp` are integers >= 1 and T one
 payload fields are ignored: checkpoints written while the models still
 took a sampling rate and a DMP time constant hold one field for each,
 and they load as before.
-Schema 1 (nested decimal lists) is no longer read, nor are the
-per-region means, keys of `mean_weights` besides "__global__", that rtp
-residual checkpoints held: re-run `mprim train` with the arguments in
-the checkpoint's manifest to rewrite either.
+Schema 1 (nested decimal lists) is no longer read. Nor is a payload
+holding "mean_weights", the training mean that residual checkpoints
+held while their net predicted the deviation from it: such a net would
+predict without its mean, so the field is refused, not ignored. Re-run
+`mprim train` with the arguments in the checkpoint's manifest to
+rewrite either.
 """
 
 import base64
@@ -43,7 +46,6 @@ from mprim.training import HEADS, Model
 
 SCHEMA_VERSION = 2
 KIND = "trained_model"
-GLOBAL_GROUP = "__global__"   # the one key of a residual's `mean_weights`
 
 
 class OutdatedError(ValueError):
@@ -54,8 +56,8 @@ def save(model: Model, path, meta):
     """Write a checkpoint; `meta` is a free-form metadata dict.
 
     Only what `load` reads back is written. The payload goes through the
-    reader's checks first: a non-finite `theta`, scaler, mean or `home`
-    entry, or a `ctx_std` entry <= 0, raises ValueError naming the field.
+    reader's checks first: a non-finite `theta`, scaler or `home` entry,
+    or a `ctx_std` entry <= 0, raises ValueError naming the field.
     A meta value that standard JSON cannot hold (NaN, infinity, a numpy
     scalar) raises ValueError or TypeError. A failed save leaves the file
     at `path` as it was: only a complete checkpoint replaces it."""
@@ -137,6 +139,11 @@ def _model(d):
     """Inverse of `_payload`. ValueError names the first field, in payload
     order, that is missing or malformed (a wpp `home` after `layer_sizes`)."""
     cls = _field(d, "method", HEADS.__getitem__)
+    if "mean_weights" in d:
+        raise OutdatedError("payload field 'mean_weights' is malformed "
+                            "(OutdatedError: it holds a residual net's "
+                            "training mean, which its output bias now "
+                            "holds)")
     head = {"task": _field(d, "task", check_task),
             "n_joint": _field(d, "n_joint", integer, 1, "n_joint"),
             "n_samples": _field(d, "n_samples_per_traj", integer, 2,
@@ -157,16 +164,14 @@ def _model(d):
 
 def _field(d, name, parse, *args):
     """Payload field `name`, through `parse(value, *args)`; a missing field
-    or one that `parse` rejects raises ValueError naming it; an
-    OutdatedError keeps its type."""
+    or one that `parse` rejects raises ValueError naming it."""
     if name not in d:
         raise ValueError(f"payload lacks field {name!r}")
     try:
         return parse(d[name], *args)
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        kind = OutdatedError if isinstance(err, OutdatedError) else ValueError
-        raise kind(f"payload field {name!r} is malformed "
-                   f"({type(err).__name__}: {err})") from None
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"payload field {name!r} is malformed "
+                         f"({type(err).__name__}: {err})") from None
 
 
 def _indices(value, train):
@@ -201,15 +206,6 @@ def _floats(value, n=None, positive=False):
     return out
 
 
-def _means(value, head):
-    """The one training mean, from {GLOBAL_GROUP: enc}."""
-    extra = sorted(value.keys() - {GLOBAL_GROUP})
-    if extra:
-        raise OutdatedError(f"keys {extra} besides {GLOBAL_GROUP!r} hold "
-                            f"per-region means, which are no longer read")
-    return _floats(value[GLOBAL_GROUP], head["n_joint"] * head["n_basis"])
-
-
 def _home(value, head):
     return (None if value is None and head["task"] == "wpp"
             else _floats(value, head["n_joint"]))
@@ -223,7 +219,6 @@ def _null(value):
 # -> (writer, reader of (value, the head's fields read so far))
 _HEAD_FIELDS = {
     "n_basis": (lambda n: n, lambda value, head: integer(value, 1, "n_basis")),
-    "mean_weights": (lambda mean: {GLOBAL_GROUP: encode_f64(mean)}, _means),
     "n_basis_dmp": (lambda n: n,
                     lambda value, head: integer(value, 1, "n_basis_dmp")),
     "home": (lambda home: None if home is None else encode_f64(home), _home),

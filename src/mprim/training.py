@@ -5,20 +5,21 @@ that meaning is a `Head`:
 
   PrompHead      deep-mp: every joint's ProMP basis weights, trained with
                  the trajectory-space loss
-  ResidualHead   residual: the deviation of those weights from their
-                 mean over the training split; decoding adds the mean back
+  ResidualHead   residual: deep-mp whose output bias starts at the mean
+                 fitted weights of the training split, not at 0
   DmpHead        ddmp: goal-attractor parameters, trained with the
                  parameter-space losses; the variant follows the dataset
                  kind, and the reach variant (rtp) leaves the known start
                  configuration out of the output
 
 A head owns the method-specific decisions and nothing else: its targets,
-fitted to the training split's demos in one call before training; its
-loss, which it computes (`loss_and_grad`) with the numeric code of
-`regressor`; the ground-truth trajectories of a split; and decoding a
-batch of network outputs into (B, T, n_joint) trajectories. The ProMP
-heads fit and reconstruct through `promp`, ddmp through `dmp`. What a
-checkpoint holds of a head, and how, is `checkpoint`'s alone.
+fitted to the training split's demos in one call before training; the
+net's output bias before training (`initial_bias`); its loss, which it
+computes (`loss_and_grad`) with the numeric code of `regressor`; the
+ground-truth trajectories of a split; and decoding a batch of network
+outputs into (B, T, n_joint) trajectories. The ProMP heads fit and
+reconstruct through `promp`, ddmp through `dmp`. What a checkpoint holds
+of a head, and how, is `checkpoint`'s alone.
 
 `train` runs one deterministic minibatch loop for every head (Adam, seeded
 shuffling, best-validation checkpointing, early stopping on the
@@ -139,7 +140,8 @@ def _chunks(n):
 def _fit_scaler(contexts):
     mean = contexts.mean(axis=0)
     std = contexts.std(axis=0)
-    std[std == 0.0] = 1.0   # constant features pass through unscaled
+    # constant features pass through unscaled (their std may be rounding)
+    std[contexts.max(axis=0) == contexts.min(axis=0)] = 1.0
     return mean, std
 
 
@@ -193,6 +195,8 @@ def _run_training(x, targets, cfg: TrainConfig, hidden, head):
 
     layer_sizes = (x.shape[1], *hidden, targets.shape[1])
     params = init_mlp(layer_sizes, cfg.seed)
+    # after the seeded draw, so the draw is the same for every head
+    params.biases[-1][:] = head.initial_bias(targets)
     state = adam_init(params, cfg.learning_rate)
     grad = np.empty_like(params.theta)
     grads_w, grads_b = params.views(grad)
@@ -272,6 +276,10 @@ class Head:
     n_joint: int
     n_samples: int
 
+    def initial_bias(self, targets):
+        """The net's output bias before training, from the targets."""
+        return 0.0
+
 
 @dataclass(frozen=True)
 class PrompHead(Head):
@@ -324,24 +332,18 @@ class PrompHead(Head):
 
 @dataclass(frozen=True)
 class ResidualHead(PrompHead):
-    """residual: the net predicts the deviation from the mean basis
-    weights of the training split; decoding adds that mean back."""
-
-    mean_weights: np.ndarray       # flat, n_joint*n_basis
+    """residual: the net predicts the deviation from the training
+    split's mean basis weights, since its output bias starts there."""
 
     @classmethod
     def fit(cls, dataset, train_idx, n_basis):
         if len(train_idx) < 2:
             raise ValueError("residual variant needs at least 2 training "
                              "demos")
-        base, weights = PrompHead.fit(dataset, train_idx, n_basis)
-        mean = weights.mean(axis=0)
-        weights -= mean
-        return cls(base.task, base.n_joint, base.n_samples, base.n_basis,
-                   mean), weights
+        return super().fit(dataset, train_idx, n_basis)
 
-    def decode(self, out, indices):
-        return self._trajectories(out + self.mean_weights)
+    def initial_bias(self, targets):
+        return targets.mean(axis=0)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mprim import checkpoint, training
-from mprim.checkpoint import GLOBAL_GROUP, decode_f64, encode_f64
+from mprim.checkpoint import decode_f64, encode_f64
 from mprim.cli import main
 from mprim.dataset import generate_rtp, generate_wpp, save_jsonl
 from mprim.regressor import MlpParams, init_mlp
@@ -79,7 +79,7 @@ def test_payload_lists_every_head_field_in_schema_order(tmp_path):
     common = ["method", "task", "n_joint", "n_samples_per_traj",
               "layer_sizes", "theta", "ctx_mean", "ctx_std", "train_indices",
               "test_indices"]
-    own = {"deep-mp": ["n_basis"], "residual": ["n_basis", "mean_weights"],
+    own = {"deep-mp": ["n_basis"], "residual": ["n_basis"],
            "ddmp": ["n_basis_dmp", "home"]}
     # the net's inputs and outputs per task: 3 or 10 context features;
     # 7 joints x 8 or 10 basis weights, and for ddmp 7 x 5 forcing
@@ -133,6 +133,26 @@ def test_schema_1_names_file_and_rerun(tmp_path):
         f"with the arguments in {path}.manifest.json to rewrite it")
 
 
+def test_residual_mean_weights_names_file_and_rerun(tmp_path):
+    # residual checkpoints held the training mean their net's outputs were
+    # added to; the output bias holds it now, so such a net would load and
+    # predict without its mean
+    ds = generate_rtp(seed=3, counts=(6, 3, 2, 2), noise_std=0.0)
+    path = tmp_path / "old.json"
+    checkpoint.save(_trained("residual", ds, epochs=1, seed=1,
+                             n_basis_dmp=5), path, meta={})
+    doc = json.loads(path.read_text())
+    doc["payload"]["mean_weights"] = {"__global__": encode_f64([0.0] * 56)}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        checkpoint.load(path)
+    assert str(err.value) == (
+        f"{path}: payload field 'mean_weights' is malformed (OutdatedError: "
+        f"it holds a residual net's training mean, which its output bias "
+        f"now holds); re-run `mprim train` with the arguments in "
+        f"{path}.manifest.json to rewrite it")
+
+
 def test_fields_the_benchmark_reads(tmp_path):
     # perfbench/run.py `fit_samples_per_epoch` reloads every checkpoint
     # the train stage writes and counts the samples trained on from these
@@ -171,20 +191,20 @@ def test_uncheckpointable_type(tmp_path):
                         meta={})
 
 
-_REGION_MEANS = ("(OutdatedError: keys {} besides '__global__' hold "
-                 "per-region means, which are no longer read); re-run "
-                 "`mprim train` with the arguments in ")
+_OUTDATED_MEANS = ("(OutdatedError: it holds a residual net's training "
+                   "mean, which its output bias now holds); re-run `mprim "
+                   "train` with the arguments in ")
 
 
 @pytest.mark.parametrize("task,method,field,value,why", [
     ("rtp", "residual", "mean_weights", {"A": encode_f64([0.0] * 56)},
-     _REGION_MEANS.format("['A']")),
+     _OUTDATED_MEANS),
     ("rtp", "residual", "mean_weights",
-     lambda old: {**old, "A": old["__global__"]},
-     _REGION_MEANS.format("['A']")),
-    ("rtp", "residual", "mean_weights", {}, "KeyError: '__global__'"),
+     {"__global__": encode_f64([0.0] * 56), "A": encode_f64([0.0] * 56)},
+     _OUTDATED_MEANS),
+    ("rtp", "residual", "mean_weights", {}, _OUTDATED_MEANS),
     ("rtp", "residual", "mean_weights", {"__global__": encode_f64([0.0])},
-     "expected 56 float64 values, got 1"),
+     _OUTDATED_MEANS),
     ("rtp", "ddmp", "home", None, "not a base64 string of float64"),
     ("rtp", "ddmp", "n_basis_dmp", [5],
      "(ValueError: n_basis_dmp must be an integer >= 1, got [5])"),
@@ -203,8 +223,7 @@ _REGION_MEANS = ("(OutdatedError: keys {} besides '__global__' hold "
     ("rtp", "residual", "ctx_std", encode_f64([1.0, 1.0, np.inf]),
      "ValueError: value 2 is inf; expected finite numbers > 0)"),
     ("rtp", "residual", "mean_weights",
-     {"__global__": encode_f64([0.0] * 55 + [-np.inf])},
-     "ValueError: value 55 is -inf; expected finite numbers)"),
+     {"__global__": encode_f64([0.0] * 55 + [-np.inf])}, _OUTDATED_MEANS),
     ("rtp", "ddmp", "home", encode_f64([0.0] * 6 + [np.nan]),
      "ValueError: value 6 is nan; expected finite numbers)"),
     ("wpp", "ddmp", "home", encode_f64([0.0] * 7),
@@ -219,16 +238,16 @@ def test_malformed_head_field_names_file_and_field(tmp_path, task, method,
     # a field of the wrong type, shape or value would otherwise broadcast
     # silently, evaluate to NaN or nonsense, or fail later with a message
     # naming neither; `value` may be a function of the saved value. A wpp
-    # head has no home: its net predicts the starts. A residual head keeps
-    # one mean; the per-region means that rtp checkpoints held before are
-    # refused with the hint to rewrite the file
+    # head has no home: its net predicts the starts. No head has a
+    # `mean_weights` field any more: whatever it holds, the training mean
+    # residual checkpoints held is refused with the hint to rewrite the file
     ds = (generate_rtp(seed=3, counts=(6, 3, 2, 2), noise_std=0.0)
           if task == "rtp" else generate_wpp(seed=5, trials_per_cell=1))
     model = _trained(method, ds, epochs=1, seed=1, n_basis_dmp=5)
     path = tmp_path / "model.json"
     checkpoint.save(model, path, meta={})
     doc = json.loads(path.read_text())
-    old = doc["payload"][field]
+    old = doc["payload"].get(field)
     doc["payload"][field] = value(old) if callable(value) else value
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as err:
@@ -318,10 +337,9 @@ def _linear_model(method):
     ("deep-mp", "ctx_mean", np.inf, "value 1 is inf; expected finite"),
     ("deep-mp", "ctx_std", 0.0, "value 1 is 0.0; expected finite numbers > 0"),
     ("residual", "ctx_std", -1.0, "value 1 is -1.0; expected finite"),
-    ("residual", "mean_weights", -np.inf, "value 1 is -inf; expected"),
     ("ddmp", "home", np.nan, "value 1 is nan; expected finite numbers"),
 ], ids=["theta_nan", "ctx_mean_inf", "ctx_std_zero", "ctx_std_negative",
-        "means_inf", "home_nan"])
+        "home_nan"])
 def test_save_refuses_what_load_rejects(tmp_path, method, field, value, why):
     model = _linear_model(method)
     path = tmp_path / "model.json"
@@ -330,7 +348,6 @@ def test_save_refuses_what_load_rejects(tmp_path, method, field, value, why):
     head = model.head
     array = {"theta": model.mlp.theta, "ctx_mean": model.ctx_mean,
              "ctx_std": model.ctx_std,
-             "mean_weights": getattr(head, "mean_weights", None),
              "home": getattr(head, "home", None)}[field]
     array[1] = value
     with pytest.raises(ValueError) as err:
@@ -382,20 +399,17 @@ def _model(method, floats, positive):
         width = n_joint * (n_basis + 1)
     else:
         width = n_joint * n_basis
-        head = (PrompHead("rtp", n_joint, _N_SAMPLES, n_basis)
-                if method == "deep-mp"
-                else ResidualHead("rtp", n_joint, _N_SAMPLES, n_basis,
-                                  floats(width)))
+        head = {"deep-mp": PrompHead, "residual": ResidualHead}[method](
+            "rtp", n_joint, _N_SAMPLES, n_basis)
     sizes = (3, 4, width)
     mlp = MlpParams(sizes, floats(4 * 4 + 5 * width))
     return Model(head, mlp, floats(3), positive(3), (0, 2), (1,))
 
 
 def _arrays(model):
-    head = model.head
-    own = (getattr(head, name, None) for name in ("mean_weights", "home"))
+    home = getattr(model.head, "home", None)
     return [model.mlp.theta, model.ctx_mean, model.ctx_std,
-            *(array for array in own if array is not None)]
+            *([] if home is None else [home])]
 
 
 class TestFormatProperties:
@@ -461,33 +475,29 @@ class TestFormatProperties:
                                                 corruption):
         model = _model(method, lambda n: np.linspace(-1.0, 1.0, n),
                        lambda n: np.linspace(0.5, 1.5, n))
-        fields = [("theta",), ("ctx_mean",), ("ctx_std",),
-                  *{"residual": [("mean_weights", GLOBAL_GROUP)],
-                    "ddmp": [("home",)]}.get(method, [])]
-        path_in_payload = data.draw(st.sampled_from(fields))
+        fields = ["theta", "ctx_mean", "ctx_std",
+                  *(["home"] if method == "ddmp" else [])]
+        field = data.draw(st.sampled_from(fields))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "model.json")
             checkpoint.save(model, path, meta={})
             with open(path) as fh:
                 doc = json.load(fh)
-            parent = doc["payload"]
-            for key in path_in_payload[:-1]:
-                parent = parent[key]
-            key = path_in_payload[-1]
-            blob = parent[key]
+            payload = doc["payload"]
+            blob = payload[field]
             if corruption == "length":
                 values = decode_f64(blob)
-                parent[key] = encode_f64(
+                payload[field] = encode_f64(
                     values[:-1] if data.draw(st.booleans())
                     else np.append(values, 0.0))
             else:
                 at = data.draw(st.integers(0, len(blob) - 1))
-                parent[key] = (blob[:at] if corruption == "truncate" else
-                               blob[:at] + data.draw(st.sampled_from(
-                                   "!*-_.:@~ \u00e9")) + blob[at + 1:])
+                payload[field] = (blob[:at] if corruption == "truncate" else
+                                  blob[:at] + data.draw(st.sampled_from(
+                                      "!*-_.:@~ \u00e9")) + blob[at + 1:])
             with open(path, "w") as fh:
                 json.dump(doc, fh)
             with pytest.raises(ValueError) as err:
                 checkpoint.load(path)
         assert str(err.value).startswith(
-            f"{path}: payload field {path_in_payload[0]!r} is malformed (")
+            f"{path}: payload field {field!r} is malformed (")

@@ -16,7 +16,7 @@ from mprim.dmp import fit_dmp, rollout_matched
 from mprim.errors import IntegrationError, TrainingDivergedError
 from mprim.kinematics import DEFAULT_CHAIN, final_distances
 from mprim.promp import build_phi, fit_weights
-from mprim.regressor import MlpParams, mlp_forward
+from mprim.regressor import MlpParams, init_mlp, mlp_forward
 from mprim.training import (DmpHead, Model, PrompHead, ResidualHead,
                             TrainConfig, TrainReport, evaluate, train)
 
@@ -177,6 +177,21 @@ class TestTrainDeepMp:
         assert isinstance(model, Model)
         assert model.mlp.layer_sizes[-1] == 7 * 8
 
+    def test_constant_context_feature_passes_through_unscaled(
+            self, small_rtp):
+        # a feature whose training values are all equal but not 0, as a
+        # fixed height: its std is rounding noise, by which a held-out
+        # 0.31 was scaled to about 1e14; it passes through unscaled
+        ds = dataclasses.replace(small_rtp, contexts=small_rtp.contexts.copy())
+        ds.contexts[:, 2] = 0.3
+        ds.contexts[-1, 2] = 0.31
+        split = (np.arange(len(ds) - 1), np.array([len(ds) - 1]))
+        model, _ = trained("deep-mp", ds, config(epochs=0, seed=1),
+                           split=split)
+        assert model.ctx_std[2] == 1.0
+        held_out = (ds.contexts[-1] - model.ctx_mean) / model.ctx_std
+        assert abs(held_out[2] - 0.01) < 1e-12
+
     def test_single_sample_memorization(self):
         # pure memorization: the loss floor scales with the Adam step
         # size, so a small rate plus many cheap single-sample epochs gets
@@ -259,31 +274,54 @@ class TestTrainResidual:
         rmse = np.sqrt(np.mean((traj - ds.trajectories[0]) ** 2))
         assert rmse < 1e-3
 
+    def test_output_bias_starts_at_the_training_mean(self, small_rtp):
+        # residual is deep-mp whose untrained output bias is the mean of
+        # the training split's fitted weights; every other parameter, and
+        # every parameter of the other heads, is the seeded draw
+        cfg = config(epochs=0, seed=8)
+        models = {method: trained(method, small_rtp, cfg)[0]
+                  for method in ("deep-mp", "residual", "ddmp")}
+        residual, deep = models["residual"], models["deep-mp"]
+        train = small_rtp.trajectories[list(residual.train_indices)]
+        weights = flat_weights(residual.head, train)
+        bias = residual.mlp.biases[-1]
+        assert bias.tobytes() == weights.mean(axis=0).tobytes()
+        rest = slice(0, -len(bias))
+        assert (residual.mlp.theta[rest].tobytes()
+                == deep.mlp.theta[rest].tobytes())
+        for model in (deep, models["ddmp"]):
+            drawn = init_mlp(model.mlp.layer_sizes, cfg.seed)
+            assert model.mlp.theta.tobytes() == drawn.theta.tobytes()
+
     def test_residual_targets_mean_center(self, small_rtp):
-        # residuals across the training split average to the zero vector
-        cfg = config(epochs=1, seed=8)
-        model, _ = trained("residual", small_rtp, cfg)
+        # what the net learns beyond its untrained output bias averages
+        # to the zero vector across the training split
+        model, _ = trained("residual", small_rtp, config(epochs=0, seed=8))
         train_idx = np.asarray(model.train_indices)
         targets = all_weights(model, small_rtp)
-        residuals = targets[train_idx] - model.head.mean_weights
+        residuals = targets[train_idx] - model.mlp.biases[-1]
         np.testing.assert_allclose(residuals.mean(axis=0), 0.0, atol=1e-10)
 
     def test_no_leakage_into_mean(self, small_rtp):
-        # the mean averages the fitted weights of the train split and of
-        # no held-out demo
-        model, _ = trained("residual", small_rtp, config(epochs=1, seed=9))
+        # the bias the net starts from averages the fitted weights of the
+        # train split and of no held-out demo
+        model, _ = trained("residual", small_rtp, config(epochs=0, seed=9))
         assert set(model.train_indices).isdisjoint(model.test_indices)
         weights = all_weights(model, small_rtp)
         np.testing.assert_array_equal(
-            model.head.mean_weights,
+            model.mlp.biases[-1],
             weights[list(model.train_indices)].mean(axis=0))
+        assert not np.allclose(model.mlp.biases[-1], weights.mean(axis=0))
 
     def test_targets_are_the_centred_training_rows(self, small_rtp):
-        # one row per training demo, in the split's order, less the mean
+        # one row per training demo, in the split's order; less the bias
+        # the net starts from, they are the centred rows
         idx = np.random.default_rng(11).permutation(len(small_rtp))[:30]
         head, targets = ResidualHead.fit(small_rtp, idx, 8)
         weights = flat_weights(head, small_rtp.trajectories[idx])
-        assert targets.tobytes() == (weights - head.mean_weights).tobytes()
+        assert targets.tobytes() == weights.tobytes()
+        centred = targets - head.initial_bias(targets)
+        assert centred.tobytes() == (weights - weights.mean(axis=0)).tobytes()
 
     def test_region_tags_change_nothing(self, small_rtp):
         # no head reads a demo's tags: the set without its region tags
@@ -676,16 +714,20 @@ class TestEvaluate:
         assert small[2].tobytes() == default[2].tobytes()
 
     def test_residual_decode_adds_the_training_mean(self, small_rtp):
-        model, _ = trained("residual", small_rtp, config(epochs=1, seed=4))
+        # with its last-layer weights zeroed, an untrained residual net
+        # outputs its bias, and so decodes the training mean for every demo
+        model, _ = trained("residual", small_rtp, config(epochs=0, seed=4))
         head = model.head
         assert isinstance(head, ResidualHead)
-        assert head.mean_weights.shape == (head.width,)
+        model.mlp.weights[-1][:] = 0.0
         idx = np.asarray(model.test_indices)
-        out = net_outputs(model, small_rtp, idx)
+        train = small_rtp.trajectories[list(model.train_indices)]
+        mean = flat_weights(head, train).mean(axis=0)
         plain = PrompHead(head.task, head.n_joint, head.n_samples,
                           head.n_basis)
         np.testing.assert_array_equal(
-            head.decode(out, idx), plain.decode(out + head.mean_weights, idx))
+            predicted(model, small_rtp, idx),
+            plain.decode(np.broadcast_to(mean, (len(idx), head.width)), idx))
 
     def test_empty_split_rejected(self, small_rtp):
         model, _ = trained("deep-mp", small_rtp, config(epochs=1, seed=7))
