@@ -21,7 +21,7 @@ Every array value must be finite, and every `ctx_std` entry > 0. J,
 each layer size, `n_basis` and `n_basis_dmp` are integers >= 1 and T one
 >= 2, by the rule of `jsonio.integer`; "task" passes
 `dataset.check_task`. The two index lists form a split that
-`dataset.check_split` accepts. Other
+`dataset.check_split` accepts, so neither is empty. Other
 payload fields are ignored: checkpoints written while the models still
 took a sampling rate and a DMP time constant hold one field for each,
 and they load as before.
@@ -178,7 +178,7 @@ def _indices(value, train):
     """The split's train side, or with `train` its test side, as a tuple."""
     if not isinstance(value, list) or any(type(i) is not int for i in value):
         raise ValueError("expected a list of integer demo indices")
-    check_split(*((value, ()) if train is None else (train, value)))
+    check_split(value) if train is None else check_split(train, value)
     return tuple(value)
 
 

@@ -8,14 +8,17 @@ Subcommands:
 
 Every command writes a JSON run manifest listing its arguments, resolved
 configuration, seed and the sha256 of every input and output file, so a
-run can be reproduced from the manifest alone. Exit codes: 0 success,
-2 usage error, 1 runtime failure. The seed falls back to the MPRIM_SEED
-environment variable when --seed is not given. `--config FILE`, given
-before the subcommand, supplies flag defaults from a JSON object; the file
-is then one of the run's inputs. Only this module defaults a run; the
-library takes every setting from its caller. The defaults sit in the
-flags and, per dataset kind, in `_BY_KIND`; `--help` shows them, and a
-train run's config (manifest, checkpoint meta) records resolved values.
+run can be reproduced from the manifest alone. Every file a command writes
+goes through `jsonio.replace_on_success`, whole or not at all. Eval scores
+a checkpoint's held-out demos; `train` refuses a split that holds out
+none. Exit codes: 0 success, 2 usage error, 1 runtime failure. The seed
+falls back to the MPRIM_SEED environment variable when --seed is not
+given. `--config FILE`, given before the subcommand, supplies flag
+defaults from a JSON object; the file is then one of the run's inputs.
+Only this module defaults a run; the library takes every setting from its
+caller. The defaults sit in the flags and, per dataset kind, in
+`_BY_KIND`; `--help` shows them, and a train run's config (manifest,
+checkpoint meta) records resolved values.
 
 Reproducibility: with the same arguments and seed, every output is bit
 for bit identical for the same numpy build, BLAS kernel and CPU dispatch
@@ -53,9 +56,9 @@ from pathlib import Path
 import numpy as np
 
 from mprim.dataset import (RTP_DEFAULT_COUNTS, WPP_DEFAULT_TRIALS, WPP_SPLITS,
-                           apply_split, generate_rtp, generate_wpp,
-                           load_jsonl, save_jsonl)
-from mprim.jsonio import read_json_object
+                           apply_split, check_split, generate_rtp,
+                           generate_wpp, load_jsonl, save_jsonl)
+from mprim.jsonio import read_json_object, replace_on_success
 
 _BY_KIND = {"epochs": {"rtp": 150, "wpp": 200},
             "n_basis": {"rtp": 8, "wpp": 10}}
@@ -84,7 +87,7 @@ def _write_manifest(path, command, argv, config, seed, inputs, outputs):
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
     }
-    with open(path, "w") as fh:
+    with replace_on_success(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -218,7 +221,7 @@ def cmd_generate(args, argv):
 
 
 def cmd_train(args, argv):
-    from mprim import checkpoint, training
+    from mprim import checkpoint, plots, training
 
     dataset = load_jsonl(args.data)
     for dest, defaults in _BY_KIND.items():
@@ -237,6 +240,7 @@ def cmd_train(args, argv):
                              f"one of {', '.join(WPP_SPLITS)}")
         try:
             split = apply_split(dataset, WPP_SPLITS[args.split], args.seed)
+            check_split(split[0].tolist(), split[1].tolist())
         except ValueError as err:
             raise ValueError(f"--split {args.split}: {args.data} holds "
                              f"{dataset.kind} demos: {err}") from None
@@ -259,7 +263,9 @@ def cmd_train(args, argv):
                                if report.val_loss else None)}
     checkpoint.save(model, args.out, meta=meta)
     curve_path = args.out.with_name(args.out.stem + "_losses.csv")
-    report.write_csv(curve_path)
+    plots.write_table(curve_path, ["epoch", "train_batch_loss", "val_loss"],
+                      zip(range(report.final_epoch), report.train_batch_loss,
+                          report.val_loss))
     _write_manifest(args.out.with_suffix(args.out.suffix + ".manifest.json"),
                     "train", argv, config, args.seed,
                     _inputs(args, args.data), [args.out, curve_path])
@@ -281,11 +287,6 @@ def cmd_eval(args, argv):
                          f"{chain.n_joints} joints, but the dataset's "
                          f"trajectories have {dataset.n_joint}")
     indices = np.asarray(model.test_indices, dtype=int)
-    if len(indices) == 0:
-        print("checkpoint has no held-out samples; evaluating full dataset",
-              file=sys.stderr)
-        indices = np.arange(len(dataset))
-
     records, overall, out = training.evaluate(model, dataset, indices,
                                               chain)
     seen = {rec.group for rec in records}

@@ -8,7 +8,7 @@ smooth nonlinear function into joint space, so the context-to-weights
 relation is learnable by construction but not affine.
 
 In memory, a `DemoDataset` of N >= 1 demos holds one set of arrays:
-`contexts` (N, D), `trajectories` (N, T, n_joint) in radians, plus per
+`contexts` (N, D >= 1), `trajectories` (N, T, n_joint) in radians, plus per
 demo a `tags` dict. A train/test split belongs to a run, not to the demos:
 `random_split` or `apply_split` returns it, and a checkpoint records it.
 Every demo spans one nominal duration in T samples, so the models see
@@ -20,7 +20,7 @@ File format (dataset schema 3): JSON lines, then one binary block.
                         "n_samples": N, "n_samples_per_traj": T,
                         "n_joint": J}, where seed >= 0, N >= 1, T >= 2
                         and J >= 1 are integers by `jsonio.integer`
-  lines 2..N+1  record {"context": [D numbers], "tags": {...}}
+  lines 2..N+1  record {"context": [D >= 1 numbers], "tags": {...}}
   then          exactly 8*N*T*J bytes and nothing after them: the
                 (N, T, J) trajectory stack in radians as little-endian
                 float64, in C order
@@ -158,11 +158,11 @@ class DemoDataset:
         check_task(self.kind)
         sizes = (len(self.contexts), len(self.trajectories), len(self.tags))
         if (self.contexts.ndim != 2 or self.trajectories.ndim != 3
-                or len(set(sizes)) > 1):
+                or len(set(sizes)) > 1 or not self.context_dim):
             raise ValueError(
-                f"expected (N, D) contexts, (N, T, n_joint) trajectories and "
-                f"N tags, got contexts {self.contexts.shape}, trajectories "
-                f"{self.trajectories.shape} and {sizes[2]} tags")
+                f"expected (N, D >= 1) contexts, (N, T, n_joint) trajectories "
+                f"and N tags, got contexts {self.contexts.shape}, "
+                f"trajectories {self.trajectories.shape} and {sizes[2]} tags")
         if not len(self):
             raise ValueError("expected at least one demo, got none")
         if self.n_samples_per_traj < 2:
@@ -359,9 +359,10 @@ WPP_SPLITS = {
 
 
 def random_split(n: int, train_fraction: float, seed: int):
-    """Seeded shuffle split into (train_indices, test_indices)."""
+    """Seeded shuffle split into (train_indices, test_indices); each side
+    keeps at least one demo when n >= 2."""
     order = np.random.default_rng(seed).permutation(n)
-    n_train = min(n, max(1, int(round(train_fraction * n))))
+    n_train = max(1, min(n - 1, int(round(train_fraction * n))))
     return np.sort(order[:n_train]), np.sort(order[n_train:])
 
 
@@ -413,21 +414,21 @@ def apply_split(dataset: DemoDataset, dispositions, seed: int):
     return np.array(sorted(train), dtype=int), np.array(sorted(test), dtype=int)
 
 
-def check_split(train, test):
-    """ValueError unless the int lists `train` and `test` form a split: a
-    nonempty train side, no demo on both sides, none twice on one side.
+def check_split(train, test=None):
+    """ValueError unless the int lists `train` and `test` (None: the train
+    side alone) form a split: nonempty sides, no demo twice or on both.
     Pure Python: numpy's set routines add 0.5 MB of RSS (numpy.ma, sort)."""
-    if len(train) == 0:
-        raise ValueError("the split's train side is empty")
-    both = set(train).intersection(test)
-    if both:
-        raise ValueError(f"demo {min(both)} is on both the train and the "
-                         f"test side of the split")
     for name, side in (("train", train), ("test", test)):
-        twice = [demo for demo, n in Counter(side).items() if n > 1]
+        if side is not None and len(side) == 0:
+            raise ValueError(f"the split's {name} side is empty")
+        twice = [demo for demo, n in Counter(side or ()).items() if n > 1]
         if twice:
             raise ValueError(f"demo {min(twice)} is on the {name} side of "
                              f"the split more than once")
+    both = set(train).intersection(test or ())
+    if both:
+        raise ValueError(f"demo {min(both)} is on both the train and the "
+                         f"test side of the split")
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +513,8 @@ def load_jsonl(path) -> DemoDataset:
 
     The header must hold the integers seed >= 0, N >= 1, T >= 2 and
     n_joint = J >= 1, with 8*T*J bytes within the platform's largest
-    size. Each of the N record lines holds a context list of numbers as
-    long as the first record's and a tags object. Exactly the 8*N*T*J
+    size. Each of the N record lines holds a context list of D >= 1
+    numbers, D the first record's, and a tags object. Exactly the 8*N*T*J
     bytes of the trajectory block follow them: that count is checked
     before the (N, T, J) array is allocated, and the block is read
     straight into it. Last, one pass over the contexts and one over the
@@ -591,6 +592,8 @@ def load_jsonl(path) -> DemoDataset:
                 fail(line_no, "bad record (context entries must be numbers)")
             if width is None:
                 width = len(context)
+                if not width:
+                    fail(line_no, "context holds no number")
             if len(context) != width:
                 fail(line_no, f"context shape ({len(context)},) differs from "
                               f"the first record's ({width},)")

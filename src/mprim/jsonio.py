@@ -1,6 +1,7 @@
 """Reading the single-document JSON files (checkpoints, kinematic chain
-configs and --config files), writing a file whole or not at all, and the
-one integer rule of every file field that holds a count or a seed."""
+configs and --config files), the one writer of every file the package
+writes (`replace_on_success`), and the one integer rule of every file
+field that holds a count or a seed."""
 
 import contextlib
 import json
@@ -13,12 +14,13 @@ def replace_on_success(path):
 
     The text goes to a new file next to `path`, which replaces `path`
     only when the block exits without an exception. Bytes may follow the
-    text: `flush()` the file, then write them to its `buffer`. On an
-    exception the new file is removed, so an existing `path` stays as it
-    was and a missing one stays missing."""
+    text: `flush()` the file, then write them to its `buffer`. The text is
+    UTF-8 with newlines as given, so a CSV keeps its "\r\n" rows on every
+    platform. On an exception the new file is removed, so an existing
+    `path` stays as it was and a missing one stays missing."""
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
             yield fh

@@ -1,48 +1,57 @@
 """Plot-ready artifact emission: CSV interchange files and SVG overlays.
 
-CSV is the canonical interchange; the SVG writer emits plain polylines
-(one panel per joint, ground truth solid, prediction dashed) so no
-plotting dependency is needed.
+CSV is the canonical interchange, and `write_table` writes every table,
+the loss curve included; the SVG writer emits plain polylines (one panel
+per joint, ground truth solid, prediction dashed) so no plotting
+dependency is needed. Every file is written whole or not at all, through
+`jsonio.replace_on_success`.
 """
 
 import csv
 
 import numpy as np
 
+from mprim.jsonio import replace_on_success
+
 _SVG_W, _SVG_H = 280, 120
 _PAD = 12
 
 
-def write_joint_csv(path, gt_values, pred_values):
-    """Per-sample rows: t index, then gt/pred columns per joint."""
+def write_table(path, header, rows):
+    """A CSV file of the `header` row and then `rows`; each float (a numpy
+    float64 too) is written as its shortest round-trip decimal."""
+    with replace_on_success(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([float.__repr__(v) if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+def _pair(gt_values, pred_values):
+    """Ground truth and prediction as float arrays of one shape."""
     gt = np.asarray(gt_values, float)
     pred = np.asarray(pred_values, float)
     if gt.shape != pred.shape:
         raise ValueError("ground truth and prediction shapes differ")
-    header = ["t"]
-    for j in range(gt.shape[1]):
-        header += [f"joint{j + 1}_gt", f"joint{j + 1}_pred"]
+    return gt, pred
+
+
+def write_joint_csv(path, gt_values, pred_values):
+    """Per-sample rows: t index, then gt/pred columns per joint."""
+    gt, pred = _pair(gt_values, pred_values)
+    header = ["t", *(f"joint{j + 1}_{side}" for j in range(gt.shape[1])
+                     for side in ("gt", "pred"))]
     # each row interleaves the joints' gt and pred values
     rows = np.stack([gt, pred], axis=2).reshape(len(gt), -1).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, row in enumerate(rows):
-            writer.writerow([t, *map(repr, row)])
+    write_table(path, header, ([t, *row] for t, row in enumerate(rows)))
 
 
 def write_ee_path_csv(path, gt_xyz, pred_xyz):
     """End-effector paths: t, gt x/y/z, pred x/y/z (meters)."""
-    gt = np.asarray(gt_xyz, float)
-    pred = np.asarray(pred_xyz, float)
-    if gt.shape != pred.shape:
-        raise ValueError("ground truth and prediction shapes differ")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x_gt", "y_gt", "z_gt",
-                         "x_pred", "y_pred", "z_pred"])
-        for t, row in enumerate(np.hstack([gt, pred]).tolist()):
-            writer.writerow([t, *map(repr, row)])
+    gt, pred = _pair(gt_xyz, pred_xyz)
+    header = ["t", "x_gt", "y_gt", "z_gt", "x_pred", "y_pred", "z_pred"]
+    rows = np.hstack([gt, pred]).tolist()
+    write_table(path, header, ([t, *row] for t, row in enumerate(rows)))
 
 
 def _polyline(xs, ys, color, dashed=False):
@@ -55,10 +64,7 @@ def _polyline(xs, ys, color, dashed=False):
 
 def write_overlay_svg(path, gt_values, pred_values):
     """One panel per joint: ground truth (black) vs prediction (dashed red)."""
-    gt = np.asarray(gt_values, float)
-    pred = np.asarray(pred_values, float)
-    if gt.shape != pred.shape:
-        raise ValueError("ground truth and prediction shapes differ")
+    gt, pred = _pair(gt_values, pred_values)
     n_t, n_joint = gt.shape
     height = n_joint * _SVG_H
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -81,15 +87,12 @@ def write_overlay_svg(path, gt_values, pred_values):
         parts.append(_polyline(xs, ys(gt[:, j]), "#000000"))
         parts.append(_polyline(xs, ys(pred[:, j]), "#cc0000", dashed=True))
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with replace_on_success(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
 def write_metrics_csv(path, records):
     """Metric rows in table layout: group, AveMSE, AveED, sample count."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "ave_mse_rad2", "ave_ed_mm", "n_samples"])
-        for rec in records:
-            writer.writerow([rec.group, repr(rec.ave_mse),
-                             repr(rec.ave_ed_mm), rec.count])
+    write_table(path, ["group", "ave_mse_rad2", "ave_ed_mm", "n_samples"],
+                ([rec.group, rec.ave_mse, rec.ave_ed_mm, rec.count]
+                 for rec in records))

@@ -11,11 +11,6 @@ of the whole net runs in place through two preallocated vectors. From
 step 356 on, the first moment's bias correction 1 - BETA1**step is
 exactly 1.0, and the update skips dividing by it, with the same bits.
 
-Head layouts are joint-major flat vectors:
-  trajectory head   [theta_joint0 | theta_joint1 | ...]         (n_joint*n_basis)
-  goal-attractor rtp [forcing w, joint-major | goal]            (n_joint*(n+1))
-  goal-attractor wpp [forcing w, joint-major | goal | start]    (n_joint*(n+2))
-
 Each head chooses its loss (`training.Head.loss_and_grad`) and computes it
 with `trajectory_loss` (the summed per-joint RMSE of the trajectories two
 weight vectors generate through the basis matrix) or `rms_loss` (a scaled

@@ -26,7 +26,9 @@ shuffling, best-validation checkpointing, early stopping on the
 validation loss) and returns a `Model`: the net, its context scaler, its
 split and its head. `evaluate` runs the net over a whole split and
 scores every head with the same expressions. No setting of a run has
-a default here: the caller states each one; `mprim.cli` holds defaults.
+a default here (the caller states each one), and no file is read or
+written: `mprim.cli` holds the defaults and writes the report's loss
+curves with `plots.write_table`.
 
 Memory rule: a stage holds the dataset, arrays of the size of a split's
 network outputs or fitted parameters, and temporaries of at most one
@@ -37,7 +39,6 @@ holds a (B, T, n_joint) array of a whole split; an epoch of the
 training loop allocates only the loss temporaries of a minibatch or chunk.
 """
 
-import csv
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -98,14 +99,6 @@ class TrainReport:
     @property
     def final_epoch(self):
         return len(self.train_batch_loss)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_batch_loss", "val_loss"])
-            for e, (tr, va) in enumerate(zip(self.train_batch_loss,
-                                             self.val_loss)):
-                writer.writerow([e, repr(tr), repr(va)])
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +467,10 @@ def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
     dataset kind. `hidden` holds the hidden layer sizes. `split` is
     (train, test) indices, or None for a random split seeded by
     `cfg.seed`. An index that is not an integer or lies outside the
-    dataset, or a split that `dataset.check_split` rejects, raises
-    ValueError. A run whose loss is not finite before any epoch could be
-    kept raises TrainingDivergedError. Returns (Model, TrainReport).
+    dataset, or a split that `dataset.check_split` rejects, one that holds
+    out no demo among them, raises ValueError. A run whose loss is not
+    finite before any epoch could be kept raises TrainingDivergedError.
+    Returns (Model, TrainReport).
     """
     if method not in HEADS:
         raise ValueError(f"unknown method {method!r}; "

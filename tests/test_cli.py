@@ -131,16 +131,35 @@ class TestGenerate:
 
 
 class TestTrain:
-    def test_residual_on_two_demo_dataset(self, tmp_path):
-        data = tmp_path / "two.jsonl"
+    def test_residual_on_three_demo_dataset(self, tmp_path):
+        # the random split holds one demo out and trains on two, the
+        # least residual takes
+        data = tmp_path / "three.jsonl"
         ds = generate_rtp(seed=2, counts=(1, 1, 1, 1), noise_std=0.0)
         save_jsonl(dataclasses.replace(
-            ds, contexts=ds.contexts[:2], trajectories=ds.trajectories[:2],
-            tags=ds.tags[:2]), data)
+            ds, contexts=ds.contexts[:3], trajectories=ds.trajectories[:3],
+            tags=ds.tags[:3]), data)
         ckpt = tmp_path / "ck.json"
         assert run(["train", "--data", data, "--method", "residual",
                     "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
-        assert type(checkpoint.load(ckpt).head) is ResidualHead
+        model = checkpoint.load(ckpt)
+        assert type(model.head) is ResidualHead
+        assert len(model.test_indices) == 1
+
+    def test_split_without_held_out_demo_names_the_split(self, tmp_path,
+                                                         capsys):
+        # a half/half cell of one trial goes to train, so WPP9 of a
+        # one-trial file held out nothing, and eval scored training demos
+        data, ckpt = tmp_path / "w.jsonl", tmp_path / "ck.json"
+        assert run(["generate", "--kind", "wpp", "--trials", "1",
+                    "--out", data]) == 0
+        capsys.readouterr()
+        assert run(["train", "--data", data, "--method", "deep-mp",
+                    "--split", "WPP9", "--epochs", "1", "--out", ckpt]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --split WPP9: {data} holds wpp demos: the split's test "
+            f"side is empty\n")
+        assert not ckpt.exists()
 
     def test_ddmp_rtp_head_excludes_start(self, small_dataset, tmp_path):
         ckpt = tmp_path / "ck.json"
@@ -315,6 +334,17 @@ class TestTrain:
         assert str(ckpt) in manifest["outputs"]
         assert str(tmp_path / "ck_losses.csv") in manifest["outputs"]
 
+    def test_failed_manifest_write_leaves_the_old_one(self, tmp_path):
+        # json.dump fails partway through a value it cannot write; the
+        # manifest is written whole or not at all
+        path = tmp_path / "ck.json.manifest.json"
+        path.write_text("old\n")
+        with pytest.raises(TypeError):
+            cli._write_manifest(path, "train", [], {"bad": object()}, 0, [],
+                                [])
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
 
 # recorded before the plot writers moved to `.tolist()` rows and the one
 # FK call
@@ -428,6 +458,9 @@ class TestEval:
          "a list of integer demo indices)"),
         (lambda doc: replaced(doc, [True], "payload", "train_indices"),
          "payload field 'train_indices' is malformed"),
+        (lambda doc: replaced(doc, [], "payload", "test_indices"),
+         "payload field 'test_indices' is malformed (ValueError: the "
+         "split's test side is empty)"),
         (lambda doc: replaced(doc, "deep_mp", "payload", "method"),
          "payload field 'method' is malformed (KeyError: 'deep_mp')"),
         (lambda doc: replaced(doc, "xyz", "payload", "task"),
@@ -439,7 +472,7 @@ class TestEval:
         (lambda doc: b'{"payload": "\xff"}', "not UTF-8 text at byte 13"),
     ], ids=["no_phase_cfg", "no_task", "no_payload", "list", "bad_json",
             "mlp_number", "mlp_layer_shape", "ctx_mean_width",
-            "fractional_index", "bool_index", "method_unknown",
+            "fractional_index", "bool_index", "no_held_out", "method_unknown",
             "task_unknown", "head_width", "not_utf8"])
     def test_malformed_checkpoint_names_file(self, small_dataset, tmp_path,
                                              capsys, edit, message):

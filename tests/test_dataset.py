@@ -406,8 +406,9 @@ class TestPersistence:
         ({"kind": "xyz"}, "expected 'rtp' or 'wpp', got 'xyz'"),
         ({"contexts": np.zeros((0, 3)), "trajectories": np.zeros((0, 150, 7)),
           "tags": []}, "expected at least one demo, got none"),
+        ({"contexts": np.zeros((4, 0))}, "contexts (4, 0)"),
     ], ids=["contexts", "tags", "2d_trajectories", "1d_contexts",
-            "one_sample", "unknown_kind", "no_demos"])
+            "one_sample", "unknown_kind", "no_demos", "no_context_feature"])
     def test_dataset_rejects_inconsistent_arrays(self, change, got):
         ds = generate_rtp(seed=1, counts=(1, 1, 1, 1), noise_std=0.0)
         with pytest.raises(ValueError, match=re.escape(got)):
@@ -685,6 +686,20 @@ class TestRecordValidation:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_contexts_of_no_number_refused_at_line_2(self, tmp_path):
+        # such a file loaded and trained a net of no input, whose
+        # checkpoint then failed to save without naming the dataset
+        path = tmp_path / "demos.jsonl"
+        ds = generate_rtp(seed=1, counts=(2, 1, 1, 1), noise_std=0.0)
+        save_jsonl(ds, path)
+        lines, data = _parts(path, ds.trajectories.nbytes)
+        lines[1:] = [json.dumps({**json.loads(line), "context": []})
+                     for line in lines[1:]]
+        _write_parts(path, lines, data)
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"{path}: line 2: context holds no number")):
+            load_jsonl(path)
 
     def test_record_error_comes_before_block_error(self, tmp_path):
         # records are checked as they are read, the block after them

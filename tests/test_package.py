@@ -1,7 +1,7 @@
 """Guards over the whole package: the names the benchmark tracer wraps,
-the one module that holds the checkpoint format, library surface (names,
-defaulted parameters) that nothing in the package uses, and defaults
-that only tests rely on."""
+the one module that holds the checkpoint format, the one file writer and
+the one table writer, library surface (names, defaulted parameters) that
+nothing in the package uses, and defaults that only tests rely on."""
 
 import ast
 import dataclasses
@@ -102,6 +102,37 @@ def test_checkpoint_alone_writes_and_reads_the_format():
                           if isinstance(item, (ast.FunctionDef,
                                                ast.AsyncFunctionDef))
                           and item.name in ("to_dict", "from_dict")]
+    assert found == []
+
+
+def test_one_writer_and_one_table_writer():
+    # every file the package writes goes through
+    # `jsonio.replace_on_success`: no other module calls `open` with a
+    # mode that may write (w, x, a, + or a mode that is not a literal) or
+    # a path's write_text or write_bytes. Every CSV table goes through
+    # `plots.write_table`: no other module imports csv
+    found = []
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            modules = ([alias.name for alias in node.names]
+                       if isinstance(node, ast.Import) else
+                       [node.module or ""]
+                       if isinstance(node, ast.ImportFrom) else [])
+            if path.stem != "plots" and "csv" in modules:
+                found.append(f"{path.stem} imports csv")
+            if path.stem == "jsonio" or not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "attr", None) in ("write_text", "write_bytes"):
+                found.append(f"{path.stem}:{node.lineno} {func.attr}")
+            if getattr(func, "id", None) == "open":
+                mode = (node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"),
+                    ast.Constant("r")))
+                if not (isinstance(mode, ast.Constant)
+                        and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wxa+")):
+                    found.append(f"{path.stem}:{node.lineno} opens to write")
     assert found == []
 
 

@@ -18,7 +18,7 @@ from mprim.kinematics import DEFAULT_CHAIN, final_distances
 from mprim.promp import build_phi, fit_weights
 from mprim.regressor import MlpParams, init_mlp, mlp_forward
 from mprim.training import (DmpHead, Model, PrompHead, ResidualHead,
-                            TrainConfig, TrainReport, evaluate, train)
+                            TrainConfig, evaluate, train)
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +119,11 @@ class TestSplits:
         assert set(train_idx).isdisjoint(test_idx)
         assert set(train_idx) | set(test_idx) == set(range(50))
 
-    def test_two_samples_train_side(self):
+    def test_two_samples_one_per_side(self):
+        # 0.85 of 2 rounds to 2, which left no demo to hold out, and eval
+        # then scored the training demos
         train_idx, test_idx = random_split(2, 0.85, seed=0)
-        assert len(train_idx) == 2 and len(test_idx) == 0
+        assert len(train_idx) == 1 and len(test_idx) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 400),
@@ -130,12 +132,14 @@ class TestSplits:
     def test_sorted_disjoint_cover_with_train_side(self, n, fraction, seed):
         train_idx, test_idx = random_split(n, fraction, seed)
         assert len(train_idx) >= 1
+        assert len(test_idx) >= (n >= 2)
         assert np.all(np.diff(train_idx) > 0) and np.all(np.diff(test_idx) > 0)
         assert sorted([*train_idx.tolist(), *test_idx.tolist()]) == list(
             range(n))
 
     @pytest.mark.parametrize("split,message", [
         (([], [0, 1]), "the split's train side is empty"),
+        (([0, 1], []), "the split's test side is empty"),
         (([0, 99], [1]), "train index 99 is outside the dataset, which has "
                          "15 demos"),
         (([0, 1], [2, -1]), "test index -1 is outside the dataset, which has "
@@ -144,11 +148,12 @@ class TestSplits:
                               "of the split"),
         (([0, 1, 1], [2]), "demo 1 is on the train side of the split more "
                            "than once"),
-    ], ids=["empty_train", "train_past_end", "test_negative", "overlap",
-            "repeat"])
+    ], ids=["empty_train", "empty_test", "train_past_end", "test_negative",
+            "overlap", "repeat"])
     def test_bad_split_rejected(self, split, message):
         # an empty train side trained a NaN model, an index past the end
-        # raised a bare IndexError, an overlap scored training demos
+        # raised a bare IndexError, an overlap or an empty test side
+        # scored training demos
         ds = generate_rtp(seed=1, counts=(6, 3, 3, 3), noise_std=0.0)
         with pytest.raises(ValueError) as err:
             trained("deep-mp", ds, config(epochs=1, seed=0),
@@ -197,11 +202,11 @@ class TestTrainDeepMp:
         # size, so a small rate plus many cheap single-sample epochs gets
         # below 1e-3
         ds = first_demos(generate_rtp(seed=5, counts=(1, 1, 1, 1),
-                                      noise_std=0.0), 1)
+                                      noise_std=0.0), 2)
         cfg = TrainConfig(epochs=12_000, batch_size=1, learning_rate=5e-5,
                           seed=2, early_stop_patience=12_000)
         model, report = trained("deep-mp", ds, cfg,
-                                split=(np.array([0]), np.array([], int)))
+                                split=(np.array([0]), np.array([1])))
         assert report.train_batch_loss[-1] < 1e-3
 
     def test_checkpoint_is_best_validation(self, small_rtp):
@@ -248,18 +253,21 @@ class TestTrainDeepMp:
 
 
 class TestTrainResidual:
-    def test_two_demo_dataset_trains(self):
+    def test_three_demo_dataset_trains(self):
+        # the least a random split trains residual on: two training
+        # demos and one held out
         ds = first_demos(generate_rtp(seed=6, counts=(1, 1, 1, 1),
-                                      noise_std=0.0), 2)
+                                      noise_std=0.0), 3)
         model, report = trained("residual", ds, config(epochs=2, seed=0))
+        assert (len(model.train_indices), len(model.test_indices)) == (2, 1)
         assert report.final_epoch == 2
 
     def test_single_demo_rejected(self):
         ds = first_demos(generate_rtp(seed=6, counts=(1, 1, 1, 1),
-                                      noise_std=0.0), 1)
+                                      noise_std=0.0), 2)
         with pytest.raises(ValueError, match="at least 2"):
             trained("residual", ds, config(epochs=1, seed=0),
-                    split=(np.array([0]), np.array([], int)))
+                    split=(np.array([0]), np.array([1])))
 
     def test_identical_demos_reconstruct_common_trajectory(self):
         ds = generate_rtp(seed=7, counts=(1, 1, 1, 1), noise_std=0.0)
@@ -268,7 +276,7 @@ class TestTrainResidual:
         for tags in ds.tags:
             tags["region"] = "A"
         cfg = config(epochs=5, seed=1)
-        split = (np.arange(4), np.array([], int))
+        split = (np.arange(3), np.array([3]))
         model, _ = trained("residual", ds, cfg, split=split)
         traj = predicted(model, ds, [0])[0]
         rmse = np.sqrt(np.mean((traj - ds.trajectories[0]) ** 2))
@@ -795,16 +803,6 @@ class TestDispatchAndReport:
                                                          head, keyword):
         with pytest.raises(TypeError, match=next(iter(keyword))):
             head.fit(small_rtp, np.arange(len(small_rtp)), **keyword)
-
-    def test_report_csv(self, tmp_path):
-        report = TrainReport(train_batch_loss=[0.5, 0.25], val_loss=[0.6, 0.3],
-                             best_epoch=1, stopping_reason="max_epochs")
-        path = tmp_path / "curve.csv"
-        report.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,train_batch_loss,val_loss"
-        assert len(lines) == 3
-        assert report.final_epoch == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
