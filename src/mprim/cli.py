@@ -18,7 +18,9 @@ defaults from a JSON object; the file is then one of the run's inputs.
 Only this module defaults a run; the library takes every setting from its
 caller. The defaults sit in the flags and, per dataset kind, in
 `_BY_KIND`; `--help` shows them, and a train run's config (manifest,
-checkpoint meta) records resolved values.
+checkpoint meta) records resolved values. `train` states the split (a
+`random_split` of `TRAIN_FRACTION` at the seed, or the --split row of
+`WPP_SPLITS`) and the head's one basis size (--n-basis-dmp for ddmp).
 
 Reproducibility: with the same arguments and seed, every output is bit
 for bit identical for the same numpy build, BLAS kernel and CPU dispatch
@@ -55,9 +57,10 @@ from pathlib import Path
 
 import numpy as np
 
-from mprim.dataset import (RTP_DEFAULT_COUNTS, WPP_DEFAULT_TRIALS, WPP_SPLITS,
-                           apply_split, check_split, generate_rtp,
-                           generate_wpp, load_jsonl, save_jsonl)
+from mprim.dataset import (RTP_DEFAULT_COUNTS, TRAIN_FRACTION,
+                           WPP_DEFAULT_TRIALS, WPP_SPLITS, apply_split,
+                           check_split, generate_rtp, generate_wpp,
+                           load_jsonl, random_split, save_jsonl)
 from mprim.jsonio import read_json_object, replace_on_success
 
 _BY_KIND = {"epochs": {"rtp": 150, "wpp": 200},
@@ -73,8 +76,8 @@ def _sha256(path):
 
 
 def _inputs(args, *paths):
-    """Input files of a run: `paths` plus the --config file, if given."""
-    return [*paths, *([args.config] if args.config is not None else [])]
+    """Input files of a run: those of `paths` and --config that are set."""
+    return [p for p in (*paths, args.config) if p is not None]
 
 
 def _write_manifest(path, command, argv, config, seed, inputs, outputs):
@@ -233,8 +236,9 @@ def cmd_train(args, argv):
     if args.task not in (None, dataset.kind):
         raise ValueError(f"--task {args.task}: {args.data} holds "
                          f"{dataset.kind} demos, which set the task")
-    split = None
-    if args.split is not None:
+    if args.split is None:
+        split = random_split(len(dataset), TRAIN_FRACTION, args.seed)
+    else:
         if args.split not in WPP_SPLITS:
             raise ValueError(f"--split {args.split}: unknown split; expected "
                              f"one of {', '.join(WPP_SPLITS)}")
@@ -244,9 +248,9 @@ def cmd_train(args, argv):
         except ValueError as err:
             raise ValueError(f"--split {args.split}: {args.data} holds "
                              f"{dataset.kind} demos: {err}") from None
-    model, report = training.train(
-        args.method, dataset, cfg, n_basis=args.n_basis, hidden=args.hidden,
-        n_basis_dmp=args.n_basis_dmp, split=split)
+    basis = args.n_basis_dmp if args.method == "ddmp" else args.n_basis
+    model, report = training.train(args.method, dataset, cfg, basis=basis,
+                                   hidden=args.hidden, split=split)
 
     config = {"method": args.method, "epochs": args.epochs,
               "batch_size": args.batch_size, "lr": args.lr,
@@ -319,8 +323,9 @@ def cmd_eval(args, argv):
     config = {"data": str(args.data), "checkpoint": str(args.checkpoint),
               "plot_samples": args.plot_samples,
               "chain": str(args.chain) if args.chain else None}
-    _write_manifest(args.outdir / "manifest.json", "eval", argv, config,
-                    None, _inputs(args, args.data, args.checkpoint), outputs)
+    _write_manifest(args.outdir / "manifest.json", "eval", argv, config, None,
+                    _inputs(args, args.data, args.checkpoint, args.chain),
+                    outputs)
     for rec in records + [overall]:
         print(f"{rec.group}: ave_mse={rec.ave_mse:.6f} rad^2  "
               f"ave_ed={rec.ave_ed_mm:.2f} mm  (n={rec.count})")

@@ -141,7 +141,7 @@ _WPP_SIN_W = np.array([
 _WPP_SIN_AMP = 0.20
 
 
-@dataclass
+@dataclass(eq=False)
 class DemoDataset:
     """The demonstrations of one task kind as stacked arrays; see the
     module docstring for the fields. A kind that is not in `TASKS`, arrays
@@ -341,6 +341,7 @@ def generate_wpp(seed: int, trials_per_cell: int) -> DemoDataset:
 # split protocols: seeded random (reach), pattern-level (palpation)
 
 TRAIN, TEST, HALF, UNUSED = "train", "test", "half", "unused"
+TRAIN_FRACTION = 0.85   # the share of the demos a random split trains on
 
 # experiment -> dispositions of patterns 1..7: the whole pattern goes to
 # train or test, half/half per configuration, or is left unused

@@ -18,13 +18,12 @@ _PAD = 12
 
 
 def write_table(path, header, rows):
-    """A CSV file of the `header` row and then `rows`; each float (a numpy
-    float64 too) is written as its shortest round-trip decimal."""
+    """A CSV file of the `header` row and then `rows` of floats, ints and
+    strings; `csv` writes a float (numpy's too) as `str`, its repr."""
     with replace_on_success(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([float.__repr__(v) if isinstance(v, float) else v
-                          for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def _pair(gt_values, pred_values):

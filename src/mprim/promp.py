@@ -15,7 +15,7 @@ normal matrix for every joint and demo, reading the stack where it lies;
 product with Phi.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from mprim import kernels
 RIDGE = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiMatrix:
     """T x N basis matrix; row k is the activation vector at phase s_k.
 
@@ -35,7 +35,6 @@ class PhiMatrix:
     """
 
     values: np.ndarray
-    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.values

@@ -21,7 +21,7 @@ a joint's weight residual d generates the trajectory residual Phi d, and
 n_basis-wide Gram matrix only, never the T-long trajectories.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ def _n_parameters(layer_sizes):
                for d_in, d_out in zip(layer_sizes, layer_sizes[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlpParams:
     """Dense-net parameters: tanh hidden layers, identity output.
 
@@ -150,7 +150,7 @@ def rms_loss(delta, scale):
 # ---------------------------------------------------------------------------
 # Adam
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """First and second moments, laid out like `theta`, the number of
     steps taken, and two work vectors of that layout that each update
@@ -160,7 +160,6 @@ class AdamState:
     v: np.ndarray
     step: int
     learning_rate: float
-    buffers: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.buffers = (np.empty_like(self.m), np.empty_like(self.m))

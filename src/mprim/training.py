@@ -26,9 +26,9 @@ shuffling, best-validation checkpointing, early stopping on the
 validation loss) and returns a `Model`: the net, its context scaler, its
 split and its head. `evaluate` runs the net over a whole split and
 scores every head with the same expressions. No setting of a run has
-a default here (the caller states each one), and no file is read or
-written: `mprim.cli` holds the defaults and writes the report's loss
-curves with `plots.write_table`.
+a default here, and no file is read or written: `mprim.cli` states each
+one, the split and the head's one basis size too, and writes the
+report's loss curves with `plots.write_table`.
 
 Memory rule: a stage holds the dataset, arrays of the size of a split's
 network outputs or fitted parameters, and temporaries of at most one
@@ -46,7 +46,7 @@ import numpy as np
 
 from mprim import dmp as dmp_mod
 from mprim import kernels, metrics
-from mprim.dataset import DemoDataset, check_split, random_split
+from mprim.dataset import DemoDataset, check_split
 from mprim.errors import IntegrationError, TrainingDivergedError
 from mprim.kinematics import KinematicChain, final_distances
 from mprim.promp import build_phi, fit_weights, reconstruct
@@ -61,14 +61,13 @@ CHUNK_DEMOS = 64
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The settings of the minibatch loop; the split fractions are fixed."""
+    """The settings of the minibatch loop; the validation share is fixed."""
 
     epochs: int
     batch_size: int
     learning_rate: float
     seed: int
     early_stop_patience: int
-    train_fraction: ClassVar[float] = 0.85
     val_fraction_of_train: ClassVar[float] = 0.25
 
     def __post_init__(self):
@@ -252,17 +251,18 @@ def _run_training(x, targets, cfg: TrainConfig, hidden, head):
 # ---------------------------------------------------------------------------
 # heads
 
-@dataclass(frozen=True)
+# compared by identity: DmpHead, which holds an array, inherits this ==
+@dataclass(frozen=True, eq=False)
 class Head:
     """What the network's output means, for one method.
 
     A subclass fits its targets (`fit`, whose third argument is its basis
-    size: `n_basis` or `n_basis_dmp`), computes its per-sample loss and
-    the loss gradient w.r.t. a batch of network outputs (`loss_and_grad`),
-    decodes such a batch from the outputs alone (`decode`; the dataset
-    indices of its rows only name a failure), gives the ground truth of a
-    split (`truth`) and says how many network outputs it takes (`width`).
-    Trajectories are (B, T, n_joint) arrays, with T = `n_samples`.
+    size), computes its per-sample loss and the loss gradient w.r.t. a
+    batch of network outputs (`loss_and_grad`), decodes such a batch from
+    the outputs alone (`decode`; the dataset indices of its rows only name
+    a failure), gives the ground truth of a split (`truth`) and says how
+    many network outputs it takes (`width`). Trajectories are
+    (B, T, n_joint) arrays, with T = `n_samples`.
     """
 
     task: str                 # rtp | wpp
@@ -339,7 +339,7 @@ class ResidualHead(PrompHead):
         return targets.mean(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DmpHead(Head):
     """ddmp: the net predicts goal-attractor parameters.
 
@@ -418,7 +418,7 @@ class DmpHead(Head):
 HEADS = {"deep-mp": PrompHead, "residual": ResidualHead, "ddmp": DmpHead}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """A trained net with everything needed to use it: the context
     scaler, the split it was trained on and the head that says what its
@@ -459,29 +459,25 @@ class Model:
 # training and evaluation
 
 def train(method: str, dataset: DemoDataset, cfg: TrainConfig, *,
-          n_basis: int, hidden, n_basis_dmp: int, split):
+          basis: int, hidden, split):
     """Train the net of `method` (deep-mp, residual or ddmp).
 
-    `n_basis` is the ProMP basis size of deep-mp and residual, and
-    `n_basis_dmp` that of ddmp's attractor, whose variant follows the
-    dataset kind. `hidden` holds the hidden layer sizes. `split` is
-    (train, test) indices, or None for a random split seeded by
-    `cfg.seed`. An index that is not an integer or lies outside the
-    dataset, or a split that `dataset.check_split` rejects, one that holds
-    out no demo among them, raises ValueError. A run whose loss is not
-    finite before any epoch could be kept raises TrainingDivergedError.
-    Returns (Model, TrainReport).
+    `basis` is the head's one basis size: ProMP for deep-mp and residual,
+    forcing for ddmp, whose attractor variant follows the dataset kind.
+    `hidden` holds the hidden layer sizes, and `split` the (train, test)
+    indices that the caller draws. An index that is not an integer or lies
+    outside the dataset, or a split that `dataset.check_split` rejects,
+    one that holds out no demo among them, raises ValueError. A run whose
+    loss is not finite before any epoch could be kept raises
+    TrainingDivergedError. Returns (Model, TrainReport).
     """
     if method not in HEADS:
         raise ValueError(f"unknown method {method!r}; "
                          "expected deep-mp, residual or ddmp")
-    if split is None:
-        split = random_split(len(dataset), cfg.train_fraction, cfg.seed)
     train_idx, test_idx = (_demo_indices(idx, len(dataset), what)
                            for idx, what in zip(split, ("train", "test")))
     check_split(train_idx.tolist(), test_idx.tolist())
-    head, targets = HEADS[method].fit(
-        dataset, train_idx, n_basis_dmp if method == "ddmp" else n_basis)
+    head, targets = HEADS[method].fit(dataset, train_idx, basis)
     contexts = dataset.contexts[train_idx]
     mean, std = _fit_scaler(contexts)
     params, report = _run_training((contexts - mean) / std, targets, cfg,

@@ -12,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 from mprim import checkpoint, training
 from mprim.checkpoint import decode_f64, encode_f64
 from mprim.cli import main
-from mprim.dataset import generate_rtp, generate_wpp, save_jsonl
+from mprim.dataset import (TRAIN_FRACTION, generate_rtp, generate_wpp,
+                           random_split, save_jsonl)
 from mprim.regressor import MlpParams, init_mlp
 from mprim.training import (DmpHead, Model, PrompHead, ResidualHead,
                             TrainConfig, train)
@@ -21,12 +22,15 @@ METHODS = ("deep-mp", "residual", "ddmp")
 
 
 def _trained(method, ds, epochs, seed, n_basis_dmp):
-    """The model of `method` trained on `ds` on a random split, at `mprim
-    train`'s batch size, rate, patience, hidden layers and basis size."""
+    """The model of `method` trained on `ds` on the random split `mprim
+    train` draws at `seed`, at its batch size, rate, patience, hidden
+    layers and basis size: `n_basis_dmp` for ddmp, else the kind's."""
     cfg = TrainConfig(epochs=epochs, batch_size=32, learning_rate=1e-3,
                       seed=seed, early_stop_patience=20)
-    return train(method, ds, cfg, n_basis={"rtp": 8, "wpp": 10}[ds.kind],
-                 hidden=(64, 64), n_basis_dmp=n_basis_dmp, split=None)[0]
+    basis = (n_basis_dmp if method == "ddmp"
+             else {"rtp": 8, "wpp": 10}[ds.kind])
+    return train(method, ds, cfg, basis=basis, hidden=(64, 64),
+                 split=random_split(len(ds), TRAIN_FRACTION, seed))[0]
 
 
 def _predicted(model, ds, idx):

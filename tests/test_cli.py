@@ -17,7 +17,8 @@ import pytest
 from mprim import checkpoint, cli, kinematics, training
 from mprim.checkpoint import encode_f64
 from mprim.cli import _build_parser, main
-from mprim.dataset import generate_rtp, generate_wpp, load_jsonl, save_jsonl
+from mprim.dataset import (TRAIN_FRACTION, generate_rtp, generate_wpp,
+                           load_jsonl, random_split, save_jsonl)
 from mprim.kinematics import DEFAULT_CHAIN, fk_position
 from mprim.promp import fit_weights
 from mprim.regressor import MlpParams
@@ -161,6 +162,21 @@ class TestTrain:
             f"side is empty\n")
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("kind", ["rtp", "wpp"])
+    def test_random_split_is_drawn_at_the_seed(self, tmp_path, kind):
+        # without --split the command draws the split: the random split
+        # of the dataset's demos at the run's seed
+        data, ckpt = tmp_path / "d.jsonl", tmp_path / "ck.json"
+        ds = (generate_rtp(seed=13, counts=(12, 6, 4, 4), noise_std=0.0)
+              if kind == "rtp" else generate_wpp(seed=13, trials_per_cell=2))
+        save_jsonl(ds, data)
+        assert run(["train", "--data", data, "--method", "deep-mp",
+                    "--epochs", "0", "--seed", "6", "--out", ckpt]) == 0
+        payload = json.loads(ckpt.read_text())["payload"]
+        train_idx, test_idx = random_split(len(ds), TRAIN_FRACTION, 6)
+        assert payload["train_indices"] == train_idx.tolist()
+        assert payload["test_indices"] == test_idx.tolist()
+
     def test_ddmp_rtp_head_excludes_start(self, small_dataset, tmp_path):
         ckpt = tmp_path / "ck.json"
         assert run(["train", "--data", small_dataset, "--method", "ddmp",
@@ -288,24 +304,29 @@ class TestTrain:
         assert ev.plot_samples == 2
         calls = {}
 
-        def stop(method, dataset, cfg, **sizes):
-            calls[dataset.kind] = cfg, sizes
+        def stop(method, dataset, cfg, *, split, **sizes):
+            calls[dataset.kind, method] = cfg, sizes, split
             raise RuntimeError("stopped before training")
 
         monkeypatch.setattr(training, "train", stop)
-        for kind, dataset in (
-                ("rtp", generate_rtp(seed=1, counts=(2, 1, 1, 1),
-                                     noise_std=0.0)),
-                ("wpp", generate_wpp(seed=1, trials_per_cell=1))):
+        datasets = {"rtp": generate_rtp(seed=1, counts=(2, 1, 1, 1),
+                                        noise_std=0.0),
+                    "wpp": generate_wpp(seed=1, trials_per_cell=1)}
+        for kind, dataset in datasets.items():
             save_jsonl(dataset, tmp_path / f"{kind}.jsonl")
-            assert run(["train", "--data", tmp_path / f"{kind}.jsonl",
-                        "--method", "deep-mp", "--out", "ck.json"]) == 1
+            for method in ("deep-mp", "ddmp"):
+                assert run(["train", "--data", tmp_path / f"{kind}.jsonl",
+                            "--method", method, "--out", "ck.json"]) == 1
         for kind, epochs, n_basis in (("rtp", 150, 8), ("wpp", 200, 10)):
-            cfg, sizes = calls[kind]
-            assert (cfg.epochs, cfg.batch_size, cfg.learning_rate,
-                    cfg.early_stop_patience) == (epochs, 32, 1e-3, 20)
-            assert sizes == {"n_basis": n_basis, "hidden": (64, 64),
-                             "n_basis_dmp": 25, "split": None}
+            for method, basis in (("deep-mp", n_basis), ("ddmp", 25)):
+                cfg, sizes, split = calls[kind, method]
+                assert (cfg.epochs, cfg.batch_size, cfg.learning_rate,
+                        cfg.early_stop_patience) == (epochs, 32, 1e-3, 20)
+                assert sizes == {"basis": basis, "hidden": (64, 64)}
+                want = random_split(len(datasets[kind]), TRAIN_FRACTION,
+                                    cfg.seed)
+                assert [s.tolist() for s in split] == [
+                    s.tolist() for s in want]
 
     def test_help_shows_the_defaults(self, capsys):
         # each flag's help shows its default, read from the flag or, per
@@ -575,6 +596,23 @@ class TestEval:
         assert (f"error: kinematic chain {chain} has 2 joints, but the "
                 f"dataset's trajectories have 7") in capsys.readouterr().err
         assert not outdir.exists()
+
+    def test_manifest_hashes_the_chain(self, small_dataset, tmp_path):
+        # the chain sets the end-effector distances, so the manifest pins
+        # it with the other inputs
+        ckpt, chain = tmp_path / "ck.json", tmp_path / "chain.json"
+        assert run(["train", "--data", small_dataset, "--method", "deep-mp",
+                    "--epochs", "1", "--seed", "0", "--out", ckpt]) == 0
+        chain.write_text(json.dumps({"kind": "kinematic_chain", **{
+            f.name: list(getattr(DEFAULT_CHAIN, f.name))
+            for f in dataclasses.fields(DEFAULT_CHAIN)}}))
+        outdir = tmp_path / "o"
+        assert run(["eval", "--data", small_dataset, "--checkpoint", ckpt,
+                    "--outdir", outdir, "--chain", chain]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (small_dataset, ckpt, chain)}
 
     @pytest.mark.parametrize("method", ["deep-mp", "residual", "ddmp"])
     def test_sample_csvs_are_numeric(self, small_dataset, tmp_path, method):

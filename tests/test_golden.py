@@ -8,7 +8,8 @@ the trainer, the heads or the evaluation must leave these figures alone.
 
 import pytest
 
-from mprim.dataset import WPP_SPLITS, apply_split, generate_rtp, generate_wpp
+from mprim.dataset import (TRAIN_FRACTION, WPP_SPLITS, apply_split,
+                           generate_rtp, generate_wpp, random_split)
 from mprim.kinematics import DEFAULT_CHAIN
 from mprim.training import TrainConfig, evaluate, train
 
@@ -29,7 +30,8 @@ GOLDEN = {
 def datasets():
     rtp = generate_rtp(seed=31, counts=(24, 12, 8, 6), noise_std=0.0)
     wpp = generate_wpp(seed=32, trials_per_cell=2)
-    return {"rtp": (rtp, None),
+    # the random split is the one `mprim train` draws at the train seed
+    return {"rtp": (rtp, random_split(len(rtp), TRAIN_FRACTION, 5)),
             "wpp": (wpp, apply_split(wpp, WPP_SPLITS["WPP1"], 32))}
 
 
@@ -38,9 +40,9 @@ def test_overall_metrics_are_pinned(datasets, task, method):
     dataset, split = datasets[task]
     cfg = TrainConfig(epochs=EPOCHS, batch_size=32, learning_rate=5e-3,
                       seed=5, early_stop_patience=EPOCHS)
-    model, report = train(method, dataset, cfg,
-                          n_basis={"rtp": 8, "wpp": 10}[task],
-                          hidden=(64, 64), n_basis_dmp=25, split=split)
+    basis = 25 if method == "ddmp" else {"rtp": 8, "wpp": 10}[task]
+    model, report = train(method, dataset, cfg, basis=basis,
+                          hidden=(64, 64), split=split)
     assert report.final_epoch == EPOCHS
     _, overall, _ = evaluate(model, dataset, model.test_indices,
                              DEFAULT_CHAIN)

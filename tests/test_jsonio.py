@@ -6,7 +6,8 @@ import json
 import pytest
 
 from mprim import checkpoint
-from mprim.dataset import generate_rtp, load_jsonl, save_jsonl
+from mprim.dataset import (TRAIN_FRACTION, generate_rtp, load_jsonl,
+                           random_split, save_jsonl)
 from mprim.training import TrainConfig, train
 
 
@@ -27,8 +28,9 @@ def _checkpoint(path, value):
     """Load a deep-mp checkpoint whose n_basis is `value`."""
     cfg = TrainConfig(epochs=0, batch_size=32, learning_rate=1e-3, seed=1,
                       early_stop_patience=20)
-    model, _ = train("deep-mp", _demos(), cfg, n_basis=8, hidden=(4,),
-                     n_basis_dmp=5, split=None)
+    demos = _demos()
+    model, _ = train("deep-mp", demos, cfg, basis=8, hidden=(4,),
+                     split=random_split(len(demos), TRAIN_FRACTION, 1))
     checkpoint.save(model, path, meta={})
     doc = json.loads(path.read_text())
     doc["payload"]["n_basis"] = value

@@ -107,8 +107,8 @@ def test_evaluate_holds_prediction_truth_and_a_chunk(paper_wpp, method):
     ds, (train_idx, test_idx) = paper_wpp
     cfg = TrainConfig(epochs=0, batch_size=32, learning_rate=1e-3, seed=0,
                       early_stop_patience=20)
-    model, _ = train(method, ds, cfg, n_basis=10, hidden=(64, 64),
-                     n_basis_dmp=25, split=(train_idx, test_idx))
+    model, _ = train(method, ds, cfg, basis=25 if method == "ddmp" else 10,
+                     hidden=(64, 64), split=(train_idx, test_idx))
     evaluate(model, ds, test_idx, DEFAULT_CHAIN)   # fills the caches
     for indices in (test_idx, np.arange(len(ds))):
         _, peak = traced_peak(
@@ -123,8 +123,8 @@ def test_epochs_allocate_one_chunk_of_loss_temporaries(paper_wpp, method):
     def run(epochs):   # at the sizes `mprim train` uses on wpp data
         cfg = TrainConfig(epochs=epochs, batch_size=32, learning_rate=1e-3,
                           seed=0, early_stop_patience=20)
-        return train(method, ds, cfg, n_basis=10, hidden=(64, 64),
-                     n_basis_dmp=25, split=split)
+        return train(method, ds, cfg, basis=25 if method == "ddmp" else 10,
+                     hidden=(64, 64), split=split)
 
     run(3)   # fills the caches a first call fills
     _, setup = traced_peak(lambda: run(0))

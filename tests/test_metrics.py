@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mprim.dataset import generate_rtp
+from mprim.dataset import TRAIN_FRACTION, generate_rtp, random_split
 from mprim.kinematics import DEFAULT_CHAIN
 from mprim.metrics import EvalRecord, squared_trajectory_loss
 from mprim.promp import build_phi
@@ -57,8 +57,8 @@ class TestAveMse:
         ds = generate_rtp(seed=3, counts=(3, 2, 2, 2), noise_std=0.0)
         cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-3,
                           seed=0, early_stop_patience=20)
-        model, _ = train("deep-mp", ds, cfg, n_basis=8, hidden=(64, 64),
-                         n_basis_dmp=25, split=None)
+        model, _ = train("deep-mp", ds, cfg, basis=8, hidden=(64, 64),
+                         split=random_split(len(ds), TRAIN_FRACTION, 0))
         idx = np.arange(len(ds))
         _, overall, out = evaluate(model, ds, idx, DEFAULT_CHAIN)
         sq = squared_trajectory_loss(model.head.decode(out, idx),

@@ -1,7 +1,9 @@
 """Guards over the whole package: the names the benchmark tracer wraps,
 the one module that holds the checkpoint format, the one file writer and
-the one table writer, library surface (names, defaulted parameters) that
-nothing in the package uses, and defaults that only tests rely on."""
+the one table writer, the settings the trainer takes from its caller,
+value classes that compare by identity, library surface (names,
+defaulted parameters) that nothing in the package uses, and defaults
+that only tests rely on."""
 
 import ast
 import dataclasses
@@ -9,6 +11,8 @@ import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+import numpy as np
 
 from mprim import checkpoint, cli, kernels, training
 
@@ -133,6 +137,41 @@ def test_one_writer_and_one_table_writer():
                         and isinstance(mode.value, str)
                         and not set(mode.value) & set("wxa+")):
                     found.append(f"{path.stem}:{node.lineno} opens to write")
+    assert found == []
+
+
+def test_train_takes_the_split_and_one_basis_size():
+    # the CLI states the split and the head's basis size: `train` has
+    # exactly these keywords, none defaulted, and no path that draws a
+    # split of its own
+    params = inspect.signature(training.train).parameters.values()
+    assert [(p.name, p.default) for p in params
+            if p.kind is p.KEYWORD_ONLY] == [
+        ("basis", inspect.Parameter.empty),
+        ("hidden", inspect.Parameter.empty),
+        ("split", inspect.Parameter.empty)]
+    tree = ast.parse(Path(training.__file__).read_text())
+    names = {node.id if isinstance(node, ast.Name) else node.name
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.alias))}
+    assert "random_split" not in names
+
+
+def test_value_classes_holding_arrays_compare_by_identity():
+    # `==` over an np.ndarray field raises (the truth value of an array
+    # is ambiguous), and so does the hash of a frozen class: a dataclass
+    # of mprim that holds an array neither generates nor inherits a
+    # field-wise __eq__
+    found = []
+    for path in sorted(Path(kernels.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"mprim.{path.stem}")
+        for name, cls in vars(module).items():
+            if (dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__
+                    and any(f.type is np.ndarray
+                            for f in dataclasses.fields(cls))
+                    and cls.__eq__ is not object.__eq__):
+                found.append(f"{path.stem}.{name}")
     assert found == []
 
 

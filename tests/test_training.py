@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from mprim import dmp as dmp_mod
 from mprim import kernels, kinematics, metrics, training
-from mprim.dataset import (WPP_DEFAULT_TRIALS, WPP_SPLITS, apply_split,
-                           generate_rtp, generate_wpp, random_split)
+from mprim.dataset import (TRAIN_FRACTION, WPP_DEFAULT_TRIALS, WPP_SPLITS,
+                           apply_split, generate_rtp, generate_wpp,
+                           random_split)
 from mprim.dmp import fit_dmp, rollout_matched
 from mprim.errors import IntegrationError, TrainingDivergedError
 from mprim.kinematics import DEFAULT_CHAIN, final_distances
@@ -48,11 +49,14 @@ def config(epochs, seed, **changes):
 
 
 def trained(method, dataset, cfg, **changes):
-    """`train` at `mprim train`'s sizes for the dataset's kind, on a
-    random split, except where `changes` names another."""
+    """`train` at `mprim train`'s sizes for the method and the dataset's
+    kind, on the random split it draws at the config's seed, except where
+    `changes` names another."""
+    basis = 25 if method == "ddmp" else {"rtp": 8, "wpp": 10}[dataset.kind]
     return train(method, dataset, cfg, **{
-        "n_basis": {"rtp": 8, "wpp": 10}[dataset.kind], "hidden": (64, 64),
-        "n_basis_dmp": 25, "split": None, **changes})
+        "basis": basis, "hidden": (64, 64),
+        "split": random_split(len(dataset), TRAIN_FRACTION, cfg.seed),
+        **changes})
 
 
 def grids_for(dataset, n_basis=8):
@@ -375,20 +379,20 @@ class TestTrainResidual:
 class TestTrainDdmp:
     def test_rtp_head_excludes_start(self, small_rtp):
         cfg = config(epochs=1, seed=0)
-        model, _ = trained("ddmp", small_rtp, cfg, n_basis_dmp=25)
+        model, _ = trained("ddmp", small_rtp, cfg, basis=25)
         assert model.head.task == "rtp"
         assert model.mlp.layer_sizes[-1] == 7 * (25 + 1)
         assert model.head.home is not None
 
     def test_wpp_head_includes_start(self, tiny_wpp):
         cfg = config(epochs=1, seed=0)
-        model, _ = trained("ddmp", tiny_wpp, cfg, n_basis_dmp=25)
+        model, _ = trained("ddmp", tiny_wpp, cfg, basis=25)
         assert model.head.task == "wpp"
         assert model.mlp.layer_sizes[-1] == 7 * (25 + 2)
 
     def test_predicted_model_round_trip(self, small_rtp):
         cfg = config(epochs=2, seed=1)
-        model, _ = trained("ddmp", small_rtp, cfg, n_basis_dmp=10)
+        model, _ = trained("ddmp", small_rtp, cfg, basis=10)
         out = net_outputs(model, small_rtp, [0])[0]
         # output layout [forcing, joint-major | goal]; rtp starts at home
         expected = rollout_matched(model.head.home[None], out[None, 70:77],
@@ -530,7 +534,7 @@ class TestDivergence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergedError) as err:
-                trained("ddmp", small_rtp, cfg, n_basis_dmp=10)
+                trained("ddmp", small_rtp, cfg, basis=10)
         assert (err.value.epoch, err.value.method,
                 err.value.learning_rate) == (0, "ddmp", 1e300)
         assert "epoch 0" in str(err.value) and "ddmp" in str(err.value)
@@ -598,7 +602,7 @@ class TestEvaluate:
     def test_wpp_grouping_by_config(self, tiny_wpp):
         cfg = config(epochs=1, seed=0)
         split = apply_split(tiny_wpp, WPP_SPLITS["WPP9"], seed=0)
-        model, _ = trained("ddmp", tiny_wpp, cfg, n_basis_dmp=5, split=split)
+        model, _ = trained("ddmp", tiny_wpp, cfg, basis=5, split=split)
         records, _, _ = evaluate(model, tiny_wpp, split[1], DEFAULT_CHAIN)
         assert [r.group for r in records] == ["I", "II", "III", "IV"]
 
@@ -698,7 +702,7 @@ class TestEvaluate:
     def test_returns_the_prediction_it_scores(self, small_rtp, method):
         # as the network outputs whose decoding it scored
         model, _ = trained(method, small_rtp, config(epochs=1, seed=3),
-                           n_basis_dmp=5)
+                           basis={"residual": 8, "ddmp": 5}[method])
         idx = np.asarray(model.test_indices)
         _, overall, out = evaluate(model, small_rtp, idx, DEFAULT_CHAIN)
         np.testing.assert_array_equal(out, model.outputs(small_rtp, idx))
@@ -756,7 +760,7 @@ class TestModelFitsDataset:
     @pytest.fixture(scope="class")
     def rtp_model(self, small_rtp):
         return trained("ddmp", small_rtp, config(epochs=1, seed=0),
-                       n_basis_dmp=5)[0]
+                       basis=5)[0]
 
     def test_context_width(self, rtp_model, tiny_wpp):
         with pytest.raises(ValueError, match="dataset contexts have 10 "
