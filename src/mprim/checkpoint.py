@@ -1,40 +1,35 @@
 """Versioned JSON checkpoints of trained models.
 
-A checkpoint holds one `training.Model` in one JSON object {"schema": 2,
+A checkpoint holds one `training.Model` in one JSON object {"schema": 3,
 "kind": "trained_model", "payload": {...}, "meta": {free-form}}. Its
 float arrays are this module's `encode_f64` strings ("enc" below),
 base64 of little-endian float64, so they round-trip bit-exactly. The
-payload (schema 2) holds
+payload (schema 3) holds the head's fields, then the net's, then the
+split:
   {"method": "deep-mp"|"residual"|"ddmp", "task": "rtp"|"wpp",
-   "n_joint": J, "n_samples_per_traj": T,
+   "n_joint": J, "n_samples_per_traj": T, "n_basis": K,
+   ddmp only: "home": enc of J (rtp) or null (wpp),
    "layer_sizes": [int, ...], "theta": enc of every weight and bias,
    layer by layer, "ctx_mean": enc, "ctx_std": enc,
    "train_indices": [int, ...], "test_indices": [int, ...]}
-and then only its head's own fields, the head's dataclass fields after
-`task`, `n_joint` and `n_samples` in declaration order:
-  deep-mp   "n_basis": int (`promp.build_phi` sets the basis from it
-            and T)
-  residual  "n_basis": int (the training mean it starts from is in the
-            trained output bias, part of "theta")
-  ddmp      "n_basis_dmp": int, "home": enc of J (rtp) or null (wpp)
-Every array value must be finite, and every `ctx_std` entry > 0. J,
-each layer size, `n_basis` and `n_basis_dmp` are integers >= 1 and T one
->= 2, by the rule of `jsonio.integer`; "task" passes
-`dataset.check_task`. The two index lists form a split that
-`dataset.check_split` accepts, so neither is empty. Other
-payload fields are ignored: checkpoints written while the models still
-took a sampling rate and a DMP time constant hold one field for each,
-and they load as before.
-Schema 1 (nested decimal lists) is no longer read. Nor is a payload
-holding "mean_weights", the training mean that residual checkpoints
-held while their net predicted the deviation from it: such a net would
-predict without its mean, so the field is refused, not ignored. Re-run
-`mprim train` with the arguments in the checkpoint's manifest to
-rewrite either.
+K is the head's number of basis parameters per joint
+(`training.Head.n_basis`); `promp.build_phi` sets the ProMP basis from K
+and T. A residual net's training mean is in its trained output bias,
+part of "theta". Every array value must be finite, and every `ctx_std`
+entry > 0. J, K and each layer size are integers >= 1 and T one >= 2,
+by the rule of `jsonio.integer`; "task" passes `dataset.check_task`.
+The two index lists form a split that `dataset.check_split` accepts, so
+neither is empty. Any other payload field is ignored.
+
+A change of this layout bumps `SCHEMA_VERSION`, and `load` refuses every
+older schema with the hint to re-run `mprim train` with the arguments in
+the checkpoint's manifest: a field that changes what a loaded model
+predicts is never read from a file written without it. Schema 1 held
+nested decimal lists, and schema 2 named ddmp's basis size apart from
+the ProMP heads'.
 """
 
 import base64
-import dataclasses
 import json
 
 import numpy as np
@@ -42,14 +37,10 @@ import numpy as np
 from mprim.dataset import check_split, check_task
 from mprim.jsonio import integer, read_json_object, replace_on_success
 from mprim.regressor import MlpParams
-from mprim.training import HEADS, Model
+from mprim.training import HEADS, DmpHead, Model
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 KIND = "trained_model"
-
-
-class OutdatedError(ValueError):
-    """A payload field in a form that only an earlier version wrote."""
 
 
 def save(model: Model, path, meta):
@@ -80,27 +71,27 @@ def load(path) -> Model:
     """Read a checkpoint back into the trained model it was saved from.
 
     Text that is not UTF-8 or not JSON, a document that is not an object,
-    a schema-1 checkpoint and a payload field that is missing, outdated or
+    a checkpoint of another schema and a payload field that is missing or
     of the wrong type or shape raise ValueError naming the file and the
-    byte, the JSON line or the field, and how to rewrite an outdated
-    one."""
+    byte, the JSON line or the field; an older schema's also says how to
+    rewrite the file."""
     doc = read_json_object(path)
     if doc.get("kind") != KIND:
         raise ValueError(f"{path}: unknown checkpoint kind "
                          f"{doc.get('kind')!r}; expected {KIND!r}")
     schema = doc.get("schema")
-    rerun = (f"; re-run `mprim train` with the arguments in {path}"
-             f".manifest.json to rewrite it")
     if schema != SCHEMA_VERSION:
+        older = type(schema) is int and 0 < schema < SCHEMA_VERSION
+        rerun = (f"; re-run `mprim train` with the arguments in {path}"
+                 f".manifest.json to rewrite it")
         raise ValueError(f"{path}: unsupported checkpoint schema "
-                         f"{schema!r}{rerun if schema == 1 else ''}")
+                         f"{schema!r}{rerun if older else ''}")
     if not isinstance(doc.get("payload"), dict):
         raise ValueError(f"{path}: missing field 'payload' (an object)")
     try:
         return _model(doc["payload"])
     except ValueError as err:
-        hint = rerun if isinstance(err, OutdatedError) else ""
-        raise ValueError(f"{path}: {err}{hint}") from None
+        raise ValueError(f"{path}: {err}") from None
 
 
 def encode_f64(values) -> str:
@@ -122,35 +113,31 @@ def decode_f64(text) -> np.ndarray:
 def _payload(model):
     """The checkpoint payload of `model`, fields in schema order."""
     head = model.head
+    home = ({"home": None if head.home is None else encode_f64(head.home)}
+            if type(head) is DmpHead else {})
     return {"method": next(m for m, cls in HEADS.items() if type(head) is cls),
             "task": head.task, "n_joint": head.n_joint,
-            "n_samples_per_traj": head.n_samples,
+            "n_samples_per_traj": head.n_samples, "n_basis": head.n_basis,
+            **home,
             "layer_sizes": list(model.mlp.layer_sizes),
             "theta": encode_f64(model.mlp.theta),
             "ctx_mean": encode_f64(model.ctx_mean),
             "ctx_std": encode_f64(model.ctx_std),
             "train_indices": list(model.train_indices),
-            "test_indices": list(model.test_indices),
-            **{f.name: _HEAD_FIELDS[f.name][0](getattr(head, f.name))
-               for f in dataclasses.fields(head)[3:]}}
+            "test_indices": list(model.test_indices)}
 
 
 def _model(d):
     """Inverse of `_payload`. ValueError names the first field, in payload
     order, that is missing or malformed (a wpp `home` after `layer_sizes`)."""
     cls = _field(d, "method", HEADS.__getitem__)
-    if "mean_weights" in d:
-        raise OutdatedError("payload field 'mean_weights' is malformed "
-                            "(OutdatedError: it holds a residual net's "
-                            "training mean, which its output bias now "
-                            "holds)")
-    head = {"task": _field(d, "task", check_task),
-            "n_joint": _field(d, "n_joint", integer, 1, "n_joint"),
-            "n_samples": _field(d, "n_samples_per_traj", integer, 2,
-                                "n_samples_per_traj")}
-    for f in dataclasses.fields(cls)[3:]:
-        head[f.name] = _field(d, f.name, _HEAD_FIELDS[f.name][1], head)
-    head = cls(**head)
+    head = [_field(d, "task", check_task),
+            _field(d, "n_joint", integer, 1, "n_joint"),
+            _field(d, "n_samples_per_traj", integer, 2, "n_samples_per_traj"),
+            _field(d, "n_basis", integer, 1, "n_basis")]
+    if cls is DmpHead:
+        head.append(_field(d, "home", _home, *head[:2]))
+    head = cls(*head)
     sizes = _field(d, "layer_sizes", _layer_sizes, head)
     if head.task == "wpp" and getattr(head, "home", None) is not None:
         _field(d, "home", _null)  # after layer_sizes: that names a wrong task
@@ -206,20 +193,9 @@ def _floats(value, n=None, positive=False):
     return out
 
 
-def _home(value, head):
-    return (None if value is None and head["task"] == "wpp"
-            else _floats(value, head["n_joint"]))
+def _home(value, task, n_joint):
+    return None if value is None and task == "wpp" else _floats(value, n_joint)
 
 
 def _null(value):
     raise ValueError(f"expected null, got a {type(value).__name__}")
-
-
-# a head's own field (a dataclass field after task, n_joint and n_samples)
-# -> (writer, reader of (value, the head's fields read so far))
-_HEAD_FIELDS = {
-    "n_basis": (lambda n: n, lambda value, head: integer(value, 1, "n_basis")),
-    "n_basis_dmp": (lambda n: n,
-                    lambda value, head: integer(value, 1, "n_basis_dmp")),
-    "home": (lambda home: None if home is None else encode_f64(home), _home),
-}

@@ -26,10 +26,9 @@ File format (dataset schema 3): JSON lines, then one binary block.
                 float64, in C order
 Line k + 2 and the k-th (T, J) slab of the block hold demo k.
 `save_jsonl` writes each record line as `json.dumps` writes {"context":
-[...], "tags": {...}}. The reader takes any JSON object with these keys;
-other keys are ignored, such as the per-record "split" and the header's
-"sampling_frequency" that older files hold. Contexts keep full repr
-precision; both round-trip bit-exactly.
+[...], "tags": {...}}. The reader takes any JSON object with these keys
+and ignores any other key, which nothing downstream would read. Contexts
+keep full repr precision; both round-trip bit-exactly.
 
 The stack is raw bytes because decoding it was most of the loading: with
 one base64 string per trajectory (schema 2), `load_jsonl` took 74-95 ms

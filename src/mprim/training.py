@@ -256,18 +256,21 @@ def _run_training(x, targets, cfg: TrainConfig, hidden, head):
 class Head:
     """What the network's output means, for one method.
 
-    A subclass fits its targets (`fit`, whose third argument is its basis
-    size), computes its per-sample loss and the loss gradient w.r.t. a
-    batch of network outputs (`loss_and_grad`), decodes such a batch from
-    the outputs alone (`decode`; the dataset indices of its rows only name
-    a failure), gives the ground truth of a split (`truth`) and says how
+    A subclass fits its targets (`fit(dataset, train_idx, n_basis)`),
+    computes its per-sample loss and the loss gradient w.r.t. a batch of
+    network outputs (`loss_and_grad`), decodes such a batch from the
+    outputs alone (`decode`; the dataset indices of its rows only name a
+    failure), gives the ground truth of a split (`truth`) and says how
     many network outputs it takes (`width`). Trajectories are
-    (B, T, n_joint) arrays, with T = `n_samples`.
+    (B, T, n_joint) arrays, with T = `n_samples`. `n_basis` is the
+    number of basis parameters per joint: the ProMP basis count for
+    deep-mp and residual, the forcing-kernel count for ddmp.
     """
 
     task: str                 # rtp | wpp
     n_joint: int
     n_samples: int
+    n_basis: int
 
     def initial_bias(self, targets):
         """The net's output bias before training, from the targets."""
@@ -277,8 +280,6 @@ class Head:
 @dataclass(frozen=True)
 class PrompHead(Head):
     """deep-mp: the net predicts every joint's ProMP basis weights."""
-
-    n_basis: int
 
     def __post_init__(self):
         object.__setattr__(self, "phi", build_phi(self.n_samples,
@@ -349,24 +350,23 @@ class DmpHead(Head):
     start of the training demos.
     """
 
-    n_basis_dmp: int
     home: np.ndarray               # rtp only, None for wpp
 
     @classmethod
-    def fit(cls, dataset, train_idx, n_basis_dmp):
+    def fit(cls, dataset, train_idx, n_basis):
         """(head, attractor parameters of the demos at `train_idx`, in that
         order); the variant is the dataset kind."""
         home = None
         if dataset.kind == "rtp":
             home = dataset.trajectories[train_idx, 0].mean(axis=0)
         head = cls(dataset.kind, dataset.n_joint, dataset.n_samples_per_traj,
-                   n_basis_dmp, home)
+                   n_basis, home)
         # fitted one chunk at a time into the targets, so a chunk's fit
         # lives only while its rows are written
         targets = np.empty((len(train_idx), head.width))
         for rows in _chunks(len(train_idx)):
             forcing, goals, starts = dmp_mod.fit_dmp(
-                dataset.trajectories, train_idx[rows], n_basis_dmp)
+                dataset.trajectories, train_idx[rows], n_basis)
             np.concatenate([forcing.reshape(len(forcing), -1), goals]
                            + ([starts] if dataset.kind == "wpp" else []),
                            axis=1, out=targets[rows])
@@ -385,11 +385,11 @@ class DmpHead(Head):
 
     @property
     def width(self):
-        return self.n_joint * (self.n_basis_dmp
+        return self.n_joint * (self.n_basis
                                + (1 if self.task == "rtp" else 2))
 
     def decode(self, out, indices):
-        j, n = self.n_joint, self.n_basis_dmp
+        j, n = self.n_joint, self.n_basis
         forcing = out[:, :j * n].reshape(len(out), j, n)
         goals = out[:, j * n:j * n + j]
         starts = (np.broadcast_to(self.home, goals.shape)
@@ -399,8 +399,7 @@ class DmpHead(Head):
     def truth(self, dataset, indices):
         """The rollouts of the demos at `indices` refitted, read from the
         stack where they lie."""
-        fits = dmp_mod.fit_dmp(dataset.trajectories, indices,
-                               self.n_basis_dmp)
+        fits = dmp_mod.fit_dmp(dataset.trajectories, indices, self.n_basis)
         return self._rollouts(*fits, "ground-truth", indices)
 
     def _rollouts(self, forcing, goals, starts, what, indices):

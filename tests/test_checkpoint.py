@@ -46,7 +46,7 @@ def test_dmp_model_round_trip(tmp_path):
     back = checkpoint.load(path)
     assert isinstance(back.head, DmpHead)
     head = back.head
-    assert (head.task, head.n_basis_dmp) == ("rtp", 6)
+    assert (head.task, head.n_basis) == ("rtp", 6)
     np.testing.assert_array_equal(back.head.home, model.head.home)
     idx = np.asarray(model.test_indices)
     np.testing.assert_array_equal(_predicted(back, ds, idx),
@@ -79,12 +79,12 @@ def test_save_of_loaded_model_is_byte_identical(tmp_path, method):
 
 
 def test_payload_lists_every_head_field_in_schema_order(tmp_path):
-    # schema 2: the fields every model has, then only its own head's
-    common = ["method", "task", "n_joint", "n_samples_per_traj",
-              "layer_sizes", "theta", "ctx_mean", "ctx_std", "train_indices",
-              "test_indices"]
-    own = {"deep-mp": ["n_basis"], "residual": ["n_basis"],
-           "ddmp": ["n_basis_dmp", "home"]}
+    # schema 3: the head's fields, of which ddmp's home is the only one
+    # that not every head has, then the net's, then the split
+    head = ["method", "task", "n_joint", "n_samples_per_traj", "n_basis"]
+    own = {"deep-mp": [], "residual": [], "ddmp": ["home"]}
+    rest = ["layer_sizes", "theta", "ctx_mean", "ctx_std", "train_indices",
+            "test_indices"]
     # the net's inputs and outputs per task: 3 or 10 context features;
     # 7 joints x 8 or 10 basis weights, and for ddmp 7 x 5 forcing
     # weights, the goal and, on wpp only, the start
@@ -98,8 +98,10 @@ def test_payload_lists_every_head_field_in_schema_order(tmp_path):
             model = _trained(method, ds, epochs=1, seed=1, n_basis_dmp=5)
             checkpoint.save(model, path, meta={})
             payload = json.loads(path.read_text())["payload"]
-            assert list(payload) == common + own[method]
+            assert list(payload) == head + own[method] + rest
             assert (payload["method"], payload["task"]) == (method, ds.kind)
+            assert payload["n_basis"] == (5 if method == "ddmp" else
+                                          {"rtp": 8, "wpp": 10}[ds.kind])
             assert payload["layer_sizes"] == [inputs[ds.kind], 64, 64,
                                               width[ds.kind][method]]
             if method == "ddmp":
@@ -107,54 +109,55 @@ def test_payload_lists_every_head_field_in_schema_order(tmp_path):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_checkpoint_with_time_scales_still_loads(tmp_path, method):
-    # checkpoints written while the basis took a sampling rate and the
-    # attractor a time constant hold those fields; both cancelled out of
-    # every prediction, so such a checkpoint predicts what it did
+def test_extra_payload_fields_are_ignored(tmp_path, method):
+    # a field that changes what a model predicts comes with a new schema,
+    # so one the reader does not know is left unread: the checkpoint
+    # predicts what the same checkpoint without it does
     ds = generate_wpp(seed=5, trials_per_cell=1)
     model = _trained(method, ds, epochs=1, seed=0, n_basis_dmp=5)
-    new, old = tmp_path / "new.json", tmp_path / "old.json"
-    checkpoint.save(model, new, meta={})
-    doc = json.loads(new.read_text())
-    doc["payload"]["sampling_frequency"] = 150.0
-    if method == "ddmp":
-        doc["payload"]["dmp_tau"] = 7.6
-    old.write_text(json.dumps(doc))
+    plain, extra = tmp_path / "plain.json", tmp_path / "extra.json"
+    checkpoint.save(model, plain, meta={})
+    doc = json.loads(plain.read_text())
+    doc["payload"].update(note="kept by hand", scale=[7.6, None])
+    extra.write_text(json.dumps(doc))
     idx = np.arange(len(ds))
-    np.testing.assert_array_equal(_predicted(checkpoint.load(old), ds, idx),
-                                  _predicted(checkpoint.load(new), ds, idx))
+    np.testing.assert_array_equal(_predicted(checkpoint.load(extra), ds, idx),
+                                  _predicted(checkpoint.load(plain), ds, idx))
 
 
-def test_schema_1_names_file_and_rerun(tmp_path):
+def _schema_2(doc, method):
+    """Checkpoint `doc` in the layout schema 2 wrote: the head's own
+    fields after the split, ddmp's basis size under a name of its own."""
+    payload = doc["payload"]
+    own = {"n_basis_dmp" if method == "ddmp" else "n_basis":
+           payload.pop("n_basis")}
+    if method == "ddmp":
+        own["home"] = payload.pop("home")
+    payload.update(own)
+    return {**doc, "schema": 2}
+
+
+@pytest.mark.parametrize("schema,method", [
+    (1, None), (2, "residual"), (2, "ddmp")],
+    ids=["schema_1", "schema_2_residual", "schema_2_ddmp"])
+def test_older_schema_names_file_and_rerun(tmp_path, schema, method):
+    # every layout change bumps the schema; a file of an older one is
+    # refused whole, with the command that rewrites it
     path = tmp_path / "old.json"
-    path.write_text(json.dumps({"schema": 1, "kind": "trained_model",
-                                "payload": {"model_kind": "deep_mp"},
-                                "meta": {}}))
-    with pytest.raises(ValueError) as err:
-        checkpoint.load(path)
-    assert str(err.value) == (
-        f"{path}: unsupported checkpoint schema 1; re-run `mprim train` "
-        f"with the arguments in {path}.manifest.json to rewrite it")
-
-
-def test_residual_mean_weights_names_file_and_rerun(tmp_path):
-    # residual checkpoints held the training mean their net's outputs were
-    # added to; the output bias holds it now, so such a net would load and
-    # predict without its mean
-    ds = generate_rtp(seed=3, counts=(6, 3, 2, 2), noise_std=0.0)
-    path = tmp_path / "old.json"
-    checkpoint.save(_trained("residual", ds, epochs=1, seed=1,
-                             n_basis_dmp=5), path, meta={})
-    doc = json.loads(path.read_text())
-    doc["payload"]["mean_weights"] = {"__global__": encode_f64([0.0] * 56)}
+    if method is None:
+        doc = {"schema": 1, "kind": "trained_model",
+               "payload": {"model_kind": "deep_mp"}, "meta": {}}
+    else:
+        ds = generate_rtp(seed=3, counts=(6, 3, 2, 2), noise_std=0.0)
+        checkpoint.save(_trained(method, ds, epochs=1, seed=1,
+                                 n_basis_dmp=5), path, meta={})
+        doc = _schema_2(json.loads(path.read_text()), method)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as err:
         checkpoint.load(path)
     assert str(err.value) == (
-        f"{path}: payload field 'mean_weights' is malformed (OutdatedError: "
-        f"it holds a residual net's training mean, which its output bias "
-        f"now holds); re-run `mprim train` with the arguments in "
-        f"{path}.manifest.json to rewrite it")
+        f"{path}: unsupported checkpoint schema {schema}; re-run `mprim "
+        f"train` with the arguments in {path}.manifest.json to rewrite it")
 
 
 def test_fields_the_benchmark_reads(tmp_path):
@@ -183,10 +186,15 @@ def test_unknown_kind_rejected(tmp_path):
 
 
 def test_unsupported_schema(tmp_path):
+    # no version wrote schema 0 or a later schema: no command rewrites it
     path = tmp_path / "old.json"
-    path.write_text('{"schema": 0, "kind": "trained_model", "payload": {}}\n')
-    with pytest.raises(ValueError, match="schema"):
-        checkpoint.load(path)
+    for schema in (0, checkpoint.SCHEMA_VERSION + 1, "3", True):
+        path.write_text(json.dumps({"schema": schema, "kind": "trained_model",
+                                    "payload": {}}))
+        with pytest.raises(ValueError) as err:
+            checkpoint.load(path)
+        assert str(err.value) == (f"{path}: unsupported checkpoint schema "
+                                  f"{schema!r}")
 
 
 def test_uncheckpointable_type(tmp_path):
@@ -195,27 +203,14 @@ def test_uncheckpointable_type(tmp_path):
                         meta={})
 
 
-_OUTDATED_MEANS = ("(OutdatedError: it holds a residual net's training "
-                   "mean, which its output bias now holds); re-run `mprim "
-                   "train` with the arguments in ")
-
-
 @pytest.mark.parametrize("task,method,field,value,why", [
-    ("rtp", "residual", "mean_weights", {"A": encode_f64([0.0] * 56)},
-     _OUTDATED_MEANS),
-    ("rtp", "residual", "mean_weights",
-     {"__global__": encode_f64([0.0] * 56), "A": encode_f64([0.0] * 56)},
-     _OUTDATED_MEANS),
-    ("rtp", "residual", "mean_weights", {}, _OUTDATED_MEANS),
-    ("rtp", "residual", "mean_weights", {"__global__": encode_f64([0.0])},
-     _OUTDATED_MEANS),
     ("rtp", "ddmp", "home", None, "not a base64 string of float64"),
-    ("rtp", "ddmp", "n_basis_dmp", [5],
-     "(ValueError: n_basis_dmp must be an integer >= 1, got [5])"),
-    ("rtp", "ddmp", "n_basis_dmp", 0,
-     "(ValueError: n_basis_dmp must be an integer >= 1, got 0)"),
-    ("rtp", "ddmp", "n_basis_dmp", 5.0,
-     "(ValueError: n_basis_dmp must be an integer >= 1, got 5.0)"),
+    ("rtp", "ddmp", "n_basis", [5],
+     "(ValueError: n_basis must be an integer >= 1, got [5])"),
+    ("rtp", "ddmp", "n_basis", 0,
+     "(ValueError: n_basis must be an integer >= 1, got 0)"),
+    ("rtp", "ddmp", "n_basis", 5.0,
+     "(ValueError: n_basis must be an integer >= 1, got 5.0)"),
     ("rtp", "deep-mp", "theta", lambda old: _with(old, 5, np.nan),
      "ValueError: value 5 is nan; expected finite numbers)"),
     ("rtp", "deep-mp", "ctx_mean", encode_f64([np.inf, 0.0, 0.0]),
@@ -226,25 +221,19 @@ _OUTDATED_MEANS = ("(OutdatedError: it holds a residual net's training "
      "ValueError: value 1 is -2.0; expected finite numbers > 0)"),
     ("rtp", "residual", "ctx_std", encode_f64([1.0, 1.0, np.inf]),
      "ValueError: value 2 is inf; expected finite numbers > 0)"),
-    ("rtp", "residual", "mean_weights",
-     {"__global__": encode_f64([0.0] * 55 + [-np.inf])}, _OUTDATED_MEANS),
     ("rtp", "ddmp", "home", encode_f64([0.0] * 6 + [np.nan]),
      "ValueError: value 6 is nan; expected finite numbers)"),
     ("wpp", "ddmp", "home", encode_f64([0.0] * 7),
      "ValueError: expected null, got a str)"),
-], ids=["means_without_global", "means_with_region", "means_empty",
-        "means_width", "rtp_without_home",
-        "n_basis_dmp_list", "n_basis_dmp_zero", "n_basis_dmp_float",
-        "theta_nan", "ctx_mean_inf", "ctx_std_zero", "ctx_std_negative",
-        "ctx_std_inf", "means_inf", "home_nan", "wpp_with_home"])
+], ids=["rtp_without_home", "n_basis_list", "n_basis_zero",
+        "n_basis_float", "theta_nan", "ctx_mean_inf", "ctx_std_zero",
+        "ctx_std_negative", "ctx_std_inf", "home_nan", "wpp_with_home"])
 def test_malformed_head_field_names_file_and_field(tmp_path, task, method,
                                                    field, value, why):
     # a field of the wrong type, shape or value would otherwise broadcast
     # silently, evaluate to NaN or nonsense, or fail later with a message
     # naming neither; `value` may be a function of the saved value. A wpp
-    # head has no home: its net predicts the starts. No head has a
-    # `mean_weights` field any more: whatever it holds, the training mean
-    # residual checkpoints held is refused with the hint to rewrite the file
+    # head has no home: its net predicts the starts
     ds = (generate_rtp(seed=3, counts=(6, 3, 2, 2), noise_std=0.0)
           if task == "rtp" else generate_wpp(seed=5, trials_per_cell=1))
     model = _trained(method, ds, epochs=1, seed=1, n_basis_dmp=5)
@@ -277,10 +266,10 @@ def _with(blob, k, value):
      "ValueError: expected 'rtp' or 'wpp', got 'xyz'"),
     ("ddmp", "task", "wpp", "layer_sizes",
      "ValueError: the net's last layer has 42 outputs; its head takes 49"),
-    ("ddmp", "n_basis_dmp", 6, "layer_sizes",
+    ("ddmp", "n_basis", 6, "layer_sizes",
      "ValueError: the net's last layer has 42 outputs; its head takes 49"),
 ], ids=["n_basis_width", "residual_task", "ddmp_task", "ddmp_task_width",
-        "n_basis_dmp_width"])
+        "n_basis_ddmp_width"])
 def test_head_that_does_not_fit_net_names_file_and_field(
         tmp_path, method, field, value, named, why):
     # an unknown task or a head whose width is not the net's output used

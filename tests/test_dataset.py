@@ -415,8 +415,8 @@ class TestPersistence:
             dataclasses.replace(ds, **change)
 
     def test_older_split_keys_are_ignored(self, tmp_path):
-        # files written while the dataset still carried split labels hold
-        # a "split" in every record; they load like the same file without
+        # a key the reader does not know, here a "split" in every record,
+        # is left unread: the file loads like the same file without it
         ds = generate_wpp(seed=8, trials_per_cell=1)
         plain, labelled = tmp_path / "plain.jsonl", tmp_path / "old.jsonl"
         save_jsonl(ds, plain)
@@ -436,9 +436,9 @@ class TestPersistence:
                                   "fs_negative", "fs_zero", "fs_bool",
                                   "fs_text", "fs_too_large"])
     def test_older_sampling_frequency_is_ignored(self, tmp_path, fs):
-        # files written while the dataset recorded a sampling frequency
-        # hold it in the header; no model read it, so whatever its value,
-        # such a file loads like the same file without the key
+        # a header key the reader does not know, here a sampling
+        # frequency, is left unread: whatever its value, the file loads
+        # like the same file without the key
         plain, old = tmp_path / "plain.jsonl", tmp_path / "old.jsonl"
         _write_edited(plain)
         _write_edited(old, header={"sampling_frequency": fs})

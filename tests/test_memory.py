@@ -102,8 +102,8 @@ def test_head_fit_holds_no_copy_of_the_stack(paper_wpp, method):
 @pytest.mark.parametrize("method", sorted(HEADS))
 def test_evaluate_holds_prediction_truth_and_a_chunk(paper_wpp, method):
     # one chunk's prediction and truth at a time, on the test side and on
-    # every demo, which `mprim eval` scores for a checkpoint that holds
-    # no test demos
+    # every demo: all 868 demos, about 3.5 times the WPP1 test side, stay
+    # under the same bound, so the peak does not grow with the split
     ds, (train_idx, test_idx) = paper_wpp
     cfg = TrainConfig(epochs=0, batch_size=32, learning_rate=1e-3, seed=0,
                       early_stop_patience=20)

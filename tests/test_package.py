@@ -1,9 +1,9 @@
 """Guards over the whole package: the names the benchmark tracer wraps,
 the one module that holds the checkpoint format, the one file writer and
 the one table writer, the settings the trainer takes from its caller,
-value classes that compare by identity, library surface (names,
-defaulted parameters) that nothing in the package uses, and defaults
-that only tests rely on."""
+the one name of a head's basis size, value classes that compare by
+identity, library surface (names, defaulted parameters) that nothing in
+the package uses, and defaults that only tests rely on."""
 
 import ast
 import dataclasses
@@ -155,6 +155,19 @@ def test_train_takes_the_split_and_one_basis_size():
              for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.alias))}
     assert "random_split" not in names
+
+
+def test_every_head_names_its_basis_size_n_basis():
+    # the one basis size of a head, ProMP or forcing, has one name: each
+    # head's fields start with the same four, its `fit` takes it as
+    # `n_basis`, and the trainer and the checkpoint know no other name
+    for cls in training.HEADS.values():
+        fields = [f.name for f in dataclasses.fields(cls)]
+        assert fields[:4] == ["task", "n_joint", "n_samples", "n_basis"], cls
+        assert list(inspect.signature(cls.fit).parameters) == [
+            "dataset", "train_idx", "n_basis"], cls
+    for module in (training, checkpoint):
+        assert "n_basis_dmp" not in Path(module.__file__).read_text(), module
 
 
 def test_value_classes_holding_arrays_compare_by_identity():

@@ -405,7 +405,7 @@ class TestTrainDdmp:
         # prediction identical to the target parameter vector gives a
         # zero-loss epoch immediately
         head, targets = DmpHead.fit(small_rtp, np.arange(len(small_rtp)),
-                                    n_basis_dmp=10)
+                                    n_basis=10)
         assert head.task == "rtp"
         losses, grads = head.loss_and_grad(targets[:4], targets[:4])
         assert np.all(losses == 0.0) and np.all(grads == 0.0)
@@ -612,7 +612,7 @@ class TestEvaluate:
                            split=split)
         _, overall, _ = evaluate(model, tiny_wpp, split[1], DEFAULT_CHAIN)
         head = model.head
-        n, j, k = head.n_samples, 7, head.n_basis_dmp
+        n, j, k = head.n_samples, 7, head.n_basis
         sq, preds, gts = [], [], []
         for i, out in zip(split[1], net_outputs(model, tiny_wpp, split[1])):
             forcing, goal, start = fit_dmp(tiny_wpp.trajectories, [i], k)
@@ -801,8 +801,8 @@ class TestDispatchAndReport:
             trained("mystery", small_rtp, config(epochs=1, seed=0))
 
     @pytest.mark.parametrize("head, keyword", [
-        (DmpHead, {"task": "wpp"}), (DmpHead, {"n_basis": 8}),
-        (PrompHead, {"n_basis_dmp": 25}), (ResidualHead, {"n_basis_dmp": 25})])
+        (DmpHead, {"task": "wpp"}), (PrompHead, {"n_basis_dmp": 25}),
+        (ResidualHead, {"n_basis_dmp": 25})])
     def test_head_fit_rejects_a_keyword_of_another_head(self, small_rtp,
                                                          head, keyword):
         with pytest.raises(TypeError, match=next(iter(keyword))):
