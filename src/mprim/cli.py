@@ -308,7 +308,7 @@ def cmd_eval(args, argv):
     # from its outputs; one FK call covers their truths and predictions
     shown = indices[:args.plot_samples]
     truth = dataset.trajectories[shown]
-    pred = model.head.decode(out[:len(shown)], shown) if len(shown) else truth
+    pred = model.head.decode(out[:len(shown)]) if len(shown) else truth
     ee_gt, ee_pred = kinematics.fk_position(chain, np.stack([truth, pred]))
     for i, gt_values, pred_values, gt_xyz, pred_xyz in zip(
             shown, truth, pred, ee_gt, ee_pred):

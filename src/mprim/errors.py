@@ -1,15 +1,10 @@
 """Exception types shared across the package."""
 
 
-class IntegrationError(RuntimeError):
-    """A DMP rollout produced a non-finite state.
-
-    `rows` lists the diverged rows of a batched rollout.
-    """
-
-    def __init__(self, message, rows):
-        super().__init__(message)
-        self.rows = tuple(rows)
+class NonFiniteScoreError(ArithmeticError):
+    """A demo's squared error or end distance is not finite: its decoded
+    prediction or ground truth overflowed. `training.evaluate` raises it
+    for every head, naming the dataset indices."""
 
 
 class DatasetFormatError(ValueError):

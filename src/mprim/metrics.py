@@ -1,5 +1,6 @@
 """Joint-space evaluation metrics."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,9 @@ class EvalRecord:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("a metrics row needs at least one sample")
-        if self.ave_mse < 0 or self.ave_ed_mm < 0:
-            raise ValueError("metrics must be nonnegative")
+        # a NaN fails every comparison
+        if not all(0 <= v < math.inf for v in (self.ave_mse, self.ave_ed_mm)):
+            raise ValueError("metrics must be finite and nonnegative")
 
 
 def squared_trajectory_loss(pred, truth) -> np.ndarray:

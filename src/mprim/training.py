@@ -24,11 +24,12 @@ of a head, and how, is `checkpoint`'s alone.
 `train` runs one deterministic minibatch loop for every head (Adam, seeded
 shuffling, best-validation checkpointing, early stopping on the
 validation loss) and returns a `Model`: the net, its context scaler, its
-split and its head. `evaluate` runs the net over a whole split and
-scores every head with the same expressions. No setting of a run has
-a default here, and no file is read or written: `mprim.cli` states each
-one, the split and the head's one basis size too, and writes the
-report's loss curves with `plots.write_table`.
+split and its head. `evaluate` runs the net over a whole split, scores
+every head with the same expressions, and is the one place that checks
+that a score is finite: no head's decode checks its own output. No
+setting of a run has a default here, and no file is read or written:
+`mprim.cli` states each one, the split and the head's one basis size
+too, and writes the report's loss curves with `plots.write_table`.
 
 Memory rule: a stage holds the dataset, arrays of the size of a split's
 network outputs or fitted parameters, and temporaries of at most one
@@ -47,7 +48,7 @@ import numpy as np
 from mprim import dmp as dmp_mod
 from mprim import kernels, metrics
 from mprim.dataset import DemoDataset, check_split
-from mprim.errors import IntegrationError, TrainingDivergedError
+from mprim.errors import NonFiniteScoreError, TrainingDivergedError
 from mprim.kinematics import KinematicChain, final_distances
 from mprim.promp import build_phi, fit_weights, reconstruct
 from mprim.regressor import (MlpParams, adam_init, adam_step, init_mlp,
@@ -259,9 +260,8 @@ class Head:
     A subclass fits its targets (`fit(dataset, train_idx, n_basis)`),
     computes its per-sample loss and the loss gradient w.r.t. a batch of
     network outputs (`loss_and_grad`), decodes such a batch from the
-    outputs alone (`decode`; the dataset indices of its rows only name a
-    failure), gives the ground truth of a split (`truth`) and says how
-    many network outputs it takes (`width`). Trajectories are
+    outputs alone (`decode`), gives the ground truth of a split (`truth`)
+    and says how many network outputs it takes (`width`). Trajectories are
     (B, T, n_joint) arrays, with T = `n_samples`. `n_basis` is the
     number of basis parameters per joint: the ProMP basis count for
     deep-mp and residual, the forcing-kernel count for ddmp.
@@ -301,7 +301,7 @@ class PrompHead(Head):
     def width(self):
         return self.n_joint * self.n_basis
 
-    def decode(self, out, indices):
+    def decode(self, out):
         return self._trajectories(out)
 
     def truth(self, dataset, indices):
@@ -388,30 +388,22 @@ class DmpHead(Head):
         return self.n_joint * (self.n_basis
                                + (1 if self.task == "rtp" else 2))
 
-    def decode(self, out, indices):
+    def decode(self, out):
         j, n = self.n_joint, self.n_basis
         forcing = out[:, :j * n].reshape(len(out), j, n)
         goals = out[:, j * n:j * n + j]
         starts = (np.broadcast_to(self.home, goals.shape)
                   if self.task == "rtp" else out[:, j * n + j:])
-        return self._rollouts(forcing, goals, starts, "prediction", indices)
+        return dmp_mod.rollout_matched(starts, goals, forcing,
+                                       self.n_samples)
 
     def truth(self, dataset, indices):
         """The rollouts of the demos at `indices` refitted, read from the
         stack where they lie."""
-        fits = dmp_mod.fit_dmp(dataset.trajectories, indices, self.n_basis)
-        return self._rollouts(*fits, "ground-truth", indices)
-
-    def _rollouts(self, forcing, goals, starts, what, indices):
-        """One batched rollout; a divergence names the dataset indices."""
-        try:
-            return dmp_mod.rollout_matched(starts, goals, forcing,
-                                           self.n_samples)
-        except IntegrationError as err:
-            rows = [int(indices[r]) for r in err.rows]
-            raise IntegrationError(
-                f"{what} rollout diverged to a non-finite state for dataset "
-                f"indices {rows}", rows=rows) from err
+        forcing, goals, starts = dmp_mod.fit_dmp(dataset.trajectories,
+                                                 indices, self.n_basis)
+        return dmp_mod.rollout_matched(starts, goals, forcing,
+                                       self.n_samples)
 
 
 HEADS = {"deep-mp": PrompHead, "residual": ResidualHead, "ddmp": DmpHead}
@@ -498,6 +490,9 @@ def group_keys(dataset: DemoDataset):
                      for t in dataset.tags])
 
 
+# an overflowing score is caught by the finiteness check below, not by
+# numpy's overflow warnings
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(model: Model, dataset: DemoDataset, indices,
              chain: KinematicChain):
     """Grouped metrics over a dataset subset.
@@ -509,10 +504,11 @@ def evaluate(model: Model, dataset: DemoDataset, indices,
     one-row pass would round differently); then each `_chunks` slice is
     decoded and scored against its ground truth, each demo's fitted
     representation decoded the same way (a ddmp model rolls out a chunk's
-    refits as one batch and its predictions as another). A divergent
-    rollout raises IntegrationError naming the dataset indices and which
-    of the two it was. Each demo's squared error and end-effector
-    distance (on `chain`) are computed once and averaged per group.
+    refits as one batch and its predictions as another). Each demo's
+    squared error and end-effector distance (on `chain`) are computed
+    once and averaged per group. When any of them is not finite, because
+    a decoded prediction or ground truth overflowed, whatever the head,
+    NonFiniteScoreError names those demos' dataset indices.
     """
     indices = _demo_indices(indices, len(dataset), "demo")
     if len(indices) == 0:
@@ -522,12 +518,18 @@ def evaluate(model: Model, dataset: DemoDataset, indices,
     # both sides' final samples: one FK call per side covers the split
     ends = np.empty((2, len(indices), 1, dataset.n_joint))
     for rows in _chunks(len(indices)):
-        pred = model.head.decode(out[rows], indices[rows])
+        pred = model.head.decode(out[rows])
         truth = model.head.truth(dataset, indices[rows])
         sq[rows] = metrics.squared_trajectory_loss(pred, truth)
         ends[0, rows], ends[1, rows] = pred[:, -1:], truth[:, -1:]
         del pred, truth   # before the next chunk's are made
     dist = final_distances(ends[0], ends[1], chain)
+    bad = indices[~(np.isfinite(sq) & np.isfinite(dist))]
+    if len(bad):
+        raise NonFiniteScoreError(
+            f"the squared error or end distance of dataset indices "
+            f"{bad.tolist()} is not finite: a decoded prediction or its "
+            f"ground truth overflowed")
     keys = group_keys(dataset)[indices]
 
     def record(name, rows):

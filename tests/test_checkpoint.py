@@ -35,7 +35,7 @@ def _trained(method, ds, epochs, seed, n_basis_dmp):
 
 def _predicted(model, ds, idx):
     """The trajectories `model` predicts for the demos at `idx`."""
-    return model.head.decode(model.outputs(ds, idx), idx)
+    return model.head.decode(model.outputs(ds, idx))
 
 
 def test_dmp_model_round_trip(tmp_path):

@@ -657,7 +657,7 @@ class TestEval:
         dataset = load_jsonl(small_dataset)
         idx = np.asarray(model.test_indices)
         _, _, out = training.evaluate(model, dataset, idx, DEFAULT_CHAIN)
-        pred = model.head.decode(out, idx)
+        pred = model.head.decode(out)
         assert len(list(outdir.glob("sample_*_joints.csv"))) == 3
         for i, rows in zip(idx[:3], pred):
             joints = np.loadtxt(outdir / f"sample_{i}_joints.csv",
@@ -669,6 +669,32 @@ class TestEval:
                             delimiter=",", skiprows=1)
             np.testing.assert_array_equal(
                 ee[:, 4:], fk_position(DEFAULT_CHAIN, rows))
+
+    @pytest.mark.parametrize("method", ["deep-mp", "residual", "ddmp"])
+    def test_overflowing_checkpoint_exits_1_naming_the_demos(
+            self, small_dataset, tmp_path, method):
+        # every last-layer weight at 1e300 is finite, so the checkpoint
+        # loads, but the scores of its predictions overflow: the eval
+        # stage fails with one error line naming the demos, no numpy
+        # warning, and no metrics file
+        ckpt = tmp_path / "ck.json"
+        assert run(["train", "--data", small_dataset, "--method", method,
+                    "--epochs", "1", "--seed", "0", "--n-basis-dmp", "5",
+                    "--out", ckpt]) == 0
+        model = checkpoint.load(ckpt)
+        model.mlp.weights[-1][:] = 1e300
+        checkpoint.save(model, ckpt, meta={})
+        outdir = tmp_path / "evalout"
+        proc = _child(["-m", "mprim.cli", "eval", "--data", small_dataset,
+                       "--checkpoint", ckpt, "--outdir", outdir], tmp_path)
+        assert proc.returncode == 1
+        # every held-out demo overflows: [1, 9, 15, 22]
+        assert proc.stderr.startswith(
+            f"error: the squared error or end distance of dataset indices "
+            f"{list(model.test_indices)} is not finite")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (outdir / "metrics.csv").exists()
 
 
 class TestNumericFlags:

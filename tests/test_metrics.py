@@ -61,7 +61,7 @@ class TestAveMse:
                          split=random_split(len(ds), TRAIN_FRACTION, 0))
         idx = np.arange(len(ds))
         _, overall, out = evaluate(model, ds, idx, DEFAULT_CHAIN)
-        sq = squared_trajectory_loss(model.head.decode(out, idx),
+        sq = squared_trajectory_loss(model.head.decode(out),
                                      model.head.truth(ds, idx))
         assert overall.ave_mse == float(np.mean(sq))
 
@@ -105,3 +105,9 @@ class TestEvalRecord:
             EvalRecord("A", -0.1, 5.0, 10)
         with pytest.raises(ValueError):
             EvalRecord("A", 0.1, 5.0, 0)
+        # NaN passes a `< 0` test, and an infinity is no average
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                EvalRecord("A", bad, 5.0, 10)
+            with pytest.raises(ValueError, match="finite"):
+                EvalRecord("A", 0.1, bad, 10)

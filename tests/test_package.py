@@ -1,9 +1,10 @@
 """Guards over the whole package: the names the benchmark tracer wraps,
 the one module that holds the checkpoint format, the one file writer and
 the one table writer, the settings the trainer takes from its caller,
-the one name of a head's basis size, value classes that compare by
-identity, library surface (names, defaulted parameters) that nothing in
-the package uses, and defaults that only tests rely on."""
+the one name of a head's basis size, the one finite check of a score,
+value classes that compare by identity, library surface (names,
+defaulted parameters) that nothing in the package uses, and defaults
+that only tests rely on."""
 
 import ast
 import dataclasses
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mprim import checkpoint, cli, kernels, training
+from mprim import checkpoint, cli, dmp, kernels, training
 
 # defaulted parameters that no call in the package passes, each with the
 # reason it keeps its default
@@ -168,6 +169,24 @@ def test_every_head_names_its_basis_size_n_basis():
             "dataset", "train_idx", "n_basis"], cls
     for module in (training, checkpoint):
         assert "n_basis_dmp" not in Path(module.__file__).read_text(), module
+
+
+def test_evaluate_alone_checks_that_a_score_is_finite():
+    # `training.evaluate` refuses a non-finite score for every head: a
+    # head decodes its outputs alone, with no dataset index to name a
+    # failure by, and the DMP rollout raises no error of its own
+    for cls in training.HEADS.values():
+        assert list(inspect.signature(cls.decode).parameters) == [
+            "self", "out"], cls
+    for node in ast.walk(ast.parse(Path(dmp.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            names.append(node.module)
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(name.startswith("mprim.errors") for name in names)
 
 
 def test_value_classes_holding_arrays_compare_by_identity():

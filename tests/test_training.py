@@ -14,7 +14,7 @@ from mprim.dataset import (TRAIN_FRACTION, WPP_DEFAULT_TRIALS, WPP_SPLITS,
                            apply_split, generate_rtp, generate_wpp,
                            random_split)
 from mprim.dmp import fit_dmp, rollout_matched
-from mprim.errors import IntegrationError, TrainingDivergedError
+from mprim.errors import NonFiniteScoreError, TrainingDivergedError
 from mprim.kinematics import DEFAULT_CHAIN, final_distances
 from mprim.promp import build_phi, fit_weights
 from mprim.regressor import MlpParams, init_mlp, mlp_forward
@@ -72,7 +72,7 @@ def net_outputs(model, dataset, indices):
 
 def predicted(model, dataset, indices):
     """The trajectories `model` predicts for the demos at `indices`."""
-    return model.head.decode(model.outputs(dataset, indices), indices)
+    return model.head.decode(model.outputs(dataset, indices))
 
 
 def flat_weights(head, stack):
@@ -249,7 +249,7 @@ class TestTrainDeepMp:
         coef = np.linalg.lstsq(np.hstack([ctx[train_idx], ones[train_idx]]),
                                targets[train_idx], rcond=None)[0]
         ora = model.head.decode(np.hstack([ctx[test_idx], ones[test_idx]])
-                                @ coef, test_idx)
+                                @ coef)
         gt = model.head.truth(ds, test_idx)
         net_mse = evaluate(model, ds, test_idx, DEFAULT_CHAIN)[1].ave_mse
         ridge_mse = np.mean(metrics.squared_trajectory_loss(ora, gt))
@@ -573,6 +573,47 @@ class TestDivergence:
         assert model.mlp.theta.tobytes() == kept.mlp.theta.tobytes()
 
 
+def assert_non_finite_demo_is_named(dataset, monkeypatch, method, which):
+    """Whatever the head, a demo whose prediction or ground truth is not
+    finite fails the evaluation naming its dataset index, and numpy's
+    warnings stay silent."""
+    split = apply_split(dataset, WPP_SPLITS["WPP1"], seed=0)
+    model, _ = trained(method, dataset, config(epochs=1, seed=0),
+                       split=split)
+    bad = int(split[1][3])
+
+    if which == "prediction":
+        # a NaN context gives that demo a NaN network output
+        contexts = dataset.contexts.copy()
+        contexts[bad] = np.nan
+        monkeypatch.setattr(dataset, "contexts", contexts)
+    elif method == "ddmp":
+        # a NaN forcing weight in the bad demo's row of the stacked
+        # fit makes its ground-truth rollout non-finite
+        def poisoned(trajectories, indices, n_basis):
+            forcing, goals, starts = fit_dmp(trajectories, indices, n_basis)
+            forcing[np.asarray(indices) == bad, 0, 0] = np.nan
+            return forcing, goals, starts
+
+        monkeypatch.setattr(dmp_mod, "fit_dmp", poisoned)
+    else:
+        # a NaN basis weight in the bad demo's row of the fitted
+        # weights makes its ground truth non-finite
+        fitted = PrompHead._fitted
+
+        def poisoned(head, ds, indices):
+            weights = fitted(head, ds, indices)
+            weights[np.asarray(indices) == bad, 0] = np.nan
+            return weights
+
+        monkeypatch.setattr(PrompHead, "_fitted", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteScoreError,
+                           match=rf"indices \[{bad}\] is not finite"):
+            evaluate(model, dataset, split[1], DEFAULT_CHAIN)
+
+
 class TestEvaluate:
     def test_oracle_model_scores_zero(self, small_rtp):
         # a bias-only net that always outputs the exact weights of a
@@ -641,30 +682,14 @@ class TestEvaluate:
     @pytest.mark.parametrize("which", ["prediction", "ground-truth"])
     def test_ddmp_divergence_names_dataset_index(self, tiny_wpp, monkeypatch,
                                                  which):
-        split = apply_split(tiny_wpp, WPP_SPLITS["WPP1"], seed=0)
-        model, _ = trained("ddmp", tiny_wpp, config(epochs=1, seed=0),
-                           split=split)
-        bad = int(split[1][3])
+        assert_non_finite_demo_is_named(tiny_wpp, monkeypatch, "ddmp", which)
 
-        if which == "prediction":
-            # a NaN context gives that demo a NaN network output
-            contexts = tiny_wpp.contexts.copy()
-            contexts[bad] = np.nan
-            monkeypatch.setattr(tiny_wpp, "contexts", contexts)
-        else:
-            # a NaN forcing weight in the bad demo's row of the stacked
-            # fit makes its ground-truth rollout non-finite
-            def poisoned(trajectories, indices, n_basis):
-                forcing, goals, starts = fit_dmp(trajectories, indices,
-                                                 n_basis)
-                forcing[np.asarray(indices) == bad, 0, 0] = np.nan
-                return forcing, goals, starts
-
-            monkeypatch.setattr(dmp_mod, "fit_dmp", poisoned)
-        with pytest.raises(IntegrationError,
-                           match=rf"{which} rollout .* \[{bad}\]") as err:
-            evaluate(model, tiny_wpp, split[1], DEFAULT_CHAIN)
-        assert err.value.rows == (bad,)
+    @pytest.mark.parametrize("which", ["prediction", "ground-truth"])
+    @pytest.mark.parametrize("method", ["deep-mp", "residual"])
+    def test_non_finite_score_names_dataset_index(self, tiny_wpp,
+                                                  monkeypatch, method,
+                                                  which):
+        assert_non_finite_demo_is_named(tiny_wpp, monkeypatch, method, which)
 
     def test_ave_mse_matches_recomputation(self, small_rtp):
         _, _, phi = grids_for(small_rtp)
@@ -694,7 +719,7 @@ class TestEvaluate:
         _, _, out = evaluate(model, small_rtp, idx, DEFAULT_CHAIN)
         assert len(calls) == 2
         np.testing.assert_array_equal(calls[0],
-                                      model.head.decode(out, idx)[:, -1])
+                                      model.head.decode(out)[:, -1])
         np.testing.assert_array_equal(
             calls[1], model.head.truth(small_rtp, idx)[:, -1])
 
@@ -708,7 +733,7 @@ class TestEvaluate:
         np.testing.assert_array_equal(out, model.outputs(small_rtp, idx))
         assert overall.ave_mse == float(np.mean(
             metrics.squared_trajectory_loss(
-                model.head.decode(out, idx),
+                model.head.decode(out),
                 model.head.truth(small_rtp, idx))))
 
     @pytest.mark.parametrize("method", ["deep-mp", "residual", "ddmp"])
@@ -739,7 +764,7 @@ class TestEvaluate:
                           head.n_basis)
         np.testing.assert_array_equal(
             predicted(model, small_rtp, idx),
-            plain.decode(np.broadcast_to(mean, (len(idx), head.width)), idx))
+            plain.decode(np.broadcast_to(mean, (len(idx), head.width))))
 
     def test_empty_split_rejected(self, small_rtp):
         model, _ = trained("deep-mp", small_rtp, config(epochs=1, seed=7))
